@@ -31,6 +31,7 @@ from .core import (
     HamiltonianSpec,
     NaturalForm,
     SystemSpec,
+    energy,
     finite_difference_partials,
     hamiltonian_from_lagrangian,
     hamiltonian_rhs,
@@ -72,6 +73,7 @@ from .hybrid import (
 from .impact import (
     ImpactResult,
     SwitchingSurface,
+    impact_residuals,
     resolve_impact_hamiltonian,
     resolve_impact_natural,
     resolve_impact_newton,

@@ -20,12 +20,12 @@ from .core import (
     ContactStateL,
     HamiltonianSpec,
     SystemSpec,
+    energy,
     evaluate_partials,
     hamiltonian_rhs,
-    lagrangian_energy,
 )
 from .hybrid import HybridTrajectory, ImpactEvent
-from .impact import SwitchingSurface, tangent_basis
+from .impact import SwitchingSurface, impact_residuals
 
 __all__ = [
     "CheckReport",
@@ -84,12 +84,6 @@ def _rate_evaluator(sys: Union[SystemSpec, HamiltonianSpec]) -> Callable:
     return lambda s: -sys.grad_z(s.q, s.p, s.z)
 
 
-def _energy_evaluator(sys: Union[SystemSpec, HamiltonianSpec]) -> Callable:
-    if isinstance(sys, SystemSpec):
-        return lambda s: lagrangian_energy(sys, s)
-    return lambda s: sys.value(s.q, s.p, s.z)
-
-
 def _decay_law_violation(traj: HybridTrajectory, sys, value_fn, name, tol,
                          samples_per_segment: int) -> CheckReport:
     """Shared engine: compare value_fn along the flow against
@@ -141,7 +135,7 @@ def check_energy_decay(traj: HybridTrajectory,
 
     For constant dL/dz = -gamma the reference is E0 e^(-gamma t).
     """
-    return _decay_law_violation(traj, sys, _energy_evaluator(sys),
+    return _decay_law_violation(traj, sys, lambda s: energy(sys, s),
                                 "energy_decay", tol, samples_per_segment)
 
 
@@ -158,27 +152,9 @@ def check_impact_conditions(event: ImpactEvent,
                             sys: Union[SystemSpec, HamiltonianSpec],
                             surface: SwitchingSurface,
                             tol: float = IMPACT_TOL) -> CheckReport:
-    """Recompute the tangential-momentum and energy matches for one event.
-
-    Momenta and energies are evaluated fresh from both one-sided states;
-    the tangential directions come from a Householder basis of
-    ker grad h. For n = 1 the tangential condition is vacuous.
-    """
-    s_minus, s_plus = event.state_minus, event.state_plus
-    if isinstance(sys, SystemSpec):
-        p_minus = evaluate_partials(sys, s_minus).dL_dv
-        p_plus = evaluate_partials(sys, s_plus).dL_dv
-        e_minus = lagrangian_energy(sys, s_minus)
-        e_plus = lagrangian_energy(sys, s_plus)
-    else:
-        p_minus, p_plus = s_minus.p, s_plus.p
-        e_minus = sys.value(s_minus.q, s_minus.p, s_minus.z)
-        e_plus = sys.value(s_plus.q, s_plus.p, s_plus.z)
-    g = surface.gradient(event.q)
-    T = tangent_basis(g)
-    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
-    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
-    r_en = abs(e_plus - e_minus) / max(1.0, abs(e_minus))
+    """Recompute the tangential-momentum and energy matches for one event
+    from both one-sided states (see ``impact.impact_residuals``)."""
+    r_tan, r_en = impact_residuals(sys, surface, event.state_minus, event.state_plus)
     return CheckReport(name="impact_conditions", max_violation=max(r_tan, r_en),
                        tolerance=tol, location=event.t)
 

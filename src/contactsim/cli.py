@@ -41,14 +41,14 @@ from .core import (
     ContactStateH,
     ContactStateL,
     SystemSpec,
+    energy,
     hamiltonian_from_lagrangian,
-    lagrangian_energy,
     legendre_forward,
     natural_lagrangian_system,
 )
 from .errors import ConfigError, ContactSimError, GrazingContact
 from .hybrid import COMPLETED, HybridSystem, simulate
-from .impact import SwitchingSurface, resolve_impact_natural, tangent_basis
+from .impact import SwitchingSurface, impact_residuals, resolve_impact_natural
 from .integrate import EventConfig, StepperConfig
 from .io import (
     format_float,
@@ -240,41 +240,24 @@ def initial_state(rc: RunConfig, hs: HybridSystem, lag_spec: SystemSpec):
     return legendre_forward(lag_spec, ContactStateL(q=rc.q0, qdot=rc.v0, z=rc.z0, t=0.0))
 
 
-def _mass_scalar(rc: RunConfig) -> float:
-    return float(rc.system.get("mass", 1.0))
-
-
-def _hamiltonian_ell(hsys, s: ContactStateH) -> float:
-    """x vy - y vx with the velocity recovered as Minv p."""
-    v = hsys.minv(s.q) @ s.p
+def _ell(hs: HybridSystem, s) -> float:
+    """x vy - y vx; on the Hamiltonian side the velocity is Minv p."""
+    if hs.formulation == "lagrangian":
+        return angular_momentum(s)
+    v = hs.dynamics.minv(s.q) @ s.p
     return float(s.q[0] * v[1] - s.q[1] * v[0])
 
 
-def _table_columns(rc: RunConfig, hs: HybridSystem, lag_spec, table):
-    """Energy and angular-quantity columns for the sample table."""
-    n = hs.n
-    energies = np.empty(table.times.size)
-    ells = np.zeros(table.times.size)
-    for k in range(table.times.size):
-        y = table.states[k]
-        t = float(table.times[k])
-        if rc.formulation == "lagrangian":
-            s = ContactStateL.from_vector(y, n, t)
-            energies[k] = lagrangian_energy(lag_spec, s)
-            if n == 2:
-                ells[k] = angular_momentum(s)
-        else:
-            s = ContactStateH.from_vector(y, n, t)
-            energies[k] = hs.dynamics.value(s.q, s.p, s.z)
-            if n == 2:
-                ells[k] = _hamiltonian_ell(hs.dynamics, s)
+def _table_columns(hs: HybridSystem, times: np.ndarray, states: np.ndarray):
+    """Energy and angular-quantity (n = 2 only) columns, one per state row."""
+    energies = np.empty(times.size)
+    ells = np.zeros(times.size)
+    for k in range(times.size):
+        s = hs.state_from_vector(states[k], float(times[k]))
+        energies[k] = energy(hs.dynamics, s)
+        if hs.n == 2:
+            ells[k] = _ell(hs, s)
     return energies, ells
-
-
-def _ell_evaluator(rc: RunConfig, hs: HybridSystem):
-    if rc.formulation == "lagrangian":
-        return angular_momentum
-    return lambda s: _hamiltonian_ell(hs.dynamics, s)
 
 
 def run_simulation(cfg: dict, out_dir: str, samples_override=None,
@@ -296,7 +279,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
     t_grid = np.linspace(traj.t0, traj.t_end, rc.samples)
     times = np.unique(np.concatenate([t_grid, [e.t for e in traj.events]]))
     table = traj.sample(times)
-    energies, ells = _table_columns(rc, hs, lag_spec, table)
+    energies, ells = _table_columns(hs, table.times, table.states)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -306,7 +289,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
     checks = [check_energy_decay(traj, hs.dynamics, FLOW_TOL)]
     if rc.system["kind"] == "circle" and hs.n == 2:
         checks.append(check_dissipated_quantity(
-            traj, _ell_evaluator(rc, hs), hs.dynamics, FLOW_TOL,
+            traj, lambda s: _ell(hs, s), hs.dynamics, FLOW_TOL,
             name="angular_quantity_decay"))
     worst_impact = CheckReport(name="impact_conditions", max_violation=0.0,
                                tolerance=IMPACT_TOL)
@@ -322,6 +305,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
                               tolerance=CONTAINMENT_TOL,
                               location=float(table.times[int(np.argmin(h_vals))])))
 
+    n = hs.n
     E0 = float(energies[0])
     fit_rate = None
     if np.all(energies > 0.0) and traj.t_end > traj.t0:
@@ -343,8 +327,8 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
             {
                 "t": e.t,
                 "q": [float(v) for v in e.q],
-                "v_minus": [float(v) for v in _jump_block(e.state_minus)],
-                "v_plus": [float(v) for v in _jump_block(e.state_plus)],
+                "v_minus": e.state_minus.as_vector()[n:2 * n].tolist(),
+                "v_plus": e.state_plus.as_vector()[n:2 * n].tolist(),
                 "lambda": e.lam,
                 "residual_tangential": e.residual_tangential,
                 "residual_energy": e.residual_energy,
@@ -363,10 +347,6 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
         summary["artifacts"]["trajectory_svg"] = os.path.basename(svg_path)
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
-
-
-def _jump_block(state):
-    return state.qdot if isinstance(state, ContactStateL) else state.p
 
 
 def _summary_exit_code(summary: dict) -> int:
@@ -431,34 +411,21 @@ def cmd_check(args) -> int:
                      else int(rc.system["n"])):
         raise ConfigError(
             f"CSV dimension n={data['n']} does not match the config system")
-    hs, lag_spec, _ = build_system(rc)
+    hs, _, _ = build_system(rc)
     n = data["n"]
-    mass = _mass_scalar(rc)
     gamma = float(rc.system.get("gamma", 0.0))
+    states = np.column_stack([data["q"], data["v"], data["z"]])
 
     reports = []
     # per-row energy / angular-quantity consistency against the state columns
     column_tol = 1e-12
-    bad_row = None   # first offending 1-based file row, header included
-    worst = 0.0
-    for k in range(data["t"].size):
-        if rc.formulation == "lagrangian":
-            s = ContactStateL(q=data["q"][k], qdot=data["v"][k], z=data["z"][k],
-                              t=data["t"][k])
-            e = lagrangian_energy(lag_spec, s)
-            ell = angular_momentum(s) if n == 2 else 0.0
-        else:
-            s = ContactStateH(q=data["q"][k], p=data["v"][k], z=data["z"][k],
-                              t=data["t"][k])
-            e = hs.dynamics.value(s.q, s.p, s.z)
-            ell = _hamiltonian_ell(hs.dynamics, s) if n == 2 else 0.0
-        err = max(abs(e - data["E"][k]), abs(ell - data["ell"][k])) / max(1.0, abs(e))
-        worst = max(worst, err)
-        if err > column_tol and bad_row is None:
-            bad_row = k + 2
-    reports.append(CheckReport(name="column_consistency", max_violation=worst,
+    energies, ells = _table_columns(hs, data["t"], states)
+    err = (np.maximum(np.abs(energies - data["E"]), np.abs(ells - data["ell"]))
+           / np.maximum(1.0, np.abs(energies)))
+    bad = np.flatnonzero(err > column_tol)   # located by 1-based file row, header included
+    reports.append(CheckReport(name="column_consistency", max_violation=float(np.max(err)),
                                tolerance=column_tol,
-                               location=None if bad_row is None else float(bad_row)))
+                               location=float(bad[0] + 2) if bad.size else None))
 
     # energy decay law against E0 e^(-gamma t) on the stored samples
     E0 = float(data["E"][0])
@@ -480,20 +447,15 @@ def cmd_check(args) -> int:
     # impact conditions at stored pre/post pairs
     worst_imp = 0.0
     worst_t = None
-    pre_rows = np.where(data["flag"] == 1)[0]
-    for i in pre_rows:
+    for i in np.where(data["flag"] == 1)[0]:
         if i + 1 >= data["t"].size or data["flag"][i + 1] != 2:
             raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
-        g = hs.surface.gradient(data["q"][i])
-        T = tangent_basis(g)
-        p_minus = mass * data["v"][i] if rc.formulation == "lagrangian" else data["v"][i]
-        p_plus = mass * data["v"][i + 1] if rc.formulation == "lagrangian" else data["v"][i + 1]
-        r_tan = (float(np.max(np.abs((p_plus - p_minus) @ T))) /
-                 max(1.0, float(np.max(np.abs(p_minus))))) if T.shape[1] else 0.0
-        r_en = abs(data["E"][i + 1] - data["E"][i]) / max(1.0, abs(data["E"][i]))
-        v = max(r_tan, r_en)
+        t = float(data["t"][i])
+        v = max(impact_residuals(hs.dynamics, hs.surface,
+                                 hs.state_from_vector(states[i], t),
+                                 hs.state_from_vector(states[i + 1], t)))
         if v > worst_imp:
-            worst_imp, worst_t = v, float(data["t"][i])
+            worst_imp, worst_t = v, t
     reports.append(CheckReport(name="impact_conditions", max_violation=worst_imp,
                                tolerance=IMPACT_TOL, location=worst_t))
 

@@ -42,6 +42,7 @@ __all__ = [
     "HamiltonianSpec",
     "DerivativeBundle",
     "lagrangian_energy",
+    "energy",
     "herglotz_rhs",
     "hamiltonian_rhs",
     "legendre_forward",
@@ -409,6 +410,14 @@ def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
     sys.check_state(s)
     d = evaluate_partials(sys, s)
     return float(s.qdot @ d.dL_dv - sys.value(s.q, s.qdot, s.z))
+
+
+def energy(sys: Union[SystemSpec, HamiltonianSpec],
+           s: Union[ContactStateL, ContactStateH]) -> float:
+    """Energy in either formulation: E_L for a SystemSpec, H for a HamiltonianSpec."""
+    if isinstance(sys, SystemSpec):
+        return lagrangian_energy(sys, s)
+    return sys.value(s.q, s.p, s.z)
 
 
 def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:

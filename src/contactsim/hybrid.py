@@ -30,13 +30,8 @@ from .errors import (
     GrazingContact,
     TimeOutOfRange,
 )
-from .impact import (
-    ImpactResult,
-    SwitchingSurface,
-    resolve_impact_hamiltonian,
-    resolve_impact_natural,
-    resolve_impact_newton,
-)
+from . import impact
+from .impact import ImpactResult, SwitchingSurface
 from .integrate import EventConfig, StepperConfig, integrate_until_event
 
 __all__ = [
@@ -62,6 +57,8 @@ EVENT_BUDGET_EXHAUSTED = "EventBudgetExhausted"
 # previous one, stop the run.
 _ZENO_STREAK = 50
 _ZENO_GAP_FACTOR = 100.0
+
+_RESOLVERS = ("natural", "newton", "hamiltonian")
 
 FLAG_FLOW = 0
 FLAG_PRE_IMPACT = 1
@@ -115,16 +112,12 @@ class HybridSystem:
     def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
         if callable(self.resolver):
             return self.resolver(self.dynamics, state_minus, self.surface)
-        if self.resolver == "natural":
-            return resolve_impact_natural(self.dynamics, state_minus, self.surface,
-                                          grazing_threshold=ev.grazing_threshold)
-        if self.resolver == "newton":
-            return resolve_impact_newton(self.dynamics, state_minus, self.surface,
-                                         grazing_threshold=ev.grazing_threshold)
-        if self.resolver == "hamiltonian":
-            return resolve_impact_hamiltonian(self.dynamics, self.surface, state_minus,
-                                              grazing_threshold=ev.grazing_threshold)
-        raise ValueError(f"unknown impact resolver {self.resolver!r}")
+        if self.resolver not in _RESOLVERS:
+            raise ValueError(f"unknown impact resolver {self.resolver!r}")
+        # looked up at call time, so a rebound module attribute takes effect
+        resolver = getattr(impact, "resolve_impact_" + self.resolver)
+        return resolver(self.dynamics, state_minus, self.surface,
+                        grazing_threshold=ev.grazing_threshold)
 
 
 @dataclass(frozen=True)

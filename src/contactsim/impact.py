@@ -26,6 +26,8 @@ from .core import (
     ContactStateL,
     HamiltonianSpec,
     SystemSpec,
+    _solve_regular,
+    energy,
     evaluate_partials,
     lagrangian_energy,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "resolve_impact_newton",
     "resolve_impact_hamiltonian",
     "tangent_basis",
+    "impact_residuals",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -97,33 +100,62 @@ def tangent_basis(grad: np.ndarray) -> np.ndarray:
     return P[:, 1:]
 
 
-def _check_boundary(surface: SwitchingSurface, q: np.ndarray, boundary_tol: float):
+def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
+                     surface: SwitchingSurface, s_minus, s_plus) -> tuple:
+    """(tangential, energy) residuals of one impact, both relative.
+
+    Momenta and energies are evaluated fresh from both one-sided states
+    with the system's own evaluators: dL/dqdot and E_L for a SystemSpec,
+    p and H for a HamiltonianSpec. The tangential directions come from a
+    Householder basis of ker grad h; for n = 1 that condition is vacuous.
+    """
+    if isinstance(sys, SystemSpec):
+        p_minus = evaluate_partials(sys, s_minus).dL_dv
+        p_plus = evaluate_partials(sys, s_plus).dL_dv
+    else:
+        p_minus, p_plus = s_minus.p, s_plus.p
+    T = tangent_basis(surface.gradient(s_minus.q))
+    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
+    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
+    e_minus = energy(sys, s_minus)
+    r_en = abs(energy(sys, s_plus) - e_minus) / max(1.0, abs(e_minus))
+    return r_tan, r_en
+
+
+def _approach_normal(sys, surface: SwitchingSurface, s_minus,
+                     boundary_tol: float, grazing_threshold: float) -> tuple:
+    """Validate an impact state and return (grad h, normal velocity).
+
+    The state must lie on the surface, the normal must not vanish, and
+    the velocity (dH/dp on the Hamiltonian side) must point outward.
+    """
+    sys.check_state(s_minus)
+    q = s_minus.q
     hval = surface.value(q)
     if abs(hval) > boundary_tol:
         raise ValueError(
             f"state is not on the switching surface (h={hval:.3e}, tol={boundary_tol:.1e})"
         )
     g = surface.gradient(q)
-    gn = float(np.linalg.norm(g))
-    if gn <= 1e-12:
+    if float(np.linalg.norm(g)) <= 1e-12:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
-    return g
-
-
-def _lagrangian_residuals(sys: SystemSpec, s_minus: ContactStateL,
-                          s_plus: ContactStateL, g: np.ndarray) -> tuple:
-    p_minus = evaluate_partials(sys, s_minus).dL_dv
-    p_plus = evaluate_partials(sys, s_plus).dL_dv
-    T = tangent_basis(g)
-    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
-    if T.shape[1] > 0:
-        r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale
+    if isinstance(s_minus, ContactStateL):
+        v = s_minus.qdot
     else:
-        r_tan = 0.0
-    e_minus = lagrangian_energy(sys, s_minus)
-    e_plus = lagrangian_energy(sys, s_plus)
-    r_en = abs(e_plus - e_minus) / max(1.0, abs(e_minus))
-    return r_tan, r_en
+        v = sys.grad_p(q, s_minus.p, s_minus.z)
+    vn = float(g @ v)
+    if vn >= -grazing_threshold:
+        raise GrazingContact(
+            f"normal velocity {vn:.3e} is not approaching the boundary"
+        )
+    return g, vn
+
+
+def _with_residuals(sys, surface: SwitchingSurface, s_minus, s_plus,
+              lam: float) -> ImpactResult:
+    r_tan, r_en = impact_residuals(sys, surface, s_minus, s_plus)
+    return ImpactResult(state_plus=s_plus, lam=lam,
+                        residual_tangential=r_tan, residual_energy=r_en)
 
 
 def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
@@ -138,13 +170,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     """
     if sys.natural is None:
         raise ValueError("resolve_impact_natural requires natural-form data")
-    sys.check_state(s_minus)
-    g = _check_boundary(surface, s_minus.q, boundary_tol)
-    vn = float(g @ s_minus.qdot)
-    if vn >= -grazing_threshold:
-        raise GrazingContact(
-            f"normal velocity {vn:.3e} is not approaching the boundary"
-        )
+    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
     M = sys.natural.mass_matrix(s_minus.q)
     try:
         minv_g = np.linalg.solve(M, g)
@@ -153,9 +179,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     lam = -2.0 * vn / float(g @ minv_g)
     qdot_plus = s_minus.qdot + lam * minv_g
     s_plus = ContactStateL(q=s_minus.q, qdot=qdot_plus, z=s_minus.z, t=s_minus.t)
-    r_tan, r_en = _lagrangian_residuals(sys, s_minus, s_plus, g)
-    return ImpactResult(state_plus=s_plus, lam=lam,
-                        residual_tangential=r_tan, residual_energy=r_en)
+    return _with_residuals(sys, surface, s_minus, s_plus, lam)
 
 
 def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
@@ -168,17 +192,13 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
     ansatz dL/dqdot(q, qdot_plus, z) - dL/dqdot(q, qdot_minus, z) =
     lam grad h together with the energy match, seeded from the
-    quadratic-case formula built on the velocity Hessian. A solve that
-    lands back on the identity root is reported as ConvergedToIdentity,
-    never silently accepted.
+    quadratic-case formula built on the velocity Hessian. A singular
+    Hessian at the seed raises SingularHessian and a singular Newton
+    Jacobian raises NoConvergence. A solve that lands back on the
+    identity root is reported as ConvergedToIdentity, never silently
+    accepted.
     """
-    sys.check_state(s_minus)
-    g = _check_boundary(surface, s_minus.q, boundary_tol)
-    vn = float(g @ s_minus.qdot)
-    if vn >= -grazing_threshold:
-        raise GrazingContact(
-            f"normal velocity {vn:.3e} is not approaching the boundary"
-        )
+    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     d_minus = evaluate_partials(sys, s_minus)
     p_minus = d_minus.dL_dv
@@ -186,7 +206,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
 
     # quadratic-case seed with W as the effective mass matrix
-    w_inv_g = np.linalg.solve(d_minus.W, g)
+    w_inv_g = _solve_regular(d_minus.W, g)
     lam = -2.0 * vn / float(g @ w_inv_g)
     v = s_minus.qdot + lam * w_inv_g
 
@@ -205,7 +225,10 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
         J[:n, :n] = d.W
         J[:n, n] = -g
         J[n, :n] = d.W @ v   # dE/dqdot
-        delta = np.linalg.solve(J, -F)
+        try:
+            delta = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as e:
+            raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
         v = v + delta[:n]
         lam = lam + delta[n]
     if not converged:
@@ -219,13 +242,11 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
             f"impact solve did not reverse the normal velocity (got {vn_plus:.3e})"
         )
     s_plus = ContactStateL(q=q, qdot=v, z=z, t=t)
-    r_tan, r_en = _lagrangian_residuals(sys, s_minus, s_plus, g)
-    return ImpactResult(state_plus=s_plus, lam=lam,
-                        residual_tangential=r_tan, residual_energy=r_en)
+    return _with_residuals(sys, surface, s_minus, s_plus, lam)
 
 
-def resolve_impact_hamiltonian(sys: HamiltonianSpec, surface: SwitchingSurface,
-                               s_minus: ContactStateH,
+def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
+                               surface: SwitchingSurface,
                                boundary_tol: float = 1e-9,
                                grazing_threshold: float = 1e-9,
                                max_iter: int = 50, tol: float = 1e-12) -> ImpactResult:
@@ -235,21 +256,16 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, surface: SwitchingSurface,
     multiplier; otherwise the nontrivial root of the scalar energy
     equation is found by Newton from a curvature-based seed.
     """
-    sys.check_state(s_minus)
-    g = _check_boundary(surface, s_minus.q, boundary_tol)
+    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = s_minus.p
-    vn = float(g @ sys.grad_p(q, p_minus, z))
-    if vn >= -grazing_threshold:
-        raise GrazingContact(
-            f"normal velocity {vn:.3e} is not approaching the boundary"
-        )
-    H_minus = sys.value(q, p_minus, z)
 
     if sys.minv is not None:
         Minv = np.asarray(sys.minv(q), dtype=float)
         lam = -2.0 * float(g @ (Minv @ p_minus)) / float(g @ (Minv @ g))
     else:
+        H_minus = sys.value(q, p_minus, z)
+
         def root_fn(lmb: float) -> float:
             return sys.value(q, p_minus + lmb * g, z) - H_minus
 
@@ -279,10 +295,4 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, surface: SwitchingSurface,
     if not vn_plus > 0.0:
         raise ConvergedToIdentity("impact solve found only the trivial root")
     s_plus = ContactStateH(q=q, p=p_plus, z=z, t=t)
-    T = tangent_basis(g)
-    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
-    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
-    H_plus = sys.value(q, p_plus, z)
-    r_en = abs(H_plus - H_minus) / max(1.0, abs(H_minus))
-    return ImpactResult(state_plus=s_plus, lam=lam,
-                        residual_tangential=r_tan, residual_energy=r_en)
+    return _with_residuals(sys, surface, s_minus, s_plus, lam)

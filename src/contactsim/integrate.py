@@ -188,8 +188,9 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     Attempts h_try (default cfg.h_init), shrinking on rejection until the
     componentwise local error estimate passes atol + rtol * |state|.
 
-    Returns (t_new, y_new, segment, h_accepted, h_next, f_new); f_new is
-    the derivative at the new state (FSAL), reusable as the next f0.
+    Returns (t_new, y_new, segment, h_next, f_new); f_new is the
+    derivative at the new state (FSAL), reusable as the next f0. The
+    accepted step size is ``segment.h_step``.
     """
     y = np.asarray(y, dtype=float)
     if f0 is None:
@@ -223,7 +224,7 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     h_next = min(cfg.h_max, h * factor)
     f_new = k[6].copy()  # FSAL: stage 7 is rhs at (t + h, y1)
     seg = DenseSegment(t, h, y, y1, k[0], f_new, _D @ k)
-    return t + h, y1, seg, h, h_next, f_new
+    return t + h, y1, seg, h_next, f_new
 
 
 @dataclass(frozen=True)
@@ -377,7 +378,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
         if steps >= cfg.max_steps:
             raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t={t}")
         h_try = min(h_try, t_final - t)
-        t_new, y_new, seg, _, h_next, f_new = step(rhs, t, y, cfg, h_try, f_curr)
+        t_new, y_new, seg, h_next, f_new = step(rhs, t, y, cfg, h_try, f_curr)
         steps += 1
         if abs(t_final - t_new) <= 4.0 * _EPS * max(1.0, abs(t_final)):
             # snap onto the horizon; the mismatch is below step roundoff

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -10,9 +11,24 @@ CIRCLE_CONFIG = os.path.join(CONFIG_DIR, "circle.json")
 ELLIPSE_CONFIG = os.path.join(CONFIG_DIR, "ellipse.json")
 
 
-def short_circle_config(tmp_path, **overrides):
-    with open(CIRCLE_CONFIG) as fh:
-        cfg = json.load(fh)
+# Non-diagonal mass: momentum is M v, which no scalar mass reproduces.
+SKEWED_MASS_CONFIG = {
+    "system": {"kind": "custom", "n": 2, "mass_matrix": [[2.0, 0.3], [0.3, 1.0]],
+               "gamma": 0.05, "surface": {"kind": "sphere", "radius": 1.0}},
+    "initial": {"q": [0.2, -0.1], "v": [0.7, 0.4], "z": 0.0},
+    "run": {"t_final": 10.0},
+    "output": {"samples": 200, "svg": False},
+}
+
+
+def short_config(tmp_path, base=CIRCLE_CONFIG, **overrides):
+    """Copy of a config file (or dict) at T=5 with 200 samples, then the
+    dotted-path overrides."""
+    if isinstance(base, dict):
+        cfg = copy.deepcopy(base)
+    else:
+        with open(base) as fh:
+            cfg = json.load(fh)
     cfg["run"]["t_final"] = 5.0
     cfg["output"]["samples"] = 200
     for path, value in overrides.items():
@@ -28,7 +44,7 @@ def short_circle_config(tmp_path, **overrides):
 
 class TestSimulate:
     def test_exit_zero_and_artifacts(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "trajectory.csv"))
@@ -41,7 +57,7 @@ class TestSimulate:
         assert all(c["passed"] for c in summary["checks"])
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out1 = str(tmp_path / "out1")
         out2 = str(tmp_path / "out2")
         assert main(["simulate", "--config", cfg, "--out", out1]) == 0
@@ -54,13 +70,13 @@ class TestSimulate:
             assert b1 == b2, name
 
     def test_no_svg_flag(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out, "--no-svg"]) == 0
         assert not os.path.exists(os.path.join(out, "trajectory.svg"))
 
     def test_samples_flag(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out,
                      "--samples", "50"]) == 0
@@ -72,14 +88,14 @@ class TestSimulate:
         assert len(rows) == 1 + 50 + 2 * n_events
 
     def test_hamiltonian_formulation(self, tmp_path):
-        cfg = short_circle_config(tmp_path, **{"run.formulation": "hamiltonian"})
+        cfg = short_config(tmp_path, **{"run.formulation": "hamiltonian"})
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["formulation"] == "hamiltonian"
 
     def test_formulation_override_flag(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out,
                      "--formulation", "hamiltonian"]) == 0
@@ -87,7 +103,7 @@ class TestSimulate:
             assert json.load(fh)["formulation"] == "hamiltonian"
 
     def test_malformed_geometry_exits_one(self, tmp_path, capsys):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         with open(cfg) as fh:
             data = json.load(fh)
         data["system"] = {"kind": "ellipse", "a": -0.5, "b": 1.0, "gamma": 0.0}
@@ -106,7 +122,7 @@ class TestSimulate:
         assert "line" in err and "column" in err
 
     def test_exterior_initial_state_rejected(self, tmp_path, capsys):
-        cfg = short_circle_config(tmp_path, **{"initial.q": [2.0, 0.0]})
+        cfg = short_config(tmp_path, **{"initial.q": [2.0, 0.0]})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "interior" in capsys.readouterr().err
 
@@ -142,14 +158,31 @@ class TestImpactTest:
 
 class TestCheck:
     def _fresh_run(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         return cfg, os.path.join(out, "trajectory.csv")
 
-    def test_round_trip_passes(self, tmp_path):
-        cfg, csv_path = self._fresh_run(tmp_path)
-        assert main(["check", "--csv", csv_path, "--config", cfg]) == 0
+    @pytest.mark.parametrize("base, formulation, t_final", [
+        (CIRCLE_CONFIG, "lagrangian", 5.0),
+        (ELLIPSE_CONFIG, "hamiltonian", 5.0),
+        (SKEWED_MASS_CONFIG, "lagrangian", 10.0),
+        (SKEWED_MASS_CONFIG, "hamiltonian", 10.0),
+    ], ids=["circle-lagrangian", "ellipse-hamiltonian",
+            "skewed-mass-lagrangian", "skewed-mass-hamiltonian"])
+    def test_round_trip_passes(self, tmp_path, base, formulation, t_final):
+        cfg = short_config(tmp_path, base, **{"run.formulation": formulation,
+                                              "run.t_final": t_final})
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out,
+                     "--formulation", formulation]) == 0
+        report_path = str(tmp_path / "report.json")
+        assert main(["check", "--csv", os.path.join(out, "trajectory.csv"),
+                     "--config", cfg, "--out", report_path]) == 0
+        with open(report_path) as fh:
+            report = json.load(fh)
+        impact = [c for c in report["checks"] if c["name"] == "impact_conditions"][0]
+        assert impact["location"] is not None   # at least one impact was checked
 
     def test_corrupted_energy_fails_with_row_index(self, tmp_path, capsys):
         cfg, csv_path = self._fresh_run(tmp_path)
@@ -168,13 +201,13 @@ class TestCheck:
         assert col["location"] == 41.0   # 1-based file row of the corruption
 
     def test_empty_csv_exits_one(self, tmp_path, capsys):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         assert main(["check", "--csv", str(empty), "--config", cfg]) == 1
 
     def test_header_only_csv_exits_one(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         stub = tmp_path / "stub.csv"
         stub.write_text("t,q1,q2,v1,v2,z,E,ell,event_flag\n")
         assert main(["check", "--csv", str(stub), "--config", cfg]) == 1
@@ -231,7 +264,7 @@ class TestSweep:
             assert seq == par
 
     def test_missing_sweep_section_exits_one(self, tmp_path):
-        cfg = short_circle_config(tmp_path)
+        cfg = short_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 

@@ -8,12 +8,14 @@ from contactsim import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
+    SingularHessian,
     SingularMassMatrix,
     SwitchingSurface,
     SystemSpec,
     circular_impact_closed_form,
     elliptical_impact_closed_form,
     hamiltonian_from_lagrangian,
+    impact_residuals,
     legendre_forward,
     natural_lagrangian_system,
     resolve_impact_hamiltonian,
@@ -244,6 +246,34 @@ class TestNewtonResolver:
         with pytest.raises(GrazingContact):
             resolve_impact_newton(sys, s, UNIT_CIRCLE)
 
+    @staticmethod
+    def _quartic_with_hessian(d2L_dvdv):
+        return SystemSpec(
+            n=2, lagrangian=lambda q, v, z: 0.5 * float(v @ v) + 0.05 * float(v @ v) ** 2,
+            dL_dq=lambda q, v, z: np.zeros(2),
+            dL_dv=lambda q, v, z: v * (1.0 + 0.2 * float(v @ v)),
+            dL_dz=lambda q, v, z: 0.0,
+            d2L_dvdv=d2L_dvdv,
+            d2L_dqdv=lambda q, v, z: np.zeros((2, 2)),
+            d2L_dzdv=lambda q, v, z: np.zeros(2),
+        )
+
+    def test_singular_seed_hessian_is_typed(self):
+        sys = self._quartic_with_hessian(lambda q, v, z: np.zeros((2, 2)))
+        s = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.2], z=0.0)
+        with pytest.raises(SingularHessian):
+            resolve_impact_newton(sys, s, UNIT_CIRCLE)
+
+    def test_singular_newton_jacobian_is_typed(self):
+        # W is regular at the pre-impact velocity only, so the first Newton
+        # Jacobian [[W, -g], [W v, 0]] has a zero velocity block
+        v_minus = np.array([1.0, 0.2])
+        sys = self._quartic_with_hessian(
+            lambda q, v, z: np.eye(2) if np.array_equal(v, v_minus) else np.zeros((2, 2)))
+        s = ContactStateL(q=[1.0, 0.0], qdot=v_minus, z=0.0)
+        with pytest.raises(NoConvergence, match="Jacobian is singular"):
+            resolve_impact_newton(sys, s, UNIT_CIRCLE)
+
     def test_no_reflecting_root_is_reported(self):
         # 1-D cubic-kinetic Lagrangian whose energy condition has no real
         # nontrivial root at v = -1; the solve must not fake a reflection
@@ -269,7 +299,7 @@ class TestHamiltonianResolver:
     def test_momentum_reflection_closed_form(self):
         hsys = hamiltonian_from_lagrangian(billiard(gamma=1e-4))
         s = ContactStateH(q=[1.0, 0.0], p=[1.0, 0.5], z=0.0)
-        res = resolve_impact_hamiltonian(hsys, UNIT_CIRCLE, s)
+        res = resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
         assert np.allclose(res.state_plus.p, [-1.0, 0.5], atol=1e-14)
 
     def test_legendre_conjugacy(self):
@@ -282,14 +312,14 @@ class TestHamiltonianResolver:
             lag = resolve_impact_natural(sys, s, UNIT_CIRCLE)
             p_from_lag = legendre_forward(sys, lag.state_plus).p
             sh = legendre_forward(sys, s)
-            ham = resolve_impact_hamiltonian(hsys, UNIT_CIRCLE, sh)
+            ham = resolve_impact_hamiltonian(hsys, sh, UNIT_CIRCLE)
             assert np.max(np.abs(ham.state_plus.p - p_from_lag)) < 1e-12
 
     def test_normal_free_momentum_is_grazing(self):
         hsys = hamiltonian_from_lagrangian(billiard())
         s = ContactStateH(q=[1.0, 0.0], p=[0.0, 1.3], z=0.0)
         with pytest.raises(GrazingContact):
-            resolve_impact_hamiltonian(hsys, UNIT_CIRCLE, s)
+            resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
 
     def test_newton_fallback_without_metric(self):
         from contactsim import HamiltonianSpec
@@ -302,9 +332,31 @@ class TestHamiltonianResolver:
             dH_dz=lambda q, p, z: 0.1,
         )
         s = ContactStateH(q=[1.0, 0.0], p=[1.0, 0.5], z=0.0)
-        res = resolve_impact_hamiltonian(hsys, UNIT_CIRCLE, s)
+        res = resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
         assert np.allclose(res.state_plus.p, [-1.0, 0.5], atol=1e-10)
         assert res.residual_energy <= 1e-10
+
+
+class TestImpactResiduals:
+    def test_non_diagonal_mass_in_both_formulations(self):
+        M = np.array([[2.0, 0.3], [0.3, 1.0]])
+        sys = natural_lagrangian_system(n=2, mass=M, gamma=0.05)
+        hsys = hamiltonian_from_lagrangian(sys)
+        rng = np.random.default_rng(110)
+        for q, v in random_circle_states(rng, 20):
+            s = ContactStateL(q=q, qdot=v, z=0.1)
+            res = resolve_impact_natural(sys, s, UNIT_CIRCLE)
+            assert res.residuals == impact_residuals(sys, UNIT_CIRCLE, s, res.state_plus)
+            assert max(res.residuals) <= 1e-12
+            sh = legendre_forward(sys, s)
+            ham = resolve_impact_hamiltonian(hsys, sh, UNIT_CIRCLE)
+            assert ham.residuals == impact_residuals(hsys, UNIT_CIRCLE, sh, ham.state_plus)
+            assert max(ham.residuals) <= 1e-12
+            # mirroring v in the Euclidean normal keeps tangential v and |v|
+            # but not tangential M v or the kinetic energy
+            n = q / np.linalg.norm(q)
+            mirrored = ContactStateL(q=q, qdot=v - 2.0 * (v @ n) * n, z=0.1)
+            assert max(impact_residuals(sys, UNIT_CIRCLE, s, mirrored)) > 1e-3
 
 
 class TestTangentBasis:

@@ -74,12 +74,13 @@ class TestStep:
 
     def test_step_returns_consistent_segment(self):
         f = lambda t, y: y * np.cos(t)
-        t1, y1, seg, h_acc, h_next, f1 = step(f, 0.3, np.array([1.2]),
-                                              StepperConfig(h_init=0.1), 0.1)
+        t1, y1, seg, h_next, f1 = step(f, 0.3, np.array([1.2]),
+                                       StepperConfig(h_init=0.1), 0.1)
         assert seg.t0 == 0.3 and seg.t1 == t1
         assert np.array_equal(seg.eval(seg.t0), seg.y0)
         assert np.array_equal(seg.eval(seg.t1), seg.y1)
-        assert h_acc > 0 and h_next > 0
+        assert seg.h_step > 0 and seg.t0 + seg.h_step == t1
+        assert h_next > 0
         assert np.allclose(f1, f(t1, y1))
 
 
@@ -178,8 +179,8 @@ class TestEvents:
 
 class TestLocateEvent:
     def _segment_for(self, rhs, t0, y0, h):
-        _, _, seg, _, _, _ = step(rhs, t0, np.asarray(y0, float),
-                                  StepperConfig(h_init=h, h_max=h), h)
+        _, _, seg, _, _ = step(rhs, t0, np.asarray(y0, float),
+                               StepperConfig(h_init=h, h_max=h), h)
         return seg
 
     def test_quadratic_crossing(self):

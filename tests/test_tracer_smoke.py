@@ -1,0 +1,45 @@
+"""The benchmark's tracer still wraps and counts the program's public names.
+
+``perfbench/tracer.py`` rebinds functions and methods by name from outside
+the program, so a rename in ``src/`` breaks the traced benchmark run. This
+drives one short CLI simulate + check under the tracer.
+"""
+
+import json
+import os
+import sys
+
+from contactsim import cli, impact
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def test_tracer_counts_resolver_impact_check_and_check_command(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ untouched
+    import tracer
+
+    with open(os.path.join(ROOT, "demos", "configs", "circle.json")) as fh:
+        config = json.load(fh)
+    config["run"]["t_final"] = 2.0
+    config["output"]["svg"] = False
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(config, fh)
+    out = str(tmp_path / "out")
+    resolve, cmd_check = impact.resolve_impact_natural, cli.cmd_check
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["check", "--csv", os.path.join(out, "trajectory.csv"),
+                         "--config", cfg]) == 0
+    finally:
+        t.uninstall()
+    assert impact.resolve_impact_natural is resolve and cli.cmd_check is cmd_check
+    resolves = t.calls["impact.resolve_impact_natural"]
+    assert resolves >= 1
+    assert t.calls["checks.check_impact_conditions"] == resolves
+    assert t.calls["cli.cmd_check"] == 1
+    assert t.layer_metrics()["impact.resolves"] == resolves
