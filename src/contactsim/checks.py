@@ -21,7 +21,6 @@ from .core import (
     HamiltonianSpec,
     SystemSpec,
     energy,
-    evaluate_partials,
     hamiltonian_rhs,
 )
 from .hybrid import HybridTrajectory, ImpactEvent
@@ -80,7 +79,7 @@ def _state_maker(traj: HybridTrajectory):
 def _rate_evaluator(sys: Union[SystemSpec, HamiltonianSpec]) -> Callable:
     """dL/dz as a function of state; on the Hamiltonian side -dH/dz."""
     if isinstance(sys, SystemSpec):
-        return lambda s: evaluate_partials(sys, s).dL_dz
+        return lambda s: sys.grad_z(s.q, s.qdot, s.z)
     return lambda s: -sys.grad_z(s.q, s.p, s.z)
 
 
@@ -104,23 +103,27 @@ def _decay_law_violation(traj: HybridTrajectory, sys, value_fn, name, tol,
         ts = np.linspace(seg.t0, seg.t1, 2 * m + 1)
         states = [make(seg.eval(t), t) for t in ts]
         rates = np.array([rate(s) for s in states])
+        # the value is checked at the leading node of each Simpson pair and at the end
+        values = [float(value_fn(s)) for s in states[::2]]
+        finite = np.isfinite(rates)
+        finite[::2] &= np.isfinite(values)
+        if not finite.all():
+            # a non-finite value or rate fails the check at its first node
+            return CheckReport(name=name, max_violation=np.inf, tolerance=tol,
+                               location=float(ts[np.argmin(finite)]))
         if f0 is None:
-            f0 = float(value_fn(states[0]))
+            f0 = values[0]
         denom = abs(f0) if f0 != 0.0 else 1.0
         dt = (seg.t1 - seg.t0) / (2 * m)
         for k in range(m):
-            # value check at the leading node of each Simpson pair
-            t_node = ts[2 * k]
-            f_here = float(value_fn(states[2 * k]))
             ref = f0 * np.exp(log_ref)
-            viol = abs(f_here - ref) / denom
+            viol = abs(values[k] - ref) / denom
             if viol > worst:
-                worst, worst_t = viol, float(t_node)
+                worst, worst_t = viol, float(ts[2 * k])
             log_ref += dt / 3.0 * (rates[2 * k] + 4.0 * rates[2 * k + 1]
                                    + rates[2 * k + 2])
-        f_end = float(value_fn(states[-1]))
         ref = f0 * np.exp(log_ref)
-        viol = abs(f_end - ref) / denom
+        viol = abs(values[-1] - ref) / denom
         if viol > worst:
             worst, worst_t = viol, float(seg.t1)
     return CheckReport(name=name, max_violation=worst, tolerance=tol,

@@ -176,10 +176,13 @@ class SystemSpec:
     """An action-dependent Lagrangian system.
 
     The Lagrangian evaluator is mandatory. Partial-derivative evaluators
-    are optional; any that are missing are filled in by central finite
-    differences of the Lagrangian. ``natural`` carries the mechanical
-    decomposition when the system has one, unlocking closed-form impact
-    resolution and Legendre inversion.
+    are optional; each one that is missing is filled in by central finite
+    differences of the Lagrangian for that partial alone. ``natural``
+    carries the mechanical decomposition when the system has one,
+    unlocking closed-form impact resolution and Legendre inversion.
+
+    The accessors grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv
+    return one partial each and raise NonFiniteValue when it is not finite.
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
       d2L_dvdv[i, j] = d^2 L / dqdot_i dqdot_j      (the Hessian W)
@@ -200,6 +203,20 @@ class SystemSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
+        # Same steps and argument order as finite_difference_partials.
+        L = self.lagrangian
+        fd = {
+            "dL_dq": lambda q, v, z: _fd_gradient(lambda qq: L(qq, v, z), q),
+            "dL_dv": lambda q, v, z: _fd_gradient(lambda vv: L(q, vv, z), v),
+            "dL_dz": lambda q, v, z: _fd_scalar_derivative(lambda zz: L(q, v, zz), z),
+            "d2L_dvdv": lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v),
+            "d2L_dqdv": lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v),
+            "d2L_dzdv": lambda q, v, z: _fd_cross(
+                lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size),
+        }
+        object.__setattr__(self, "_partials", {
+            name: fallback if getattr(self, name) is None else getattr(self, name)
+            for name, fallback in fd.items()})
 
     def check_state(self, s: ContactStateL) -> None:
         if s.n != self.n:
@@ -212,6 +229,30 @@ class SystemSpec:
         if not np.isfinite(val):
             raise NonFiniteValue(f"Lagrangian is not finite at q={q}, qdot={qdot}, z={z}")
         return val
+
+    def _partial(self, name: str, q, v, z) -> np.ndarray:
+        val = np.asarray(self._partials[name](q, v, z), dtype=float)
+        if not np.isfinite(val).all():
+            raise NonFiniteValue(f"{name} is not finite at q={q}, qdot={v}, z={z}")
+        return val
+
+    def grad_q(self, q, v, z) -> np.ndarray:
+        return self._partial("dL_dq", q, v, z)
+
+    def grad_v(self, q, v, z) -> np.ndarray:
+        return self._partial("dL_dv", q, v, z)
+
+    def grad_z(self, q, v, z) -> float:
+        return float(self._partial("dL_dz", q, v, z))
+
+    def hess_vv(self, q, v, z) -> np.ndarray:
+        return self._partial("d2L_dvdv", q, v, z)
+
+    def hess_qv(self, q, v, z) -> np.ndarray:
+        return self._partial("d2L_dqdv", q, v, z)
+
+    def hess_zv(self, q, v, z) -> np.ndarray:
+        return self._partial("d2L_dzdv", q, v, z)
 
 
 @dataclass(frozen=True)
@@ -371,31 +412,14 @@ def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeB
 
 
 def evaluate_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeBundle:
-    """Analytic partials where supplied, finite differences for the rest."""
+    """Every partial of L at s: analytic where supplied, finite differences
+    of that partial alone where not."""
     sys.check_state(s)
-    needs_fd = any(
-        f is None
-        for f in (sys.dL_dq, sys.dL_dv, sys.dL_dz,
-                  sys.d2L_dvdv, sys.d2L_dqdv, sys.d2L_dzdv)
-    )
-    fd = finite_difference_partials(sys, s) if needs_fd else None
     q, v, z = s.q, s.qdot, s.z
-
-    def pick(fn, fallback):
-        return fallback if fn is None else fn(q, v, z)
-
-    dq = np.asarray(pick(sys.dL_dq, fd.dL_dq if fd else None), dtype=float)
-    dv = np.asarray(pick(sys.dL_dv, fd.dL_dv if fd else None), dtype=float)
-    dz = float(pick(sys.dL_dz, fd.dL_dz if fd else None))
-    W = np.asarray(pick(sys.d2L_dvdv, fd.W if fd else None), dtype=float)
-    dqdv = np.asarray(pick(sys.d2L_dqdv, fd.d2L_dqdv if fd else None), dtype=float)
-    dzdv = np.asarray(pick(sys.d2L_dzdv, fd.d2L_dzdv if fd else None), dtype=float)
-    for arr, name in ((dq, "dL_dq"), (dv, "dL_dv"), (W, "W"),
-                      (dqdv, "d2L_dqdv"), (dzdv, "d2L_dzdv")):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"{name} is not finite at the evaluated state")
-    return DerivativeBundle(dL_dq=dq, dL_dv=dv, dL_dz=dz, W=W,
-                            d2L_dqdv=dqdv, d2L_dzdv=dzdv)
+    return DerivativeBundle(dL_dq=sys.grad_q(q, v, z), dL_dv=sys.grad_v(q, v, z),
+                            dL_dz=sys.grad_z(q, v, z), W=sys.hess_vv(q, v, z),
+                            d2L_dqdv=sys.hess_qv(q, v, z),
+                            d2L_dzdv=sys.hess_zv(q, v, z))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +432,7 @@ def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
     For a natural-form system this equals kinetic + potential + gamma z.
     """
     sys.check_state(s)
-    d = evaluate_partials(sys, s)
-    return float(s.qdot @ d.dL_dv - sys.value(s.q, s.qdot, s.z))
+    return float(s.qdot @ sys.grad_v(s.q, s.qdot, s.z) - sys.value(s.q, s.qdot, s.z))
 
 
 def energy(sys: Union[SystemSpec, HamiltonianSpec],
@@ -468,8 +491,7 @@ def hamiltonian_rhs(sys: HamiltonianSpec, s: ContactStateH):
 def legendre_forward(sys: SystemSpec, s: ContactStateL) -> ContactStateH:
     """Legendre transform (q, qdot, z) -> (q, dL/dqdot, z); t is copied."""
     sys.check_state(s)
-    d = evaluate_partials(sys, s)
-    return ContactStateH(q=s.q, p=d.dL_dv, z=s.z, t=s.t)
+    return ContactStateH(q=s.q, p=sys.grad_v(s.q, s.qdot, s.z), z=s.z, t=s.t)
 
 
 def legendre_inverse(sys: SystemSpec, s: ContactStateH,
@@ -495,11 +517,10 @@ def legendre_inverse(sys: SystemSpec, s: ContactStateH,
     threshold = max(tol, 32.0 * _EPS * scale)
     for _ in range(max_iter):
         trial = ContactStateL(q=s.q, qdot=qdot, z=s.z, t=s.t)
-        d = evaluate_partials(sys, trial)
-        resid = d.dL_dv - s.p
+        resid = sys.grad_v(trial.q, trial.qdot, trial.z) - s.p
         if float(np.max(np.abs(resid))) <= threshold:
             return trial
-        qdot = qdot - _solve_regular(d.W, resid)
+        qdot = qdot - _solve_regular(sys.hess_vv(trial.q, trial.qdot, trial.z), resid)
     raise NoConvergence(
         f"Legendre inversion did not converge in {max_iter} Newton iterations"
     )
@@ -548,14 +569,14 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
 
     def dH_dq(q, p, z):
         sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
-        return -evaluate_partials(sys, sl).dL_dq
+        return -sys.grad_q(sl.q, sl.qdot, sl.z)
 
     def dH_dp(q, p, z):
         return legendre_inverse(sys, ContactStateH(q=q, p=p, z=z)).qdot
 
     def dH_dz(q, p, z):
         sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
-        return -evaluate_partials(sys, sl).dL_dz
+        return -sys.grad_z(sl.q, sl.qdot, sl.z)
 
     minv = None
     if nat is not None:

@@ -150,8 +150,7 @@ class TrajectorySegment:
             return self.y0.copy()
         if t == self.t1:
             return self.y1.copy()
-        knots = [d.t0 for d in self.dense]
-        i = bisect.bisect_right(knots, t) - 1
+        i = bisect.bisect_right(self.dense, t, key=lambda d: d.t0) - 1
         i = min(max(i, 0), len(self.dense) - 1)
         return self.dense[i].eval(t)
 
@@ -183,8 +182,7 @@ class HybridTrajectory:
             raise TimeOutOfRange(
                 f"t={t} outside trajectory span [{self.t0}, {self.t_end}]"
             )
-        starts = [seg.t0 for seg in self.segments]
-        i = bisect.bisect_right(starts, t) - 1
+        i = bisect.bisect_right(self.segments, t, key=lambda seg: seg.t0) - 1
         i = max(i, 0)
         if side < 0 and i > 0 and t == self.segments[i].t0:
             i -= 1

@@ -28,7 +28,6 @@ from .core import (
     SystemSpec,
     _solve_regular,
     energy,
-    evaluate_partials,
     lagrangian_energy,
 )
 from .errors import (
@@ -110,8 +109,8 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
     Householder basis of ker grad h; for n = 1 that condition is vacuous.
     """
     if isinstance(sys, SystemSpec):
-        p_minus = evaluate_partials(sys, s_minus).dL_dv
-        p_plus = evaluate_partials(sys, s_plus).dL_dv
+        p_minus = sys.grad_v(s_minus.q, s_minus.qdot, s_minus.z)
+        p_plus = sys.grad_v(s_plus.q, s_plus.qdot, s_plus.z)
     else:
         p_minus, p_plus = s_minus.p, s_plus.p
     T = tangent_basis(surface.gradient(s_minus.q))
@@ -200,13 +199,12 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     """
     g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
-    d_minus = evaluate_partials(sys, s_minus)
-    p_minus = d_minus.dL_dv
+    p_minus = sys.grad_v(q, s_minus.qdot, z)
     e_minus = lagrangian_energy(sys, s_minus)
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
 
     # quadratic-case seed with W as the effective mass matrix
-    w_inv_g = _solve_regular(d_minus.W, g)
+    w_inv_g = _solve_regular(sys.hess_vv(q, s_minus.qdot, z), g)
     lam = -2.0 * vn / float(g @ w_inv_g)
     v = s_minus.qdot + lam * w_inv_g
 
@@ -214,17 +212,17 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     converged = False
     for _ in range(max_iter):
         s_trial = ContactStateL(q=q, qdot=v, z=z, t=t)
-        d = evaluate_partials(sys, s_trial)
         F = np.empty(n + 1)
-        F[:n] = d.dL_dv - p_minus - lam * g
+        F[:n] = sys.grad_v(q, s_trial.qdot, z) - p_minus - lam * g
         F[n] = lagrangian_energy(sys, s_trial) - e_minus
         if float(np.max(np.abs(F))) <= tol * scale:
             converged = True
             break
+        W = sys.hess_vv(q, s_trial.qdot, z)
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = d.W
+        J[:n, :n] = W
         J[:n, n] = -g
-        J[n, :n] = d.W @ v   # dE/dqdot
+        J[n, :n] = W @ v   # dE/dqdot
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as e:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,36 @@ class TestDissipatedQuantity:
         rep = check_dissipated_quantity(fig1_trajectory, lambda s: 0.0,
                                         circle_billiard.dynamics, 1e-7)
         assert rep.passed and rep.max_violation == 0.0
+
+
+class TestNonFiniteFlowValues:
+    """A NaN value or rate fails the flow-law check instead of being skipped."""
+
+    @staticmethod
+    def short_run(formulation):
+        hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-3))
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        if formulation == "hamiltonian":
+            s0 = legendre_forward(hs.dynamics, s0)
+            hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
+                              surface=hs.surface, resolver="hamiltonian")
+        return hs, simulate(hs, s0, 5.0)
+
+    def test_nan_value_fails_at_first_nan_node(self):
+        hs, traj = self.short_run("lagrangian")
+        rep = check_dissipated_quantity(
+            traj, lambda s: float("nan") if s.t > 2.0 else angular_momentum(s),
+            hs.dynamics)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert 2.0 < rep.location < 2.2
+
+    def test_nan_rate_fails_at_first_nan_node(self):
+        hs, traj = self.short_run("hamiltonian")
+        sys = dataclasses.replace(
+            hs.dynamics, dH_dz=lambda q, p, z: float("nan") if z > 2.0 else 1e-3)
+        rep = check_energy_decay(traj, sys)
+        assert not rep.passed and rep.max_violation == np.inf
+        assert 1.8 < rep.location < 2.2
 
 
 class TestImpactConditions:

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from contactsim import (
+    BilliardSpec,
+    Circle,
     ContactStateH,
     ContactStateL,
     DimensionMismatch,
@@ -9,6 +13,7 @@ from contactsim import (
     NonFiniteValue,
     SingularHessian,
     SystemSpec,
+    check_energy_decay,
     finite_difference_partials,
     hamiltonian_from_lagrangian,
     hamiltonian_rhs,
@@ -16,7 +21,9 @@ from contactsim import (
     lagrangian_energy,
     legendre_forward,
     legendre_inverse,
+    make_circular_billiard,
     natural_lagrangian_system,
+    simulate,
 )
 from contactsim.core import evaluate_partials
 
@@ -222,7 +229,59 @@ class TestLegendre:
             assert np.max(np.abs(back.qdot - v)) < 1e-12
 
 
+def counted_quartic_system(gamma=1e-3):
+    """L = |v|^2/2 + 0.025 |v|^4 - gamma z with analytic first derivatives
+    only, and a list that grows by one entry per Lagrangian call."""
+    calls = []
+
+    def L(q, v, z):
+        calls.append(1)
+        s = float(v @ v)
+        return 0.5 * s + 0.025 * s * s - gamma * z
+
+    return SystemSpec(
+        n=2,
+        lagrangian=L,
+        dL_dq=lambda q, v, z: np.zeros(2),
+        dL_dv=lambda q, v, z: (1.0 + 0.1 * float(v @ v)) * v,
+        dL_dz=lambda q, v, z: -gamma,
+    ), calls
+
+
+def coupled_fd_system():
+    """All-FD Lagrangian whose six partials are all nonzero."""
+    def L(q, v, z):
+        s = float(v @ v)
+        return (0.5 * (1.0 + 0.2 * q[0] ** 2) * s + 0.025 * s * s
+                - float(np.cos(q[1])) - 0.01 * z * (1.0 + 0.3 * v[0]))
+
+    return SystemSpec(n=2, lagrangian=L)
+
+
 class TestFiniteDifferences:
+    def test_only_missing_partials_sample_the_lagrangian(self):
+        # n = 2: W takes 9 calls, d2L/dq dv 16 and d2L/dz dv 8; the first
+        # derivatives are analytic and take none
+        sys, calls = counted_quartic_system()
+        evaluate_partials(sys, ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3))
+        assert len(calls) == 33
+
+    def test_energy_reads_only_the_momentum(self):
+        sys, calls = counted_quartic_system()
+        lagrangian_energy(sys, ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3))
+        assert len(calls) == 1
+
+    def test_per_partial_fallback_is_bit_identical_to_full_fd(self):
+        sys = coupled_fd_system()
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            s = ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
+                              z=rng.uniform(-3, 3))
+            got = evaluate_partials(sys, s)
+            ref = finite_difference_partials(sys, s)
+            for f in dataclasses.fields(ref):
+                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
+
     def test_velocity_partial(self):
         sys = billiard_system(gamma=0.1)
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.0], z=0.0)
@@ -270,6 +329,28 @@ class TestFiniteDifferences:
                     scale = max(1.0, float(np.max(np.abs(a))))
                     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) / scale < 1e-6
                 assert abs(an.dL_dz - fd.dL_dz) < 1e-6
+
+
+class TestNonFinitePartials:
+    @staticmethod
+    def nan_rate(sys):
+        return dataclasses.replace(sys, dL_dz=lambda q, v, z: float("nan"))
+
+    def test_evaluate_partials_rejects_nan_action_partial(self):
+        sys = self.nan_rate(billiard_system())
+        with pytest.raises(NonFiniteValue, match="dL_dz"):
+            evaluate_partials(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+
+    def test_herglotz_rhs_rejects_nan_action_partial(self):
+        sys = self.nan_rate(billiard_system())
+        with pytest.raises(NonFiniteValue, match="dL_dz"):
+            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+
+    def test_energy_check_does_not_pass_on_nan_action_partial(self):
+        hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-3))
+        traj = simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+        with pytest.raises(NonFiniteValue, match="dL_dz"):
+            check_energy_decay(traj, self.nan_rate(hs.dynamics))
 
 
 def _directional_derivative(f, y, d, eps=None):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from contactsim import (
     StepperConfig,
     SwitchingSurface,
     TimeOutOfRange,
+    angular_momentum,
     hamiltonian_from_lagrangian,
     lagrangian_energy,
     legendre_forward,
@@ -28,8 +30,11 @@ from contactsim import (
     sample,
     simulate,
 )
+from contactsim.io import write_trajectory_csv
 
 GAMMA = 1e-4
+GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "..", "demos", "output",
+                          "circle_trajectory.csv")
 
 
 def circle(gamma=GAMMA):
@@ -150,6 +155,20 @@ class TestSampling:
         post = fig1_trajectory.state_at(e.t, side=+1)
         assert np.array_equal(pre, e.state_minus.as_vector())
         assert np.array_equal(post, e.state_plus.as_vector())
+
+    def test_demo_table_matches_tracked_csv_bytes(self, fig1_trajectory,
+                                                  circle_billiard, tmp_path):
+        # the table of demos/03_circular_billiard.py: 800 samples to t = 20
+        table = sample(fig1_trajectory, np.linspace(0.0, 20.0, 800))
+        states = [ContactStateL.from_vector(y, 2, t)
+                  for t, y in zip(table.times, table.states)]
+        path = str(tmp_path / "circle_trajectory.csv")
+        write_trajectory_csv(path, table.times, table.states, table.flags,
+                             [lagrangian_energy(circle_billiard.dynamics, s)
+                              for s in states],
+                             [angular_momentum(s) for s in states], 2)
+        with open(path, "rb") as fh, open(GOLDEN_CSV, "rb") as golden:
+            assert fh.read() == golden.read()
 
 
 class TestHamiltonianRoute:

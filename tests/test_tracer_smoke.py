@@ -2,14 +2,18 @@
 
 ``perfbench/tracer.py`` rebinds functions and methods by name from outside
 the program, so a rename in ``src/`` breaks the traced benchmark run. This
-drives one short CLI simulate + check under the tracer.
+drives one short CLI simulate + check and one short library run of the
+quartic workload under the tracer.
 """
 
 import json
 import os
 import sys
 
-from contactsim import cli, impact
+import numpy as np
+
+import contactsim
+from contactsim import ContactStateL, cli, impact
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -43,3 +47,31 @@ def test_tracer_counts_resolver_impact_check_and_check_command(tmp_path, monkeyp
     assert t.calls["checks.check_impact_conditions"] == resolves
     assert t.calls["cli.cmd_check"] == 1
     assert t.layer_metrics()["impact.resolves"] == resolves
+
+
+def test_quartic_library_run_evaluates_the_full_bundle_once_per_rhs(monkeypatch):
+    # only the Herglotz field needs every partial; the Newton resolver, the
+    # energy and the checks read one partial each
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracer
+    import workloads
+
+    hs = workloads.quartic_system()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        traj = contactsim.simulate(hs, ContactStateL(q=workloads.QUARTIC_Q0,
+                                                     qdot=workloads.QUARTIC_V0, z=0.0), 2.0)
+        traj.sample(np.linspace(traj.t0, traj.t_end, 50))
+        reports = [contactsim.check_energy_decay(traj, hs.dynamics)]
+        reports += [contactsim.check_impact_conditions(e, hs.dynamics, hs.surface)
+                    for e in traj.events]
+    finally:
+        t.uninstall()
+    assert traj.status == contactsim.COMPLETED and traj.events
+    assert all(r.passed for r in reports)
+    m = t.layer_metrics()
+    assert m["impact.resolves"] == len(traj.events)
+    assert m["core.partials_calls"] == m["core.rhs_calls"]
+    assert m["impact.partials_calls"] == 0
