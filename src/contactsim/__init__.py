@@ -31,7 +31,6 @@ from .core import (
     HamiltonianSpec,
     NaturalForm,
     SystemSpec,
-    energy,
     finite_difference_partials,
     hamiltonian_from_lagrangian,
     hamiltonian_rhs,

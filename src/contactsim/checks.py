@@ -15,14 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    ContactStateH,
-    ContactStateL,
-    HamiltonianSpec,
-    SystemSpec,
-    energy,
-    hamiltonian_rhs,
-)
+from .core import ContactStateH, HamiltonianSpec, SystemSpec, hamiltonian_rhs
 from .hybrid import HybridTrajectory, ImpactEvent
 from .impact import SwitchingSurface, impact_residuals
 
@@ -71,18 +64,6 @@ class CheckReport:
         }
 
 
-def _state_maker(traj: HybridTrajectory):
-    cls = ContactStateL if traj.formulation == "lagrangian" else ContactStateH
-    return lambda y, t: cls.from_vector(y, traj.n, t)
-
-
-def _rate_evaluator(sys: Union[SystemSpec, HamiltonianSpec]) -> Callable:
-    """dL/dz as a function of state; on the Hamiltonian side -dH/dz."""
-    if isinstance(sys, SystemSpec):
-        return lambda s: sys.grad_z(s.q, s.qdot, s.z)
-    return lambda s: -sys.grad_z(s.q, s.p, s.z)
-
-
 def _decay_law_violation(traj: HybridTrajectory, sys, value_fn, name, tol,
                          samples_per_segment: int) -> CheckReport:
     """Shared engine: compare value_fn along the flow against
@@ -90,8 +71,7 @@ def _decay_law_violation(traj: HybridTrajectory, sys, value_fn, name, tol,
     if not traj.segments:
         raise ValueError("trajectory has no segments to check")
     m = max(5, samples_per_segment // 2)   # Simpson pairs per segment
-    make = _state_maker(traj)
-    rate = _rate_evaluator(sys)
+    make = sys.state_type.from_vector
 
     worst = 0.0
     worst_t = None
@@ -101,16 +81,16 @@ def _decay_law_violation(traj: HybridTrajectory, sys, value_fn, name, tol,
         if seg.t1 <= seg.t0:
             continue
         ts = np.linspace(seg.t0, seg.t1, 2 * m + 1)
-        states = [make(seg.eval(t), t) for t in ts]
-        rates = np.array([rate(s) for s in states])
+        states = [make(seg.eval(t), traj.n, t) for t in ts]
+        rates = np.array([sys.rate(s) for s in states])
         # the value is checked at the leading node of each Simpson pair and at the end
         values = [float(value_fn(s)) for s in states[::2]]
-        finite = np.isfinite(rates)
-        finite[::2] &= np.isfinite(values)
+        finite = np.isfinite(values)
         if not finite.all():
-            # a non-finite value or rate fails the check at its first node
+            # a non-finite value fails the check at its first node; the rate
+            # accessor itself raises NonFiniteValue
             return CheckReport(name=name, max_violation=np.inf, tolerance=tol,
-                               location=float(ts[np.argmin(finite)]))
+                               location=float(ts[2 * np.argmin(finite)]))
         if f0 is None:
             f0 = values[0]
         denom = abs(f0) if f0 != 0.0 else 1.0
@@ -138,7 +118,7 @@ def check_energy_decay(traj: HybridTrajectory,
 
     For constant dL/dz = -gamma the reference is E0 e^(-gamma t).
     """
-    return _decay_law_violation(traj, sys, lambda s: energy(sys, s),
+    return _decay_law_violation(traj, sys, sys.energy,
                                 "energy_decay", tol, samples_per_segment)
 
 

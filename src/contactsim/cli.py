@@ -23,7 +23,6 @@ from .billiards import (
     BilliardSpec,
     Circle,
     Ellipse,
-    angular_momentum,
     circular_impact_closed_form,
     elliptical_impact_closed_form,
     make_circular_billiard,
@@ -41,7 +40,6 @@ from .core import (
     ContactStateH,
     ContactStateL,
     SystemSpec,
-    energy,
     hamiltonian_from_lagrangian,
     legendre_forward,
     natural_lagrangian_system,
@@ -241,10 +239,8 @@ def initial_state(rc: RunConfig, hs: HybridSystem, lag_spec: SystemSpec):
 
 
 def _ell(hs: HybridSystem, s) -> float:
-    """x vy - y vx; on the Hamiltonian side the velocity is Minv p."""
-    if hs.formulation == "lagrangian":
-        return angular_momentum(s)
-    v = hs.dynamics.minv(s.q) @ s.p
+    """x vy - y vx with the velocity from the system's own evaluator."""
+    v = hs.dynamics.velocity(s)
     return float(s.q[0] * v[1] - s.q[1] * v[0])
 
 
@@ -254,7 +250,7 @@ def _table_columns(hs: HybridSystem, times: np.ndarray, states: np.ndarray):
     ells = np.zeros(times.size)
     for k in range(times.size):
         s = hs.state_from_vector(states[k], float(times[k]))
-        energies[k] = energy(hs.dynamics, s)
+        energies[k] = hs.dynamics.energy(s)
         if hs.n == 2:
             ells[k] = _ell(hs, s)
     return energies, ells

@@ -21,7 +21,8 @@ for systems that do not supply analytic partial derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "HamiltonianSpec",
     "DerivativeBundle",
     "lagrangian_energy",
-    "energy",
     "herglotz_rhs",
     "hamiltonian_rhs",
     "legendre_forward",
@@ -150,13 +150,18 @@ class NaturalForm:
     """Mechanical data for L = 1/2 qdot^T M(q) qdot - V(q) - gamma z.
 
     mass may be a constant (n, n) array or a callable q -> (n, n) array.
-    potential and grad_potential default to zero. gamma has units 1/time.
+    potential defaults to zero; grad_potential, when given, is the gradient
+    of potential and requires it. gamma has units 1/time.
     """
 
     mass: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
     gamma: float = 0.0
     potential: Optional[Callable[[np.ndarray], float]] = None
     grad_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.grad_potential is not None and self.potential is None:
+            raise ValueError("grad_potential is given without the potential it differentiates")
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
         if callable(self.mass):
@@ -170,19 +175,73 @@ class NaturalForm:
     def potential_value(self, q: np.ndarray) -> float:
         return 0.0 if self.potential is None else float(self.potential(q))
 
+    def potential_gradient(self, q: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """sign * dV/dq: the supplied gradient, else central differences of V;
+        +0 everywhere without a potential, whatever the sign."""
+        if self.potential is None:
+            return np.zeros(q.size)
+        if self.grad_potential is not None:
+            return sign * np.asarray(self.grad_potential(q), dtype=float)
+        return sign * _fd_gradient(self.potential_value, q)
+
+
+class _Spec:
+    """What both formulations share: the dimension check, the function value,
+    and the partials, each resolved once to the supplied evaluator or to
+    central differences of that partial alone. Every accessor raises
+    NonFiniteValue, naming what it evaluated, on a non-finite value.
+
+    Each subclass names its ``state_type`` and ``formulation`` and gives
+    ``vector_field``, ``energy``, ``momentum``, ``velocity`` and ``rate``
+    (dL/dz, which is -dH/dz) at a state, so callers never branch on the
+    formulation.
+    """
+
+    def _resolve(self, function: Callable, fallbacks: dict) -> None:
+        if self.n < 1:
+            raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
+        object.__setattr__(self, "_function", function)
+        object.__setattr__(self, "_partials", {
+            name: fallback if getattr(self, name) is None else getattr(self, name)
+            for name, fallback in fallbacks.items()})
+
+    def check_state(self, s) -> None:
+        if s.n != self.n:
+            raise DimensionMismatch(
+                f"state has dimension {s.n}, system expects {self.n}"
+            )
+
+    def value(self, q: np.ndarray, x: np.ndarray, z: float) -> float:
+        """L(q, qdot, z) or H(q, p, z)."""
+        val = float(self._function(q, x, z))
+        if not math.isfinite(val):
+            raise NonFiniteValue(f"{self.formulation} is not finite at ({q}, {x}, {z})")
+        return val
+
+    def _partial(self, name: str, q, x, z) -> np.ndarray:
+        val = np.asarray(self._partials[name](q, x, z), dtype=float)
+        if not np.isfinite(val).all():
+            raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
+        return val
+
+    def _scalar_partial(self, name: str, q, x, z) -> float:
+        val = float(self._partials[name](q, x, z))
+        if not math.isfinite(val):
+            raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
+        return val
+
 
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Spec):
     """An action-dependent Lagrangian system.
 
     The Lagrangian evaluator is mandatory. Partial-derivative evaluators
     are optional; each one that is missing is filled in by central finite
     differences of the Lagrangian for that partial alone. ``natural``
     carries the mechanical decomposition when the system has one,
-    unlocking closed-form impact resolution and Legendre inversion.
-
-    The accessors grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv
-    return one partial each and raise NonFiniteValue when it is not finite.
+    unlocking closed-form impact resolution and Legendre inversion. The
+    accessors grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv return
+    one partial each.
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
       d2L_dvdv[i, j] = d^2 L / dqdot_i dqdot_j      (the Hessian W)
@@ -200,12 +259,13 @@ class SystemSpec:
     d2L_dzdv: Optional[Callable] = None
     natural: Optional[NaturalForm] = None
 
+    state_type = ContactStateL
+    formulation = "lagrangian"
+
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
         # Same steps and argument order as finite_difference_partials.
         L = self.lagrangian
-        fd = {
+        self._resolve(L, {
             "dL_dq": lambda q, v, z: _fd_gradient(lambda qq: L(qq, v, z), q),
             "dL_dv": lambda q, v, z: _fd_gradient(lambda vv: L(q, vv, z), v),
             "dL_dz": lambda q, v, z: _fd_scalar_derivative(lambda zz: L(q, v, zz), z),
@@ -213,28 +273,7 @@ class SystemSpec:
             "d2L_dqdv": lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v),
             "d2L_dzdv": lambda q, v, z: _fd_cross(
                 lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size),
-        }
-        object.__setattr__(self, "_partials", {
-            name: fallback if getattr(self, name) is None else getattr(self, name)
-            for name, fallback in fd.items()})
-
-    def check_state(self, s: ContactStateL) -> None:
-        if s.n != self.n:
-            raise DimensionMismatch(
-                f"state has dimension {s.n}, system expects {self.n}"
-            )
-
-    def value(self, q: np.ndarray, qdot: np.ndarray, z: float) -> float:
-        val = float(self.lagrangian(q, qdot, z))
-        if not np.isfinite(val):
-            raise NonFiniteValue(f"Lagrangian is not finite at q={q}, qdot={qdot}, z={z}")
-        return val
-
-    def _partial(self, name: str, q, v, z) -> np.ndarray:
-        val = np.asarray(self._partials[name](q, v, z), dtype=float)
-        if not np.isfinite(val).all():
-            raise NonFiniteValue(f"{name} is not finite at q={q}, qdot={v}, z={z}")
-        return val
+        })
 
     def grad_q(self, q, v, z) -> np.ndarray:
         return self._partial("dL_dq", q, v, z)
@@ -243,7 +282,7 @@ class SystemSpec:
         return self._partial("dL_dv", q, v, z)
 
     def grad_z(self, q, v, z) -> float:
-        return float(self._partial("dL_dz", q, v, z))
+        return self._scalar_partial("dL_dz", q, v, z)
 
     def hess_vv(self, q, v, z) -> np.ndarray:
         return self._partial("d2L_dvdv", q, v, z)
@@ -254,9 +293,24 @@ class SystemSpec:
     def hess_zv(self, q, v, z) -> np.ndarray:
         return self._partial("d2L_dzdv", q, v, z)
 
+    def vector_field(self, s: ContactStateL):
+        return herglotz_rhs(self, s)
+
+    def energy(self, s: ContactStateL) -> float:
+        return lagrangian_energy(self, s)
+
+    def momentum(self, s: ContactStateL) -> np.ndarray:
+        return self.grad_v(s.q, s.qdot, s.z)
+
+    def velocity(self, s: ContactStateL) -> np.ndarray:
+        return s.qdot
+
+    def rate(self, s: ContactStateL) -> float:
+        return self.grad_z(s.q, s.qdot, s.z)
+
 
 @dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Spec):
     """A contact Hamiltonian system H(q, p, z) with optional partials.
 
     Missing partials fall back to central finite differences. ``minv``
@@ -274,32 +328,40 @@ class HamiltonianSpec:
     minv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gamma: Optional[float] = None
 
-    def check_state(self, s: ContactStateH) -> None:
-        if s.n != self.n:
-            raise DimensionMismatch(
-                f"state has dimension {s.n}, system expects {self.n}"
-            )
+    state_type = ContactStateH
+    formulation = "hamiltonian"
 
-    def value(self, q: np.ndarray, p: np.ndarray, z: float) -> float:
-        val = float(self.hamiltonian(q, p, z))
-        if not np.isfinite(val):
-            raise NonFiniteValue(f"Hamiltonian is not finite at q={q}, p={p}, z={z}")
-        return val
+    def __post_init__(self):
+        H = self.hamiltonian
+        self._resolve(H, {
+            "dH_dq": lambda q, p, z: _fd_gradient(lambda qq: H(qq, p, z), q),
+            "dH_dp": lambda q, p, z: _fd_gradient(lambda pp: H(q, pp, z), p),
+            "dH_dz": lambda q, p, z: _fd_scalar_derivative(lambda zz: H(q, p, zz), z),
+        })
 
     def grad_q(self, q, p, z) -> np.ndarray:
-        if self.dH_dq is not None:
-            return np.asarray(self.dH_dq(q, p, z), dtype=float)
-        return _fd_gradient(lambda qq: self.hamiltonian(qq, p, z), q)
+        return self._partial("dH_dq", q, p, z)
 
     def grad_p(self, q, p, z) -> np.ndarray:
-        if self.dH_dp is not None:
-            return np.asarray(self.dH_dp(q, p, z), dtype=float)
-        return _fd_gradient(lambda pp: self.hamiltonian(q, pp, z), p)
+        return self._partial("dH_dp", q, p, z)
 
     def grad_z(self, q, p, z) -> float:
-        if self.dH_dz is not None:
-            return float(self.dH_dz(q, p, z))
-        return _fd_scalar_derivative(lambda zz: self.hamiltonian(q, p, zz), z)
+        return self._scalar_partial("dH_dz", q, p, z)
+
+    def vector_field(self, s: ContactStateH):
+        return hamiltonian_rhs(self, s)
+
+    def energy(self, s: ContactStateH) -> float:
+        return self.value(s.q, s.p, s.z)
+
+    def momentum(self, s: ContactStateH) -> np.ndarray:
+        return s.p
+
+    def velocity(self, s: ContactStateH) -> np.ndarray:
+        return self.grad_p(s.q, s.p, s.z)
+
+    def rate(self, s: ContactStateH) -> float:
+        return -self.grad_z(s.q, s.p, s.z)
 
 
 @dataclass(frozen=True)
@@ -435,14 +497,6 @@ def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
     return float(s.qdot @ sys.grad_v(s.q, s.qdot, s.z) - sys.value(s.q, s.qdot, s.z))
 
 
-def energy(sys: Union[SystemSpec, HamiltonianSpec],
-           s: Union[ContactStateL, ContactStateH]) -> float:
-    """Energy in either formulation: E_L for a SystemSpec, H for a HamiltonianSpec."""
-    if isinstance(sys, SystemSpec):
-        return lagrangian_energy(sys, s)
-    return sys.value(s.q, s.p, s.z)
-
-
 def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Dense LU solve gated by a relative determinant check."""
     scale = max(1.0, float(np.max(np.abs(W))))
@@ -483,8 +537,6 @@ def hamiltonian_rhs(sys: HamiltonianSpec, s: ContactStateH):
     Hq = sys.grad_q(q, p, z)
     Hz = sys.grad_z(q, p, z)
     H = sys.value(q, p, z)
-    if not (np.all(np.isfinite(Hp)) and np.all(np.isfinite(Hq)) and np.isfinite(Hz)):
-        raise NonFiniteValue("Hamiltonian partials are not finite at the evaluated state")
     return Hp, -Hq - p * Hz, float(p @ Hp - H)
 
 
@@ -502,8 +554,7 @@ def legendre_inverse(sys: SystemSpec, s: ContactStateH,
     Newton iteration seeded at qdot = p runs until the residual max-norm
     drops below tol (raises NoConvergence after max_iter).
     """
-    if s.q.size != sys.n:
-        raise DimensionMismatch(f"state has dimension {s.q.size}, system expects {sys.n}")
+    sys.check_state(s)
     if sys.natural is not None:
         M = sys.natural.mass_matrix(s.q)
         try:
@@ -546,17 +597,10 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
         def H(q, p, z):
             return 0.5 * float(p @ (Minv @ p)) + nat.potential_value(q) + gamma * z
 
-        def dH_dq(q, p, z):
-            if nat.grad_potential is not None:
-                return np.asarray(nat.grad_potential(q), dtype=float)
-            if nat.potential is None:
-                return np.zeros(sys.n)
-            return _fd_gradient(lambda qq: nat.potential_value(qq), q)
-
         return HamiltonianSpec(
             n=sys.n,
             hamiltonian=H,
-            dH_dq=dH_dq,
+            dH_dq=lambda q, p, z: nat.potential_gradient(q),
             dH_dp=lambda q, p, z: Minv @ p,
             dH_dz=lambda q, p, z: gamma,
             minv=lambda q: Minv,
@@ -609,17 +653,10 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         if M0.shape != (n, n):
             raise DimensionMismatch(f"mass matrix has shape {M0.shape}, expected ({n}, {n})")
 
-        def dL_dq(q, qdot, z):
-            if potential is None:
-                return np.zeros(n)
-            if grad_potential is not None:
-                return -np.asarray(grad_potential(q), dtype=float)
-            return -_fd_gradient(lambda qq: nat.potential_value(qq), q)
-
         return SystemSpec(
             n=n,
             lagrangian=L,
-            dL_dq=dL_dq,
+            dL_dq=lambda q, qdot, z: nat.potential_gradient(q, sign=-1.0),
             dL_dv=lambda q, qdot, z: M0 @ qdot,
             dL_dz=lambda q, qdot, z: -gamma,
             d2L_dvdv=lambda q, qdot, z: M0,

@@ -16,14 +16,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    ContactStateH,
-    ContactStateL,
-    HamiltonianSpec,
-    SystemSpec,
-    hamiltonian_rhs,
-    herglotz_rhs,
-)
+from .core import ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec
 from .errors import (
     ContactSimError,
     ExteriorState,
@@ -32,7 +25,7 @@ from .errors import (
 )
 from . import impact
 from .impact import ImpactResult, SwitchingSurface
-from .integrate import EventConfig, StepperConfig, integrate_until_event
+from .integrate import EventConfig, StepperConfig, TrajectorySegment, integrate_until_event
 
 __all__ = [
     "HybridSystem",
@@ -78,42 +71,32 @@ class HybridSystem:
     surface: SwitchingSurface
     resolver: Union[str, Callable] = "natural"
 
+    def __post_init__(self):
+        if not callable(self.resolver) and self.resolver not in _RESOLVERS:
+            raise ValueError(f"unknown impact resolver {self.resolver!r}")
+
     @property
     def formulation(self) -> str:
-        return "lagrangian" if isinstance(self.dynamics, SystemSpec) else "hamiltonian"
+        return self.dynamics.formulation
 
     @property
     def n(self) -> int:
         return self.dynamics.n
 
     def state_from_vector(self, y: np.ndarray, t: float):
-        if self.formulation == "lagrangian":
-            return ContactStateL.from_vector(y, self.n, t)
-        return ContactStateH.from_vector(y, self.n, t)
+        return self.dynamics.state_type.from_vector(y, self.n, t)
 
     def rhs(self) -> Callable:
-        n = self.n
-        if self.formulation == "lagrangian":
-            sys = self.dynamics
+        n, sys, make = self.n, self.dynamics, self.dynamics.state_type.from_vector
 
-            def f(t, y):
-                s = ContactStateL.from_vector(y, n, t)
-                qdot, qddot, zdot = herglotz_rhs(sys, s)
-                return np.concatenate([qdot, qddot, [zdot]])
-        else:
-            sys = self.dynamics
-
-            def f(t, y):
-                s = ContactStateH.from_vector(y, n, t)
-                qdot, pdot, zdot = hamiltonian_rhs(sys, s)
-                return np.concatenate([qdot, pdot, [zdot]])
+        def f(t, y):
+            qdot, xdot, zdot = sys.vector_field(make(y, n, t))   # x is qdot or p
+            return np.concatenate([qdot, xdot, [zdot]])
         return f
 
     def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
         if callable(self.resolver):
             return self.resolver(self.dynamics, state_minus, self.surface)
-        if self.resolver not in _RESOLVERS:
-            raise ValueError(f"unknown impact resolver {self.resolver!r}")
         # looked up at call time, so a rebound module attribute takes effect
         resolver = getattr(impact, "resolve_impact_" + self.resolver)
         return resolver(self.dynamics, state_minus, self.surface,
@@ -133,26 +116,6 @@ class ImpactEvent:
     lam: float
     residual_tangential: float
     residual_energy: float
-
-
-@dataclass
-class TrajectorySegment:
-    """One smooth flow phase with its dense interpolants."""
-
-    t0: float
-    t1: float
-    y0: np.ndarray
-    y1: np.ndarray
-    dense: list
-
-    def eval(self, t: float) -> np.ndarray:
-        if t == self.t0:
-            return self.y0.copy()
-        if t == self.t1:
-            return self.y1.copy()
-        i = bisect.bisect_right(self.dense, t, key=lambda d: d.t0) - 1
-        i = min(max(i, 0), len(self.dense) - 1)
-        return self.dense[i].eval(t)
 
 
 @dataclass
@@ -241,7 +204,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     """
     cfg = cfg or StepperConfig()
     ev = ev or EventConfig()
-    expected = ContactStateL if hs.formulation == "lagrangian" else ContactStateH
+    expected = hs.dynamics.state_type
     if not isinstance(s0, expected):
         raise TypeError(
             f"initial state must be {expected.__name__} for the "
@@ -271,8 +234,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
             return traj
         except ContactSimError as e:
             raise type(e)(f"{e} [flow phase after event {len(traj.events)}]") from e
-        traj.segments.append(TrajectorySegment(
-            t0=run.t0, t1=run.t1, y0=run.y0, y1=run.y1, dense=run.segments))
+        traj.segments.append(run)
         if run.hit is None:
             traj.status = COMPLETED
             return traj

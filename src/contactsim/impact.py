@@ -27,7 +27,6 @@ from .core import (
     HamiltonianSpec,
     SystemSpec,
     _solve_regular,
-    energy,
     lagrangian_energy,
 )
 from .errors import (
@@ -108,16 +107,12 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
     p and H for a HamiltonianSpec. The tangential directions come from a
     Householder basis of ker grad h; for n = 1 that condition is vacuous.
     """
-    if isinstance(sys, SystemSpec):
-        p_minus = sys.grad_v(s_minus.q, s_minus.qdot, s_minus.z)
-        p_plus = sys.grad_v(s_plus.q, s_plus.qdot, s_plus.z)
-    else:
-        p_minus, p_plus = s_minus.p, s_plus.p
+    p_minus, p_plus = sys.momentum(s_minus), sys.momentum(s_plus)
     T = tangent_basis(surface.gradient(s_minus.q))
     p_scale = max(1.0, float(np.max(np.abs(p_minus))))
     r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
-    e_minus = energy(sys, s_minus)
-    r_en = abs(energy(sys, s_plus) - e_minus) / max(1.0, abs(e_minus))
+    e_minus = sys.energy(s_minus)
+    r_en = abs(sys.energy(s_plus) - e_minus) / max(1.0, abs(e_minus))
     return r_tan, r_en
 
 
@@ -138,11 +133,7 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus,
     g = surface.gradient(q)
     if float(np.linalg.norm(g)) <= 1e-12:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
-    if isinstance(s_minus, ContactStateL):
-        v = s_minus.qdot
-    else:
-        v = sys.grad_p(q, s_minus.p, s_minus.z)
-    vn = float(g @ v)
+    vn = float(g @ sys.velocity(s_minus))
     if vn >= -grazing_threshold:
         raise GrazingContact(
             f"normal velocity {vn:.3e} is not approaching the boundary"

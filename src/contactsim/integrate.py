@@ -15,6 +15,7 @@ exactly onto the surface along the gradient.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +36,7 @@ __all__ = [
     "EventConfig",
     "DenseSegment",
     "EventHit",
-    "SmoothRun",
+    "TrajectorySegment",
     "step",
     "integrate_until_event",
     "locate_event",
@@ -238,7 +239,7 @@ class EventHit:
 
 
 @dataclass
-class SmoothRun:
+class TrajectorySegment:
     """One smooth flow phase: dense segments from t0 until an event or the
     horizon. ``hit`` is None when the horizon was reached."""
 
@@ -249,6 +250,15 @@ class SmoothRun:
     segments: list
     hit: Optional[EventHit]
     n_steps: int
+
+    def eval(self, t: float) -> np.ndarray:
+        if t == self.t0:
+            return self.y0.copy()
+        if t == self.t1:
+            return self.y1.copy()
+        i = bisect.bisect_right(self.segments, t, key=lambda d: d.t0) - 1
+        i = min(max(i, 0), len(self.segments) - 1)
+        return self.segments[i].eval(t)
 
 
 def _project_to_surface(q: np.ndarray, surface) -> np.ndarray:
@@ -344,7 +354,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
                           surface=None, cfg: Optional[StepperConfig] = None,
                           ev: Optional[EventConfig] = None,
                           n_q: Optional[int] = None,
-                          armed: bool = True) -> SmoothRun:
+                          armed: bool = True) -> TrajectorySegment:
     """Integrate the smooth flow until the surface fires or t_final.
 
     With surface=None this is plain adaptive integration to t_final.
@@ -403,10 +413,10 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
                 if bracket is not None:
                     hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
                     segments.append(seg.truncated(hit.t, hit.y))
-                    return SmoothRun(t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
-                                     y1=hit.y.copy(), segments=segments, hit=hit,
-                                     n_steps=steps)
+                    return TrajectorySegment(
+                        t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
+                        y1=hit.y.copy(), segments=segments, hit=hit, n_steps=steps)
         segments.append(seg)
         t, y, f_curr, h_try = t_new, y_new, f_new, h_next
-    return SmoothRun(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),
-                     segments=segments, hit=None, n_steps=steps)
+    return TrajectorySegment(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),
+                             segments=segments, hit=None, n_steps=steps)

@@ -32,11 +32,11 @@ def billiard_system(gamma=0.1, mass=1.0):
     return natural_lagrangian_system(n=2, mass=mass * np.eye(2), gamma=gamma)
 
 
-def quartic_system(eps=0.1, n=2, analytic=True):
-    """Hyper-regular non-quadratic Lagrangian L = |v|^2/2 + eps |v|^4 / 4."""
+def quartic_system(eps=0.1, n=2, analytic=True, gamma=0.0):
+    """Hyper-regular non-quadratic L = |v|^2/2 + eps |v|^4 / 4 - gamma z."""
     def L(q, v, z):
         s = float(v @ v)
-        return 0.5 * s + 0.25 * eps * s * s
+        return 0.5 * s + 0.25 * eps * s * s - gamma * z
 
     if not analytic:
         return SystemSpec(n=n, lagrangian=L)
@@ -45,7 +45,7 @@ def quartic_system(eps=0.1, n=2, analytic=True):
         lagrangian=L,
         dL_dq=lambda q, v, z: np.zeros(n),
         dL_dv=lambda q, v, z: v * (1.0 + eps * float(v @ v)),
-        dL_dz=lambda q, v, z: 0.0,
+        dL_dz=lambda q, v, z: -gamma,
         d2L_dvdv=lambda q, v, z: (1.0 + eps * float(v @ v)) * np.eye(n)
         + 2.0 * eps * np.outer(v, v),
         d2L_dqdv=lambda q, v, z: np.zeros((n, n)),
@@ -429,6 +429,57 @@ class TestStructuralIdentities:
             z = rng.uniform(-1, 1)
             direct = 0.5 * v @ M @ v - (q[0] ** 4 + q[1] ** 2) - 0.7 * z
             assert sys.value(q, v, z) == pytest.approx(direct, rel=1e-15, abs=1e-15)
+
+
+class TestNaturalForm:
+    def test_grad_potential_without_potential_is_rejected(self):
+        # the Lagrangian side ignored this gradient while the Hamiltonian side used it
+        with pytest.raises(ValueError, match="grad_potential"):
+            natural_lagrangian_system(n=2, mass=np.eye(2),
+                                      grad_potential=lambda q: np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("potential, grad_potential", [
+        (None, None),
+        (lambda q: float(np.sin(q[0]) + q[1] ** 2), None),
+        (lambda q: float(np.sin(q[0]) + q[1] ** 2),
+         lambda q: np.array([np.cos(q[0]), 2.0 * q[1]])),
+    ], ids=["free", "fd-gradient", "analytic-gradient"])
+    def test_both_formulations_see_one_force(self, potential, grad_potential):
+        sys = natural_lagrangian_system(n=2, mass=np.eye(2), gamma=0.1,
+                                        potential=potential,
+                                        grad_potential=grad_potential)
+        hsys = hamiltonian_from_lagrangian(sys)
+        q, v = np.array([0.3, -0.2]), np.array([0.5, 1.0])
+        dL_dq, dH_dq = sys.grad_q(q, v, 0.0), hsys.grad_q(q, v, 0.0)
+        assert np.array_equal(dH_dq, -dL_dq)
+        if potential is None:
+            # no force is +0 on both sides, as before the shared gradient
+            assert not np.signbit(dL_dq).any() and not np.signbit(dH_dq).any()
+
+
+class TestFormulationInterface:
+    @pytest.mark.parametrize("make", [
+        lambda: natural_lagrangian_system(
+            n=2, mass=np.array([[2.0, 0.3], [0.3, 1.5]]), gamma=0.7,
+            potential=lambda q: float(q[0] ** 4 + q[1] ** 2),
+            grad_potential=lambda q: np.array([4.0 * q[0] ** 3, 2.0 * q[1]])),
+        lambda: quartic_system(eps=0.2, gamma=0.3),
+    ], ids=["natural", "quartic"])
+    def test_legendre_pair_agrees_on_every_member(self, make):
+        sys = make()
+        hsys = hamiltonian_from_lagrangian(sys)
+        assert (sys.formulation, hsys.formulation) == ("lagrangian", "hamiltonian")
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            s = ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
+                              z=rng.uniform(-1, 1))
+            sh = legendre_forward(sys, s)
+            assert isinstance(s, sys.state_type) and isinstance(sh, hsys.state_type)
+            assert np.array_equal(hsys.momentum(sh), sys.momentum(s))
+            assert np.max(np.abs(hsys.velocity(sh) - sys.velocity(s))) < 1e-10
+            assert hsys.energy(sh) == pytest.approx(sys.energy(s), rel=1e-10, abs=1e-12)
+            assert hsys.rate(sh) == pytest.approx(sys.rate(s), rel=1e-10, abs=1e-12)
+            assert sys.rate(s) != 0.0
 
 
 class TestHamiltonianFromGeneralLagrangian:

@@ -121,7 +121,7 @@ class TestSampling:
     def test_knot_reproduction(self, fig1_trajectory):
         traj = fig1_trajectory
         seg = traj.segments[1]
-        for dense in seg.dense[:3]:
+        for dense in seg.segments[:3]:
             y = seg.eval(dense.t0)
             assert np.max(np.abs(y - dense.y0)) < 1e-13
 
@@ -211,6 +211,11 @@ class TestHamiltonianRoute:
 
 
 class TestGuardsAndBudgets:
+    def test_unknown_resolver_rejected_at_construction(self, circle_billiard):
+        with pytest.raises(ValueError, match="nweton"):
+            HybridSystem(dynamics=circle_billiard.dynamics,
+                         surface=circle_billiard.surface, resolver="nweton")
+
     def test_exterior_start_rejected(self, circle_billiard):
         s0 = ContactStateL(q=[1.5, 0.0], qdot=[1.0, 0.0], z=0.0)
         with pytest.raises(ExteriorState):

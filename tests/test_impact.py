@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from contactsim import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
+    NonFiniteValue,
     SingularHessian,
     SingularMassMatrix,
     SwitchingSurface,
@@ -335,6 +338,14 @@ class TestHamiltonianResolver:
         res = resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
         assert np.allclose(res.state_plus.p, [-1.0, 0.5], atol=1e-10)
         assert res.residual_energy <= 1e-10
+
+    def test_nan_velocity_is_a_non_finite_value(self):
+        # used to surface as ConvergedToIdentity from a NaN normal velocity
+        hsys = dataclasses.replace(hamiltonian_from_lagrangian(billiard()),
+                                   dH_dp=lambda q, p, z: np.full(2, np.nan))
+        s = ContactStateH(q=[1.0, 0.0], p=[1.0, 0.5], z=0.0)
+        with pytest.raises(NonFiniteValue, match="dH_dp"):
+            resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
 
 
 class TestImpactResiduals:

@@ -11,6 +11,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 import contactsim
 from contactsim import ContactStateL, cli, impact
@@ -19,34 +20,47 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def test_tracer_counts_resolver_impact_check_and_check_command(tmp_path, monkeypatch):
+@pytest.mark.parametrize("config, formulation, resolver, rhs", [
+    ("circle.json", "lagrangian", "resolve_impact_natural", "core.herglotz_rhs"),
+    ("ellipse.json", "hamiltonian", "resolve_impact_hamiltonian", "core.hamiltonian_rhs"),
+], ids=["circle-lagrangian", "ellipse-hamiltonian"])
+def test_tracer_counts_resolver_impact_check_and_check_command(
+        tmp_path, monkeypatch, config, formulation, resolver, rhs):
+    # the specs reach the field through core's module globals, where the
+    # tracer rebinds it, and each state class keeps its own __post_init__
     monkeypatch.syspath_prepend(PERFBENCH)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ untouched
     import tracer
 
-    with open(os.path.join(ROOT, "demos", "configs", "circle.json")) as fh:
+    with open(os.path.join(ROOT, "demos", "configs", config)) as fh:
         config = json.load(fh)
     config["run"]["t_final"] = 2.0
+    config["run"]["formulation"] = formulation
     config["output"]["svg"] = False
     cfg = str(tmp_path / "config.json")
     with open(cfg, "w") as fh:
         json.dump(config, fh)
     out = str(tmp_path / "out")
-    resolve, cmd_check = impact.resolve_impact_natural, cli.cmd_check
+    resolve, cmd_check = getattr(impact, resolver), cli.cmd_check
     t = tracer.Tracer()
     t.install()
     try:
-        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["simulate", "--config", cfg, "--out", out,
+                         "--formulation", formulation]) == 0
         assert cli.main(["check", "--csv", os.path.join(out, "trajectory.csv"),
                          "--config", cfg]) == 0
     finally:
         t.uninstall()
-    assert impact.resolve_impact_natural is resolve and cli.cmd_check is cmd_check
-    resolves = t.calls["impact.resolve_impact_natural"]
+    assert getattr(impact, resolver) is resolve and cli.cmd_check is cmd_check
+    resolves = t.calls["impact." + resolver]
     assert resolves >= 1
     assert t.calls["checks.check_impact_conditions"] == resolves
     assert t.calls["cli.cmd_check"] == 1
-    assert t.layer_metrics()["impact.resolves"] == resolves
+    assert t.calls[rhs] > 0
+    m = t.layer_metrics()
+    assert m["impact.resolves"] == resolves
+    assert m["core.rhs_calls"] == t.calls[rhs]
+    assert m["core.states_built"] > 0
 
 
 def test_quartic_library_run_evaluates_the_full_bundle_once_per_rhs(monkeypatch):
