@@ -280,7 +280,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(csv_path, table.times, table.states, table.flags,
-                         energies, ells, hs.n)
+                         energies, ells, hs.n, hs.formulation)
 
     checks = [check_energy_decay(traj, hs.dynamics, FLOW_TOL)]
     if rc.system["kind"] == "circle" and hs.n == 2:
@@ -401,8 +401,9 @@ def cmd_impact_test(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
-    rc = parse_config(cfg)
     data = read_trajectory_csv(args.csv)
+    # the states are read back in the formulation that wrote them
+    rc = parse_config(cfg, formulation_override=data["formulation"])
     if data["n"] != (2 if rc.system["kind"] in ("circle", "ellipse")
                      else int(rc.system["n"])):
         raise ConfigError(

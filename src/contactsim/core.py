@@ -63,9 +63,15 @@ _FD_STEP_2 = _EPS ** 0.25
 _REG_TOL = 1e-10
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    # math.isfinite over Python floats: for the short vectors of a state or
+    # a partial this is several times cheaper than the numpy ufunc
+    return all(map(math.isfinite, v.ravel().tolist()))
+
+
 def _as_locked_vector(x, name: str) -> np.ndarray:
     v = np.array(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not _all_finite(v):
         raise NonFiniteValue(f"{name} contains non-finite entries: {v}")
     v.flags.writeable = False
     return v
@@ -73,7 +79,7 @@ def _as_locked_vector(x, name: str) -> np.ndarray:
 
 def _finite_scalar(x, name: str) -> float:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise NonFiniteValue(f"{name} is not finite: {x}")
     return x
 
@@ -220,7 +226,7 @@ class _Spec:
 
     def _partial(self, name: str, q, x, z) -> np.ndarray:
         val = np.asarray(self._partials[name](q, x, z), dtype=float)
-        if not np.isfinite(val).all():
+        if not _all_finite(val):
             raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
         return val
 
@@ -239,7 +245,8 @@ class SystemSpec(_Spec):
     are optional; each one that is missing is filled in by central finite
     differences of the Lagrangian for that partial alone. ``natural``
     carries the mechanical decomposition when the system has one,
-    unlocking closed-form impact resolution and Legendre inversion. The
+    unlocking closed-form impact resolution and Legendre inversion, and,
+    for a constant regular mass, a Herglotz field without a solve. The
     accessors grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv return
     one partial each.
 
@@ -263,6 +270,12 @@ class SystemSpec(_Spec):
     formulation = "lagrangian"
 
     def __post_init__(self):
+        # A natural form with a constant, regular mass has the Herglotz field
+        # qddot = M^-1 dL/dq + (dL/dz) qdot; herglotz_rhs uses this inverse,
+        # and so does the Hamiltonian that hamiltonian_from_lagrangian builds.
+        nat = self.natural
+        object.__setattr__(self, "_minv", None if nat is None or not nat.constant_mass
+                           else _regular_inverse(nat.mass_matrix(np.zeros(self.n)), self.n))
         # Same steps and argument order as finite_difference_partials.
         L = self.lagrangian
         self._resolve(L, {
@@ -508,6 +521,18 @@ def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(W, rhs)
 
 
+def _regular_inverse(M: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """M^-1 for a finite (n, n) M that passes the gate of _solve_regular,
+    else None, which leaves the error to the first field evaluation or to
+    hamiltonian_from_lagrangian."""
+    if M.shape != (n, n) or not _all_finite(M):
+        return None
+    try:
+        return _solve_regular(M, np.eye(n))
+    except SingularHessian:
+        return None
+
+
 def herglotz_rhs(sys: SystemSpec, s: ContactStateL):
     """First-order right-hand side of the Herglotz equations at s.
 
@@ -516,9 +541,16 @@ def herglotz_rhs(sys: SystemSpec, s: ContactStateL):
         W qddot = dL/dq - (d2L/dq dv) qdot - (d2L/dz dv) L + (dL/dz) dL/dv
 
     by a dense linear solve, and zdot = L. Raises SingularHessian when
-    the velocity Hessian fails the regularity gate.
+    the velocity Hessian fails the regularity gate. A natural form with a
+    constant, regular mass M skips the solve: W = M, both cross partials
+    vanish and dL/dqdot = M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with
+    the inverse formed once by the SystemSpec.
     """
     sys.check_state(s)
+    if sys._minv is not None:
+        q, v, z = s.q, s.qdot, s.z
+        qddot = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
+        return v.copy(), qddot, sys.value(q, v, z)
     d = evaluate_partials(sys, s)
     Lval = sys.value(s.q, s.qdot, s.z)
     rhs = d.dL_dq - d.d2L_dqdv @ s.qdot - d.d2L_dzdv * Lval + d.dL_dz * d.dL_dv
@@ -587,11 +619,9 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
     """
     nat = sys.natural
     if nat is not None and nat.constant_mass:
-        M = nat.mass_matrix(np.zeros(sys.n))
-        try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError as e:
-            raise SingularMassMatrix("constant mass matrix is singular") from e
+        Minv = sys._minv
+        if Minv is None:
+            raise SingularMassMatrix("constant mass matrix is singular or not finite")
         gamma = nat.gamma
 
         def H(q, p, z):
@@ -636,33 +666,45 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
                               potential=None, grad_potential=None) -> SystemSpec:
     """SystemSpec for L = 1/2 qdot^T M(q) qdot - V(q) - gamma z.
 
-    Constant mass plus an available potential gradient yields fully
-    analytic partials; a configuration-dependent mass keeps the assembled
-    Lagrangian and relies on the finite-difference fallback for the
-    q-derivatives it cannot form in closed form.
+    Every partial is closed-form except, for a configuration-dependent
+    mass, the two q-derivatives of the kinetic term, which are central
+    differences of 1/2 qdot^T M(q) qdot alone. The potential gradient is
+    the supplied one, else central differences of V.
     """
     nat = NaturalForm(mass=mass, gamma=gamma, potential=potential,
                       grad_potential=grad_potential)
 
+    def kinetic(q, qdot):
+        return 0.5 * float(qdot @ (nat.mass_matrix(q) @ qdot))
+
     def L(q, qdot, z):
-        M = nat.mass_matrix(q)
-        return 0.5 * float(qdot @ (M @ qdot)) - nat.potential_value(q) - gamma * z
+        return kinetic(q, qdot) - nat.potential_value(q) - gamma * z
 
     if nat.constant_mass:
         M0 = np.array(nat.mass_matrix(np.zeros(n)), dtype=float)
         if M0.shape != (n, n):
             raise DimensionMismatch(f"mass matrix has shape {M0.shape}, expected ({n}, {n})")
+        mass_at = lambda q: M0
+        dL_dq = lambda q, qdot, z: nat.potential_gradient(q, sign=-1.0)
+        d2L_dqdv = lambda q, qdot, z: np.zeros((n, n))
+    else:
+        mass_at = nat.mass_matrix
 
-        return SystemSpec(
-            n=n,
-            lagrangian=L,
-            dL_dq=lambda q, qdot, z: nat.potential_gradient(q, sign=-1.0),
-            dL_dv=lambda q, qdot, z: M0 @ qdot,
-            dL_dz=lambda q, qdot, z: -gamma,
-            d2L_dvdv=lambda q, qdot, z: M0,
-            d2L_dqdv=lambda q, qdot, z: np.zeros((n, n)),
-            d2L_dzdv=lambda q, qdot, z: np.zeros(n),
-            natural=nat,
-        )
+        def dL_dq(q, qdot, z):
+            return (_fd_gradient(lambda qq: kinetic(qq, qdot), q)
+                    + nat.potential_gradient(q, sign=-1.0))
 
-    return SystemSpec(n=n, lagrangian=L, natural=nat)
+        def d2L_dqdv(q, qdot, z):
+            return _fd_cross(kinetic, q, qdot)
+
+    return SystemSpec(
+        n=n,
+        lagrangian=L,
+        dL_dq=dL_dq,
+        dL_dv=lambda q, qdot, z: mass_at(q) @ qdot,
+        dL_dz=lambda q, qdot, z: -gamma,
+        d2L_dvdv=lambda q, qdot, z: mass_at(q),
+        d2L_dqdv=d2L_dqdv,
+        d2L_dzdv=lambda q, qdot, z: np.zeros(n),
+        natural=nat,
+    )

@@ -4,8 +4,10 @@ The CSV schema, in exact column order, is
 
     t, q1..qn, v1..vn, z, E, ell, event_flag
 
-where v holds velocities or momenta depending on the formulation, ell is
-the planar angular quantity x vy - y vx (0.0 for non-planar systems),
+for the Lagrangian formulation, whose v columns hold velocities; the
+Hamiltonian formulation names its momentum columns p1..pn instead, so a
+file says how to read it back. ell is the planar angular quantity
+x vy - y vx (0.0 for non-planar systems),
 and event_flag is 0 for flow samples, 1 for the pre-impact limit, 2 for
 the post-impact limit. Floats are printed with 17 significant digits so
 a written file round-trips bit for bit. JSON output is sorted-key and
@@ -35,17 +37,23 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def csv_header(n: int) -> list:
+# Prefix of the second block of state columns, per formulation.
+_SECOND_BLOCK = {"lagrangian": "v", "hamiltonian": "p"}
+
+
+def csv_header(n: int, formulation: str = "lagrangian") -> list:
+    x = _SECOND_BLOCK[formulation]
     return (["t"]
             + [f"q{i + 1}" for i in range(n)]
-            + [f"v{i + 1}" for i in range(n)]
+            + [f"{x}{i + 1}" for i in range(n)]
             + ["z", "E", "ell", "event_flag"])
 
 
-def write_trajectory_csv(path, times, states, flags, energies, ells, n: int) -> None:
+def write_trajectory_csv(path, times, states, flags, energies, ells, n: int,
+                         formulation: str = "lagrangian") -> None:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    lines = [",".join(csv_header(n))]
+    lines = [",".join(csv_header(n, formulation))]
     for k in range(times.size):
         row = [format_float(times[k])]
         row += [format_float(v) for v in states[k]]
@@ -56,7 +64,8 @@ def write_trajectory_csv(path, times, states, flags, energies, ells, n: int) -> 
 
 
 def read_trajectory_csv(path) -> dict:
-    """Parse a trajectory CSV back into arrays; infers n from the header."""
+    """Parse a trajectory CSV back into arrays; infers n and the formulation
+    from the header. "v" holds the velocity or momentum columns."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -66,7 +75,8 @@ def read_trajectory_csv(path) -> dict:
     if n_state_cols <= 0 or n_state_cols % 2 != 0:
         raise ValueError(f"{path}: malformed header {header!r}")
     n = n_state_cols // 2
-    if header != csv_header(n):
+    formulation = next((f for f in _SECOND_BLOCK if header == csv_header(n, f)), None)
+    if formulation is None:
         raise ValueError(f"{path}: header does not match the trajectory schema")
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
@@ -79,6 +89,7 @@ def read_trajectory_csv(path) -> dict:
     data = np.array(rows, dtype=float)
     return {
         "n": n,
+        "formulation": formulation,
         "t": data[:, 0],
         "q": data[:, 1:1 + n],
         "v": data[:, 1 + n:1 + 2 * n],

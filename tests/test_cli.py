@@ -5,6 +5,7 @@ import os
 import pytest
 
 from contactsim.cli import main
+from contactsim.io import read_trajectory_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 CIRCLE_CONFIG = os.path.join(CONFIG_DIR, "circle.json")
@@ -183,6 +184,32 @@ class TestCheck:
             report = json.load(fh)
         impact = [c for c in report["checks"] if c["name"] == "impact_conditions"][0]
         assert impact["location"] is not None   # at least one impact was checked
+
+    def test_hamiltonian_csv_is_checked_as_momenta(self, tmp_path):
+        # the config names no formulation: only the CSV header says that its
+        # second block holds momenta, which differ from velocities here
+        cfg = short_config(tmp_path, SKEWED_MASS_CONFIG, **{"run.t_final": 10.0})
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out,
+                     "--formulation", "hamiltonian"]) == 0
+        csv_path = os.path.join(out, "trajectory.csv")
+        with open(csv_path) as fh:
+            assert fh.readline() == "t,q1,q2,p1,p2,z,E,ell,event_flag\n"
+        assert read_trajectory_csv(csv_path)["formulation"] == "hamiltonian"
+        report_path = str(tmp_path / "report.json")
+        assert main(["check", "--csv", csv_path, "--config", cfg,
+                     "--out", report_path]) == 0
+        with open(report_path) as fh:
+            report = json.load(fh)
+        assert all(c["passed"] for c in report["checks"])
+        impact = [c for c in report["checks"] if c["name"] == "impact_conditions"][0]
+        assert impact["location"] is not None
+
+    def test_lagrangian_csv_header_names_velocities(self, tmp_path):
+        cfg, csv_path = self._fresh_run(tmp_path)
+        with open(csv_path) as fh:
+            assert fh.readline() == "t,q1,q2,v1,v2,z,E,ell,event_flag\n"
+        assert read_trajectory_csv(csv_path)["formulation"] == "lagrangian"
 
     def test_corrupted_energy_fails_with_row_index(self, tmp_path, capsys):
         cfg, csv_path = self._fresh_run(tmp_path)

@@ -12,6 +12,7 @@ from contactsim import (
     HamiltonianSpec,
     NonFiniteValue,
     SingularHessian,
+    SingularMassMatrix,
     SystemSpec,
     check_energy_decay,
     finite_difference_partials,
@@ -25,6 +26,7 @@ from contactsim import (
     natural_lagrangian_system,
     simulate,
 )
+from contactsim import core
 from contactsim.core import evaluate_partials
 
 
@@ -68,6 +70,30 @@ class TestStates:
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.0], z=0.0)
         with pytest.raises(ValueError):
             s.q[0] = 3.0
+
+    @pytest.mark.parametrize("cls, second", [(ContactStateL, "qdot"), (ContactStateH, "p")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_component_rejects_non_finite(self, cls, second, bad):
+        good = {"q": [0.5, -0.5], second: [1.0, 2.0], "z": 0.25, "t": 1.0}
+        for name in ("q", second):
+            with pytest.raises(NonFiniteValue, match=f"{name} contains non-finite"):
+                cls(**{**good, name: [1.0, bad]})
+        for name in ("z", "t"):
+            with pytest.raises(NonFiniteValue, match=f"{name} is not finite"):
+                cls(**{**good, name: bad})
+
+    @pytest.mark.parametrize("cls, second", [(ContactStateL, "qdot"), (ContactStateH, "p")])
+    def test_huge_finite_values_are_accepted_and_locked(self, cls, second):
+        source = np.array([1e308, -1e308])
+        s = cls(**{"q": source, second: [1e308, 0.0], "z": 1e308, "t": -1e308})
+        assert s.z == 1e308 and s.t == -1e308
+        for name in ("q", second):
+            arr = getattr(s, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        source[0] = 0.0   # the state holds a copy
+        assert s.q[0] == 1e308
 
     def test_vector_round_trip(self):
         s = ContactStateL(q=[0.5, -0.25], qdot=[1.0, 2.0], z=0.75, t=1.5)
@@ -151,6 +177,94 @@ class TestHerglotzRhs:
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0)
         with pytest.raises(SingularHessian):
             herglotz_rhs(sys, s)
+
+    def test_singular_constant_mass_raises_at_evaluation(self):
+        # constructing the system succeeds; the field takes the generic solve
+        sys = natural_lagrangian_system(n=2, mass=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                        gamma=0.1)
+        s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.5], z=0.0)
+        with pytest.raises(SingularHessian):
+            herglotz_rhs(sys, s)
+
+    def test_hamiltonian_route_shares_the_mass_gate(self):
+        # det = 1e-12 passes np.linalg.inv but not the determinant gate
+        nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        for mass in (np.array([[1.0, 1.0], [1.0, 1.0]]), nearly):
+            sys = natural_lagrangian_system(n=2, mass=mass, gamma=0.1)
+            with pytest.raises(SingularMassMatrix):
+                hamiltonian_from_lagrangian(sys)
+        sys = natural_lagrangian_system(n=2, mass=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        hsys = hamiltonian_from_lagrangian(sys)
+        assert np.array_equal(hsys.minv(np.zeros(2)), sys._minv)
+
+
+def _forbid_bundle(monkeypatch):
+    def fail(sys, s):
+        raise AssertionError("the resolved natural field assembled the partials")
+    monkeypatch.setattr(core, "evaluate_partials", fail)
+
+
+class TestResolvedNaturalField:
+    """A natural form with a constant, regular mass takes
+    qddot = M^-1 dL/dq + (dL/dz) qdot instead of the assembled solve."""
+
+    def test_unit_mass_free_particle_is_bit_identical_to_the_assembly(self, monkeypatch):
+        sys = billiard_system(gamma=1e-4)
+        generic = dataclasses.replace(sys, natural=None)
+        rng = np.random.default_rng(5)
+        states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
+                                z=rng.uniform(-1, 1)) for _ in range(50)]
+        states.append(ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0))
+        expected = [herglotz_rhs(generic, s) for s in states]
+        _forbid_bundle(monkeypatch)
+        for s, (qdot_g, qddot_g, zdot_g) in zip(states, expected):
+            qdot, qddot, zdot = herglotz_rhs(sys, s)
+            assert qdot.tobytes() == qdot_g.tobytes()
+            assert qddot.tobytes() == qddot_g.tobytes()
+            assert zdot == zdot_g
+            assert qdot is not s.qdot and qdot.flags.writeable
+
+    def test_skewed_mass_with_potential_agrees_with_the_assembly(self, monkeypatch):
+        sys = natural_lagrangian_system(
+            n=2, mass=np.array([[2.0, 0.3], [0.3, 1.0]]), gamma=0.7,
+            potential=lambda q: float(q[0] ** 4 + np.cos(q[1])),
+            grad_potential=lambda q: np.array([4.0 * q[0] ** 3, -np.sin(q[1])]))
+        generic = dataclasses.replace(sys, natural=None)
+        rng = np.random.default_rng(9)
+        states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
+                                z=rng.uniform(-1, 1)) for _ in range(200)]
+        expected = [herglotz_rhs(generic, s) for s in states]
+        _forbid_bundle(monkeypatch)
+        for s, (_, qddot_g, zdot_g) in zip(states, expected):
+            _, qddot, zdot = herglotz_rhs(sys, s)
+            assert np.max(np.abs(qddot - qddot_g)) <= 1e-15 * np.max(np.abs(qddot_g))
+            assert zdot == zdot_g
+
+    def test_other_systems_keep_the_assembly(self, monkeypatch):
+        bundles = []
+
+        def counted(sys, s):
+            bundles.append(1)
+            return evaluate_partials(sys, s)
+
+        monkeypatch.setattr(core, "evaluate_partials", counted)
+        s = ContactStateL(q=[0.5, 0.1], qdot=[1.0, 0.5], z=0.0)
+        herglotz_rhs(natural_lagrangian_system(
+            n=2, mass=lambda q: np.diag([1.0, q[0] ** 2])), s)
+        herglotz_rhs(dataclasses.replace(billiard_system(), natural=None), s)
+        herglotz_rhs(quartic_system(), s)
+        assert len(bundles) == 3
+
+    def test_non_finite_constant_mass_is_rejected_at_evaluation(self):
+        sys = natural_lagrangian_system(n=2, mass=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteValue):
+            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+
+    def test_non_finite_partial_is_still_rejected(self):
+        sys = dataclasses.replace(billiard_system(),
+                                  dL_dq=lambda q, v, z: np.array([np.inf, 0.0]))
+        with pytest.raises(NonFiniteValue, match="dL_dq"):
+            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
 
 
 class TestHamiltonianRhs:
@@ -455,6 +569,31 @@ class TestNaturalForm:
         if potential is None:
             # no force is +0 on both sides, as before the shared gradient
             assert not np.signbit(dL_dq).any() and not np.signbit(dH_dq).any()
+
+    def test_configuration_dependent_mass_uses_the_supplied_gradient(self):
+        # only the kinetic term's q-derivatives are finite differences
+        calls = {"V": 0, "gradV": 0}
+
+        def V(q):
+            calls["V"] += 1
+            return float(q[0] ** 2 + np.sin(q[1]))
+
+        def grad_V(q):
+            calls["gradV"] += 1
+            return np.array([2.0 * q[0], np.cos(q[1])])
+
+        sys = natural_lagrangian_system(n=2, mass=lambda q: np.diag([1.0 + q[0] ** 2, 1.0]),
+                                        gamma=0.3, potential=V, grad_potential=grad_V)
+        q, v, z = np.array([0.4, 0.2]), np.array([0.7, -0.5]), 0.1
+        _, qddot, zdot = herglotz_rhs(sys, ContactStateL(q=q, qdot=v, z=z))
+        assert calls == {"V": 1, "gradV": 1}
+        m = 1.0 + q[0] ** 2
+        # m x'' + m' x'^2 = m' x'^2 / 2 - dV/dx - gamma m x', with m' = 2x
+        expected = np.array([(-q[0] * v[0] ** 2 - 2.0 * q[0] - 0.3 * m * v[0]) / m,
+                             -np.cos(q[1]) - 0.3 * v[1]])
+        assert np.max(np.abs(qddot - expected)) < 1e-6
+        assert zdot == pytest.approx(0.5 * (m * v[0] ** 2 + v[1] ** 2) - V(q) - 0.3 * z,
+                                     rel=1e-15)
 
 
 class TestFormulationInterface:

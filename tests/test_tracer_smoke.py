@@ -61,6 +61,9 @@ def test_tracer_counts_resolver_impact_check_and_check_command(
     assert m["impact.resolves"] == resolves
     assert m["core.rhs_calls"] == t.calls[rhs]
     assert m["core.states_built"] > 0
+    # the billiard's unit mass is factored once, so the Herglotz field never
+    # assembles the partial bundle; the Hamiltonian field never did
+    assert m["core.partials_calls"] == 0
 
 
 def test_quartic_library_run_evaluates_the_full_bundle_once_per_rhs(monkeypatch):
