@@ -29,7 +29,8 @@ s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
 sh0 = legendre_forward(hs_l.dynamics, s0)
 print(f"Legendre transform of v = (1, 1) at mass 1.7: "
       f"p = ({sh0.p[0]:.6g}, {sh0.p[1]:.6g})")
-qdot, pdot, zdot = hamiltonian_rhs(hsys, sh0)
+d = hamiltonian_rhs(hsys, sh0.t, sh0.as_vector())
+qdot, pdot, zdot = d[:2], d[2:4], d[4]
 print(f"contact field at the start: qdot = ({qdot[0]:.6g}, {qdot[1]:.6g}), "
       f"pdot = ({pdot[0]:.6g}, {pdot[1]:.6g}), zdot = {zdot:.6f}")
 

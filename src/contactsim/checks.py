@@ -154,9 +154,8 @@ def check_contact_identities(sys: HamiltonianSpec,
     worst = 0.0
     worst_i = None
     for i, s in enumerate(states):
-        qdot, pdot, zdot = hamiltonian_rhs(sys, s)
-        d = np.concatenate([qdot, pdot, [zdot]])
         y = s.as_vector()
+        d = hamiltonian_rhs(sys, s.t, y)
         eps = _EPS ** (1.0 / 3.0) / max(1.0, float(np.max(np.abs(d))))
         yp, ym = y + eps * d, y - eps * d
         n = sys.n

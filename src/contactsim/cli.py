@@ -13,7 +13,6 @@ import copy
 import json
 import os
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -301,7 +300,6 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
                               tolerance=CONTAINMENT_TOL,
                               location=float(table.times[int(np.argmin(h_vals))])))
 
-    n = hs.n
     E0 = float(energies[0])
     fit_rate = None
     if np.all(energies > 0.0) and traj.t_end > traj.t0:
@@ -323,8 +321,8 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
             {
                 "t": e.t,
                 "q": [float(v) for v in e.q],
-                "v_minus": e.state_minus.as_vector()[n:2 * n].tolist(),
-                "v_plus": e.state_plus.as_vector()[n:2 * n].tolist(),
+                "v_minus": hs.dynamics.velocity(e.state_minus).tolist(),
+                "v_plus": hs.dynamics.velocity(e.state_plus).tolist(),
                 "lambda": e.lam,
                 "residual_tangential": e.residual_tangential,
                 "residual_energy": e.residual_energy,
@@ -504,6 +502,8 @@ def cmd_sweep(args) -> int:
 
     results = [None] * len(jobs)
     if args.workers > 1:
+        # imported here: a process pool costs every other command its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for index, summary in pool.map(_sweep_worker, jobs):
                 results[index] = summary

@@ -14,9 +14,10 @@ H(q, p, z) generates
     qdot = dH/dp,   pdot = -dH/dq - p dH/dz,   zdot = p . dH/dp - H.
 
 Both vector fields are exposed here as first-order right-hand sides on
-(q, qdot, z) and (q, p, z), together with the energy, the Legendre
-transform connecting the two pictures, and a finite-difference fallback
-for systems that do not supply analytic partial derivatives.
+the flat phase vectors [q, qdot, z] and [q, p, z], together with the
+energy, the Legendre transform connecting the two pictures, and a
+finite-difference fallback for systems that do not supply analytic
+partial derivatives.
 """
 
 from __future__ import annotations
@@ -198,9 +199,9 @@ class _Spec:
     NonFiniteValue, naming what it evaluated, on a non-finite value.
 
     Each subclass names its ``state_type`` and ``formulation`` and gives
-    ``vector_field``, ``energy``, ``momentum``, ``velocity`` and ``rate``
-    (dL/dz, which is -dH/dz) at a state, so callers never branch on the
-    formulation.
+    ``energy``, ``momentum``, ``velocity`` and ``rate`` (dL/dz, which is
+    -dH/dz) at a state, and ``vector_field(t, y)`` on the flat phase vector
+    [q, x, z], so callers never branch on the formulation.
     """
 
     def _resolve(self, function: Callable, fallbacks: dict) -> None:
@@ -306,8 +307,8 @@ class SystemSpec(_Spec):
     def hess_zv(self, q, v, z) -> np.ndarray:
         return self._partial("d2L_dzdv", q, v, z)
 
-    def vector_field(self, s: ContactStateL):
-        return herglotz_rhs(self, s)
+    def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
+        return herglotz_rhs(self, t, y)
 
     def energy(self, s: ContactStateL) -> float:
         return lagrangian_energy(self, s)
@@ -361,8 +362,8 @@ class HamiltonianSpec(_Spec):
     def grad_z(self, q, p, z) -> float:
         return self._scalar_partial("dH_dz", q, p, z)
 
-    def vector_field(self, s: ContactStateH):
-        return hamiltonian_rhs(self, s)
+    def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
+        return hamiltonian_rhs(self, t, y)
 
     def energy(self, s: ContactStateH) -> float:
         return self.value(s.q, s.p, s.z)
@@ -533,43 +534,72 @@ def _regular_inverse(M: np.ndarray, n: int) -> Optional[np.ndarray]:
         return None
 
 
-def herglotz_rhs(sys: SystemSpec, s: ContactStateL):
-    """First-order right-hand side of the Herglotz equations at s.
+def _phase_split(sys, t: float, y: np.ndarray) -> tuple:
+    """Read-only (q, x, z) views of a flat phase vector [q, x, z], where x is
+    qdot or p, after checking its length and that every entry is finite."""
+    y = np.asarray(y, dtype=float).view()
+    n = sys.n
+    if y.shape != (2 * n + 1,):
+        raise DimensionMismatch(
+            f"phase vector has shape {y.shape}, system expects ({2 * n + 1},)")
+    if not _all_finite(y):
+        raise NonFiniteValue(f"phase vector is not finite at t={t}: {y}")
+    y.setflags(write=False)   # evaluators must not write into the stage vector
+    return y[:n], y[n:2 * n], float(y[2 * n])
 
-    Returns (qdot, qddot, zdot) where the acceleration solves
+
+def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
+    """Herglotz vector field on the flat phase vector y = [q, qdot, z] at t.
+
+    Returns the flat derivative [qdot, qddot, zdot], where the acceleration
+    solves
 
         W qddot = dL/dq - (d2L/dq dv) qdot - (d2L/dz dv) L + (dL/dz) dL/dv
 
-    by a dense linear solve, and zdot = L. Raises SingularHessian when
-    the velocity Hessian fails the regularity gate. A natural form with a
-    constant, regular mass M skips the solve: W = M, both cross partials
-    vanish and dL/dqdot = M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with
-    the inverse formed once by the SystemSpec.
+    by a dense linear solve, and zdot = L. Raises DimensionMismatch on a
+    vector of the wrong length, NonFiniteValue on a non-finite entry, and
+    SingularHessian when the velocity Hessian fails the regularity gate. A
+    natural form with a constant, regular mass M skips the solve and builds
+    no state: W = M, both cross partials vanish and dL/dqdot = M qdot, so
+    qddot = M^-1 dL/dq + (dL/dz) qdot with the inverse formed once by the
+    SystemSpec.
     """
-    sys.check_state(s)
+    q, v, z = _phase_split(sys, t, y)
+    n = sys.n
+    out = np.empty(2 * n + 1)
+    out[:n] = v
     if sys._minv is not None:
-        q, v, z = s.q, s.qdot, s.z
-        qddot = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
-        return v.copy(), qddot, sys.value(q, v, z)
+        out[n:2 * n] = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
+        out[2 * n] = sys.value(q, v, z)
+        return out
+    s = ContactStateL(q=q, qdot=v, z=z, t=t)
     d = evaluate_partials(sys, s)
     Lval = sys.value(s.q, s.qdot, s.z)
     rhs = d.dL_dq - d.d2L_dqdv @ s.qdot - d.d2L_dzdv * Lval + d.dL_dz * d.dL_dv
-    qddot = _solve_regular(d.W, rhs)
-    return s.qdot.copy(), qddot, Lval
+    out[n:2 * n] = _solve_regular(d.W, rhs)
+    out[2 * n] = Lval
+    return out
 
 
-def hamiltonian_rhs(sys: HamiltonianSpec, s: ContactStateH):
-    """Contact Hamiltonian vector field at s.
+def hamiltonian_rhs(sys: HamiltonianSpec, t: float, y: np.ndarray) -> np.ndarray:
+    """Contact Hamiltonian vector field on the flat phase vector
+    y = [q, p, z] at t.
 
-    Returns (qdot, pdot, zdot) = (dH/dp, -dH/dq - p dH/dz, p . dH/dp - H).
+    Returns the flat derivative [dH/dp, -dH/dq - p dH/dz, p . dH/dp - H].
+    Raises DimensionMismatch on a vector of the wrong length and
+    NonFiniteValue on a non-finite entry; builds no state.
     """
-    sys.check_state(s)
-    q, p, z = s.q, s.p, s.z
+    q, p, z = _phase_split(sys, t, y)
+    n = sys.n
     Hp = sys.grad_p(q, p, z)
     Hq = sys.grad_q(q, p, z)
     Hz = sys.grad_z(q, p, z)
     H = sys.value(q, p, z)
-    return Hp, -Hq - p * Hz, float(p @ Hp - H)
+    out = np.empty(2 * n + 1)
+    out[:n] = Hp
+    out[n:2 * n] = -Hq - p * Hz
+    out[2 * n] = p @ Hp - H
+    return out
 
 
 def legendre_forward(sys: SystemSpec, s: ContactStateL) -> ContactStateH:

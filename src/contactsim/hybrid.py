@@ -25,7 +25,13 @@ from .errors import (
 )
 from . import impact
 from .impact import ImpactResult, SwitchingSurface
-from .integrate import EventConfig, StepperConfig, TrajectorySegment, integrate_until_event
+from .integrate import (
+    EventConfig,
+    StepperConfig,
+    TrajectorySegment,
+    _eval_segments,
+    integrate_until_event,
+)
 
 __all__ = [
     "HybridSystem",
@@ -87,12 +93,8 @@ class HybridSystem:
         return self.dynamics.state_type.from_vector(y, self.n, t)
 
     def rhs(self) -> Callable:
-        n, sys, make = self.n, self.dynamics, self.dynamics.state_type.from_vector
-
-        def f(t, y):
-            qdot, xdot, zdot = sys.vector_field(make(y, n, t))   # x is qdot or p
-            return np.concatenate([qdot, xdot, [zdot]])
-        return f
+        """The flat field f(t, y) on [q, x, z] that the integrator steps."""
+        return self.dynamics.vector_field
 
     def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
         if callable(self.resolver):
@@ -141,7 +143,7 @@ class HybridTrajectory:
         (-1 pre-impact, +1 post-impact)."""
         if not self.segments:
             raise TimeOutOfRange("trajectory is empty")
-        if t < self.t0 or t > self.t_end:
+        if not self.t0 <= t <= self.t_end:   # NaN included
             raise TimeOutOfRange(
                 f"t={t} outside trajectory span [{self.t0}, {self.t_end}]"
             )
@@ -165,30 +167,54 @@ class SampleTable:
     flags: np.ndarray
 
 
+def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
+    """``state_at(t)`` for every time in ts, one row per time, with the flow
+    phase and the dense segment that ``state_at`` picks for each time."""
+    if not ts.size:
+        return np.empty((0, 2 * traj.n + 1))
+    if not traj.segments:
+        raise TimeOutOfRange("trajectory is empty")
+    outside = np.flatnonzero(~((ts >= traj.t0) & (ts <= traj.t_end)))
+    if outside.size:
+        raise TimeOutOfRange(f"t={float(ts[outside[0]])} outside trajectory span "
+                             f"[{traj.t0}, {traj.t_end}]")
+    phases = traj.segments
+    phase = np.searchsorted([run.t0 for run in phases], ts, side="right") - 1
+    np.maximum(phase, 0, out=phase)
+    # the last dense segment of the phase that starts at or before t, else its first
+    pieces = [d for run in phases for d in run.segments]
+    counts = np.array([len(run.segments) for run in phases])
+    ends = np.cumsum(counts)[phase]
+    which = np.searchsorted([d.t0 for d in pieces], ts, side="right") - 1
+    out = _eval_segments(pieces, np.clip(which, ends - counts[phase], ends - 1), ts)
+    # a phase's own end states take precedence, the start before the end
+    for k in np.flatnonzero(ts == np.array([run.t1 for run in phases])[phase]).tolist():
+        out[k] = phases[phase[k]].y1
+    for k in np.flatnonzero(ts == np.array([run.t0 for run in phases])[phase]).tolist():
+        out[k] = phases[phase[k]].y0
+    return out
+
+
 def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:
     """Evaluate the trajectory at the requested times from dense segments.
 
     At an event time both one-sided limits are reported, pre before post.
     Raises TimeOutOfRange for times outside the trajectory span.
     """
-    event_times = {ev.t: ev for ev in traj.events}
-    rows_t, rows_y, rows_f = [], [], []
-    for t in np.asarray(times, dtype=float).reshape(-1):
-        ev = event_times.get(float(t))
-        if ev is not None:
-            rows_t.append(t)
-            rows_y.append(ev.state_minus.as_vector())
-            rows_f.append(FLAG_PRE_IMPACT)
-            rows_t.append(t)
-            rows_y.append(ev.state_plus.as_vector())
-            rows_f.append(FLAG_POST_IMPACT)
-        else:
-            rows_t.append(t)
-            rows_y.append(traj.state_at(float(t)))
-            rows_f.append(FLAG_FLOW)
-    return SampleTable(times=np.array(rows_t),
-                       states=np.array(rows_y),
-                       flags=np.array(rows_f, dtype=np.int8))
+    ts = np.asarray(times, dtype=float).reshape(-1)
+    by_time = {ev.t: ev for ev in traj.events}
+    at_event = np.isin(ts, list(by_time))
+    n_rows = np.where(at_event, 2, 1)
+    first = np.cumsum(n_rows) - n_rows        # first row of each requested time
+    states = np.empty((int(n_rows.sum()), 2 * traj.n + 1))
+    states[first[~at_event]] = _flow_states(traj, ts[~at_event])
+    for row, t in zip(first[at_event].tolist(), ts[at_event].tolist()):
+        states[row] = by_time[t].state_minus.as_vector()
+        states[row + 1] = by_time[t].state_plus.as_vector()
+    flags = np.full(states.shape[0], FLAG_FLOW, dtype=np.int8)
+    flags[first[at_event]] = FLAG_PRE_IMPACT
+    flags[first[at_event] + 1] = FLAG_POST_IMPACT
+    return SampleTable(times=np.repeat(ts, n_rows), states=states, flags=flags)
 
 
 def simulate(hs: HybridSystem, s0, t_final: float,

@@ -7,10 +7,19 @@ so the state can be evaluated anywhere inside the step. The choice is
 fixed (no runtime solver selection) so a given configuration reproduces
 its output bit for bit.
 
-Event handling localizes the first interior-to-exterior crossing of a
-switching surface h(q) = 0 (admissible region h > 0) on the dense
-interpolant with a bisection-safeguarded secant, then projects the state
-exactly onto the surface along the gradient.
+The right-hand side is a flat field f(t, y) -> dy/dt on the phase vector,
+and each stage input is an exact-order sum: the rows k_0..k_{i-1} scaled
+by the tableau column and added in index order, as a scalar loop would.
+
+Event handling scans each accepted step at 17 equally spaced checkpoints.
+``DenseSegment.eval_many`` evaluates the interpolant at all of them in one
+broadcast with the operation order of ``eval``, and the checkpoint times
+reproduce ``np.linspace`` bit for bit. One scan routine serves both the
+stepper, including its disarmed phase just after an impact, and
+``locate_event`` without a bracket. The first interior-to-exterior
+crossing of a switching surface h(q) = 0 (admissible region h > 0) is then
+localized on the dense interpolant with a bisection-safeguarded secant,
+and the state is projected exactly onto the surface along the gradient.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# Column i holds the weights of stage i as an (i, 1) array, so
+# (_A_COL[i] * k[:i]).sum(axis=0) adds the scaled rows in index order.
+_A_COL = tuple(np.array(row).reshape(-1, 1) for row in _A)
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - bhat: weights for the embedded error estimate.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
@@ -75,6 +87,7 @@ _ORDER_EXP = -1.0 / 5.0
 
 # Interior checkpoints per accepted step for event sign monitoring.
 _N_CHECK = 16
+_CHECK_K = np.arange(_N_CHECK + 1, dtype=float)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -150,6 +163,12 @@ class DenseSegment:
         om = 1.0 - th
         return self.y0 + th * (self._r2 + om * (self._r3 + th * (self._r4 + om * self._r5)))
 
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """``eval`` at every time in ts, one row per time, in one broadcast
+        with the same operation order, so each row equals ``eval(t)``."""
+        return _interpolate(np.asarray(ts, dtype=float),
+                            *(getattr(self, name) for name in self.__slots__))
+
     def eval_derivative(self, t: float) -> np.ndarray:
         """Time derivative of the interpolant (used for grazing tests)."""
         th = self._theta(t)
@@ -173,6 +192,27 @@ class DenseSegment:
         seg._r4 = self._r4
         seg._r5 = self._r5
         return seg
+
+
+def _interpolate(ts, t_base, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
+    """The interpolant of ``DenseSegment.eval`` at the times ts, one row per
+    time, with its operation order and its knot rule. The other arguments
+    are the slots of DenseSegment, in their order, each either one
+    segment's value or one row per time."""
+    th = ((ts - t_base) / h_step)[:, None]
+    om = 1.0 - th
+    out = y0 + th * (r2 + om * (r3 + th * (r4 + om * r5)))
+    out = np.where((ts == t1)[:, None], y1, out)
+    return np.where((ts == t0)[:, None], y0, out)
+
+
+def _eval_segments(segments: list, which: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row k is ``segments[which[k]].eval(ts[k])``; all rows in one broadcast."""
+    used, row = np.unique(which, return_inverse=True)
+    picked = [segments[i] for i in used.tolist()]
+    return _interpolate(np.asarray(ts, dtype=float), *(
+        np.array([getattr(d, name) for d in picked])[row]
+        for name in DenseSegment.__slots__))
 
 
 def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -206,8 +246,7 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
         if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t} (h={h:.3e})")
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = rhs(t + _C[i] * h, yi)
+            k[i] = rhs(t + _C[i] * h, y + h * (_A_COL[i] * k[:i]).sum(axis=0))
         y1 = y + h * (_B @ k)
         if not np.all(np.isfinite(y1)):
             h *= 0.5
@@ -267,6 +306,38 @@ def _project_to_surface(q: np.ndarray, surface) -> np.ndarray:
     return q - (surface.value(q) / float(g @ g)) * g
 
 
+def _checkpoints(t0: float, t1: float) -> np.ndarray:
+    """np.linspace(t0, t1, _N_CHECK + 1), bit for bit, without its per-call cost."""
+    ts = t0 + _CHECK_K * ((t1 - t0) / _N_CHECK)
+    ts[-1] = t1
+    return ts
+
+
+def _scan(segment: DenseSegment, surface, ev: EventConfig,
+          n_q: Optional[int], armed: bool) -> tuple:
+    """Sign scan of h(q) at the 17 checkpoints of one dense segment.
+
+    A disarmed guard re-arms at the first checkpoint where h exceeds the
+    arm threshold, and the scan starts there. Returns (bracket, armed):
+    the first checkpoint pair with h > 0 before and h <= 0 after, or None.
+    """
+    ts = _checkpoints(segment.t0, segment.t1)
+    ys = segment.eval_many(ts)
+    hs = [float(surface.value(q)) for q in (ys if n_q is None else ys[:, :n_q])]
+    start = 0
+    if not armed:
+        for i, hv in enumerate(hs):
+            if hv > ev.arm_threshold:
+                armed, start = True, i
+                break
+        else:
+            return None, False
+    for i in range(max(start, 1), len(hs)):
+        if hs[i - 1] > 0.0 >= hs[i]:
+            return (float(ts[i - 1]), float(ts[i])), True
+    return None, True
+
+
 def locate_event(segment: DenseSegment, surface, ev: EventConfig,
                  n_q: Optional[int] = None,
                  bracket: Optional[tuple] = None,
@@ -286,18 +357,10 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig,
         return float(surface.value(q))
 
     if bracket is None:
-        ts = np.linspace(segment.t0, segment.t1, _N_CHECK + 1)
-        vals = [h_at(t) for t in ts]
-        found = None
-        for i in range(1, len(ts)):
-            if vals[i - 1] > 0.0 >= vals[i]:
-                found = (float(ts[i - 1]), float(ts[i]))
-                break
-        if found is None:
+        bracket, _ = _scan(segment, surface, ev, n_q, armed=True)
+        if bracket is None:
             raise NoSignChange("h(q) does not cross zero on this segment")
-        a, b = found
-    else:
-        a, b = float(bracket[0]), float(bracket[1])
+    a, b = float(bracket[0]), float(bracket[1])
     fa, fb = h_at(a), h_at(b)
     if not (fa > 0.0 >= fb):
         raise NoSignChange(f"bracket does not straddle the surface: h={fa:.3e}, {fb:.3e}")
@@ -395,27 +458,13 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
             t_new = t_final
             seg.t1 = t_final
         if surface is not None:
-            ts = np.linspace(seg.t0, seg.t1, _N_CHECK + 1)
-            hs = [h_of(seg.eval(tc)) for tc in ts]
-            start = 0
-            if not armed:
-                for i, hv in enumerate(hs):
-                    if hv > ev.arm_threshold:
-                        armed = True
-                        start = i
-                        break
-            if armed:
-                bracket = None
-                for i in range(max(start, 1), len(ts)):
-                    if hs[i - 1] > 0.0 >= hs[i]:
-                        bracket = (float(ts[i - 1]), float(ts[i]))
-                        break
-                if bracket is not None:
-                    hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
-                    segments.append(seg.truncated(hit.t, hit.y))
-                    return TrajectorySegment(
-                        t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
-                        y1=hit.y.copy(), segments=segments, hit=hit, n_steps=steps)
+            bracket, armed = _scan(seg, surface, ev, n_q, armed)
+            if bracket is not None:
+                hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
+                segments.append(seg.truncated(hit.t, hit.y))
+                return TrajectorySegment(
+                    t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
+                    y1=hit.y.copy(), segments=segments, hit=hit, n_steps=steps)
         segments.append(seg)
         t, y, f_curr, h_try = t_new, y_new, f_new, h_next
     return TrajectorySegment(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),

@@ -205,6 +205,26 @@ class TestCheck:
         impact = [c for c in report["checks"] if c["name"] == "impact_conditions"][0]
         assert impact["location"] is not None
 
+    def test_summary_reports_velocities_in_both_formulations(self, tmp_path):
+        # with a non-diagonal mass the momenta p = M v differ from the velocities
+        events = {}
+        for formulation in ("lagrangian", "hamiltonian"):
+            cfg = short_config(tmp_path, SKEWED_MASS_CONFIG, **{"run.t_final": 10.0})
+            out = str(tmp_path / formulation)
+            assert main(["simulate", "--config", cfg, "--out", out,
+                         "--formulation", formulation]) == 0
+            with open(os.path.join(out, "summary.json")) as fh:
+                events[formulation] = json.load(fh)["events"]
+        lag, ham = events["lagrangian"], events["hamiltonian"]
+        assert lag and len(lag) == len(ham)
+        # the two runs integrate different fields, so they agree to the stepper
+        # tolerance (1e-10), not bit for bit
+        for a, b in zip(lag, ham):
+            for key in ("v_minus", "v_plus"):
+                assert max(abs(x - y) for x, y in zip(a[key], b[key])) < 1e-9
+        # M^-1 p; the momentum p itself is (1.439, 0.578) here
+        assert ham[0]["v_minus"] == pytest.approx([0.6627, 0.3787], abs=1e-4)
+
     def test_lagrangian_csv_header_names_velocities(self, tmp_path):
         cfg, csv_path = self._fresh_run(tmp_path)
         with open(csv_path) as fh:

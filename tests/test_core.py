@@ -14,6 +14,7 @@ from contactsim import (
     SingularHessian,
     SingularMassMatrix,
     SystemSpec,
+    Ellipse,
     check_energy_decay,
     finite_difference_partials,
     hamiltonian_from_lagrangian,
@@ -23,11 +24,18 @@ from contactsim import (
     legendre_forward,
     legendre_inverse,
     make_circular_billiard,
+    make_elliptical_billiard,
     natural_lagrangian_system,
     simulate,
 )
 from contactsim import core
 from contactsim.core import evaluate_partials
+
+
+def field(rhs, sys, s):
+    """The blocks (qdot, xdot, zdot) of the flat field rhs at the state s."""
+    d = rhs(sys, s.t, s.as_vector())
+    return d[:sys.n], d[sys.n:2 * sys.n], d[2 * sys.n]
 
 
 def billiard_system(gamma=0.1, mass=1.0):
@@ -135,14 +143,14 @@ class TestHerglotzRhs:
     def test_billiard_drag(self):
         sys = billiard_system(gamma=0.1)
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.0], z=0.0)
-        qdot, qddot, zdot = herglotz_rhs(sys, s)
+        qdot, qddot, zdot = field(herglotz_rhs, sys, s)
         assert np.allclose(qddot, [-0.1, 0.0], atol=1e-14)
         assert zdot == pytest.approx(0.5, abs=1e-14)
 
     def test_conservative_limit_has_no_force(self):
         sys = billiard_system(gamma=0.0)
         s = ContactStateL(q=[0.3, -0.2], qdot=[1.0, 2.0], z=5.0)
-        _, qddot, _ = herglotz_rhs(sys, s)
+        _, qddot, _ = field(herglotz_rhs, sys, s)
         assert np.allclose(qddot, 0.0, atol=1e-14)
 
     def test_polar_chart_centripetal_terms(self):
@@ -151,7 +159,7 @@ class TestHerglotzRhs:
         sys = natural_lagrangian_system(
             n=2, mass=lambda q: np.diag([1.0, q[0] ** 2]), gamma=0.0)
         s = ContactStateL(q=[0.5, 0.0], qdot=[0.0, 1.0], z=0.0)
-        _, qddot, zdot = herglotz_rhs(sys, s)
+        _, qddot, zdot = field(herglotz_rhs, sys, s)
         assert qddot[0] == pytest.approx(0.5, abs=1e-6)    # rddot = r thetadot^2
         assert qddot[1] == pytest.approx(0.0, abs=1e-6)    # thetaddot = -2 rdot thetadot / r
         assert zdot == pytest.approx(0.125, abs=1e-12)
@@ -161,7 +169,7 @@ class TestHerglotzRhs:
         sys = natural_lagrangian_system(
             n=2, mass=lambda q: np.diag([1.0, q[0] ** 2]), gamma=gamma)
         s = ContactStateL(q=[0.8, 0.3], qdot=[0.4, 1.5], z=0.7)
-        _, qddot, _ = herglotz_rhs(sys, s)
+        _, qddot, _ = field(herglotz_rhs, sys, s)
         r, rdot, thdot = 0.8, 0.4, 1.5
         assert qddot[0] == pytest.approx(r * thdot ** 2 - gamma * rdot, abs=1e-5)
         assert qddot[1] == pytest.approx(-2 * rdot * thdot / r - gamma * thdot, abs=1e-5)
@@ -169,14 +177,14 @@ class TestHerglotzRhs:
     def test_sode_property_returns_stored_velocity(self):
         sys = billiard_system()
         s = ContactStateL(q=[0.1, 0.2], qdot=[0.3, -0.4], z=1.0)
-        qdot, _, _ = herglotz_rhs(sys, s)
+        qdot, _, _ = field(herglotz_rhs, sys, s)
         assert np.array_equal(qdot, s.qdot)
 
     def test_singular_hessian_raises(self):
         sys = SystemSpec(n=2, lagrangian=lambda q, v, z: 0.5 * v[0] ** 2)
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0)
         with pytest.raises(SingularHessian):
-            herglotz_rhs(sys, s)
+            field(herglotz_rhs, sys, s)
 
     def test_singular_constant_mass_raises_at_evaluation(self):
         # constructing the system succeeds; the field takes the generic solve
@@ -184,7 +192,7 @@ class TestHerglotzRhs:
                                         gamma=0.1)
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.5], z=0.0)
         with pytest.raises(SingularHessian):
-            herglotz_rhs(sys, s)
+            field(herglotz_rhs, sys, s)
 
     def test_hamiltonian_route_shares_the_mass_gate(self):
         # det = 1e-12 passes np.linalg.inv but not the determinant gate
@@ -215,10 +223,10 @@ class TestResolvedNaturalField:
         states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
                                 z=rng.uniform(-1, 1)) for _ in range(50)]
         states.append(ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0))
-        expected = [herglotz_rhs(generic, s) for s in states]
+        expected = [field(herglotz_rhs, generic, s) for s in states]
         _forbid_bundle(monkeypatch)
         for s, (qdot_g, qddot_g, zdot_g) in zip(states, expected):
-            qdot, qddot, zdot = herglotz_rhs(sys, s)
+            qdot, qddot, zdot = field(herglotz_rhs, sys, s)
             assert qdot.tobytes() == qdot_g.tobytes()
             assert qddot.tobytes() == qddot_g.tobytes()
             assert zdot == zdot_g
@@ -233,10 +241,10 @@ class TestResolvedNaturalField:
         rng = np.random.default_rng(9)
         states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
                                 z=rng.uniform(-1, 1)) for _ in range(200)]
-        expected = [herglotz_rhs(generic, s) for s in states]
+        expected = [field(herglotz_rhs, generic, s) for s in states]
         _forbid_bundle(monkeypatch)
         for s, (_, qddot_g, zdot_g) in zip(states, expected):
-            _, qddot, zdot = herglotz_rhs(sys, s)
+            _, qddot, zdot = field(herglotz_rhs, sys, s)
             assert np.max(np.abs(qddot - qddot_g)) <= 1e-15 * np.max(np.abs(qddot_g))
             assert zdot == zdot_g
 
@@ -249,29 +257,29 @@ class TestResolvedNaturalField:
 
         monkeypatch.setattr(core, "evaluate_partials", counted)
         s = ContactStateL(q=[0.5, 0.1], qdot=[1.0, 0.5], z=0.0)
-        herglotz_rhs(natural_lagrangian_system(
+        field(herglotz_rhs, natural_lagrangian_system(
             n=2, mass=lambda q: np.diag([1.0, q[0] ** 2])), s)
-        herglotz_rhs(dataclasses.replace(billiard_system(), natural=None), s)
-        herglotz_rhs(quartic_system(), s)
+        field(herglotz_rhs, dataclasses.replace(billiard_system(), natural=None), s)
+        field(herglotz_rhs, quartic_system(), s)
         assert len(bundles) == 3
 
     def test_non_finite_constant_mass_is_rejected_at_evaluation(self):
         sys = natural_lagrangian_system(n=2, mass=np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFiniteValue):
-            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+            field(herglotz_rhs, sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
 
     def test_non_finite_partial_is_still_rejected(self):
         sys = dataclasses.replace(billiard_system(),
                                   dL_dq=lambda q, v, z: np.array([np.inf, 0.0]))
         with pytest.raises(NonFiniteValue, match="dL_dq"):
-            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+            field(herglotz_rhs, sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
 
 
 class TestHamiltonianRhs:
     def test_billiard_momentum_drag(self):
         hsys = hamiltonian_from_lagrangian(billiard_system(gamma=0.1))
         s = ContactStateH(q=[0.0, 0.0], p=[1.0, 0.0], z=0.0)
-        qdot, pdot, zdot = hamiltonian_rhs(hsys, s)
+        qdot, pdot, zdot = field(hamiltonian_rhs, hsys, s)
         assert np.allclose(qdot, [1.0, 0.0], atol=1e-14)
         assert np.allclose(pdot, [-0.1, 0.0], atol=1e-14)
         assert zdot == pytest.approx(0.5, abs=1e-14)   # p . dH/dp - H = 1 - 0.5
@@ -279,7 +287,7 @@ class TestHamiltonianRhs:
     def test_conservative_limit(self):
         hsys = hamiltonian_from_lagrangian(billiard_system(gamma=0.0))
         s = ContactStateH(q=[0.2, 0.1], p=[0.6, -0.8], z=3.0)
-        _, pdot, zdot = hamiltonian_rhs(hsys, s)
+        _, pdot, zdot = field(hamiltonian_rhs, hsys, s)
         assert np.allclose(pdot, 0.0, atol=1e-14)
         assert zdot == pytest.approx(0.5, abs=1e-14)   # zdot = |p|^2/2
 
@@ -287,9 +295,77 @@ class TestHamiltonianRhs:
         gamma = 0.25
         hsys = hamiltonian_from_lagrangian(billiard_system(gamma=gamma))
         s = ContactStateH(q=[0.0, 0.0], p=[0.0, 0.0], z=2.0)
-        qdot, pdot, zdot = hamiltonian_rhs(hsys, s)
+        qdot, pdot, zdot = field(hamiltonian_rhs, hsys, s)
         assert np.allclose(qdot, 0.0) and np.allclose(pdot, 0.0)
         assert zdot == pytest.approx(-gamma * 2.0, abs=1e-14)
+
+
+def state_path_reference(sys, s):
+    """The field as it was computed from a state, concatenated: the closed
+    form for a constant natural mass, else the assembled solve, and the
+    contact Hamiltonian field."""
+    q, x, z = s.as_vector()[:sys.n], s.as_vector()[sys.n:2 * sys.n], s.z
+    if isinstance(s, ContactStateH):
+        Hp, Hq, Hz = sys.grad_p(q, x, z), sys.grad_q(q, x, z), sys.grad_z(q, x, z)
+        return np.concatenate([Hp, -Hq - x * Hz, [float(x @ Hp - sys.value(q, x, z))]])
+    if sys._minv is not None:
+        qddot = sys._minv @ sys.grad_q(q, x, z) + sys.grad_z(q, x, z) * x
+        return np.concatenate([x, qddot, [sys.value(q, x, z)]])
+    d = evaluate_partials(sys, s)
+    L = sys.value(q, x, z)
+    rhs = d.dL_dq - d.d2L_dqdv @ x - d.d2L_dzdv * L + d.dL_dz * d.dL_dv
+    return np.concatenate([x, core._solve_regular(d.W, rhs), [L]])
+
+
+class TestFlatField:
+    """herglotz_rhs and hamiltonian_rhs on the flat phase vector."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_circular_billiard(
+            BilliardSpec(boundary=Circle(1.0), gamma=1e-4)).dynamics,
+        lambda: hamiltonian_from_lagrangian(make_elliptical_billiard(
+            BilliardSpec(boundary=Ellipse(0.9, 1.1), gamma=1e-4)).dynamics),
+        lambda: quartic_system(eps=0.1, gamma=1e-3),
+    ], ids=["natural-circle", "ellipse-hamiltonian", "quartic-assembly"])
+    def test_bit_identical_to_the_state_path(self, make):
+        sys = make()
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            y = np.concatenate([rng.uniform(-0.6, 0.6, 2), rng.uniform(-2, 2, 2),
+                                [rng.uniform(-1, 1)]])
+            t = rng.uniform(0, 200)
+            s = sys.state_type.from_vector(y, 2, t)
+            d = sys.vector_field(t, y)
+            assert d.shape == (5,) and d.flags.writeable
+            assert d.tobytes() == state_path_reference(sys, s).tobytes()
+            assert np.array_equal(y, s.as_vector())   # the input is left as it was
+
+    @pytest.mark.parametrize("rhs, sys", [
+        (herglotz_rhs, billiard_system()),
+        (herglotz_rhs, quartic_system()),
+        (hamiltonian_rhs, hamiltonian_from_lagrangian(billiard_system())),
+    ], ids=["natural", "assembly", "hamiltonian"])
+    def test_rejects_non_finite_entries_and_wrong_lengths(self, rhs, sys):
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(5):
+                y = np.array([0.1, 0.2, 1.0, 0.5, 0.0])
+                y[i] = bad
+                with pytest.raises(NonFiniteValue):
+                    rhs(sys, 0.0, y)
+        for y in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
+            with pytest.raises(DimensionMismatch):
+                rhs(sys, 0.0, y)
+
+    def test_evaluators_cannot_write_into_the_phase_vector(self):
+        def grad_q(q, v, z):
+            q[0] = 0.0
+            return np.zeros(2)
+
+        sys = dataclasses.replace(billiard_system(), dL_dq=grad_q)
+        y = np.array([0.1, 0.2, 1.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            herglotz_rhs(sys, 0.0, y)
+        assert y[0] == 0.1
 
 
 class TestLegendre:
@@ -458,7 +534,7 @@ class TestNonFinitePartials:
     def test_herglotz_rhs_rejects_nan_action_partial(self):
         sys = self.nan_rate(billiard_system())
         with pytest.raises(NonFiniteValue, match="dL_dz"):
-            herglotz_rhs(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+            field(herglotz_rhs, sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
 
     def test_energy_check_does_not_pass_on_nan_action_partial(self):
         hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-3))
@@ -482,7 +558,7 @@ class TestStructuralIdentities:
                 s = ContactStateL(q=rng.uniform(-0.5, 0.5, 2),
                                   qdot=rng.uniform(-2, 2, 2),
                                   z=rng.uniform(-1, 1))
-                qdot, qddot, zdot = herglotz_rhs(sys, s)
+                qdot, qddot, zdot = field(herglotz_rhs, sys, s)
                 d = np.concatenate([qdot, qddot, [zdot]])
 
                 def energy_of(y):
@@ -501,7 +577,7 @@ class TestStructuralIdentities:
             s = ContactStateH(q=rng.uniform(-0.5, 0.5, 2),
                               p=rng.uniform(-2, 2, 2),
                               z=rng.uniform(-1, 1))
-            qdot, pdot, zdot = hamiltonian_rhs(hsys, s)
+            qdot, pdot, zdot = field(hamiltonian_rhs, hsys, s)
             d = np.concatenate([qdot, pdot, [zdot]])
 
             def H_of(y):
@@ -521,11 +597,11 @@ class TestStructuralIdentities:
             s = ContactStateL(q=rng.uniform(-0.5, 0.5, 2),
                               qdot=rng.uniform(-2, 2, 2),
                               z=rng.uniform(-1, 1))
-            qdot, qddot, zdot = herglotz_rhs(sys, s)
+            qdot, qddot, zdot = field(herglotz_rhs, sys, s)
             d = evaluate_partials(sys, s)
             pdot_pushed = d.d2L_dqdv @ qdot + d.W @ qddot + d.d2L_dzdv * zdot
             sh = legendre_forward(sys, s)
-            qdot_h, pdot_h, zdot_h = hamiltonian_rhs(hsys, sh)
+            qdot_h, pdot_h, zdot_h = field(hamiltonian_rhs, hsys, sh)
             assert np.max(np.abs(qdot_h - qdot)) < 1e-8
             assert np.max(np.abs(pdot_h - pdot_pushed)) < 1e-8
             assert abs(zdot_h - zdot) < 1e-8
@@ -585,7 +661,7 @@ class TestNaturalForm:
         sys = natural_lagrangian_system(n=2, mass=lambda q: np.diag([1.0 + q[0] ** 2, 1.0]),
                                         gamma=0.3, potential=V, grad_potential=grad_V)
         q, v, z = np.array([0.4, 0.2]), np.array([0.7, -0.5]), 0.1
-        _, qddot, zdot = herglotz_rhs(sys, ContactStateL(q=q, qdot=v, z=z))
+        _, qddot, zdot = field(herglotz_rhs, sys, ContactStateL(q=q, qdot=v, z=z))
         assert calls == {"V": 1, "gradV": 1}
         m = 1.0 + q[0] ** 2
         # m x'' + m' x'^2 = m' x'^2 / 2 - dV/dx - gamma m x', with m' = 2x
@@ -635,7 +711,7 @@ class TestHamiltonianFromGeneralLagrangian:
         hsys = hamiltonian_from_lagrangian(sys)
         s = ContactStateL(q=[0.1, -0.2], qdot=[0.8, 0.5], z=0.0)
         sh = legendre_forward(sys, s)
-        qdot_h, _, zdot_h = hamiltonian_rhs(hsys, sh)
-        qdot, _, zdot = herglotz_rhs(sys, s)
+        qdot_h, _, zdot_h = field(hamiltonian_rhs, hsys, sh)
+        qdot, _, zdot = field(herglotz_rhs, sys, s)
         assert np.max(np.abs(qdot_h - qdot)) < 1e-8
         assert abs(zdot_h - zdot) < 1e-8

@@ -148,6 +148,41 @@ class TestSampling:
             sample(fig1_trajectory, [21.0])
         with pytest.raises(TimeOutOfRange):
             sample(fig1_trajectory, [-0.1])
+        with pytest.raises(TimeOutOfRange):
+            sample(fig1_trajectory, [1.0, float("nan")])
+        with pytest.raises(TimeOutOfRange):
+            fig1_trajectory.state_at(float("nan"))
+
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_equals_the_scalar_loop_on_knots_and_event_times(
+            self, fig1_trajectory, circle_billiard, formulation):
+        traj = fig1_trajectory
+        if formulation == "hamiltonian":
+            hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
+            hs = HybridSystem(dynamics=hsys, surface=circle_billiard.surface,
+                              resolver="hamiltonian")
+            s0 = legendre_forward(circle_billiard.dynamics,
+                                  ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0))
+            traj = simulate(hs, s0, 20.0)
+        knots = [t for run in traj.segments for d in run.segments for t in (d.t0, d.t1)]
+        times = np.concatenate([np.linspace(0.0, 20.0, 801), knots,
+                                [e.t for e in traj.events], [20.0, 0.0]])
+        times = np.random.default_rng(8).permutation(times)   # any order, repeats kept
+        table = sample(traj, times)
+        # reference: one scalar evaluation per requested time
+        by_time = {e.t: e for e in traj.events}
+        rows_t, rows_y, rows_f = [], [], []
+        for t in times:
+            e = by_time.get(float(t))
+            if e is None:
+                rows_t.append(t), rows_y.append(traj.state_at(float(t))), rows_f.append(0)
+            else:
+                rows_t += [t, t]
+                rows_y += [e.state_minus.as_vector(), e.state_plus.as_vector()]
+                rows_f += [1, 2]
+        assert table.times.tobytes() == np.array(rows_t).tobytes()
+        assert table.states.tobytes() == np.array(rows_y).tobytes()
+        assert table.flags.tolist() == rows_f and table.flags.dtype == np.int8
 
     def test_one_sided_limits_via_state_at(self, fig1_trajectory):
         e = fig1_trajectory.events[0]

@@ -17,6 +17,7 @@ from contactsim import (
     locate_event,
     step,
 )
+from contactsim import integrate
 
 GAMMA = 1e-4
 
@@ -208,6 +209,87 @@ class TestLocateEvent:
         seg = self._segment_for(lambda t, y: np.array([1.0]), 0.0, [0.0], 1.0)
         with pytest.raises(NoSignChange):
             locate_event(seg, floor, EventConfig(), n_q=1)
+
+
+def wobble(t, y):
+    """A nonlinear field whose stage sums round differently in any other order."""
+    return np.array([np.sin(y[1]) + 0.3 * t, -y[0] * y[2], np.exp(0.1 * y[0]) - y[1],
+                     y[3] * y[4] - 1.7, 1.0 / (1.0 + y[0] ** 2)])
+
+
+class TestFlatHotPath:
+    """The vectorized interpolant, checkpoint times and stage sums reproduce
+    the scalar forms bit for bit."""
+
+    @staticmethod
+    def _segment():
+        _, _, seg, _, _ = step(wobble, 0.3, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
+                               StepperConfig(h_init=0.05, h_max=0.05), 0.05)
+        return seg
+
+    def test_eval_many_equals_eval_at_interior_times_and_both_ends(self):
+        seg = self._segment()
+        rng = np.random.default_rng(3)
+        for ts in (np.linspace(seg.t0, seg.t1, 17),
+                   np.sort(rng.uniform(seg.t0, seg.t1, 40)),
+                   np.array([seg.t1, seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1])):
+            rows = seg.eval_many(ts)
+            assert rows.tobytes() == np.array([seg.eval(t) for t in ts]).tobytes()
+        ends = seg.eval_many([seg.t0, seg.t1])
+        assert ends[0].tobytes() == seg.y0.tobytes()
+        assert ends[1].tobytes() == seg.y1.tobytes()
+
+    def test_eval_many_on_a_truncated_segment(self):
+        seg = self._segment()
+        t_cut = seg.t0 + 0.37 * (seg.t1 - seg.t0)
+        cut = seg.truncated(t_cut, seg.eval(t_cut) + 1e-3)   # a projected end state
+        ts = np.append(np.linspace(cut.t0, cut.t1, 9), [seg.t1])
+        rows = cut.eval_many(ts)
+        assert rows.tobytes() == np.array([cut.eval(t) for t in ts]).tobytes()
+        assert rows[8].tobytes() == cut.y1.tobytes()
+
+    def test_eval_segments_equals_eval_row_by_row(self):
+        run = integrate_until_event(wobble, 0.0, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
+                                    0.4, cfg=StepperConfig(h_init=0.05, h_max=0.05))
+        segs = run.segments
+        ts = np.concatenate([[d.t0 for d in segs], [d.t1 for d in segs],
+                             [0.5 * (d.t0 + d.t1) for d in segs]])
+        which = np.tile(np.arange(len(segs)), 3)
+        rows = integrate._eval_segments(segs, which, ts)
+        expected = np.array([segs[i].eval(t) for i, t in zip(which, ts)])
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_checkpoint_times_equal_linspace(self):
+        rng = np.random.default_rng(4)
+        pairs = [(0.0, 1.0), (199.96, 200.0), (1e-300, 2e-300), (5.0, 5.0)]
+        pairs += [tuple(np.sort(rng.uniform(-1e3, 1e3, 2))) for _ in range(200)]
+        pairs += [(t, t + h) for t, h in zip(rng.uniform(0, 200, 200),
+                                             10.0 ** rng.uniform(-12, 0, 200))]
+        for t0, t1 in pairs:
+            expected = np.linspace(t0, t1, integrate._N_CHECK + 1)
+            assert integrate._checkpoints(t0, t1).tobytes() == expected.tobytes()
+
+    def test_stage_sums_add_in_index_order(self):
+        # reference: the scalar generator sum over each tableau row
+        cfg = StepperConfig(rtol=1.0, atol=1.0, h_init=0.07, h_max=0.07)
+        y = np.array([0.2, -0.7, 1.1, 0.4, 2.5])
+        t, h = 0.3, 0.07
+        k = np.empty((7, y.size))
+        k[0] = wobble(t, y)
+        for i in range(1, 7):
+            yi = y + h * sum(a * k[j] for j, a in enumerate(integrate._A[i]))
+            k[i] = wobble(t + integrate._C[i] * h, yi)
+        _, y1, seg, _, f_new = step(wobble, t, y, cfg, h)
+        assert seg.h_step == h
+        assert y1.tobytes() == (y + h * (integrate._B @ k)).tobytes()
+        assert f_new.tobytes() == k[6].tobytes()
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            rows = rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
+            for i in range(1, 7):
+                ref = sum(a * rows[j] for j, a in enumerate(integrate._A[i]))
+                got = (integrate._A_COL[i] * rows[:i]).sum(axis=0)
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestBudgets:

@@ -92,3 +92,26 @@ def test_quartic_library_run_evaluates_the_full_bundle_once_per_rhs(monkeypatch)
     assert m["impact.resolves"] == len(traj.events)
     assert m["core.partials_calls"] == m["core.rhs_calls"]
     assert m["impact.partials_calls"] == 0
+
+
+def test_circle_library_run_traces_the_flat_field_and_builds_no_state_per_rhs(monkeypatch):
+    # the spec's vector_field reaches core.herglotz_rhs through core's module
+    # globals, where the tracer rebinds it; the field itself builds no state,
+    # so the only states are each impact's two one-sided limits (and the start)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracer
+
+    hs = contactsim.make_circular_billiard(
+        contactsim.BilliardSpec(boundary=contactsim.Circle(1.0), gamma=1e-4))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        traj = contactsim.simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0],
+                                                     z=0.0), 2.0)
+    finally:
+        t.uninstall()
+    assert traj.status == contactsim.COMPLETED and traj.events
+    m = t.layer_metrics()
+    assert m["core.rhs_calls"] > 0
+    assert m["core.states_built"] <= 2 * len(traj.events) + 2
