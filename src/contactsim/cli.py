@@ -30,9 +30,9 @@ from .billiards import (
 from .checks import (
     FLOW_TOL,
     IMPACT_TOL,
-    check_dissipated_quantity,
-    check_energy_decay,
+    check_decay_laws,
     check_impact_conditions,
+    check_row_decay_laws,
     CheckReport,
 )
 from .core import (
@@ -243,16 +243,27 @@ def _ell(hs: HybridSystem, s) -> float:
     return float(s.q[0] * v[1] - s.q[1] * v[0])
 
 
-def _table_columns(hs: HybridSystem, times: np.ndarray, states: np.ndarray):
-    """Energy and angular-quantity (n = 2 only) columns, one per state row."""
-    energies = np.empty(times.size)
-    ells = np.zeros(times.size)
-    for k in range(times.size):
-        s = hs.state_from_vector(states[k], float(times[k]))
-        energies[k] = hs.dynamics.energy(s)
-        if hs.n == 2:
-            ells[k] = _ell(hs, s)
-    return energies, ells
+def _table_columns(hs: HybridSystem, rows):
+    """Energy and angular-quantity (n = 2 only) columns of the row states."""
+    cols = np.array([(hs.dynamics.energy(s), _ell(hs, s) if hs.n == 2 else 0.0)
+                     for s in rows])
+    return cols[:, 0], cols[:, 1]
+
+
+def _monitored(rc: RunConfig, n: int, energy, ell) -> dict:
+    """Decay-law quantities by report name: energy, and ell on the circle."""
+    quantities = {"energy_decay": energy}
+    if rc.system["kind"] == "circle" and n == 2:
+        quantities["angular_quantity_decay"] = ell
+    return quantities
+
+
+def _containment(surface: SwitchingSurface, times: np.ndarray, qs) -> CheckReport:
+    """Deepest sampled exit from the admissible region h > 0."""
+    h_vals = np.array([surface.value(q) for q in qs])
+    return CheckReport(name="containment", max_violation=float(max(0.0, -np.min(h_vals))),
+                       tolerance=CONTAINMENT_TOL,
+                       location=float(times[int(np.argmin(h_vals))]))
 
 
 def run_simulation(cfg: dict, out_dir: str, samples_override=None,
@@ -274,18 +285,17 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
     t_grid = np.linspace(traj.t0, traj.t_end, rc.samples)
     times = np.unique(np.concatenate([t_grid, [e.t for e in traj.events]]))
     table = traj.sample(times)
-    energies, ells = _table_columns(hs, table.times, table.states)
+    # one state at a time: the row states are not kept
+    energies, ells = _table_columns(hs, (hs.state_from_vector(y, t) for y, t in
+                                         zip(table.states, table.times.tolist())))
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(csv_path, table.times, table.states, table.flags,
                          energies, ells, hs.n, hs.formulation)
 
-    checks = [check_energy_decay(traj, hs.dynamics, FLOW_TOL)]
-    if rc.system["kind"] == "circle" and hs.n == 2:
-        checks.append(check_dissipated_quantity(
-            traj, lambda s: _ell(hs, s), hs.dynamics, FLOW_TOL,
-            name="angular_quantity_decay"))
+    checks = check_decay_laws(traj, hs.dynamics, _monitored(
+        rc, hs.n, hs.dynamics.energy, lambda s: _ell(hs, s)), FLOW_TOL)
     worst_impact = CheckReport(name="impact_conditions", max_violation=0.0,
                                tolerance=IMPACT_TOL)
     for event in traj.events:
@@ -293,12 +303,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
         if rep.max_violation > worst_impact.max_violation:
             worst_impact = rep
     checks.append(worst_impact)
-    h_vals = np.array([hs.surface.value(table.states[k][:hs.n])
-                       for k in range(table.times.size)])
-    checks.append(CheckReport(name="containment",
-                              max_violation=float(max(0.0, -np.min(h_vals))),
-                              tolerance=CONTAINMENT_TOL,
-                              location=float(table.times[int(np.argmin(h_vals))])))
+    checks.append(_containment(hs.surface, table.times, table.states[:, :hs.n]))
 
     E0 = float(energies[0])
     fit_rate = None
@@ -343,12 +348,6 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
     return summary
 
 
-def _summary_exit_code(summary: dict) -> int:
-    ok = summary["status"] == COMPLETED and all(
-        c["passed"] for c in summary["checks"])
-    return 0 if ok else 2
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     summary = run_simulation(cfg, args.out, args.samples, args.svg,
@@ -358,7 +357,8 @@ def cmd_simulate(args) -> int:
         mark = "pass" if c["passed"] else "FAIL"
         print(f"  [{mark}] {c['name']}: max violation {c['max_violation']:.3e} "
               f"(tol {c['tolerance']:.1e})")
-    return _summary_exit_code(summary)
+    ok = summary["status"] == COMPLETED and all(c["passed"] for c in summary["checks"])
+    return 0 if ok else 2
 
 
 def cmd_impact_test(args) -> int:
@@ -402,19 +402,17 @@ def cmd_check(args) -> int:
     data = read_trajectory_csv(args.csv)
     # the states are read back in the formulation that wrote them
     rc = parse_config(cfg, formulation_override=data["formulation"])
-    if data["n"] != (2 if rc.system["kind"] in ("circle", "ellipse")
-                     else int(rc.system["n"])):
+    hs, _, _ = build_system(rc)
+    if data["n"] != hs.n:
         raise ConfigError(
             f"CSV dimension n={data['n']} does not match the config system")
-    hs, _, _ = build_system(rc)
-    n = data["n"]
-    gamma = float(rc.system.get("gamma", 0.0))
     states = np.column_stack([data["q"], data["v"], data["z"]])
+    rows = [hs.state_from_vector(y, t) for y, t in zip(states, data["t"].tolist())]
 
     reports = []
     # per-row energy / angular-quantity consistency against the state columns
     column_tol = 1e-12
-    energies, ells = _table_columns(hs, data["t"], states)
+    energies, ells = _table_columns(hs, rows)
     err = (np.maximum(np.abs(energies - data["E"]), np.abs(ells - data["ell"]))
            / np.maximum(1.0, np.abs(energies)))
     bad = np.flatnonzero(err > column_tol)   # located by 1-based file row, header included
@@ -422,43 +420,22 @@ def cmd_check(args) -> int:
                                tolerance=column_tol,
                                location=float(bad[0] + 2) if bad.size else None))
 
-    # energy decay law against E0 e^(-gamma t) on the stored samples
-    E0 = float(data["E"][0])
-    ref = E0 * np.exp(-gamma * (data["t"] - data["t"][0]))
-    viol = np.abs(data["E"] - ref) / max(1.0, abs(E0))
-    reports.append(CheckReport(name="energy_decay", max_violation=float(np.max(viol)),
-                               tolerance=FLOW_TOL,
-                               location=float(data["t"][int(np.argmax(viol))])))
-    if rc.system["kind"] == "circle" and n == 2:
-        l0 = float(data["ell"][0])
-        ref = l0 * np.exp(-gamma * (data["t"] - data["t"][0]))
-        denom = abs(l0) if l0 != 0.0 else 1.0
-        viol = np.abs(data["ell"] - ref) / denom
-        reports.append(CheckReport(name="angular_quantity_decay",
-                                   max_violation=float(np.max(viol)),
-                                   tolerance=FLOW_TOL,
-                                   location=float(data["t"][int(np.argmax(viol))])))
+    # the decay laws on the recomputed columns, with the rate from the row states
+    reports += check_row_decay_laws(hs.dynamics, rows,
+                                    _monitored(rc, hs.n, energies, ells), FLOW_TOL)
 
     # impact conditions at stored pre/post pairs
-    worst_imp = 0.0
-    worst_t = None
+    worst_imp, worst_t = 0.0, None
     for i in np.where(data["flag"] == 1)[0]:
         if i + 1 >= data["t"].size or data["flag"][i + 1] != 2:
             raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
-        t = float(data["t"][i])
-        v = max(impact_residuals(hs.dynamics, hs.surface,
-                                 hs.state_from_vector(states[i], t),
-                                 hs.state_from_vector(states[i + 1], t)))
+        v = max(impact_residuals(hs.dynamics, hs.surface, rows[i], rows[i + 1]))
         if v > worst_imp:
-            worst_imp, worst_t = v, t
+            worst_imp, worst_t = v, rows[i].t
     reports.append(CheckReport(name="impact_conditions", max_violation=worst_imp,
                                tolerance=IMPACT_TOL, location=worst_t))
 
-    h_vals = np.array([hs.surface.value(data["q"][k]) for k in range(data["t"].size)])
-    reports.append(CheckReport(name="containment",
-                               max_violation=float(max(0.0, -np.min(h_vals))),
-                               tolerance=CONTAINMENT_TOL,
-                               location=float(data["t"][int(np.argmin(h_vals))])))
+    reports.append(_containment(hs.surface, data["t"], data["q"]))
 
     out = {"csv": args.csv, "checks": [r.to_dict() for r in reports]}
     text = json.dumps(out, indent=2, sort_keys=True)
@@ -470,9 +447,8 @@ def cmd_check(args) -> int:
 
 
 def _sweep_worker(packed):
-    index, cfg, out_dir = packed
-    summary = run_simulation(cfg, out_dir)
-    return index, summary
+    cfg, out_dir = packed
+    return run_simulation(cfg, out_dir)
 
 
 def cmd_sweep(args) -> int:
@@ -489,28 +465,20 @@ def cmd_sweep(args) -> int:
     for i, val in enumerate(values):
         run_cfg = copy.deepcopy(cfg)
         run_cfg.pop("sweep", None)
-        node = run_cfg
-        parts = path.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"'sweep.path' does not resolve: {path}")
-            node = node[part]
-        if parts[-1] not in node:
+        *head, last = path.split(".")
+        node = _get(run_cfg, ".".join(head)) if head else run_cfg
+        if not isinstance(node, dict) or last not in node:
             raise ConfigError(f"'sweep.path' does not resolve: {path}")
-        node[parts[-1]] = val
-        jobs.append((i, run_cfg, os.path.join(args.out, f"run_{i:03d}")))
+        node[last] = val
+        jobs.append((run_cfg, os.path.join(args.out, f"run_{i:03d}")))
 
-    results = [None] * len(jobs)
     if args.workers > 1:
         # imported here: a process pool costs every other command its import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for index, summary in pool.map(_sweep_worker, jobs):
-                results[index] = summary
+            results = list(pool.map(_sweep_worker, jobs))
     else:
-        for job in jobs:
-            index, summary = _sweep_worker(job)
-            results[index] = summary
+        results = [_sweep_worker(job) for job in jobs]
 
     merged = {
         "sweep_path": path,

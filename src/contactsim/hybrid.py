@@ -29,7 +29,7 @@ from .integrate import (
     EventConfig,
     StepperConfig,
     TrajectorySegment,
-    _eval_segments,
+    _eval_phases,
     integrate_until_event,
 )
 
@@ -178,21 +178,9 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
     if outside.size:
         raise TimeOutOfRange(f"t={float(ts[outside[0]])} outside trajectory span "
                              f"[{traj.t0}, {traj.t_end}]")
-    phases = traj.segments
-    phase = np.searchsorted([run.t0 for run in phases], ts, side="right") - 1
+    phase = np.searchsorted([run.t0 for run in traj.segments], ts, side="right") - 1
     np.maximum(phase, 0, out=phase)
-    # the last dense segment of the phase that starts at or before t, else its first
-    pieces = [d for run in phases for d in run.segments]
-    counts = np.array([len(run.segments) for run in phases])
-    ends = np.cumsum(counts)[phase]
-    which = np.searchsorted([d.t0 for d in pieces], ts, side="right") - 1
-    out = _eval_segments(pieces, np.clip(which, ends - counts[phase], ends - 1), ts)
-    # a phase's own end states take precedence, the start before the end
-    for k in np.flatnonzero(ts == np.array([run.t1 for run in phases])[phase]).tolist():
-        out[k] = phases[phase[k]].y1
-    for k in np.flatnonzero(ts == np.array([run.t0 for run in phases])[phase]).tolist():
-        out[k] = phases[phase[k]].y0
-    return out
+    return _eval_phases(traj.segments, phase, ts)
 
 
 def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:

@@ -300,6 +300,21 @@ class TrajectorySegment:
         return self.segments[i].eval(t)
 
 
+def _eval_phases(phases: list, phase: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row k is ``phases[phase[k]].eval(ts[k])`` for ts[k] inside that phase,
+    with its dense-segment choice and its own end states, batched."""
+    pieces = [d for run in phases for d in run.segments]
+    counts = np.array([len(run.segments) for run in phases])
+    ends = np.cumsum(counts)[phase]
+    which = np.searchsorted([d.t0 for d in pieces], ts, side="right") - 1
+    out = _eval_segments(pieces, np.clip(which, ends - counts[phase], ends - 1), ts)
+    # a phase's own end states take precedence, the start before the end
+    for t_end, y_end in (("t1", "y1"), ("t0", "y0")):
+        at = ts == np.array([getattr(run, t_end) for run in phases])[phase]
+        out[at] = np.array([getattr(run, y_end) for run in phases])[phase[at]]
+    return out
+
+
 def _project_to_surface(q: np.ndarray, surface) -> np.ndarray:
     """Single Newton step moving q onto h = 0 along grad h."""
     g = surface.gradient(q)

@@ -14,6 +14,7 @@ from contactsim import (
     ImpactResult,
     NonFiniteValue,
     StepperConfig,
+    SystemSpec,
     check_contact_identities,
     check_dissipated_quantity,
     check_energy_decay,
@@ -25,8 +26,9 @@ from contactsim import (
     resolve_impact_natural,
     simulate,
 )
+from contactsim import checks, core, impact
 from contactsim.billiards import angular_momentum
-from contactsim.checks import CheckReport
+from contactsim.checks import CheckReport, check_decay_laws, check_row_decay_laws
 from contactsim.impact import SwitchingSurface
 
 
@@ -145,6 +147,150 @@ class TestNonFiniteFlowValues:
             hs.dynamics, dH_dz=lambda q, p, z: float("nan") if z > 2.0 else 1e-3)
         with pytest.raises(NonFiniteValue, match="dH_dz"):
             check_energy_decay(traj, sys)
+
+
+def scalar_decay_law(traj, sys, f, pairs=16):
+    """The decay law node by node: TrajectorySegment.eval at np.linspace
+    nodes, one state per node, a running Simpson sum. The batched pass must
+    reproduce it bit for bit."""
+    worst, worst_t, f0, log_ref = 0.0, None, None, 0.0
+    for run in traj.segments:
+        if run.t1 <= run.t0:
+            continue
+        ts = np.linspace(run.t0, run.t1, 2 * pairs + 1)
+        states = [sys.state_type.from_vector(run.eval(t), traj.n, t) for t in ts]
+        rates = [sys.rate(s) for s in states]
+        values = [float(f(s)) for s in states[::2]]
+        f0 = values[0] if f0 is None else f0
+        dt = (run.t1 - run.t0) / (2 * pairs)
+        for k, value in enumerate(values):
+            viol = abs(value - f0 * np.exp(log_ref)) / (abs(f0) if f0 != 0.0 else 1.0)
+            if viol > worst:
+                worst, worst_t = viol, float(ts[2 * k])
+            if k < pairs:
+                log_ref += dt / 3.0 * (rates[2 * k] + 4.0 * rates[2 * k + 1]
+                                       + rates[2 * k + 2])
+    return worst, worst_t
+
+
+class TestOnePass:
+    """All monitored quantities share one node pass over the trajectory."""
+
+    @pytest.fixture(scope="class", params=["lagrangian", "hamiltonian"])
+    def run(self, request):
+        hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-3))
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        if request.param == "hamiltonian":
+            s0 = legendre_forward(hs.dynamics, s0)
+            hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
+                              surface=hs.surface, resolver="hamiltonian")
+        traj = simulate(hs, s0, 20.0)
+        assert len(traj.events) >= 10
+        return hs, traj
+
+    def test_one_pass_equals_separate_calls(self, run, monkeypatch):
+        hs, traj = run
+
+        def solver_called(*args, **kwargs):
+            raise AssertionError("a check called the solver path")
+
+        # checks recompute from the stored trajectory, never through the solver
+        for module, name in ((core, "herglotz_rhs"), (core, "hamiltonian_rhs"),
+                             (impact, "resolve_impact_natural"),
+                             (impact, "resolve_impact_newton"),
+                             (impact, "resolve_impact_hamiltonian")):
+            monkeypatch.setattr(module, name, solver_called)
+        with pytest.raises(AssertionError, match="solver path"):
+            hs.dynamics.vector_field(traj.t0, traj.segments[0].y0)
+
+        def ell(s):
+            v = hs.dynamics.velocity(s)
+            return float(s.q[0] * v[1] - s.q[1] * v[0])
+
+        both = check_decay_laws(traj, hs.dynamics, {"energy_decay": hs.dynamics.energy,
+                                                    "angular_quantity_decay": ell})
+        alone = [check_energy_decay(traj, hs.dynamics),
+                 check_dissipated_quantity(traj, ell, hs.dynamics,
+                                           name="angular_quantity_decay")]
+        for one, sep, f in zip(both, alone, (hs.dynamics.energy, ell)):
+            assert one.name == sep.name
+            assert one.max_violation == sep.max_violation
+            assert one.location == sep.location
+            assert (one.max_violation, one.location) == scalar_decay_law(traj, hs.dynamics, f)
+
+    def test_node_states_equal_segment_eval(self, run):
+        # the rate sees every node's state: record them through dL/dz or dH/dz
+        hs, traj = run
+        seen = []
+        name = "dL_dz" if hs.formulation == "lagrangian" else "dH_dz"
+        rate = getattr(hs.dynamics, name)
+
+        def recording(q, x, z):
+            seen.append(np.concatenate([q, x, [z]]))
+            return rate(q, x, z)
+
+        spec = dataclasses.replace(hs.dynamics, **{name: recording})
+        check_decay_laws(traj, spec, {"energy_decay": spec.energy})
+        # each phase's nodes include both of its ends, where eval returns the
+        # stored end states rather than interpolant values
+        expected = [phase.eval(t) for phase in traj.segments if phase.t1 > phase.t0
+                    for t in np.linspace(phase.t0, phase.t1, 2 * checks._PAIRS + 1)]
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
+
+def state_rate_billiard(gamma):
+    """L = 1/2 |v|^2 - gamma (1 + |q|^2) z in the unit disc, so the rate
+    dL/dz = -gamma (1 + |q|^2) changes along the flow."""
+    spec = SystemSpec(
+        n=2,
+        lagrangian=lambda q, v, z: 0.5 * float(v @ v) - gamma * (1.0 + float(q @ q)) * z,
+        dL_dq=lambda q, v, z: -2.0 * gamma * z * q,
+        dL_dv=lambda q, v, z: np.array(v, dtype=float),
+        dL_dz=lambda q, v, z: -gamma * (1.0 + float(q @ q)),
+        d2L_dvdv=lambda q, v, z: np.eye(2),
+        d2L_dqdv=lambda q, v, z: np.zeros((2, 2)),
+        d2L_dzdv=lambda q, v, z: np.zeros(2),
+    )
+    surface = SwitchingSurface(h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q)
+    return HybridSystem(dynamics=spec, surface=surface, resolver="newton")
+
+
+class TestStateDependentRate:
+    GAMMA = 0.01
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        hs = state_rate_billiard(self.GAMMA)
+        traj = simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 20.0)
+        assert traj.status == "Completed" and len(traj.events) >= 10
+        return hs, traj
+
+    def row_check(self, hs, traj, samples):
+        """(row-law report, constant-gamma law) on sampled rows, impacts included."""
+        times = np.unique(np.concatenate([np.linspace(traj.t0, traj.t_end, samples),
+                                          [e.t for e in traj.events]]))
+        table = traj.sample(times)
+        rows = [hs.state_from_vector(y, t) for y, t in zip(table.states, table.times)]
+        E = np.array([hs.dynamics.energy(s) for s in rows])
+        report = check_row_decay_laws(hs.dynamics, rows, {"energy_decay": E})[0]
+        constant = np.exp(-self.GAMMA * (table.times - table.times[0]))
+        return report, float(np.max(np.abs(E - E[0] * constant)) / abs(E[0]))
+
+    def test_dense_check_passes(self, run):
+        hs, traj = run
+        assert check_energy_decay(traj, hs.dynamics).passed
+
+    def test_row_check_is_second_order(self, run):
+        hs, traj = run
+        coarse, constant_law = self.row_check(hs, traj, 1000)
+        fine, _ = self.row_check(hs, traj, 4000)
+        # the constant-gamma law misses the state-dependent rate by percents
+        assert constant_law > 0.01
+        assert coarse.max_violation < 1e-3 * constant_law
+        # four times the rows, about 16 times smaller: the trapezoid's order
+        assert 12.0 < coarse.max_violation / fine.max_violation < 20.0
 
 
 class TestImpactConditions:

@@ -2,10 +2,11 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
-from contactsim.cli import main
-from contactsim.io import read_trajectory_csv
+from contactsim.cli import build_system, load_config, main, parse_config
+from contactsim.io import read_trajectory_csv, write_trajectory_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 CIRCLE_CONFIG = os.path.join(CONFIG_DIR, "circle.json")
@@ -246,6 +247,31 @@ class TestCheck:
         col = [c for c in report["checks"] if c["name"] == "column_consistency"][0]
         assert not col["passed"]
         assert col["location"] == 41.0   # 1-based file row of the corruption
+
+    def test_tampered_velocities_fail_the_decay_law(self, tmp_path, capsys):
+        # from one flow row on the speeds are 1e-5 too high, and E and ell are
+        # rewritten from the tampered states, so only the decay law can tell
+        cfg, csv_path = self._fresh_run(tmp_path)
+        data = read_trajectory_csv(csv_path)
+        k = 80
+        assert data["flag"][k] == 0
+        v = data["v"].copy()
+        v[k:] *= 1.0 + 1e-5
+        states = np.column_stack([data["q"], v, data["z"]])
+        hs, _, _ = build_system(parse_config(load_config(cfg)))
+        rows = [hs.state_from_vector(y, t) for y, t in zip(states, data["t"])]
+        bad = tmp_path / "bad.csv"
+        write_trajectory_csv(str(bad), data["t"], states, data["flag"],
+                             [hs.dynamics.energy(s) for s in rows],
+                             [s.q[0] * s.qdot[1] - s.q[1] * s.qdot[0] for s in rows],
+                             2, "lagrangian")
+        capsys.readouterr()   # drain the simulate output
+        assert main(["check", "--csv", str(bad), "--config", cfg]) == 2
+        report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert report["column_consistency"]["passed"]
+        assert report["impact_conditions"]["passed"]
+        assert not report["energy_decay"]["passed"]
+        assert report["energy_decay"]["location"] == data["t"][k]
 
     def test_empty_csv_exits_one(self, tmp_path, capsys):
         cfg = short_config(tmp_path)
