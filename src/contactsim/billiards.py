@@ -48,6 +48,9 @@ __all__ = [
     "angular_momentum",
 ]
 
+# Kept apart from impact's own tolerance: the oracles share nothing with the solver.
+_BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -154,8 +157,7 @@ def free_particle_closed_form(gamma: float, q0, v0, e0: float, t,
 
 
 def circular_impact_closed_form(x: float, y: float,
-                                vx_minus: float, vy_minus: float,
-                                boundary_tol: float = 1e-9):
+                                vx_minus: float, vy_minus: float):
     """Specular reflection on the unit circle, written as the rational map
 
         vx+ = (-vx x^2 + vx y^2 - 2 vy x y) / (x^2 + y^2)
@@ -164,7 +166,7 @@ def circular_impact_closed_form(x: float, y: float,
     Pure oracle: evaluated verbatim, no solver machinery involved.
     """
     r2 = x * x + y * y
-    if abs(r2 - 1.0) > boundary_tol:
+    if abs(r2 - 1.0) > _BOUNDARY_TOL:
         raise ValueError(f"point is off the unit circle: x^2+y^2 = {r2}")
     vx_plus = (-vx_minus * x * x + vx_minus * y * y - 2.0 * vy_minus * x * y) / r2
     vy_plus = (-2.0 * vx_minus * x * y + vy_minus * x * x - vy_minus * y * y) / r2
@@ -172,8 +174,7 @@ def circular_impact_closed_form(x: float, y: float,
 
 
 def elliptical_impact_closed_form(a: float, b: float, x: float, y: float,
-                                  vx_minus: float, vy_minus: float,
-                                  boundary_tol: float = 1e-9):
+                                  vx_minus: float, vy_minus: float):
     """Specular reflection on the ellipse (x/a)^2 + (y/b)^2 = 1:
 
         vx+ = (a^4 vx y^2 - 2 a^2 b^2 vy x y - b^4 vx x^2) / (a^4 y^2 + b^4 x^2)
@@ -182,7 +183,7 @@ def elliptical_impact_closed_form(a: float, b: float, x: float, y: float,
     Reduces to the circular map at a = b = 1.
     """
     lhs = (x / a) ** 2 + (y / b) ** 2
-    if abs(lhs - 1.0) > boundary_tol:
+    if abs(lhs - 1.0) > _BOUNDARY_TOL:
         raise ValueError(f"point is off the ellipse: (x/a)^2+(y/b)^2 = {lhs}")
     a4 = a ** 4
     b4 = b ** 4

@@ -18,7 +18,7 @@ import numpy as np
 from .core import ContactStateH, HamiltonianSpec, SystemSpec, hamiltonian_rhs
 from .hybrid import HybridTrajectory, ImpactEvent
 from .integrate import _eval_phases
-from .impact import SwitchingSurface, impact_residuals
+from .impact import SwitchingSurface, impact_violation
 
 __all__ = [
     "CheckReport",
@@ -163,11 +163,11 @@ def check_impact_conditions(event: ImpactEvent,
                             sys: Union[SystemSpec, HamiltonianSpec],
                             surface: SwitchingSurface,
                             tol: float = IMPACT_TOL) -> CheckReport:
-    """Recompute the tangential-momentum and energy matches for one event
-    from both one-sided states (see ``impact.impact_residuals``)."""
-    r_tan, r_en = impact_residuals(sys, surface, event.state_minus, event.state_plus)
-    return CheckReport(name="impact_conditions", max_violation=max(r_tan, r_en),
-                       tolerance=tol, location=event.t)
+    """Recompute the impact law for one event from both one-sided states
+    (see ``impact.impact_violation``)."""
+    return CheckReport(name="impact_conditions", tolerance=tol, location=event.t,
+                       max_violation=impact_violation(sys, surface, event.state_minus,
+                                                      event.state_plus))
 
 
 def check_contact_identities(sys: HamiltonianSpec,

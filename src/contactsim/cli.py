@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import ConfigError, ContactSimError, GrazingContact
 from .hybrid import COMPLETED, HybridSystem, simulate
-from .impact import SwitchingSurface, impact_residuals, resolve_impact_natural
+from .impact import SwitchingSurface, impact_violation, resolve_impact_natural
 from .integrate import EventConfig, StepperConfig
 from .io import (
     format_float,
@@ -58,11 +58,21 @@ from .io import (
 CONTAINMENT_TOL = 1e-10
 
 
+@dataclass(frozen=True)
+class SystemSetup:
+    """The `system` section, validated and built once: the Lagrangian hybrid
+    system, its plot outline, and whether ell is monitored (circle only)."""
+
+    hybrid: HybridSystem
+    boundary: Optional[tuple]
+    monitors_ell: bool
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration (see README for the file schema)."""
 
-    system: dict
+    system: SystemSetup
     q0: np.ndarray
     v0: Optional[np.ndarray]
     p0: Optional[np.ndarray]
@@ -110,24 +120,15 @@ def load_config(path: str) -> dict:
         )
 
 
-def parse_config(cfg: dict, samples_override=None, svg_override=None,
-                 formulation_override=None) -> RunConfig:
+def _parse_system(cfg: dict) -> SystemSetup:
+    """Validate the `system` section, fill its defaults and build it."""
     kind = _get(cfg, "system.kind", required=True)
     if kind not in ("circle", "ellipse", "custom"):
         raise ConfigError(f"'system.kind' must be circle, ellipse, or custom, got {kind!r}")
     gamma = float(_get(cfg, "system.gamma", 0.0))
     if gamma < 0.0:
         raise ConfigError(f"'system.gamma' must be >= 0, got {gamma}")
-    if kind == "circle":
-        _positive(_get(cfg, "system.radius", 1.0), "system.radius")
-        _positive(_get(cfg, "system.mass", 1.0), "system.mass")
-        n = 2
-    elif kind == "ellipse":
-        _positive(_get(cfg, "system.a", required=True), "system.a")
-        _positive(_get(cfg, "system.b", required=True), "system.b")
-        _positive(_get(cfg, "system.mass", 1.0), "system.mass")
-        n = 2
-    else:
+    if kind == "custom":
         n = int(_get(cfg, "system.n", required=True))
         if n < 1:
             raise ConfigError(f"'system.n' must be >= 1, got {n}")
@@ -137,9 +138,28 @@ def parse_config(cfg: dict, samples_override=None, svg_override=None,
                 f"'system.mass_matrix' must be {n}x{n}, got shape {M.shape}")
         if _get(cfg, "system.surface.kind", required=True) != "sphere":
             raise ConfigError("'system.surface.kind' must be 'sphere'")
-        _positive(_get(cfg, "system.surface.radius", required=True),
-                  "system.surface.radius")
+        r = _positive(_get(cfg, "system.surface.radius", required=True),
+                      "system.surface.radius")
+        surface = SwitchingSurface(h=lambda q: r * r - float(q @ q), grad_h=lambda q: -2.0 * q)
+        hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
+                          surface=surface, resolver="natural")
+        return SystemSetup(hs, ("circle", r) if n == 2 else None, monitors_ell=False)
+    if kind == "circle":
+        r = _positive(_get(cfg, "system.radius", 1.0), "system.radius")
+        make, shape, boundary = make_circular_billiard, Circle(r), ("circle", r)
+    else:
+        a = _positive(_get(cfg, "system.a", required=True), "system.a")
+        b = _positive(_get(cfg, "system.b", required=True), "system.b")
+        make, shape, boundary = make_elliptical_billiard, Ellipse(a, b), ("ellipse", a, b)
+    mass = _positive(_get(cfg, "system.mass", 1.0), "system.mass")
+    return SystemSetup(make(BilliardSpec(boundary=shape, gamma=gamma, mass=mass)),
+                       boundary, monitors_ell=kind == "circle")
 
+
+def parse_config(cfg: dict, samples_override=None, svg_override=None,
+                 formulation_override=None) -> RunConfig:
+    system = _parse_system(cfg)
+    n = system.hybrid.n
     q0 = np.asarray(_get(cfg, "initial.q", required=True), dtype=float)
     if q0.size != n:
         raise ConfigError(f"'initial.q' must have length {n}, got {q0.size}")
@@ -187,7 +207,7 @@ def parse_config(cfg: dict, samples_override=None, svg_override=None,
         raise ConfigError(f"'output.samples' must be >= 2, got {samples}")
     svg = bool(svg_override if svg_override is not None
                else _get(cfg, "output.svg", True))
-    return RunConfig(system=cfg["system"], q0=q0, v0=v0, p0=p0, z0=z0,
+    return RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
                      t_final=t_final, formulation=formulation,
                      max_events=max_events, stepper=stepper, events=events,
                      samples=samples, svg=svg, raw=cfg)
@@ -196,37 +216,12 @@ def parse_config(cfg: dict, samples_override=None, svg_override=None,
 def build_system(rc: RunConfig):
     """Returns (HybridSystem in the requested formulation, Lagrangian spec,
     boundary description for plotting)."""
-    kind = rc.system["kind"]
-    gamma = float(rc.system.get("gamma", 0.0))
-    if kind == "circle":
-        r = float(rc.system.get("radius", 1.0))
-        spec = BilliardSpec(boundary=Circle(r), gamma=gamma,
-                            mass=float(rc.system.get("mass", 1.0)))
-        hs = make_circular_billiard(spec)
-        boundary = ("circle", r)
-    elif kind == "ellipse":
-        spec = BilliardSpec(boundary=Ellipse(float(rc.system["a"]),
-                                             float(rc.system["b"])),
-                            gamma=gamma, mass=float(rc.system.get("mass", 1.0)))
-        hs = make_elliptical_billiard(spec)
-        boundary = ("ellipse", spec.boundary.a, spec.boundary.b)
-    else:
-        n = int(rc.system["n"])
-        M = np.asarray(rc.system["mass_matrix"], dtype=float)
-        r = float(rc.system["surface"]["radius"])
-        lag = natural_lagrangian_system(n=n, mass=M, gamma=gamma)
-        surface = SwitchingSurface(
-            h=lambda q: r * r - float(q @ q),
-            grad_h=lambda q: -2.0 * q,
-        )
-        hs = HybridSystem(dynamics=lag, surface=surface, resolver="natural")
-        boundary = ("circle", r) if n == 2 else None
-
+    hs = rc.system.hybrid
     lag_spec: SystemSpec = hs.dynamics
     if rc.formulation == "hamiltonian":
-        hspec = hamiltonian_from_lagrangian(lag_spec)
-        hs = HybridSystem(dynamics=hspec, surface=hs.surface, resolver="hamiltonian")
-    return hs, lag_spec, boundary
+        hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(lag_spec),
+                          surface=hs.surface, resolver="hamiltonian")
+    return hs, lag_spec, rc.system.boundary
 
 
 def initial_state(rc: RunConfig, hs: HybridSystem, lag_spec: SystemSpec):
@@ -250,10 +245,10 @@ def _table_columns(hs: HybridSystem, rows):
     return cols[:, 0], cols[:, 1]
 
 
-def _monitored(rc: RunConfig, n: int, energy, ell) -> dict:
+def _monitored(rc: RunConfig, energy, ell) -> dict:
     """Decay-law quantities by report name: energy, and ell on the circle."""
     quantities = {"energy_decay": energy}
-    if rc.system["kind"] == "circle" and n == 2:
+    if rc.system.monitors_ell:
         quantities["angular_quantity_decay"] = ell
     return quantities
 
@@ -295,7 +290,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
                          energies, ells, hs.n, hs.formulation)
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
-        rc, hs.n, hs.dynamics.energy, lambda s: _ell(hs, s)), FLOW_TOL)
+        rc, hs.dynamics.energy, lambda s: _ell(hs, s)), FLOW_TOL)
     worst_impact = CheckReport(name="impact_conditions", max_violation=0.0,
                                tolerance=IMPACT_TOL)
     for event in traj.events:
@@ -320,7 +315,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
             "initial": E0,
             "final": float(energies[-1]),
             "fitted_decay_rate": fit_rate,
-            "expected_decay_rate": -float(rc.system.get("gamma", 0.0)),
+            "expected_decay_rate": -lag_spec.natural.gamma,
         },
         "events": [
             {
@@ -422,14 +417,14 @@ def cmd_check(args) -> int:
 
     # the decay laws on the recomputed columns, with the rate from the row states
     reports += check_row_decay_laws(hs.dynamics, rows,
-                                    _monitored(rc, hs.n, energies, ells), FLOW_TOL)
+                                    _monitored(rc, energies, ells), FLOW_TOL)
 
     # impact conditions at stored pre/post pairs
     worst_imp, worst_t = 0.0, None
     for i in np.where(data["flag"] == 1)[0]:
         if i + 1 >= data["t"].size or data["flag"][i + 1] != 2:
             raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
-        v = max(impact_residuals(hs.dynamics, hs.surface, rows[i], rows[i + 1]))
+        v = impact_violation(hs.dynamics, hs.surface, rows[i], rows[i + 1])
         if v > worst_imp:
             worst_imp, worst_t = v, rows[i].t
     reports.append(CheckReport(name="impact_conditions", max_violation=worst_imp,

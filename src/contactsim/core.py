@@ -62,6 +62,8 @@ _FD_STEP_2 = _EPS ** 0.25
 
 # Relative determinant gate for Hessian regularity.
 _REG_TOL = 1e-10
+_LEGENDRE_MAX_ITER = 50
+_LEGENDRE_TOL = 1e-12
 
 
 def _all_finite(v: np.ndarray) -> bool:
@@ -327,11 +329,10 @@ class SystemSpec(_Spec):
 class HamiltonianSpec(_Spec):
     """A contact Hamiltonian system H(q, p, z) with optional partials.
 
-    Missing partials fall back to central finite differences. ``minv``
-    and ``gamma`` are optional mechanical metadata (inverse mass matrix
-    evaluator and dissipation coefficient) attached when the system is
-    derived from a natural-form Lagrangian; the impact resolver uses them
-    for closed-form impulse computation.
+    Missing partials fall back to central finite differences. ``minv``,
+    the inverse mass matrix evaluator, is attached when the system is
+    derived from a natural-form Lagrangian; the impact resolver uses it
+    for the closed-form impulse.
     """
 
     n: int
@@ -340,7 +341,6 @@ class HamiltonianSpec(_Spec):
     dH_dp: Optional[Callable] = None
     dH_dz: Optional[Callable] = None
     minv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gamma: Optional[float] = None
 
     state_type = ContactStateH
     formulation = "hamiltonian"
@@ -522,6 +522,14 @@ def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(W, rhs)
 
 
+def _mass_solve(nat: NaturalForm, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M(q)^-1 rhs; a singular M(q) raises SingularMassMatrix."""
+    try:
+        return np.linalg.solve(nat.mass_matrix(q), rhs)
+    except np.linalg.LinAlgError as e:
+        raise SingularMassMatrix(f"mass matrix singular at q={q}") from e
+
+
 def _regular_inverse(M: np.ndarray, n: int) -> Optional[np.ndarray]:
     """M^-1 for a finite (n, n) M that passes the gate of _solve_regular,
     else None, which leaves the error to the first field evaluation or to
@@ -608,34 +616,28 @@ def legendre_forward(sys: SystemSpec, s: ContactStateL) -> ContactStateH:
     return ContactStateH(q=s.q, p=sys.grad_v(s.q, s.qdot, s.z), z=s.z, t=s.t)
 
 
-def legendre_inverse(sys: SystemSpec, s: ContactStateH,
-                     max_iter: int = 50, tol: float = 1e-12) -> ContactStateL:
+def legendre_inverse(sys: SystemSpec, s: ContactStateH) -> ContactStateL:
     """Invert the Legendre transform: recover qdot with dL/dqdot = p.
 
     Natural-form systems invert the mass matrix directly; otherwise a
     Newton iteration seeded at qdot = p runs until the residual max-norm
-    drops below tol (raises NoConvergence after max_iter).
+    drops below 1e-12 (raises NoConvergence after 50 iterations).
     """
     sys.check_state(s)
     if sys.natural is not None:
-        M = sys.natural.mass_matrix(s.q)
-        try:
-            qdot = np.linalg.solve(M, s.p)
-        except np.linalg.LinAlgError as e:
-            raise SingularMassMatrix(f"mass matrix singular at q={s.q}") from e
-        return ContactStateL(q=s.q, qdot=qdot, z=s.z, t=s.t)
+        return ContactStateL(q=s.q, qdot=_mass_solve(sys.natural, s.q, s.p), z=s.z, t=s.t)
 
     qdot = s.p.copy()
     scale = float(np.max(np.abs(s.p))) if s.p.size else 0.0
-    threshold = max(tol, 32.0 * _EPS * scale)
-    for _ in range(max_iter):
+    threshold = max(_LEGENDRE_TOL, 32.0 * _EPS * scale)
+    for _ in range(_LEGENDRE_MAX_ITER):
         trial = ContactStateL(q=s.q, qdot=qdot, z=s.z, t=s.t)
         resid = sys.grad_v(trial.q, trial.qdot, trial.z) - s.p
         if float(np.max(np.abs(resid))) <= threshold:
             return trial
         qdot = qdot - _solve_regular(sys.hess_vv(trial.q, trial.qdot, trial.z), resid)
     raise NoConvergence(
-        f"Legendre inversion did not converge in {max_iter} Newton iterations"
+        f"Legendre inversion did not converge in {_LEGENDRE_MAX_ITER} Newton iterations"
     )
 
 
@@ -664,7 +666,6 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
             dH_dp=lambda q, p, z: Minv @ p,
             dH_dz=lambda q, p, z: gamma,
             minv=lambda q: Minv,
-            gamma=gamma,
         )
 
     def H(q, p, z):
@@ -682,14 +683,8 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
         sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
         return -sys.grad_z(sl.q, sl.qdot, sl.z)
 
-    minv = None
-    if nat is not None:
-        def minv(q, _nat=nat):
-            return np.linalg.inv(_nat.mass_matrix(q))
-
-    return HamiltonianSpec(n=sys.n, hamiltonian=H, dH_dq=dH_dq, dH_dp=dH_dp,
-                           dH_dz=dH_dz, minv=minv,
-                           gamma=None if nat is None else nat.gamma)
+    return HamiltonianSpec(n=sys.n, hamiltonian=H, dH_dq=dH_dq, dH_dp=dH_dp, dH_dz=dH_dz,
+                           minv=None if nat is None else lambda q: _mass_solve(nat, q, np.eye(sys.n)))
 
 
 def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,

@@ -26,6 +26,7 @@ from .core import (
     ContactStateL,
     HamiltonianSpec,
     SystemSpec,
+    _mass_solve,
     _solve_regular,
     lagrangian_energy,
 )
@@ -34,7 +35,6 @@ from .errors import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
-    SingularMassMatrix,
 )
 
 __all__ = [
@@ -45,9 +45,13 @@ __all__ = [
     "resolve_impact_hamiltonian",
     "tangent_basis",
     "impact_residuals",
+    "impact_violation",
 ]
 
 _EPS = float(np.finfo(float).eps)
+_BOUNDARY_TOL = 1e-9       # |h| of a state on the surface
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,22 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
     return r_tan, r_en
 
 
+def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
+                     surface: SwitchingSurface, s_minus, s_plus) -> float:
+    """The larger ``impact_residuals`` entry, or inf unless the pair keeps
+    q, z and t, starts on the surface and reverses the normal velocity
+    (grad h . v- < 0 < grad h . v+), which the identity reset and a jump in
+    q, both with zero residuals, do not."""
+    g = surface.gradient(s_minus.q)
+    if (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
+            and abs(surface.value(s_minus.q)) <= _BOUNDARY_TOL
+            and float(g @ sys.velocity(s_minus)) < 0.0 < float(g @ sys.velocity(s_plus))):
+        return max(impact_residuals(sys, surface, s_minus, s_plus))
+    return np.inf
+
+
 def _approach_normal(sys, surface: SwitchingSurface, s_minus,
-                     boundary_tol: float, grazing_threshold: float) -> tuple:
+                     grazing_threshold: float) -> tuple:
     """Validate an impact state and return (grad h, normal velocity).
 
     The state must lie on the surface, the normal must not vanish, and
@@ -126,9 +144,9 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus,
     sys.check_state(s_minus)
     q = s_minus.q
     hval = surface.value(q)
-    if abs(hval) > boundary_tol:
+    if abs(hval) > _BOUNDARY_TOL:
         raise ValueError(
-            f"state is not on the switching surface (h={hval:.3e}, tol={boundary_tol:.1e})"
+            f"state is not on the switching surface (h={hval:.3e}, tol={_BOUNDARY_TOL:.1e})"
         )
     g = surface.gradient(q)
     if float(np.linalg.norm(g)) <= 1e-12:
@@ -150,7 +168,6 @@ def _with_residuals(sys, surface: SwitchingSurface, s_minus, s_plus,
 
 def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
                            surface: SwitchingSurface,
-                           boundary_tol: float = 1e-9,
                            grazing_threshold: float = 1e-9) -> ImpactResult:
     """Closed-form elastic impact for natural-form (quadratic kinetic) systems.
 
@@ -160,12 +177,8 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     """
     if sys.natural is None:
         raise ValueError("resolve_impact_natural requires natural-form data")
-    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
-    M = sys.natural.mass_matrix(s_minus.q)
-    try:
-        minv_g = np.linalg.solve(M, g)
-    except np.linalg.LinAlgError as e:
-        raise SingularMassMatrix(f"mass matrix singular at q={s_minus.q}") from e
+    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
+    minv_g = _mass_solve(sys.natural, s_minus.q, g)
     lam = -2.0 * vn / float(g @ minv_g)
     qdot_plus = s_minus.qdot + lam * minv_g
     s_plus = ContactStateL(q=s_minus.q, qdot=qdot_plus, z=s_minus.z, t=s_minus.t)
@@ -174,9 +187,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
 
 def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
                           surface: SwitchingSurface,
-                          boundary_tol: float = 1e-9,
-                          grazing_threshold: float = 1e-9,
-                          max_iter: int = 50, tol: float = 1e-12) -> ImpactResult:
+                          grazing_threshold: float = 1e-9) -> ImpactResult:
     """General impact resolution by Newton iteration.
 
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
@@ -188,7 +199,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     identity root is reported as ConvergedToIdentity, never silently
     accepted.
     """
-    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
+    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = sys.grad_v(q, s_minus.qdot, z)
     e_minus = lagrangian_energy(sys, s_minus)
@@ -200,14 +211,12 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     v = s_minus.qdot + lam * w_inv_g
 
     n = sys.n
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         s_trial = ContactStateL(q=q, qdot=v, z=z, t=t)
         F = np.empty(n + 1)
         F[:n] = sys.grad_v(q, s_trial.qdot, z) - p_minus - lam * g
         F[n] = lagrangian_energy(sys, s_trial) - e_minus
-        if float(np.max(np.abs(F))) <= tol * scale:
-            converged = True
+        if float(np.max(np.abs(F))) <= _NEWTON_TOL * scale:
             break
         W = sys.hess_vv(q, s_trial.qdot, z)
         J = np.zeros((n + 1, n + 1))
@@ -220,8 +229,8 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
             raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
         v = v + delta[:n]
         lam = lam + delta[n]
-    if not converged:
-        raise NoConvergence(f"impact Newton solve stalled after {max_iter} iterations")
+    else:
+        raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
     vn_plus = float(g @ v)
     if not vn_plus > 0.0:
@@ -236,16 +245,14 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
 
 def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
                                surface: SwitchingSurface,
-                               boundary_tol: float = 1e-9,
-                               grazing_threshold: float = 1e-9,
-                               max_iter: int = 50, tol: float = 1e-12) -> ImpactResult:
+                               grazing_threshold: float = 1e-9) -> ImpactResult:
     """Momentum-side impact: p_plus = p_minus + lam grad h with H unchanged.
 
     Systems carrying an inverse-metric evaluator get the closed-form
     multiplier; otherwise the nontrivial root of the scalar energy
     equation is found by Newton from a curvature-based seed.
     """
-    g, vn = _approach_normal(sys, surface, s_minus, boundary_tol, grazing_threshold)
+    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = s_minus.p
 
@@ -266,18 +273,16 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
             raise NoConvergence("energy is flat along grad h; no reflecting root")
         lam = -2.0 * vn / curv
         scale = max(1.0, abs(H_minus))
-        converged = False
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             r = root_fn(lam)
-            if abs(r) <= tol * scale:
-                converged = True
+            if abs(r) <= _NEWTON_TOL * scale:
                 break
             slope = float(g @ sys.grad_p(q, p_minus + lam * g, z))
             if slope == 0.0:
-                break
+                raise NoConvergence(f"impact Newton slope vanished at lam={lam:.3e}")
             lam = lam - r / slope
-        if not converged:
-            raise NoConvergence(f"impact Newton solve stalled after {max_iter} iterations")
+        else:
+            raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
     p_plus = p_minus + lam * g
     vn_plus = float(g @ sys.grad_p(q, p_plus, z))

@@ -14,11 +14,11 @@ by the tableau column and added in index order, as a scalar loop would.
 Event handling scans each accepted step at 17 equally spaced checkpoints.
 ``DenseSegment.eval_many`` evaluates the interpolant at all of them in one
 broadcast with the operation order of ``eval``, and the checkpoint times
-reproduce ``np.linspace`` bit for bit. One scan routine serves both the
-stepper, including its disarmed phase just after an impact, and
-``locate_event`` without a bracket. The first interior-to-exterior
-crossing of a switching surface h(q) = 0 (admissible region h > 0) is then
-localized on the dense interpolant with a bisection-safeguarded secant,
+reproduce ``np.linspace`` bit for bit. The scan also serves the disarmed
+phase just after an impact: the guard re-arms once h exceeds 1e-9. The
+first interior-to-exterior crossing of a switching surface h(q) = 0
+(admissible region h > 0) that the scan brackets is then localized on the
+dense interpolant by ``locate_event`` with a bisection-safeguarded secant,
 and the state is projected exactly onto the surface along the gradient.
 """
 
@@ -90,6 +90,8 @@ _N_CHECK = 16
 _CHECK_K = np.arange(_N_CHECK + 1, dtype=float)
 
 _EPS = float(np.finfo(float).eps)
+_ARM_THRESHOLD = 1e-9      # a disarmed guard re-arms once h exceeds this
+_LOCATE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,12 @@ class StepperConfig:
 class EventConfig:
     t_tol: float = 1e-12
     h_tol: float = 1e-12
-    direction: int = -1           # only interior -> exterior (h decreasing)
     grazing_threshold: float = 1e-9
-    arm_threshold: float = 1e-9   # guard re-arms once h exceeds this
 
     def __post_init__(self):
-        for name in ("t_tol", "h_tol", "grazing_threshold", "arm_threshold"):
+        for name in ("t_tol", "h_tol", "grazing_threshold"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"EventConfig.{name} must be > 0")
-        if self.direction != -1:
-            raise ValueError("only direction=-1 (decreasing h) is supported")
 
 
 class DenseSegment:
@@ -328,21 +326,20 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
     return ts
 
 
-def _scan(segment: DenseSegment, surface, ev: EventConfig,
-          n_q: Optional[int], armed: bool) -> tuple:
+def _scan(segment: DenseSegment, surface, n_q: Optional[int], armed: bool) -> tuple:
     """Sign scan of h(q) at the 17 checkpoints of one dense segment.
 
-    A disarmed guard re-arms at the first checkpoint where h exceeds the
-    arm threshold, and the scan starts there. Returns (bracket, armed):
+    A disarmed guard re-arms at the first checkpoint where h exceeds
+    _ARM_THRESHOLD, and the scan starts there. Returns (bracket, armed):
     the first checkpoint pair with h > 0 before and h <= 0 after, or None.
     """
     ts = _checkpoints(segment.t0, segment.t1)
     ys = segment.eval_many(ts)
-    hs = [float(surface.value(q)) for q in (ys if n_q is None else ys[:, :n_q])]
+    hs = [float(surface.value(q)) for q in ys[:, :n_q]]
     start = 0
     if not armed:
         for i, hv in enumerate(hs):
-            if hv > ev.arm_threshold:
+            if hv > _ARM_THRESHOLD:
                 armed, start = True, i
                 break
         else:
@@ -354,78 +351,57 @@ def _scan(segment: DenseSegment, surface, ev: EventConfig,
 
 
 def locate_event(segment: DenseSegment, surface, ev: EventConfig,
-                 n_q: Optional[int] = None,
-                 bracket: Optional[tuple] = None,
-                 max_iter: int = 200) -> EventHit:
-    """Localize the first h(q) = 0 crossing inside a dense segment.
+                 n_q: Optional[int] = None, *, bracket: tuple) -> EventHit:
+    """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
-    Scans checkpoints for a sign change (h > 0 before, h <= 0 after)
-    unless a bracket is supplied, then refines with a bisection-
-    safeguarded secant until both |h| <= h_tol and the bracket width is
-    below t_tol. Raises NoSignChange when h never leaves the admissible
-    side, and GrazingContact when the crossing is tangential
+    The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
+    at b, as the checkpoint scan returns it. A bisection-safeguarded
+    secant refines it until both |h| <= h_tol and the bracket width is
+    below t_tol. Raises NoSignChange when the bracket does not straddle
+    the surface, and GrazingContact when the crossing is tangential
     (|dh/dt| below the grazing threshold).
     """
     def h_at(t: float) -> float:
-        y = segment.eval(t)
-        q = y[:n_q] if n_q is not None else y
-        return float(surface.value(q))
+        return float(surface.value(segment.eval(t)[:n_q]))
 
-    if bracket is None:
-        bracket, _ = _scan(segment, surface, ev, n_q, armed=True)
-        if bracket is None:
-            raise NoSignChange("h(q) does not cross zero on this segment")
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = h_at(a), h_at(b)
     if not (fa > 0.0 >= fb):
         raise NoSignChange(f"bracket does not straddle the surface: h={fa:.3e}, {fb:.3e}")
 
-    t_root, f_root = b, fb
-    converged = False
-    for it in range(max_iter):
-        if (b - a) <= ev.t_tol and abs(f_root) <= ev.h_tol:
-            converged = True
+    # the root estimate is the exterior end b
+    for it in range(_LOCATE_MAX_ITER):
+        if (b - a) <= ev.t_tol and abs(fb) <= ev.h_tol:
             break
         # secant candidate on even iterations, forced bisection on odd ones
         # so the bracket provably shrinks (plain regula falsi can stagnate)
-        t_mid = 0.5 * (a + b)
-        t_sec = t_mid
+        t_sec = 0.5 * (a + b)
         if it % 2 == 0 and fb != fa:
             cand = b - fb * (b - a) / (fb - fa)
             if a < cand < b:
                 t_sec = cand
         if t_sec <= a or t_sec >= b:
             # bracket is at the spacing floor of double precision
-            converged = True
             break
         f_sec = h_at(t_sec)
         if f_sec > 0.0:
             a, fa = t_sec, f_sec
         else:
             b, fb = t_sec, f_sec
-        t_root, f_root = b, fb
-    if not converged:
+    else:
         raise NoConvergence("event localization exceeded its iteration budget")
 
-    y_root = segment.eval(t_root)
-    q = y_root[:n_q] if n_q is not None else y_root
-    ydot = segment.eval_derivative(t_root)
-    qdot = ydot[:n_q] if n_q is not None else ydot
-    hdot = float(surface.gradient(q) @ qdot)
+    y_root = segment.eval(b)
+    q = y_root[:n_q]
+    hdot = float(surface.gradient(q) @ segment.eval_derivative(b)[:n_q])
     if abs(hdot) < ev.grazing_threshold:
-        raise GrazingContact(
-            f"tangential boundary encounter at t={t_root} (dh/dt={hdot:.3e})"
-        )
+        raise GrazingContact(f"tangential boundary encounter at t={b} (dh/dt={hdot:.3e})")
     # only interior -> exterior crossings are events
     if hdot > 0.0:
         raise NoSignChange("crossing has increasing h; not an exit event")
-    q_proj = _project_to_surface(q, surface)
     y_hit = y_root.copy()
-    if n_q is not None:
-        y_hit[:n_q] = q_proj
-    else:
-        y_hit = q_proj
-    return EventHit(t=float(t_root), y=y_hit, hdot=hdot)
+    y_hit[:n_q] = _project_to_surface(q, surface)
+    return EventHit(t=b, y=y_hit, hdot=hdot)
 
 
 def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: float,
@@ -439,7 +415,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     ``n_q`` gives the length of the leading configuration block of the
     state vector (h and grad h see only q). ``armed=False`` starts with
     the guard disarmed, for resuming just after an impact; it re-arms
-    once h(q) exceeds the arm threshold.
+    once h(q) exceeds 1e-9.
 
     The start state must be strictly interior (h > 0) when armed;
     exterior states are a hard error, never clamped.
@@ -450,8 +426,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     t = float(t0)
 
     def h_of(yv: np.ndarray) -> float:
-        q = yv[:n_q] if n_q is not None else yv
-        return float(surface.value(q))
+        return float(surface.value(yv[:n_q]))
 
     if surface is not None and armed and h_of(y) <= 0.0:
         raise ExteriorState(
@@ -473,7 +448,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
             t_new = t_final
             seg.t1 = t_final
         if surface is not None:
-            bracket, armed = _scan(seg, surface, ev, n_q, armed)
+            bracket, armed = _scan(seg, surface, n_q, armed)
             if bracket is not None:
                 hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
                 segments.append(seg.truncated(hit.t, hit.y))

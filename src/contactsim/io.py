@@ -125,7 +125,10 @@ def _viewbox(boundary, points: Optional[np.ndarray]):
     return half
 
 
-def svg_document(boundary, points: Optional[np.ndarray], stroke: str = "#1f4e8c") -> str:
+_STROKE = "#1f4e8c"   # trajectory polyline colour
+
+
+def svg_document(boundary, points: Optional[np.ndarray]) -> str:
     """SVG with the boundary outline and the sampled (x, y) polyline.
 
     ``boundary`` is ("circle", r), ("ellipse", a, b), or None; the y axis
@@ -153,13 +156,13 @@ def svg_document(boundary, points: Optional[np.ndarray], stroke: str = "#1f4e8c"
     if points is not None and len(points):
         pts = " ".join(f"{p[0]:.6f},{p[1]:.6f}" for p in points)
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+            f'<polyline points="{pts}" fill="none" stroke="{_STROKE}" '
             f'stroke-width="{lw:.6f}"/>')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path, boundary, points, stroke: str = "#1f4e8c") -> None:
+def write_svg(path, boundary, points) -> None:
     with open(path, "w") as fh:
-        fh.write(svg_document(boundary, points, stroke))
+        fh.write(svg_document(boundary, points))

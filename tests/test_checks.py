@@ -29,7 +29,7 @@ from contactsim import (
 from contactsim import checks, core, impact
 from contactsim.billiards import angular_momentum
 from contactsim.checks import CheckReport, check_decay_laws, check_row_decay_laws
-from contactsim.impact import SwitchingSurface
+from contactsim.impact import SwitchingSurface, impact_residuals
 
 
 def tampered_circle(base, delta=1e-3, at_event=2):
@@ -312,6 +312,47 @@ class TestImpactConditions:
                                       circle_billiard.surface, 1e-10)
         assert not rep.passed
         assert rep.max_violation > 0.1
+
+    @staticmethod
+    def _report(sys, surface, s_minus, s_plus):
+        e = ImpactEvent(index=0, t=s_minus.t, q=s_minus.q, state_minus=s_minus,
+                        state_plus=s_plus, lam=0.0, residual_tangential=0.0,
+                        residual_energy=0.0)
+        return check_impact_conditions(e, sys, surface, 1e-10)
+
+    def test_non_impacts_fail_although_their_residuals_vanish(self):
+        # gamma = 0: a jump in z alone leaves the energy unchanged too
+        hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0)))
+        sys, surface = hs.dynamics, hs.surface
+        q, v = np.array([0.6, 0.8]), np.array([1.0, 0.3])
+        v_ref = v - 2.0 * (v @ q) * q   # the specular reflection, |q| = 1
+        pre = ContactStateL(q=q, qdot=v, z=0.0, t=1.0)
+        post = ContactStateL(q=q, qdot=v_ref, z=0.0, t=1.0)
+        rep = self._report(sys, surface, pre, post)
+        assert rep.passed
+        assert rep.max_violation == max(impact_residuals(sys, surface, pre, post))
+        moved = ContactStateL(q=1.01 * q, qdot=v, z=0.0, t=1.0)
+        cases = {
+            "identity reset": (pre, pre),
+            "q jump keeping v": (pre, ContactStateL(q=[0.8, 0.6], qdot=v, z=0.0, t=1.0)),
+            "q jump": (pre, ContactStateL(q=[0.8, 0.6], qdot=v_ref, z=0.0, t=1.0)),
+            "z jump": (pre, ContactStateL(q=q, qdot=v_ref, z=1e-3, t=1.0)),
+            "t jump": (pre, ContactStateL(q=q, qdot=v_ref, z=0.0, t=1.001)),
+            "off the surface": (moved, ContactStateL(q=moved.q, qdot=v_ref, z=0.0, t=1.0)),
+        }
+        for name, (s_minus, s_plus) in cases.items():
+            assert max(impact_residuals(sys, surface, s_minus, s_plus)) <= 1e-15, name
+            assert not self._report(sys, surface, s_minus, s_plus).passed, name
+
+    def test_identity_reset_fails_in_the_hamiltonian_formulation(self, circle_billiard):
+        hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
+        surface = circle_billiard.surface
+        q, p = np.array([0.6, 0.8]), np.array([1.0, 0.3])
+        pre = ContactStateH(q=q, p=p, z=0.0, t=1.0)
+        assert impact_residuals(hsys, surface, pre, pre) == (0.0, 0.0)
+        assert not self._report(hsys, surface, pre, pre).passed
+        post = ContactStateH(q=q, p=p - 2.0 * (p @ q) * q, z=0.0, t=1.0)
+        assert self._report(hsys, surface, pre, post).passed
 
     def test_one_dimensional_tangential_is_vacuous(self):
         sys = natural_lagrangian_system(n=1, mass=np.eye(1), gamma=0.0)

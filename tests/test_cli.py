@@ -273,6 +273,24 @@ class TestCheck:
         assert not report["energy_decay"]["passed"]
         assert report["energy_decay"]["location"] == data["t"][k]
 
+    def test_copied_pre_impact_row_fails_the_impact_check(self, tmp_path, capsys):
+        # the identity reset: zero residuals, but the velocity never reverses
+        cfg, csv_path = self._fresh_run(tmp_path)
+        with open(csv_path) as fh:
+            lines = fh.read().splitlines()
+        data = read_trajectory_csv(csv_path)
+        i = int(np.flatnonzero(data["flag"] == 1)[1])
+        assert data["flag"][i + 1] == 2
+        lines[i + 2] = lines[i + 1][:-1] + "2"   # file row = data row + 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()   # drain the simulate output
+        assert main(["check", "--csv", str(bad), "--config", cfg]) == 2
+        report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not report["impact_conditions"]["passed"]
+        assert report["impact_conditions"]["location"] == data["t"][i]
+        assert all(c["passed"] for name, c in report.items() if name != "impact_conditions")
+
     def test_empty_csv_exits_one(self, tmp_path, capsys):
         cfg = short_config(tmp_path)
         empty = tmp_path / "empty.csv"

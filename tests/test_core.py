@@ -418,6 +418,19 @@ class TestLegendre:
             back = legendre_inverse(sys, legendre_forward(sys, s))
             assert np.max(np.abs(back.qdot - v)) < 1e-12
 
+    def test_singular_configuration_mass_is_typed_on_both_routes(self):
+        # M(q) = diag(1, q0^2) is singular on the line q0 = 0
+        sys = natural_lagrangian_system(
+            n=2, mass=lambda q: np.diag([1.0, q[0] ** 2]), gamma=0.0)
+        q = np.array([0.0, 0.5])
+        with pytest.raises(SingularMassMatrix):
+            legendre_inverse(sys, ContactStateH(q=q, p=[1.0, 1.0], z=0.0))
+        hsys = hamiltonian_from_lagrangian(sys)
+        with pytest.raises(SingularMassMatrix):
+            hsys.minv(q)
+        assert np.array_equal(hsys.minv(np.array([2.0, 0.5])),
+                              np.linalg.inv(np.diag([1.0, 4.0])))
+
 
 def counted_quartic_system(gamma=1e-3):
     """L = |v|^2/2 + 0.025 |v|^4 - gamma z with analytic first derivatives

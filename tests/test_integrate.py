@@ -184,13 +184,18 @@ class TestLocateEvent:
                                StepperConfig(h_init=h, h_max=h), h)
         return seg
 
+    @staticmethod
+    def _bracket(seg, surface):
+        bracket, _ = integrate._scan(seg, surface, 1, armed=True)
+        return bracket
+
     def test_quadratic_crossing(self):
         # q(t) = t against h(q) = 1 - q^2: root at t = 1
         line = SwitchingSurface(h=lambda q: 1.0 - q[0] * q[0],
                                 grad_h=lambda q: np.array([-2.0 * q[0]]))
         seg = self._segment_for(lambda t, y: np.array([1.0]), 0.9, [0.9], 0.2)
         ev = EventConfig()
-        hit = locate_event(seg, line, ev, n_q=1)
+        hit = locate_event(seg, line, ev, n_q=1, bracket=self._bracket(seg, line))
         assert abs(hit.t - 1.0) <= 1e-12
         assert abs(line.value(hit.y[:1])) <= 1e-12
 
@@ -201,14 +206,15 @@ class TestLocateEvent:
         seg = self._segment_for(lambda t, y: np.array([-3.0 * (t - 1.0) ** 2]),
                                 0.5, [0.125], 1.0)
         with pytest.raises(GrazingContact):
-            locate_event(seg, floor, EventConfig(), n_q=1)
+            locate_event(seg, floor, EventConfig(), n_q=1, bracket=self._bracket(seg, floor))
 
     def test_no_sign_change(self):
         floor = SwitchingSurface(h=lambda q: q[0] + 10.0,
                                  grad_h=lambda q: np.array([1.0]))
         seg = self._segment_for(lambda t, y: np.array([1.0]), 0.0, [0.0], 1.0)
+        assert self._bracket(seg, floor) is None
         with pytest.raises(NoSignChange):
-            locate_event(seg, floor, EventConfig(), n_q=1)
+            locate_event(seg, floor, EventConfig(), n_q=1, bracket=(seg.t0, seg.t1))
 
 
 def wobble(t, y):
@@ -315,5 +321,3 @@ class TestBudgets:
             StepperConfig(max_steps=0)
         with pytest.raises(ValueError):
             EventConfig(t_tol=-1.0)
-        with pytest.raises(ValueError):
-            EventConfig(direction=+1)
