@@ -10,6 +10,7 @@ stored table rows it is the composite trapezoid between rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Union
 
@@ -64,9 +65,11 @@ class CheckReport:
         return bool(self.max_violation <= self.tolerance)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite violation becomes None (JSON null),
+        so strict parsers read the report, and ``passed`` stays False."""
         return {
             "name": self.name,
-            "max_violation": self.max_violation,
+            "max_violation": self.max_violation if math.isfinite(self.max_violation) else None,
             "tolerance": self.tolerance,
             "location": self.location,
             "passed": self.passed,

@@ -350,7 +350,8 @@ def cmd_simulate(args) -> int:
     print(f"status: {summary['status']}  events: {summary['n_events']}")
     for c in summary["checks"]:
         mark = "pass" if c["passed"] else "FAIL"
-        print(f"  [{mark}] {c['name']}: max violation {c['max_violation']:.3e} "
+        viol = "non-finite" if c["max_violation"] is None else f"{c['max_violation']:.3e}"
+        print(f"  [{mark}] {c['name']}: max violation {viol} "
               f"(tol {c['tolerance']:.1e})")
     ok = summary["status"] == COMPLETED and all(c["passed"] for c in summary["checks"])
     return 0 if ok else 2

@@ -17,7 +17,8 @@ Both vector fields are exposed here as first-order right-hand sides on
 the flat phase vectors [q, qdot, z] and [q, p, z], together with the
 energy, the Legendre transform connecting the two pictures, and a
 finite-difference fallback for systems that do not supply analytic
-partial derivatives.
+partial derivatives: a missing second partial of L differences the
+supplied dL/dqdot once, else L twice.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ __all__ = [
 ]
 
 # Step scales for the finite-difference fallback. First derivatives use the
-# classic eps^(1/3) central-difference step; second derivatives need the
-# larger eps^(1/4) step or roundoff in the difference quotient dominates.
+# classic eps^(1/3) central-difference step, and so does a second derivative
+# taken as one difference of a supplied first derivative; nested differences
+# of L need the larger eps^(1/4) step or roundoff in the quotient dominates.
 _EPS = float(np.finfo(float).eps)
 _FD_STEP_1 = _EPS ** (1.0 / 3.0)
 _FD_STEP_2 = _EPS ** 0.25
@@ -246,7 +248,9 @@ class SystemSpec(_Spec):
 
     The Lagrangian evaluator is mandatory. Partial-derivative evaluators
     are optional; each one that is missing is filled in by central finite
-    differences of the Lagrangian for that partial alone. ``natural``
+    differences for that partial alone: of L for a first partial; for a
+    second partial, of the supplied dL_dv once (W symmetrized), else of L
+    twice. ``natural``
     carries the mechanical decomposition when the system has one,
     unlocking closed-form impact resolution and Legendre inversion, and,
     for a constant regular mass, a Herglotz field without a solve. The
@@ -279,16 +283,32 @@ class SystemSpec(_Spec):
         nat = self.natural
         object.__setattr__(self, "_minv", None if nat is None or not nat.constant_mass
                            else _regular_inverse(nat.mass_matrix(np.zeros(self.n)), self.n))
-        # Same steps and argument order as finite_difference_partials.
-        L = self.lagrangian
+        # Same steps and argument order as finite_difference_partials, except
+        # that a supplied dL_dv is differenced once for the second partials.
+        L, G, n = self.lagrangian, self.dL_dv, self.n
+        if G is None:
+            second = {
+                "d2L_dvdv": lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v),
+                "d2L_dqdv": lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v),
+                "d2L_dzdv": lambda q, v, z: _fd_cross(
+                    lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size),
+            }
+        else:
+            def d2L_dvdv(q, v, z):
+                J = _fd_jacobian(lambda vv: G(q, vv, z), v, n)
+                return 0.5 * (J + J.T)
+
+            second = {
+                "d2L_dvdv": d2L_dvdv,
+                "d2L_dqdv": lambda q, v, z: _fd_jacobian(lambda qq: G(qq, v, z), q, n),
+                "d2L_dzdv": lambda q, v, z: _fd_jacobian(
+                    lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n),
+            }
         self._resolve(L, {
             "dL_dq": lambda q, v, z: _fd_gradient(lambda qq: L(qq, v, z), q),
             "dL_dv": lambda q, v, z: _fd_gradient(lambda vv: L(q, vv, z), v),
             "dL_dz": lambda q, v, z: _fd_scalar_derivative(lambda zz: L(q, v, zz), z),
-            "d2L_dvdv": lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v),
-            "d2L_dqdv": lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v),
-            "d2L_dzdv": lambda q, v, z: _fd_cross(
-                lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size),
+            **second,
         })
 
     def grad_q(self, q, v, z) -> np.ndarray:
@@ -465,6 +485,25 @@ def _fd_cross(f2: Callable[[np.ndarray, np.ndarray], float],
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue("finite-difference cross derivative sampled a non-finite value")
     return out
+
+
+def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                 m: int) -> np.ndarray:
+    """Central-difference Jacobian d f_i / d x_j of a vector function with m
+    components, as an (m, len(x)) array, with the first-derivative step."""
+    J = np.empty((m, x.size))
+    xs = x.copy()
+    hs = _FD_STEP_1 * np.maximum(1.0, np.abs(x))
+    for j in range(x.size):
+        xs[j] = x[j] + hs[j]
+        J[:, j] = f(xs)
+        xs[j] = x[j] - hs[j]
+        J[:, j] -= f(xs)
+        xs[j] = x[j]
+    J /= 2.0 * hs
+    if not _all_finite(J):
+        raise NonFiniteValue("finite-difference Jacobian sampled a non-finite value")
+    return J
 
 
 def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeBundle:
@@ -692,9 +731,10 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
     """SystemSpec for L = 1/2 qdot^T M(q) qdot - V(q) - gamma z.
 
     Every partial is closed-form except, for a configuration-dependent
-    mass, the two q-derivatives of the kinetic term, which are central
-    differences of 1/2 qdot^T M(q) qdot alone. The potential gradient is
-    the supplied one, else central differences of V.
+    mass, the two q-derivatives of the kinetic term: dL/dq differences
+    1/2 qdot^T M(q) qdot alone, and d2L/dq dqdot is the SystemSpec's
+    difference of dL/dqdot = M(q) qdot. The potential gradient is the
+    supplied one, else central differences of V.
     """
     nat = NaturalForm(mass=mass, gamma=gamma, potential=potential,
                       grad_potential=grad_potential)
@@ -714,13 +754,11 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         d2L_dqdv = lambda q, qdot, z: np.zeros((n, n))
     else:
         mass_at = nat.mass_matrix
+        d2L_dqdv = None
 
         def dL_dq(q, qdot, z):
             return (_fd_gradient(lambda qq: kinetic(qq, qdot), q)
                     + nat.potential_gradient(q, sign=-1.0))
-
-        def d2L_dqdv(q, qdot, z):
-            return _fd_cross(kinetic, q, qdot)
 
     return SystemSpec(
         n=n,

@@ -69,8 +69,7 @@ class SwitchingSurface:
         return float(self.h(q))
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.grad_h(q), dtype=float)
-        return g
+        return np.asarray(self.grad_h(q), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,13 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
     p and H for a HamiltonianSpec. The tangential directions come from a
     Householder basis of ker grad h; for n = 1 that condition is vacuous.
     """
+    return _residuals(sys, surface.gradient(s_minus.q), s_minus, s_plus)
+
+
+def _residuals(sys, g: np.ndarray, s_minus, s_plus) -> tuple:
+    """``impact_residuals`` with g = grad h(q-) already evaluated."""
     p_minus, p_plus = sys.momentum(s_minus), sys.momentum(s_plus)
-    T = tangent_basis(surface.gradient(s_minus.q))
+    T = tangent_basis(g)
     p_scale = max(1.0, float(np.max(np.abs(p_minus))))
     r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
     e_minus = sys.energy(s_minus)
@@ -130,7 +134,7 @@ def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
     if (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
             and abs(surface.value(s_minus.q)) <= _BOUNDARY_TOL
             and float(g @ sys.velocity(s_minus)) < 0.0 < float(g @ sys.velocity(s_plus))):
-        return max(impact_residuals(sys, surface, s_minus, s_plus))
+        return max(_residuals(sys, g, s_minus, s_plus))
     return np.inf
 
 
@@ -159,9 +163,8 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus,
     return g, vn
 
 
-def _with_residuals(sys, surface: SwitchingSurface, s_minus, s_plus,
-              lam: float) -> ImpactResult:
-    r_tan, r_en = impact_residuals(sys, surface, s_minus, s_plus)
+def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactResult:
+    r_tan, r_en = _residuals(sys, g, s_minus, s_plus)
     return ImpactResult(state_plus=s_plus, lam=lam,
                         residual_tangential=r_tan, residual_energy=r_en)
 
@@ -182,7 +185,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     lam = -2.0 * vn / float(g @ minv_g)
     qdot_plus = s_minus.qdot + lam * minv_g
     s_plus = ContactStateL(q=s_minus.q, qdot=qdot_plus, z=s_minus.z, t=s_minus.t)
-    return _with_residuals(sys, surface, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
 def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
@@ -240,7 +243,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
             f"impact solve did not reverse the normal velocity (got {vn_plus:.3e})"
         )
     s_plus = ContactStateL(q=q, qdot=v, z=z, t=t)
-    return _with_residuals(sys, surface, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
 def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
@@ -289,4 +292,4 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
     if not vn_plus > 0.0:
         raise ConvergedToIdentity("impact solve found only the trivial root")
     s_plus = ContactStateH(q=q, p=p_plus, z=z, t=t)
-    return _with_residuals(sys, surface, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, s_plus, lam)

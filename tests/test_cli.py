@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from contactsim import cli
+from contactsim.checks import CheckReport
 from contactsim.cli import build_system, load_config, main, parse_config
 from contactsim.io import read_trajectory_csv, write_trajectory_csv
 
@@ -21,6 +23,13 @@ SKEWED_MASS_CONFIG = {
     "run": {"t_final": 10.0},
     "output": {"samples": 200, "svg": False},
 }
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard tokens NaN and +-Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def short_config(tmp_path, base=CIRCLE_CONFIG, **overrides):
@@ -127,6 +136,15 @@ class TestSimulate:
         cfg = short_config(tmp_path, **{"initial.q": [2.0, 0.0]})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "interior" in capsys.readouterr().err
+
+    def test_non_finite_violation_prints_in_the_report(self, tmp_path, capsys, monkeypatch):
+        report = CheckReport(name="energy_decay", max_violation=np.inf, tolerance=1e-7)
+        monkeypatch.setattr(cli, "run_simulation", lambda *a: {
+            "status": "Completed", "n_events": 0, "checks": [report.to_dict()]})
+        assert main(["simulate", "--config", short_config(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("[FAIL] energy_decay: max violation non-finite (tol 1.0e-07)"
+                in capsys.readouterr().out)
 
 
 class TestImpactTest:
@@ -284,10 +302,13 @@ class TestCheck:
         lines[i + 2] = lines[i + 1][:-1] + "2"   # file row = data row + 1
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
         capsys.readouterr()   # drain the simulate output
-        assert main(["check", "--csv", str(bad), "--config", cfg]) == 2
-        report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert main(["check", "--csv", str(bad), "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == out.read_text()
+        report = {c["name"]: c for c in strict_json(out.read_text())["checks"]}
         assert not report["impact_conditions"]["passed"]
+        assert report["impact_conditions"]["max_violation"] is None   # inf, written as null
         assert report["impact_conditions"]["location"] == data["t"][i]
         assert all(c["passed"] for name, c in report.items() if name != "impact_conditions")
 

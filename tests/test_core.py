@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsim import (
     BilliardSpec,
@@ -432,23 +434,69 @@ class TestLegendre:
                               np.linalg.inv(np.diag([1.0, 4.0])))
 
 
-def counted_quartic_system(gamma=1e-3):
+def counted_quartic_system(gamma=1e-3, first_derivatives=True):
     """L = |v|^2/2 + 0.025 |v|^4 - gamma z with analytic first derivatives
-    only, and a list that grows by one entry per Lagrangian call."""
-    calls = []
+    only (or none), and the number of calls of L and of dL_dv."""
+    calls = {"L": 0, "dL_dv": 0}
 
     def L(q, v, z):
-        calls.append(1)
+        calls["L"] += 1
         s = float(v @ v)
         return 0.5 * s + 0.025 * s * s - gamma * z
 
+    def dL_dv(q, v, z):
+        calls["dL_dv"] += 1
+        return (1.0 + 0.1 * float(v @ v)) * v
+
+    if not first_derivatives:
+        return SystemSpec(n=2, lagrangian=L), calls
     return SystemSpec(
         n=2,
         lagrangian=L,
         dL_dq=lambda q, v, z: np.zeros(2),
-        dL_dv=lambda q, v, z: (1.0 + 0.1 * float(v @ v)) * v,
+        dL_dv=dL_dv,
         dL_dz=lambda q, v, z: -gamma,
     ), calls
+
+
+def coupled_analytic_system(gamma=0.3):
+    """L = (1+q0^2)|v|^2/2 + 0.1|v|^4 - gamma z (1+|v|^2) + sin(q1) v0 with
+    every partial analytic; all three second partials are nonzero."""
+    def L(q, v, z):
+        s = float(v @ v)
+        return (0.5 * (1.0 + q[0] ** 2) * s + 0.1 * s * s - gamma * z * (1.0 + s)
+                + float(np.sin(q[1])) * v[0])
+
+    def dL_dv(q, v, z):
+        s = float(v @ v)
+        p = (1.0 + q[0] ** 2 + 0.4 * s - 2.0 * gamma * z) * v
+        p[0] += np.sin(q[1])
+        return p
+
+    def d2L_dqdv(q, v, z):
+        out = np.zeros((2, 2))
+        out[:, 0] = 2.0 * q[0] * v
+        out[0, 1] = np.cos(q[1])
+        return out
+
+    return SystemSpec(
+        n=2,
+        lagrangian=L,
+        dL_dq=lambda q, v, z: np.array([q[0] * float(v @ v), np.cos(q[1]) * v[0]]),
+        dL_dv=dL_dv,
+        dL_dz=lambda q, v, z: -gamma * (1.0 + float(v @ v)),
+        d2L_dvdv=lambda q, v, z: ((1.0 + q[0] ** 2 + 0.4 * float(v @ v) - 2.0 * gamma * z)
+                                  * np.eye(2) + 0.8 * np.outer(v, v)),
+        d2L_dqdv=d2L_dqdv,
+        d2L_dzdv=lambda q, v, z: -2.0 * gamma * v,
+    )
+
+
+def without_second_partials(sys):
+    return dataclasses.replace(sys, d2L_dvdv=None, d2L_dqdv=None, d2L_dzdv=None)
+
+
+_coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 def coupled_fd_system():
@@ -463,16 +511,54 @@ def coupled_fd_system():
 
 class TestFiniteDifferences:
     def test_only_missing_partials_sample_the_lagrangian(self):
-        # n = 2: W takes 9 calls, d2L/dq dv 16 and d2L/dz dv 8; the first
-        # derivatives are analytic and take none
+        # n = 2 with analytic first derivatives: the three second partials
+        # difference the supplied dL/dv, 2n + 2n + 2 = 10 calls, and the
+        # bundle's own dL/dv takes one more; L is never called
         sys, calls = counted_quartic_system()
         evaluate_partials(sys, ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3))
-        assert len(calls) == 33
+        assert calls == {"L": 0, "dL_dv": 11}
+
+    def test_second_partials_without_dL_dv_difference_the_lagrangian(self):
+        # all-FD, n = 2: W takes 9 calls of L, d2L/dq dv 16 and d2L/dz dv 8
+        sys, calls = counted_quartic_system(first_derivatives=False)
+        q, v, z = np.array([0.1, 0.2]), np.array([1.0, -0.5]), 0.3
+        sys.hess_vv(q, v, z)
+        sys.hess_qv(q, v, z)
+        sys.hess_zv(q, v, z)
+        assert calls == {"L": 33, "dL_dv": 0}
 
     def test_energy_reads_only_the_momentum(self):
         sys, calls = counted_quartic_system()
         lagrangian_energy(sys, ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3))
-        assert len(calls) == 1
+        assert calls == {"L": 1, "dL_dv": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.tuples(_coordinate, _coordinate), v=st.tuples(_coordinate, _coordinate),
+           z=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_differenced_momentum_matches_analytic_second_partials(self, q, v, z):
+        exact = coupled_analytic_system()
+        s = ContactStateL(q=q, qdot=v, z=z)
+        an = evaluate_partials(exact, s)
+        fd = evaluate_partials(without_second_partials(exact), s)
+        for name in ("W", "d2L_dqdv", "d2L_dzdv"):
+            a, b = getattr(an, name), getattr(fd, name)
+            assert np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(a)))) < 1e-9, name
+        assert np.array_equal(fd.W, fd.W.T)
+
+    @pytest.mark.parametrize("accessor, moved", [
+        ("hess_vv", 1), ("hess_qv", 0), ("hess_zv", 2)])
+    def test_nan_momentum_at_a_stencil_point_raises(self, accessor, moved):
+        # dL/dv is NaN wherever the argument named by `moved` leaves the state
+        exact = coupled_analytic_system()
+        q, v, z = np.array([0.3, -0.2]), np.array([0.5, 1.0]), 0.4
+
+        def dL_dv(*args):
+            here = np.array_equal(np.atleast_1d(args[moved]), np.atleast_1d((q, v, z)[moved]))
+            return exact.dL_dv(*args) if here else np.full(2, np.nan)
+
+        sys = dataclasses.replace(without_second_partials(exact), dL_dv=dL_dv)
+        with pytest.raises(NonFiniteValue, match="Jacobian"):
+            getattr(sys, accessor)(q, v, z)
 
     def test_per_partial_fallback_is_bit_identical_to_full_fd(self):
         sys = coupled_fd_system()
@@ -683,6 +769,26 @@ class TestNaturalForm:
         assert np.max(np.abs(qddot - expected)) < 1e-6
         assert zdot == pytest.approx(0.5 * (m * v[0] ** 2 + v[1] ** 2) - V(q) - 0.3 * z,
                                      rel=1e-15)
+
+    def test_configuration_dependent_mass_cross_partial_differences_the_momentum(self):
+        # M = diag(1, q0^2): dL/dv = (v0, q0^2 v1), so d2L/dq0 dv1 = 2 q0 v1 is
+        # the only nonzero cross partial; one central difference of M(q) v per
+        # q-coordinate, 2n = 4 mass calls
+        calls = []
+
+        def mass(q):
+            calls.append(1)
+            return np.diag([1.0, q[0] ** 2])
+
+        sys = natural_lagrangian_system(n=2, mass=mass, gamma=0.2)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            q, v, z = rng.uniform(0.2, 2.0, 2), rng.uniform(-2.0, 2.0, 2), rng.uniform(-1, 1)
+            calls.clear()
+            got = sys.hess_qv(q, v, z)
+            assert len(calls) == 4
+            exact = np.array([[0.0, 0.0], [2.0 * q[0] * v[1], 0.0]])
+            assert np.max(np.abs(got - exact)) / max(1.0, float(np.max(np.abs(exact)))) < 1e-9
 
 
 class TestFormulationInterface:
