@@ -35,7 +35,7 @@ print(f"contact field at the start: qdot = ({qdot[0]:.6g}, {qdot[1]:.6g}), "
       f"pdot = ({pdot[0]:.6g}, {pdot[1]:.6g}), zdot = {zdot:.6f}")
 
 lag = simulate(hs_l, s0, 14.0)
-hs_h = HybridSystem(dynamics=hsys, surface=hs_l.surface, resolver="hamiltonian")
+hs_h = HybridSystem(dynamics=hsys, surface=hs_l.surface)
 ham = simulate(hs_h, sh0, 14.0)
 print(f"\nLagrangian run:  {len(lag.events)} impacts")
 print(f"Hamiltonian run: {len(ham.events)} impacts")

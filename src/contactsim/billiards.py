@@ -101,7 +101,7 @@ def make_circular_billiard(spec: BilliardSpec) -> HybridSystem:
         h=lambda q: r2 - q[0] * q[0] - q[1] * q[1],
         grad_h=lambda q: np.array([-2.0 * q[0], -2.0 * q[1]]),
     )
-    return HybridSystem(dynamics=sys, surface=surface, resolver="natural")
+    return HybridSystem(dynamics=sys, surface=surface)
 
 
 def make_elliptical_billiard(spec: BilliardSpec) -> HybridSystem:
@@ -116,7 +116,7 @@ def make_elliptical_billiard(spec: BilliardSpec) -> HybridSystem:
         h=lambda q: 1.0 - q[0] * q[0] / a2 - q[1] * q[1] / b2,
         grad_h=lambda q: np.array([-2.0 * q[0] / a2, -2.0 * q[1] / b2]),
     )
-    return HybridSystem(dynamics=sys, surface=surface, resolver="natural")
+    return HybridSystem(dynamics=sys, surface=surface)
 
 
 def _phi(u: float) -> float:

@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import ConfigError, ContactSimError, GrazingContact
 from .hybrid import COMPLETED, HybridSystem, simulate
-from .impact import SwitchingSurface, impact_violation, resolve_impact_natural
+from .impact import SwitchingSurface, impact_violation
 from .integrate import EventConfig, StepperConfig
 from .io import (
     format_float,
@@ -142,7 +142,7 @@ def _parse_system(cfg: dict) -> SystemSetup:
                       "system.surface.radius")
         surface = SwitchingSurface(h=lambda q: r * r - float(q @ q), grad_h=lambda q: -2.0 * q)
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
-                          surface=surface, resolver="natural")
+                          surface=surface)
         return SystemSetup(hs, ("circle", r) if n == 2 else None, monitors_ell=False)
     if kind == "circle":
         r = _positive(_get(cfg, "system.radius", 1.0), "system.radius")
@@ -219,8 +219,7 @@ def build_system(rc: RunConfig):
     hs = rc.system.hybrid
     lag_spec: SystemSpec = hs.dynamics
     if rc.formulation == "hamiltonian":
-        hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(lag_spec),
-                          surface=hs.surface, resolver="hamiltonian")
+        hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(lag_spec), surface=hs.surface)
     return hs, lag_spec, rc.system.boundary
 
 
@@ -376,7 +375,7 @@ def cmd_impact_test(args) -> int:
 
     s_minus = ContactStateL(q=q, qdot=v, z=0.0, t=0.0)
     try:
-        result = resolve_impact_natural(hs.dynamics, s_minus, hs.surface)
+        result = hs.resolve(s_minus, EventConfig())
     except GrazingContact as e:
         print(f"grazing contact: {e}")
         return 2

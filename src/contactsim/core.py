@@ -89,8 +89,38 @@ def _finite_scalar(x, name: str) -> float:
     return x
 
 
+class _ContactState:
+    """What both states share: validation, the dimension and the flat phase
+    vector [q, x, z]. Each subclass is a frozen dataclass with the fields
+    q, x, z, t in that order and names x in ``_x``. It calls ``_validate``
+    from a ``__post_init__`` of its own, which perfbench's tracer wraps per
+    class to count the states built."""
+
+    def _validate(self):
+        x = self._x
+        q, xv = _as_locked_vector(self.q, "q"), _as_locked_vector(getattr(self, x), x)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, x, xv)
+        object.__setattr__(self, "z", _finite_scalar(self.z, "z"))
+        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
+        if q.size != xv.size:
+            raise DimensionMismatch(f"q has length {q.size} but {x} has length {xv.size}")
+
+    @property
+    def n(self) -> int:
+        return self.q.size
+
+    def as_vector(self) -> np.ndarray:
+        """Flat phase vector [q, x, z] used by the integrator."""
+        return np.concatenate([self.q, getattr(self, self._x), [self.z]])
+
+    @classmethod
+    def from_vector(cls, y: np.ndarray, n: int, t: float = 0.0):
+        return cls(y[:n], y[n : 2 * n], float(y[2 * n]), t)
+
+
 @dataclass(frozen=True)
-class ContactStateL:
+class ContactStateL(_ContactState):
     """Lagrangian-side state (q, qdot, z, t).
 
     z is the accumulated action, carried as a first-class coordinate;
@@ -101,59 +131,24 @@ class ContactStateL:
     qdot: np.ndarray
     z: float
     t: float = 0.0
+    _x = "qdot"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_locked_vector(self.q, "q"))
-        object.__setattr__(self, "qdot", _as_locked_vector(self.qdot, "qdot"))
-        object.__setattr__(self, "z", _finite_scalar(self.z, "z"))
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        if self.q.size != self.qdot.size:
-            raise DimensionMismatch(
-                f"q has length {self.q.size} but qdot has length {self.qdot.size}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.q.size
-
-    def as_vector(self) -> np.ndarray:
-        """Flat phase vector [q, qdot, z] used by the integrator."""
-        return np.concatenate([self.q, self.qdot, [self.z]])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray, n: int, t: float = 0.0) -> "ContactStateL":
-        return cls(q=y[:n], qdot=y[n : 2 * n], z=float(y[2 * n]), t=t)
+        self._validate()
 
 
 @dataclass(frozen=True)
-class ContactStateH:
+class ContactStateH(_ContactState):
     """Hamiltonian-side state (q, p, z, t) in Darboux coordinates."""
 
     q: np.ndarray
     p: np.ndarray
     z: float
     t: float = 0.0
+    _x = "p"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_locked_vector(self.q, "q"))
-        object.__setattr__(self, "p", _as_locked_vector(self.p, "p"))
-        object.__setattr__(self, "z", _finite_scalar(self.z, "z"))
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        if self.q.size != self.p.size:
-            raise DimensionMismatch(
-                f"q has length {self.q.size} but p has length {self.p.size}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.q.size
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p, [self.z]])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray, n: int, t: float = 0.0) -> "ContactStateH":
-        return cls(q=y[:n], p=y[n : 2 * n], z=float(y[2 * n]), t=t)
+        self._validate()
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class NaturalForm:
             return np.zeros(q.size)
         if self.grad_potential is not None:
             return sign * np.asarray(self.grad_potential(q), dtype=float)
-        return sign * _fd_gradient(self.potential_value, q)
+        return sign * _fd_jacobian(self.potential_value, q, 1)[0]
 
 
 class _Spec:
@@ -202,10 +197,11 @@ class _Spec:
     central differences of that partial alone. Every accessor raises
     NonFiniteValue, naming what it evaluated, on a non-finite value.
 
-    Each subclass names its ``state_type`` and ``formulation`` and gives
-    ``energy``, ``momentum``, ``velocity`` and ``rate`` (dL/dz, which is
-    -dH/dz) at a state, and ``vector_field(t, y)`` on the flat phase vector
-    [q, x, z], so callers never branch on the formulation.
+    Each subclass names its ``state_type``, ``formulation`` and
+    ``impact_law`` (the ``impact.resolve_impact_*`` that resets its states)
+    and gives ``energy``, ``momentum``, ``velocity`` and ``rate`` (dL/dz,
+    which is -dH/dz) at a state, and ``vector_field(t, y)`` on the flat
+    phase vector [q, x, z], so callers never branch on the formulation.
     """
 
     def _resolve(self, function: Callable, fallbacks: dict) -> None:
@@ -250,12 +246,11 @@ class SystemSpec(_Spec):
     are optional; each one that is missing is filled in by central finite
     differences for that partial alone: of L for a first partial; for a
     second partial, of the supplied dL_dv once (W symmetrized), else of L
-    twice. ``natural``
-    carries the mechanical decomposition when the system has one,
-    unlocking closed-form impact resolution and Legendre inversion, and,
-    for a constant regular mass, a Herglotz field without a solve. The
-    accessors grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv return
-    one partial each.
+    twice. ``natural`` carries the mechanical decomposition when the system
+    has one, unlocking closed-form impact resolution (impact law "natural",
+    else "newton") and Legendre inversion, and, for a constant regular
+    mass, a Herglotz field without a solve. The accessors grad_q, grad_v,
+    grad_z, hess_vv, hess_qv and hess_zv return one partial each.
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
       d2L_dvdv[i, j] = d^2 L / dqdot_i dqdot_j      (the Hessian W)
@@ -275,6 +270,10 @@ class SystemSpec(_Spec):
 
     state_type = ContactStateL
     formulation = "lagrangian"
+
+    @property
+    def impact_law(self) -> str:
+        return "newton" if self.natural is None else "natural"
 
     def __post_init__(self):
         # A natural form with a constant, regular mass has the Herglotz field
@@ -305,9 +304,10 @@ class SystemSpec(_Spec):
                     lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n),
             }
         self._resolve(L, {
-            "dL_dq": lambda q, v, z: _fd_gradient(lambda qq: L(qq, v, z), q),
-            "dL_dv": lambda q, v, z: _fd_gradient(lambda vv: L(q, vv, z), v),
-            "dL_dz": lambda q, v, z: _fd_scalar_derivative(lambda zz: L(q, v, zz), z),
+            "dL_dq": lambda q, v, z: _fd_jacobian(lambda qq: L(qq, v, z), q, 1)[0],
+            "dL_dv": lambda q, v, z: _fd_jacobian(lambda vv: L(q, vv, z), v, 1)[0],
+            "dL_dz": lambda q, v, z: _fd_jacobian(
+                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0],
             **second,
         })
 
@@ -364,13 +364,15 @@ class HamiltonianSpec(_Spec):
 
     state_type = ContactStateH
     formulation = "hamiltonian"
+    impact_law = "hamiltonian"
 
     def __post_init__(self):
         H = self.hamiltonian
         self._resolve(H, {
-            "dH_dq": lambda q, p, z: _fd_gradient(lambda qq: H(qq, p, z), q),
-            "dH_dp": lambda q, p, z: _fd_gradient(lambda pp: H(q, pp, z), p),
-            "dH_dz": lambda q, p, z: _fd_scalar_derivative(lambda zz: H(q, p, zz), z),
+            "dH_dq": lambda q, p, z: _fd_jacobian(lambda qq: H(qq, p, z), q, 1)[0],
+            "dH_dp": lambda q, p, z: _fd_jacobian(lambda pp: H(q, pp, z), p, 1)[0],
+            "dH_dz": lambda q, p, z: _fd_jacobian(
+                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0],
         })
 
     def grad_q(self, q, p, z) -> np.ndarray:
@@ -412,28 +414,6 @@ class DerivativeBundle:
 
 # ---------------------------------------------------------------------------
 # finite differences
-
-
-def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = _FD_STEP_1 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (float(f(xp)) - float(f(xm))) / (2.0 * h)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteValue("finite-difference gradient sampled a non-finite value")
-    return g
-
-
-def _fd_scalar_derivative(f: Callable[[float], float], x: float) -> float:
-    h = _FD_STEP_1 * max(1.0, abs(x))
-    d = (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
-    if not np.isfinite(d):
-        raise NonFiniteValue("finite-difference derivative sampled a non-finite value")
-    return d
 
 
 def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -489,8 +469,9 @@ def _fd_cross(f2: Callable[[np.ndarray, np.ndarray], float],
 
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                  m: int) -> np.ndarray:
-    """Central-difference Jacobian d f_i / d x_j of a vector function with m
-    components, as an (m, len(x)) array, with the first-derivative step."""
+    """Central-difference Jacobian d f_i / d x_j of a function with m
+    components, as an (m, len(x)) array, with the first-derivative step; for
+    a scalar function (m = 1) row 0 is the gradient."""
     J = np.empty((m, x.size))
     xs = x.copy()
     hs = _FD_STEP_1 * np.maximum(1.0, np.abs(x))
@@ -515,12 +496,12 @@ def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeB
     sys.check_state(s)
     q, v, z = s.q, s.qdot, s.z
     L = sys.lagrangian
-    dq = _fd_gradient(lambda qq: L(qq, v, z), q)
-    dv = _fd_gradient(lambda vv: L(q, vv, z), v)
-    dz = _fd_scalar_derivative(lambda zz: L(q, v, zz), z)
+    zvec = np.array([z])
+    dq = _fd_jacobian(lambda qq: L(qq, v, z), q, 1)[0]
+    dv = _fd_jacobian(lambda vv: L(q, vv, z), v, 1)[0]
+    dz = float(_fd_jacobian(lambda zz: L(q, v, float(zz[0])), zvec, 1)[0, 0])
     W = _fd_hessian(lambda vv: L(q, vv, z), v)
     dqdv = _fd_cross(lambda qq, vv: L(qq, vv, z), q, v)
-    zvec = np.array([z])
     dzdv = _fd_cross(lambda zz, vv: L(q, vv, float(zz[0])), zvec, v).reshape(v.size)
     return DerivativeBundle(dL_dq=dq, dL_dv=dv, dL_dz=dz, W=W,
                             d2L_dqdv=dqdv, d2L_dzdv=dzdv)
@@ -757,7 +738,7 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         d2L_dqdv = None
 
         def dL_dq(q, qdot, z):
-            return (_fd_gradient(lambda qq: kinetic(qq, qdot), q)
+            return (_fd_jacobian(lambda qq: kinetic(qq, qdot), q, 1)[0]
                     + nat.potential_gradient(q, sign=-1.0))
 
     return SystemSpec(

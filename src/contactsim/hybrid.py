@@ -57,8 +57,6 @@ EVENT_BUDGET_EXHAUSTED = "EventBudgetExhausted"
 _ZENO_STREAK = 50
 _ZENO_GAP_FACTOR = 100.0
 
-_RESOLVERS = ("natural", "newton", "hamiltonian")
-
 FLAG_FLOW = 0
 FLAG_PRE_IMPACT = 1
 FLAG_POST_IMPACT = 2
@@ -66,20 +64,26 @@ FLAG_POST_IMPACT = 2
 
 @dataclass(frozen=True)
 class HybridSystem:
-    """Dynamics + switching surface + impact resolver selection.
+    """Dynamics + switching surface; the impact resolver follows from the
+    dynamics.
 
-    ``resolver`` is one of "natural", "newton", "hamiltonian", or a
-    callable (dynamics, state_minus, surface) -> ImpactResult for
-    experiments that need a nonstandard reset.
+    Impacts go to ``impact.resolve_impact_<law>`` with the law that the
+    dynamics name in ``impact_law``: "natural" for a SystemSpec with a
+    natural form, else "newton", and "hamiltonian" for a HamiltonianSpec.
+    ``resolver`` may repeat that name, and any other name raises ValueError
+    here. A callable (dynamics, state_minus, surface) -> ImpactResult
+    replaces the law, for experiments that need a nonstandard reset.
     """
 
     dynamics: Union[SystemSpec, HamiltonianSpec]
     surface: SwitchingSurface
-    resolver: Union[str, Callable] = "natural"
+    resolver: Union[None, str, Callable] = None
 
     def __post_init__(self):
-        if not callable(self.resolver) and self.resolver not in _RESOLVERS:
-            raise ValueError(f"unknown impact resolver {self.resolver!r}")
+        law = self.dynamics.impact_law
+        if not (self.resolver is None or callable(self.resolver) or self.resolver == law):
+            raise ValueError(f"impact resolver {self.resolver!r} does not fit "
+                             f"{type(self.dynamics).__name__} dynamics, whose law is {law!r}")
 
     @property
     def formulation(self) -> str:
@@ -100,7 +104,7 @@ class HybridSystem:
         if callable(self.resolver):
             return self.resolver(self.dynamics, state_minus, self.surface)
         # looked up at call time, so a rebound module attribute takes effect
-        resolver = getattr(impact, "resolve_impact_" + self.resolver)
+        resolver = getattr(impact, "resolve_impact_" + self.dynamics.impact_law)
         return resolver(self.dynamics, state_minus, self.surface,
                         grazing_threshold=ev.grazing_threshold)
 

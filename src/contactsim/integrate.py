@@ -125,20 +125,18 @@ class EventConfig:
 class DenseSegment:
     """Quartic interpolant over one accepted step, possibly truncated.
 
-    The interpolant is built on the full step [t_base, t_base + h_step];
-    the valid window [t0, t1] may end earlier when an event cut the step
-    short. Evaluation at exactly t0 or t1 returns the stored endpoint
-    states, so knot evaluations reproduce them bit for bit.
+    The interpolant is built on the full step [t0, t0 + h_step]; the valid
+    window [t0, t1] may end earlier when an event cut the step short or
+    the horizon snapped it. Evaluation at exactly t0 or t1 returns the
+    stored endpoint states, so knot evaluations reproduce them bit for bit.
     """
 
-    __slots__ = ("t_base", "h_step", "t0", "t1", "y0", "y1",
-                 "_r2", "_r3", "_r4", "_r5")
+    __slots__ = ("h_step", "t0", "t1", "y0", "y1", "_r2", "_r3", "_r4", "_r5")
 
-    def __init__(self, t_base, h_step, y_start, y_end, f_start, f_end, k_weighted):
-        self.t_base = float(t_base)
+    def __init__(self, t0, h_step, y_start, y_end, f_start, f_end, k_weighted):
         self.h_step = float(h_step)
-        self.t0 = float(t_base)
-        self.t1 = float(t_base + h_step)
+        self.t0 = float(t0)
+        self.t1 = float(t0 + h_step)
         self.y0 = np.array(y_start, dtype=float)
         self.y1 = np.array(y_end, dtype=float)
         r2 = self.y1 - self.y0
@@ -150,7 +148,7 @@ class DenseSegment:
         self._r5 = self.h_step * k_weighted
 
     def _theta(self, t: float) -> float:
-        return (t - self.t_base) / self.h_step
+        return (t - self.t0) / self.h_step
 
     def eval(self, t: float) -> np.ndarray:
         if t == self.t0:
@@ -179,7 +177,6 @@ class DenseSegment:
     def truncated(self, t_end: float, y_end: np.ndarray) -> "DenseSegment":
         """Copy of this segment whose valid window stops at t_end."""
         seg = DenseSegment.__new__(DenseSegment)
-        seg.t_base = self.t_base
         seg.h_step = self.h_step
         seg.t0 = self.t0
         seg.t1 = float(t_end)
@@ -192,12 +189,12 @@ class DenseSegment:
         return seg
 
 
-def _interpolate(ts, t_base, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
+def _interpolate(ts, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
     """The interpolant of ``DenseSegment.eval`` at the times ts, one row per
     time, with its operation order and its knot rule. The other arguments
     are the slots of DenseSegment, in their order, each either one
     segment's value or one row per time."""
-    th = ((ts - t_base) / h_step)[:, None]
+    th = ((ts - t0) / h_step)[:, None]
     om = 1.0 - th
     out = y0 + th * (r2 + om * (r3 + th * (r4 + om * r5)))
     out = np.where((ts == t1)[:, None], y1, out)

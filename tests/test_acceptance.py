@@ -190,8 +190,7 @@ def test_criterion_6_formulation_duality(circle_billiard):
     s0 = ContactStateL(q=Q0, qdot=V0, z=0.0)
     lag = simulate(circle_billiard, s0, 14.0, StepperConfig(), EventConfig())
     hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
-    hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface,
-                        resolver="hamiltonian")
+    hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface)
     sh0 = legendre_forward(circle_billiard.dynamics, s0)
     ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
     worst = 0.0

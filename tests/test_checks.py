@@ -129,7 +129,7 @@ class TestNonFiniteFlowValues:
         if formulation == "hamiltonian":
             s0 = legendre_forward(hs.dynamics, s0)
             hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
-                              surface=hs.surface, resolver="hamiltonian")
+                              surface=hs.surface)
         return hs, simulate(hs, s0, 5.0)
 
     def test_nan_value_fails_at_first_nan_node(self):
@@ -183,7 +183,7 @@ class TestOnePass:
         if request.param == "hamiltonian":
             s0 = legendre_forward(hs.dynamics, s0)
             hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
-                              surface=hs.surface, resolver="hamiltonian")
+                              surface=hs.surface)
         traj = simulate(hs, s0, 20.0)
         assert len(traj.events) >= 10
         return hs, traj

@@ -75,6 +75,8 @@ class TestStates:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ContactStateL(q=[0.0, 0.0], qdot=[1.0], z=0.0)
+        with pytest.raises(DimensionMismatch, match="but p has length 3"):
+            ContactStateH(q=[0.0, 0.0], p=[1.0, 0.0, 0.0], z=0.0)
 
     def test_arrays_are_immutable(self):
         s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 0.0], z=0.0)
@@ -112,6 +114,9 @@ class TestStates:
         assert np.array_equal(back.q, s.q)
         assert np.array_equal(back.qdot, s.qdot)
         assert back.z == s.z and back.t == s.t
+        sh = ContactStateH.from_vector(y, 2, t=1.5)
+        assert np.array_equal(sh.as_vector(), y)
+        assert np.array_equal(sh.p, s.qdot) and (sh.z, sh.t) == (s.z, s.t)
 
 
 class TestEnergy:
@@ -499,6 +504,38 @@ def without_second_partials(sys):
 _coordinate = st.floats(-2.0, 2.0, allow_nan=False)
 
 
+_FD_STEP_1 = np.finfo(float).eps ** (1.0 / 3.0)
+
+
+def reference_gradient(f, x):
+    """The fallbacks' first-derivative rule written out coordinate by
+    coordinate: central differences with step eps^(1/3) max(1, |x_i|) on
+    fresh copies of x. Every gradient fallback must equal it bit for bit."""
+    g = np.empty(x.size)
+    for i in range(x.size):
+        h = _FD_STEP_1 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (float(f(xp)) - float(f(xm))) / (2.0 * h)
+    return g
+
+
+def reference_derivative(f, x):
+    """``reference_gradient`` for a scalar argument, on Python floats."""
+    h = _FD_STEP_1 * max(1.0, abs(x))
+    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
+
+
+def fd_grid():
+    """25 fixed (q, v, z) points with coordinates on both sides of the
+    max(1, |x|) step switch, zero included."""
+    coords = (-1.7, -0.3, 0.0, 0.45, 2.2)
+    return [(np.array([a, b]), np.array([b - 0.5, 1.3 * a + 0.2]), 1.5 * coords[k % 5])
+            for k, (a, b) in enumerate((a, b) for a in coords for b in coords)]
+
+
 def coupled_fd_system():
     """All-FD Lagrangian whose six partials are all nonzero."""
     def L(q, v, z):
@@ -562,14 +599,36 @@ class TestFiniteDifferences:
 
     def test_per_partial_fallback_is_bit_identical_to_full_fd(self):
         sys = coupled_fd_system()
+        L = sys.lagrangian
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            s = ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
-                              z=rng.uniform(-3, 3))
+        states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
+                                z=rng.uniform(-3, 3)) for _ in range(5)]
+        states += [ContactStateL(q=q, qdot=v, z=z) for q, v, z in fd_grid()]
+        for s in states:
             got = evaluate_partials(sys, s)
             ref = finite_difference_partials(sys, s)
             for f in dataclasses.fields(ref):
                 assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
+            # and the first partials are the written-out central differences
+            q, v, z = s.q, s.qdot, s.z
+            assert np.array_equal(got.dL_dq, reference_gradient(lambda qq: L(qq, v, z), q))
+            assert np.array_equal(got.dL_dv, reference_gradient(lambda vv: L(q, vv, z), v))
+            assert got.dL_dz == reference_derivative(lambda zz: L(q, v, zz), z)
+            assert got.dL_dz == sys.grad_z(q, v, z)
+
+    def test_hamiltonian_fallbacks_equal_the_reference_differences(self):
+        def H(q, p, z):
+            s = float(p @ p)
+            return (0.5 * (1.0 + 0.2 * q[0] ** 2) * s + 0.05 * s * s
+                    + float(np.cos(q[1])) + 0.3 * z * (1.0 + 0.1 * p[0]))
+
+        sys = HamiltonianSpec(n=2, hamiltonian=H)
+        for q, p, z in fd_grid():
+            assert np.array_equal(sys.grad_q(q, p, z),
+                                  reference_gradient(lambda qq: H(qq, p, z), q))
+            assert np.array_equal(sys.grad_p(q, p, z),
+                                  reference_gradient(lambda pp: H(q, pp, z), p))
+            assert sys.grad_z(q, p, z) == reference_derivative(lambda zz: H(q, p, zz), z)
 
     def test_velocity_partial(self):
         sys = billiard_system(gamma=0.1)
@@ -721,6 +780,44 @@ class TestStructuralIdentities:
 
 
 class TestNaturalForm:
+    @staticmethod
+    def potential(q):
+        return float(np.sin(q[0]) * q[1] + 0.5 * q[1] ** 4)
+
+    def test_potential_gradient_fallback_equals_the_reference_differences(self):
+        nat = core.NaturalForm(mass=np.eye(2), potential=self.potential)
+        for q, _, _ in fd_grid():
+            ref = reference_gradient(self.potential, q)
+            assert np.array_equal(nat.potential_gradient(q), ref)
+            assert np.array_equal(nat.potential_gradient(q, sign=-1.0), -1.0 * ref)
+
+    def test_configuration_dependent_mass_force_equals_the_reference_differences(self):
+        def mass(q):
+            return np.array([[1.0 + q[0] ** 2, 0.2 * q[1]], [0.2 * q[1], 2.0]])
+
+        def kinetic(q, v):
+            return 0.5 * float(v @ (mass(q) @ v))
+
+        sys = natural_lagrangian_system(n=2, mass=mass, gamma=0.1, potential=self.potential)
+        for q, v, z in fd_grid():
+            expected = (reference_gradient(lambda qq: kinetic(qq, v), q)
+                        + -1.0 * reference_gradient(self.potential, q))
+            assert np.array_equal(sys.grad_q(q, v, z), expected)
+
+    def test_nan_potential_at_a_stencil_point_raises(self):
+        # V is NaN only to the right of q0 = 0.3, where the stencil samples it
+        def V(q):
+            return float(q @ q) if q[0] <= 0.3 else float("nan")
+
+        q, v = np.array([0.3, 0.1]), np.array([1.0, 0.5])
+        with pytest.raises(NonFiniteValue, match="finite-difference"):
+            core.NaturalForm(mass=np.eye(2), potential=V).potential_gradient(q)
+        with pytest.raises(NonFiniteValue):
+            natural_lagrangian_system(n=2, mass=np.eye(2), potential=V).grad_q(q, v, 0.0)
+        with pytest.raises(NonFiniteValue):
+            hamiltonian_from_lagrangian(natural_lagrangian_system(
+                n=2, mass=np.eye(2), potential=V)).grad_q(q, v, 0.0)
+
     def test_grad_potential_without_potential_is_rejected(self):
         # the Lagrangian side ignored this gradient while the Hamiltonian side used it
         with pytest.raises(ValueError, match="grad_potential"):

@@ -15,11 +15,13 @@ from contactsim import (
     ContactStateL,
     EventConfig,
     ExteriorState,
+    HamiltonianSpec,
     HybridSystem,
     ImpactResult,
     MaxStepsExceeded,
     StepperConfig,
     SwitchingSurface,
+    SystemSpec,
     TimeOutOfRange,
     angular_momentum,
     hamiltonian_from_lagrangian,
@@ -39,6 +41,26 @@ GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "..", "demos", "output",
 
 def circle(gamma=GAMMA):
     return make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=gamma))
+
+
+def quartic_spec(gamma=1e-3):
+    """Non-natural L = |v|^2/2 + 0.025 |v|^4 - gamma z with analytic first
+    partials; its impact law is "newton"."""
+    def L(q, v, z):
+        s = float(v @ v)
+        return 0.5 * s + 0.025 * s * s - gamma * z
+
+    return SystemSpec(n=2, lagrangian=L, dL_dq=lambda q, v, z: np.zeros(2),
+                      dL_dv=lambda q, v, z: (1.0 + 0.1 * float(v @ v)) * v,
+                      dL_dz=lambda q, v, z: -gamma)
+
+
+def free_hamiltonian(gamma=1e-3):
+    """H = |p|^2/2 + gamma z with no inverse metric, so impacts take the
+    energy-root Newton path of the "hamiltonian" law."""
+    return HamiltonianSpec(n=2, hamiltonian=lambda q, p, z: 0.5 * float(p @ p) + gamma * z,
+                           dH_dq=lambda q, p, z: np.zeros(2), dH_dp=lambda q, p, z: p,
+                           dH_dz=lambda q, p, z: gamma)
 
 
 class TestDiameterBouncing:
@@ -159,8 +181,7 @@ class TestSampling:
         traj = fig1_trajectory
         if formulation == "hamiltonian":
             hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
-            hs = HybridSystem(dynamics=hsys, surface=circle_billiard.surface,
-                              resolver="hamiltonian")
+            hs = HybridSystem(dynamics=hsys, surface=circle_billiard.surface)
             s0 = legendre_forward(circle_billiard.dynamics,
                                   ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0))
             traj = simulate(hs, s0, 20.0)
@@ -211,8 +232,7 @@ class TestHamiltonianRoute:
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
         lag = simulate(circle_billiard, s0, 14.0, StepperConfig(), EventConfig())
         hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
-        hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface,
-                            resolver="hamiltonian")
+        hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface)
         sh0 = legendre_forward(circle_billiard.dynamics, s0)
         ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
         assert len(lag.events) >= 10 and len(ham.events) == len(lag.events)
@@ -228,8 +248,7 @@ class TestHamiltonianRoute:
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
         lag = simulate(hs_l, s0, 14.0, StepperConfig(), EventConfig())
         hsys = hamiltonian_from_lagrangian(hs_l.dynamics)
-        hs_h = HybridSystem(dynamics=hsys, surface=hs_l.surface,
-                            resolver="hamiltonian")
+        hs_h = HybridSystem(dynamics=hsys, surface=hs_l.surface)
         sh0 = legendre_forward(hs_l.dynamics, s0)
         ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
         assert len(lag.events) == len(ham.events) >= 10
@@ -250,6 +269,36 @@ class TestGuardsAndBudgets:
         with pytest.raises(ValueError, match="nweton"):
             HybridSystem(dynamics=circle_billiard.dynamics,
                          surface=circle_billiard.surface, resolver="nweton")
+
+    @pytest.mark.parametrize("make, resolver", [
+        (free_hamiltonian, "natural"),
+        (free_hamiltonian, "newton"),
+        (lambda: circle().dynamics, "hamiltonian"),
+        (quartic_spec, "natural"),
+        (lambda: circle().dynamics, "newton"),
+    ], ids=["hamiltonian-natural", "hamiltonian-newton", "natural-hamiltonian",
+            "quartic-natural", "natural-newton"])
+    def test_resolver_that_does_not_fit_the_dynamics_rejected_at_construction(
+            self, make, resolver):
+        # a mismatch fails here, before any flow phase is integrated, and
+        # never as an AttributeError at the first impact
+        with pytest.raises(ValueError, match=f"{resolver!r} does not fit"):
+            HybridSystem(dynamics=make(), surface=circle().surface, resolver=resolver)
+
+    @pytest.mark.parametrize("dynamics, s0, law", [
+        (free_hamiltonian(), ContactStateH(q=[0.5, 0.0], p=[1.0, 1.0], z=0.0), "hamiltonian"),
+        (quartic_spec(), ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), "newton"),
+    ], ids=["hamiltonian", "quartic"])
+    def test_default_resolver_is_the_law_of_the_dynamics(self, dynamics, s0, law):
+        hs = HybridSystem(dynamics=dynamics, surface=circle().surface)
+        traj = simulate(hs, s0, 3.0)
+        assert traj.status == COMPLETED and len(traj.events) >= 2
+        assert dynamics.impact_law == law
+        # naming the law explicitly is accepted and changes nothing
+        named = simulate(HybridSystem(dynamics=dynamics, surface=hs.surface, resolver=law),
+                         s0, 3.0)
+        assert [e.state_plus.as_vector().tobytes() for e in named.events] == \
+            [e.state_plus.as_vector().tobytes() for e in traj.events]
 
     def test_exterior_start_rejected(self, circle_billiard):
         s0 = ContactStateL(q=[1.5, 0.0], qdot=[1.0, 0.0], z=0.0)
