@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,7 @@ from .core import (
     natural_lagrangian_system,
 )
 from .errors import ConfigError, ContactSimError, GrazingContact
-from .hybrid import COMPLETED, HybridSystem, simulate
+from .hybrid import COMPLETED, MAX_EVENTS, HybridSystem, simulate
 from .impact import SwitchingSurface, impact_violation
 from .integrate import EventConfig, StepperConfig
 from .io import (
@@ -87,22 +88,62 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required config field '{path}'")
-            return default
-        node = node[part]
-    return node
+_REQUIRED = object()
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
+          str: "a string", dict: "an object", list: "a list of finite numbers"}
 
 
-def _positive(value, path: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{path}' must be a number, got {value!r}")
+def _cast(value, kind, path: str):
+    """`value` checked as `kind` and converted: float, int, bool, str, dict, list
+    (a finite float array) or a config dataclass, built by field name with each
+    value cast by its field default's type. Else a ConfigError naming `path`."""
+    if is_dataclass(kind):
+        defaults = {f.name: f.default for f in fields(kind)}
+        unknown = [key for key in _cast(value, dict, path) if key not in defaults]
+        if unknown:
+            raise ConfigError(f"'{path}.{unknown[0]}' is not a {kind.__name__} "
+                              f"field ({', '.join(defaults)})")
+        try:
+            return kind(**{key: _cast(v, type(defaults[key]), f"{path}.{key}")
+                           for key, v in value.items()})
+        except ValueError as e:
+            raise ConfigError(str(e))
+    if kind is list:
+        try:
+            cast = np.asarray(value)
+        except ValueError:   # a ragged nesting
+            cast = np.asarray(None)
+        ok = (cast.ndim >= 1 and cast.dtype.kind in "iuf"
+              and bool(np.all(np.isfinite(cast))))
+        cast = cast.astype(float) if ok else None
+    elif kind in (float, int):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (isinstance(value, int) or math.isfinite(value)
+                   and (kind is float or value.is_integer())))
+        cast = kind(value) if ok else None
+    else:
+        ok, cast = isinstance(value, kind), value
+    if not ok:
+        raise ConfigError(f"'{path}' must be {_KINDS[kind]}, got {value!r}")
+    return cast
+
+
+def _read(cfg: dict, path: str, kind, default=_REQUIRED):
+    """The value at the dotted `path`, checked and cast by `_cast`; `default`
+    when the key is absent, which is a ConfigError without one."""
+    *head, key = path.split(".")
+    node = _cast(cfg, dict, "config")
+    for i, part in enumerate(head):
+        node = _cast(node.get(part, {}), dict, ".".join(head[:i + 1]))
+    if key in node:
+        return _cast(node[key], kind, path)
+    if default is _REQUIRED:
+        raise ConfigError(f"missing required config field '{path}'")
+    return default
+
+
+def _positive(cfg: dict, path: str, default=_REQUIRED) -> float:
+    v = _read(cfg, path, float, default)
     if not v > 0.0:
         raise ConfigError(f"'{path}' must be > 0, got {v}")
     return v
@@ -122,95 +163,72 @@ def load_config(path: str) -> dict:
 
 def _parse_system(cfg: dict) -> SystemSetup:
     """Validate the `system` section, fill its defaults and build it."""
-    kind = _get(cfg, "system.kind", required=True)
+    kind = _read(cfg, "system.kind", str)
     if kind not in ("circle", "ellipse", "custom"):
         raise ConfigError(f"'system.kind' must be circle, ellipse, or custom, got {kind!r}")
-    gamma = float(_get(cfg, "system.gamma", 0.0))
+    gamma = _read(cfg, "system.gamma", float, 0.0)
     if gamma < 0.0:
         raise ConfigError(f"'system.gamma' must be >= 0, got {gamma}")
     if kind == "custom":
-        n = int(_get(cfg, "system.n", required=True))
+        n = _read(cfg, "system.n", int)
         if n < 1:
             raise ConfigError(f"'system.n' must be >= 1, got {n}")
-        M = np.asarray(_get(cfg, "system.mass_matrix", required=True), dtype=float)
+        M = _read(cfg, "system.mass_matrix", list)
         if M.shape != (n, n):
             raise ConfigError(
                 f"'system.mass_matrix' must be {n}x{n}, got shape {M.shape}")
-        if _get(cfg, "system.surface.kind", required=True) != "sphere":
+        if _read(cfg, "system.surface.kind", str) != "sphere":
             raise ConfigError("'system.surface.kind' must be 'sphere'")
-        r = _positive(_get(cfg, "system.surface.radius", required=True),
-                      "system.surface.radius")
+        r = _positive(cfg, "system.surface.radius")
         surface = SwitchingSurface(h=lambda q: r * r - float(q @ q), grad_h=lambda q: -2.0 * q)
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
                           surface=surface)
         return SystemSetup(hs, ("circle", r) if n == 2 else None, monitors_ell=False)
     if kind == "circle":
-        r = _positive(_get(cfg, "system.radius", 1.0), "system.radius")
+        r = _positive(cfg, "system.radius", 1.0)
         make, shape, boundary = make_circular_billiard, Circle(r), ("circle", r)
     else:
-        a = _positive(_get(cfg, "system.a", required=True), "system.a")
-        b = _positive(_get(cfg, "system.b", required=True), "system.b")
+        a = _positive(cfg, "system.a")
+        b = _positive(cfg, "system.b")
         make, shape, boundary = make_elliptical_billiard, Ellipse(a, b), ("ellipse", a, b)
-    mass = _positive(_get(cfg, "system.mass", 1.0), "system.mass")
+    mass = _positive(cfg, "system.mass", 1.0)
     return SystemSetup(make(BilliardSpec(boundary=shape, gamma=gamma, mass=mass)),
                        boundary, monitors_ell=kind == "circle")
 
 
-def parse_config(cfg: dict, samples_override=None, svg_override=None,
-                 formulation_override=None) -> RunConfig:
+def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     system = _parse_system(cfg)
     n = system.hybrid.n
-    q0 = np.asarray(_get(cfg, "initial.q", required=True), dtype=float)
+    q0 = _read(cfg, "initial.q", list)
     if q0.size != n:
         raise ConfigError(f"'initial.q' must have length {n}, got {q0.size}")
-    v_raw = _get(cfg, "initial.v")
-    p_raw = _get(cfg, "initial.p")
-    if (v_raw is None) == (p_raw is None):
+    v0 = _read(cfg, "initial.v", list, None)
+    p0 = _read(cfg, "initial.p", list, None)
+    if (v0 is None) == (p0 is None):
         raise ConfigError("exactly one of 'initial.v' or 'initial.p' is required")
-    v0 = None if v_raw is None else np.asarray(v_raw, dtype=float)
-    p0 = None if p_raw is None else np.asarray(p_raw, dtype=float)
-    given = v0 if v0 is not None else p0
-    if given.size != n:
+    if (p0 if v0 is None else v0).size != n:
         raise ConfigError(f"initial velocity/momentum must have length {n}")
-    z0 = float(_get(cfg, "initial.z", 0.0))
+    z0 = _read(cfg, "initial.z", float, 0.0)
 
-    t_final = _positive(_get(cfg, "run.t_final", required=True), "run.t_final")
-    formulation = formulation_override or _get(cfg, "run.formulation", "lagrangian")
+    t_final = _positive(cfg, "run.t_final")
+    formulation = formulation_override or _read(cfg, "run.formulation", str, "lagrangian")
     if formulation not in ("lagrangian", "hamiltonian"):
         raise ConfigError(
             f"'run.formulation' must be lagrangian or hamiltonian, got {formulation!r}")
-    if p_raw is not None and formulation != "hamiltonian":
+    if p0 is not None and formulation != "hamiltonian":
         raise ConfigError("'initial.p' requires the hamiltonian formulation")
-    max_events = int(_get(cfg, "run.max_events", 10 ** 6))
-    if _get(cfg, "run.deterministic", True) is not True:
+    max_events = _read(cfg, "run.max_events", int, MAX_EVENTS)
+    if not _read(cfg, "run.deterministic", bool, True):
         raise ConfigError("'run.deterministic' cannot be disabled; runs are seed-free")
 
-    try:
-        stepper = StepperConfig(
-            rtol=float(_get(cfg, "stepper.rtol", 1e-10)),
-            atol=float(_get(cfg, "stepper.atol", 1e-10)),
-            h_init=float(_get(cfg, "stepper.h_init", 1e-3)),
-            h_max=float(_get(cfg, "stepper.h_max", 1.0)),
-            max_steps=int(_get(cfg, "stepper.max_steps", 10 ** 6)),
-        )
-        events = EventConfig(
-            t_tol=float(_get(cfg, "events.t_tol", 1e-12)),
-            h_tol=float(_get(cfg, "events.h_tol", 1e-12)),
-            grazing_threshold=float(_get(cfg, "events.grazing_threshold", 1e-9)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-    samples = int(samples_override if samples_override is not None
-                  else _get(cfg, "output.samples", 1000))
+    samples = _read(cfg, "output.samples", int, 1000)
     if samples < 2:
         raise ConfigError(f"'output.samples' must be >= 2, got {samples}")
-    svg = bool(svg_override if svg_override is not None
-               else _get(cfg, "output.svg", True))
     return RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
-                     t_final=t_final, formulation=formulation,
-                     max_events=max_events, stepper=stepper, events=events,
-                     samples=samples, svg=svg, raw=cfg)
+                     t_final=t_final, formulation=formulation, max_events=max_events,
+                     stepper=_read(cfg, "stepper", StepperConfig, StepperConfig()),
+                     events=_read(cfg, "events", EventConfig, EventConfig()),
+                     samples=samples, svg=_read(cfg, "output.svg", bool, True), raw=cfg)
 
 
 def build_system(rc: RunConfig):
@@ -260,10 +278,9 @@ def _containment(surface: SwitchingSurface, times: np.ndarray, qs) -> CheckRepor
                        location=float(times[int(np.argmin(h_vals))]))
 
 
-def run_simulation(cfg: dict, out_dir: str, samples_override=None,
-                   svg_override=None, formulation_override=None) -> dict:
+def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     """Full simulate pipeline; returns the summary dict (also written to disk)."""
-    rc = parse_config(cfg, samples_override, svg_override, formulation_override)
+    rc = parse_config(cfg, formulation_override)
     hs, lag_spec, boundary = build_system(rc)
     if hs.surface.value(rc.q0) <= 0.0:
         raise ConfigError("'initial.q' must be strictly interior to the boundary")
@@ -344,8 +361,7 @@ def run_simulation(cfg: dict, out_dir: str, samples_override=None,
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    summary = run_simulation(cfg, args.out, args.samples, args.svg,
-                             args.formulation)
+    summary = run_simulation(cfg, args.out, args.formulation)
     print(f"status: {summary['status']}  events: {summary['n_events']}")
     for c in summary["checks"]:
         mark = "pass" if c["passed"] else "FAIL"
@@ -441,53 +457,28 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
-def _sweep_worker(packed):
-    cfg, out_dir = packed
-    return run_simulation(cfg, out_dir)
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict) or "path" not in sweep or "values" not in sweep:
-        raise ConfigError("sweep config needs a 'sweep' section with 'path' and 'values'")
-    path = sweep["path"]
-    values = sweep["values"]
+    path = _read(cfg, "sweep.path", str)
+    values = cfg["sweep"].get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("'sweep.values' must be a non-empty list")
 
-    jobs = []
+    *head, last = path.split(".")
+    runs = []
     for i, val in enumerate(values):
         run_cfg = copy.deepcopy(cfg)
-        run_cfg.pop("sweep", None)
-        *head, last = path.split(".")
-        node = _get(run_cfg, ".".join(head)) if head else run_cfg
-        if not isinstance(node, dict) or last not in node:
+        del run_cfg["sweep"]
+        node = _read(run_cfg, ".".join(head), dict, None) if head else run_cfg
+        if node is None or last not in node:
             raise ConfigError(f"'sweep.path' does not resolve: {path}")
         node[last] = val
-        jobs.append((run_cfg, os.path.join(args.out, f"run_{i:03d}")))
-
-    if args.workers > 1:
-        # imported here: a process pool costs every other command its import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(job) for job in jobs]
-
-    merged = {
-        "sweep_path": path,
-        "runs": [
-            {
-                "value": values[i],
-                "out_dir": f"run_{i:03d}",
-                "status": results[i]["status"],
-                "n_events": results[i]["n_events"],
-                "all_checks_passed": all(c["passed"] for c in results[i]["checks"]),
-            }
-            for i in range(len(values))
-        ],
-    }
+        out_dir = f"run_{i:03d}"
+        summary = run_simulation(run_cfg, os.path.join(args.out, out_dir))
+        runs.append({"value": val, "out_dir": out_dir, "status": summary["status"],
+                     "n_events": summary["n_events"],
+                     "all_checks_passed": all(c["passed"] for c in summary["checks"])})
+    merged = {"sweep_path": path, "runs": runs}
     os.makedirs(args.out, exist_ok=True)
     write_summary_json(os.path.join(args.out, "sweep_summary.json"), merged)
     ok = all(r["status"] == COMPLETED and r["all_checks_passed"]
@@ -506,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a configured simulation")
     p_sim.add_argument("--config", required=True, help="JSON run configuration")
     p_sim.add_argument("--out", default="out", help="output directory")
-    p_sim.add_argument("--samples", type=int, default=None)
-    p_sim.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None)
     p_sim.add_argument("--formulation", choices=["lagrangian", "hamiltonian"],
                        default=None)
     p_sim.set_defaults(func=cmd_simulate)
@@ -530,10 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--out", default=None, help="also write the JSON report here")
     p_chk.set_defaults(func=cmd_check)
 
-    p_swp = sub.add_parser("sweep", help="fan out simulations over a parameter list")
+    p_swp = sub.add_parser("sweep", help="run the simulation once per parameter value")
     p_swp.add_argument("--config", required=True)
     p_swp.add_argument("--out", required=True)
-    p_swp.add_argument("--workers", type=int, default=1)
     p_swp.set_defaults(func=cmd_sweep)
     return parser
 

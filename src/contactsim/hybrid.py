@@ -51,6 +51,7 @@ COMPLETED = "Completed"
 ZENO_SUSPECTED = "ZenoSuspected"
 GRAZING_STOP = "GrazingStop"
 EVENT_BUDGET_EXHAUSTED = "EventBudgetExhausted"
+MAX_EVENTS = 10 ** 6    # simulate's default event budget, also the CLI's
 
 # Zeno guard: this many consecutive events, each within 100 * t_tol of the
 # previous one, stop the run.
@@ -212,7 +213,7 @@ def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:
 def simulate(hs: HybridSystem, s0, t_final: float,
              cfg: Optional[StepperConfig] = None,
              ev: Optional[EventConfig] = None,
-             max_events: int = 10 ** 6) -> HybridTrajectory:
+             max_events: int = MAX_EVENTS) -> HybridTrajectory:
     """Run the hybrid loop from s0 until t_final or a terminal condition.
 
     The start state must be strictly interior. Returns the trajectory

@@ -36,6 +36,7 @@ from .errors import (
     GrazingContact,
     NoConvergence,
 )
+from .integrate import EventConfig
 
 __all__ = [
     "SwitchingSurface",
@@ -169,9 +170,9 @@ def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactRe
                         residual_tangential=r_tan, residual_energy=r_en)
 
 
-def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
-                           surface: SwitchingSurface,
-                           grazing_threshold: float = 1e-9) -> ImpactResult:
+def resolve_impact_natural(
+        sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
     """Closed-form elastic impact for natural-form (quadratic kinetic) systems.
 
     qdot_plus = qdot_minus + lam * Minv grad h with
@@ -188,9 +189,9 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
-def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
-                          surface: SwitchingSurface,
-                          grazing_threshold: float = 1e-9) -> ImpactResult:
+def resolve_impact_newton(
+        sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
     """General impact resolution by Newton iteration.
 
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
@@ -246,9 +247,9 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
-def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
-                               surface: SwitchingSurface,
-                               grazing_threshold: float = 1e-9) -> ImpactResult:
+def resolve_impact_hamiltonian(
+        sys: HamiltonianSpec, s_minus: ContactStateH, surface: SwitchingSurface,
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
     """Momentum-side impact: p_plus = p_minus + lam grad h with H unchanged.
 
     Systems carrying an inverse-metric evaluator get the closed-form

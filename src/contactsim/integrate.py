@@ -323,13 +323,19 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
     return ts
 
 
-def _scan(segment: DenseSegment, surface, n_q: Optional[int], armed: bool) -> tuple:
+def _require_n_q(surface, n_q: Optional[int]) -> None:
+    if surface is not None and n_q is None:   # h would see all of [q, x, z]
+        raise ValueError("n_q, the length of the q block, is required with a surface")
+
+
+def _scan(segment: DenseSegment, surface, n_q: int, armed: bool) -> tuple:
     """Sign scan of h(q) at the 17 checkpoints of one dense segment.
 
     A disarmed guard re-arms at the first checkpoint where h exceeds
     _ARM_THRESHOLD, and the scan starts there. Returns (bracket, armed):
     the first checkpoint pair with h > 0 before and h <= 0 after, or None.
     """
+    _require_n_q(surface, n_q)
     ts = _checkpoints(segment.t0, segment.t1)
     ys = segment.eval_many(ts)
     hs = [float(surface.value(q)) for q in ys[:, :n_q]]
@@ -356,8 +362,10 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig,
     secant refines it until both |h| <= h_tol and the bracket width is
     below t_tol. Raises NoSignChange when the bracket does not straddle
     the surface, and GrazingContact when the crossing is tangential
-    (|dh/dt| below the grazing threshold).
+    (|dh/dt| below the grazing threshold), and ValueError without n_q.
     """
+    _require_n_q(surface, n_q)
+
     def h_at(t: float) -> float:
         return float(surface.value(segment.eval(t)[:n_q]))
 
@@ -410,9 +418,9 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
 
     With surface=None this is plain adaptive integration to t_final.
     ``n_q`` gives the length of the leading configuration block of the
-    state vector (h and grad h see only q). ``armed=False`` starts with
-    the guard disarmed, for resuming just after an impact; it re-arms
-    once h(q) exceeds 1e-9.
+    state vector (h and grad h see only q); a surface without it raises
+    ValueError. ``armed=False`` starts with the guard disarmed, for
+    resuming just after an impact; it re-arms once h(q) exceeds 1e-9.
 
     The start state must be strictly interior (h > 0) when armed;
     exterior states are a hard error, never clamped.
@@ -425,6 +433,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     def h_of(yv: np.ndarray) -> float:
         return float(surface.value(yv[:n_q]))
 
+    _require_n_q(surface, n_q)
     if surface is not None and armed and h_of(y) <= 0.0:
         raise ExteriorState(
             f"start state is not strictly interior (h={h_of(y):.3e} at t={t})"

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from contactsim import cli
 from contactsim.checks import CheckReport
 from contactsim.cli import build_system, load_config, main, parse_config
+from contactsim.hybrid import MAX_EVENTS
+from contactsim.integrate import EventConfig, StepperConfig
 from contactsim.io import read_trajectory_csv, write_trajectory_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -81,16 +84,15 @@ class TestSimulate:
             assert b1 == b2, name
 
     def test_no_svg_flag(self, tmp_path):
-        cfg = short_config(tmp_path)
+        cfg = short_config(tmp_path, **{"output.svg": False})
         out = str(tmp_path / "out")
-        assert main(["simulate", "--config", cfg, "--out", out, "--no-svg"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
         assert not os.path.exists(os.path.join(out, "trajectory.svg"))
 
     def test_samples_flag(self, tmp_path):
-        cfg = short_config(tmp_path)
+        cfg = short_config(tmp_path, **{"output.samples": 50})
         out = str(tmp_path / "out")
-        assert main(["simulate", "--config", cfg, "--out", out,
-                     "--samples", "50"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
         with open(os.path.join(out, "trajectory.csv")) as fh:
             rows = fh.read().strip().splitlines()
         # 50 flow samples plus two rows per event
@@ -123,6 +125,35 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out",
                      str(tmp_path / "o")]) == 1
         assert "system.a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, named", [
+        ("stepper.rtol", None, "stepper.rtol"),
+        ("initial.z", None, "initial.z"),
+        ("system.gamma", None, "system.gamma"),
+        ("output.samples", None, "output.samples"),
+        ("stepper.rtoll", 1e-3, "stepper.rtoll"),
+        ("output.svg", "false", "output.svg"),
+        ("output.samples", 10.7, "output.samples"),
+        ("stepper", [1, 2], "'stepper'"),
+        ("initial.q", [0.5, None], "initial.q"),
+    ])
+    def test_malformed_value_exits_one_naming_its_path(self, tmp_path, capsys,
+                                                       path, value, named):
+        cfg = short_config(tmp_path, **{path: value})
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not os.path.exists(out)
+
+    def test_readme_config_schema_parses_to_the_defaults(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1]
+        block = block.split("```", 1)[0]
+        rc = parse_config(json.loads(re.sub(r"//[^\n]*", "", block)))
+        assert rc.stepper == StepperConfig() and rc.events == EventConfig()
+        assert rc.max_events == MAX_EVENTS and rc.samples == 1000 and rc.svg
 
     def test_json_parse_error_names_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -354,26 +385,19 @@ class TestSweep:
             assert r["status"] == "Completed" and r["all_checks_passed"]
             assert os.path.exists(os.path.join(out, r["out_dir"], "summary.json"))
 
-    def test_parallel_workers_match_sequential(self, tmp_path):
+    def test_workers_option_is_rejected(self, tmp_path, capsys):
+        # sweeps run in one process: the process-pool option is gone
         with open(CIRCLE_CONFIG) as fh:
             cfg = json.load(fh)
-        cfg["run"]["t_final"] = 2.0
-        cfg["output"]["samples"] = 50
-        cfg["output"]["svg"] = False
         cfg["sweep"] = {"path": "system.gamma", "values": [1e-4, 1e-3]}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
-        out_seq = str(tmp_path / "seq")
-        out_par = str(tmp_path / "par")
-        assert main(["sweep", "--config", str(path), "--out", out_seq]) == 0
-        assert main(["sweep", "--config", str(path), "--out", out_par,
-                     "--workers", "2"]) == 0
-        for sub in ("run_000", "run_001"):
-            with open(os.path.join(out_seq, sub, "trajectory.csv"), "rb") as fh:
-                seq = fh.read()
-            with open(os.path.join(out_par, sub, "trajectory.csv"), "rb") as fh:
-                par = fh.read()
-            assert seq == par
+        out = str(tmp_path / "par")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path), "--out", out, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_sweep_section_exits_one(self, tmp_path):
         cfg = short_config(tmp_path)

@@ -171,6 +171,20 @@ class TestEvents:
         assert UNIT_CIRCLE.gradient(q) @ v < 0.0
         assert run.hit.hdot < 0.0
 
+    def test_surface_without_q_block_length_is_rejected(self):
+        # without n_q, h = 1 - q.q saw all of [q, v, z] and fired at t = 1.2771
+        ball = SwitchingSurface(h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q)
+        y0 = np.array([0.0, 0.0, 0.6, 0.0, 0.0])
+        run = integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball, n_q=2)
+        assert abs(run.hit.t - 1.0 / 0.6) < 1e-10
+        with pytest.raises(ValueError, match="n_q"):
+            integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball)
+        seg = run.segments[-1]
+        with pytest.raises(ValueError, match="n_q"):
+            integrate._scan(seg, ball, None, armed=True)
+        with pytest.raises(ValueError, match="n_q"):
+            locate_event(seg, ball, EventConfig(), bracket=(seg.t0, seg.t1))
+
     def test_exterior_start_is_hard_error(self):
         with pytest.raises(ExteriorState):
             integrate_until_event(damped_rhs(0.0), 0.0,
