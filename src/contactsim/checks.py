@@ -4,8 +4,9 @@ Every check recomputes its quantities from raw states, independently of
 the solver path that produced them, so a resolver bug cannot certify its
 own output. One decay law serves the energy and any other dissipated
 quantity f: f = f0 exp(integral of the rate dL/dz dt). On a trajectory the
-integral is composite Simpson on dense nodes, 16 pairs per flow phase; on
-stored table rows it is the composite trapezoid between rows.
+nodes are the ends and the midpoint of every dense step the integrator
+took, and the integral is Simpson's rule step by step; on stored table
+rows it is the composite trapezoid between rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .core import ContactStateH, HamiltonianSpec, SystemSpec, hamiltonian_rhs
 from .hybrid import HybridTrajectory, ImpactEvent
-from .integrate import _eval_phases
 from .impact import SwitchingSurface, impact_violation
 
 __all__ = [
@@ -37,12 +37,6 @@ _EPS = float(np.finfo(float).eps)
 # impact residuals are pure algebra.
 FLOW_TOL = 1e-7
 IMPACT_TOL = 1e-10
-
-# Simpson pairs per flow phase on the dense trajectory, and flow phases per
-# batched node evaluation, which bounds the scratch memory of the batch
-_PAIRS = 16
-_NODE_K = np.arange(2 * _PAIRS + 1, dtype=float)
-_PHASES_PER_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -97,36 +91,36 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     """One report per named state function f, each against the decay law
     f(t) = f0 exp(integral of sys.rate dt) along the whole trajectory.
 
-    One pass serves every quantity: the Simpson nodes of the flow phases
-    are evaluated in batches, and each node gets one state, which gives the
-    rate at every node and each f at the even nodes.
+    The nodes are each dense step's two ends and its midpoint, and one pass
+    serves every quantity: each node gets one state, from the step's stored
+    end vector or its interpolant, which gives the rate and each f there.
+    Over a step the rate integral is Simpson's rule, and to the midpoint it
+    is the integral of the quadratic through the step's three rates.
     """
-    runs = [run for run in traj.segments if run.t1 > run.t0]
-    if not runs:
+    steps = [seg for run in traj.segments for seg in run.segments]
+    if not steps:
         raise ValueError("trajectory has no flow to check")
-    t0 = np.array([run.t0 for run in runs])
-    t1 = np.array([run.t1 for run in runs])
-    dt = ((t1 - t0) / (2 * _PAIRS))[:, None]
-    ts = t0[:, None] + _NODE_K * dt   # np.linspace(t0, t1, 2 * _PAIRS + 1) per row
-    ts[:, -1] = t1
-    rates = np.empty(ts.shape)
-    values = {name: np.empty(ts.shape) for name in quantities}
-    for lo in range(0, len(runs), _PHASES_PER_BATCH):
-        batch = ts[lo:lo + _PHASES_PER_BATCH]
-        phase = np.arange(len(batch)).repeat(batch.shape[1])
-        ys = _eval_phases(runs[lo:lo + _PHASES_PER_BATCH], phase, batch.ravel())
+    nodes = [(seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1) for seg in steps]
+    rates = np.empty((len(steps), 3))
+    values = {name: np.empty(rates.shape) for name in quantities}
+    for k, (seg, (t0, tm, t1)) in enumerate(zip(steps, nodes)):
         # one state per node, dropped once its rate and values are read
-        for k, (y, t) in enumerate(zip(ys, batch.ravel().tolist()), lo * ts.shape[1]):
+        for j, (y, t) in enumerate(((seg.y0, t0), (seg.eval(tm), tm), (seg.y1, t1))):
             s = sys.state_type.from_vector(y, traj.n, t)
-            rates.flat[k] = sys.rate(s)
-            if k % ts.shape[1] % 2 == 0:
-                for name, f in quantities.items():
-                    values[name].flat[k] = float(f(s))
-    pairs = dt / 3.0 * (rates[:, :-1:2] + 4.0 * rates[:, 1::2] + rates[:, 2::2])
-    # a phase's first node adds nothing: no rate is integrated across an impact
-    log_ref = np.cumsum(np.hstack([np.zeros_like(dt), pairs]))
-    return _decay_reports(ts[:, ::2].ravel(), log_ref, {
-        name: f[:, ::2].ravel() for name, f in values.items()}, tol)
+            rates[k, j] = sys.rate(s)
+            for name, f in quantities.items():
+                values[name][k, j] = float(f(s))
+    ts = np.array(nodes)
+    h = ts[:, 2] - ts[:, 0]
+    r0, rm, r1 = rates.T
+    ends = np.cumsum(h / 6.0 * (r0 + 4.0 * rm + r1))
+    starts = np.concatenate([[0.0], ends[:-1]])
+    # each step starts at the integral where the one before it ended: an
+    # impact takes no time, so no rate is integrated across its reset
+    log_ref = np.column_stack([starts, starts + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),
+                               ends]).ravel()
+    return _decay_reports(ts.ravel(), log_ref, {
+        name: f.ravel() for name, f in values.items()}, tol)
 
 
 def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], rows: Sequence,

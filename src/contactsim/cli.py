@@ -120,7 +120,10 @@ def _cast(value, kind, path: str):
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and (isinstance(value, int) or math.isfinite(value)
                    and (kind is float or value.is_integer())))
-        cast = kind(value) if ok else None
+        try:
+            cast = kind(value) if ok else None
+        except OverflowError:   # an integer beyond the range of a double
+            ok = False
     else:
         ok, cast = isinstance(value, kind), value
     if not ok:
@@ -129,14 +132,19 @@ def _cast(value, kind, path: str):
 
 
 def _read(cfg: dict, path: str, kind, default=_REQUIRED):
-    """The value at the dotted `path`, checked and cast by `_cast`; `default`
-    when the key is absent, which is a ConfigError without one."""
+    """The value at the dotted `path`, checked and cast by `_cast`, and taken
+    out of cfg with every section that this leaves empty; `default` when
+    the key is absent, which is a ConfigError without one."""
     *head, key = path.split(".")
-    node = _cast(cfg, dict, "config")
+    nodes = [_cast(cfg, dict, "config")]
     for i, part in enumerate(head):
-        node = _cast(node.get(part, {}), dict, ".".join(head[:i + 1]))
-    if key in node:
-        return _cast(node[key], kind, path)
+        nodes.append(_cast(nodes[-1].get(part, {}), dict, ".".join(head[:i + 1])))
+    value = nodes[-1].pop(key, _REQUIRED)
+    for parent, part, node in reversed(list(zip(nodes, head, nodes[1:]))):
+        if not node:
+            parent.pop(part, None)
+    if value is not _REQUIRED:
+        return _cast(value, kind, path)
     if default is _REQUIRED:
         raise ConfigError(f"missing required config field '{path}'")
     return default
@@ -197,6 +205,10 @@ def _parse_system(cfg: dict) -> SystemSetup:
 
 
 def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
+    """The run configuration in cfg. Each value is read once, out of a copy
+    of cfg, and a key left unread is a ConfigError naming its dotted path;
+    a top-level `sweep` section belongs to the sweep command and is left."""
+    raw, cfg = cfg, copy.deepcopy(cfg)
     system = _parse_system(cfg)
     n = system.hybrid.n
     q0 = _read(cfg, "initial.q", list)
@@ -211,7 +223,8 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     z0 = _read(cfg, "initial.z", float, 0.0)
 
     t_final = _positive(cfg, "run.t_final")
-    formulation = formulation_override or _read(cfg, "run.formulation", str, "lagrangian")
+    formulation = _read(cfg, "run.formulation", str, "lagrangian")
+    formulation = formulation_override or formulation
     if formulation not in ("lagrangian", "hamiltonian"):
         raise ConfigError(
             f"'run.formulation' must be lagrangian or hamiltonian, got {formulation!r}")
@@ -224,11 +237,18 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     samples = _read(cfg, "output.samples", int, 1000)
     if samples < 2:
         raise ConfigError(f"'output.samples' must be >= 2, got {samples}")
-    return RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
-                     t_final=t_final, formulation=formulation, max_events=max_events,
-                     stepper=_read(cfg, "stepper", StepperConfig, StepperConfig()),
-                     events=_read(cfg, "events", EventConfig, EventConfig()),
-                     samples=samples, svg=_read(cfg, "output.svg", bool, True), raw=cfg)
+    rc = RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
+                   t_final=t_final, formulation=formulation, max_events=max_events,
+                   stepper=_read(cfg, "stepper", StepperConfig, StepperConfig()),
+                   events=_read(cfg, "events", EventConfig, EventConfig()),
+                   samples=samples, svg=_read(cfg, "output.svg", bool, True), raw=raw)
+    for path, value in cfg.items():
+        if path != "sweep":
+            while isinstance(value, dict) and value:   # down to the first unread key
+                key, value = next(iter(value.items()))
+                path += "." + key
+            raise ConfigError(f"'{path}' is not a config setting")
+    return rc
 
 
 def build_system(rc: RunConfig):
@@ -460,17 +480,17 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     path = _read(cfg, "sweep.path", str)
-    values = cfg["sweep"].get("values")
+    values = cfg.pop("sweep", {}).get("values")   # the runs see no sweep section
     if not isinstance(values, list) or not values:
         raise ConfigError("'sweep.values' must be a non-empty list")
 
     *head, last = path.split(".")
     runs = []
     for i, val in enumerate(values):
-        run_cfg = copy.deepcopy(cfg)
-        del run_cfg["sweep"]
-        node = _read(run_cfg, ".".join(head), dict, None) if head else run_cfg
-        if node is None or last not in node:
+        run_cfg = node = copy.deepcopy(cfg)
+        for part in head:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or last not in node:
             raise ConfigError(f"'sweep.path' does not resolve: {path}")
         node[last] = val
         out_dir = f"run_{i:03d}"

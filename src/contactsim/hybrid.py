@@ -29,7 +29,7 @@ from .integrate import (
     EventConfig,
     StepperConfig,
     TrajectorySegment,
-    _eval_phases,
+    _eval_segments,
     integrate_until_event,
 )
 
@@ -96,10 +96,6 @@ class HybridSystem:
 
     def state_from_vector(self, y: np.ndarray, t: float):
         return self.dynamics.state_type.from_vector(y, self.n, t)
-
-    def rhs(self) -> Callable:
-        """The flat field f(t, y) on [q, x, z] that the integrator steps."""
-        return self.dynamics.vector_field
 
     def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
         if callable(self.resolver):
@@ -173,8 +169,9 @@ class SampleTable:
 
 
 def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
-    """``state_at(t)`` for every time in ts, one row per time, with the flow
-    phase and the dense segment that ``state_at`` picks for each time."""
+    """``state_at(t)`` for every time in ts but an event time, one row per
+    time: each time is evaluated on the dense step that starts last at or
+    before it, whose knots hold the flow phases' end states."""
     if not ts.size:
         return np.empty((0, 2 * traj.n + 1))
     if not traj.segments:
@@ -183,9 +180,9 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
     if outside.size:
         raise TimeOutOfRange(f"t={float(ts[outside[0]])} outside trajectory span "
                              f"[{traj.t0}, {traj.t_end}]")
-    phase = np.searchsorted([run.t0 for run in traj.segments], ts, side="right") - 1
-    np.maximum(phase, 0, out=phase)
-    return _eval_phases(traj.segments, phase, ts)
+    steps = [seg for run in traj.segments for seg in run.segments]
+    which = np.searchsorted([seg.t0 for seg in steps], ts, side="right") - 1
+    return _eval_segments(steps, np.maximum(which, 0), ts)
 
 
 def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:
@@ -237,7 +234,6 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     if not t_final > s0.t:
         raise ValueError(f"t_final={t_final} must exceed the start time {s0.t}")
 
-    rhs = hs.rhs()
     traj = HybridTrajectory(formulation=hs.formulation, n=hs.n)
     t = float(s0.t)
     y = s0.as_vector()
@@ -246,8 +242,8 @@ def simulate(hs: HybridSystem, s0, t_final: float,
 
     while True:
         try:
-            run = integrate_until_event(rhs, t, y, t_final, hs.surface, cfg, ev,
-                                        n_q=hs.n, armed=armed)
+            run = integrate_until_event(hs.dynamics.vector_field, t, y, t_final,
+                                        hs.surface, cfg, ev, n_q=hs.n, armed=armed)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj

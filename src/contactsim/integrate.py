@@ -123,7 +123,7 @@ class EventConfig:
 
 
 class DenseSegment:
-    """Quartic interpolant over one accepted step, possibly truncated.
+    """Quartic interpolant over one accepted step, possibly cut short.
 
     The interpolant is built on the full step [t0, t0 + h_step]; the valid
     window [t0, t1] may end earlier when an event cut the step short or
@@ -173,20 +173,6 @@ class DenseSegment:
              + (2.0 * th - 3.0 * th * th) * self._r4
              + (2.0 * th - 6.0 * th * th + 4.0 * th ** 3) * self._r5)
         return d / self.h_step
-
-    def truncated(self, t_end: float, y_end: np.ndarray) -> "DenseSegment":
-        """Copy of this segment whose valid window stops at t_end."""
-        seg = DenseSegment.__new__(DenseSegment)
-        seg.h_step = self.h_step
-        seg.t0 = self.t0
-        seg.t1 = float(t_end)
-        seg.y0 = self.y0
-        seg.y1 = np.array(y_end, dtype=float)
-        seg._r2 = self._r2
-        seg._r3 = self._r3
-        seg._r4 = self._r4
-        seg._r5 = self._r5
-        return seg
 
 
 def _interpolate(ts, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
@@ -293,21 +279,6 @@ class TrajectorySegment:
         i = bisect.bisect_right(self.segments, t, key=lambda d: d.t0) - 1
         i = min(max(i, 0), len(self.segments) - 1)
         return self.segments[i].eval(t)
-
-
-def _eval_phases(phases: list, phase: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Row k is ``phases[phase[k]].eval(ts[k])`` for ts[k] inside that phase,
-    with its dense-segment choice and its own end states, batched."""
-    pieces = [d for run in phases for d in run.segments]
-    counts = np.array([len(run.segments) for run in phases])
-    ends = np.cumsum(counts)[phase]
-    which = np.searchsorted([d.t0 for d in pieces], ts, side="right") - 1
-    out = _eval_segments(pieces, np.clip(which, ends - counts[phase], ends - 1), ts)
-    # a phase's own end states take precedence, the start before the end
-    for t_end, y_end in (("t1", "y1"), ("t0", "y0")):
-        at = ts == np.array([getattr(run, t_end) for run in phases])[phase]
-        out[at] = np.array([getattr(run, y_end) for run in phases])[phase[at]]
-    return out
 
 
 def _project_to_surface(q: np.ndarray, surface) -> np.ndarray:
@@ -457,7 +428,8 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
             bracket, armed = _scan(seg, surface, n_q, armed)
             if bracket is not None:
                 hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
-                segments.append(seg.truncated(hit.t, hit.y))
+                seg.t1, seg.y1 = hit.t, hit.y.copy()   # the step ends at the hit
+                segments.append(seg)
                 return TrajectorySegment(
                     t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
                     y1=hit.y.copy(), segments=segments, hit=hit, n_steps=steps)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsim import (
     BilliardSpec,
@@ -26,9 +28,14 @@ from contactsim import (
     resolve_impact_natural,
     simulate,
 )
-from contactsim import checks, core, impact
+from contactsim import core, impact
 from contactsim.billiards import angular_momentum
-from contactsim.checks import CheckReport, check_decay_laws, check_row_decay_laws
+from contactsim.checks import (
+    FLOW_TOL,
+    CheckReport,
+    check_decay_laws,
+    check_row_decay_laws,
+)
 from contactsim.impact import SwitchingSurface, impact_residuals
 
 
@@ -89,6 +96,20 @@ class TestEnergyDecay:
         # the worst violation sits at or after the tampered event
         assert rep.location >= traj.events[2].t
 
+    def test_tampered_dense_step_fails(self, circle_billiard):
+        # one step's velocity block scaled by 1 + 1e-6 at its stored ends and
+        # in its interpolant: the energy there is off by about 2e-6
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        traj = simulate(circle_billiard, s0, 10.0, StepperConfig(), EventConfig())
+        assert check_energy_decay(traj, circle_billiard.dynamics).passed
+        seg = traj.segments[3].segments[1]
+        for name in ("y0", "y1", "_r2", "_r3", "_r4", "_r5"):
+            getattr(seg, name)[2:4] *= 1.0 + 1e-6
+        rep = check_energy_decay(traj, circle_billiard.dynamics)
+        assert not rep.passed
+        assert 1e-6 < rep.max_violation < 1e-5
+        assert seg.t0 <= rep.location <= seg.t1
+
     def test_empty_trajectory_rejected(self, circle_billiard):
         from contactsim.hybrid import HybridTrajectory
         empty = HybridTrajectory(formulation="lagrangian", n=2)
@@ -138,7 +159,7 @@ class TestNonFiniteFlowValues:
             traj, lambda s: float("nan") if s.t > 2.0 else angular_momentum(s),
             hs.dynamics)
         assert not rep.passed and rep.max_violation == np.inf
-        assert 2.0 < rep.location < 2.2
+        assert rep.location == next(t for t in node_times(traj) if t > 2.0)
 
     def test_nan_rate_fails_at_first_nan_node(self):
         # the rate accessor rejects a NaN dH/dz, as it does a NaN dL/dz
@@ -149,27 +170,36 @@ class TestNonFiniteFlowValues:
             check_energy_decay(traj, sys)
 
 
-def scalar_decay_law(traj, sys, f, pairs=16):
-    """The decay law node by node: TrajectorySegment.eval at np.linspace
-    nodes, one state per node, a running Simpson sum. The batched pass must
-    reproduce it bit for bit."""
+def step_nodes(seg):
+    """A dense step's check nodes: its two ends and its midpoint."""
+    return seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1
+
+
+def node_times(traj):
+    return [t for run in traj.segments for seg in run.segments for t in step_nodes(seg)]
+
+
+def scalar_decay_law(traj, sys, f):
+    """The decay law node by node: TrajectorySegment.eval at each dense
+    step's nodes, one state per node, and a running sum of each step's
+    Simpson integral, with the quadratic's integral up to its midpoint.
+    The batched pass must reproduce it bit for bit."""
     worst, worst_t, f0, log_ref = 0.0, None, None, 0.0
     for run in traj.segments:
-        if run.t1 <= run.t0:
-            continue
-        ts = np.linspace(run.t0, run.t1, 2 * pairs + 1)
-        states = [sys.state_type.from_vector(run.eval(t), traj.n, t) for t in ts]
-        rates = [sys.rate(s) for s in states]
-        values = [float(f(s)) for s in states[::2]]
-        f0 = values[0] if f0 is None else f0
-        dt = (run.t1 - run.t0) / (2 * pairs)
-        for k, value in enumerate(values):
-            viol = abs(value - f0 * np.exp(log_ref)) / (abs(f0) if f0 != 0.0 else 1.0)
-            if viol > worst:
-                worst, worst_t = viol, float(ts[2 * k])
-            if k < pairs:
-                log_ref += dt / 3.0 * (rates[2 * k] + 4.0 * rates[2 * k + 1]
-                                       + rates[2 * k + 2])
+        for seg in run.segments:
+            ts = step_nodes(seg)
+            states = [sys.state_type.from_vector(run.eval(t), traj.n, t) for t in ts]
+            r0, rm, r1 = (sys.rate(s) for s in states)
+            h = seg.t1 - seg.t0
+            refs = (log_ref, log_ref + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),
+                    log_ref + h / 6.0 * (r0 + 4.0 * rm + r1))
+            for t, s, ref in zip(ts, states, refs):
+                value = float(f(s))
+                f0 = value if f0 is None else f0
+                viol = abs(value - f0 * np.exp(ref)) / (abs(f0) if f0 != 0.0 else 1.0)
+                if viol > worst:
+                    worst, worst_t = viol, t
+            log_ref = refs[2]
     return worst, worst_t
 
 
@@ -231,10 +261,10 @@ class TestOnePass:
 
         spec = dataclasses.replace(hs.dynamics, **{name: recording})
         check_decay_laws(traj, spec, {"energy_decay": spec.energy})
-        # each phase's nodes include both of its ends, where eval returns the
-        # stored end states rather than interpolant values
-        expected = [phase.eval(t) for phase in traj.segments if phase.t1 > phase.t0
-                    for t in np.linspace(phase.t0, phase.t1, 2 * checks._PAIRS + 1)]
+        # each dense step's nodes include both of its ends, where eval returns
+        # the stored end states rather than interpolant values
+        expected = [phase.eval(t) for phase in traj.segments
+                    for seg in phase.segments for t in step_nodes(seg)]
         assert len(seen) == len(expected)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)
@@ -278,9 +308,27 @@ class TestStateDependentRate:
         constant = np.exp(-self.GAMMA * (table.times - table.times[0]))
         return report, float(np.max(np.abs(E - E[0] * constant)) / abs(E[0]))
 
-    def test_dense_check_passes(self, run):
-        hs, traj = run
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.2])
+    def test_dense_check_passes(self, gamma):
+        hs = state_rate_billiard(gamma)
+        traj = simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 20.0)
+        assert traj.status == "Completed"
         assert check_energy_decay(traj, hs.dynamics).passed
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(gamma=st.floats(0.0, 0.2), radius=st.floats(0.0, 0.9),
+           angle=st.floats(0.0, 2.0 * np.pi), speed=st.floats(0.2, 3.0),
+           heading=st.floats(0.0, 2.0 * np.pi))
+    def test_dense_check_passes_on_random_runs(self, gamma, radius, angle, speed,
+                                               heading):
+        hs = state_rate_billiard(gamma)
+        s0 = ContactStateL(q=radius * np.array([np.cos(angle), np.sin(angle)]),
+                           qdot=speed * np.array([np.cos(heading), np.sin(heading)]),
+                           z=0.0)
+        traj = simulate(hs, s0, 10.0)
+        assert traj.status == "Completed"
+        rep = check_energy_decay(traj, hs.dynamics, FLOW_TOL)
+        assert rep.passed, rep
 
     def test_row_check_is_second_order(self, run):
         hs, traj = run

@@ -136,6 +136,15 @@ class TestSimulate:
         ("output.samples", 10.7, "output.samples"),
         ("stepper", [1, 2], "'stepper'"),
         ("initial.q", [0.5, None], "initial.q"),
+        pytest.param("stepper.rtol", 10 ** 400, "stepper.rtol", id="stepper.rtol-10**400"),
+        # a key that no setting reads, in every section but stepper/events
+        ("output.sampels", 50, "'output.sampels'"),
+        ("run.t_finall", 5, "'run.t_finall'"),
+        ("initial.qdot", [1.0, 1.0], "'initial.qdot'"),
+        ("system.radius_", 2.0, "'system.radius_'"),
+        pytest.param("system.surface", {"kind": "sphere", "radius": 1.0},
+                     "'system.surface.kind'", id="system.surface-on-a-circle"),
+        pytest.param("plot", {}, "'plot'", id="unknown-empty-section"),
     ])
     def test_malformed_value_exits_one_naming_its_path(self, tmp_path, capsys,
                                                        path, value, named):
@@ -145,6 +154,11 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not os.path.exists(out)
+
+    def test_sweep_section_is_let_through(self, tmp_path):
+        # the sweep command's section is the one key that parse_config leaves
+        cfg = short_config(tmp_path, sweep={"path": "system.gamma", "values": [0.0]})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_readme_config_schema_parses_to_the_defaults(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:

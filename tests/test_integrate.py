@@ -170,6 +170,11 @@ class TestEvents:
         assert abs(UNIT_CIRCLE.value(q)) <= 1e-12
         assert UNIT_CIRCLE.gradient(q) @ v < 0.0
         assert run.hit.hdot < 0.0
+        # the last step is cut at the hit and owns its end state
+        seg = run.segments[-1]
+        assert seg.t1 == run.hit.t == run.t1
+        assert seg.y1.tobytes() == run.hit.y.tobytes() == run.y1.tobytes()
+        assert seg.y1 is not run.hit.y and seg.y1 is not run.y1
 
     def test_surface_without_q_block_length_is_rejected(self):
         # without n_q, h = 1 - q.q saw all of [q, v, z] and fired at t = 1.2771
@@ -260,10 +265,12 @@ class TestFlatHotPath:
         assert ends[1].tobytes() == seg.y1.tobytes()
 
     def test_eval_many_on_a_truncated_segment(self):
-        seg = self._segment()
-        t_cut = seg.t0 + 0.37 * (seg.t1 - seg.t0)
-        cut = seg.truncated(t_cut, seg.eval(t_cut) + 1e-3)   # a projected end state
-        ts = np.append(np.linspace(cut.t0, cut.t1, 9), [seg.t1])
+        cut = self._segment()
+        t_full = cut.t1
+        t_cut = cut.t0 + 0.37 * (cut.t1 - cut.t0)
+        # cut in place as at an event, with a projected end state
+        cut.t1, cut.y1 = t_cut, cut.eval(t_cut) + 1e-3
+        ts = np.append(np.linspace(cut.t0, cut.t1, 9), [t_full])
         rows = cut.eval_many(ts)
         assert rows.tobytes() == np.array([cut.eval(t) for t in ts]).tobytes()
         assert rows[8].tobytes() == cut.y1.tobytes()
