@@ -94,6 +94,8 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     The nodes are each dense step's two ends and its midpoint, and one pass
     serves every quantity: each node gets one state, from the step's stored
     end vector or its interpolant, which gives the rate and each f there.
+    A step's start that repeats the end of the step before (same time, same
+    vector) reuses that node, so a flow phase of m steps takes 2m + 1 states.
     Over a step the rate integral is Simpson's rule, and to the midpoint it
     is the integral of the quadratic through the step's three rates.
     """
@@ -106,6 +108,13 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     for k, (seg, (t0, tm, t1)) in enumerate(zip(steps, nodes)):
         # one state per node, dropped once its rate and values are read
         for j, (y, t) in enumerate(((seg.y0, t0), (seg.eval(tm), tm), (seg.y1, t1))):
+            if j == 0 and k and steps[k - 1].t1 == t and np.array_equal(steps[k - 1].y1, y):
+                # an impact's reset changes the vector, so both of its sides
+                # are evaluated
+                rates[k, 0] = rates[k - 1, 2]
+                for f in values.values():
+                    f[k, 0] = f[k - 1, 2]
+                continue
             s = sys.state_type.from_vector(y, traj.n, t)
             rates[k, j] = sys.rate(s)
             for name, f in quantities.items():

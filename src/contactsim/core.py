@@ -472,16 +472,17 @@ def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """Central-difference Jacobian d f_i / d x_j of a function with m
     components, as an (m, len(x)) array, with the first-derivative step; for
     a scalar function (m = 1) row 0 is the gradient."""
+    # one column per coordinate, with the step on Python floats; the plus
+    # and minus points are separate arrays, so a value that aliases its
+    # argument is read before that argument moves back
     J = np.empty((m, x.size))
-    xs = x.copy()
-    hs = _FD_STEP_1 * np.maximum(1.0, np.abs(x))
-    for j in range(x.size):
-        xs[j] = x[j] + hs[j]
-        J[:, j] = f(xs)
-        xs[j] = x[j] - hs[j]
-        J[:, j] -= f(xs)
-        xs[j] = x[j]
-    J /= 2.0 * hs
+    xp, xm = x.copy(), x.copy()
+    for j, xj in enumerate(x.tolist()):
+        h = _FD_STEP_1 * max(1.0, abs(xj))
+        xp[j] = xj + h
+        xm[j] = xj - h
+        J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+        xp[j] = xm[j] = xj
     if not _all_finite(J):
         raise NonFiniteValue("finite-difference Jacobian sampled a non-finite value")
     return J
@@ -507,11 +508,10 @@ def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeB
                             d2L_dqdv=dqdv, d2L_dzdv=dzdv)
 
 
-def evaluate_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeBundle:
-    """Every partial of L at s: analytic where supplied, finite differences
-    of that partial alone where not."""
-    sys.check_state(s)
-    q, v, z = s.q, s.qdot, s.z
+def evaluate_partials(sys: SystemSpec, q: np.ndarray, v: np.ndarray,
+                      z: float) -> DerivativeBundle:
+    """Every partial of L at (q, qdot, z): analytic where supplied, finite
+    differences of that partial alone where not."""
     return DerivativeBundle(dL_dq=sys.grad_q(q, v, z), dL_dv=sys.grad_v(q, v, z),
                             dL_dz=sys.grad_z(q, v, z), W=sys.hess_vv(q, v, z),
                             d2L_dqdv=sys.hess_qv(q, v, z),
@@ -532,14 +532,42 @@ def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
 
 
 def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense LU solve gated by a relative determinant check."""
-    scale = max(1.0, float(np.max(np.abs(W))))
-    det = float(np.linalg.det(W))
-    if abs(det) <= _REG_TOL * scale ** W.shape[0]:
+    """W^-1 rhs for an (n, n) W and an (n,) or (n, k) rhs, from one LU
+    factorization with partial pivoting (Golub & Van Loan, Matrix
+    Computations, 3.2-3.4) on Python floats. The determinant, the signed
+    product of the pivots, gates the solve: |det| <= _REG_TOL scale^n, with
+    scale = max(1, max |W_ij|), raises SingularHessian."""
+    n = rhs.shape[0]
+    if W.shape != (n, n):
+        raise DimensionMismatch(
+            f"cannot solve a system of shape {W.shape} for a right-hand side of shape {rhs.shape}")
+    A = W.tolist()
+    B = rhs.reshape(n, -1).tolist()
+    scale = max(1.0, max(abs(a) for row in A for a in row))
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        if p != k:
+            A[k], A[p], B[k], B[p] = A[p], A[k], B[p], B[k]
+            det = -det
+        pivot = A[k][k]
+        det *= pivot
+        if pivot == 0.0:
+            break   # the column is zero from k down: det = 0 fails the gate
+        for i in range(k + 1, n):
+            mult = A[i][k] / pivot
+            A[i][k + 1:] = [a - mult * b for a, b in zip(A[i][k + 1:], A[k][k + 1:])]
+            B[i] = [a - mult * b for a, b in zip(B[i], B[k])]
+    if abs(det) <= _REG_TOL * scale ** n:
         raise SingularHessian(
             f"velocity Hessian is numerically singular (det={det:.3e}, scale={scale:.3e})"
         )
-    return np.linalg.solve(W, rhs)
+    for k in range(n - 1, -1, -1):
+        acc = B[k]
+        for j in range(k + 1, n):
+            acc = [a - A[k][j] * b for a, b in zip(acc, B[j])]
+        B[k] = [a / A[k][k] for a in acc]
+    return np.array(B).reshape(rhs.shape)
 
 
 def _mass_solve(nat: NaturalForm, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -584,11 +612,13 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
 
         W qddot = dL/dq - (d2L/dq dv) qdot - (d2L/dz dv) L + (dL/dz) dL/dv
 
-    by a dense linear solve, and zdot = L. Raises DimensionMismatch on a
-    vector of the wrong length, NonFiniteValue on a non-finite entry, and
+    and zdot = L. The partials are read at the read-only views (q, qdot, z)
+    of y, and one LU factorization of W gives both the regularity gate and
+    the solve; no state is built. Raises DimensionMismatch on a vector of
+    the wrong length, NonFiniteValue on a non-finite entry, and
     SingularHessian when the velocity Hessian fails the regularity gate. A
-    natural form with a constant, regular mass M skips the solve and builds
-    no state: W = M, both cross partials vanish and dL/dqdot = M qdot, so
+    natural form with a constant, regular mass M skips the solve: W = M,
+    both cross partials vanish and dL/dqdot = M qdot, so
     qddot = M^-1 dL/dq + (dL/dz) qdot with the inverse formed once by the
     SystemSpec.
     """
@@ -600,10 +630,9 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
         out[n:2 * n] = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
         out[2 * n] = sys.value(q, v, z)
         return out
-    s = ContactStateL(q=q, qdot=v, z=z, t=t)
-    d = evaluate_partials(sys, s)
-    Lval = sys.value(s.q, s.qdot, s.z)
-    rhs = d.dL_dq - d.d2L_dqdv @ s.qdot - d.d2L_dzdv * Lval + d.dL_dz * d.dL_dv
+    d = evaluate_partials(sys, q, v, z)
+    Lval = sys.value(q, v, z)
+    rhs = d.dL_dq - d.d2L_dqdv @ v - d.d2L_dzdv * Lval + d.dL_dz * d.dL_dv
     out[n:2 * n] = _solve_regular(d.W, rhs)
     out[2 * n] = Lval
     return out

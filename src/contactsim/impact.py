@@ -216,13 +216,14 @@ def resolve_impact_newton(
 
     n = sys.n
     for _ in range(_NEWTON_MAX_ITER):
-        s_trial = ContactStateL(q=q, qdot=v, z=z, t=t)
+        # one momentum serves the tangential residual and the energy v.p - L
+        p = sys.grad_v(q, v, z)
         F = np.empty(n + 1)
-        F[:n] = sys.grad_v(q, s_trial.qdot, z) - p_minus - lam * g
-        F[n] = lagrangian_energy(sys, s_trial) - e_minus
+        F[:n] = p - p_minus - lam * g
+        F[n] = float(v @ p - sys.value(q, v, z)) - e_minus
         if float(np.max(np.abs(F))) <= _NEWTON_TOL * scale:
             break
-        W = sys.hess_vv(q, s_trial.qdot, z)
+        W = sys.hess_vv(q, v, z)
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = W
         J[:n, n] = -g

@@ -12,6 +12,7 @@ from contactsim import (
     make_elliptical_billiard,
     simulate,
 )
+from contactsim import core
 
 GAMMA_PAPER = 1e-4
 Q0_PAPER = np.array([0.5, 0.0])
@@ -34,3 +35,18 @@ def fig1_trajectory(circle_billiard):
     """The reference circular run: gamma = 1e-4 from (0.5, 0) with v = (1, 1)."""
     s0 = ContactStateL(q=Q0_PAPER, qdot=V0_PAPER, z=0.0, t=0.0)
     return simulate(circle_billiard, s0, 20.0, StepperConfig(), EventConfig())
+
+
+@pytest.fixture
+def states_built(monkeypatch):
+    """The type of every state validated from here on, in order: both state
+    classes validate through the shared base."""
+    built = []
+    validate = core._ContactState._validate
+
+    def counted(self):
+        built.append(type(self))
+        validate(self)
+
+    monkeypatch.setattr(core._ContactState, "_validate", counted)
+    return built

@@ -213,8 +213,44 @@ class TestHerglotzRhs:
         assert np.array_equal(hsys.minv(np.zeros(2)), sys._minv)
 
 
+class TestSolveRegular:
+    """One LU with partial pivoting gives the regularity gate and the solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_numpy_on_well_conditioned_matrices(self, n):
+        rng = np.random.default_rng(40 + n)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            W = n * np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+            for rhs in (rng.uniform(-1.0, 1.0, n), np.eye(n)):
+                got, ref = core._solve_regular(W, rhs), np.linalg.solve(W, rhs)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 4.0 * eps * np.max(np.abs(ref))
+
+    def test_zero_leading_pivot_solves_exactly(self):
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(core._solve_regular(W, np.array([2.0, 3.0])), [3.0, 2.0])
+        assert np.array_equal(core._solve_regular(W, np.eye(2)), W)
+
+    @pytest.mark.parametrize("W, rhs", [
+        (np.ones((2, 3)), np.ones(2)), (np.ones((1, 1)), np.ones(2)),
+        (np.ones(2), np.ones(2)), (np.eye(3), np.eye(2))])
+    def test_shape_mismatch_is_typed(self, W, rhs):
+        with pytest.raises(DimensionMismatch):
+            core._solve_regular(W, rhs)
+
+    @pytest.mark.parametrize("W, message", [
+        ([[1.0, 1.0], [1.0, 1.0]], "det=0.000e+00, scale=1.000e+00"),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], "det=1.000e-12, scale=1.000e+00"),
+    ], ids=["exact", "nearly"])
+    def test_singular_matrices_fail_the_gate(self, W, message):
+        with pytest.raises(SingularHessian) as err:
+            core._solve_regular(np.array(W), np.ones(2))
+        assert str(err.value) == f"velocity Hessian is numerically singular ({message})"
+
+
 def _forbid_bundle(monkeypatch):
-    def fail(sys, s):
+    def fail(*args):
         raise AssertionError("the resolved natural field assembled the partials")
     monkeypatch.setattr(core, "evaluate_partials", fail)
 
@@ -258,9 +294,9 @@ class TestResolvedNaturalField:
     def test_other_systems_keep_the_assembly(self, monkeypatch):
         bundles = []
 
-        def counted(sys, s):
+        def counted(*args):
             bundles.append(1)
-            return evaluate_partials(sys, s)
+            return evaluate_partials(*args)
 
         monkeypatch.setattr(core, "evaluate_partials", counted)
         s = ContactStateL(q=[0.5, 0.1], qdot=[1.0, 0.5], z=0.0)
@@ -318,7 +354,7 @@ def state_path_reference(sys, s):
     if sys._minv is not None:
         qddot = sys._minv @ sys.grad_q(q, x, z) + sys.grad_z(q, x, z) * x
         return np.concatenate([x, qddot, [sys.value(q, x, z)]])
-    d = evaluate_partials(sys, s)
+    d = evaluate_partials(sys, s.q, s.qdot, s.z)
     L = sys.value(q, x, z)
     rhs = d.dL_dq - d.d2L_dqdv @ x - d.d2L_dzdv * L + d.dL_dz * d.dL_dv
     return np.concatenate([x, core._solve_regular(d.W, rhs), [L]])
@@ -552,8 +588,17 @@ class TestFiniteDifferences:
         # difference the supplied dL/dv, 2n + 2n + 2 = 10 calls, and the
         # bundle's own dL/dv takes one more; L is never called
         sys, calls = counted_quartic_system()
-        evaluate_partials(sys, ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3))
+        s = ContactStateL(q=[0.1, 0.2], qdot=[1.0, -0.5], z=0.3)
+        evaluate_partials(sys, s.q, s.qdot, s.z)
         assert calls == {"L": 0, "dL_dv": 11}
+
+    def test_generic_field_reads_the_flat_vector(self, states_built):
+        # one generic field at n = 2: dL/dv once for the bundle and 2(2n + 1)
+        # times for the three differenced second partials, L once, no state
+        sys, calls = counted_quartic_system()
+        herglotz_rhs(sys, 0.0, np.array([0.1, 0.2, 1.0, -0.5, 0.3]))
+        assert calls == {"L": 1, "dL_dv": 11}
+        assert states_built == []
 
     def test_second_partials_without_dL_dv_difference_the_lagrangian(self):
         # all-FD, n = 2: W takes 9 calls of L, d2L/dq dv 16 and d2L/dz dv 8
@@ -575,8 +620,8 @@ class TestFiniteDifferences:
     def test_differenced_momentum_matches_analytic_second_partials(self, q, v, z):
         exact = coupled_analytic_system()
         s = ContactStateL(q=q, qdot=v, z=z)
-        an = evaluate_partials(exact, s)
-        fd = evaluate_partials(without_second_partials(exact), s)
+        an = evaluate_partials(exact, s.q, s.qdot, s.z)
+        fd = evaluate_partials(without_second_partials(exact), s.q, s.qdot, s.z)
         for name in ("W", "d2L_dqdv", "d2L_dzdv"):
             a, b = getattr(an, name), getattr(fd, name)
             assert np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(a)))) < 1e-9, name
@@ -605,7 +650,7 @@ class TestFiniteDifferences:
                                 z=rng.uniform(-3, 3)) for _ in range(5)]
         states += [ContactStateL(q=q, qdot=v, z=z) for q, v, z in fd_grid()]
         for s in states:
-            got = evaluate_partials(sys, s)
+            got = evaluate_partials(sys, s.q, s.qdot, s.z)
             ref = finite_difference_partials(sys, s)
             for f in dataclasses.fields(ref):
                 assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
@@ -669,7 +714,7 @@ class TestFiniteDifferences:
                 s = ContactStateL(q=rng.uniform(-1, 1, 2),
                                   qdot=rng.uniform(-2, 2, 2),
                                   z=rng.uniform(-1, 1))
-                an = evaluate_partials(sys, s)
+                an = evaluate_partials(sys, s.q, s.qdot, s.z)
                 fd = finite_difference_partials(sys, s)
                 for a, b in ((an.dL_dq, fd.dL_dq), (an.dL_dv, fd.dL_dv),
                              (an.W, fd.W), (an.d2L_dqdv, fd.d2L_dqdv),
@@ -687,7 +732,8 @@ class TestNonFinitePartials:
     def test_evaluate_partials_rejects_nan_action_partial(self):
         sys = self.nan_rate(billiard_system())
         with pytest.raises(NonFiniteValue, match="dL_dz"):
-            evaluate_partials(sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+            s = ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0)
+            evaluate_partials(sys, s.q, s.qdot, s.z)
 
     def test_herglotz_rhs_rejects_nan_action_partial(self):
         sys = self.nan_rate(billiard_system())
@@ -725,7 +771,7 @@ class TestStructuralIdentities:
 
                 lhs = _directional_derivative(energy_of, s.as_vector(), d)
                 E = lagrangian_energy(sys, s)
-                dLdz = evaluate_partials(sys, s).dL_dz
+                dLdz = evaluate_partials(sys, s.q, s.qdot, s.z).dL_dz
                 assert abs(lhs - dLdz * E) / max(1.0, abs(E)) < 1e-6
 
     def test_hamiltonian_identity(self):
@@ -756,7 +802,7 @@ class TestStructuralIdentities:
                               qdot=rng.uniform(-2, 2, 2),
                               z=rng.uniform(-1, 1))
             qdot, qddot, zdot = field(herglotz_rhs, sys, s)
-            d = evaluate_partials(sys, s)
+            d = evaluate_partials(sys, s.q, s.qdot, s.z)
             pdot_pushed = d.d2L_dqdv @ qdot + d.W @ qddot + d.d2L_dzdv * zdot
             sh = legendre_forward(sys, s)
             qdot_h, pdot_h, zdot_h = field(hamiltonian_rhs, hsys, sh)

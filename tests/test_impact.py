@@ -277,6 +277,27 @@ class TestNewtonResolver:
         with pytest.raises(NoConvergence, match="Jacobian is singular"):
             resolve_impact_newton(sys, s, UNIT_CIRCLE)
 
+    def test_one_state_per_impact(self, states_built):
+        # the iterates are flat vectors; only the post-impact state is built
+        sys = self._quartic_with_hessian(
+            lambda q, v, z: (1.0 + 0.2 * float(v @ v)) * np.eye(2) + 0.4 * np.outer(v, v))
+        rng = np.random.default_rng(108)
+        states = [ContactStateL(q=q, qdot=v, z=0.0) for q, v in random_circle_states(rng, 20)]
+        states_built.clear()
+        results = [resolve_impact_newton(sys, s, UNIT_CIRCLE) for s in states]
+        assert states_built == [ContactStateL] * len(states)
+        assert all(max(res.residuals) <= 1e-10 for res in results)
+
+    def test_non_finite_newton_iterate_is_typed(self):
+        # W collapses to 1e-320 I away from the pre-impact velocity, so the
+        # first Newton step overflows to an infinite velocity
+        v_minus = np.array([1.0, 0.2])
+        sys = self._quartic_with_hessian(
+            lambda q, v, z: np.eye(2) if np.array_equal(v, v_minus) else 1e-320 * np.eye(2))
+        s = ContactStateL(q=[1.0, 0.0], qdot=v_minus, z=0.0)
+        with pytest.raises(NonFiniteValue):
+            resolve_impact_newton(sys, s, UNIT_CIRCLE)
+
     def test_no_reflecting_root_is_reported(self):
         # 1-D cubic-kinetic Lagrangian whose energy condition has no real
         # nontrivial root at v = -1; the solve must not fake a reflection
