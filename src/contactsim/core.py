@@ -62,7 +62,8 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP_1 = _EPS ** (1.0 / 3.0)
 _FD_STEP_2 = _EPS ** 0.25
 
-# Relative determinant gate for Hessian regularity.
+# Regularity gate of _solve_regular: |det W| over the product of W's row
+# max-norms, a measure that does not change when W is scaled.
 _REG_TOL = 1e-10
 _LEGENDRE_MAX_ITER = 50
 _LEGENDRE_TOL = 1e-12
@@ -349,10 +350,9 @@ class SystemSpec(_Spec):
 class HamiltonianSpec(_Spec):
     """A contact Hamiltonian system H(q, p, z) with optional partials.
 
-    Missing partials fall back to central finite differences. ``minv``,
-    the inverse mass matrix evaluator, is attached when the system is
-    derived from a natural-form Lagrangian; the impact resolver uses it
-    for the closed-form impulse.
+    Missing partials fall back to central finite differences. The impact
+    resolver needs only H and dH/dp, so a Hamiltonian derived from a
+    natural-form Lagrangian carries no inverse mass matrix of its own.
     """
 
     n: int
@@ -360,7 +360,6 @@ class HamiltonianSpec(_Spec):
     dH_dq: Optional[Callable] = None
     dH_dp: Optional[Callable] = None
     dH_dz: Optional[Callable] = None
-    minv: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     state_type = ContactStateH
     formulation = "hamiltonian"
@@ -528,40 +527,47 @@ def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
     For a natural-form system this equals kinetic + potential + gamma z.
     """
     sys.check_state(s)
-    return float(s.qdot @ sys.grad_v(s.q, s.qdot, s.z) - sys.value(s.q, s.qdot, s.z))
+    return _energy(sys, s.q, s.qdot, s.z)
+
+
+def _energy(sys: SystemSpec, q: np.ndarray, v: np.ndarray, z: float) -> float:
+    return float(v @ sys.grad_v(q, v, z) - sys.value(q, v, z))
 
 
 def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """W^-1 rhs for an (n, n) W and an (n,) or (n, k) rhs, from one LU
     factorization with partial pivoting (Golub & Van Loan, Matrix
-    Computations, 3.2-3.4) on Python floats. The determinant, the signed
-    product of the pivots, gates the solve: |det| <= _REG_TOL scale^n, with
-    scale = max(1, max |W_ij|), raises SingularHessian."""
+    Computations, 3.2-3.4) on Python floats. This is the only matrix solve
+    of the package. The factorization gates the solve: with r_i the max-norm
+    of row i, |det W| / (r_1 ... r_n) <= _REG_TOL (or not a number) raises
+    SingularHessian. The ratio is accumulated as one |pivot| / r_i factor
+    per pivot, so it is the same for c W as for W at any c > 0, and it
+    neither underflows nor overflows at scales far from 1; by Hadamard's
+    inequality it is at most n^(n/2)."""
     n = rhs.shape[0]
     if W.shape != (n, n):
         raise DimensionMismatch(
             f"cannot solve a system of shape {W.shape} for a right-hand side of shape {rhs.shape}")
     A = W.tolist()
     B = rhs.reshape(n, -1).tolist()
-    scale = max(1.0, max(abs(a) for row in A for a in row))
-    det = 1.0
+    norms = [max(map(abs, row)) for row in A]
+    ratio = 1.0
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(A[i][k]))
         if p != k:
-            A[k], A[p], B[k], B[p] = A[p], A[k], B[p], B[k]
-            det = -det
+            A[k], A[p], B[k], B[p], norms[k], norms[p] = A[p], A[k], B[p], B[k], norms[p], norms[k]
         pivot = A[k][k]
-        det *= pivot
         if pivot == 0.0:
-            break   # the column is zero from k down: det = 0 fails the gate
+            ratio = 0.0   # the column is zero from k down: W is singular
+            break
+        ratio *= abs(pivot) / norms[k]
         for i in range(k + 1, n):
             mult = A[i][k] / pivot
             A[i][k + 1:] = [a - mult * b for a, b in zip(A[i][k + 1:], A[k][k + 1:])]
             B[i] = [a - mult * b for a, b in zip(B[i], B[k])]
-    if abs(det) <= _REG_TOL * scale ** n:
+    if not ratio > _REG_TOL:
         raise SingularHessian(
-            f"velocity Hessian is numerically singular (det={det:.3e}, scale={scale:.3e})"
-        )
+            f"velocity Hessian is numerically singular (|det| / row max-norms = {ratio:.3e})")
     for k in range(n - 1, -1, -1):
         acc = B[k]
         for j in range(k + 1, n):
@@ -571,10 +577,11 @@ def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _mass_solve(nat: NaturalForm, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M(q)^-1 rhs; a singular M(q) raises SingularMassMatrix."""
+    """M(q)^-1 rhs by _solve_regular; an M(q) that fails its gate raises
+    SingularMassMatrix."""
     try:
-        return np.linalg.solve(nat.mass_matrix(q), rhs)
-    except np.linalg.LinAlgError as e:
+        return _solve_regular(nat.mass_matrix(q), rhs)
+    except SingularHessian as e:
         raise SingularMassMatrix(f"mass matrix singular at q={q}") from e
 
 
@@ -668,23 +675,26 @@ def legendre_forward(sys: SystemSpec, s: ContactStateL) -> ContactStateH:
 def legendre_inverse(sys: SystemSpec, s: ContactStateH) -> ContactStateL:
     """Invert the Legendre transform: recover qdot with dL/dqdot = p.
 
-    Natural-form systems invert the mass matrix directly; otherwise a
+    Natural-form systems solve with the mass matrix directly; otherwise a
     Newton iteration seeded at qdot = p runs until the residual max-norm
-    drops below 1e-12 (raises NoConvergence after 50 iterations).
+    drops below 1e-12 (raises NoConvergence after 50 iterations). The
+    iterates are flat arrays; only the returned state is built.
     """
     sys.check_state(s)
-    if sys.natural is not None:
-        return ContactStateL(q=s.q, qdot=_mass_solve(sys.natural, s.q, s.p), z=s.z, t=s.t)
+    return ContactStateL(q=s.q, qdot=_legendre_velocity(sys, s.q, s.p, s.z), z=s.z, t=s.t)
 
-    qdot = s.p.copy()
-    scale = float(np.max(np.abs(s.p))) if s.p.size else 0.0
-    threshold = max(_LEGENDRE_TOL, 32.0 * _EPS * scale)
+
+def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) -> np.ndarray:
+    """The qdot of ``legendre_inverse`` at the arrays (q, p, z)."""
+    if sys.natural is not None:
+        return _mass_solve(sys.natural, q, p)
+    qdot = p.copy()
+    threshold = max(_LEGENDRE_TOL, 32.0 * _EPS * float(np.max(np.abs(p))))
     for _ in range(_LEGENDRE_MAX_ITER):
-        trial = ContactStateL(q=s.q, qdot=qdot, z=s.z, t=s.t)
-        resid = sys.grad_v(trial.q, trial.qdot, trial.z) - s.p
+        resid = sys.grad_v(q, qdot, z) - p
         if float(np.max(np.abs(resid))) <= threshold:
-            return trial
-        qdot = qdot - _solve_regular(sys.hess_vv(trial.q, trial.qdot, trial.z), resid)
+            return qdot
+        qdot = qdot - _solve_regular(sys.hess_vv(q, qdot, z), resid)
     raise NoConvergence(
         f"Legendre inversion did not converge in {_LEGENDRE_MAX_ITER} Newton iterations"
     )
@@ -694,9 +704,10 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
     """Build the dual contact Hamiltonian H = E_L after Legendre inversion.
 
     The partials use the exact transform identities dH/dp = qdot,
-    dH/dq = -dL/dq and dH/dz = -dL/dz, each evaluated at the recovered
-    velocity. Natural-form systems with constant mass and a supplied
-    potential gradient get fully closed-form evaluators.
+    dH/dq = -dL/dq and dH/dz = -dL/dz, each evaluated at the velocity
+    that the array-level Legendre inversion recovers; no state is built.
+    Natural-form systems with constant mass and a supplied potential
+    gradient get fully closed-form evaluators.
     """
     nat = sys.natural
     if nat is not None and nat.constant_mass:
@@ -714,26 +725,19 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
             dH_dq=lambda q, p, z: nat.potential_gradient(q),
             dH_dp=lambda q, p, z: Minv @ p,
             dH_dz=lambda q, p, z: gamma,
-            minv=lambda q: Minv,
         )
 
     def H(q, p, z):
-        sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
-        return lagrangian_energy(sys, sl)
+        return _energy(sys, q, _legendre_velocity(sys, q, p, z), z)
 
     def dH_dq(q, p, z):
-        sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
-        return -sys.grad_q(sl.q, sl.qdot, sl.z)
-
-    def dH_dp(q, p, z):
-        return legendre_inverse(sys, ContactStateH(q=q, p=p, z=z)).qdot
+        return -sys.grad_q(q, _legendre_velocity(sys, q, p, z), z)
 
     def dH_dz(q, p, z):
-        sl = legendre_inverse(sys, ContactStateH(q=q, p=p, z=z))
-        return -sys.grad_z(sl.q, sl.qdot, sl.z)
+        return -sys.grad_z(q, _legendre_velocity(sys, q, p, z), z)
 
-    return HamiltonianSpec(n=sys.n, hamiltonian=H, dH_dq=dH_dq, dH_dp=dH_dp, dH_dz=dH_dz,
-                           minv=None if nat is None else lambda q: _mass_solve(nat, q, np.eye(sys.n)))
+    return HamiltonianSpec(n=sys.n, hamiltonian=H, dH_dq=dH_dq,
+                           dH_dp=lambda q, p, z: _legendre_velocity(sys, q, p, z), dH_dz=dH_dz)
 
 
 def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
+    SingularHessian,
 )
 from .integrate import EventConfig
 
@@ -49,7 +50,6 @@ __all__ = [
     "impact_violation",
 ]
 
-_EPS = float(np.finfo(float).eps)
 _BOUNDARY_TOL = 1e-9       # |h| of a state on the surface
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
@@ -197,11 +197,15 @@ def resolve_impact_newton(
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
     ansatz dL/dqdot(q, qdot_plus, z) - dL/dqdot(q, qdot_minus, z) =
     lam grad h together with the energy match, seeded from the
-    quadratic-case formula built on the velocity Hessian. A singular
-    Hessian at the seed raises SingularHessian and a singular Newton
-    Jacobian raises NoConvergence. A solve that lands back on the
-    identity root is reported as ConvergedToIdentity, never silently
-    accepted.
+    quadratic-case formula built on the velocity Hessian. Each Newton
+    step solves the bordered system [[W, -grad h], [W^T v, 0]] by its
+    Schur complement, W^T v being the exact dE/dqdot: the multiplier step
+    is (v . F_1 - F_2) / (v . grad h) for the momentum and energy
+    residuals F_1, F_2, and one solve with W gives the velocity step. A
+    singular Hessian at the seed raises SingularHessian; a singular W or
+    v . grad h = 0 during the iteration raises NoConvergence. A solve that
+    lands back on the identity root is reported as ConvergedToIdentity,
+    never silently accepted.
     """
     g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
@@ -214,26 +218,19 @@ def resolve_impact_newton(
     lam = -2.0 * vn / float(g @ w_inv_g)
     v = s_minus.qdot + lam * w_inv_g
 
-    n = sys.n
     for _ in range(_NEWTON_MAX_ITER):
         # one momentum serves the tangential residual and the energy v.p - L
         p = sys.grad_v(q, v, z)
-        F = np.empty(n + 1)
-        F[:n] = p - p_minus - lam * g
-        F[n] = float(v @ p - sys.value(q, v, z)) - e_minus
-        if float(np.max(np.abs(F))) <= _NEWTON_TOL * scale:
+        F1 = p - p_minus - lam * g
+        F2 = float(v @ p - sys.value(q, v, z)) - e_minus
+        if max(float(np.max(np.abs(F1))), abs(F2)) <= _NEWTON_TOL * scale:
             break
-        W = sys.hess_vv(q, v, z)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = W
-        J[:n, n] = -g
-        J[n, :n] = W @ v   # dE/dqdot
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as e:
+        try:   # a Python float division by v . grad h = 0 raises
+            dlam = (float(v @ F1) - F2) / float(v @ g)
+            v = v + _solve_regular(sys.hess_vv(q, v, z), dlam * g - F1)
+        except (ZeroDivisionError, SingularHessian) as e:
             raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
-        v = v + delta[:n]
-        lam = lam + delta[n]
+        lam = lam + dlam
     else:
         raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
@@ -253,41 +250,32 @@ def resolve_impact_hamiltonian(
         grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
     """Momentum-side impact: p_plus = p_minus + lam grad h with H unchanged.
 
-    Systems carrying an inverse-metric evaluator get the closed-form
-    multiplier; otherwise the nontrivial root of the scalar energy
-    equation is found by Newton from a curvature-based seed.
+    The nonzero root lam of H(q, p_minus + lam grad h, z) = H_minus is found
+    by Newton from the quadratic-case seed lam = -2 vn / c, with vn the
+    normal velocity grad h . dH/dp(p_minus) and c the secant curvature
+    grad h . (dH/dp(p_minus + grad h) - dH/dp(p_minus)). The seed is the
+    root itself for any H quadratic in p, so a natural-form system stops
+    there; the same iteration serves every other H.
     """
     g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = s_minus.p
-
-    if sys.minv is not None:
-        Minv = np.asarray(sys.minv(q), dtype=float)
-        lam = -2.0 * float(g @ (Minv @ p_minus)) / float(g @ (Minv @ g))
+    H_minus = sys.value(q, p_minus, z)
+    curv = float(g @ sys.grad_p(q, p_minus + g, z)) - vn
+    if curv == 0.0:
+        raise NoConvergence("energy is flat along grad h; no reflecting root")
+    lam = -2.0 * vn / curv
+    scale = max(1.0, abs(H_minus))
+    for _ in range(_NEWTON_MAX_ITER):
+        r = sys.value(q, p_minus + lam * g, z) - H_minus
+        if abs(r) <= _NEWTON_TOL * scale:
+            break
+        slope = float(g @ sys.grad_p(q, p_minus + lam * g, z))
+        if slope == 0.0:
+            raise NoConvergence(f"impact Newton slope vanished at lam={lam:.3e}")
+        lam = lam - r / slope
     else:
-        H_minus = sys.value(q, p_minus, z)
-
-        def root_fn(lmb: float) -> float:
-            return sys.value(q, p_minus + lmb * g, z) - H_minus
-
-        # curvature of H along grad h gives the quadratic-case root estimate
-        eps = _EPS ** 0.25 * (1.0 + float(np.max(np.abs(p_minus)))) / (
-            1.0 + float(np.max(np.abs(g))))
-        curv = (root_fn(eps) + root_fn(-eps)) / (eps * eps)
-        if curv == 0.0:
-            raise NoConvergence("energy is flat along grad h; no reflecting root")
-        lam = -2.0 * vn / curv
-        scale = max(1.0, abs(H_minus))
-        for _ in range(_NEWTON_MAX_ITER):
-            r = root_fn(lam)
-            if abs(r) <= _NEWTON_TOL * scale:
-                break
-            slope = float(g @ sys.grad_p(q, p_minus + lam * g, z))
-            if slope == 0.0:
-                raise NoConvergence(f"impact Newton slope vanished at lam={lam:.3e}")
-            lam = lam - r / slope
-        else:
-            raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
+        raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
     p_plus = p_minus + lam * g
     vn_plus = float(g @ sys.grad_p(q, p_plus, z))

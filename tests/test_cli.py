@@ -478,6 +478,16 @@ class TestShippedConfigs:
             summary = json.load(fh)
         assert summary["n_events"] >= 10
 
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_small_mass_runs_and_checks(self, tmp_path, formulation):
+        # the regularity gate is relative, so a 1e-6 mass is not singular
+        cfg = short_config(tmp_path, **{"system.mass": 1e-6})
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out,
+                     "--formulation", formulation]) == 0
+        assert main(["check", "--csv", os.path.join(out, "trajectory.csv"),
+                     "--config", cfg]) == 0
+
     def test_reference_ellipse_config_runs(self, tmp_path):
         out = str(tmp_path / "fig2")
         assert main(["simulate", "--config", ELLIPSE_CONFIG, "--out", out]) == 0

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import re
 
 import numpy as np
 import pytest
@@ -210,7 +212,8 @@ class TestHerglotzRhs:
                 hamiltonian_from_lagrangian(sys)
         sys = natural_lagrangian_system(n=2, mass=np.array([[2.0, 0.3], [0.3, 1.0]]))
         hsys = hamiltonian_from_lagrangian(sys)
-        assert np.array_equal(hsys.minv(np.zeros(2)), sys._minv)
+        p = np.array([0.7, -1.3])
+        assert hsys.grad_p(np.zeros(2), p, 0.0).tobytes() == (sys._minv @ p).tobytes()
 
 
 class TestSolveRegular:
@@ -240,13 +243,58 @@ class TestSolveRegular:
             core._solve_regular(W, rhs)
 
     @pytest.mark.parametrize("W, message", [
-        ([[1.0, 1.0], [1.0, 1.0]], "det=0.000e+00, scale=1.000e+00"),
-        ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], "det=1.000e-12, scale=1.000e+00"),
+        ([[1.0, 1.0], [1.0, 1.0]], "|det| / row max-norms = 0.000e+00"),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], "|det| / row max-norms = 1.000e-12"),
     ], ids=["exact", "nearly"])
     def test_singular_matrices_fail_the_gate(self, W, message):
         with pytest.raises(SingularHessian) as err:
             core._solve_regular(np.array(W), np.ones(2))
         assert str(err.value) == f"velocity Hessian is numerically singular ({message})"
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("W", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-12]]],
+                             ids=["exact", "nearly"])
+    def test_singular_matrices_fail_the_gate_at_every_scale(self, W, scale):
+        with pytest.raises(SingularHessian):
+            core._solve_regular(scale * np.array(W), np.ones(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(-100, 100))
+    def test_gate_and_solution_are_scale_invariant(self, data, n, k):
+        # small-integer matrices are exactly singular or have |det| >= 1, so
+        # rounding the scaled entries cannot move a draw across the gate
+        ints = st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)
+        W = np.array(data.draw(ints), dtype=float).reshape(n, n)
+        b = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+                     dtype=float)
+
+        def solve(A):
+            try:
+                return core._solve_regular(A, b)
+            except SingularHessian:
+                return None
+
+        x, x_dec = solve(W), solve(10.0 ** k * W)
+        j = round(k * np.log2(10.0))
+        x_bin = solve(2.0 ** j * W)
+        assert (x is None) == (x_dec is None) == (x_bin is None)
+        if x is not None:
+            # a power-of-two scale is exact, and so is every step of the LU
+            assert (x_bin * 2.0 ** j).tobytes() == x.tobytes()
+            # a decimal scale rounds each entry once, which moves the solution
+            # by at most a few ulp times the condition number
+            bound = 4.0 * np.finfo(float).eps * np.linalg.cond(W, np.inf)
+            assert np.max(np.abs(x_dec * 10.0 ** k - x)) <= bound * np.max(np.abs(x))
+
+    def test_no_other_matrix_solve_in_the_package(self):
+        pattern = re.compile(r"linalg\.(solve|inv|det|lstsq)\b|from numpy\.linalg import")
+        package = os.path.dirname(core.__file__)
+        hits = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name)) as fh:
+                    hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if pattern.search(line)]
+        assert hits == []
 
 
 def _forbid_bundle(monkeypatch):
@@ -470,9 +518,30 @@ class TestLegendre:
             legendre_inverse(sys, ContactStateH(q=q, p=[1.0, 1.0], z=0.0))
         hsys = hamiltonian_from_lagrangian(sys)
         with pytest.raises(SingularMassMatrix):
-            hsys.minv(q)
-        assert np.array_equal(hsys.minv(np.array([2.0, 0.5])),
-                              np.linalg.inv(np.diag([1.0, 4.0])))
+            hsys.grad_p(q, np.array([1.0, 1.0]), 0.0)
+        assert np.array_equal(hsys.grad_p(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 0.0),
+                              np.linalg.inv(np.diag([1.0, 4.0])) @ [1.0, 1.0])
+
+    def test_nearly_singular_configuration_mass_is_typed(self):
+        # the same gate as for a constant mass: det = 1e-13 fails it, though
+        # an LU without the gate returns qdot near (1e13, -1e13)
+        sys = natural_lagrangian_system(n=2, mass=lambda q: [[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        with pytest.raises(SingularMassMatrix):
+            legendre_inverse(sys, ContactStateH(q=[0.0, 0.0], p=[1.0, 0.0], z=0.0))
+
+    def test_small_mass_is_regular(self):
+        sys = natural_lagrangian_system(n=2, mass=1e-6 * np.eye(2))
+        back = legendre_inverse(sys, ContactStateH(q=[0.0, 0.0], p=[1e-6, -2e-6], z=0.0))
+        assert np.array_equal(back.qdot, [1.0, -2.0])
+        assert np.array_equal(hamiltonian_from_lagrangian(sys).grad_p(
+            np.zeros(2), np.array([1e-6, -2e-6]), 0.0), [1.0, -2.0])
+
+    def test_newton_inversion_builds_only_the_result(self, states_built):
+        sys = quartic_system(eps=0.1)
+        sh = ContactStateH(q=[0.1, 0.2], p=[3.0, 3.0], z=0.0)
+        states_built.clear()
+        legendre_inverse(sys, sh)
+        assert states_built == [ContactStateL]
 
 
 def counted_quartic_system(gamma=1e-3, first_derivatives=True):
@@ -967,6 +1036,12 @@ class TestHamiltonianFromGeneralLagrangian:
         sh = legendre_forward(sys, s)
         assert hsys.value(sh.q, sh.p, sh.z) == pytest.approx(
             lagrangian_energy(sys, s), rel=1e-10)
+
+    def test_field_builds_no_state(self, states_built):
+        # each of the four evaluators inverts the Legendre map on arrays
+        hsys = hamiltonian_from_lagrangian(quartic_system(eps=0.1))
+        hamiltonian_rhs(hsys, 0.0, np.array([0.1, 0.2, 3.0, 3.0, 0.0]))
+        assert states_built == []
 
     def test_general_duality(self):
         sys = quartic_system(eps=0.2)

@@ -56,8 +56,8 @@ def quartic_spec(gamma=1e-3):
 
 
 def free_hamiltonian(gamma=1e-3):
-    """H = |p|^2/2 + gamma z with no inverse metric, so impacts take the
-    energy-root Newton path of the "hamiltonian" law."""
+    """H = |p|^2/2 + gamma z written directly, not derived from a Lagrangian;
+    its impacts take the energy-root Newton path of the "hamiltonian" law."""
     return HamiltonianSpec(n=2, hamiltonian=lambda q, p, z: 0.5 * float(p @ p) + gamma * z,
                            dH_dq=lambda q, p, z: np.zeros(2), dH_dp=lambda q, p, z: p,
                            dH_dz=lambda q, p, z: gamma)
@@ -257,6 +257,25 @@ class TestHamiltonianRoute:
             worst = max(worst, float(np.max(
                 np.abs(lag.state_at(float(t))[:2] - ham.state_at(float(t))[:2]))))
         assert 0.0 < worst < 1e-7
+
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_small_mass_keeps_the_event_times(self, formulation):
+        # the free flight and the reflection do not depend on a scalar mass;
+        # a mass of 1e-6 is as regular as a unit one
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        times = []
+        for mass in (1.0, 1e-6):
+            hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=GAMMA, mass=mass))
+            start = s0
+            if formulation == "hamiltonian":
+                start = legendre_forward(hs.dynamics, s0)
+                hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
+                                  surface=hs.surface)
+            traj = simulate(hs, start, 20.0, StepperConfig(), EventConfig())
+            assert traj.status == COMPLETED
+            times.append(np.array([e.t for e in traj.events]))
+        assert len(times[0]) == len(times[1]) >= 10
+        assert np.max(np.abs(times[1] - times[0])) <= 1e-9
 
     def test_initial_state_type_enforced(self, circle_billiard):
         sh = ContactStateH(q=[0.5, 0.0], p=[1.0, 1.0], z=0.0)

@@ -168,6 +168,12 @@ class TestNaturalResolver:
         with pytest.raises(SingularMassMatrix):
             resolve_impact_natural(sys, s, UNIT_CIRCLE)
 
+    def test_nearly_singular_configuration_mass(self):
+        sys = natural_lagrangian_system(n=2, mass=lambda q: [[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        s = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.5], z=0.0)
+        with pytest.raises(SingularMassMatrix):
+            resolve_impact_natural(sys, s, UNIT_CIRCLE)
+
     def test_residuals_within_bound(self):
         sys = billiard(mass=2.0)
         rng = np.random.default_rng(103)
@@ -290,10 +296,12 @@ class TestNewtonResolver:
 
     def test_non_finite_newton_iterate_is_typed(self):
         # W collapses to 1e-320 I away from the pre-impact velocity, so the
-        # first Newton step overflows to an infinite velocity
+        # first Newton step overflows to an infinite velocity; the skewed W
+        # at v- puts the seed off the root, which the mirror image would hit
         v_minus = np.array([1.0, 0.2])
         sys = self._quartic_with_hessian(
-            lambda q, v, z: np.eye(2) if np.array_equal(v, v_minus) else 1e-320 * np.eye(2))
+            lambda q, v, z: np.array([[1.0, 0.5], [0.5, 1.0]]) if np.array_equal(v, v_minus)
+            else 1e-320 * np.eye(2))
         s = ContactStateL(q=[1.0, 0.0], qdot=v_minus, z=0.0)
         with pytest.raises(NonFiniteValue):
             resolve_impact_newton(sys, s, UNIT_CIRCLE)
@@ -338,6 +346,30 @@ class TestHamiltonianResolver:
             sh = legendre_forward(sys, s)
             ham = resolve_impact_hamiltonian(hsys, sh, UNIT_CIRCLE)
             assert np.max(np.abs(ham.state_plus.p - p_from_lag)) < 1e-12
+
+    def test_quadratic_hamiltonian_stops_at_the_seed(self):
+        # dH/dp at p-, at p- + grad h for the secant, and at p+; no slope
+        calls = []
+        hsys = hamiltonian_from_lagrangian(natural_lagrangian_system(
+            n=2, mass=np.array([[2.0, 0.3], [0.3, 1.0]]), gamma=0.1))
+        dH_dp = hsys.dH_dp
+        hsys = dataclasses.replace(hsys, dH_dp=lambda q, p, z: calls.append(1) or dH_dp(q, p, z))
+        s = ContactStateH(q=[0.6, 0.8], p=[1.0, 0.5], z=0.0)
+        res = resolve_impact_hamiltonian(hsys, s, UNIT_CIRCLE)
+        assert len(calls) == 3
+        assert max(res.residuals) <= 1e-14
+
+    def test_non_quadratic_hamiltonian_matches_the_lagrangian_resolver(self):
+        sys = TestNewtonResolver._quartic_with_hessian(
+            lambda q, v, z: (1.0 + 0.2 * float(v @ v)) * np.eye(2) + 0.4 * np.outer(v, v))
+        hsys = hamiltonian_from_lagrangian(sys)
+        rng = np.random.default_rng(111)
+        for q, v in random_circle_states(rng, 20):
+            s = ContactStateL(q=q, qdot=2.0 * v, z=0.0)
+            p_lag = legendre_forward(sys, resolve_impact_newton(sys, s, UNIT_CIRCLE).state_plus).p
+            ham = resolve_impact_hamiltonian(hsys, legendre_forward(sys, s), UNIT_CIRCLE)
+            assert np.max(np.abs(ham.state_plus.p - p_lag)) <= 1e-10 * np.max(np.abs(p_lag))
+            assert max(ham.residuals) <= 1e-10
 
     def test_normal_free_momentum_is_grazing(self):
         hsys = hamiltonian_from_lagrangian(billiard())
