@@ -25,6 +25,7 @@ __all__ = [
     "CheckReport",
     "check_decay_laws",
     "check_row_decay_laws",
+    "check_row_containment",
     "check_energy_decay",
     "check_dissipated_quantity",
     "check_impact_conditions",
@@ -33,10 +34,17 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# Default tolerances: flow laws carry quadrature and integrator error,
-# impact residuals are pure algebra.
+# The one acceptance standard of every check; no caller sets its own. Flow
+# laws carry quadrature and integrator error, impact residuals are pure
+# algebra, and the contact identity carries a central difference's error.
+# An impact's stored pre/post rows sit on the boundary to within the event
+# localization, and a recomputed table column repeats the writer's
+# arithmetic on the values it wrote.
 FLOW_TOL = 1e-7
 IMPACT_TOL = 1e-10
+CONTACT_TOL = 1e-6
+CONTAINMENT_TOL = 1e-10
+COLUMN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class CheckReport:
         }
 
 
-def _decay_reports(ts: np.ndarray, log_ref: np.ndarray, quantities: dict, tol: float):
+def _decay_reports(ts: np.ndarray, log_ref: np.ndarray, quantities: dict):
     """Each quantity's values f at the times ts against f0 * exp(log_ref),
     the rate's integral from ts[0], relative to |f0| (1 when f0 = 0). The
     worst node is reported, and a non-finite value fails at its first node."""
@@ -81,13 +89,13 @@ def _decay_reports(ts: np.ndarray, log_ref: np.ndarray, quantities: dict, tol: f
             viol = np.abs(f - f[0] * np.exp(log_ref)) / (abs(f[0]) if f[0] != 0.0 else 1.0)
         viol[~np.isfinite(viol)] = np.inf
         k = int(np.argmax(viol))
-        reports.append(CheckReport(name=name, max_violation=viol[k], tolerance=tol,
+        reports.append(CheckReport(name=name, max_violation=viol[k], tolerance=FLOW_TOL,
                                    location=ts[k] if viol[k] > 0.0 else None))
     return reports
 
 
 def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianSpec],
-                     quantities: Dict[str, Callable], tol: float = FLOW_TOL) -> list:
+                     quantities: Dict[str, Callable]) -> list:
     """One report per named state function f, each against the decay law
     f(t) = f0 exp(integral of sys.rate dt) along the whole trajectory.
 
@@ -129,12 +137,11 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     log_ref = np.column_stack([starts, starts + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),
                                ends]).ravel()
     return _decay_reports(ts.ravel(), log_ref, {
-        name: f.ravel() for name, f in values.items()}, tol)
+        name: f.ravel() for name, f in values.items()})
 
 
 def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], rows: Sequence,
-                         quantities: Dict[str, Sequence[float]],
-                         tol: float = FLOW_TOL) -> list:
+                         quantities: Dict[str, Sequence[float]]) -> list:
     """The decay law on table row states, with one value column per name.
 
     The rate integral is the composite trapezoid between rows; an impact's
@@ -144,41 +151,47 @@ def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], rows: Sequence
     rates = np.array([sys.rate(s) for s in rows])
     steps = np.diff(ts) / 2.0 * (rates[:-1] + rates[1:])
     log_ref = np.concatenate([[0.0], np.cumsum(steps)])
-    return _decay_reports(ts, log_ref, quantities, tol)
+    return _decay_reports(ts, log_ref, quantities)
+
+
+def check_row_containment(surface: SwitchingSurface, times: Sequence[float],
+                          qs: Sequence[np.ndarray]) -> CheckReport:
+    """Deepest exit of the configurations qs, stored at times, from the
+    admissible region h > 0, located at the row of least h."""
+    h_vals = np.array([surface.value(q) for q in qs])
+    return CheckReport(name="containment", max_violation=float(max(0.0, -np.min(h_vals))),
+                       tolerance=CONTAINMENT_TOL,
+                       location=float(times[int(np.argmin(h_vals))]))
 
 
 def check_energy_decay(traj: HybridTrajectory,
-                       sys: Union[SystemSpec, HamiltonianSpec],
-                       tol: float = FLOW_TOL) -> CheckReport:
+                       sys: Union[SystemSpec, HamiltonianSpec]) -> CheckReport:
     """Energy law E(t) = E0 exp(integral dL/dz dt), across impacts included.
 
     For constant dL/dz = -gamma the reference is E0 e^(-gamma t).
     """
-    return check_decay_laws(traj, sys, {"energy_decay": sys.energy}, tol)[0]
+    return check_decay_laws(traj, sys, {"energy_decay": sys.energy})[0]
 
 
 def check_dissipated_quantity(traj: HybridTrajectory, f: Callable,
-                              sys: Union[SystemSpec, HamiltonianSpec],
-                              tol: float = FLOW_TOL,
+                              sys: Union[SystemSpec, HamiltonianSpec], *,
                               name: str = "dissipated_quantity") -> CheckReport:
     """Same decay law with an arbitrary state function f in place of E."""
-    return check_decay_laws(traj, sys, {name: f}, tol)[0]
+    return check_decay_laws(traj, sys, {name: f})[0]
 
 
 def check_impact_conditions(event: ImpactEvent,
                             sys: Union[SystemSpec, HamiltonianSpec],
-                            surface: SwitchingSurface,
-                            tol: float = IMPACT_TOL) -> CheckReport:
+                            surface: SwitchingSurface) -> CheckReport:
     """Recompute the impact law for one event from both one-sided states
     (see ``impact.impact_violation``)."""
-    return CheckReport(name="impact_conditions", tolerance=tol, location=event.t,
+    return CheckReport(name="impact_conditions", tolerance=IMPACT_TOL, location=event.t,
                        max_violation=impact_violation(sys, surface, event.state_minus,
                                                       event.state_plus))
 
 
 def check_contact_identities(sys: HamiltonianSpec,
-                             states: Sequence[ContactStateH],
-                             tol: float = 1e-6) -> CheckReport:
+                             states: Sequence[ContactStateH]) -> CheckReport:
     """Pointwise identity X_H(H) = -(dH/dz) H along the contact field.
 
     The left side is a central finite difference of H along the flow
@@ -202,4 +215,4 @@ def check_contact_identities(sys: HamiltonianSpec,
         if viol > worst:
             worst, worst_i = viol, float(i)
     return CheckReport(name="contact_identity", max_violation=worst,
-                       tolerance=tol, location=worst_i)
+                       tolerance=CONTACT_TOL, location=worst_i)

@@ -192,11 +192,32 @@ class NaturalForm:
         return sign * _fd_jacobian(self.potential_value, q, 1)[0]
 
 
+def _tested(name: str, evaluator: Callable) -> Callable:
+    """A supplied partial whose value is converted to float (an array, or a
+    scalar for dL/dz and dH/dz) and tested once: NonFiniteValue, naming the
+    partial and the point, on a non-finite entry."""
+    if name in ("dL_dz", "dH_dz"):
+        def tested(q, x, z):
+            val = float(evaluator(q, x, z))
+            if not math.isfinite(val):
+                raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
+            return val
+    else:
+        def tested(q, x, z):
+            val = np.asarray(evaluator(q, x, z), dtype=float)
+            if not _all_finite(val):
+                raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
+            return val
+    return tested
+
+
 class _Spec:
     """What both formulations share: the dimension check, the function value,
     and the partials, each resolved once to the supplied evaluator or to
     central differences of that partial alone. Every accessor raises
-    NonFiniteValue, naming what it evaluated, on a non-finite value.
+    NonFiniteValue, naming what it evaluated, on a non-finite value: a
+    supplied evaluator's value is tested as it returns, a difference's in
+    its stencil.
 
     Each subclass names its ``state_type``, ``formulation`` and
     ``impact_law`` (the ``impact.resolve_impact_*`` that resets its states)
@@ -210,7 +231,7 @@ class _Spec:
             raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
         object.__setattr__(self, "_function", function)
         object.__setattr__(self, "_partials", {
-            name: fallback if getattr(self, name) is None else getattr(self, name)
+            name: fallback if getattr(self, name) is None else _tested(name, getattr(self, name))
             for name, fallback in fallbacks.items()})
 
     def check_state(self, s) -> None:
@@ -224,18 +245,6 @@ class _Spec:
         val = float(self._function(q, x, z))
         if not math.isfinite(val):
             raise NonFiniteValue(f"{self.formulation} is not finite at ({q}, {x}, {z})")
-        return val
-
-    def _partial(self, name: str, q, x, z) -> np.ndarray:
-        val = np.asarray(self._partials[name](q, x, z), dtype=float)
-        if not _all_finite(val):
-            raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
-        return val
-
-    def _scalar_partial(self, name: str, q, x, z) -> float:
-        val = float(self._partials[name](q, x, z))
-        if not math.isfinite(val):
-            raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
         return val
 
 
@@ -307,28 +316,28 @@ class SystemSpec(_Spec):
         self._resolve(L, {
             "dL_dq": lambda q, v, z: _fd_jacobian(lambda qq: L(qq, v, z), q, 1)[0],
             "dL_dv": lambda q, v, z: _fd_jacobian(lambda vv: L(q, vv, z), v, 1)[0],
-            "dL_dz": lambda q, v, z: _fd_jacobian(
-                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0],
+            "dL_dz": lambda q, v, z: float(_fd_jacobian(
+                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0]),
             **second,
         })
 
     def grad_q(self, q, v, z) -> np.ndarray:
-        return self._partial("dL_dq", q, v, z)
+        return self._partials["dL_dq"](q, v, z)
 
     def grad_v(self, q, v, z) -> np.ndarray:
-        return self._partial("dL_dv", q, v, z)
+        return self._partials["dL_dv"](q, v, z)
 
     def grad_z(self, q, v, z) -> float:
-        return self._scalar_partial("dL_dz", q, v, z)
+        return self._partials["dL_dz"](q, v, z)
 
     def hess_vv(self, q, v, z) -> np.ndarray:
-        return self._partial("d2L_dvdv", q, v, z)
+        return self._partials["d2L_dvdv"](q, v, z)
 
     def hess_qv(self, q, v, z) -> np.ndarray:
-        return self._partial("d2L_dqdv", q, v, z)
+        return self._partials["d2L_dqdv"](q, v, z)
 
     def hess_zv(self, q, v, z) -> np.ndarray:
-        return self._partial("d2L_dzdv", q, v, z)
+        return self._partials["d2L_dzdv"](q, v, z)
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return herglotz_rhs(self, t, y)
@@ -370,18 +379,18 @@ class HamiltonianSpec(_Spec):
         self._resolve(H, {
             "dH_dq": lambda q, p, z: _fd_jacobian(lambda qq: H(qq, p, z), q, 1)[0],
             "dH_dp": lambda q, p, z: _fd_jacobian(lambda pp: H(q, pp, z), p, 1)[0],
-            "dH_dz": lambda q, p, z: _fd_jacobian(
-                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0],
+            "dH_dz": lambda q, p, z: float(_fd_jacobian(
+                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0]),
         })
 
     def grad_q(self, q, p, z) -> np.ndarray:
-        return self._partial("dH_dq", q, p, z)
+        return self._partials["dH_dq"](q, p, z)
 
     def grad_p(self, q, p, z) -> np.ndarray:
-        return self._partial("dH_dp", q, p, z)
+        return self._partials["dH_dp"](q, p, z)
 
     def grad_z(self, q, p, z) -> float:
-        return self._scalar_partial("dH_dz", q, p, z)
+        return self._partials["dH_dz"](q, p, z)
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return hamiltonian_rhs(self, t, y)

@@ -16,6 +16,7 @@ and report the tangential and energy residuals of whatever they return.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
+    NonFiniteValue,
     SingularHessian,
 )
 from .integrate import EventConfig
@@ -59,15 +61,21 @@ _NEWTON_TOL = 1e-12
 class SwitchingSurface:
     """Boundary h(q) = 0 of the admissible region h >= 0.
 
-    ``h`` maps a configuration to a scalar; ``grad_h`` returns its
-    gradient, which must not vanish near the boundary.
+    ``h`` maps a configuration to a scalar, which must be finite on both
+    sides of the boundary; ``grad_h`` returns its gradient, which must not
+    vanish near the boundary.
     """
 
     h: Callable[[np.ndarray], float]
     grad_h: Callable[[np.ndarray], np.ndarray]
 
     def value(self, q: np.ndarray) -> float:
-        return float(self.h(q))
+        """h(q); NonFiniteValue when it is not finite, because no sign
+        test can see a crossing into a region where h is NaN."""
+        val = float(self.h(q))
+        if not math.isfinite(val):
+            raise NonFiniteValue(f"h is not finite at q={q}: {val}")
+        return val
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad_h(q), dtype=float)

@@ -209,7 +209,7 @@ def test_criterion_7_contact_identity(circle_billiard):
     states = [ContactStateH(q=rng.uniform(-0.6, 0.6, 2),
                             p=rng.uniform(-2.0, 2.0, 2),
                             z=rng.uniform(-1.0, 1.0)) for _ in range(100)]
-    rep = check_contact_identities(hsys, states, 1e-6)
+    rep = check_contact_identities(hsys, states)
     report(7, "contact identity", rep.passed,
            f"max |X_H(H) + (dH/dz) H| = {rep.max_violation:.2e} < 1e-06 "
            f"at 100 random states")
@@ -237,9 +237,9 @@ def test_criterion_8_negative_controls(circle_billiard):
     traj = simulate(hs, s0, 10.0, StepperConfig(), EventConfig())
     assert len(traj.events) > 3
 
-    energy_rep = check_energy_decay(traj, circle_billiard.dynamics, 1e-7)
+    energy_rep = check_energy_decay(traj, circle_billiard.dynamics)
     impact_rep = check_impact_conditions(traj.events[2], circle_billiard.dynamics,
-                                         circle_billiard.surface, 1e-10)
+                                         circle_billiard.surface)
     ok = (not energy_rep.passed) and (not impact_rep.passed)
     report(8, "negative controls", ok,
            f"perturbed run: energy check violation {energy_rep.max_violation:.2e} "

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from contactsim import cli
+from contactsim import checks, cli
 from contactsim.checks import CheckReport
 from contactsim.cli import build_system, load_config, main, parse_config
 from contactsim.hybrid import MAX_EVENTS
@@ -202,6 +203,15 @@ class TestImpactTest:
         diff_line = [ln for ln in out.splitlines() if "max difference" in ln][0]
         assert float(diff_line.split()[-1]) < 1e-12
 
+    def test_circle_of_radius_two_is_compared_with_its_oracle(self, capsys):
+        # a radius other than 1 used to print the solver result and no oracle
+        assert main(["impact-test", "circle", "--radius", "2", "--point", "2", "0",
+                     "--velocity", "1", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "closed-form oracle:   (-1, 0.5)" in out
+        diff_line = [ln for ln in out.splitlines() if "max difference" in ln][0]
+        assert float(diff_line.split()[-1]) < 1e-12
+
     def test_ellipse_vertex(self, capsys):
         assert main(["impact-test", "ellipse", "--a", "0.9", "--b", "1.1",
                      "--point", "0.9", "0", "--velocity", "1", "0.7"]) == 0
@@ -377,6 +387,38 @@ class TestCheck:
         with open(report_path) as fh:
             report = json.load(fh)
         assert all(c["passed"] for c in report["checks"])
+
+
+class TestOneCertificationStandard:
+    """Every check tolerance is a constant of `checks`: no check takes one,
+    and every CLI report carries the constant for its name."""
+
+    def test_no_check_takes_a_tolerance(self):
+        own = [obj for obj in vars(checks).values()
+               if callable(obj) and getattr(obj, "__module__", None) == checks.__name__]
+        assert checks.check_row_containment in own and checks._decay_reports in own
+        for obj in own:
+            assert "tol" not in inspect.signature(obj).parameters, obj.__name__
+
+    def test_cli_reports_carry_the_checks_constants(self, tmp_path):
+        cfg = short_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        report = str(tmp_path / "check.json")
+        assert main(["check", "--csv", os.path.join(out, "trajectory.csv"),
+                     "--config", cfg, "--out", report]) == 0
+        constants = {"energy_decay": checks.FLOW_TOL,
+                     "angular_quantity_decay": checks.FLOW_TOL,
+                     "impact_conditions": checks.IMPACT_TOL,
+                     "containment": checks.CONTAINMENT_TOL,
+                     "column_consistency": checks.COLUMN_TOL}
+        seen = set()
+        for path in (os.path.join(out, "summary.json"), report):
+            with open(path) as fh:
+                for c in json.load(fh)["checks"]:
+                    assert c["tolerance"] == constants[c["name"]], c
+                    seen.add(c["name"])
+        assert seen == set(constants)
 
 
 class TestSweep:

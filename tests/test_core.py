@@ -711,6 +711,16 @@ class TestFiniteDifferences:
         with pytest.raises(NonFiniteValue, match="Jacobian"):
             getattr(sys, accessor)(q, v, z)
 
+    def test_differenced_partial_is_tested_for_finiteness_once(self, monkeypatch):
+        # the stencil tests the Jacobian of the supplied dL/dv, and the
+        # accessor does not test it again
+        sys, _ = counted_quartic_system()
+        tested = []
+        all_finite = core._all_finite
+        monkeypatch.setattr(core, "_all_finite", lambda v: tested.append(v) or all_finite(v))
+        sys.hess_vv(np.array([0.1, 0.2]), np.array([1.0, -0.5]), 0.3)
+        assert len(tested) == 1
+
     def test_per_partial_fallback_is_bit_identical_to_full_fd(self):
         sys = coupled_fd_system()
         L = sys.lagrangian

@@ -19,6 +19,7 @@ from contactsim import (
     HybridSystem,
     ImpactResult,
     MaxStepsExceeded,
+    NonFiniteValue,
     StepperConfig,
     SwitchingSurface,
     SystemSpec,
@@ -351,6 +352,18 @@ class TestGuardsAndBudgets:
         cfg = StepperConfig(h_init=1e-3, h_max=1e-3, max_steps=10)
         with pytest.raises(MaxStepsExceeded, match="after event 0"):
             simulate(circle_billiard, s0, 20.0, cfg)
+
+    def test_nan_surface_value_ends_the_run_in_a_typed_error(self):
+        # h is NaN outside the unit disc, so no sign test saw the crossing:
+        # the run used to complete with no event, at |q(5)| = 7.43
+        def h(q):
+            r2 = float(q @ q)
+            return math.sqrt(1.0 - r2) if r2 <= 1.0 else float("nan")
+
+        hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                          surface=SwitchingSurface(h=h, grad_h=lambda q: -q / h(q)))
+        with pytest.raises(NonFiniteValue, match="h is not finite"):
+            simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
     def test_grazing_stop_via_shallow_bounce(self):
         # gravity so weak that a restitution resolver can hand back an
