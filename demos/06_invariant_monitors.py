@@ -7,21 +7,16 @@ post-impact velocity by 1e-3 and show both the energy law and the impact
 conditions flag it.
 """
 
-import numpy as np
-
 from contactsim import (
     BilliardSpec,
     Circle,
-    ContactStateH,
     ContactStateL,
     HybridSystem,
     ImpactResult,
     angular_momentum,
-    check_contact_identities,
     check_dissipated_quantity,
     check_energy_decay,
     check_impact_conditions,
-    hamiltonian_from_lagrangian,
     make_circular_billiard,
     resolve_impact_natural,
     simulate,
@@ -45,12 +40,6 @@ show(check_dissipated_quantity(traj, angular_momentum, hs.dynamics,
 worst = max((check_impact_conditions(e, hs.dynamics, hs.surface)
              for e in traj.events), key=lambda r: r.max_violation)
 show(worst)
-
-hsys = hamiltonian_from_lagrangian(hs.dynamics)
-rng = np.random.default_rng(1)
-states = [ContactStateH(q=rng.uniform(-0.5, 0.5, 2), p=rng.uniform(-2, 2, 2),
-                        z=rng.uniform(-1, 1)) for _ in range(100)]
-show(check_contact_identities(hsys, states))
 
 # now sabotage the third impact and watch both monitors object
 counter = {"i": 0}

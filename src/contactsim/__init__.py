@@ -19,7 +19,6 @@ from .billiards import (
 )
 from .checks import (
     CheckReport,
-    check_contact_identities,
     check_dissipated_quantity,
     check_energy_decay,
     check_impact_conditions,

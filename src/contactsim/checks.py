@@ -1,4 +1,4 @@
-"""Invariant monitors: post-hoc trajectory checks and pointwise identities.
+"""Invariant monitors: post-hoc trajectory checks.
 
 Every check recomputes its quantities from raw states, independently of
 the solver path that produced them, so a resolver bug cannot certify its
@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactStateH, HamiltonianSpec, SystemSpec, hamiltonian_rhs
+from .core import HamiltonianSpec, SystemSpec
 from .hybrid import HybridTrajectory, ImpactEvent
 from .impact import SwitchingSurface, impact_violation
 
@@ -29,20 +29,15 @@ __all__ = [
     "check_energy_decay",
     "check_dissipated_quantity",
     "check_impact_conditions",
-    "check_contact_identities",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
 # The one acceptance standard of every check; no caller sets its own. Flow
-# laws carry quadrature and integrator error, impact residuals are pure
-# algebra, and the contact identity carries a central difference's error.
-# An impact's stored pre/post rows sit on the boundary to within the event
-# localization, and a recomputed table column repeats the writer's
-# arithmetic on the values it wrote.
+# laws carry quadrature and integrator error, and impact residuals are pure
+# algebra. An impact's stored pre/post rows sit on the boundary to within
+# the event localization, and a recomputed table column repeats the
+# writer's arithmetic on the values it wrote.
 FLOW_TOL = 1e-7
 IMPACT_TOL = 1e-10
-CONTACT_TOL = 1e-6
 CONTAINMENT_TOL = 1e-10
 COLUMN_TOL = 1e-12
 
@@ -189,30 +184,3 @@ def check_impact_conditions(event: ImpactEvent,
                        max_violation=impact_violation(sys, surface, event.state_minus,
                                                       event.state_plus))
 
-
-def check_contact_identities(sys: HamiltonianSpec,
-                             states: Sequence[ContactStateH]) -> CheckReport:
-    """Pointwise identity X_H(H) = -(dH/dz) H along the contact field.
-
-    The left side is a central finite difference of H along the flow
-    direction in (q, p, z); the right uses the analytic partials. With
-    gamma = 0 this reduces to conservation of H.
-    """
-    worst = 0.0
-    worst_i = None
-    for i, s in enumerate(states):
-        y = s.as_vector()
-        d = hamiltonian_rhs(sys, s.t, y)
-        eps = _EPS ** (1.0 / 3.0) / max(1.0, float(np.max(np.abs(d))))
-        yp, ym = y + eps * d, y - eps * d
-        n = sys.n
-        Hp = sys.value(yp[:n], yp[n:2 * n], yp[2 * n])
-        Hm = sys.value(ym[:n], ym[n:2 * n], ym[2 * n])
-        lie = (Hp - Hm) / (2.0 * eps)
-        H = sys.value(s.q, s.p, s.z)
-        target = -sys.grad_z(s.q, s.p, s.z) * H
-        viol = abs(lie - target) / max(1.0, abs(H))
-        if viol > worst:
-            worst, worst_i = viol, float(i)
-    return CheckReport(name="contact_identity", max_violation=worst,
-                       tolerance=CONTACT_TOL, location=worst_i)

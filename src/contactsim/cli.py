@@ -45,7 +45,8 @@ from .core import (
     natural_lagrangian_system,
 )
 from .errors import ConfigError, ContactSimError, GrazingContact
-from .hybrid import COMPLETED, MAX_EVENTS, HybridSystem, simulate
+from .hybrid import (COMPLETED, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
+                     HybridSystem, simulate)
 from .impact import SwitchingSurface, impact_violation
 from .integrate import EventConfig, StepperConfig
 from .io import (
@@ -229,8 +230,6 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     if p0 is not None and formulation != "hamiltonian":
         raise ConfigError("'initial.p' requires the hamiltonian formulation")
     max_events = _read(cfg, "run.max_events", int, MAX_EVENTS)
-    if not _read(cfg, "run.deterministic", bool, True):
-        raise ConfigError("'run.deterministic' cannot be disabled; runs are seed-free")
 
     samples = _read(cfg, "output.samples", int, 1000)
     if samples < 2:
@@ -443,8 +442,8 @@ def cmd_check(args) -> int:
 
     # impact conditions at stored pre/post pairs
     worst_imp, worst_t = 0.0, None
-    for i in np.where(data["flag"] == 1)[0]:
-        if i + 1 >= data["t"].size or data["flag"][i + 1] != 2:
+    for i in np.where(data["flag"] == FLAG_PRE_IMPACT)[0]:
+        if i + 1 >= data["t"].size or data["flag"][i + 1] != FLAG_POST_IMPACT:
             raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
         v = impact_violation(hs.dynamics, hs.surface, rows[i], rows[i + 1])
         if v > worst_imp:

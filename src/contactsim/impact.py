@@ -27,6 +27,7 @@ from .core import (
     ContactStateL,
     HamiltonianSpec,
     SystemSpec,
+    _all_finite,
     _mass_solve,
     _solve_regular,
     lagrangian_energy,
@@ -78,7 +79,12 @@ class SwitchingSurface:
         return val
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_h(q), dtype=float)
+        """grad h(q); NonFiniteValue when it is not finite, before it can
+        move a state or tilt a tangent basis."""
+        g = np.asarray(self.grad_h(q), dtype=float)
+        if not _all_finite(g):
+            raise NonFiniteValue(f"grad h is not finite at q={q}: {g}")
+        return g
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,6 @@ class TrajectorySegment:
     y1: np.ndarray
     segments: list
     hit: Optional[EventHit]
-    n_steps: int
 
     def eval(self, t: float) -> np.ndarray:
         if t == self.t0:
@@ -432,8 +431,8 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
                 segments.append(seg)
                 return TrajectorySegment(
                     t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
-                    y1=hit.y.copy(), segments=segments, hit=hit, n_steps=steps)
+                    y1=hit.y.copy(), segments=segments, hit=hit)
         segments.append(seg)
         t, y, f_curr, h_try = t_new, y_new, f_new, h_next
     return TrajectorySegment(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),
-                             segments=segments, hit=None, n_steps=steps)
+                             segments=segments, hit=None)

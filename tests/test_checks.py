@@ -11,13 +11,13 @@ from contactsim import (
     ContactStateH,
     ContactStateL,
     EventConfig,
+    HamiltonianSpec,
     HybridSystem,
     ImpactEvent,
     ImpactResult,
     NonFiniteValue,
     StepperConfig,
     SystemSpec,
-    check_contact_identities,
     check_dissipated_quantity,
     check_energy_decay,
     check_impact_conditions,
@@ -343,6 +343,59 @@ class TestStateDependentRate:
         assert 12.0 < coarse.max_violation / fine.max_violation < 20.0
 
 
+DRAG = 0.05
+
+
+def drag_hamiltonian(z_scale=1.0, q_slope=0.0, p_scale=1.0):
+    """H = 1/2 |p|^2 + DRAG z with supplied partials: dH/dz scaled by
+    z_scale, dH/dq = q_slope q (H has no q) and dH/dp scaled by p_scale.
+    The defaults are the true partials."""
+    return HamiltonianSpec(
+        n=2, hamiltonian=lambda q, p, z: 0.5 * float(p @ p) + DRAG * z,
+        dH_dq=lambda q, p, z: q_slope * q,
+        dH_dp=lambda q, p, z: p_scale * p,
+        dH_dz=lambda q, p, z: z_scale * DRAG)
+
+
+class TestDecayLawCatchesInconsistentFields:
+    """The energy decay law along a run fails when the field disagrees with
+    H: supplied partials that are not H's, or a field whose q-block is not
+    dH/dp while the energy reads q. Unit disc, from q = (0.3, 0.1) with
+    p = (1, 0.5), to T = 10."""
+
+    def run(self, hsys):
+        hs = HybridSystem(dynamics=hsys, surface=SwitchingSurface(
+            h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q))
+        traj = simulate(hs, ContactStateH(q=[0.3, 0.1], p=[1.0, 0.5], z=0.0), 10.0)
+        assert traj.status == "Completed"
+        return check_energy_decay(traj, hsys)
+
+    def test_consistent_partials_pass(self):
+        assert self.run(drag_hamiltonian()).passed
+
+    @pytest.mark.parametrize("partials", [
+        pytest.param({"z_scale": 1.01}, id="dH_dz-x1.01"),
+        pytest.param({"q_slope": 1e-3}, id="dH_dq-1e-3q"),
+        pytest.param({"p_scale": 1.001}, id="dH_dp-x1.001"),
+    ])
+    def test_supplied_partials_that_are_not_H_fail(self, partials):
+        assert not self.run(drag_hamiltonian(**partials)).passed
+
+    def test_q_block_off_dH_dp_fails_with_a_potential(self, monkeypatch):
+        hsys = hamiltonian_from_lagrangian(natural_lagrangian_system(
+            n=2, mass=np.eye(2), gamma=DRAG, potential=lambda q: float(q @ q),
+            grad_potential=lambda q: 2.0 * q))
+        rhs = core.hamiltonian_rhs
+
+        def slowed(sys, t, y):
+            out = rhs(sys, t, y)
+            out[:sys.n] *= 1.0 - 1e-5
+            return out
+
+        monkeypatch.setattr(core, "hamiltonian_rhs", slowed)
+        assert not self.run(hsys).passed
+
+
 class TestImpactConditions:
     def test_resolver_output_passes(self, fig1_trajectory, circle_billiard):
         for e in fig1_trajectory.events:
@@ -427,34 +480,3 @@ class TestImpactConditions:
                                       circle_billiard.surface)
         assert not rep.passed
 
-
-class TestContactIdentities:
-    def test_billiard_hamiltonian(self, circle_billiard):
-        hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
-        rng = np.random.default_rng(31)
-        states = [ContactStateH(q=rng.uniform(-0.5, 0.5, 2),
-                                p=rng.uniform(-2, 2, 2),
-                                z=rng.uniform(-1, 1)) for _ in range(100)]
-        rep = check_contact_identities(hsys, states)
-        assert rep.passed
-
-    def test_conservative_case(self):
-        sys = natural_lagrangian_system(n=2, mass=np.eye(2), gamma=0.0)
-        hsys = hamiltonian_from_lagrangian(sys)
-        rng = np.random.default_rng(32)
-        states = [ContactStateH(q=rng.uniform(-1, 1, 2), p=rng.uniform(-2, 2, 2),
-                                z=0.0) for _ in range(50)]
-        rep = check_contact_identities(hsys, states)
-        assert rep.passed
-
-    def test_potential_only_reduces_to_energy_conservation(self):
-        sys = natural_lagrangian_system(
-            n=2, mass=np.eye(2), gamma=0.0,
-            potential=lambda q: float(q[0] ** 2 + 0.5 * q[1] ** 2),
-            grad_potential=lambda q: np.array([2.0 * q[0], q[1]]))
-        hsys = hamiltonian_from_lagrangian(sys)
-        rng = np.random.default_rng(33)
-        states = [ContactStateH(q=rng.uniform(-1, 1, 2), p=rng.uniform(-2, 2, 2),
-                                z=rng.uniform(-1, 1)) for _ in range(50)]
-        rep = check_contact_identities(hsys, states)
-        assert rep.passed

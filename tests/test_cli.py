@@ -143,6 +143,8 @@ class TestSimulate:
         ("run.t_finall", 5, "'run.t_finall'"),
         ("initial.qdot", [1.0, 1.0], "'initial.qdot'"),
         ("system.radius_", 2.0, "'system.radius_'"),
+        # runs are always deterministic, so no key asks for it
+        ("run.deterministic", True, "'run.deterministic'"),
         pytest.param("system.surface", {"kind": "sphere", "radius": 1.0},
                      "'system.surface.kind'", id="system.surface-on-a-circle"),
         pytest.param("plot", {}, "'plot'", id="unknown-empty-section"),

@@ -365,6 +365,16 @@ class TestGuardsAndBudgets:
         with pytest.raises(NonFiniteValue, match="h is not finite"):
             simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
+    def test_nan_surface_gradient_is_named_with_its_phase(self):
+        # it used to surface as "q contains non-finite entries", after the
+        # projection onto the surface had moved q by a NaN step
+        hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                          surface=SwitchingSurface(h=lambda q: 1.0 - float(q @ q),
+                                                   grad_h=lambda q: np.full(2, np.nan)))
+        with pytest.raises(NonFiniteValue,
+                           match=r"grad h is not finite at q=.* \[flow phase"):
+            simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+
     def test_grazing_stop_via_shallow_bounce(self):
         # gravity so weak that a restitution resolver can hand back an
         # approach speed below the grazing threshold while the previous
