@@ -36,7 +36,7 @@ E0 = lagrangian_energy(hs.dynamics, s0)
 l0 = angular_momentum(s0)
 for t in times:
     y = traj.state_at(float(t))
-    s = ContactStateL.from_vector(y, 2, t)
+    s = ContactStateL.from_vector(y, t)
     q_ref, v_ref, z_ref = free_particle_closed_form(GAMMA, Q0, V0, E0, float(t))
     worst_q = max(worst_q, float(np.max(np.abs(s.q - q_ref))))
     worst_v = max(worst_v, float(np.max(np.abs(s.qdot - v_ref))))

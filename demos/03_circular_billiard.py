@@ -44,7 +44,7 @@ worst_E = worst_l = 0.0
 times = np.linspace(0.0, 20.0, 800)
 table = sample(traj, times)
 for k in range(table.times.size):
-    s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+    s = ContactStateL.from_vector(table.states[k], table.times[k])
     decay = math.exp(-GAMMA * table.times[k])
     worst_E = max(worst_E, abs(lagrangian_energy(hs.dynamics, s) - E0 * decay))
     worst_l = max(worst_l, abs(angular_momentum(s) - l0 * decay))
@@ -52,14 +52,12 @@ print(f"\nenergy law deviation:          {worst_E:.3e}   (tolerance 1e-7)")
 print(f"angular quantity law deviation: {worst_l:.3e}   (tolerance 1e-7)")
 
 energies = [lagrangian_energy(hs.dynamics,
-                              ContactStateL.from_vector(table.states[k], 2,
-                                                        table.times[k]))
+                              ContactStateL.from_vector(table.states[k], table.times[k]))
             for k in range(table.times.size)]
-ells = [angular_momentum(ContactStateL.from_vector(table.states[k], 2,
-                                                   table.times[k]))
+ells = [angular_momentum(ContactStateL.from_vector(table.states[k], table.times[k]))
         for k in range(table.times.size)]
 write_trajectory_csv(os.path.join(OUT, "circle_trajectory.csv"),
-                     table.times, table.states, table.flags, energies, ells, 2)
+                     table.times, table.states, table.flags, energies, ells, "lagrangian")
 write_svg(os.path.join(OUT, "circle_trajectory.svg"), ("circle", 1.0),
           table.states[:, :2])
 print(f"\nwrote {OUT}/circle_trajectory.csv and .svg")

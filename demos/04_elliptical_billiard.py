@@ -43,7 +43,7 @@ times = np.linspace(0.0, 20.0, 800)
 table = sample(traj, times)
 worst_E = 0.0
 for k in range(table.times.size):
-    s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+    s = ContactStateL.from_vector(table.states[k], table.times[k])
     ref = E0 * math.exp(-GAMMA * table.times[k])
     worst_E = max(worst_E, abs(lagrangian_energy(hs.dynamics, s) - ref))
 print(f"energy law deviation:             {worst_E:.3e}  (tolerance 1e-7)")

@@ -118,7 +118,7 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
                 for f in values.values():
                     f[k, 0] = f[k - 1, 2]
                 continue
-            s = sys.state_type.from_vector(y, traj.n, t)
+            s = sys.state_type.from_vector(y, t)
             rates[k, j] = sys.rate(s)
             for name, f in quantities.items():
                 values[name][k, j] = float(f(s))

@@ -312,7 +312,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(csv_path, table.times, table.states, table.flags,
-                         energies, ells, hs.n, hs.formulation)
+                         energies, ells, hs.formulation)
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
         rc, hs.dynamics.energy, lambda s: _ell(hs, s)))

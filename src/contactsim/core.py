@@ -116,7 +116,11 @@ class _ContactState:
         return np.concatenate([self.q, getattr(self, self._x), [self.z]])
 
     @classmethod
-    def from_vector(cls, y: np.ndarray, n: int, t: float = 0.0):
+    def from_vector(cls, y: np.ndarray, t: float = 0.0):
+        """The state whose phase vector [q, x, z] is y, of length 2n + 1, n >= 1."""
+        n, odd = divmod(len(y) - 1, 2)
+        if odd or n < 1:
+            raise DimensionMismatch(f"phase vector length must be 2n + 1, n >= 1, got {len(y)}")
         return cls(y[:n], y[n : 2 * n], float(y[2 * n]), t)
 
 
@@ -451,7 +455,7 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
             ) / (4.0 * hi * hj)
     if not np.all(np.isfinite(W)):
         raise NonFiniteValue("finite-difference Hessian sampled a non-finite value")
-    return 0.5 * (W + W.T)
+    return W
 
 
 def _fd_cross(f2: Callable[[np.ndarray, np.ndarray], float],
@@ -500,7 +504,7 @@ def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeB
     """Evaluate every partial derivative of L at s by central differences.
 
     First derivatives use step eps^(1/3) * max(1, |coordinate|); second
-    derivatives use eps^(1/4) scaling. The Hessian is symmetrized.
+    derivatives use eps^(1/4) scaling. The Hessian is symmetric by construction.
     """
     sys.check_state(s)
     q, v, z = s.q, s.qdot, s.z

@@ -95,7 +95,7 @@ class HybridSystem:
         return self.dynamics.n
 
     def state_from_vector(self, y: np.ndarray, t: float):
-        return self.dynamics.state_type.from_vector(y, self.n, t)
+        return self.dynamics.state_type.from_vector(y, t)
 
     def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
         if callable(self.resolver):
@@ -215,8 +215,8 @@ def simulate(hs: HybridSystem, s0, t_final: float,
 
     The start state must be strictly interior. Returns the trajectory
     with status Completed, ZenoSuspected, GrazingStop, or
-    EventBudgetExhausted. Integrator and impact errors propagate,
-    annotated with the index of the event being processed.
+    EventBudgetExhausted. Integrator and impact errors propagate, annotated
+    "[flow phase before event k]" or "[impact event k]", k the next impact's index.
     """
     cfg = cfg or StepperConfig()
     ev = ev or EventConfig()
@@ -243,12 +243,12 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     while True:
         try:
             run = integrate_until_event(hs.dynamics.vector_field, t, y, t_final,
-                                        hs.surface, cfg, ev, n_q=hs.n, armed=armed)
+                                        hs.surface, cfg, ev, armed=armed)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj
         except ContactSimError as e:
-            raise type(e)(f"{e} [flow phase after event {len(traj.events)}]") from e
+            raise type(e)(f"{e} [flow phase before event {len(traj.events)}]") from e
         traj.segments.append(run)
         if run.hit is None:
             traj.status = COMPLETED

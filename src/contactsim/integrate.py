@@ -210,9 +210,9 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     Attempts h_try (default cfg.h_init), shrinking on rejection until the
     componentwise local error estimate passes atol + rtol * |state|.
 
-    Returns (t_new, y_new, segment, h_next, f_new); f_new is the
-    derivative at the new state (FSAL), reusable as the next f0. The
-    accepted step size is ``segment.h_step``.
+    Returns (segment, h_next, f_new): the accepted step runs from t to
+    ``segment.t1`` = t + ``segment.h_step``, ending at ``segment.y1``, and
+    f_new is the derivative there (FSAL), reusable as the next f0.
     """
     y = np.asarray(y, dtype=float)
     if f0 is None:
@@ -245,7 +245,7 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     h_next = min(cfg.h_max, h * factor)
     f_new = k[6].copy()  # FSAL: stage 7 is rhs at (t + h, y1)
     seg = DenseSegment(t, h, y, y1, k[0], f_new, _D @ k)
-    return t + h, y1, seg, h_next, f_new
+    return seg, h_next, f_new
 
 
 @dataclass(frozen=True)
@@ -293,22 +293,16 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
     return ts
 
 
-def _require_n_q(surface, n_q: Optional[int]) -> None:
-    if surface is not None and n_q is None:   # h would see all of [q, x, z]
-        raise ValueError("n_q, the length of the q block, is required with a surface")
-
-
-def _scan(segment: DenseSegment, surface, n_q: int, armed: bool) -> tuple:
+def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     """Sign scan of h(q) at the 17 checkpoints of one dense segment.
 
     A disarmed guard re-arms at the first checkpoint where h exceeds
     _ARM_THRESHOLD, and the scan starts there. Returns (bracket, armed):
     the first checkpoint pair with h > 0 before and h <= 0 after, or None.
     """
-    _require_n_q(surface, n_q)
     ts = _checkpoints(segment.t0, segment.t1)
     ys = segment.eval_many(ts)
-    hs = [float(surface.value(q)) for q in ys[:, :n_q]]
+    hs = [float(surface.value(q)) for q in ys[:, : ys.shape[1] // 2]]
     start = 0
     if not armed:
         for i, hv in enumerate(hs):
@@ -323,8 +317,8 @@ def _scan(segment: DenseSegment, surface, n_q: int, armed: bool) -> tuple:
     return None, True
 
 
-def locate_event(segment: DenseSegment, surface, ev: EventConfig,
-                 n_q: Optional[int] = None, *, bracket: tuple) -> EventHit:
+def locate_event(segment: DenseSegment, surface, ev: EventConfig, *,
+                 bracket: tuple) -> EventHit:
     """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
@@ -332,9 +326,9 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig,
     secant refines it until both |h| <= h_tol and the bracket width is
     below t_tol. Raises NoSignChange when the bracket does not straddle
     the surface, and GrazingContact when the crossing is tangential
-    (|dh/dt| below the grazing threshold), and ValueError without n_q.
+    (|dh/dt| below the grazing threshold). h sees the q block y[: y.size // 2].
     """
-    _require_n_q(surface, n_q)
+    n_q = segment.y0.size // 2
 
     def h_at(t: float) -> float:
         return float(surface.value(segment.eval(t)[:n_q]))
@@ -382,15 +376,13 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig,
 def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: float,
                           surface=None, cfg: Optional[StepperConfig] = None,
                           ev: Optional[EventConfig] = None,
-                          n_q: Optional[int] = None,
                           armed: bool = True) -> TrajectorySegment:
     """Integrate the smooth flow until the surface fires or t_final.
 
-    With surface=None this is plain adaptive integration to t_final.
-    ``n_q`` gives the length of the leading configuration block of the
-    state vector (h and grad h see only q); a surface without it raises
-    ValueError. ``armed=False`` starts with the guard disarmed, for
-    resuming just after an impact; it re-arms once h(q) exceeds 1e-9.
+    With surface=None this is plain adaptive integration to t_final;
+    otherwise h and grad h see only the q block y[: y.size // 2] of the
+    phase vector [q, x, z]. ``armed=False`` starts with the guard disarmed,
+    for resuming just after an impact; it re-arms once h(q) exceeds 1e-9.
 
     The start state must be strictly interior (h > 0) when armed;
     exterior states are a hard error, never clamped.
@@ -401,9 +393,8 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     t = float(t0)
 
     def h_of(yv: np.ndarray) -> float:
-        return float(surface.value(yv[:n_q]))
+        return float(surface.value(yv[: yv.size // 2]))
 
-    _require_n_q(surface, n_q)
     if surface is not None and armed and h_of(y) <= 0.0:
         raise ExteriorState(
             f"start state is not strictly interior (h={h_of(y):.3e} at t={t})"
@@ -417,22 +408,21 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
         if steps >= cfg.max_steps:
             raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t={t}")
         h_try = min(h_try, t_final - t)
-        t_new, y_new, seg, h_next, f_new = step(rhs, t, y, cfg, h_try, f_curr)
+        seg, h_next, f_new = step(rhs, t, y, cfg, h_try, f_curr)
         steps += 1
-        if abs(t_final - t_new) <= 4.0 * _EPS * max(1.0, abs(t_final)):
+        if abs(t_final - seg.t1) <= 4.0 * _EPS * max(1.0, abs(t_final)):
             # snap onto the horizon; the mismatch is below step roundoff
-            t_new = t_final
             seg.t1 = t_final
         if surface is not None:
-            bracket, armed = _scan(seg, surface, n_q, armed)
+            bracket, armed = _scan(seg, surface, armed)
             if bracket is not None:
-                hit = locate_event(seg, surface, ev, n_q=n_q, bracket=bracket)
+                hit = locate_event(seg, surface, ev, bracket=bracket)
                 seg.t1, seg.y1 = hit.t, hit.y.copy()   # the step ends at the hit
                 segments.append(seg)
                 return TrajectorySegment(
                     t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
                     y1=hit.y.copy(), segments=segments, hit=hit)
         segments.append(seg)
-        t, y, f_curr, h_try = t_new, y_new, f_new, h_next
+        t, y, f_curr, h_try = seg.t1, seg.y1, f_new, h_next
     return TrajectorySegment(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),
                              segments=segments, hit=None)

@@ -41,7 +41,7 @@ def format_float(x: float) -> str:
 _SECOND_BLOCK = {"lagrangian": "v", "hamiltonian": "p"}
 
 
-def csv_header(n: int, formulation: str = "lagrangian") -> list:
+def csv_header(n: int, formulation: str) -> list:
     x = _SECOND_BLOCK[formulation]
     return (["t"]
             + [f"q{i + 1}" for i in range(n)]
@@ -49,11 +49,11 @@ def csv_header(n: int, formulation: str = "lagrangian") -> list:
             + ["z", "E", "ell", "event_flag"])
 
 
-def write_trajectory_csv(path, times, states, flags, energies, ells, n: int,
-                         formulation: str = "lagrangian") -> None:
+def write_trajectory_csv(path, times, states, flags, energies, ells,
+                         formulation: str) -> None:
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    lines = [",".join(csv_header(n, formulation))]
+    lines = [",".join(csv_header(states.shape[1] // 2, formulation))]
     for k in range(times.size):
         row = [format_float(times[k])]
         row += [format_float(v) for v in states[k]]

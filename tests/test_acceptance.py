@@ -120,7 +120,7 @@ def test_criterion_3_global_energy_law(fig1_trajectory, circle_billiard):
     table = sample(traj, times)
     worst = 0.0
     for k in range(table.times.size):
-        s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+        s = ContactStateL.from_vector(table.states[k], table.times[k])
         E = lagrangian_energy(circle_billiard.dynamics, s)
         ref = math.exp(-GAMMA * table.times[k])   # E0 = 1
         worst = max(worst, abs(E - ref))
@@ -137,7 +137,7 @@ def test_criterion_4_dissipated_quantity(fig1_trajectory):
     table = sample(traj, times)
     worst_l = 0.0
     for k in range(table.times.size):
-        s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+        s = ContactStateL.from_vector(table.states[k], table.times[k])
         ref = l0 * math.exp(-GAMMA * table.times[k])
         worst_l = max(worst_l, abs(angular_momentum(s) - ref) / abs(l0))
 
@@ -167,7 +167,7 @@ def test_criterion_5_conservative_limit():
     table = sample(traj, times)
     drift = 0.0
     for k in range(table.times.size):
-        s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+        s = ContactStateL.from_vector(table.states[k], table.times[k])
         drift = max(drift, abs(lagrangian_energy(hs.dynamics, s) - E0))
 
     rng = np.random.default_rng(55)

@@ -133,7 +133,7 @@ class TestBuilders:
         E0 = lagrangian_energy(hs.dynamics, s0)
         for t in np.linspace(0.0, 6.0, 30):
             y = traj.state_at(float(t))
-            s = ContactStateL.from_vector(y, 2, t)
+            s = ContactStateL.from_vector(y, t)
             assert abs(lagrangian_energy(hs.dynamics, s) - E0) < 1e-10
 
     def test_unit_ellipse_matches_circle_trajectories(self):
@@ -185,9 +185,9 @@ class TestAngularQuantity:
     def test_decay_across_impacts(self, fig1_trajectory):
         traj = fig1_trajectory
         gamma = 1e-4
-        s0 = ContactStateL.from_vector(traj.state_at(traj.t0), 2, traj.t0)
+        s0 = ContactStateL.from_vector(traj.state_at(traj.t0), traj.t0)
         l0 = angular_momentum(s0)
         for t in np.linspace(traj.t0, traj.t_end, 200):
-            s = ContactStateL.from_vector(traj.state_at(float(t)), 2, t)
+            s = ContactStateL.from_vector(traj.state_at(float(t)), t)
             ref = l0 * math.exp(-gamma * (t - traj.t0))
             assert abs(angular_momentum(s) - ref) / abs(l0) < 1e-8

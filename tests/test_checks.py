@@ -187,7 +187,7 @@ def scalar_decay_law(traj, sys, f):
     for run in traj.segments:
         for seg in run.segments:
             ts = step_nodes(seg)
-            states = [sys.state_type.from_vector(run.eval(t), traj.n, t) for t in ts]
+            states = [sys.state_type.from_vector(run.eval(t), t) for t in ts]
             r0, rm, r1 = (sys.rate(s) for s in states)
             h = seg.t1 - seg.t0
             refs = (log_ref, log_ref + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),

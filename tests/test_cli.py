@@ -339,7 +339,7 @@ class TestCheck:
         write_trajectory_csv(str(bad), data["t"], states, data["flag"],
                              [hs.dynamics.energy(s) for s in rows],
                              [s.q[0] * s.qdot[1] - s.q[1] * s.qdot[0] for s in rows],
-                             2, "lagrangian")
+                             "lagrangian")
         capsys.readouterr()   # drain the simulate output
         assert main(["check", "--csv", str(bad), "--config", cfg]) == 2
         report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -502,6 +502,33 @@ class TestCustomSystem:
         out = str(tmp_path / "out")
         # p = M v with M = 2 I: same trajectory as v = (1, 0.5)
         assert main(["simulate", "--config", str(path), "--out", out]) == 0
+
+    @pytest.mark.parametrize("formulation, second", [("lagrangian", "v"), ("hamiltonian", "p")])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_simulate_and_check_away_from_the_plane(self, tmp_path, n, formulation, second):
+        # the CLI reads n from the config alone: identity mass in the unit
+        # ball, q0 = (0.3, 0, ...), v0 = (1, 0.4, 0, ...) cut to length n
+        cfg = {
+            "system": {"kind": "custom", "n": n, "mass_matrix": np.eye(n).tolist(),
+                       "gamma": 0.05, "surface": {"kind": "sphere", "radius": 1.0}},
+            "initial": {"q": [0.3] + [0.0] * (n - 1), "v": [1.0, 0.4, 0.0][:n], "z": 0.0},
+            "run": {"t_final": 10.0, "formulation": formulation},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        csv_path = os.path.join(out, "trajectory.csv")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 0
+        assert main(["check", "--csv", csv_path, "--config", str(path)]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "Completed" and summary["n_events"] == 4
+        assert all(c["passed"] for c in summary["checks"])
+        with open(csv_path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+        assert header == (["t"] + [f"q{i}" for i in range(1, n + 1)]
+                          + [f"{second}{i}" for i in range(1, n + 1)]
+                          + ["z", "E", "ell", "event_flag"])
 
     def test_bad_mass_matrix_shape(self, tmp_path, capsys):
         with open(self._config(tmp_path)) as fh:

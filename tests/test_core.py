@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsim import (
@@ -68,6 +68,9 @@ def quartic_system(eps=0.1, n=2, analytic=True, gamma=0.0):
     )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestStates:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteValue):
@@ -110,16 +113,33 @@ class TestStates:
         source[0] = 0.0   # the state holds a copy
         assert s.q[0] == 1e308
 
-    def test_vector_round_trip(self):
-        s = ContactStateL(q=[0.5, -0.25], qdot=[1.0, 2.0], z=0.75, t=1.5)
-        y = s.as_vector()
-        back = ContactStateL.from_vector(y, 2, t=1.5)
-        assert np.array_equal(back.q, s.q)
-        assert np.array_equal(back.qdot, s.qdot)
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.integers(1, 4).flatmap(
+               lambda n: st.lists(_FINITE, min_size=2 * n + 1, max_size=2 * n + 1)),
+           t=_FINITE)
+    @example(y=[0.5, -0.25, 1.0, 2.0, 0.75], t=1.5)
+    def test_vector_round_trip(self, y, t):
+        # every finite vector of length 2n + 1, n = 1..4, round-trips bit for
+        # bit through either class
+        y = np.array(y)
+        n = y.size // 2
+        s = ContactStateL(q=y[:n], qdot=y[n:2 * n], z=y[2 * n], t=t)
+        assert s.as_vector().tobytes() == y.tobytes()
+        back = ContactStateL.from_vector(y, t=t)
+        assert back.n == n
+        assert back.q.tobytes() == s.q.tobytes()
+        assert back.qdot.tobytes() == s.qdot.tobytes()
         assert back.z == s.z and back.t == s.t
-        sh = ContactStateH.from_vector(y, 2, t=1.5)
-        assert np.array_equal(sh.as_vector(), y)
-        assert np.array_equal(sh.p, s.qdot) and (sh.z, sh.t) == (s.z, s.t)
+        sh = ContactStateH.from_vector(y, t=t)
+        assert sh.as_vector().tobytes() == y.tobytes()
+        assert sh.p.tobytes() == s.qdot.tobytes() and (sh.z, sh.t) == (s.z, s.t)
+
+    @pytest.mark.parametrize("cls", [ContactStateL, ContactStateH])
+    @given(length=st.one_of(st.just(1), st.integers(0, 30).map(lambda k: 2 * k)))
+    def test_vector_of_no_phase_space_length_is_rejected(self, cls, length):
+        # a phase vector has length 2n + 1 with n >= 1
+        with pytest.raises(DimensionMismatch, match=f"n >= 1, got {length}$"):
+            cls.from_vector(np.arange(float(length)))
 
 
 class TestEnergy:
@@ -445,7 +465,7 @@ class TestFlatField:
             y = np.concatenate([rng.uniform(-0.6, 0.6, 2), rng.uniform(-2, 2, 2),
                                 [rng.uniform(-1, 1)]])
             t = rng.uniform(0, 200)
-            s = sys.state_type.from_vector(y, 2, t)
+            s = sys.state_type.from_vector(y, t)
             d = sys.vector_field(t, y)
             assert d.shape == (5,) and d.flags.writeable
             assert d.tobytes() == state_path_reference(sys, s).tobytes()

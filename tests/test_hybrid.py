@@ -102,7 +102,7 @@ class TestReferenceRun:
         times = np.linspace(traj.t0, traj.t_end, 500)
         table = sample(traj, times)
         for k in range(table.times.size):
-            s = ContactStateL.from_vector(table.states[k], 2, table.times[k])
+            s = ContactStateL.from_vector(table.states[k], table.times[k])
             E = lagrangian_energy(circle_billiard.dynamics, s)
             ref = E0 * math.exp(-GAMMA * table.times[k])
             assert abs(E - ref) / E0 < 1e-7
@@ -217,13 +217,13 @@ class TestSampling:
                                                   circle_billiard, tmp_path):
         # the table of demos/03_circular_billiard.py: 800 samples to t = 20
         table = sample(fig1_trajectory, np.linspace(0.0, 20.0, 800))
-        states = [ContactStateL.from_vector(y, 2, t)
+        states = [ContactStateL.from_vector(y, t)
                   for t, y in zip(table.times, table.states)]
         path = str(tmp_path / "circle_trajectory.csv")
         write_trajectory_csv(path, table.times, table.states, table.flags,
                              [lagrangian_energy(circle_billiard.dynamics, s)
                               for s in states],
-                             [angular_momentum(s) for s in states], 2)
+                             [angular_momentum(s) for s in states], "lagrangian")
         with open(path, "rb") as fh, open(GOLDEN_CSV, "rb") as golden:
             assert fh.read() == golden.read()
 
@@ -348,9 +348,16 @@ class TestGuardsAndBudgets:
         assert len(traj.events) == 50
 
     def test_flow_errors_annotated_with_event_index(self, circle_billiard):
+        # a flow phase is labelled with the index the next impact gets, the
+        # count "[impact event k]" uses
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
         cfg = StepperConfig(h_init=1e-3, h_max=1e-3, max_steps=10)
-        with pytest.raises(MaxStepsExceeded, match="after event 0"):
+        with pytest.raises(MaxStepsExceeded, match=r"\[flow phase before event 0\]"):
+            simulate(circle_billiard, s0, 20.0, cfg)
+        # impact 0 comes after 5 steps; the phase after it runs out of steps
+        s0 = ContactStateL(q=[0.995, 0.0], qdot=[1.0, 0.0], z=0.0)
+        cfg = StepperConfig(h_init=1e-3, h_max=1e-3, max_steps=20)
+        with pytest.raises(MaxStepsExceeded, match=r"\[flow phase before event 1\]"):
             simulate(circle_billiard, s0, 20.0, cfg)
 
     def test_nan_surface_value_ends_the_run_in_a_typed_error(self):

@@ -75,14 +75,13 @@ class TestStep:
 
     def test_step_returns_consistent_segment(self):
         f = lambda t, y: y * np.cos(t)
-        t1, y1, seg, h_next, f1 = step(f, 0.3, np.array([1.2]),
-                                       StepperConfig(h_init=0.1), 0.1)
-        assert seg.t0 == 0.3 and seg.t1 == t1
+        seg, h_next, f1 = step(f, 0.3, np.array([1.2]), StepperConfig(h_init=0.1), 0.1)
+        assert seg.t0 == 0.3 and np.array_equal(seg.y0, [1.2])
         assert np.array_equal(seg.eval(seg.t0), seg.y0)
         assert np.array_equal(seg.eval(seg.t1), seg.y1)
-        assert seg.h_step > 0 and seg.t0 + seg.h_step == t1
+        assert seg.h_step > 0 and seg.t0 + seg.h_step == seg.t1
         assert h_next > 0
-        assert np.allclose(f1, f(t1, y1))
+        assert np.allclose(f1, f(seg.t1, seg.y1))
 
 
 class TestDenseOutput:
@@ -129,7 +128,7 @@ class TestEvents:
         # from the center along x: the wall is exactly one time unit away
         run = integrate_until_event(damped_rhs(0.0), 0.0,
                                     np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 5.0,
-                                    surface=UNIT_CIRCLE, n_q=2)
+                                    surface=UNIT_CIRCLE)
         assert run.hit is not None
         assert abs(run.hit.t - 1.0) < 1e-10
         assert np.allclose(run.hit.y[:2], [1.0, 0.0], atol=1e-10)
@@ -137,7 +136,7 @@ class TestEvents:
     def test_offset_start(self):
         run = integrate_until_event(damped_rhs(0.0), 0.0,
                                     np.array([0.5, 0.0, 1.0, 0.0, 0.0]), 5.0,
-                                    surface=UNIT_CIRCLE, n_q=2)
+                                    surface=UNIT_CIRCLE)
         assert abs(run.hit.t - 0.5) < 1e-10
 
     def test_hit_time_matches_scalar_root_on_closed_form(self):
@@ -158,13 +157,13 @@ class TestEvents:
 
         run = integrate_until_event(damped_rhs(GAMMA), 0.0,
                                     np.array([0.5, 0.0, 1.0, 1.0, 0.0]), 5.0,
-                                    surface=UNIT_CIRCLE, n_q=2)
+                                    surface=UNIT_CIRCLE)
         assert abs(run.hit.t - t_star) < 1e-8
 
     def test_event_state_on_surface_and_inbound(self):
         run = integrate_until_event(damped_rhs(GAMMA), 0.0,
                                     np.array([0.5, 0.0, 1.0, 1.0, 0.0]), 5.0,
-                                    surface=UNIT_CIRCLE, n_q=2)
+                                    surface=UNIT_CIRCLE)
         q = run.hit.y[:2]
         v = run.hit.y[2:4]
         assert abs(UNIT_CIRCLE.value(q)) <= 1e-12
@@ -176,45 +175,41 @@ class TestEvents:
         assert seg.y1.tobytes() == run.hit.y.tobytes() == run.y1.tobytes()
         assert seg.y1 is not run.hit.y and seg.y1 is not run.y1
 
-    def test_surface_without_q_block_length_is_rejected(self):
-        # without n_q, h = 1 - q.q saw all of [q, v, z] and fired at t = 1.2771
+    def test_surface_sees_only_the_q_block(self):
+        # had h = 1 - q.q seen all of [q, v, z], it would fire at t = 1.2771
         ball = SwitchingSurface(h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q)
         y0 = np.array([0.0, 0.0, 0.6, 0.0, 0.0])
-        run = integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball, n_q=2)
+        run = integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball)
         assert abs(run.hit.t - 1.0 / 0.6) < 1e-10
-        with pytest.raises(ValueError, match="n_q"):
-            integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball)
-        seg = run.segments[-1]
-        with pytest.raises(ValueError, match="n_q"):
-            integrate._scan(seg, ball, None, armed=True)
-        with pytest.raises(ValueError, match="n_q"):
-            locate_event(seg, ball, EventConfig(), bracket=(seg.t0, seg.t1))
 
     def test_exterior_start_is_hard_error(self):
         with pytest.raises(ExteriorState):
             integrate_until_event(damped_rhs(0.0), 0.0,
                                   np.array([2.0, 0.0, 1.0, 0.0, 0.0]), 1.0,
-                                  surface=UNIT_CIRCLE, n_q=2)
+                                  surface=UNIT_CIRCLE)
 
 
 class TestLocateEvent:
+    """One-dimensional motions q(t) on [q, v, z] phase vectors, v = dq/dt."""
+
     def _segment_for(self, rhs, t0, y0, h):
-        _, _, seg, _, _ = step(rhs, t0, np.asarray(y0, float),
-                               StepperConfig(h_init=h, h_max=h), h)
+        seg, _, _ = step(rhs, t0, np.asarray(y0, float),
+                         StepperConfig(h_init=h, h_max=h), h)
         return seg
 
     @staticmethod
     def _bracket(seg, surface):
-        bracket, _ = integrate._scan(seg, surface, 1, armed=True)
+        bracket, _ = integrate._scan(seg, surface, armed=True)
         return bracket
 
     def test_quadratic_crossing(self):
         # q(t) = t against h(q) = 1 - q^2: root at t = 1
         line = SwitchingSurface(h=lambda q: 1.0 - q[0] * q[0],
                                 grad_h=lambda q: np.array([-2.0 * q[0]]))
-        seg = self._segment_for(lambda t, y: np.array([1.0]), 0.9, [0.9], 0.2)
+        seg = self._segment_for(lambda t, y: np.array([1.0, 0.0, 0.0]),
+                                0.9, [0.9, 1.0, 0.0], 0.2)
         ev = EventConfig()
-        hit = locate_event(seg, line, ev, n_q=1, bracket=self._bracket(seg, line))
+        hit = locate_event(seg, line, ev, bracket=self._bracket(seg, line))
         assert abs(hit.t - 1.0) <= 1e-12
         assert abs(line.value(hit.y[:1])) <= 1e-12
 
@@ -222,18 +217,20 @@ class TestLocateEvent:
         # q(t) = -(t - 1)^3 leaves the admissible side with zero slope at t = 1
         floor = SwitchingSurface(h=lambda q: q[0],
                                  grad_h=lambda q: np.array([1.0]))
-        seg = self._segment_for(lambda t, y: np.array([-3.0 * (t - 1.0) ** 2]),
-                                0.5, [0.125], 1.0)
+        seg = self._segment_for(
+            lambda t, y: np.array([-3.0 * (t - 1.0) ** 2, -6.0 * (t - 1.0), 0.0]),
+            0.5, [0.125, -0.75, 0.0], 1.0)
         with pytest.raises(GrazingContact):
-            locate_event(seg, floor, EventConfig(), n_q=1, bracket=self._bracket(seg, floor))
+            locate_event(seg, floor, EventConfig(), bracket=self._bracket(seg, floor))
 
     def test_no_sign_change(self):
         floor = SwitchingSurface(h=lambda q: q[0] + 10.0,
                                  grad_h=lambda q: np.array([1.0]))
-        seg = self._segment_for(lambda t, y: np.array([1.0]), 0.0, [0.0], 1.0)
+        seg = self._segment_for(lambda t, y: np.array([1.0, 0.0, 0.0]),
+                                0.0, [0.0, 1.0, 0.0], 1.0)
         assert self._bracket(seg, floor) is None
         with pytest.raises(NoSignChange):
-            locate_event(seg, floor, EventConfig(), n_q=1, bracket=(seg.t0, seg.t1))
+            locate_event(seg, floor, EventConfig(), bracket=(seg.t0, seg.t1))
 
 
 def wobble(t, y):
@@ -248,8 +245,8 @@ class TestFlatHotPath:
 
     @staticmethod
     def _segment():
-        _, _, seg, _, _ = step(wobble, 0.3, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
-                               StepperConfig(h_init=0.05, h_max=0.05), 0.05)
+        seg, _, _ = step(wobble, 0.3, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
+                         StepperConfig(h_init=0.05, h_max=0.05), 0.05)
         return seg
 
     def test_eval_many_equals_eval_at_interior_times_and_both_ends(self):
@@ -306,9 +303,9 @@ class TestFlatHotPath:
         for i in range(1, 7):
             yi = y + h * sum(a * k[j] for j, a in enumerate(integrate._A[i]))
             k[i] = wobble(t + integrate._C[i] * h, yi)
-        _, y1, seg, _, f_new = step(wobble, t, y, cfg, h)
+        seg, _, f_new = step(wobble, t, y, cfg, h)
         assert seg.h_step == h
-        assert y1.tobytes() == (y + h * (integrate._B @ k)).tobytes()
+        assert seg.y1.tobytes() == (y + h * (integrate._B @ k)).tobytes()
         assert f_new.tobytes() == k[6].tobytes()
         rng = np.random.default_rng(6)
         for _ in range(50):
