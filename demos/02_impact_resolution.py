@@ -35,7 +35,7 @@ oracle = circular_impact_closed_form(1.0, 0.0, 1.0, 0.5)
 print("unit circle at (1, 0), incoming v = (1, 0.5):")
 print(f"  resolver:    v+ = {fmt(res.state_plus.qdot)}  (lambda = {res.lam:.3f})")
 print(f"  closed form: v+ = {fmt(oracle)}")
-print(f"  residuals (tangential, energy) = {res.residuals}")
+print(f"  residuals (tangential, energy) = ({res.residual_tangential}, {res.residual_energy})")
 
 a, b = 0.9, 1.1
 ellipse = make_elliptical_billiard(BilliardSpec(boundary=Ellipse(a, b), gamma=1e-4))
@@ -77,6 +77,6 @@ s = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.5], z=0.0)
 res = resolve_impact_newton(quartic, s, circle.surface)
 print(f"\nquartic kinetic energy, same geometry:")
 print(f"  Newton resolver: v+ = {fmt(res.state_plus.qdot)}")
-print(f"  residuals (tangential, energy) = {res.residuals}")
+print(f"  residuals (tangential, energy) = ({res.residual_tangential}, {res.residual_energy})")
 print("  isotropic kinetic energy keeps momentum parallel to velocity, so")
 print("  the continuity conditions still land on the specular reflection")

@@ -63,13 +63,12 @@ from .hybrid import (
     ZENO_SUSPECTED,
     HybridSystem,
     HybridTrajectory,
-    ImpactEvent,
     SampleTable,
     sample,
     simulate,
 )
 from .impact import (
-    ImpactResult,
+    ImpactEvent,
     SwitchingSurface,
     impact_residuals,
     resolve_impact_hamiltonian,

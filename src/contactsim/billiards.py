@@ -80,7 +80,7 @@ class BilliardSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
@@ -135,7 +135,7 @@ def free_particle_closed_form(gamma: float, q0, v0, e0: float, t,
     for gamma = 0 the explicit linear formulas apply and z0 (default 0)
     is used directly since the energy no longer determines it.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError("gamma must be >= 0")
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -166,7 +166,7 @@ def circular_impact_closed_form(x: float, y: float,
     Pure oracle: evaluated verbatim, no solver machinery involved.
     """
     r2 = x * x + y * y
-    if abs(r2 - 1.0) > _BOUNDARY_TOL:
+    if not abs(r2 - 1.0) <= _BOUNDARY_TOL:
         raise ValueError(f"point is off the unit circle: x^2+y^2 = {r2}")
     vx_plus = (-vx_minus * x * x + vx_minus * y * y - 2.0 * vy_minus * x * y) / r2
     vy_plus = (-2.0 * vx_minus * x * y + vy_minus * x * x - vy_minus * y * y) / r2
@@ -183,7 +183,7 @@ def elliptical_impact_closed_form(a: float, b: float, x: float, y: float,
     Reduces to the circular map at a = b = 1.
     """
     lhs = (x / a) ** 2 + (y / b) ** 2
-    if abs(lhs - 1.0) > _BOUNDARY_TOL:
+    if not abs(lhs - 1.0) <= _BOUNDARY_TOL:
         raise ValueError(f"point is off the ellipse: (x/a)^2+(y/b)^2 = {lhs}")
     a4 = a ** 4
     b4 = b ** 4

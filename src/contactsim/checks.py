@@ -18,8 +18,8 @@ from typing import Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from .core import HamiltonianSpec, SystemSpec
-from .hybrid import HybridTrajectory, ImpactEvent
-from .impact import SwitchingSurface, impact_violation
+from .hybrid import HybridTrajectory
+from .impact import ImpactEvent, SwitchingSurface, impact_violation
 
 __all__ = [
     "CheckReport",

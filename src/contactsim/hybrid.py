@@ -5,7 +5,7 @@ on the interior of an admissible region, a switching surface h(q) = 0,
 and an impact resolver applied whenever the flow reaches the surface
 moving outward. ``simulate`` alternates smooth integration with impact
 resolution and records every piece: dense segments for later sampling
-and one event record per impact with both one-sided limits.
+and, per impact, the event its resolver returns with both one-sided limits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec
+from .core import HamiltonianSpec, SystemSpec
 from .errors import (
     ContactSimError,
     ExteriorState,
@@ -24,7 +24,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from . import impact
-from .impact import ImpactResult, SwitchingSurface
+from .impact import ImpactEvent, SwitchingSurface
 from .integrate import (
     EventConfig,
     StepperConfig,
@@ -35,7 +35,6 @@ from .integrate import (
 
 __all__ = [
     "HybridSystem",
-    "ImpactEvent",
     "TrajectorySegment",
     "HybridTrajectory",
     "SampleTable",
@@ -72,8 +71,9 @@ class HybridSystem:
     dynamics name in ``impact_law``: "natural" for a SystemSpec with a
     natural form, else "newton", and "hamiltonian" for a HamiltonianSpec.
     ``resolver`` may repeat that name, and any other name raises ValueError
-    here. A callable (dynamics, state_minus, surface) -> ImpactResult
-    replaces the law, for experiments that need a nonstandard reset.
+    here. A callable (dynamics, state_minus, surface) -> ImpactEvent
+    replaces the law, for experiments that need a nonstandard reset; the
+    event's ``state_minus`` must be the state it was handed.
     """
 
     dynamics: Union[SystemSpec, HamiltonianSpec]
@@ -97,28 +97,13 @@ class HybridSystem:
     def state_from_vector(self, y: np.ndarray, t: float):
         return self.dynamics.state_type.from_vector(y, t)
 
-    def resolve(self, state_minus, ev: EventConfig) -> ImpactResult:
+    def resolve(self, state_minus, ev: EventConfig) -> ImpactEvent:
         if callable(self.resolver):
             return self.resolver(self.dynamics, state_minus, self.surface)
         # looked up at call time, so a rebound module attribute takes effect
         resolver = getattr(impact, "resolve_impact_" + self.dynamics.impact_law)
         return resolver(self.dynamics, state_minus, self.surface,
                         grazing_threshold=ev.grazing_threshold)
-
-
-@dataclass(frozen=True)
-class ImpactEvent:
-    """One impact: time, location, both one-sided limits, multiplier,
-    and the resolver's residuals."""
-
-    index: int
-    t: float
-    q: np.ndarray
-    state_minus: Union[ContactStateL, ContactStateH]
-    state_plus: Union[ContactStateL, ContactStateH]
-    lam: float
-    residual_tangential: float
-    residual_energy: float
 
 
 @dataclass
@@ -256,23 +241,17 @@ def simulate(hs: HybridSystem, s0, t_final: float,
 
         state_minus = hs.state_from_vector(run.hit.y, run.hit.t)
         try:
-            result = hs.resolve(state_minus, ev)
+            event = hs.resolve(state_minus, ev)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj
         except ContactSimError as e:
             raise type(e)(f"{e} [impact event {len(traj.events)}]") from e
+        # the reset is checked against the flow's own pre-impact limit
+        if event.state_minus is not state_minus:
+            raise ValueError(f"the resolver returned a state_minus other than the one "
+                             f"it was handed [impact event {len(traj.events)}]")
 
-        event = ImpactEvent(
-            index=len(traj.events),
-            t=run.hit.t,
-            q=state_minus.q,
-            state_minus=state_minus,
-            state_plus=result.state_plus,
-            lam=result.lam,
-            residual_tangential=result.residual_tangential,
-            residual_energy=result.residual_energy,
-        )
         if traj.events and (event.t - traj.events[-1].t) < _ZENO_GAP_FACTOR * ev.t_tol:
             zeno_streak += 1
         else:
@@ -286,5 +265,5 @@ def simulate(hs: HybridSystem, s0, t_final: float,
             return traj
 
         t = run.hit.t
-        y = result.state_plus.as_vector()
+        y = event.state_plus.as_vector()
         armed = False

@@ -44,7 +44,7 @@ from .integrate import EventConfig
 
 __all__ = [
     "SwitchingSurface",
-    "ImpactResult",
+    "ImpactEvent",
     "resolve_impact_natural",
     "resolve_impact_newton",
     "resolve_impact_hamiltonian",
@@ -88,18 +88,24 @@ class SwitchingSurface:
 
 
 @dataclass(frozen=True)
-class ImpactResult:
-    """Resolved impact: post state, impulse multiplier, and the
-    independently evaluated (tangential, energy) residuals."""
+class ImpactEvent:
+    """One impact: both one-sided limits, the impulse multiplier, and the
+    independently evaluated (tangential, energy) residuals. Its time and
+    location are those of the pre-impact limit."""
 
+    state_minus: Union[ContactStateL, ContactStateH]
     state_plus: Union[ContactStateL, ContactStateH]
     lam: float
     residual_tangential: float
     residual_energy: float
 
     @property
-    def residuals(self) -> tuple:
-        return (self.residual_tangential, self.residual_energy)
+    def t(self) -> float:
+        return self.state_minus.t
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.state_minus.q
 
 
 def tangent_basis(grad: np.ndarray) -> np.ndarray:
@@ -178,15 +184,15 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus,
     return g, vn
 
 
-def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactResult:
+def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactEvent:
     r_tan, r_en = _residuals(sys, g, s_minus, s_plus)
-    return ImpactResult(state_plus=s_plus, lam=lam,
-                        residual_tangential=r_tan, residual_energy=r_en)
+    return ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=lam,
+                       residual_tangential=r_tan, residual_energy=r_en)
 
 
 def resolve_impact_natural(
         sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
     """Closed-form elastic impact for natural-form (quadratic kinetic) systems.
 
     qdot_plus = qdot_minus + lam * Minv grad h with
@@ -205,7 +211,7 @@ def resolve_impact_natural(
 
 def resolve_impact_newton(
         sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
     """General impact resolution by Newton iteration.
 
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
@@ -261,7 +267,7 @@ def resolve_impact_newton(
 
 def resolve_impact_hamiltonian(
         sys: HamiltonianSpec, s_minus: ContactStateH, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactResult:
+        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
     """Momentum-side impact: p_plus = p_minus + lam grad h with H unchanged.
 
     The nonzero root lam of H(q, p_minus + lam grad h, z) = H_minus is found

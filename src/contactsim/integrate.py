@@ -204,23 +204,21 @@ def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
 
 
 def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
-         h_try: Optional[float] = None, f0: Optional[np.ndarray] = None):
+         h_try: float, f0: np.ndarray):
     """One accepted Dormand-Prince 5(4) step with error control.
 
-    Attempts h_try (default cfg.h_init), shrinking on rejection until the
-    componentwise local error estimate passes atol + rtol * |state|.
+    f0 is rhs(t, y). Attempts h_try (at most cfg.h_max), shrinking on
+    rejection until the componentwise local error estimate passes
+    atol + rtol * |state|.
 
     Returns (segment, h_next, f_new): the accepted step runs from t to
     ``segment.t1`` = t + ``segment.h_step``, ending at ``segment.y1``, and
     f_new is the derivative there (FSAL), reusable as the next f0.
     """
     y = np.asarray(y, dtype=float)
-    if f0 is None:
-        f0 = np.asarray(rhs(t, y), dtype=float)
     if not np.all(np.isfinite(f0)):
         raise NonFiniteValue(f"right-hand side is not finite at t={t}")
-    h = float(h_try if h_try is not None else cfg.h_init)
-    h = min(h, cfg.h_max)
+    h = min(float(h_try), cfg.h_max)
     k = np.empty((7, y.size))
     k[0] = f0
     while True:

@@ -113,6 +113,21 @@ class TestImpactClosedForms:
             assert max(abs(ve[0] - vc[0]), abs(ve[1] - vc[1])) < 1e-14
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: circular_impact_closed_form(math.nan, 0.0, 1.0, 0.0), "off the unit circle"),
+    (lambda: elliptical_impact_closed_form(0.9, 1.1, math.nan, 0.0, 1.0, 0.0),
+     "off the ellipse"),
+    (lambda: BilliardSpec(boundary=Circle(1.0), gamma=math.nan), "gamma must be >= 0"),
+    (lambda: free_particle_closed_form(math.nan, [0.0, 0.0], [1.0, 0.0], 0.5, 1.0),
+     "gamma must be >= 0"),
+], ids=["circle_point", "ellipse_point", "spec_gamma", "free_particle_gamma"])
+def test_nan_is_rejected_by_every_guard(call, message):
+    # each guard accepts only a good value, so a NaN, which fails every
+    # comparison, is rejected rather than let through
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBuilders:
     def test_circle_surface_values(self):
         hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-4))

@@ -14,7 +14,6 @@ from contactsim import (
     HamiltonianSpec,
     HybridSystem,
     ImpactEvent,
-    ImpactResult,
     NonFiniteValue,
     StepperConfig,
     SystemSpec,
@@ -47,12 +46,9 @@ def tampered_circle(base, delta=1e-3, at_event=2):
         if counter["i"] == at_event:
             v = res.state_plus.qdot.copy()
             v[0] += delta
-            res = ImpactResult(
-                state_plus=ContactStateL(q=res.state_plus.q, qdot=v,
-                                         z=res.state_plus.z, t=res.state_plus.t),
-                lam=res.lam,
-                residual_tangential=res.residual_tangential,
-                residual_energy=res.residual_energy)
+            res = dataclasses.replace(
+                res, state_plus=ContactStateL(q=res.state_plus.q, qdot=v,
+                                              z=res.state_plus.z, t=res.state_plus.t))
         counter["i"] += 1
         return res
 
@@ -407,8 +403,7 @@ class TestImpactConditions:
         q = np.array([1.0, 0.0])
         v_minus = np.array([1.0, 0.5])
         v_plus = 0.5 * np.array([-1.0, 0.5])   # reflected but slowed: inelastic
-        e = ImpactEvent(index=0, t=1.0, q=q,
-                        state_minus=ContactStateL(q=q, qdot=v_minus, z=0.0, t=1.0),
+        e = ImpactEvent(state_minus=ContactStateL(q=q, qdot=v_minus, z=0.0, t=1.0),
                         state_plus=ContactStateL(q=q, qdot=v_plus, z=0.0, t=1.0),
                         lam=0.0, residual_tangential=0.0, residual_energy=0.0)
         rep = check_impact_conditions(e, circle_billiard.dynamics,
@@ -418,9 +413,8 @@ class TestImpactConditions:
 
     @staticmethod
     def _report(sys, surface, s_minus, s_plus):
-        e = ImpactEvent(index=0, t=s_minus.t, q=s_minus.q, state_minus=s_minus,
-                        state_plus=s_plus, lam=0.0, residual_tangential=0.0,
-                        residual_energy=0.0)
+        e = ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=0.0,
+                        residual_tangential=0.0, residual_energy=0.0)
         return check_impact_conditions(e, sys, surface)
 
     def test_non_impacts_fail_although_their_residuals_vanish(self):
@@ -461,8 +455,7 @@ class TestImpactConditions:
         sys = natural_lagrangian_system(n=1, mass=np.eye(1), gamma=0.0)
         floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
         q = np.array([0.0])
-        e = ImpactEvent(index=0, t=1.0, q=q,
-                        state_minus=ContactStateL(q=q, qdot=[-2.0], z=0.0, t=1.0),
+        e = ImpactEvent(state_minus=ContactStateL(q=q, qdot=[-2.0], z=0.0, t=1.0),
                         state_plus=ContactStateL(q=q, qdot=[2.0], z=0.0, t=1.0),
                         lam=4.0, residual_tangential=0.0, residual_energy=0.0)
         rep = check_impact_conditions(e, sys, floor)
@@ -472,7 +465,7 @@ class TestImpactConditions:
         e = fig1_trajectory.events[0]
         v_bad = e.state_plus.qdot.copy()
         v_bad[0] += 1e-3
-        bad = ImpactEvent(index=e.index, t=e.t, q=e.q, state_minus=e.state_minus,
+        bad = ImpactEvent(state_minus=e.state_minus,
                           state_plus=ContactStateL(q=e.q, qdot=v_bad,
                                                    z=e.state_plus.z, t=e.t),
                           lam=e.lam, residual_tangential=0.0, residual_energy=0.0)

@@ -232,6 +232,12 @@ class TestImpactTest:
         assert main(["impact-test", "circle", "--point", "0.5", "0",
                      "--velocity", "1", "0"]) == 1
 
+    def test_nan_gamma_is_named(self, capsys):
+        # a NaN gamma used to pass the spec and fail later on a non-finite L
+        assert main(["impact-test", "circle", "--point", "1", "0",
+                     "--velocity", "1", "0.5", "--gamma", "nan"]) == 1
+        assert "gamma must be >= 0, got nan" in capsys.readouterr().err
+
 
 class TestCheck:
     def _fresh_run(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -17,7 +18,7 @@ from contactsim import (
     ExteriorState,
     HamiltonianSpec,
     HybridSystem,
-    ImpactResult,
+    ImpactEvent,
     MaxStepsExceeded,
     NonFiniteValue,
     StepperConfig,
@@ -397,7 +398,8 @@ class TestGuardsAndBudgets:
 
         def soft_resolver(dynamics, s_minus, surface):
             v_plus = -restitution * s_minus.qdot
-            return ImpactResult(
+            return ImpactEvent(
+                state_minus=s_minus,
                 state_plus=ContactStateL(q=s_minus.q, qdot=v_plus,
                                          z=s_minus.z, t=s_minus.t),
                 lam=0.0, residual_tangential=0.0, residual_energy=0.0)
@@ -420,9 +422,7 @@ class TestCustomResolverHook:
             v[0] += 1e-3
             bad = ContactStateL(q=res.state_plus.q, qdot=v,
                                 z=res.state_plus.z, t=res.state_plus.t)
-            return ImpactResult(state_plus=bad, lam=res.lam,
-                                residual_tangential=res.residual_tangential,
-                                residual_energy=res.residual_energy)
+            return dataclasses.replace(res, state_plus=bad)
 
         hs = HybridSystem(dynamics=circle_billiard.dynamics,
                           surface=circle_billiard.surface, resolver=tampered)
@@ -432,3 +432,21 @@ class TestCustomResolverHook:
         E_minus = lagrangian_energy(circle_billiard.dynamics, e.state_minus)
         E_plus = lagrangian_energy(circle_billiard.dynamics, e.state_plus)
         assert abs(E_plus - E_minus) > 1e-4
+
+    @pytest.mark.parametrize("rewrite", ["copy", "shifted"])
+    def test_resolver_must_return_the_state_it_was_handed(self, circle_billiard, rewrite):
+        # an equal copy is refused too: the reset is checked against the
+        # flow's own pre-impact limit, not against what the resolver says it was
+        from contactsim import resolve_impact_natural
+
+        def rewriting(dynamics, s_minus, surface):
+            res = resolve_impact_natural(dynamics, s_minus, surface)
+            qdot = s_minus.qdot * (1.0 if rewrite == "copy" else 1.0 + 1e-3)
+            other = ContactStateL(q=s_minus.q, qdot=qdot, z=s_minus.z, t=s_minus.t)
+            return dataclasses.replace(res, state_minus=other)
+
+        hs = HybridSystem(dynamics=circle_billiard.dynamics,
+                          surface=circle_billiard.surface, resolver=rewriting)
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        with pytest.raises(ValueError, match=r"\[impact event 0\]"):
+            simulate(hs, s0, 3.0, StepperConfig(), EventConfig())

@@ -75,7 +75,8 @@ class TestStep:
 
     def test_step_returns_consistent_segment(self):
         f = lambda t, y: y * np.cos(t)
-        seg, h_next, f1 = step(f, 0.3, np.array([1.2]), StepperConfig(h_init=0.1), 0.1)
+        y0 = np.array([1.2])
+        seg, h_next, f1 = step(f, 0.3, y0, StepperConfig(h_init=0.1), 0.1, f(0.3, y0))
         assert seg.t0 == 0.3 and np.array_equal(seg.y0, [1.2])
         assert np.array_equal(seg.eval(seg.t0), seg.y0)
         assert np.array_equal(seg.eval(seg.t1), seg.y1)
@@ -193,8 +194,8 @@ class TestLocateEvent:
     """One-dimensional motions q(t) on [q, v, z] phase vectors, v = dq/dt."""
 
     def _segment_for(self, rhs, t0, y0, h):
-        seg, _, _ = step(rhs, t0, np.asarray(y0, float),
-                         StepperConfig(h_init=h, h_max=h), h)
+        y0 = np.asarray(y0, float)
+        seg, _, _ = step(rhs, t0, y0, StepperConfig(h_init=h, h_max=h), h, rhs(t0, y0))
         return seg
 
     @staticmethod
@@ -245,8 +246,9 @@ class TestFlatHotPath:
 
     @staticmethod
     def _segment():
-        seg, _, _ = step(wobble, 0.3, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
-                         StepperConfig(h_init=0.05, h_max=0.05), 0.05)
+        y0 = np.array([0.2, -0.7, 1.1, 0.4, 2.5])
+        seg, _, _ = step(wobble, 0.3, y0, StepperConfig(h_init=0.05, h_max=0.05), 0.05,
+                         wobble(0.3, y0))
         return seg
 
     def test_eval_many_equals_eval_at_interior_times_and_both_ends(self):
@@ -303,7 +305,7 @@ class TestFlatHotPath:
         for i in range(1, 7):
             yi = y + h * sum(a * k[j] for j, a in enumerate(integrate._A[i]))
             k[i] = wobble(t + integrate._C[i] * h, yi)
-        seg, _, f_new = step(wobble, t, y, cfg, h)
+        seg, _, f_new = step(wobble, t, y, cfg, h, wobble(t, y))
         assert seg.h_step == h
         assert seg.y1.tobytes() == (y + h * (integrate._B @ k)).tobytes()
         assert f_new.tobytes() == k[6].tobytes()
