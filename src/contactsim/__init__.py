@@ -78,7 +78,6 @@ from .impact import (
 )
 from .integrate import (
     DenseSegment,
-    EventConfig,
     EventHit,
     StepperConfig,
     integrate_until_event,

@@ -48,7 +48,7 @@ from .errors import ConfigError, ContactSimError, GrazingContact
 from .hybrid import (COMPLETED, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
 from .impact import SwitchingSurface, impact_violation
-from .integrate import EventConfig, StepperConfig
+from .integrate import StepperConfig
 from .io import (
     format_float,
     read_trajectory_csv,
@@ -81,7 +81,6 @@ class RunConfig:
     formulation: str
     max_events: int
     stepper: StepperConfig
-    events: EventConfig
     samples: int
     svg: bool
     raw: dict = field(repr=False, default_factory=dict)
@@ -230,6 +229,8 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     if p0 is not None and formulation != "hamiltonian":
         raise ConfigError("'initial.p' requires the hamiltonian formulation")
     max_events = _read(cfg, "run.max_events", int, MAX_EVENTS)
+    if max_events < 1:
+        raise ConfigError(f"'run.max_events' must be >= 1, got {max_events}")
 
     samples = _read(cfg, "output.samples", int, 1000)
     if samples < 2:
@@ -237,7 +238,6 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     rc = RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
                    t_final=t_final, formulation=formulation, max_events=max_events,
                    stepper=_read(cfg, "stepper", StepperConfig, StepperConfig()),
-                   events=_read(cfg, "events", EventConfig, EventConfig()),
                    samples=samples, svg=_read(cfg, "output.svg", bool, True), raw=raw)
     for path, value in cfg.items():
         if path != "sweep":
@@ -294,7 +294,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     if hs.surface.value(rc.q0) <= 0.0:
         raise ConfigError("'initial.q' must be strictly interior to the boundary")
     s0 = initial_state(rc, hs, lag_spec)
-    traj = simulate(hs, s0, rc.t_final, rc.stepper, rc.events, rc.max_events)
+    traj = simulate(hs, s0, rc.t_final, rc.stepper, rc.max_events)
     if not traj.segments:
         os.makedirs(out_dir, exist_ok=True)
         summary = {"status": traj.status, "formulation": rc.formulation,
@@ -398,7 +398,7 @@ def cmd_impact_test(args) -> int:
 
     s_minus = ContactStateL(q=q, qdot=v, z=0.0, t=0.0)
     try:
-        result = hs.resolve(s_minus, EventConfig())
+        result = hs.resolve(s_minus)
     except GrazingContact as e:
         print(f"grazing contact: {e}")
         return 2

@@ -26,9 +26,9 @@ from .errors import (
 from . import impact
 from .impact import ImpactEvent, SwitchingSurface
 from .integrate import (
-    EventConfig,
     StepperConfig,
     TrajectorySegment,
+    _LOCATE_T_TOL,
     _eval_segments,
     integrate_until_event,
 )
@@ -52,10 +52,10 @@ GRAZING_STOP = "GrazingStop"
 EVENT_BUDGET_EXHAUSTED = "EventBudgetExhausted"
 MAX_EVENTS = 10 ** 6    # simulate's default event budget, also the CLI's
 
-# Zeno guard: this many consecutive events, each within 100 * t_tol of the
-# previous one, stop the run.
+# Zeno guard: this many consecutive events, each within 100 times the
+# event-time tolerance of the previous one, stop the run.
 _ZENO_STREAK = 50
-_ZENO_GAP_FACTOR = 100.0
+_ZENO_WINDOW = 100.0 * _LOCATE_T_TOL
 
 FLAG_FLOW = 0
 FLAG_PRE_IMPACT = 1
@@ -97,20 +97,17 @@ class HybridSystem:
     def state_from_vector(self, y: np.ndarray, t: float):
         return self.dynamics.state_type.from_vector(y, t)
 
-    def resolve(self, state_minus, ev: EventConfig) -> ImpactEvent:
-        if callable(self.resolver):
-            return self.resolver(self.dynamics, state_minus, self.surface)
-        # looked up at call time, so a rebound module attribute takes effect
-        resolver = getattr(impact, "resolve_impact_" + self.dynamics.impact_law)
-        return resolver(self.dynamics, state_minus, self.surface,
-                        grazing_threshold=ev.grazing_threshold)
+    def resolve(self, state_minus) -> ImpactEvent:
+        # a law is looked up at call time, so a rebound module attribute takes effect
+        resolver = self.resolver if callable(self.resolver) else getattr(
+            impact, "resolve_impact_" + self.dynamics.impact_law)
+        return resolver(self.dynamics, state_minus, self.surface)
 
 
 @dataclass
 class HybridTrajectory:
     """Ordered smooth segments separated by impact events."""
 
-    formulation: str
     n: int
     segments: List[TrajectorySegment] = field(default_factory=list)
     events: List[ImpactEvent] = field(default_factory=list)
@@ -194,17 +191,16 @@ def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:
 
 def simulate(hs: HybridSystem, s0, t_final: float,
              cfg: Optional[StepperConfig] = None,
-             ev: Optional[EventConfig] = None,
              max_events: int = MAX_EVENTS) -> HybridTrajectory:
     """Run the hybrid loop from s0 until t_final or a terminal condition.
 
-    The start state must be strictly interior. Returns the trajectory
+    The start state must be strictly interior; t_final must be finite and
+    past its time, and max_events at least 1 (ValueError). Returns the trajectory
     with status Completed, ZenoSuspected, GrazingStop, or
     EventBudgetExhausted. Integrator and impact errors propagate, annotated
     "[flow phase before event k]" or "[impact event k]", k the next impact's index.
     """
     cfg = cfg or StepperConfig()
-    ev = ev or EventConfig()
     expected = hs.dynamics.state_type
     if not isinstance(s0, expected):
         raise TypeError(
@@ -218,8 +214,10 @@ def simulate(hs: HybridSystem, s0, t_final: float,
         )
     if not t_final > s0.t:
         raise ValueError(f"t_final={t_final} must exceed the start time {s0.t}")
+    if max_events < 1:
+        raise ValueError(f"max_events={max_events} must be >= 1")
 
-    traj = HybridTrajectory(formulation=hs.formulation, n=hs.n)
+    traj = HybridTrajectory(n=hs.n)
     t = float(s0.t)
     y = s0.as_vector()
     armed = True
@@ -228,7 +226,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     while True:
         try:
             run = integrate_until_event(hs.dynamics.vector_field, t, y, t_final,
-                                        hs.surface, cfg, ev, armed=armed)
+                                        hs.surface, cfg, armed=armed)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj
@@ -241,7 +239,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
 
         state_minus = hs.state_from_vector(run.hit.y, run.hit.t)
         try:
-            event = hs.resolve(state_minus, ev)
+            event = hs.resolve(state_minus)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj
@@ -252,7 +250,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
             raise ValueError(f"the resolver returned a state_minus other than the one "
                              f"it was handed [impact event {len(traj.events)}]")
 
-        if traj.events and (event.t - traj.events[-1].t) < _ZENO_GAP_FACTOR * ev.t_tol:
+        if traj.events and (event.t - traj.events[-1].t) < _ZENO_WINDOW:
             zeno_streak += 1
         else:
             zeno_streak = 1

@@ -40,7 +40,6 @@ from .errors import (
     NonFiniteValue,
     SingularHessian,
 )
-from .integrate import EventConfig
 
 __all__ = [
     "SwitchingSurface",
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9       # |h| of a state on the surface
+_GRAZING_SPEED = 1e-9      # a normal speed below this is a tangential approach
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 
@@ -159,8 +159,7 @@ def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
     return np.inf
 
 
-def _approach_normal(sys, surface: SwitchingSurface, s_minus,
-                     grazing_threshold: float) -> tuple:
+def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     """Validate an impact state and return (grad h, normal velocity).
 
     The state must lie on the surface, the normal must not vanish, and
@@ -177,7 +176,7 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus,
     if float(np.linalg.norm(g)) <= 1e-12:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
     vn = float(g @ sys.velocity(s_minus))
-    if vn >= -grazing_threshold:
+    if vn >= -_GRAZING_SPEED:
         raise GrazingContact(
             f"normal velocity {vn:.3e} is not approaching the boundary"
         )
@@ -190,9 +189,8 @@ def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactEv
                        residual_tangential=r_tan, residual_energy=r_en)
 
 
-def resolve_impact_natural(
-        sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
+def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
+                           surface: SwitchingSurface) -> ImpactEvent:
     """Closed-form elastic impact for natural-form (quadratic kinetic) systems.
 
     qdot_plus = qdot_minus + lam * Minv grad h with
@@ -201,7 +199,7 @@ def resolve_impact_natural(
     """
     if sys.natural is None:
         raise ValueError("resolve_impact_natural requires natural-form data")
-    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
+    g, vn = _approach_normal(sys, surface, s_minus)
     minv_g = _mass_solve(sys.natural, s_minus.q, g)
     lam = -2.0 * vn / float(g @ minv_g)
     qdot_plus = s_minus.qdot + lam * minv_g
@@ -209,9 +207,8 @@ def resolve_impact_natural(
     return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
-def resolve_impact_newton(
-        sys: SystemSpec, s_minus: ContactStateL, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
+def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
+                          surface: SwitchingSurface) -> ImpactEvent:
     """General impact resolution by Newton iteration.
 
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
@@ -227,7 +224,7 @@ def resolve_impact_newton(
     lands back on the identity root is reported as ConvergedToIdentity,
     never silently accepted.
     """
-    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
+    g, vn = _approach_normal(sys, surface, s_minus)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = sys.grad_v(q, s_minus.qdot, z)
     e_minus = lagrangian_energy(sys, s_minus)
@@ -265,9 +262,8 @@ def resolve_impact_newton(
     return _with_residuals(sys, g, s_minus, s_plus, lam)
 
 
-def resolve_impact_hamiltonian(
-        sys: HamiltonianSpec, s_minus: ContactStateH, surface: SwitchingSurface,
-        grazing_threshold: float = EventConfig.grazing_threshold) -> ImpactEvent:
+def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
+                               surface: SwitchingSurface) -> ImpactEvent:
     """Momentum-side impact: p_plus = p_minus + lam grad h with H unchanged.
 
     The nonzero root lam of H(q, p_minus + lam grad h, z) = H_minus is found
@@ -277,7 +273,7 @@ def resolve_impact_hamiltonian(
     root itself for any H quadratic in p, so a natural-form system stops
     there; the same iteration serves every other H.
     """
-    g, vn = _approach_normal(sys, surface, s_minus, grazing_threshold)
+    g, vn = _approach_normal(sys, surface, s_minus)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = s_minus.p
     H_minus = sys.value(q, p_minus, z)

@@ -25,6 +25,7 @@ and the state is projected exactly onto the surface along the gradient.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,10 +40,10 @@ from .errors import (
     NoSignChange,
     StepSizeUnderflow,
 )
+from .impact import _GRAZING_SPEED
 
 __all__ = [
     "StepperConfig",
-    "EventConfig",
     "DenseSegment",
     "EventHit",
     "TrajectorySegment",
@@ -92,6 +93,8 @@ _CHECK_K = np.arange(_N_CHECK + 1, dtype=float)
 _EPS = float(np.finfo(float).eps)
 _ARM_THRESHOLD = 1e-9      # a disarmed guard re-arms once h exceeds this
 _LOCATE_MAX_ITER = 200
+_LOCATE_T_TOL = 1e-12      # a located event's bracket width
+_LOCATE_H_TOL = 1e-12      # and |h| at its exterior end
 
 
 @dataclass(frozen=True)
@@ -108,18 +111,6 @@ class StepperConfig:
                 raise ValueError(f"StepperConfig.{name} must be > 0")
         if self.max_steps < 1:
             raise ValueError("StepperConfig.max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class EventConfig:
-    t_tol: float = 1e-12
-    h_tol: float = 1e-12
-    grazing_threshold: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("t_tol", "h_tol", "grazing_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"EventConfig.{name} must be > 0")
 
 
 class DenseSegment:
@@ -315,16 +306,15 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     return None, True
 
 
-def locate_event(segment: DenseSegment, surface, ev: EventConfig, *,
-                 bracket: tuple) -> EventHit:
+def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
     at b, as the checkpoint scan returns it. A bisection-safeguarded
-    secant refines it until both |h| <= h_tol and the bracket width is
-    below t_tol. Raises NoSignChange when the bracket does not straddle
-    the surface, and GrazingContact when the crossing is tangential
-    (|dh/dt| below the grazing threshold). h sees the q block y[: y.size // 2].
+    secant refines it until |h| and the bracket width are both at most
+    1e-12. Raises NoSignChange when the bracket does not straddle the
+    surface, and GrazingContact when the crossing is tangential (|dh/dt|
+    below the impact law's grazing speed). h sees the q block y[: y.size // 2].
     """
     n_q = segment.y0.size // 2
 
@@ -338,7 +328,7 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig, *,
 
     # the root estimate is the exterior end b
     for it in range(_LOCATE_MAX_ITER):
-        if (b - a) <= ev.t_tol and abs(fb) <= ev.h_tol:
+        if (b - a) <= _LOCATE_T_TOL and abs(fb) <= _LOCATE_H_TOL:
             break
         # secant candidate on even iterations, forced bisection on odd ones
         # so the bracket provably shrinks (plain regula falsi can stagnate)
@@ -361,7 +351,7 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig, *,
     y_root = segment.eval(b)
     q = y_root[:n_q]
     hdot = float(surface.gradient(q) @ segment.eval_derivative(b)[:n_q])
-    if abs(hdot) < ev.grazing_threshold:
+    if abs(hdot) < _GRAZING_SPEED:
         raise GrazingContact(f"tangential boundary encounter at t={b} (dh/dt={hdot:.3e})")
     # only interior -> exterior crossings are events
     if hdot > 0.0:
@@ -373,7 +363,6 @@ def locate_event(segment: DenseSegment, surface, ev: EventConfig, *,
 
 def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: float,
                           surface=None, cfg: Optional[StepperConfig] = None,
-                          ev: Optional[EventConfig] = None,
                           armed: bool = True) -> TrajectorySegment:
     """Integrate the smooth flow until the surface fires or t_final.
 
@@ -383,10 +372,13 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     for resuming just after an impact; it re-arms once h(q) exceeds 1e-9.
 
     The start state must be strictly interior (h > 0) when armed;
-    exterior states are a hard error, never clamped.
+    exterior states are a hard error, never clamped. t0 and t_final must
+    be finite (ValueError).
     """
+    for name, value in (("t0", t0), ("t_final", t_final)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} is not finite")
     cfg = cfg or StepperConfig()
-    ev = ev or EventConfig()
     y = np.asarray(y0, dtype=float)
     t = float(t0)
 
@@ -414,7 +406,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
         if surface is not None:
             bracket, armed = _scan(seg, surface, armed)
             if bracket is not None:
-                hit = locate_event(seg, surface, ev, bracket=bracket)
+                hit = locate_event(seg, surface, bracket=bracket)
                 seg.t1, seg.y1 = hit.t, hit.y.copy()   # the step ends at the hit
                 segments.append(seg)
                 return TrajectorySegment(

@@ -6,7 +6,6 @@ from contactsim import (
     Circle,
     ContactStateL,
     Ellipse,
-    EventConfig,
     StepperConfig,
     make_circular_billiard,
     make_elliptical_billiard,
@@ -34,7 +33,7 @@ def ellipse_billiard():
 def fig1_trajectory(circle_billiard):
     """The reference circular run: gamma = 1e-4 from (0.5, 0) with v = (1, 1)."""
     s0 = ContactStateL(q=Q0_PAPER, qdot=V0_PAPER, z=0.0, t=0.0)
-    return simulate(circle_billiard, s0, 20.0, StepperConfig(), EventConfig())
+    return simulate(circle_billiard, s0, 20.0, StepperConfig())
 
 
 @pytest.fixture

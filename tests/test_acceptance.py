@@ -19,7 +19,6 @@ from contactsim import (
     ContactStateH,
     ContactStateL,
     Ellipse,
-    EventConfig,
     HybridSystem,
     StepperConfig,
     angular_momentum,
@@ -56,7 +55,7 @@ def test_criterion_1_closed_form_flow():
     # free flight with drag, no boundary within reach over t in [0, 5]
     hs = make_circular_billiard(BilliardSpec(boundary=Circle(100.0), gamma=GAMMA))
     s0 = ContactStateL(q=Q0, qdot=V0, z=0.0)
-    traj = simulate(hs, s0, 5.0, StepperConfig(), EventConfig())
+    traj = simulate(hs, s0, 5.0, StepperConfig())
     assert not traj.events
     times = np.linspace(0.0, 5.0, 501)
     worst_state = 0.0
@@ -161,7 +160,7 @@ def test_criterion_4_dissipated_quantity(fig1_trajectory):
 def test_criterion_5_conservative_limit():
     hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=0.0))
     s0 = ContactStateL(q=Q0, qdot=V0, z=0.0)
-    traj = simulate(hs, s0, 80.0, StepperConfig(), EventConfig())
+    traj = simulate(hs, s0, 80.0, StepperConfig())
     E0 = 1.0
     times = np.linspace(0.0, 80.0, 2000)
     table = sample(traj, times)
@@ -188,11 +187,11 @@ def test_criterion_5_conservative_limit():
 
 def test_criterion_6_formulation_duality(circle_billiard):
     s0 = ContactStateL(q=Q0, qdot=V0, z=0.0)
-    lag = simulate(circle_billiard, s0, 14.0, StepperConfig(), EventConfig())
+    lag = simulate(circle_billiard, s0, 14.0, StepperConfig())
     hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
     hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface)
     sh0 = legendre_forward(circle_billiard.dynamics, s0)
-    ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
+    ham = simulate(hs_h, sh0, 14.0, StepperConfig())
     worst = 0.0
     for t in np.linspace(0.0, 14.0, 500):
         q_l = lag.state_at(float(t))[:2]
@@ -241,7 +240,7 @@ def test_criterion_8_negative_controls(circle_billiard):
     hs = HybridSystem(dynamics=circle_billiard.dynamics,
                       surface=circle_billiard.surface, resolver=tampered)
     s0 = ContactStateL(q=Q0, qdot=V0, z=0.0)
-    traj = simulate(hs, s0, 10.0, StepperConfig(), EventConfig())
+    traj = simulate(hs, s0, 10.0, StepperConfig())
     assert len(traj.events) > 3
 
     energy_rep = check_energy_decay(traj, circle_billiard.dynamics)

@@ -8,7 +8,6 @@ from contactsim import (
     Circle,
     ContactStateL,
     Ellipse,
-    EventConfig,
     StepperConfig,
     angular_momentum,
     circular_impact_closed_form,
@@ -144,7 +143,7 @@ class TestBuilders:
     def test_conservative_circle_preserves_energy(self):
         hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=0.0))
         s0 = ContactStateL(q=[0.3, 0.1], qdot=[1.0, 0.4], z=0.0)
-        traj = simulate(hs, s0, 6.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 6.0, StepperConfig())
         E0 = lagrangian_energy(hs.dynamics, s0)
         for t in np.linspace(0.0, 6.0, 30):
             y = traj.state_at(float(t))
@@ -156,15 +155,15 @@ class TestBuilders:
         hs_c = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-4))
         hs_e = make_elliptical_billiard(
             BilliardSpec(boundary=Ellipse(1.0, 1.0), gamma=1e-4))
-        tr_c = simulate(hs_c, s0, 5.0, StepperConfig(), EventConfig())
-        tr_e = simulate(hs_e, s0, 5.0, StepperConfig(), EventConfig())
+        tr_c = simulate(hs_c, s0, 5.0, StepperConfig())
+        tr_e = simulate(hs_e, s0, 5.0, StepperConfig())
         for t in np.linspace(0.0, 5.0, 50):
             assert np.max(np.abs(tr_c.state_at(float(t))
                                  - tr_e.state_at(float(t)))) < 1e-12
 
     def test_reference_elliptical_run_completes(self, ellipse_billiard):
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.2], z=0.0)
-        traj = simulate(ellipse_billiard, s0, 10.0, StepperConfig(), EventConfig())
+        traj = simulate(ellipse_billiard, s0, 10.0, StepperConfig())
         assert traj.status == "Completed"
         assert len(traj.events) >= 5
         for e in traj.events:

@@ -10,7 +10,6 @@ from contactsim import (
     Circle,
     ContactStateH,
     ContactStateL,
-    EventConfig,
     HamiltonianSpec,
     HybridSystem,
     ImpactEvent,
@@ -77,14 +76,14 @@ class TestEnergyDecay:
     def test_conservative_run_is_flat(self):
         hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=0.0))
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        traj = simulate(hs, s0, 10.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 10.0, StepperConfig())
         rep = check_energy_decay(traj, hs.dynamics)
         assert rep.max_violation <= 1e-9
 
     def test_perturbed_impact_fails(self, circle_billiard):
         hs = tampered_circle(circle_billiard)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        traj = simulate(hs, s0, 10.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 10.0, StepperConfig())
         rep = check_energy_decay(traj, circle_billiard.dynamics)
         assert not rep.passed
         assert rep.max_violation > 1e-4
@@ -95,7 +94,7 @@ class TestEnergyDecay:
         # one step's velocity block scaled by 1 + 1e-6 at its stored ends and
         # in its interpolant: the energy there is off by about 2e-6
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        traj = simulate(circle_billiard, s0, 10.0, StepperConfig(), EventConfig())
+        traj = simulate(circle_billiard, s0, 10.0, StepperConfig())
         assert check_energy_decay(traj, circle_billiard.dynamics).passed
         seg = traj.segments[3].segments[1]
         for name in ("y0", "y1", "_r2", "_r3", "_r4", "_r5"):
@@ -107,7 +106,7 @@ class TestEnergyDecay:
 
     def test_empty_trajectory_rejected(self, circle_billiard):
         from contactsim.hybrid import HybridTrajectory
-        empty = HybridTrajectory(formulation="lagrangian", n=2)
+        empty = HybridTrajectory(n=2)
         with pytest.raises(ValueError):
             check_energy_decay(empty, circle_billiard.dynamics)
 

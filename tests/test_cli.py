@@ -11,7 +11,7 @@ from contactsim import checks, cli
 from contactsim.checks import CheckReport
 from contactsim.cli import build_system, load_config, main, parse_config
 from contactsim.hybrid import MAX_EVENTS
-from contactsim.integrate import EventConfig, StepperConfig
+from contactsim.integrate import StepperConfig
 from contactsim.io import read_trajectory_csv, write_trajectory_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -138,13 +138,19 @@ class TestSimulate:
         ("stepper", [1, 2], "'stepper'"),
         ("initial.q", [0.5, None], "initial.q"),
         pytest.param("stepper.rtol", 10 ** 400, "stepper.rtol", id="stepper.rtol-10**400"),
-        # a key that no setting reads, in every section but stepper/events
+        # a key that no setting reads, in every section but stepper
         ("output.sampels", 50, "'output.sampels'"),
         ("run.t_finall", 5, "'run.t_finall'"),
         ("initial.qdot", [1.0, 1.0], "'initial.qdot'"),
         ("system.radius_", 2.0, "'system.radius_'"),
         # runs are always deterministic, so no key asks for it
         ("run.deterministic", True, "'run.deterministic'"),
+        # the event policy is a set of constants of the program, so no
+        # section sets it; a config that still has one is refused
+        pytest.param("events", {"t_tol": 1e-12, "h_tol": 1e-12, "grazing_threshold": 1e-9},
+                     "'events.t_tol'", id="events-section"),
+        # a budget below 1 used to run to the first impact and exit 2
+        ("run.max_events", 0, "run.max_events"),
         pytest.param("system.surface", {"kind": "sphere", "radius": 1.0},
                      "'system.surface.kind'", id="system.surface-on-a-circle"),
         pytest.param("plot", {}, "'plot'", id="unknown-empty-section"),
@@ -169,7 +175,7 @@ class TestSimulate:
         block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1]
         block = block.split("```", 1)[0]
         rc = parse_config(json.loads(re.sub(r"//[^\n]*", "", block)))
-        assert rc.stepper == StepperConfig() and rc.events == EventConfig()
+        assert rc.stepper == StepperConfig()
         assert rc.max_events == MAX_EVENTS and rc.samples == 1000 and rc.svg
 
     def test_json_parse_error_names_location(self, tmp_path, capsys):

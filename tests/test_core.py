@@ -337,6 +337,30 @@ def test_checks_never_reach_the_solver_path():
     assert hits == []
 
 
+def _package_modules(path: str) -> set:
+    """The contactsim modules that a source file imports, by name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "contactsim"):
+            module = (node.module or "").removeprefix("contactsim").strip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("contactsim.")}
+    return found
+
+
+def test_impact_imports_only_core_and_errors():
+    # the impact law states its own precondition (an outward, non-grazing
+    # approach), which the event search reads from it: impact sits below
+    # integrate, hybrid, checks, cli and io and imports none of them
+    path = os.path.join(os.path.dirname(core.__file__), "impact.py")
+    assert _package_modules(path) <= {"core", "errors"}
+
+
 def _forbid_bundle(monkeypatch):
     def fail(*args):
         raise AssertionError("the resolved natural field assembled the partials")

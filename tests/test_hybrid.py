@@ -14,7 +14,6 @@ from contactsim import (
     Circle,
     ContactStateH,
     ContactStateL,
-    EventConfig,
     ExteriorState,
     HamiltonianSpec,
     HybridSystem,
@@ -34,6 +33,7 @@ from contactsim import (
     sample,
     simulate,
 )
+from contactsim import hybrid
 from contactsim.io import write_trajectory_csv
 
 GAMMA = 1e-4
@@ -69,7 +69,7 @@ class TestDiameterBouncing:
     def test_period_four(self):
         hs = circle(gamma=0.0)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0)
-        traj = simulate(hs, s0, 9.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 9.0, StepperConfig())
         assert traj.status == COMPLETED
         ts = [e.t for e in traj.events]
         qs = [e.q for e in traj.events]
@@ -84,7 +84,7 @@ class TestDiameterBouncing:
     def test_velocity_alternates_sign(self):
         hs = circle(gamma=0.0)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0)
-        traj = simulate(hs, s0, 9.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 9.0, StepperConfig())
         for e in traj.events:
             v_minus = e.state_minus.qdot
             v_plus = e.state_plus.qdot
@@ -130,7 +130,7 @@ class TestReferenceRun:
 
     def test_determinism_bit_for_bit(self, circle_billiard, fig1_trajectory):
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        again = simulate(circle_billiard, s0, 20.0, StepperConfig(), EventConfig())
+        again = simulate(circle_billiard, s0, 20.0, StepperConfig())
         assert len(again.events) == len(fig1_trajectory.events)
         for a, b in zip(again.events, fig1_trajectory.events):
             assert a.t == b.t
@@ -232,11 +232,11 @@ class TestSampling:
 class TestHamiltonianRoute:
     def test_duality_of_formulations(self, circle_billiard):
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        lag = simulate(circle_billiard, s0, 14.0, StepperConfig(), EventConfig())
+        lag = simulate(circle_billiard, s0, 14.0, StepperConfig())
         hsys = hamiltonian_from_lagrangian(circle_billiard.dynamics)
         hs_h = HybridSystem(dynamics=hsys, surface=circle_billiard.surface)
         sh0 = legendre_forward(circle_billiard.dynamics, s0)
-        ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
+        ham = simulate(hs_h, sh0, 14.0, StepperConfig())
         assert len(lag.events) >= 10 and len(ham.events) == len(lag.events)
         for t in np.linspace(0.0, 14.0, 300):
             q_l = lag.state_at(float(t))[:2]
@@ -248,11 +248,11 @@ class TestHamiltonianRoute:
         hs_l = make_circular_billiard(
             BilliardSpec(boundary=Circle(1.0), gamma=GAMMA, mass=1.7))
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        lag = simulate(hs_l, s0, 14.0, StepperConfig(), EventConfig())
+        lag = simulate(hs_l, s0, 14.0, StepperConfig())
         hsys = hamiltonian_from_lagrangian(hs_l.dynamics)
         hs_h = HybridSystem(dynamics=hsys, surface=hs_l.surface)
         sh0 = legendre_forward(hs_l.dynamics, s0)
-        ham = simulate(hs_h, sh0, 14.0, StepperConfig(), EventConfig())
+        ham = simulate(hs_h, sh0, 14.0, StepperConfig())
         assert len(lag.events) == len(ham.events) >= 10
         worst = 0.0
         for t in np.linspace(0.0, 14.0, 300):
@@ -273,7 +273,7 @@ class TestHamiltonianRoute:
                 start = legendre_forward(hs.dynamics, s0)
                 hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
                                   surface=hs.surface)
-            traj = simulate(hs, start, 20.0, StepperConfig(), EventConfig())
+            traj = simulate(hs, start, 20.0, StepperConfig())
             assert traj.status == COMPLETED
             times.append(np.array([e.t for e in traj.events]))
         assert len(times[0]) == len(times[1]) >= 10
@@ -331,6 +331,24 @@ class TestGuardsAndBudgets:
         with pytest.raises(ValueError):
             simulate(circle_billiard, s0, 1.0)
 
+    def test_infinite_horizon_rejected(self, circle_billiard):
+        # it used to end in NonFiniteValue at q = [nan nan]
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0)
+        with pytest.raises(ValueError, match="t_final=inf is not finite"):
+            simulate(circle_billiard, s0, math.inf)
+
+    @pytest.mark.parametrize("max_events", [0, -3])
+    def test_event_budget_below_one_rejected_before_any_flow(
+            self, circle_billiard, monkeypatch, max_events):
+        # such a budget used to run to the first impact and stop there
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow phase was integrated")
+
+        monkeypatch.setattr(hybrid, "integrate_until_event", no_flow)
+        s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
+        with pytest.raises(ValueError, match=f"max_events={max_events} must be >= 1"):
+            simulate(circle_billiard, s0, 20.0, max_events=max_events)
+
     def test_event_budget(self):
         hs = circle(gamma=0.0)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0)
@@ -338,13 +356,13 @@ class TestGuardsAndBudgets:
         assert traj.status == EVENT_BUDGET_EXHAUSTED
         assert len(traj.events) == 3
 
-    def test_zeno_guard_on_tight_event_spacing(self):
-        # with t_tol = 0.1 the 2.0-unit bounce gap sits inside the
-        # 100 * t_tol window, so 50 consecutive events trip the guard
+    def test_zeno_guard_on_tight_event_spacing(self, monkeypatch):
+        # with a window of 10 the 2.0-unit bounce gap sits inside it, so 50
+        # consecutive events trip the guard
+        monkeypatch.setattr(hybrid, "_ZENO_WINDOW", 10.0)
         hs = circle(gamma=0.0)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0)
-        ev = EventConfig(t_tol=0.1)
-        traj = simulate(hs, s0, 500.0, StepperConfig(), ev)
+        traj = simulate(hs, s0, 500.0)
         assert traj.status == ZENO_SUSPECTED
         assert len(traj.events) == 50
 
@@ -407,7 +425,7 @@ class TestGuardsAndBudgets:
         hs = HybridSystem(dynamics=sys, surface=floor, resolver=soft_resolver)
         s0 = ContactStateL(q=[5e-5], qdot=[-1e-6], z=0.0)
         cfg = StepperConfig(h_init=1.0, h_max=2000.0, max_steps=10 ** 6)
-        traj = simulate(hs, s0, 1e9, cfg, EventConfig())
+        traj = simulate(hs, s0, 1e9, cfg)
         assert traj.status == GRAZING_STOP
         assert len(traj.events) >= 1
 
@@ -427,7 +445,7 @@ class TestCustomResolverHook:
         hs = HybridSystem(dynamics=circle_billiard.dynamics,
                           surface=circle_billiard.surface, resolver=tampered)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        traj = simulate(hs, s0, 3.0, StepperConfig(), EventConfig())
+        traj = simulate(hs, s0, 3.0, StepperConfig())
         e = traj.events[0]
         E_minus = lagrangian_energy(circle_billiard.dynamics, e.state_minus)
         E_plus = lagrangian_energy(circle_billiard.dynamics, e.state_plus)
@@ -449,4 +467,4 @@ class TestCustomResolverHook:
                           surface=circle_billiard.surface, resolver=rewriting)
         s0 = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
         with pytest.raises(ValueError, match=r"\[impact event 0\]"):
-            simulate(hs, s0, 3.0, StepperConfig(), EventConfig())
+            simulate(hs, s0, 3.0, StepperConfig())

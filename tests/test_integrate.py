@@ -5,7 +5,6 @@ import pytest
 
 from contactsim import (
     ContactStateL,
-    EventConfig,
     ExteriorState,
     GrazingContact,
     MaxStepsExceeded,
@@ -209,8 +208,7 @@ class TestLocateEvent:
                                 grad_h=lambda q: np.array([-2.0 * q[0]]))
         seg = self._segment_for(lambda t, y: np.array([1.0, 0.0, 0.0]),
                                 0.9, [0.9, 1.0, 0.0], 0.2)
-        ev = EventConfig()
-        hit = locate_event(seg, line, ev, bracket=self._bracket(seg, line))
+        hit = locate_event(seg, line, bracket=self._bracket(seg, line))
         assert abs(hit.t - 1.0) <= 1e-12
         assert abs(line.value(hit.y[:1])) <= 1e-12
 
@@ -222,7 +220,7 @@ class TestLocateEvent:
             lambda t, y: np.array([-3.0 * (t - 1.0) ** 2, -6.0 * (t - 1.0), 0.0]),
             0.5, [0.125, -0.75, 0.0], 1.0)
         with pytest.raises(GrazingContact):
-            locate_event(seg, floor, EventConfig(), bracket=self._bracket(seg, floor))
+            locate_event(seg, floor, bracket=self._bracket(seg, floor))
 
     def test_no_sign_change(self):
         floor = SwitchingSurface(h=lambda q: q[0] + 10.0,
@@ -231,7 +229,7 @@ class TestLocateEvent:
                                 0.0, [0.0, 1.0, 0.0], 1.0)
         assert self._bracket(seg, floor) is None
         with pytest.raises(NoSignChange):
-            locate_event(seg, floor, EventConfig(), bracket=(seg.t0, seg.t1))
+            locate_event(seg, floor, bracket=(seg.t0, seg.t1))
 
 
 def wobble(t, y):
@@ -334,10 +332,18 @@ class TestBudgets:
         with pytest.raises(StepSizeUnderflow):
             integrate_until_event(f, 0.0, np.array([0.0]), 2.0, cfg=cfg)
 
+    @pytest.mark.parametrize("t0, t_final, named", [
+        (0.0, math.inf, "t_final=inf"), (0.0, math.nan, "t_final=nan"),
+        (math.nan, 1.0, "t0=nan"), (-math.inf, 1.0, "t0=-inf"),
+    ])
+    def test_non_finite_time_rejected(self, t0, t_final, named):
+        # an infinite horizon used to return one step ending at t = inf,
+        # and a NaN horizon an empty run
+        with pytest.raises(ValueError, match=f"{named} is not finite"):
+            integrate_until_event(lambda t, y: -y, t0, np.array([1.0]), t_final)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StepperConfig(rtol=0.0)
         with pytest.raises(ValueError):
             StepperConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            EventConfig(t_tol=-1.0)
