@@ -163,7 +163,10 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     """Validate an impact state and return (grad h, normal velocity).
 
     The state must lie on the surface, the normal must not vanish, and
-    the velocity (dH/dp on the Hamiltonian side) must point outward.
+    the velocity (dH/dp on the Hamiltonian side) must point outward: a
+    normal speed within the grazing speed is a GrazingContact, and one
+    pointing into the admissible region a ValueError, like a state off
+    the surface.
     """
     sys.check_state(s_minus)
     q = s_minus.q
@@ -176,6 +179,10 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     if float(np.linalg.norm(g)) <= 1e-12:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
     vn = float(g @ sys.velocity(s_minus))
+    if vn > _GRAZING_SPEED:
+        raise ValueError(
+            f"normal velocity {vn:.3e} points into the admissible region, not at the boundary"
+        )
     if vn >= -_GRAZING_SPEED:
         raise GrazingContact(
             f"normal velocity {vn:.3e} is not approaching the boundary"

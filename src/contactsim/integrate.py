@@ -18,8 +18,9 @@ reproduce ``np.linspace`` bit for bit. The scan also serves the disarmed
 phase just after an impact: the guard re-arms once h exceeds 1e-9. The
 first interior-to-exterior crossing of a switching surface h(q) = 0
 (admissible region h > 0) that the scan brackets is then localized on the
-dense interpolant by ``locate_event`` with a bisection-safeguarded secant,
-and the state is projected exactly onto the surface along the gradient.
+dense interpolant by ``locate_event``, with Newton's method on h safeguarded
+by the bracket (a handful of interpolant evaluations per event), and the
+state is projected exactly onto the surface along the gradient.
 """
 
 from __future__ import annotations
@@ -310,55 +311,71 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
-    at b, as the checkpoint scan returns it. A bisection-safeguarded
-    secant refines it until |h| and the bracket width are both at most
-    1e-12. Raises NoSignChange when the bracket does not straddle the
-    surface, and GrazingContact when the crossing is tangential (|dh/dt|
-    below the impact law's grazing speed). h sees the q block y[: y.size // 2].
+    at b, as the checkpoint scan returns it. Newton's method on the
+    interpolant, from the bracket's secant point, refines it until |h| at
+    b and b - a are both at most 1e-12; b is the event time. Each iterate
+    evaluates the interpolant and its derivative once, for h and
+    dh/dt = grad h . qdot, and replaces a or b by the sign of h. A Newton
+    point outside (a, b), or an |h| that did not halve, bisects instead,
+    so a multiple root converges linearly. A Newton step below half the
+    width tolerance steps that far past the root (less where |h| there
+    would exceed 1e-12) to close the bracket from the other side. The
+    grazing and direction tests and the projection reuse b's state and
+    dh/dt.
+
+    Raises NoSignChange when the bracket does not straddle the surface,
+    and GrazingContact when the crossing is tangential (|dh/dt| below the
+    impact law's grazing speed). h sees the q block y[: y.size // 2].
     """
     n_q = segment.y0.size // 2
-
-    def h_at(t: float) -> float:
-        return float(surface.value(segment.eval(t)[:n_q]))
-
     a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = h_at(a), h_at(b)
+    fa = float(surface.value(segment.eval(a)[:n_q]))
+    y_b = segment.eval(b)
+    fb = float(surface.value(y_b[:n_q]))
     if not (fa > 0.0 >= fb):
         raise NoSignChange(f"bracket does not straddle the surface: h={fa:.3e}, {fb:.3e}")
 
-    # the root estimate is the exterior end b
-    for it in range(_LOCATE_MAX_ITER):
+    hdot = None                          # dh/dt at b, once an iterate lands there
+    t = b - fb * (b - a) / (fb - fa)     # the secant point of the bracket
+    h_prev = math.inf
+    for _ in range(_LOCATE_MAX_ITER):
+        if not a < t < b:
+            t = 0.5 * (a + b)
+            if not a < t < b:
+                break                    # the bracket is at the spacing floor
+        y = segment.eval(t)
+        q = y[:n_q]
+        f = float(surface.value(q))
+        slope = float(surface.gradient(q) @ segment.eval_derivative(t)[:n_q])
+        if f > 0.0:
+            a = t
+        else:
+            b, fb, y_b, hdot = t, f, y, slope
         if (b - a) <= _LOCATE_T_TOL and abs(fb) <= _LOCATE_H_TOL:
             break
-        # secant candidate on even iterations, forced bisection on odd ones
-        # so the bracket provably shrinks (plain regula falsi can stagnate)
-        t_sec = 0.5 * (a + b)
-        if it % 2 == 0 and fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-            if a < cand < b:
-                t_sec = cand
-        if t_sec <= a or t_sec >= b:
-            # bracket is at the spacing floor of double precision
-            break
-        f_sec = h_at(t_sec)
-        if f_sec > 0.0:
-            a, fa = t_sec, f_sec
+        dt = -f / slope if slope != 0.0 else math.inf
+        if abs(f) >= 0.5 * h_prev:
+            t = 0.5 * (a + b)            # |h| stalled: a multiple root, or noise
+        elif abs(dt) < 0.5 * _LOCATE_T_TOL:
+            # step across the root to close the bracket from the other side
+            step_across = min(0.5 * _LOCATE_T_TOL, 0.5 * _LOCATE_H_TOL / abs(slope))
+            t += dt + (step_across if f > 0.0 else -step_across)
         else:
-            b, fb = t_sec, f_sec
+            t += dt                      # outside (a, b) it bisects next turn
+        h_prev = abs(f)
     else:
         raise NoConvergence("event localization exceeded its iteration budget")
 
-    y_root = segment.eval(b)
-    q = y_root[:n_q]
-    hdot = float(surface.gradient(q) @ segment.eval_derivative(b)[:n_q])
+    q = y_b[:n_q]
+    if hdot is None:
+        hdot = float(surface.gradient(q) @ segment.eval_derivative(b)[:n_q])
     if abs(hdot) < _GRAZING_SPEED:
         raise GrazingContact(f"tangential boundary encounter at t={b} (dh/dt={hdot:.3e})")
     # only interior -> exterior crossings are events
     if hdot > 0.0:
         raise NoSignChange("crossing has increasing h; not an exit event")
-    y_hit = y_root.copy()
-    y_hit[:n_q] = _project_to_surface(q, surface)
-    return EventHit(t=b, y=y_hit, hdot=hdot)
+    y_b[:n_q] = _project_to_surface(q, surface)
+    return EventHit(t=b, y=y_b, hdot=hdot)
 
 
 def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: float,

@@ -234,6 +234,15 @@ class TestImpactTest:
                      "--velocity", "0", "1"]) == 2
         assert "grazing" in capsys.readouterr().out.lower()
 
+    def test_receding_velocity_is_an_error_not_grazing(self, capsys):
+        # moving inward at normal speed 0.6 used to print "grazing contact", exit 2
+        assert main(["impact-test", "circle", "--point", "1", "0",
+                     "--velocity", "-0.3", "0.8"]) == 1
+        captured = capsys.readouterr()
+        assert "error: normal velocity 6.000e-01 points into the admissible region" \
+            in captured.err
+        assert "grazing" not in (captured.out + captured.err).lower()
+
     def test_off_boundary_exits_one(self, capsys):
         assert main(["impact-test", "circle", "--point", "0.5", "0",
                      "--velocity", "1", "0"]) == 1

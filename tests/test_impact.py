@@ -142,9 +142,11 @@ class TestNaturalResolver:
             resolve_impact_natural(sys, s, UNIT_CIRCLE)
 
     def test_receding_velocity_raises(self):
+        # a velocity into the admissible region is no impact state, and no
+        # tangential one either
         sys = billiard()
         s = ContactStateL(q=[1.0, 0.0], qdot=[-1.0, 0.0], z=0.0)  # moving inward
-        with pytest.raises(GrazingContact):
+        with pytest.raises(ValueError, match="points into the admissible region"):
             resolve_impact_natural(sys, s, UNIT_CIRCLE)
 
     def test_off_boundary_rejected(self):

@@ -1,7 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from contactsim import (
     ContactStateL,
@@ -14,11 +18,14 @@ from contactsim import (
     SwitchingSurface,
     integrate_until_event,
     locate_event,
+    simulate,
     step,
 )
-from contactsim import integrate
+from contactsim import cli, integrate
+from contactsim.impact import _GRAZING_SPEED
 
 GAMMA = 1e-4
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -230,6 +237,147 @@ class TestLocateEvent:
         assert self._bracket(seg, floor) is None
         with pytest.raises(NoSignChange):
             locate_event(seg, floor, bracket=(seg.t0, seg.t1))
+
+
+def cubic_motion(t_star, coefs):
+    """q(t) = sum_k coefs[k] (t - t_star)^k for k = 0..3, as the field of the
+    phase vector [q, v, z] (v = dq/dt, z constant) and the polynomials q_i
+    in s = t - t_star. Its field is polynomial in t of degree at most 2,
+    so the stepper and its quartic interpolant reproduce q to rounding."""
+    c = [np.asarray(ck, float) for ck in coefs]
+    n = c[0].size
+
+    def rhs(t, y):
+        s = t - t_star
+        return np.concatenate([c[1] + 2.0 * c[2] * s + 3.0 * c[3] * s * s,
+                               2.0 * c[2] + 6.0 * c[3] * s, [0.0]])
+
+    polys = [Polynomial([ck[i] for ck in c]) for i in range(n)]
+    return rhs, polys
+
+
+_unit = st.floats(-1.0, 1.0)
+_vec2 = st.tuples(_unit, _unit)
+
+
+class TestLocateProperties:
+    """``locate_event`` on one step of a motion whose interpolant is exact to
+    rounding, so the crossing time is known in closed form."""
+
+    @staticmethod
+    def _crossing(surface, q_star, u, w, r, phase, length):
+        t_star = 0.3 + phase * length
+        rhs, polys = cubic_motion(t_star, (q_star, u, w, r))
+        y0 = np.concatenate([[p(-phase * length) for p in polys],
+                             [p.deriv()(-phase * length) for p in polys], [0.0]])
+        cfg = StepperConfig(h_init=length, h_max=length)
+        seg, _, _ = step(rhs, 0.3, y0, cfg, length, rhs(0.3, y0))
+        return seg, t_star, polys
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(quadratic=st.booleans(), angle=st.floats(0.0, 2.0 * math.pi),
+           axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           speed_in=st.floats(0.1, 2.0), speed_along=st.floats(-2.0, 2.0),
+           w=_vec2, r=_vec2, phase=st.floats(0.05, 0.95), length=st.floats(0.05, 1.0))
+    def test_transversal_root_is_found_to_rounding(self, quadratic, angle, axes, speed_in,
+                                                  speed_along, w, r, phase, length):
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        if quadratic:
+            # h = 1 - a1 q1^2 - a2 q2^2 with q* on the curve h = 0
+            a = np.array(axes)
+            surface = SwitchingSurface(h=lambda q: 1.0 - float(a @ (q * q)),
+                                       grad_h=lambda q: -2.0 * a * q)
+            q_star = direction / np.sqrt(a)
+        else:
+            # h = n . (q* - q), the half-plane behind the line through q*
+            surface = SwitchingSurface(h=lambda q: float(direction @ (q_star - q)),
+                                       grad_h=lambda q: -direction)
+            q_star = np.array(axes)
+        g = surface.gradient(q_star)
+        normal = g / np.linalg.norm(g)
+        tangent = np.array([-normal[1], normal[0]])
+        u = speed_along * tangent - speed_in * normal   # dh/dt = -speed_in |g| at t*
+        seg, t_star, polys = self._crossing(surface, q_star, u, w, r, phase, length)
+        bracket, _ = integrate._scan(seg, surface, armed=True)
+        # keep draws where t* is the one crossing in the scan's bracket
+        h_poly = (1.0 - sum(ai * p * p for ai, p in zip(axes, polys)) if quadratic
+                  else sum(-di * p for di, p in zip(direction, polys)) + direction @ q_star)
+        if bracket is None or not bracket[0] < t_star <= bracket[1]:
+            return
+        roots = [z.real for z in h_poly.roots() if abs(z.imag) <= 1e-9
+                 and bracket[0] - 1e-9 <= t_star + z.real <= bracket[1] + 1e-9]
+        if len(roots) != 1:
+            return
+
+        hit = locate_event(seg, surface, bracket=bracket)
+        assert abs(hit.t - t_star) <= 2e-12
+        h_end = surface.value(seg.eval(hit.t)[:2])   # before the projection
+        assert h_end <= 0.0 and abs(h_end) <= 1e-12
+        assert hit.hdot < 0.0
+        assert abs(surface.value(hit.y[:2])) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_slope=st.floats(math.log10(1.5 * _GRAZING_SPEED), -6.0),
+           cubic=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), phase=st.floats(0.2, 0.8))
+    def test_near_tangent_crossing_is_localized(self, log_slope, cubic, phase):
+        # q(s) = -(alpha s + c s^3) against h = q, with dh/dt = -alpha just
+        # above the grazing speed at the root: a straight path (c = 0), or an
+        # inflection, where Newton converges linearly until |s| ~ sqrt(alpha / c)
+        # and h rounds to exactly 0 on a band about 1e-17 / alpha wide
+        alpha = 10.0 ** log_slope
+        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
+        seg, _, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [-cubic], phase, 0.5)
+        bracket, _ = integrate._scan(seg, floor, armed=True)
+        evals = []
+        evaluate = integrate.DenseSegment.eval
+
+        def counted(self, t):
+            evals.append(t)
+            return evaluate(self, t)
+
+        integrate.DenseSegment.eval = counted
+        try:
+            hit = locate_event(seg, floor, bracket=bracket)
+        finally:
+            integrate.DenseSegment.eval = evaluate
+        # the secant-bisection this replaced took 22 to 50 on the inflections
+        assert len(evals) <= (8 if cubic == 0.0 else 64)
+        h_end = float(seg.eval(hit.t)[0])
+        assert h_end <= 0.0 and abs(h_end) <= 1e-12
+        assert hit.hdot <= -_GRAZING_SPEED
+        assert abs(hit.hdot + alpha) <= 1e-6 * alpha
+
+
+@pytest.mark.parametrize("config, formulation, n_events", [
+    ("circle.json", "lagrangian", 150), ("ellipse.json", "hamiltonian", 161)])
+def test_event_localization_budget(monkeypatch, config, formulation, n_events):
+    """At most 8 dense evaluations per located event on the reference
+    configurations at T = 200, with their event counts."""
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
+    cfg["run"]["t_final"] = 200.0
+    rc = cli.parse_config(cfg, formulation)
+    hs, lag_spec, _ = cli.build_system(rc)
+    per_call = []
+    evaluate, locate = integrate.DenseSegment.eval, integrate.locate_event
+
+    def counted_eval(self, t):
+        if per_call:
+            per_call[-1] += 1
+        return evaluate(self, t)
+
+    def counted_locate(*args, **kwargs):
+        per_call.append(0)
+        try:
+            return locate(*args, **kwargs)
+        finally:
+            per_call.append(per_call.pop())
+
+    monkeypatch.setattr(integrate.DenseSegment, "eval", counted_eval)
+    monkeypatch.setattr(integrate, "locate_event", counted_locate)
+    traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
+                    rc.max_events)
+    assert len(traj.events) == n_events and len(per_call) == n_events
+    assert max(per_call) <= 8
 
 
 def wobble(t, y):
