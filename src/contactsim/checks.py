@@ -25,6 +25,7 @@ __all__ = [
     "CheckReport",
     "check_decay_laws",
     "check_row_decay_laws",
+    "check_containment",
     "check_row_containment",
     "check_energy_decay",
     "check_dissipated_quantity",
@@ -40,6 +41,13 @@ FLOW_TOL = 1e-7
 IMPACT_TOL = 1e-10
 CONTAINMENT_TOL = 1e-10
 COLUMN_TOL = 1e-12
+
+# The containment search: sample points per dense step, and the
+# golden-section iterations on an interval that holds a minimum of h; each
+# keeps 0.618 of the interval, so 40 narrow it to 4e-9 of its width.
+_CONTAINMENT_POINTS = 17
+_GOLDEN_ITERATIONS = 40
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,54 @@ def check_row_containment(surface: SwitchingSurface, times: Sequence[float],
     return CheckReport(name="containment", max_violation=float(max(0.0, -np.min(h_vals))),
                        tolerance=CONTAINMENT_TOL,
                        location=float(times[int(np.argmin(h_vals))]))
+
+
+def _golden_min(h: Callable[[float], float], a: float, b: float) -> tuple:
+    """(min h, its time) on [a, b] by golden-section search, for h unimodal."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    hc, hd = h(c), h(d)
+    for _ in range(_GOLDEN_ITERATIONS):
+        if hc <= hd:
+            b, d, hd = d, c, hc
+            c = b - _INV_PHI * (b - a)
+            hc = h(c)
+        else:
+            a, c, hc = c, d, hd
+            d = a + _INV_PHI * (b - a)
+            hd = h(d)
+    return min((hc, c), (hd, d))
+
+
+def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> CheckReport:
+    """Deepest exit from the admissible region h > 0 over every dense step,
+    between the stored rows too, located at the time of least h.
+
+    Each step's interpolant is read at 17 equally spaced times over its
+    valid window, with h and dh/dt = grad h . qdot there. Where dh/dt goes
+    from < 0 to > 0 between two of them, h has a minimum in between, which
+    golden-section search narrows. The search reads only the stored
+    interpolants, so it shares nothing with the integrator's event guard.
+    """
+    steps = [seg for run in traj.segments for seg in run.segments]
+    if not steps:
+        raise ValueError("trajectory has no flow to check")
+    n = traj.n
+    worst_h, worst_t = math.inf, None
+    for seg in steps:
+        ts = np.linspace(seg.t0, seg.t1, _CONTAINMENT_POINTS)
+        qs = seg.eval_many(ts)[:, :n]
+        qdots = seg.eval_derivative_many(ts)[:, :n]
+        hs = [surface.value(q) for q in qs]
+        gs = [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]
+        k = int(np.argmin(hs))
+        minima = [(hs[k], float(ts[k]))] + [
+            _golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(ts[j]), float(ts[j + 1]))
+            for j in range(len(ts) - 1) if gs[j] < 0.0 < gs[j + 1]]
+        h_min, t_min = min(minima)
+        if h_min < worst_h:
+            worst_h, worst_t = h_min, t_min
+    return CheckReport(name="containment", max_violation=max(0.0, -worst_h),
+                       tolerance=CONTAINMENT_TOL, location=worst_t)
 
 
 def check_energy_decay(traj: HybridTrajectory,

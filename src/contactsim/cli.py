@@ -30,6 +30,7 @@ from .billiards import (
 from .checks import (
     COLUMN_TOL,
     IMPACT_TOL,
+    check_containment,
     check_decay_laws,
     check_impact_conditions,
     check_row_containment,
@@ -323,7 +324,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
         if rep.max_violation > worst_impact.max_violation:
             worst_impact = rep
     checks.append(worst_impact)
-    checks.append(check_row_containment(hs.surface, table.times, table.states[:, :hs.n]))
+    checks.append(check_containment(traj, hs.surface))
 
     E0 = float(energies[0])
     fit_rate = None

@@ -199,6 +199,8 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     with status Completed, ZenoSuspected, GrazingStop, or
     EventBudgetExhausted. Integrator and impact errors propagate, annotated
     "[flow phase before event k]" or "[impact event k]", k the next impact's index.
+    The first flow phase tries cfg.h_init as its first step, and each phase
+    after an impact the step size the phase before proposed.
     """
     cfg = cfg or StepperConfig()
     expected = hs.dynamics.state_type
@@ -221,12 +223,13 @@ def simulate(hs: HybridSystem, s0, t_final: float,
     t = float(s0.t)
     y = s0.as_vector()
     armed = True
+    h_try = cfg.h_init
     zeno_streak = 0
 
     while True:
         try:
             run = integrate_until_event(hs.dynamics.vector_field, t, y, t_final,
-                                        hs.surface, cfg, armed=armed)
+                                        hs.surface, cfg, armed=armed, h_try=h_try)
         except GrazingContact:
             traj.status = GRAZING_STOP
             return traj
@@ -265,3 +268,4 @@ def simulate(hs: HybridSystem, s0, t_final: float,
         t = run.hit.t
         y = event.state_plus.as_vector()
         armed = False
+        h_try = run.h_next

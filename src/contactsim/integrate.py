@@ -11,16 +11,26 @@ The right-hand side is a flat field f(t, y) -> dy/dt on the phase vector,
 and each stage input is an exact-order sum: the rows k_0..k_{i-1} scaled
 by the tableau column and added in index order, as a scalar loop would.
 
-Event handling scans each accepted step at 17 equally spaced checkpoints.
-``DenseSegment.eval_many`` evaluates the interpolant at all of them in one
-broadcast with the operation order of ``eval``, and the checkpoint times
-reproduce ``np.linspace`` bit for bit. The scan also serves the disarmed
-phase just after an impact: the guard re-arms once h exceeds 1e-9. The
-first interior-to-exterior crossing of a switching surface h(q) = 0
-(admissible region h > 0) that the scan brackets is then localized on the
-dense interpolant by ``locate_event``, with Newton's method on h safeguarded
-by the bracket (a handful of interpolant evaluations per event), and the
-state is projected exactly onto the surface along the gradient.
+Event handling scans each accepted step at 17 equally spaced checkpoints
+for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
+derivative being qdot. ``DenseSegment.eval_many`` and
+``eval_derivative_many`` evaluate the interpolant and its derivative at all
+of them in one broadcast with the operations of ``eval`` and
+``eval_derivative``, and the checkpoint times reproduce ``np.linspace`` bit
+for bit. Where dh/dt changes sign between two checkpoints, h has an
+extremum there, which the scan refines on the interpolant when it can
+decide the guard: a minimum with h <= 0 is an exit that no checkpoint
+sees, and a maximum above 1e-9 re-arms the guard that an impact disarmed,
+so the particle cannot leave again before a checkpoint re-arms it
+(Shampine & Thompson, "Event location for ordinary differential
+equations", Comput. Math. Appl. 39, 2000). Steps can therefore be long:
+``simulate`` starts each flow phase after an impact at the step size the
+phase before proposed. The first interior-to-exterior crossing of a
+switching surface h(q) = 0 (admissible region h > 0) that the scan
+brackets is then localized on the dense interpolant by ``locate_event``,
+with Newton's method on h safeguarded by the bracket (a handful of
+interpolant evaluations per event), and the state is projected exactly
+onto the surface along the gradient.
 """
 
 from __future__ import annotations
@@ -100,6 +110,10 @@ _LOCATE_H_TOL = 1e-12      # and |h| at its exterior end
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """Error tolerances and step bounds of the stepper. ``h_init`` is the
+    first step the first flow phase tries; ``simulate`` starts every phase
+    after an impact at the step size the phase before it proposed."""
+
     rtol: float = 1e-10
     atol: float = 1e-10
     h_init: float = 1e-3
@@ -158,13 +172,24 @@ class DenseSegment:
                             *(getattr(self, name) for name in self.__slots__))
 
     def eval_derivative(self, t: float) -> np.ndarray:
-        """Time derivative of the interpolant (used for grazing tests)."""
-        th = self._theta(t)
-        d = (self._r2
-             + (1.0 - 2.0 * th) * self._r3
-             + (2.0 * th - 3.0 * th * th) * self._r4
-             + (2.0 * th - 6.0 * th * th + 4.0 * th ** 3) * self._r5)
-        return d / self.h_step
+        """Time derivative of the interpolant; its q block is qdot."""
+        return _derivative(self._theta(t), self.h_step, self._r2, self._r3, self._r4,
+                           self._r5)
+
+    def eval_derivative_many(self, ts: np.ndarray) -> np.ndarray:
+        """``eval_derivative`` at every time in ts, one row per time, in one
+        broadcast with the same operations, so each row equals it."""
+        th = ((np.asarray(ts, dtype=float) - self.t0) / self.h_step)[:, None]
+        return _derivative(th, self.h_step, self._r2, self._r3, self._r4, self._r5)
+
+
+def _derivative(th, h_step, r2, r3, r4, r5):
+    """The interpolant's time derivative at theta = th, a float or a column;
+    only +, - and * before the division, so both agree bit for bit."""
+    return (r2
+            + (1.0 - 2.0 * th) * r3
+            + (2.0 * th - 3.0 * th * th) * r4
+            + (2.0 * th - 6.0 * th * th + 4.0 * th * th * th) * r5) / h_step
 
 
 def _interpolate(ts, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
@@ -251,7 +276,8 @@ class EventHit:
 @dataclass
 class TrajectorySegment:
     """One smooth flow phase: dense segments from t0 until an event or the
-    horizon. ``hit`` is None when the horizon was reached."""
+    horizon. ``hit`` is None when the horizon was reached. ``h_next`` is
+    the last step's proposal, with which the next phase starts."""
 
     t0: float
     t1: float
@@ -259,6 +285,7 @@ class TrajectorySegment:
     y1: np.ndarray
     segments: list
     hit: Optional[EventHit]
+    h_next: float
 
     def eval(self, t: float) -> np.ndarray:
         if t == self.t0:
@@ -283,27 +310,91 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
     return ts
 
 
+def _slope(segment: DenseSegment, surface, t: float) -> tuple:
+    """(h, dh/dt) on the interpolant at t; dh/dt = grad h . qdot."""
+    n_q = segment.y0.size // 2
+    q = segment.eval(t)[:n_q]
+    return (float(surface.value(q)),
+            float(surface.gradient(q) @ segment.eval_derivative(t)[:n_q]))
+
+
+def _extremum(segment: DenseSegment, surface, a: float, b: float, ga: float, gb: float,
+              decides: Callable[[float], bool]) -> tuple:
+    """(t, h) between a and b, where dh/dt changes sign from ga to gb, at
+    the first iterate whose h ``decides`` the guard, else at the extremum of
+    h: Illinois regula falsi on dh/dt, to a bracket width of 1e-12."""
+    side = 0
+    for _ in range(_LOCATE_MAX_ITER):
+        t = (a * gb - b * ga) / (gb - ga)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+            if not a < t < b:
+                break                    # the bracket is at the spacing floor
+        h, g = _slope(segment, surface, t)
+        if decides(h) or g == 0.0:
+            return t, h
+        if (g > 0.0) == (ga > 0.0):
+            a, ga = t, g
+            if side == -1:
+                gb *= 0.5                # Illinois: halve the end that stayed
+            side = -1
+        else:
+            b, gb = t, g
+            if side == 1:
+                ga *= 0.5
+            side = 1
+        if b - a <= _LOCATE_T_TOL:
+            return t, h
+    t = 0.5 * (a + b)
+    return t, _slope(segment, surface, t)[0]
+
+
 def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
-    """Sign scan of h(q) at the 17 checkpoints of one dense segment.
+    """Event guard over one dense segment: h(q) and dh/dt = grad h . qdot
+    at its 17 checkpoints, and the extrema of h that dh/dt brackets.
 
     A disarmed guard re-arms at the first checkpoint where h exceeds
-    _ARM_THRESHOLD, and the scan starts there. Returns (bracket, armed):
-    the first checkpoint pair with h > 0 before and h <= 0 after, or None.
+    _ARM_THRESHOLD, or at an interior maximum above it; when the checkpoint
+    after that maximum has h <= 0, the bracket is (maximum, checkpoint).
+    An armed guard brackets the first checkpoint pair with h > 0 before
+    and h <= 0 after, or, when both have h > 0 and dh/dt goes from < 0 to
+    > 0 between them, (first checkpoint, interior minimum) if h <= 0 there.
+    An extremum is refined only when it can decide a bracket, and only
+    until h decides it: any point of the maximum's rise with h above the
+    threshold, or of the minimum's dip with h <= 0, bounds the same single
+    crossing. A step with no sign change of dh/dt costs 17 values of h and
+    17 gradients.
+    Returns (bracket, armed), the bracket None when the segment has no exit.
     """
     ts = _checkpoints(segment.t0, segment.t1)
-    ys = segment.eval_many(ts)
-    hs = [float(surface.value(q)) for q in ys[:, : ys.shape[1] // 2]]
+    n_q = segment.y0.size // 2
+    qs = segment.eval_many(ts)[:, :n_q]
+    qdots = segment.eval_derivative_many(ts)[:, :n_q]
+    hs = [float(surface.value(q)) for q in qs]
+    gs = [float(surface.gradient(q) @ qdot) for q, qdot in zip(qs, qdots)]
     start = 0
     if not armed:
         for i, hv in enumerate(hs):
             if hv > _ARM_THRESHOLD:
-                armed, start = True, i
                 break
+            if i and gs[i - 1] > 0.0 > gs[i]:
+                t_top, h_top = _extremum(segment, surface, float(ts[i - 1]), float(ts[i]),
+                                         gs[i - 1], gs[i], lambda h: h > _ARM_THRESHOLD)
+                if h_top > _ARM_THRESHOLD:
+                    if hv <= 0.0:
+                        return (t_top, float(ts[i])), True
+                    break
         else:
             return None, False
-    for i in range(max(start, 1), len(hs)):
+        armed, start = True, i
+    for i in range(start + 1, len(hs)):
         if hs[i - 1] > 0.0 >= hs[i]:
             return (float(ts[i - 1]), float(ts[i])), True
+        if gs[i - 1] < 0.0 < gs[i] and hs[i - 1] > 0.0:
+            t_low, h_low = _extremum(segment, surface, float(ts[i - 1]), float(ts[i]),
+                                     gs[i - 1], gs[i], lambda h: h <= 0.0)
+            if h_low <= 0.0:
+                return (float(ts[i - 1]), t_low), True
     return None, True
 
 
@@ -313,15 +404,15 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
     at b, as the checkpoint scan returns it. Newton's method on the
     interpolant, from the bracket's secant point, refines it until |h| at
-    b and b - a are both at most 1e-12; b is the event time. Each iterate
-    evaluates the interpolant and its derivative once, for h and
-    dh/dt = grad h . qdot, and replaces a or b by the sign of h. A Newton
-    point outside (a, b), or an |h| that did not halve, bisects instead,
-    so a multiple root converges linearly. A Newton step below half the
-    width tolerance steps that far past the root (less where |h| there
-    would exceed 1e-12) to close the bracket from the other side. The
-    grazing and direction tests and the projection reuse b's state and
-    dh/dt.
+    b and b - a are both at most 1e-12, or h at b is 0; b is the event
+    time. Each iterate evaluates the interpolant and its derivative once,
+    for h and dh/dt = grad h . qdot, and replaces a or b by the sign of h.
+    A Newton point outside (a, b), or an |h| that did not halve, bisects
+    instead, so a multiple root converges linearly. A Newton step below
+    half the width tolerance steps that far past the root (less where |h|
+    there would exceed 1e-12) to close the bracket from the other side.
+    The grazing and direction tests and the projection reuse b's state
+    and dh/dt.
 
     Raises NoSignChange when the bracket does not straddle the surface,
     and GrazingContact when the crossing is tangential (|dh/dt| below the
@@ -339,6 +430,8 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     t = b - fb * (b - a) / (fb - fa)     # the secant point of the bracket
     h_prev = math.inf
     for _ in range(_LOCATE_MAX_ITER):
+        if fb == 0.0:
+            break                        # b is a root, also when the scan put it there
         if not a < t < b:
             t = 0.5 * (a + b)
             if not a < t < b:
@@ -380,13 +473,16 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
 
 def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: float,
                           surface=None, cfg: Optional[StepperConfig] = None,
-                          armed: bool = True) -> TrajectorySegment:
+                          armed: bool = True,
+                          h_try: Optional[float] = None) -> TrajectorySegment:
     """Integrate the smooth flow until the surface fires or t_final.
 
     With surface=None this is plain adaptive integration to t_final;
     otherwise h and grad h see only the q block y[: y.size // 2] of the
     phase vector [q, x, z]. ``armed=False`` starts with the guard disarmed,
     for resuming just after an impact; it re-arms once h(q) exceeds 1e-9.
+    The first step tries h_try, by default cfg.h_init; a phase resumed
+    after an impact passes the previous phase's ``h_next``.
 
     The start state must be strictly interior (h > 0) when armed;
     exterior states are a hard error, never clamped. t0 and t_final must
@@ -409,7 +505,7 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
 
     segments: list = []
     f_curr = np.asarray(rhs(t, y), dtype=float)
-    h_try = min(cfg.h_init, max(t_final - t, _EPS))
+    h_try = min(cfg.h_init if h_try is None else h_try, max(t_final - t, _EPS))
     steps = 0
     while t < t_final:
         if steps >= cfg.max_steps:
@@ -428,8 +524,8 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
                 segments.append(seg)
                 return TrajectorySegment(
                     t0=float(t0), t1=hit.t, y0=np.asarray(y0, float),
-                    y1=hit.y.copy(), segments=segments, hit=hit)
+                    y1=hit.y.copy(), segments=segments, hit=hit, h_next=h_next)
         segments.append(seg)
         t, y, f_curr, h_try = seg.t1, seg.y1, f_new, h_next
     return TrajectorySegment(t0=float(t0), t1=t, y0=np.asarray(y0, float), y1=y.copy(),
-                             segments=segments, hit=None)
+                             segments=segments, hit=None, h_next=h_try)

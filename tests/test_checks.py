@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -26,11 +27,14 @@ from contactsim import (
     resolve_impact_natural,
     simulate,
 )
-from contactsim import core, impact
+from contactsim import core, impact, integrate
 from contactsim.billiards import angular_momentum
 from contactsim.checks import (
+    CONTAINMENT_TOL,
     CheckReport,
+    check_containment,
     check_decay_laws,
+    check_row_containment,
     check_row_decay_laws,
 )
 from contactsim.impact import SwitchingSurface, impact_residuals
@@ -472,3 +476,61 @@ class TestImpactConditions:
                                       circle_billiard.surface)
         assert not rep.passed
 
+
+
+class TestContainment:
+    """``check_containment`` minimizes h over every dense step, so an exit
+    between the stored rows fails it."""
+
+    def test_reference_run_is_contained(self, fig1_trajectory, circle_billiard):
+        rep = check_containment(fig1_trajectory, circle_billiard.surface)
+        assert rep.name == "containment" and rep.tolerance == CONTAINMENT_TOL
+        assert rep.passed and rep.max_violation <= 1e-15
+
+    def test_one_dense_step_pushed_outside_fails(self, fig1_trajectory, circle_billiard):
+        traj = copy.deepcopy(fig1_trajectory)
+        steps = [seg for run in traj.segments for seg in run.segments]
+        seg = steps[len(steps) // 2]
+        t_mid = 0.5 * (seg.t0 + seg.t1)
+        q_mid = seg.eval(t_mid)[:2]
+        # a bump of theta (1 - theta) along q: it vanishes at both knots, so
+        # the step's stored ends and every row read there stay as they were
+        seg._r3[:2] += 8.0 * q_mid / np.linalg.norm(q_mid)
+        assert circle_billiard.surface.value(seg.eval(t_mid)[:2]) < -1.0
+        knots = check_row_containment(circle_billiard.surface, [seg.t0, seg.t1],
+                                      [seg.y0[:2], seg.y1[:2]])
+        assert knots.passed
+        rep = check_containment(traj, circle_billiard.surface)
+        assert not rep.passed and rep.max_violation > 1.0
+        assert seg.t0 < rep.location < seg.t1
+
+    def test_tunnel_past_a_checkpoint_only_guard_is_found(self, monkeypatch):
+        # the annulus run under a guard reduced to its 17 checkpoints crosses
+        # the inner obstacle of radius 0.02 inside one step, 0.039 long
+        def checkpoints_only(segment, surface, armed):
+            ts = integrate._checkpoints(segment.t0, segment.t1)
+            hs = [surface.value(y[:2]) for y in segment.eval_many(ts)]
+            start = 0
+            if not armed:
+                above = [i for i, hv in enumerate(hs) if hv > integrate._ARM_THRESHOLD]
+                if not above:
+                    return None, False
+                start = above[0]
+            for i in range(max(start, 1), len(hs)):
+                if hs[i - 1] > 0.0 >= hs[i]:
+                    return (float(ts[i - 1]), float(ts[i])), True
+            return None, True
+
+        a2 = 0.02 ** 2
+        surface = SwitchingSurface(
+            h=lambda q: (q @ q - a2) * (1.0 - q @ q),
+            grad_h=lambda q: 2.0 * q * ((1.0 - q @ q) - (q @ q - a2)))
+        hs = HybridSystem(dynamics=make_circular_billiard(
+            BilliardSpec(boundary=Circle(1.0), gamma=1e-4)).dynamics, surface=surface)
+        s0 = ContactStateL(q=[-0.9, 0.005], qdot=[1.0, 0.0], z=0.0)
+        assert check_containment(simulate(hs, s0, 3.0), surface).passed
+        monkeypatch.setattr(integrate, "_scan", checkpoints_only)
+        rep = check_containment(simulate(hs, s0, 3.0), surface)
+        # the path's deepest point in the obstacle: h = (0.005^2 - 0.02^2)(1 - 0.005^2)
+        assert abs(rep.max_violation - 3.75e-4) <= 1e-8
+        assert abs(rep.location - 0.9) <= 1e-3

@@ -443,6 +443,26 @@ class TestOneCertificationStandard:
                     seen.add(c["name"])
         assert seen == set(constants)
 
+    def test_simulate_judges_containment_on_the_dense_steps(self, tmp_path, monkeypatch):
+        # the trajectory's own interpolants, not the sampled rows; check has
+        # only rows and keeps the row check
+        dense, rows = [], []
+        on_steps, on_rows = checks.check_containment, checks.check_row_containment
+        monkeypatch.setattr(cli, "check_containment",
+                            lambda *a: dense.append(on_steps(*a)) or dense[-1])
+        monkeypatch.setattr(cli, "check_row_containment",
+                            lambda *a: rows.append(on_rows(*a)) or rows[-1])
+        cfg = short_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert len(dense) == 1 and rows == []
+        with open(os.path.join(out, "summary.json")) as fh:
+            reported = [c for c in json.load(fh)["checks"] if c["name"] == "containment"]
+        assert reported == [dense[0].to_dict()]
+        assert main(["check", "--csv", os.path.join(out, "trajectory.csv"),
+                     "--config", cfg]) == 0
+        assert len(dense) == 1 and len(rows) == 1
+
 
 class TestSweep:
     def test_two_gamma_sweep(self, tmp_path):

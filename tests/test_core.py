@@ -321,7 +321,7 @@ class TestSolveRegular:
 # What produces a trajectory: the fields, the solve inside them, the stepper,
 # the event search, the hybrid loop and the impact resolvers
 SOLVER_PATH = {"herglotz_rhs", "hamiltonian_rhs", "vector_field", "_solve_regular", "step",
-               "integrate_until_event", "locate_event", "simulate", "resolve"}
+               "integrate_until_event", "_scan", "locate_event", "simulate", "resolve"}
 
 
 def test_checks_never_reach_the_solver_path():

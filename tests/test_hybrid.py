@@ -33,7 +33,8 @@ from contactsim import (
     sample,
     simulate,
 )
-from contactsim import hybrid
+from contactsim import cli, hybrid
+from contactsim.checks import check_containment
 from contactsim.io import write_trajectory_csv
 
 GAMMA = 1e-4
@@ -283,6 +284,62 @@ class TestHamiltonianRoute:
         sh = ContactStateH(q=[0.5, 0.0], p=[1.0, 1.0], z=0.0)
         with pytest.raises(TypeError):
             simulate(circle_billiard, sh, 1.0)
+
+
+CIRCLE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                             "circle.json")
+INNER = 0.02    # the annulus's inner radius
+
+
+def annulus():
+    """The unit disc with a disc of radius 0.02 taken out of its centre:
+    h = (|q|^2 - 0.02^2)(1 - |q|^2)."""
+    def h(q):
+        r2 = np.sum(np.asarray(q) ** 2, axis=-1)
+        return (r2 - INNER ** 2) * (1.0 - r2)
+
+    surface = SwitchingSurface(
+        h=h, grad_h=lambda q: 2.0 * q * ((1.0 - q @ q) - (q @ q - INNER ** 2)))
+    return HybridSystem(dynamics=circle().dynamics, surface=surface)
+
+
+class TestExitsBetweenCheckpoints:
+    """Every flow phase after the first resumes at the step size the one
+    before proposed, so a step can be far longer than an exit: the guard
+    finds exits between its checkpoints from the sign of dh/dt."""
+
+    def test_annulus_hits_the_inner_obstacle_first(self):
+        # the path y = 0.005 crosses the obstacle in 0.039, less than one
+        # checkpoint spacing of a long step; a guard that reads h only at
+        # its checkpoints reports the outer wall at t = 1.9 first, and a
+        # resample finds min h = -3.75e-4
+        hs = annulus()
+        traj = simulate(hs, ContactStateL(q=[-0.9, 0.005], qdot=[1.0, 0.0], z=0.0), 3.0)
+        assert traj.status == COMPLETED
+        first = traj.events[0]
+        assert abs(first.t - 0.8807) <= 1e-4 and np.linalg.norm(first.q) <= 1.01 * INNER
+        q = traj.sample(np.linspace(traj.t0, traj.t_end, 30001)).states[:, :2]
+        assert hs.surface.h(q).min() >= -1e-12
+        assert check_containment(traj, hs.surface).passed
+
+    @pytest.mark.parametrize("offset, angle, n_events", [
+        (1e-4, 0.01, 144), (1e-5, 0.003, 464), (1e-6, 0.001, 1443), (1e-7, 3e-4, 4641)])
+    def test_near_grazing_orbits_keep_every_impact(self, offset, angle, n_events):
+        # a chord of length 2 sin(angle) is far shorter than a checkpoint
+        # spacing: the disarmed guard re-arms at the maximum between two
+        # checkpoints, or the particle leaves the table
+        cfg = cli.load_config(CIRCLE_CONFIG)
+        cfg["run"]["t_final"] = 5.0
+        cfg["initial"]["q"] = [0.0, offset - 1.0]
+        cfg["initial"]["v"] = [math.cos(angle), math.sin(angle)]
+        rc = cli.parse_config(cfg)
+        hs, lag_spec, _ = cli.build_system(rc)
+        traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
+                        rc.max_events)
+        assert traj.status == COMPLETED and len(traj.events) == n_events
+        q = traj.sample(np.linspace(traj.t0, traj.t_end, 100001)).states[:, :2]
+        assert (1.0 - np.sum(q * q, axis=1)).min() >= -1e-12
+        assert check_containment(traj, hs.surface).passed
 
 
 class TestGuardsAndBudgets:

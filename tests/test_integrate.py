@@ -239,6 +239,81 @@ class TestLocateEvent:
             locate_event(seg, floor, bracket=(seg.t0, seg.t1))
 
 
+    def test_root_on_the_exterior_checkpoint_closes_at_once(self, monkeypatch):
+        # h(b) = 0 exactly at the scan's checkpoint b: the secant start is b
+        # itself, and every Newton point used to land on b and be bisected
+        seg = self._segment_for(lambda t, y: np.array([-1.0, 0.0, 0.0]),
+                                0.0, [1.0, -1.0, 0.0], 1.6)
+        b = float(integrate._checkpoints(seg.t0, seg.t1)[10])
+        level = float(seg.eval(b)[0])
+        wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.array([1.0]))
+        bracket = self._bracket(seg, wall)
+        assert bracket[1] == b
+        calls = []
+        evaluate, derivative = integrate.DenseSegment.eval, integrate.DenseSegment.eval_derivative
+        monkeypatch.setattr(integrate.DenseSegment, "eval",
+                            lambda self, t: calls.append("eval") or evaluate(self, t))
+        monkeypatch.setattr(integrate.DenseSegment, "eval_derivative",
+                            lambda self, t: calls.append("d") or derivative(self, t))
+        hit = locate_event(seg, wall, bracket=bracket)
+        assert hit.t == b and abs(hit.hdot + 1.0) <= 1e-12
+        assert calls == ["eval", "eval", "d"]   # h at a and b, dh/dt at b
+
+
+# q'' = c on the phase vector [q, v, z]: its quadratic path is exact on the
+# interpolant, and one step of length 1.6 puts the checkpoints 0.1 apart
+def parabola(c):
+    return lambda t, y: np.array([y[1], c, 0.0])
+
+
+FLOOR = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
+
+
+class TestScanBetweenCheckpoints:
+    """The guard reads dh/dt at its checkpoints and finds the extrema of h
+    between them."""
+
+    @staticmethod
+    def _step(rhs, y0):
+        y0 = np.asarray(y0, float)
+        cfg = StepperConfig(h_init=1.6, h_max=1.6)
+        seg, _, _ = step(rhs, 0.0, y0, cfg, 1.6, rhs(0.0, y0))
+        return seg
+
+    def test_re_exit_before_the_guard_re_arms(self):
+        # just after an impact on the floor the path rises to 3.1e-4 at
+        # t = 0.025 and is back at t = 0.05, before the first checkpoint
+        y0 = [0.0, 0.025, 0.0]
+        seg = self._step(parabola(-1.0), y0)
+        bracket, armed = integrate._scan(seg, FLOOR, armed=False)
+        assert armed and bracket[1] == 0.1
+        assert abs(bracket[0] - 0.025) <= 1e-12
+        hit = locate_event(seg, FLOOR, bracket=bracket)
+        assert abs(hit.t - 0.05) <= 1e-12 and hit.hdot < 0.0
+        run = integrate_until_event(parabola(-1.0), 0.0, np.array(y0), 1.6, FLOOR,
+                                    StepperConfig(h_init=1.6, h_max=1.6), armed=False)
+        assert abs(run.hit.t - 0.05) <= 1e-12
+
+    def test_rise_below_the_arming_threshold_stays_disarmed(self):
+        seg = self._step(parabola(-1.0), [0.0, 1e-5, 0.0])   # rises to 5e-11
+        assert integrate._scan(seg, FLOOR, armed=False) == (None, False)
+
+    def test_dip_between_two_interior_checkpoints_is_bracketed(self):
+        # q = (t - 0.85)^2 - 4e-4 is below the floor on (0.83, 0.87), and
+        # above it at the checkpoints 0.8 and 0.9
+        y0 = [0.85 ** 2 - 4e-4, -1.7, 0.0]
+        seg = self._step(parabola(2.0), y0)
+        bracket, armed = integrate._scan(seg, FLOOR, armed=True)
+        assert armed and bracket[0] == 0.8
+        assert abs(bracket[1] - 0.85) <= 1e-12
+        hit = locate_event(seg, FLOOR, bracket=bracket)
+        assert abs(hit.t - 0.83) <= 1e-12
+
+    def test_dip_that_stays_inside_is_no_event(self):
+        seg = self._step(parabola(2.0), [0.85 ** 2 + 4e-4, -1.7, 0.0])
+        assert integrate._scan(seg, FLOOR, armed=True) == (None, True)
+
+
 def cubic_motion(t_star, coefs):
     """q(t) = sum_k coefs[k] (t - t_star)^k for k = 0..3, as the field of the
     phase vector [q, v, z] (v = dq/dt, z constant) and the polynomials q_i
@@ -380,6 +455,47 @@ def test_event_localization_budget(monkeypatch, config, formulation, n_events):
     assert max(per_call) <= 8
 
 
+@pytest.mark.parametrize("config, formulation, steps, rhs_calls, n_events", [
+    ("circle.json", "lagrangian", 303, 1969, 150),
+    ("circle.json", "hamiltonian", 303, 1969, 150),
+    ("ellipse.json", "lagrangian", 306, 1998, 161),
+    ("ellipse.json", "hamiltonian", 306, 1998, 161)])
+def test_stepping_cost_is_pinned(monkeypatch, config, formulation, steps, rhs_calls,
+                                 n_events):
+    """Exact accepted steps, rejected steps and field evaluations on the
+    reference configurations at T = 200: 6 per step and 1 per flow phase.
+    Each phase after an impact resumes at the step size the last one
+    proposed; when every phase restarted at h_init they were 753 and 765
+    steps and 4,669 and 4,752 evaluations. A change that moves a count
+    states it."""
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
+    cfg["run"]["t_final"] = 200.0
+    rc = cli.parse_config(cfg, formulation)
+    hs, lag_spec, _ = cli.build_system(rc)
+    count = {"rhs": 0, "accepted": 0, "tried": 0}
+    field, stepper = type(hs.dynamics).vector_field, integrate.step
+
+    def counted_field(self, t, y):
+        count["rhs"] += 1
+        return field(self, t, y)
+
+    def counted_step(*args, **kwargs):
+        before = count["rhs"]
+        out = stepper(*args, **kwargs)
+        count["accepted"] += 1
+        count["tried"] += (count["rhs"] - before) // 6
+        return out
+
+    monkeypatch.setattr(type(hs.dynamics), "vector_field", counted_field)
+    monkeypatch.setattr(integrate, "step", counted_step)
+    traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
+                    rc.max_events)
+    assert len(traj.events) == n_events
+    assert count["accepted"] == steps
+    assert count["tried"] - count["accepted"] == 0
+    assert count["rhs"] == rhs_calls
+
+
 def wobble(t, y):
     """A nonlinear field whose stage sums round differently in any other order."""
     return np.array([np.sin(y[1]) + 0.3 * t, -y[0] * y[2], np.exp(0.1 * y[0]) - y[1],
@@ -408,6 +524,14 @@ class TestFlatHotPath:
         ends = seg.eval_many([seg.t0, seg.t1])
         assert ends[0].tobytes() == seg.y0.tobytes()
         assert ends[1].tobytes() == seg.y1.tobytes()
+
+    def test_eval_derivative_many_equals_eval_derivative(self):
+        seg = self._segment()
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([np.linspace(seg.t0, seg.t1, 17),
+                             np.sort(rng.uniform(seg.t0, seg.t1, 40))])
+        rows = seg.eval_derivative_many(ts)
+        assert rows.tobytes() == np.array([seg.eval_derivative(t) for t in ts]).tobytes()
 
     def test_eval_many_on_a_truncated_segment(self):
         cut = self._segment()
