@@ -33,7 +33,7 @@ traj = simulate(hs, s0, 5.0)
 times = np.linspace(0.0, 5.0, 101)
 worst_q = worst_v = worst_z = worst_E = worst_l = 0.0
 E0 = lagrangian_energy(hs.dynamics, s0)
-l0 = angular_momentum(s0)
+l0 = angular_momentum(*s0.phase)
 for t in times:
     y = traj.state_at(float(t))
     s = ContactStateL.from_vector(y, t)
@@ -43,7 +43,7 @@ for t in times:
     worst_z = max(worst_z, abs(s.z - float(z_ref)))
     worst_E = max(worst_E, abs(lagrangian_energy(hs.dynamics, s)
                                - E0 * np.exp(-GAMMA * t)))
-    worst_l = max(worst_l, abs(angular_momentum(s) - l0 * np.exp(-GAMMA * t)))
+    worst_l = max(worst_l, abs(angular_momentum(*s.phase) - l0 * np.exp(-GAMMA * t)))
 
 print(f"damped free flight, gamma = {GAMMA}, t in [0, 5]")
 print(f"  max |q - closed form|   = {worst_q:.3e}")

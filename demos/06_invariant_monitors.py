@@ -36,6 +36,7 @@ traj = simulate(hs, s0, 20.0)
 
 print("clean run:")
 show(check_energy_decay(traj, hs.dynamics))
+# a monitored quantity is any function of the phase point (q, qdot, z)
 show(check_dissipated_quantity(traj, angular_momentum, hs.dynamics,
                                name="angular_quantity_decay"))
 worst = max((check_impact_conditions(e, hs.dynamics, hs.surface)

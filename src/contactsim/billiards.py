@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ContactStateL, natural_lagrangian_system
+from .core import natural_lagrangian_system
 from .hybrid import HybridSystem
 from .impact import SwitchingSurface
 
@@ -195,14 +195,15 @@ def elliptical_impact_closed_form(a: float, b: float, x: float, y: float,
     return vx_plus, vy_plus
 
 
-def angular_momentum(state: ContactStateL) -> float:
-    """x vy - y vx, the Cartesian form of r^2 thetadot.
+def angular_momentum(q: np.ndarray, qdot: np.ndarray, z: float = 0.0) -> float:
+    """x vy - y vx at (q, qdot, z), the Cartesian form of r^2 thetadot; z is
+    unused, and taken so that this is a monitored quantity as it stands.
 
     For the circular billiard this decays as e^(-gamma t) along the flow
     and is continuous across impacts, making it a dissipated quantity in
     the same sense as the energy. Evaluated in Cartesian form to avoid
     the polar chart's singularity at the origin.
     """
-    if state.n != 2:
-        raise ValueError(f"angular momentum needs a planar state, got n={state.n}")
-    return float(state.q[0] * state.qdot[1] - state.q[1] * state.qdot[0])
+    if len(q) != 2:
+        raise ValueError(f"angular momentum needs a planar state, got n={len(q)}")
+    return float(q[0] * qdot[1] - q[1] * qdot[0])

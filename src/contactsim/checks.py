@@ -3,10 +3,10 @@
 Every check recomputes its quantities from raw states, independently of
 the solver path that produced them, so a resolver bug cannot certify its
 own output. One decay law serves the energy and any other dissipated
-quantity f: f = f0 exp(integral of the rate dL/dz dt). On a trajectory the
-nodes are the ends and the midpoint of every dense step the integrator
-took, and the integral is Simpson's rule step by step; on stored table
-rows it is the composite trapezoid between rows.
+quantity f(q, x, z): f = f0 exp(integral of the rate dL/dz dt). On a
+trajectory the nodes are the ends and the midpoint of every dense step
+the integrator took, and the integral is Simpson's rule step by step; on
+stored table rows it is the composite trapezoid between rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import HamiltonianSpec, SystemSpec
+from .core import HamiltonianSpec, SystemSpec, _phase_split
 from .hybrid import HybridTrajectory
 from .impact import ImpactEvent, SwitchingSurface, impact_violation
 
@@ -99,14 +99,14 @@ def _decay_reports(ts: np.ndarray, log_ref: np.ndarray, quantities: dict):
 
 def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianSpec],
                      quantities: Dict[str, Callable]) -> list:
-    """One report per named state function f, each against the decay law
+    """One report per named function f(q, x, z), each against the decay law
     f(t) = f0 exp(integral of sys.rate dt) along the whole trajectory.
 
     The nodes are each dense step's two ends and its midpoint, and one pass
-    serves every quantity: each node gets one state, from the step's stored
-    end vector or its interpolant, which gives the rate and each f there.
-    A step's start that repeats the end of the step before (same time, same
-    vector) reuses that node, so a flow phase of m steps takes 2m + 1 states.
+    serves every quantity: each node's stored or interpolated vector is split
+    once into (q, x, z), which give the rate and each f there; no state is
+    built. A step's start that repeats the end of the step before (same time,
+    same vector) reuses that node, so a flow phase of m steps takes 2m + 1.
     Over a step the rate integral is Simpson's rule, and to the midpoint it
     is the integral of the quadratic through the step's three rates.
     """
@@ -117,7 +117,6 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     rates = np.empty((len(steps), 3))
     values = {name: np.empty(rates.shape) for name in quantities}
     for k, (seg, (t0, tm, t1)) in enumerate(zip(steps, nodes)):
-        # one state per node, dropped once its rate and values are read
         for j, (y, t) in enumerate(((seg.y0, t0), (seg.eval(tm), tm), (seg.y1, t1))):
             if j == 0 and k and steps[k - 1].t1 == t and np.array_equal(steps[k - 1].y1, y):
                 # an impact's reset changes the vector, so both of its sides
@@ -126,10 +125,10 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
                 for f in values.values():
                     f[k, 0] = f[k - 1, 2]
                 continue
-            s = sys.state_type.from_vector(y, t)
-            rates[k, j] = sys.rate(s)
+            q, x, z = _phase_split(sys, t, y)
+            rates[k, j] = sys.rate(q, x, z)
             for name, f in quantities.items():
-                values[name][k, j] = float(f(s))
+                values[name][k, j] = float(f(q, x, z))
     ts = np.array(nodes)
     h = ts[:, 2] - ts[:, 0]
     r0, rm, r1 = rates.T
@@ -143,15 +142,15 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
         name: f.ravel() for name, f in values.items()})
 
 
-def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], rows: Sequence,
-                         quantities: Dict[str, Sequence[float]]) -> list:
-    """The decay law on table row states, with one value column per name.
+def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], times: np.ndarray,
+                         states: np.ndarray, quantities: Dict[str, Sequence[float]]) -> list:
+    """The decay law on the state rows [q, x, z] at times, one value column per name.
 
     The rate integral is the composite trapezoid between rows; an impact's
     pre/post pair share one time, so nothing is integrated across the
     reset. Exact for a constant rate, second order otherwise."""
-    ts = np.array([s.t for s in rows])
-    rates = np.array([sys.rate(s) for s in rows])
+    ts, n = np.asarray(times, dtype=float), sys.n
+    rates = np.array([sys.rate(y[:n], y[n:2 * n], float(y[2 * n])) for y in states])
     steps = np.diff(ts) / 2.0 * (rates[:-1] + rates[1:])
     log_ref = np.concatenate([[0.0], np.cumsum(steps)])
     return _decay_reports(ts, log_ref, quantities)
@@ -227,7 +226,7 @@ def check_energy_decay(traj: HybridTrajectory,
 def check_dissipated_quantity(traj: HybridTrajectory, f: Callable,
                               sys: Union[SystemSpec, HamiltonianSpec], *,
                               name: str = "dissipated_quantity") -> CheckReport:
-    """Same decay law with an arbitrary state function f in place of E."""
+    """Same decay law with an arbitrary function f(q, x, z) in place of E."""
     return check_decay_laws(traj, sys, {name: f})[0]
 
 

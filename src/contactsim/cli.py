@@ -23,6 +23,7 @@ from .billiards import (
     BilliardSpec,
     Circle,
     Ellipse,
+    angular_momentum,
     elliptical_impact_closed_form,
     make_circular_billiard,
     make_elliptical_billiard,
@@ -45,10 +46,10 @@ from .core import (
     legendre_forward,
     natural_lagrangian_system,
 )
-from .errors import ConfigError, ContactSimError, GrazingContact
+from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
-from .impact import SwitchingSurface, impact_violation
+from .impact import SwitchingSurface, impact_residuals, impact_violation
 from .integrate import StepperConfig
 from .io import (
     format_float,
@@ -267,16 +268,16 @@ def initial_state(rc: RunConfig, hs: HybridSystem, lag_spec: SystemSpec):
     return legendre_forward(lag_spec, ContactStateL(q=rc.q0, qdot=rc.v0, z=rc.z0, t=0.0))
 
 
-def _ell(hs: HybridSystem, s) -> float:
+def _ell(hs: HybridSystem, q, x, z) -> float:
     """x vy - y vx with the velocity from the system's own evaluator."""
-    v = hs.dynamics.velocity(s)
-    return float(s.q[0] * v[1] - s.q[1] * v[0])
+    return angular_momentum(q, hs.dynamics.velocity(q, x, z))
 
 
-def _table_columns(hs: HybridSystem, rows):
-    """Energy and angular-quantity (n = 2 only) columns of the row states."""
-    cols = np.array([(hs.dynamics.energy(s), _ell(hs, s) if hs.n == 2 else 0.0)
-                     for s in rows])
+def _table_columns(hs: HybridSystem, states: np.ndarray):
+    """Energy and angular-quantity (n = 2 only) columns of the state rows [q, x, z]."""
+    n = hs.n
+    cols = np.array([(hs.dynamics.energy(q, x, z), _ell(hs, q, x, z) if n == 2 else 0.0)
+                     for q, x, z in ((y[:n], y[n:2 * n], float(y[2 * n])) for y in states)])
     return cols[:, 0], cols[:, 1]
 
 
@@ -306,9 +307,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     t_grid = np.linspace(traj.t0, traj.t_end, rc.samples)
     times = np.unique(np.concatenate([t_grid, [e.t for e in traj.events]]))
     table = traj.sample(times)
-    # one state at a time: the row states are not kept
-    energies, ells = _table_columns(hs, (hs.state_from_vector(y, t) for y, t in
-                                         zip(table.states, table.times.tolist())))
+    energies, ells = _table_columns(hs, table.states)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -316,7 +315,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
                          energies, ells, hs.formulation)
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
-        rc, hs.dynamics.energy, lambda s: _ell(hs, s)))
+        rc, hs.dynamics.energy, lambda q, x, z: _ell(hs, q, x, z)))
     worst_impact = CheckReport(name="impact_conditions", max_violation=0.0,
                                tolerance=IMPACT_TOL)
     for event in traj.events:
@@ -347,8 +346,8 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
             {
                 "t": e.t,
                 "q": [float(v) for v in e.q],
-                "v_minus": hs.dynamics.velocity(e.state_minus).tolist(),
-                "v_plus": hs.dynamics.velocity(e.state_plus).tolist(),
+                "v_minus": hs.dynamics.velocity(*e.state_minus.phase).tolist(),
+                "v_plus": hs.dynamics.velocity(*e.state_plus.phase).tolist(),
                 "lambda": e.lam,
                 "residual_tangential": e.residual_tangential,
                 "residual_energy": e.residual_energy,
@@ -410,8 +409,8 @@ def cmd_impact_test(args) -> int:
     diff = max(abs(v_plus[0] - oracle[0]), abs(v_plus[1] - oracle[1]))
     print(f"max difference:       {diff:.3e}")
     print(f"impulse multiplier:   {format_float(result.lam)}")
-    print(f"residuals (tan, en):  {result.residual_tangential:.3e}, "
-          f"{result.residual_energy:.3e}")
+    r = impact_residuals(hs.dynamics, hs.surface, result.state_minus, result.state_plus)
+    print(f"residuals (tan, en):  {r[0]:.3e}, {r[1]:.3e}")
     return 0
 
 
@@ -424,12 +423,15 @@ def cmd_check(args) -> int:
     if data["n"] != hs.n:
         raise ConfigError(
             f"CSV dimension n={data['n']} does not match the config system")
-    states = np.column_stack([data["q"], data["v"], data["z"]])
-    rows = [hs.state_from_vector(y, t) for y, t in zip(states, data["t"].tolist())]
+    block = np.column_stack([data["t"], data["q"], data["v"], data["z"]])
+    nonfinite = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    if nonfinite.size:   # located by 1-based file row, header included
+        raise NonFiniteValue(f"{args.csv}: row {nonfinite[0] + 2} has a non-finite t or state")
+    states = block[:, 1:]
 
     reports = []
     # per-row energy / angular-quantity consistency against the state columns
-    energies, ells = _table_columns(hs, rows)
+    energies, ells = _table_columns(hs, states)
     err = (np.maximum(np.abs(energies - data["E"]), np.abs(ells - data["ell"]))
            / np.maximum(1.0, np.abs(energies)))
     bad = np.flatnonzero(err > COLUMN_TOL)   # located by 1-based file row, header included
@@ -437,18 +439,19 @@ def cmd_check(args) -> int:
                                tolerance=COLUMN_TOL,
                                location=float(bad[0] + 2) if bad.size else None))
 
-    # the decay laws on the recomputed columns, with the rate from the row states
-    reports += check_row_decay_laws(hs.dynamics, rows,
+    # the decay laws on the recomputed columns, with the rate from the state rows
+    reports += check_row_decay_laws(hs.dynamics, data["t"], states,
                                     _monitored(rc, energies, ells))
 
-    # impact conditions at stored pre/post pairs
+    # impact conditions at stored pre/post pairs, the only rows built as states
     worst_imp, worst_t = 0.0, None
     for i in np.where(data["flag"] == FLAG_PRE_IMPACT)[0]:
         if i + 1 >= data["t"].size or data["flag"][i + 1] != FLAG_POST_IMPACT:
             raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
-        v = impact_violation(hs.dynamics, hs.surface, rows[i], rows[i + 1])
+        pair = (hs.dynamics.state_type.from_vector(states[j], data["t"][j]) for j in (i, i + 1))
+        v = impact_violation(hs.dynamics, hs.surface, *pair)
         if v > worst_imp:
-            worst_imp, worst_t = v, rows[i].t
+            worst_imp, worst_t = v, float(data["t"][i])
     reports.append(CheckReport(name="impact_conditions", max_violation=worst_imp,
                                tolerance=IMPACT_TOL, location=worst_t))
 

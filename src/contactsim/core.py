@@ -111,6 +111,11 @@ class _ContactState:
     def n(self) -> int:
         return self.q.size
 
+    @property
+    def phase(self) -> tuple:
+        """(q, x, z), the point at which every spec quantity is evaluated."""
+        return self.q, getattr(self, self._x), self.z
+
     def as_vector(self) -> np.ndarray:
         """Flat phase vector [q, x, z] used by the integrator."""
         return np.concatenate([self.q, getattr(self, self._x), [self.z]])
@@ -226,8 +231,8 @@ class _Spec:
     Each subclass names its ``state_type``, ``formulation`` and
     ``impact_law`` (the ``impact.resolve_impact_*`` that resets its states)
     and gives ``energy``, ``momentum``, ``velocity`` and ``rate`` (dL/dz,
-    which is -dH/dz) at a state, and ``vector_field(t, y)`` on the flat
-    phase vector [q, x, z], so callers never branch on the formulation.
+    which is -dH/dz) at the arrays (q, x, z), like the partials, and
+    ``vector_field(t, y)`` on [q, x, z]: callers never branch on the formulation.
     """
 
     def _resolve(self, function: Callable, fallbacks: dict) -> None:
@@ -346,17 +351,18 @@ class SystemSpec(_Spec):
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return herglotz_rhs(self, t, y)
 
-    def energy(self, s: ContactStateL) -> float:
-        return lagrangian_energy(self, s)
+    def energy(self, q, v, z) -> float:
+        """E = qdot . dL/dqdot - L; kinetic + potential + gamma z for a natural form."""
+        return float(v @ self.grad_v(q, v, z) - self.value(q, v, z))
 
-    def momentum(self, s: ContactStateL) -> np.ndarray:
-        return self.grad_v(s.q, s.qdot, s.z)
+    def momentum(self, q, v, z) -> np.ndarray:
+        return self.grad_v(q, v, z)
 
-    def velocity(self, s: ContactStateL) -> np.ndarray:
-        return s.qdot
+    def velocity(self, q, v, z) -> np.ndarray:
+        return v
 
-    def rate(self, s: ContactStateL) -> float:
-        return self.grad_z(s.q, s.qdot, s.z)
+    def rate(self, q, v, z) -> float:
+        return self.grad_z(q, v, z)
 
 
 @dataclass(frozen=True)
@@ -399,17 +405,17 @@ class HamiltonianSpec(_Spec):
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return hamiltonian_rhs(self, t, y)
 
-    def energy(self, s: ContactStateH) -> float:
-        return self.value(s.q, s.p, s.z)
+    def energy(self, q, p, z) -> float:
+        return self.value(q, p, z)
 
-    def momentum(self, s: ContactStateH) -> np.ndarray:
-        return s.p
+    def momentum(self, q, p, z) -> np.ndarray:
+        return p
 
-    def velocity(self, s: ContactStateH) -> np.ndarray:
-        return self.grad_p(s.q, s.p, s.z)
+    def velocity(self, q, p, z) -> np.ndarray:
+        return self.grad_p(q, p, z)
 
-    def rate(self, s: ContactStateH) -> float:
-        return -self.grad_z(s.q, s.p, s.z)
+    def rate(self, q, p, z) -> float:
+        return -self.grad_z(q, p, z)
 
 
 @dataclass(frozen=True)
@@ -535,16 +541,9 @@ def evaluate_partials(sys: SystemSpec, q: np.ndarray, v: np.ndarray,
 
 
 def lagrangian_energy(sys: SystemSpec, s: ContactStateL) -> float:
-    """Energy E = qdot . dL/dqdot - L.
-
-    For a natural-form system this equals kinetic + potential + gamma z.
-    """
+    """``sys.energy`` at the state s, E = qdot . dL/dqdot - L."""
     sys.check_state(s)
-    return _energy(sys, s.q, s.qdot, s.z)
-
-
-def _energy(sys: SystemSpec, q: np.ndarray, v: np.ndarray, z: float) -> float:
-    return float(v @ sys.grad_v(q, v, z) - sys.value(q, v, z))
+    return sys.energy(s.q, s.qdot, s.z)
 
 
 def _solve_regular(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -741,7 +740,7 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
         )
 
     def H(q, p, z):
-        return _energy(sys, q, _legendre_velocity(sys, q, p, z), z)
+        return sys.energy(q, _legendre_velocity(sys, q, p, z), z)
 
     def dH_dq(q, p, z):
         return -sys.grad_q(q, _legendre_velocity(sys, q, p, z), z)

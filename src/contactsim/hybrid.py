@@ -94,9 +94,6 @@ class HybridSystem:
     def n(self) -> int:
         return self.dynamics.n
 
-    def state_from_vector(self, y: np.ndarray, t: float):
-        return self.dynamics.state_type.from_vector(y, t)
-
     def resolve(self, state_minus) -> ImpactEvent:
         # a law is looked up at call time, so a rebound module attribute takes effect
         resolver = self.resolver if callable(self.resolver) else getattr(
@@ -240,7 +237,7 @@ def simulate(hs: HybridSystem, s0, t_final: float,
             traj.status = COMPLETED
             return traj
 
-        state_minus = hs.state_from_vector(run.hit.y, run.hit.t)
+        state_minus = hs.dynamics.state_type.from_vector(run.hit.y, run.hit.t)
         try:
             event = hs.resolve(state_minus)
         except GrazingContact:

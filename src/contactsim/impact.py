@@ -30,7 +30,6 @@ from .core import (
     _all_finite,
     _mass_solve,
     _solve_regular,
-    lagrangian_energy,
 )
 from .errors import (
     ConvergedToIdentity,
@@ -136,12 +135,12 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
 
 def _residuals(sys, g: np.ndarray, s_minus, s_plus) -> tuple:
     """``impact_residuals`` with g = grad h(q-) already evaluated."""
-    p_minus, p_plus = sys.momentum(s_minus), sys.momentum(s_plus)
+    p_minus, p_plus = sys.momentum(*s_minus.phase), sys.momentum(*s_plus.phase)
     T = tangent_basis(g)
     p_scale = max(1.0, float(np.max(np.abs(p_minus))))
     r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
-    e_minus = sys.energy(s_minus)
-    r_en = abs(sys.energy(s_plus) - e_minus) / max(1.0, abs(e_minus))
+    e_minus = sys.energy(*s_minus.phase)
+    r_en = abs(sys.energy(*s_plus.phase) - e_minus) / max(1.0, abs(e_minus))
     return r_tan, r_en
 
 
@@ -154,7 +153,8 @@ def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
     g = surface.gradient(s_minus.q)
     if (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
             and abs(surface.value(s_minus.q)) <= _BOUNDARY_TOL
-            and float(g @ sys.velocity(s_minus)) < 0.0 < float(g @ sys.velocity(s_plus))):
+            and float(g @ sys.velocity(*s_minus.phase)) < 0.0
+            < float(g @ sys.velocity(*s_plus.phase))):
         return max(_residuals(sys, g, s_minus, s_plus))
     return np.inf
 
@@ -178,7 +178,7 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     g = surface.gradient(q)
     if float(np.linalg.norm(g)) <= 1e-12:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
-    vn = float(g @ sys.velocity(s_minus))
+    vn = float(g @ sys.velocity(*s_minus.phase))
     if vn > _GRAZING_SPEED:
         raise ValueError(
             f"normal velocity {vn:.3e} points into the admissible region, not at the boundary"
@@ -234,7 +234,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     g, vn = _approach_normal(sys, surface, s_minus)
     q, z, t = s_minus.q, s_minus.z, s_minus.t
     p_minus = sys.grad_v(q, s_minus.qdot, z)
-    e_minus = lagrangian_energy(sys, s_minus)
+    e_minus = sys.energy(q, s_minus.qdot, z)
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
 
     # quadratic-case seed with W as the effective mass matrix

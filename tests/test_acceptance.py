@@ -138,7 +138,7 @@ def test_criterion_4_dissipated_quantity(fig1_trajectory):
     for k in range(table.times.size):
         s = ContactStateL.from_vector(table.states[k], table.times[k])
         ref = l0 * math.exp(-GAMMA * table.times[k])
-        worst_l = max(worst_l, abs(angular_momentum(s) - ref) / abs(l0))
+        worst_l = max(worst_l, abs(angular_momentum(*s.phase) - ref) / abs(l0))
 
     worst_polar = 0.0
     for e in traj.events:

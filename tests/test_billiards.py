@@ -186,22 +186,22 @@ class TestBuilders:
 class TestAngularQuantity:
     def test_reference_initial_value(self):
         s = ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0)
-        assert angular_momentum(s) == 0.5
+        assert angular_momentum(*s.phase) == 0.5
 
     def test_radial_motion_vanishes(self):
         s = ContactStateL(q=[0.3, 0.4], qdot=[0.6, 0.8], z=0.0)
-        assert abs(angular_momentum(s)) < 1e-15
+        assert abs(angular_momentum(*s.phase)) < 1e-15
 
     def test_planar_only(self):
         with pytest.raises(ValueError):
-            angular_momentum(ContactStateL(q=[0.1], qdot=[1.0], z=0.0))
+            angular_momentum(*ContactStateL(q=[0.1], qdot=[1.0], z=0.0).phase)
 
     def test_decay_across_impacts(self, fig1_trajectory):
         traj = fig1_trajectory
         gamma = 1e-4
         s0 = ContactStateL.from_vector(traj.state_at(traj.t0), traj.t0)
-        l0 = angular_momentum(s0)
+        l0 = angular_momentum(*s0.phase)
         for t in np.linspace(traj.t0, traj.t_end, 200):
             s = ContactStateL.from_vector(traj.state_at(float(t)), t)
             ref = l0 * math.exp(-gamma * (t - traj.t0))
-            assert abs(angular_momentum(s) - ref) / abs(l0) < 1e-8
+            assert abs(angular_momentum(*s.phase) - ref) / abs(l0) < 1e-8

@@ -127,13 +127,14 @@ class TestDissipatedQuantity:
 
         rep_e = check_energy_decay(fig1_trajectory, circle_billiard.dynamics)
         rep_f = check_dissipated_quantity(
-            fig1_trajectory, lambda s: lagrangian_energy(circle_billiard.dynamics, s),
+            fig1_trajectory,
+            lambda q, v, z: lagrangian_energy(circle_billiard.dynamics, ContactStateL(q, v, z)),
             circle_billiard.dynamics)
         assert rep_f.max_violation == rep_e.max_violation
         assert rep_f.location == rep_e.location
 
     def test_zero_function_passes_vacuously(self, fig1_trajectory, circle_billiard):
-        rep = check_dissipated_quantity(fig1_trajectory, lambda s: 0.0,
+        rep = check_dissipated_quantity(fig1_trajectory, lambda q, v, z: 0.0,
                                         circle_billiard.dynamics)
         assert rep.passed and rep.max_violation == 0.0
 
@@ -153,8 +154,10 @@ class TestNonFiniteFlowValues:
 
     def test_nan_value_fails_at_first_nan_node(self):
         hs, traj = self.short_run("lagrangian")
+        # z grows while L > 0, so z > z(2) first holds at the first node past t = 2
+        z2 = traj.state_at(2.0)[-1]
         rep = check_dissipated_quantity(
-            traj, lambda s: float("nan") if s.t > 2.0 else angular_momentum(s),
+            traj, lambda q, v, z: float("nan") if z > z2 else angular_momentum(q, v, z),
             hs.dynamics)
         assert not rep.passed and rep.max_violation == np.inf
         assert rep.location == next(t for t in node_times(traj) if t > 2.0)
@@ -179,7 +182,7 @@ def node_times(traj):
 
 def scalar_decay_law(traj, sys, f):
     """The decay law node by node: TrajectorySegment.eval at each dense
-    step's nodes, one state per node, and a running sum of each step's
+    step's nodes, one validated state per node, and a running sum of each step's
     Simpson integral, with the quadratic's integral up to its midpoint.
     The batched pass must reproduce it bit for bit."""
     worst, worst_t, f0, log_ref = 0.0, None, None, 0.0
@@ -187,12 +190,12 @@ def scalar_decay_law(traj, sys, f):
         for seg in run.segments:
             ts = step_nodes(seg)
             states = [sys.state_type.from_vector(run.eval(t), t) for t in ts]
-            r0, rm, r1 = (sys.rate(s) for s in states)
+            r0, rm, r1 = (sys.rate(*s.phase) for s in states)
             h = seg.t1 - seg.t0
             refs = (log_ref, log_ref + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),
                     log_ref + h / 6.0 * (r0 + 4.0 * rm + r1))
             for t, s, ref in zip(ts, states, refs):
-                value = float(f(s))
+                value = float(f(*s.phase))
                 f0 = value if f0 is None else f0
                 viol = abs(value - f0 * np.exp(ref)) / (abs(f0) if f0 != 0.0 else 1.0)
                 if viol > worst:
@@ -231,9 +234,9 @@ class TestOnePass:
         with pytest.raises(AssertionError, match="solver path"):
             hs.dynamics.vector_field(traj.t0, traj.segments[0].y0)
 
-        def ell(s):
-            v = hs.dynamics.velocity(s)
-            return float(s.q[0] * v[1] - s.q[1] * v[0])
+        def ell(q, x, z):
+            v = hs.dynamics.velocity(q, x, z)
+            return float(q[0] * v[1] - q[1] * v[0])
 
         both = check_decay_laws(traj, hs.dynamics, {"energy_decay": hs.dynamics.energy,
                                                     "angular_quantity_decay": ell})
@@ -303,9 +306,9 @@ class TestStateDependentRate:
         times = np.unique(np.concatenate([np.linspace(traj.t0, traj.t_end, samples),
                                           [e.t for e in traj.events]]))
         table = traj.sample(times)
-        rows = [hs.state_from_vector(y, t) for y, t in zip(table.states, table.times)]
-        E = np.array([hs.dynamics.energy(s) for s in rows])
-        report = check_row_decay_laws(hs.dynamics, rows, {"energy_decay": E})[0]
+        E = np.array([hs.dynamics.energy(y[:2], y[2:4], float(y[4])) for y in table.states])
+        report = check_row_decay_laws(hs.dynamics, table.times, table.states,
+                                      {"energy_decay": E})[0]
         constant = np.exp(-self.GAMMA * (table.times - table.times[0]))
         return report, float(np.max(np.abs(E - E[0] * constant)) / abs(E[0]))
 

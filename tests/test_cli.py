@@ -1,14 +1,18 @@
 import copy
+import dataclasses
+import hashlib
 import inspect
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
-from contactsim import checks, cli
+from contactsim import checks, cli, impact
 from contactsim.checks import CheckReport
+from contactsim.errors import NonFiniteValue
 from contactsim.cli import build_system, load_config, main, parse_config
 from contactsim.hybrid import MAX_EVENTS
 from contactsim.integrate import StepperConfig
@@ -355,10 +359,10 @@ class TestCheck:
         v[k:] *= 1.0 + 1e-5
         states = np.column_stack([data["q"], v, data["z"]])
         hs, _, _ = build_system(parse_config(load_config(cfg)))
-        rows = [hs.state_from_vector(y, t) for y, t in zip(states, data["t"])]
+        rows = [hs.dynamics.state_type.from_vector(y, t) for y, t in zip(states, data["t"])]
         bad = tmp_path / "bad.csv"
         write_trajectory_csv(str(bad), data["t"], states, data["flag"],
-                             [hs.dynamics.energy(s) for s in rows],
+                             [hs.dynamics.energy(*s.phase) for s in rows],
                              [s.q[0] * s.qdot[1] - s.q[1] * s.qdot[0] for s in rows],
                              "lagrangian")
         capsys.readouterr()   # drain the simulate output
@@ -607,3 +611,134 @@ class TestShippedConfigs:
             summary = json.load(fh)
         assert summary["status"] == "Completed"
         assert all(c["passed"] for c in summary["checks"])
+
+
+# SHA-256 of what `simulate` writes and prints and of the `checks` list of
+# `check`'s report (not its `csv` path), on the reference configs at T = 20.
+# Like the golden CSV, a change that moves a digest regenerates it and
+# states why.
+OUTPUT_DIGESTS = {
+    ("circle.json", "lagrangian"): {
+        "summary.json": "9b933e6ccd9c208eccbf0a048f79e38c05e2c0e7b10bb2b468a80bef8ca0b802",
+        "trajectory.csv": "40b8cb524dd11c5a0f2eefaf4bbcb052adfec2362f420f53c491998064b4e4c6",
+        "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
+        "stdout": "729b86e218492e8248be184196160301decc1917938ea0f16101d55e385aff81",
+        "checks": "2f125640171f0636a7ed4ca5ebe25dc4884b637076137b1185200e1b50bfc995",
+    },
+    ("circle.json", "hamiltonian"): {
+        "summary.json": "fda56c6de0fbe43a23471d2bcd603439a01f022d987933a0637af4746e9edd9d",
+        "trajectory.csv": "2414f01be4ff4dfdec4d24ed2ff06378708cc83c0be2a697ed20b9336dea603e",
+        "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
+        "stdout": "725099e350ed077ce91940f704631b8ef63c046e2ed632888046912af5ed3866",
+        "checks": "53bd945d14338d1f2b953f18cdf9b0784a882c7f4bfd26d9034b3b5eccd12a75",
+    },
+    ("ellipse.json", "lagrangian"): {
+        "summary.json": "31b650d12096f5f99d14e2ed8deabf05580bdc9ca02d0681813f4ff54d279fbd",
+        "trajectory.csv": "b5c6a45e1292436547b599bd1b0767390f78cc300366a9b4cc8b6e8d483baaab",
+        "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
+        "stdout": "18d3be140a42bfa9365720c0800709b0dfb7ed54fde658f9d112464acf616b58",
+        "checks": "e4b346ed900fd67e7088b7f478d6cfb0facebcf95fdf5932dc4ba673dbfb4d3b",
+    },
+    ("ellipse.json", "hamiltonian"): {
+        "summary.json": "3836cd56bc00b34a14ebff532368e970683df2a771fbf30d68957d9b967ba28c",
+        "trajectory.csv": "1f2e6283ff85e0dc93673628054e9029589fcff64ea238eacb2f73e97e052f09",
+        "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
+        "stdout": "2f8f23a8909983d0b0adee320c12952589caa9e11bd7159ec3e4eff40f98a94c",
+        "checks": "78fab51982b725d4bd4775f33b5f1b5bd239b7b1788885913c62746afef4d559",
+    },
+}
+
+
+@pytest.mark.parametrize("config, formulation", sorted(OUTPUT_DIGESTS),
+                         ids=lambda v: v.removesuffix(".json"))
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, config, formulation):
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 20.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--formulation", formulation]) == 0
+    got = {"stdout": capsys.readouterr().out.encode()}
+    for name in ("summary.json", "trajectory.csv", "trajectory.svg"):
+        got[name] = (out / name).read_bytes()
+    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "check.json")]) == 0
+    checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+    got["checks"] = json.dumps(checks, sort_keys=True).encode()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} \
+        == OUTPUT_DIGESTS[config, formulation]
+
+
+@pytest.mark.parametrize("column", ["t", "q1", "v1", "z"])
+def test_check_names_the_row_of_a_non_finite_state_cell(tmp_path, capsys, column):
+    cfg = short_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    k = lines[0].split(",").index(column)
+    parts = lines[40].split(",")
+    parts[k] = "nan"
+    lines[40] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
+    assert "row 41 " in capsys.readouterr().err   # 1-based file row, header included
+    args = cli.build_parser().parse_args(["check", "--csv", str(bad), "--config", cfg])
+    with pytest.raises(NonFiniteValue, match="row 41 "):
+        cli.cmd_check(args)
+
+
+@pytest.mark.parametrize("config, formulation, simulate_states, check_states", [
+    ("circle.json", "lagrangian", 301, 300),
+    ("ellipse.json", "hamiltonian", 324, 322),
+], ids=["circle-lagrangian", "ellipse-hamiltonian"])
+def test_states_built_by_the_cli_pair_are_pinned(tmp_path, monkeypatch, states_built, config,
+                                                 formulation, simulate_states, check_states):
+    """States are built only at the edges: the start (and its Legendre
+    image), and both sides of each of the 150 (circle) or 161 (ellipse)
+    impacts in `simulate` and again in `check`. Row columns and decay laws
+    read arrays. Before, the pair built 2,358 + 1,300 and 2,420 + 1,322."""
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 200.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for name in ("_table_columns", "check_decay_laws", "check_row_decay_laws"):
+        def building_none(*args, _f=getattr(cli, name), **kwargs):
+            before = len(states_built)
+            result = _f(*args, **kwargs)
+            assert len(states_built) == before, "a row or node pass built a state"
+            return result
+        monkeypatch.setattr(cli, name, building_none)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--formulation", formulation]) == 0
+    assert len(states_built) == simulate_states
+    states_built.clear()
+    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
+    assert len(states_built) == check_states
+
+
+def test_impact_test_prints_the_certificates_residuals(capsys, monkeypatch):
+    # a resolver that rotates the reset by 1e-3 while reporting zero residuals
+    honest = impact.resolve_impact_natural
+
+    def rotating(sys, s_minus, surface):
+        event = honest(sys, s_minus, surface)
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        v = event.state_plus.qdot
+        state_plus = dataclasses.replace(event.state_plus,
+                                         qdot=np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]]))
+        return dataclasses.replace(event, state_plus=state_plus, residual_tangential=0.0,
+                                   residual_energy=0.0)
+
+    monkeypatch.setattr(impact, "resolve_impact_natural", rotating)
+    assert main(["impact-test", "circle", "--point", "1", "0", "--velocity", "1", "0.5"]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("residuals")][0]
+    r_tan, r_en = (float(r) for r in line.split(":")[1].split(","))
+    assert r_tan > 1e-4   # the resolver's own zeros printed 0.000e+00
+    assert r_en < 1e-12   # a rotation keeps the speed, so the energy matches

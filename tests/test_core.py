@@ -1117,11 +1117,12 @@ class TestFormulationInterface:
                               z=rng.uniform(-1, 1))
             sh = legendre_forward(sys, s)
             assert isinstance(s, sys.state_type) and isinstance(sh, hsys.state_type)
-            assert np.array_equal(hsys.momentum(sh), sys.momentum(s))
-            assert np.max(np.abs(hsys.velocity(sh) - sys.velocity(s))) < 1e-10
-            assert hsys.energy(sh) == pytest.approx(sys.energy(s), rel=1e-10, abs=1e-12)
-            assert hsys.rate(sh) == pytest.approx(sys.rate(s), rel=1e-10, abs=1e-12)
-            assert sys.rate(s) != 0.0
+            x, xh = s.phase, sh.phase
+            assert np.array_equal(hsys.momentum(*xh), sys.momentum(*x))
+            assert np.max(np.abs(hsys.velocity(*xh) - sys.velocity(*x))) < 1e-10
+            assert hsys.energy(*xh) == pytest.approx(sys.energy(*x), rel=1e-10, abs=1e-12)
+            assert hsys.rate(*xh) == pytest.approx(sys.rate(*x), rel=1e-10, abs=1e-12)
+            assert sys.rate(*x) != 0.0
 
 
 class TestHamiltonianFromGeneralLagrangian:
