@@ -90,6 +90,21 @@ def _finite_scalar(x, name: str) -> float:
     return x
 
 
+def _checked(val, shape: tuple, name: str, at: str, *point) -> np.ndarray:
+    """val as a float array of the given shape, reshaped when it holds as many
+    entries: DimensionMismatch on another size and NonFiniteValue on a
+    non-finite entry, each naming name and the point, ``at.format(*point)``."""
+    val = np.asarray(val, dtype=float)
+    if val.shape != shape:
+        if val.size != math.prod(shape):
+            raise DimensionMismatch(
+                f"{name} has shape {val.shape}, expected {shape}, at {at.format(*point)}")
+        val = val.reshape(shape)
+    if not _all_finite(val):
+        raise NonFiniteValue(f"{name} is not finite at {at.format(*point)}")
+    return val
+
+
 class _ContactState:
     """What both states share: validation, the dimension and the flat phase
     vector [q, x, z]. Each subclass is a frozen dataclass with the fields
@@ -197,15 +212,14 @@ class NaturalForm:
         if self.potential is None:
             return np.zeros(q.size)
         if self.grad_potential is not None:
-            return sign * np.asarray(self.grad_potential(q), dtype=float)
+            return sign * _checked(self.grad_potential(q), q.shape, "grad_potential", "q={}", q)
         return sign * _fd_jacobian(self.potential_value, q, 1)[0]
 
 
-def _tested(name: str, evaluator: Callable) -> Callable:
-    """A supplied partial whose value is converted to float (an array, or a
-    scalar for dL/dz and dH/dz) and tested once: NonFiniteValue, naming the
-    partial and the point, on a non-finite entry."""
-    if name in ("dL_dz", "dH_dz"):
+def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
+    """A supplied evaluator behind its one gate: ``_checked`` for an array
+    shape, and for shape () a Python float, NonFiniteValue if not finite."""
+    if shape == ():
         def tested(q, x, z):
             val = float(evaluator(q, x, z))
             if not math.isfinite(val):
@@ -213,20 +227,17 @@ def _tested(name: str, evaluator: Callable) -> Callable:
             return val
     else:
         def tested(q, x, z):
-            val = np.asarray(evaluator(q, x, z), dtype=float)
-            if not _all_finite(val):
-                raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
-            return val
+            return _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
     return tested
 
 
 class _Spec:
-    """What both formulations share: the dimension check, the function value,
-    and the partials, each resolved once to the supplied evaluator or to
-    central differences of that partial alone. Every accessor raises
-    NonFiniteValue, naming what it evaluated, on a non-finite value: a
-    supplied evaluator's value is tested as it returns, a difference's in
-    its stencil.
+    """What both formulations share: the dimension check and the accessors.
+    ``_resolve`` binds ``value`` and each partial once, as an instance
+    attribute: the supplied evaluator behind ``_tested``, or central
+    differences of that partial alone. A supplied array must hold n entries
+    (n^2 for d2L_dvdv and d2L_dqdv), else DimensionMismatch. A quantity that
+    is exactly one partial is an alias of it.
 
     Each subclass names its ``state_type``, ``formulation`` and
     ``impact_law`` (the ``impact.resolve_impact_*`` that resets its states)
@@ -235,26 +246,22 @@ class _Spec:
     ``vector_field(t, y)`` on [q, x, z]: callers never branch on the formulation.
     """
 
-    def _resolve(self, function: Callable, fallbacks: dict) -> None:
+    def _resolve(self, function: Callable, partials: dict, **aliases: str) -> None:
         if self.n < 1:
             raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "_function", function)
-        object.__setattr__(self, "_partials", {
-            name: fallback if getattr(self, name) is None else _tested(name, getattr(self, name))
-            for name, fallback in fallbacks.items()})
+        object.__setattr__(self, "value", _tested(self.formulation, function, ()))
+        for accessor, (field, shape, fallback) in partials.items():
+            supplied = getattr(self, field)
+            object.__setattr__(self, accessor, fallback if supplied is None
+                               else _tested(field, supplied, shape))
+        for alias, accessor in aliases.items():
+            object.__setattr__(self, alias, getattr(self, accessor))
 
     def check_state(self, s) -> None:
         if s.n != self.n:
             raise DimensionMismatch(
                 f"state has dimension {s.n}, system expects {self.n}"
             )
-
-    def value(self, q: np.ndarray, x: np.ndarray, z: float) -> float:
-        """L(q, qdot, z) or H(q, p, z)."""
-        val = float(self._function(q, x, z))
-        if not math.isfinite(val):
-            raise NonFiniteValue(f"{self.formulation} is not finite at ({q}, {x}, {z})")
-        return val
 
 
 @dataclass(frozen=True)
@@ -268,8 +275,10 @@ class SystemSpec(_Spec):
     twice. ``natural`` carries the mechanical decomposition when the system
     has one, unlocking closed-form impact resolution (impact law "natural",
     else "newton") and Legendre inversion, and, for a constant regular
-    mass, a Herglotz field without a solve. The accessors grad_q, grad_v,
-    grad_z, hess_vv, hess_qv and hess_zv return one partial each.
+    mass, a Herglotz field without a solve. Its accessors, bound once, are
+    value (L), grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv, with the
+    aliases momentum = grad_v and rate = grad_z; a supplied partial whose
+    value has the wrong size raises DimensionMismatch.
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
       d2L_dvdv[i, j] = d^2 L / dqdot_i dqdot_j      (the Hessian W)
@@ -305,48 +314,29 @@ class SystemSpec(_Spec):
         # that a supplied dL_dv is differenced once for the second partials.
         L, G, n = self.lagrangian, self.dL_dv, self.n
         if G is None:
-            second = {
-                "d2L_dvdv": lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v),
-                "d2L_dqdv": lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v),
-                "d2L_dzdv": lambda q, v, z: _fd_cross(
-                    lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size),
-            }
+            hess_vv = lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v)
+            hess_qv = lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v)
+            hess_zv = lambda q, v, z: _fd_cross(
+                lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size)
         else:
-            def d2L_dvdv(q, v, z):
+            def hess_vv(q, v, z):
                 J = _fd_jacobian(lambda vv: G(q, vv, z), v, n)
                 return 0.5 * (J + J.T)
 
-            second = {
-                "d2L_dvdv": d2L_dvdv,
-                "d2L_dqdv": lambda q, v, z: _fd_jacobian(lambda qq: G(qq, v, z), q, n),
-                "d2L_dzdv": lambda q, v, z: _fd_jacobian(
-                    lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n),
-            }
+            hess_qv = lambda q, v, z: _fd_jacobian(lambda qq: G(qq, v, z), q, n)
+            hess_zv = lambda q, v, z: _fd_jacobian(
+                lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n)
         self._resolve(L, {
-            "dL_dq": lambda q, v, z: _fd_jacobian(lambda qq: L(qq, v, z), q, 1)[0],
-            "dL_dv": lambda q, v, z: _fd_jacobian(lambda vv: L(q, vv, z), v, 1)[0],
-            "dL_dz": lambda q, v, z: float(_fd_jacobian(
-                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0]),
-            **second,
-        })
-
-    def grad_q(self, q, v, z) -> np.ndarray:
-        return self._partials["dL_dq"](q, v, z)
-
-    def grad_v(self, q, v, z) -> np.ndarray:
-        return self._partials["dL_dv"](q, v, z)
-
-    def grad_z(self, q, v, z) -> float:
-        return self._partials["dL_dz"](q, v, z)
-
-    def hess_vv(self, q, v, z) -> np.ndarray:
-        return self._partials["d2L_dvdv"](q, v, z)
-
-    def hess_qv(self, q, v, z) -> np.ndarray:
-        return self._partials["d2L_dqdv"](q, v, z)
-
-    def hess_zv(self, q, v, z) -> np.ndarray:
-        return self._partials["d2L_dzdv"](q, v, z)
+            "grad_q": ("dL_dq", (n,), lambda q, v, z: _fd_jacobian(
+                lambda qq: L(qq, v, z), q, 1)[0]),
+            "grad_v": ("dL_dv", (n,), lambda q, v, z: _fd_jacobian(
+                lambda vv: L(q, vv, z), v, 1)[0]),
+            "grad_z": ("dL_dz", (), lambda q, v, z: float(_fd_jacobian(
+                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0])),
+            "hess_vv": ("d2L_dvdv", (n, n), hess_vv),
+            "hess_qv": ("d2L_dqdv", (n, n), hess_qv),
+            "hess_zv": ("d2L_dzdv", (n,), hess_zv),
+        }, momentum="grad_v", rate="grad_z")
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return herglotz_rhs(self, t, y)
@@ -355,14 +345,8 @@ class SystemSpec(_Spec):
         """E = qdot . dL/dqdot - L; kinetic + potential + gamma z for a natural form."""
         return float(v @ self.grad_v(q, v, z) - self.value(q, v, z))
 
-    def momentum(self, q, v, z) -> np.ndarray:
-        return self.grad_v(q, v, z)
-
     def velocity(self, q, v, z) -> np.ndarray:
         return v
-
-    def rate(self, q, v, z) -> float:
-        return self.grad_z(q, v, z)
 
 
 @dataclass(frozen=True)
@@ -371,7 +355,10 @@ class HamiltonianSpec(_Spec):
 
     Missing partials fall back to central finite differences. The impact
     resolver needs only H and dH/dp, so a Hamiltonian derived from a
-    natural-form Lagrangian carries no inverse mass matrix of its own.
+    natural-form Lagrangian carries no inverse mass matrix of its own. Its
+    accessors, bound once, are value (H), grad_q, grad_p and grad_z, with the
+    aliases energy = value and velocity = grad_p; a supplied partial whose
+    value has the wrong size raises DimensionMismatch.
     """
 
     n: int
@@ -385,34 +372,21 @@ class HamiltonianSpec(_Spec):
     impact_law = "hamiltonian"
 
     def __post_init__(self):
-        H = self.hamiltonian
+        H, n = self.hamiltonian, self.n
         self._resolve(H, {
-            "dH_dq": lambda q, p, z: _fd_jacobian(lambda qq: H(qq, p, z), q, 1)[0],
-            "dH_dp": lambda q, p, z: _fd_jacobian(lambda pp: H(q, pp, z), p, 1)[0],
-            "dH_dz": lambda q, p, z: float(_fd_jacobian(
-                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0]),
-        })
-
-    def grad_q(self, q, p, z) -> np.ndarray:
-        return self._partials["dH_dq"](q, p, z)
-
-    def grad_p(self, q, p, z) -> np.ndarray:
-        return self._partials["dH_dp"](q, p, z)
-
-    def grad_z(self, q, p, z) -> float:
-        return self._partials["dH_dz"](q, p, z)
+            "grad_q": ("dH_dq", (n,), lambda q, p, z: _fd_jacobian(
+                lambda qq: H(qq, p, z), q, 1)[0]),
+            "grad_p": ("dH_dp", (n,), lambda q, p, z: _fd_jacobian(
+                lambda pp: H(q, pp, z), p, 1)[0]),
+            "grad_z": ("dH_dz", (), lambda q, p, z: float(_fd_jacobian(
+                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0])),
+        }, energy="value", velocity="grad_p")
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return hamiltonian_rhs(self, t, y)
 
-    def energy(self, q, p, z) -> float:
-        return self.value(q, p, z)
-
     def momentum(self, q, p, z) -> np.ndarray:
         return p
-
-    def velocity(self, q, p, z) -> np.ndarray:
-        return self.grad_p(q, p, z)
 
     def rate(self, q, p, z) -> float:
         return -self.grad_z(q, p, z)

@@ -27,7 +27,7 @@ from .core import (
     ContactStateL,
     HamiltonianSpec,
     SystemSpec,
-    _all_finite,
+    _checked,
     _mass_solve,
     _solve_regular,
 )
@@ -78,12 +78,9 @@ class SwitchingSurface:
         return val
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        """grad h(q); NonFiniteValue when it is not finite, before it can
-        move a state or tilt a tangent basis."""
-        g = np.asarray(self.grad_h(q), dtype=float)
-        if not _all_finite(g):
-            raise NonFiniteValue(f"grad h is not finite at q={q}: {g}")
-        return g
+        """grad h(q) in q's shape, before it can move a state or tilt a tangent
+        basis; DimensionMismatch on another size, NonFiniteValue on NaN or inf."""
+        return _checked(self.grad_h(q), q.shape, "grad h", "q={}", q)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ from contactsim import (
     ContactStateL,
     DimensionMismatch,
     HamiltonianSpec,
+    HybridSystem,
     NonFiniteValue,
     SingularHessian,
     SingularMassMatrix,
+    SwitchingSurface,
     SystemSpec,
     Ellipse,
     check_energy_decay,
@@ -428,6 +430,103 @@ class TestResolvedNaturalField:
                                   dL_dq=lambda q, v, z: np.array([np.inf, 0.0]))
         with pytest.raises(NonFiniteValue, match="dL_dq"):
             field(herglotz_rhs, sys, ContactStateL(q=[0.0, 0.0], qdot=[1.0, 1.0], z=0.0))
+
+
+def harmonic_system(dL_dq):
+    """L = |v|^2/2 - |q|^2/2 with every partial supplied and no natural form,
+    so the field assembles the partials and solves with W."""
+    n = 2
+    return SystemSpec(
+        n=n,
+        lagrangian=lambda q, v, z: 0.5 * float(v @ v) - 0.5 * float(q @ q),
+        dL_dq=dL_dq,
+        dL_dv=lambda q, v, z: v.copy(),
+        dL_dz=lambda q, v, z: 0.0,
+        d2L_dvdv=lambda q, v, z: np.eye(n),
+        d2L_dqdv=lambda q, v, z: np.zeros((n, n)),
+        d2L_dzdv=lambda q, v, z: np.zeros(n),
+    )
+
+
+class TestSpecGate:
+    """Every supplied evaluator goes through one gate that checks the size of
+    its value as well as its finiteness."""
+
+    @pytest.mark.parametrize("partial, bad", [
+        ("dL_dq", np.zeros(1)), ("dL_dv", np.zeros(3)), ("d2L_dvdv", np.ones(2)),
+        ("d2L_dqdv", np.zeros((3, 3))), ("d2L_dzdv", np.zeros(4)),
+        ("dH_dq", np.zeros(1)), ("dH_dp", np.zeros((2, 2)))],
+        ids=["dL_dq", "dL_dv", "d2L_dvdv", "d2L_dqdv", "d2L_dzdv", "dH_dq", "dH_dp"])
+    def test_supplied_partial_of_the_wrong_size_is_rejected(self, partial, bad):
+        if partial.startswith("dH"):
+            rhs, sys = hamiltonian_rhs, hamiltonian_from_lagrangian(billiard_system())
+            s = ContactStateH(q=[0.3, 0.7], p=[0.1, 0.2], z=0.0)
+        else:
+            rhs, sys = herglotz_rhs, quartic_system()
+            s = ContactStateL(q=[0.3, 0.7], qdot=[0.1, 0.2], z=0.0)
+        rhs(sys, s.t, s.as_vector())   # every partial of the field is supplied
+        sys = dataclasses.replace(sys, **{partial: lambda q, x, z: bad})
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^{partial} has shape {re.escape(str(bad.shape))}, expected"):
+            rhs(sys, s.t, s.as_vector())
+
+    def test_short_position_partial_no_longer_broadcasts_into_the_field(self):
+        # with dL/dq = (-q0,) the field read qddot = (-0.3, -0.3) instead of
+        # (-0.3, -0.7), and the run completed
+        s0 = ContactStateL(q=[0.3, 0.7], qdot=[0.1, 0.2], z=0.0)
+        good = harmonic_system(lambda q, v, z: -q)
+        _, qddot, _ = field(herglotz_rhs, good, s0)
+        assert qddot.tolist() == [-0.3, -0.7]
+        hs = HybridSystem(dynamics=harmonic_system(lambda q, v, z: np.array([-q[0]])),
+                          surface=SwitchingSurface(h=lambda q: 4.0 - float(q @ q),
+                                                   grad_h=lambda q: -2.0 * q))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^dL_dq has shape \(1,\), expected \(2,\).*"
+                                 r"\[flow phase before event 0\]$"):
+            simulate(hs, s0, 1.0)
+
+    def test_short_velocity_partial_of_a_hamiltonian_is_typed(self):
+        # dH/dp = (p0,) used to end in numpy's untyped ValueError
+        sys = HamiltonianSpec(n=2, hamiltonian=lambda q, p, z: 0.5 * float(p @ p),
+                              dH_dq=lambda q, p, z: np.zeros(2),
+                              dH_dp=lambda q, p, z: np.array([p[0]]),
+                              dH_dz=lambda q, p, z: 0.0)
+        s = ContactStateH(q=[0.3, 0.7], p=[0.1, 0.2], z=0.0)
+        with pytest.raises(DimensionMismatch, match=r"^dH_dp has shape \(1,\), expected \(2,\)"):
+            field(hamiltonian_rhs, sys, s)
+        with pytest.raises(DimensionMismatch, match="^dH_dp"):
+            sys.velocity(*s.phase)
+
+    def test_scalar_position_partial_of_a_1d_system_gives_the_same_field(self):
+        # a 1-D dL/dq may be a scalar: it holds the one entry and is reshaped
+        def system(dL_dq, natural):
+            if natural:
+                return natural_lagrangian_system(
+                    n=1, mass=np.eye(1), gamma=0.2, potential=lambda q: 1.5 * q[0] ** 2,
+                    grad_potential=lambda q: -dL_dq(q, None, None))
+            return SystemSpec(n=1, lagrangian=lambda q, v, z: 0.5 * v[0] ** 2
+                              - 1.5 * q[0] ** 2 - 0.2 * z,
+                              dL_dq=dL_dq, dL_dv=lambda q, v, z: v.copy(),
+                              dL_dz=lambda q, v, z: -0.2)
+
+        rng = np.random.default_rng(4)
+        for natural in (False, True):
+            vector = system(lambda q, v, z: np.array([-3.0 * q[0]]), natural)
+            scalar = system(lambda q, v, z: -3.0 * float(q[0]), natural)
+            for y in rng.uniform(-2.0, 2.0, (20, 3)):
+                assert herglotz_rhs(scalar, 0.0, y).tobytes() == \
+                    herglotz_rhs(vector, 0.0, y).tobytes()
+            assert scalar.grad_q(np.array([0.5]), np.array([1.0]), 0.0).shape == (1,)
+
+    def test_accessors_and_aliases_are_bound_once(self):
+        lag = quartic_system()
+        ham = hamiltonian_from_lagrangian(lag)
+        for sys, aliases in ((lag, {"momentum": "grad_v", "rate": "grad_z"}),
+                             (ham, {"energy": "value", "velocity": "grad_p"})):
+            for alias, accessor in aliases.items():
+                assert getattr(sys, alias) is getattr(sys, accessor)
+            for name in ("value", "grad_q", "grad_z", *aliases, *aliases.values()):
+                assert name in vars(sys) and not hasattr(type(sys), name)
 
 
 class TestHamiltonianRhs:
@@ -1077,6 +1176,24 @@ class TestNaturalForm:
         assert np.max(np.abs(qddot - expected)) < 1e-6
         assert zdot == pytest.approx(0.5 * (m * v[0] ** 2 + v[1] ** 2) - V(q) - 0.3 * z,
                                      rel=1e-15)
+
+    def test_short_potential_gradient_is_rejected_under_a_varying_mass(self):
+        # the gradient joins the differenced kinetic force before the spec's
+        # gate sees it: a (1,)-shaped one gave qddot_2 = -0.306, not -0.673
+        def system(grad_potential):
+            return natural_lagrangian_system(
+                n=2, mass=lambda q: np.diag([1.0, 1.0 + q[0] ** 2]), gamma=0.1,
+                potential=lambda q: 0.5 * float(q @ q), grad_potential=grad_potential)
+
+        s = ContactStateL(q=[0.3, 0.7], qdot=[0.1, 0.2], z=0.0)
+        _, qddot, _ = field(herglotz_rhs, system(lambda q: q), s)
+        assert qddot[1] == pytest.approx(-0.673211, abs=1e-6)
+        bad = system(lambda q: np.array([q[0]]))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^grad_potential has shape \(1,\), expected \(2,\)"):
+            field(herglotz_rhs, bad, s)
+        with pytest.raises(DimensionMismatch, match="^grad_potential"):
+            bad.natural.potential_gradient(s.q)
 
     def test_configuration_dependent_mass_cross_partial_differences_the_momentum(self):
         # M = diag(1, q0^2): dL/dv = (v0, q0^2 v1), so d2L/dq0 dv1 = 2 q0 v1 is

@@ -14,6 +14,7 @@ from contactsim import (
     Circle,
     ContactStateH,
     ContactStateL,
+    DimensionMismatch,
     ExteriorState,
     HamiltonianSpec,
     HybridSystem,
@@ -454,6 +455,17 @@ class TestGuardsAndBudgets:
                                                    grad_h=lambda q: np.full(2, np.nan)))
         with pytest.raises(NonFiniteValue,
                            match=r"grad h is not finite at q=.* \[flow phase"):
+            simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+
+    def test_short_surface_gradient_is_typed_and_named_with_its_phase(self):
+        # grad h = (-2 q0,) used to raise numpy's untyped ValueError from the
+        # guard's dh/dt, with no phase note
+        hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                          surface=SwitchingSurface(h=lambda q: 1.0 - float(q @ q),
+                                                   grad_h=lambda q: np.array([-2.0 * q[0]])))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^grad h has shape \(1,\), expected \(2,\), at .*"
+                                 r" \[flow phase before event 0\]$"):
             simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
     def test_grazing_stop_via_shallow_bounce(self):

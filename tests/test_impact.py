@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from contactsim import (
     resolve_impact_hamiltonian,
     resolve_impact_natural,
     resolve_impact_newton,
+    simulate,
     tangent_basis,
 )
+from contactsim import cli, impact
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -445,3 +449,62 @@ class TestTangentBasis:
     def test_deterministic(self):
         g = np.array([0.3, -0.4, 1.2])
         assert np.array_equal(tangent_basis(g), tangent_basis(g))
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def quartic_newton_run(monkeypatch):
+    """The benchmark's quartic workload from its reference start, T = 60."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ untouched
+    import workloads
+
+    s0 = ContactStateL(q=workloads.QUARTIC_Q0, qdot=workloads.QUARTIC_V0, z=0.0)
+    return workloads.quartic_system(), s0, (workloads.QUARTIC_T_FINAL,)
+
+
+def ellipse_hamiltonian_run(monkeypatch):
+    """demos/configs/ellipse.json in the Hamiltonian formulation, T = 200."""
+    cfg = cli.load_config(os.path.join(ROOT, "demos", "configs", "ellipse.json"))
+    cfg["run"]["t_final"] = 200.0
+    rc = cli.parse_config(cfg, "hamiltonian")
+    hs, lag_spec, _ = cli.build_system(rc)
+    return hs, cli.initial_state(rc, hs, lag_spec), (rc.t_final, rc.stepper, rc.max_events)
+
+
+@pytest.mark.parametrize("run, law, function, events, updates, most", [
+    (quartic_newton_run, "newton", "lagrangian", 134, 804, 6),
+    (ellipse_hamiltonian_run, "hamiltonian", "hamiltonian", 161, 0, 0)],
+    ids=["quartic-newton", "ellipse-hamiltonian"])
+def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, events,
+                                             updates, most):
+    """Exact Newton updates of the impact solves over a whole run. Each pass
+    of a resolver's Newton loop evaluates the residual, and with it L or H,
+    once; the other three evaluations in a resolve are E- (H-) and the two
+    energies of the event's residuals, so a resolve that stops after k
+    updates evaluates L or H k + 4 times. The quartic's differenced Hessian
+    takes 6 updates per impact; the ellipse's H is quadratic in p, so its
+    seed is the root. A change that moves a count states it."""
+    hs, s0, args = run(monkeypatch)
+    evaluate, resolve = getattr(hs.dynamics, function), getattr(impact, "resolve_impact_" + law)
+    inside, calls, per_resolve = [False], [0], []
+
+    def counted(q, x, z):
+        calls[0] += inside[0]
+        return evaluate(q, x, z)
+
+    def counted_resolve(*args):
+        inside[0], before = True, calls[0]
+        try:
+            return resolve(*args)
+        finally:
+            inside[0] = False
+            per_resolve.append(calls[0] - before - 4)
+
+    hs = dataclasses.replace(hs, dynamics=dataclasses.replace(hs.dynamics, **{function: counted}))
+    monkeypatch.setattr(impact, "resolve_impact_" + law, counted_resolve)
+    traj = simulate(hs, s0, *args)
+    assert len(traj.events) == events and len(per_resolve) == events
+    assert sum(per_resolve) == updates
+    assert max(per_resolve) == most and min(per_resolve) >= 0
