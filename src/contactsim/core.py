@@ -83,17 +83,13 @@ def _as_locked_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def _finite_scalar(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise NonFiniteValue(f"{name} is not finite: {x}")
-    return x
-
-
-def _checked(val, shape: tuple, name: str, at: str, *point) -> np.ndarray:
+def _checked(val, shape: tuple, name: str, at: str, *point) -> Union[np.ndarray, float]:
     """val as a float array of the given shape, reshaped when it holds as many
-    entries: DimensionMismatch on another size and NonFiniteValue on a
-    non-finite entry, each naming name and the point, ``at.format(*point)``."""
+    entries, and for shape () as a Python float: DimensionMismatch on another
+    size and NonFiniteValue on a non-finite entry, each naming name and the
+    point, ``at.format(*point)``. Every value that user code returns but a
+    potential's passes here, except a finite float that a hot path accepts
+    inline for shape ()."""
     val = np.asarray(val, dtype=float)
     if val.shape != shape:
         if val.size != math.prod(shape):
@@ -102,7 +98,7 @@ def _checked(val, shape: tuple, name: str, at: str, *point) -> np.ndarray:
         val = val.reshape(shape)
     if not _all_finite(val):
         raise NonFiniteValue(f"{name} is not finite at {at.format(*point)}")
-    return val
+    return val if shape else float(val)
 
 
 class _ContactState:
@@ -117,8 +113,8 @@ class _ContactState:
         q, xv = _as_locked_vector(self.q, "q"), _as_locked_vector(getattr(self, x), x)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, x, xv)
-        object.__setattr__(self, "z", _finite_scalar(self.z, "z"))
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
+        object.__setattr__(self, "z", _checked(self.z, (), "z", "q={}", q))
+        object.__setattr__(self, "t", _checked(self.t, (), "t", "q={}", q))
         if q.size != xv.size:
             raise DimensionMismatch(f"q has length {q.size} but {x} has length {xv.size}")
 
@@ -180,7 +176,8 @@ class ContactStateH(_ContactState):
 class NaturalForm:
     """Mechanical data for L = 1/2 qdot^T M(q) qdot - V(q) - gamma z.
 
-    mass may be a constant (n, n) array or a callable q -> (n, n) array.
+    mass may be a constant (n, n) array or a callable q -> (n, n) array,
+    whose value passes ``_checked``.
     potential defaults to zero; grad_potential, when given, is the gradient
     of potential and requires it. gamma has units 1/time.
     """
@@ -196,7 +193,7 @@ class NaturalForm:
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
         if callable(self.mass):
-            return np.asarray(self.mass(q), dtype=float)
+            return _checked(self.mass(q), (q.size, q.size), "mass", "q={}", q)
         return np.asarray(self.mass, dtype=float)
 
     @property
@@ -217,17 +214,16 @@ class NaturalForm:
 
 
 def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
-    """A supplied evaluator behind its one gate: ``_checked`` for an array
-    shape, and for shape () a Python float, NonFiniteValue if not finite."""
-    if shape == ():
-        def tested(q, x, z):
-            val = float(evaluator(q, x, z))
-            if not math.isfinite(val):
-                raise NonFiniteValue(f"{name} is not finite at ({q}, {x}, {z})")
-            return val
-    else:
-        def tested(q, x, z):
-            return _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
+    """A supplied evaluator behind its one gate, ``_checked``. A finite float
+    for shape () is accepted inline, as the Python float ``_checked`` would
+    return: the field reads value and grad_z at every evaluation."""
+    scalar = shape == ()
+
+    def tested(q, x, z):
+        val = evaluator(q, x, z)
+        if scalar and isinstance(val, float) and math.isfinite(val):
+            return float(val)
+        return _checked(val, shape, name, "({}, {}, {})", q, x, z)
     return tested
 
 
@@ -235,9 +231,10 @@ class _Spec:
     """What both formulations share: the dimension check and the accessors.
     ``_resolve`` binds ``value`` and each partial once, as an instance
     attribute: the supplied evaluator behind ``_tested``, or central
-    differences of that partial alone. A supplied array must hold n entries
-    (n^2 for d2L_dvdv and d2L_dqdv), else DimensionMismatch. A quantity that
-    is exactly one partial is an alias of it.
+    differences of that partial alone. A supplied value must hold one entry
+    for value and grad_z, n for a vector and n^2 for d2L_dvdv and d2L_dqdv,
+    else DimensionMismatch. A quantity that is exactly one partial is an
+    alias of it.
 
     Each subclass names its ``state_type``, ``formulation`` and
     ``impact_law`` (the ``impact.resolve_impact_*`` that resets its states)
@@ -277,7 +274,7 @@ class SystemSpec(_Spec):
     else "newton") and Legendre inversion, and, for a constant regular
     mass, a Herglotz field without a solve. Its accessors, bound once, are
     value (L), grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv, with the
-    aliases momentum = grad_v and rate = grad_z; a supplied partial whose
+    aliases momentum = grad_v and rate = grad_z; a supplied function whose
     value has the wrong size raises DimensionMismatch.
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
@@ -357,7 +354,7 @@ class HamiltonianSpec(_Spec):
     resolver needs only H and dH/dp, so a Hamiltonian derived from a
     natural-form Lagrangian carries no inverse mass matrix of its own. Its
     accessors, bound once, are value (H), grad_q, grad_p and grad_z, with the
-    aliases energy = value and velocity = grad_p; a supplied partial whose
+    aliases energy = value and velocity = grad_p; a supplied function whose
     value has the wrong size raises DimensionMismatch.
     """
 

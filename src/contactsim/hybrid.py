@@ -19,7 +19,6 @@ import numpy as np
 from .core import HamiltonianSpec, SystemSpec
 from .errors import (
     ContactSimError,
-    ExteriorState,
     GrazingContact,
     TimeOutOfRange,
 )
@@ -112,17 +111,19 @@ class HybridTrajectory:
 
     @property
     def t0(self) -> float:
+        if not self.segments:
+            raise TimeOutOfRange("trajectory is empty")
         return self.segments[0].t0
 
     @property
     def t_end(self) -> float:
+        if not self.segments:
+            raise TimeOutOfRange("trajectory is empty")
         return self.segments[-1].t1
 
     def state_at(self, t: float, side: int = +1):
         """State vector at time t; ``side`` picks the limit at event times
         (-1 pre-impact, +1 post-impact)."""
-        if not self.segments:
-            raise TimeOutOfRange("trajectory is empty")
         if not self.t0 <= t <= self.t_end:   # NaN included
             raise TimeOutOfRange(
                 f"t={t} outside trajectory span [{self.t0}, {self.t_end}]"
@@ -153,8 +154,6 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
     before it, whose knots hold the flow phases' end states."""
     if not ts.size:
         return np.empty((0, 2 * traj.n + 1))
-    if not traj.segments:
-        raise TimeOutOfRange("trajectory is empty")
     outside = np.flatnonzero(~((ts >= traj.t0) & (ts <= traj.t_end)))
     if outside.size:
         raise TimeOutOfRange(f"t={float(ts[outside[0]])} outside trajectory span "
@@ -191,8 +190,9 @@ def simulate(hs: HybridSystem, s0, t_final: float,
              max_events: int = MAX_EVENTS) -> HybridTrajectory:
     """Run the hybrid loop from s0 until t_final or a terminal condition.
 
-    The start state must be strictly interior; t_final must be finite and
-    past its time, and max_events at least 1 (ValueError). Returns the trajectory
+    t_final must be finite and past the start time, and max_events at least
+    1 (ValueError). The start state must be strictly interior: the first flow
+    phase, which starts armed, raises ExteriorState. Returns the trajectory
     with status Completed, ZenoSuspected, GrazingStop, or
     EventBudgetExhausted. Integrator and impact errors propagate, annotated
     "[flow phase before event k]" or "[impact event k]", k the next impact's index.
@@ -207,10 +207,6 @@ def simulate(hs: HybridSystem, s0, t_final: float,
             f"{hs.formulation} formulation"
         )
     hs.dynamics.check_state(s0)
-    if hs.surface.value(s0.q) <= 0.0:
-        raise ExteriorState(
-            f"initial state must be strictly interior (h={hs.surface.value(s0.q):.3e})"
-        )
     if not t_final > s0.t:
         raise ValueError(f"t_final={t_final} must exceed the start time {s0.t}")
     if max_events < 1:

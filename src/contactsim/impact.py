@@ -36,7 +36,6 @@ from .errors import (
     DegenerateNormal,
     GrazingContact,
     NoConvergence,
-    NonFiniteValue,
     SingularHessian,
 )
 
@@ -70,12 +69,14 @@ class SwitchingSurface:
     grad_h: Callable[[np.ndarray], np.ndarray]
 
     def value(self, q: np.ndarray) -> float:
-        """h(q); NonFiniteValue when it is not finite, because no sign
-        test can see a crossing into a region where h is NaN."""
-        val = float(self.h(q))
-        if not math.isfinite(val):
-            raise NonFiniteValue(f"h is not finite at q={q}: {val}")
-        return val
+        """h(q) as a float; DimensionMismatch unless it holds one entry, and
+        NonFiniteValue when it is not finite, because no sign test can see a
+        crossing into a region where h is NaN. A finite float is accepted
+        inline: the event scan reads h 17 times a step."""
+        val = self.h(q)
+        if isinstance(val, float) and math.isfinite(val):
+            return float(val)
+        return _checked(val, (), "h", "q={}", q)
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         """grad h(q) in q's shape, before it can move a state or tilt a tangent

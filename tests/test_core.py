@@ -115,6 +115,16 @@ class TestStates:
         source[0] = 0.0   # the state holds a copy
         assert s.q[0] == 1e308
 
+    @pytest.mark.parametrize("cls, second", [(ContactStateL, "qdot"), (ContactStateH, "p")])
+    def test_scalar_components_follow_the_size_rule(self, cls, second):
+        # a one-entry z or t used to end in numpy's untyped TypeError
+        good = {"q": [0.5, -0.5], second: [1.0, 2.0], "z": 0.25, "t": 1.0}
+        for name in ("z", "t"):
+            s = cls(**{**good, name: np.array([-0.75])})
+            assert type(getattr(s, name)) is float and getattr(s, name) == -0.75
+            with pytest.raises(DimensionMismatch, match=rf"^{name} has shape \(2,\), expected \(\)"):
+                cls(**{**good, name: np.zeros(2)})
+
     @settings(max_examples=200, deadline=None)
     @given(y=st.integers(1, 4).flatmap(
                lambda n: st.lists(_FINITE, min_size=2 * n + 1, max_size=2 * n + 1)),
@@ -455,10 +465,14 @@ class TestSpecGate:
     @pytest.mark.parametrize("partial, bad", [
         ("dL_dq", np.zeros(1)), ("dL_dv", np.zeros(3)), ("d2L_dvdv", np.ones(2)),
         ("d2L_dqdv", np.zeros((3, 3))), ("d2L_dzdv", np.zeros(4)),
-        ("dH_dq", np.zeros(1)), ("dH_dp", np.zeros((2, 2)))],
-        ids=["dL_dq", "dL_dv", "d2L_dvdv", "d2L_dqdv", "d2L_dzdv", "dH_dq", "dH_dp"])
+        ("dH_dq", np.zeros(1)), ("dH_dp", np.zeros((2, 2))),
+        ("lagrangian", np.zeros(2)), ("dL_dz", np.zeros(2)),
+        ("hamiltonian", np.zeros(2)), ("dH_dz", np.zeros(2))],
+        ids=["dL_dq", "dL_dv", "d2L_dvdv", "d2L_dqdv", "d2L_dzdv", "dH_dq", "dH_dp",
+             "lagrangian", "dL_dz", "hamiltonian", "dH_dz"])
     def test_supplied_partial_of_the_wrong_size_is_rejected(self, partial, bad):
-        if partial.startswith("dH"):
+        # a two-entry L, H, dL/dz or dH/dz used to end in numpy's untyped TypeError
+        if partial.startswith(("dH", "hamiltonian")):
             rhs, sys = hamiltonian_rhs, hamiltonian_from_lagrangian(billiard_system())
             s = ContactStateH(q=[0.3, 0.7], p=[0.1, 0.2], z=0.0)
         else:
@@ -517,6 +531,16 @@ class TestSpecGate:
                 assert herglotz_rhs(scalar, 0.0, y).tobytes() == \
                     herglotz_rhs(vector, 0.0, y).tobytes()
             assert scalar.grad_q(np.array([0.5]), np.array([1.0]), 0.0).shape == (1,)
+
+    def test_one_entry_action_partial_gives_the_field_of_the_float_it_holds(self):
+        # dL/dz = (-gamma,) used to end in numpy's untyped TypeError
+        rng = np.random.default_rng(5)
+        for sys in (quartic_system(gamma=0.3), billiard_system(gamma=0.3)):
+            held = dataclasses.replace(
+                sys, dL_dz=lambda q, v, z, f=sys.dL_dz: np.array([f(q, v, z)]))
+            for y in rng.uniform(-2.0, 2.0, (20, 5)):
+                assert herglotz_rhs(held, 0.0, y).tobytes() == herglotz_rhs(sys, 0.0, y).tobytes()
+            assert type(held.rate(y[:2], y[2:4], y[4])) is float
 
     def test_accessors_and_aliases_are_bound_once(self):
         lag = quartic_system()
@@ -1194,6 +1218,15 @@ class TestNaturalForm:
             field(herglotz_rhs, bad, s)
         with pytest.raises(DimensionMismatch, match="^grad_potential"):
             bad.natural.potential_gradient(s.q)
+
+    def test_callable_mass_of_the_wrong_shape_is_rejected(self):
+        # it used to end in numpy's untyped matmul ValueError from the kinetic term
+        sys = natural_lagrangian_system(2, mass=lambda q: np.eye(3))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^mass has shape \(3, 3\), expected \(2, 2\), at q="):
+            herglotz_rhs(sys, 0.0, np.array([0.3, 0.7, 0.1, 0.2, 0.0]))
+        with pytest.raises(DimensionMismatch, match="^mass"):
+            sys.natural.mass_matrix(np.array([0.3, 0.7]))
 
     def test_configuration_dependent_mass_cross_partial_differences_the_momentum(self):
         # M = diag(1, q0^2): dL/dv = (v0, q0^2 v1), so d2L/dq0 dv1 = 2 q0 v1 is

@@ -179,6 +179,16 @@ class TestSampling:
         with pytest.raises(TimeOutOfRange):
             fig1_trajectory.state_at(float("nan"))
 
+    def test_empty_trajectory_has_no_span(self):
+        # what a grazing stop in the first phase returns; t0 and t_end used
+        # to raise IndexError
+        empty = hybrid.HybridTrajectory(n=2)
+        for read in (lambda: empty.t0, lambda: empty.t_end,
+                     lambda: empty.state_at(0.0), lambda: sample(empty, [0.0])):
+            with pytest.raises(TimeOutOfRange, match="^trajectory is empty$"):
+                read()
+        assert sample(empty, []).states.shape == (0, 5)
+
     @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
     def test_equals_the_scalar_loop_on_knots_and_event_times(
             self, fig1_trajectory, circle_billiard, formulation):
@@ -465,6 +475,29 @@ class TestGuardsAndBudgets:
                                                    grad_h=lambda q: np.array([-2.0 * q[0]])))
         with pytest.raises(DimensionMismatch,
                            match=r"^grad h has shape \(1,\), expected \(2,\), at .*"
+                                 r" \[flow phase before event 0\]$"):
+            simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+
+    def test_one_entry_surface_value_runs_as_the_float_it_holds(self):
+        # h = (1 - q.q,) used to end in numpy's untyped TypeError
+        def run(h):
+            hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                              surface=SwitchingSurface(h=h, grad_h=lambda q: -2.0 * q))
+            return simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+
+        held, plain = run(lambda q: np.array([1.0 - q @ q])), run(lambda q: 1.0 - q @ q)
+        assert held.status == COMPLETED and len(held.events) == len(plain.events) > 0
+        assert [e.state_plus.as_vector().tobytes() for e in held.events] == \
+            [e.state_plus.as_vector().tobytes() for e in plain.events]
+
+    def test_surface_value_of_the_wrong_size_is_typed_and_named_with_its_phase(self):
+        surface = SwitchingSurface(h=lambda q: 1.0 - q * q, grad_h=lambda q: -2.0 * q)
+        with pytest.raises(DimensionMismatch, match=r"^h has shape \(2,\), expected \(\), at q="):
+            surface.value(np.array([0.5, 0.0]))
+        hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                          surface=surface)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^h has shape \(2,\), expected \(\), at .*"
                                  r" \[flow phase before event 0\]$"):
             simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
