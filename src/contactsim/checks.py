@@ -159,8 +159,9 @@ def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], times: np.ndar
 def check_row_containment(surface: SwitchingSurface, times: Sequence[float],
                           qs: Sequence[np.ndarray]) -> CheckReport:
     """Deepest exit of the configurations qs, stored at times, from the
-    admissible region h > 0, located at the row of least h."""
-    h_vals = np.array([surface.value(q) for q in qs])
+    admissible region h > 0, located at the row of least h; one block call
+    of h reads every row."""
+    h_vals = surface.values(np.asarray(qs, dtype=float))
     return CheckReport(name="containment", max_violation=float(max(0.0, -np.min(h_vals))),
                        tolerance=CONTAINMENT_TOL,
                        location=float(times[int(np.argmin(h_vals))]))
@@ -187,9 +188,10 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
     between the stored rows too, located at the time of least h.
 
     Each step's interpolant is read at 17 equally spaced times over its
-    valid window, with h and dh/dt = grad h . qdot there. Where dh/dt goes
-    from < 0 to > 0 between two of them, h has a minimum in between, which
-    golden-section search narrows. The search reads only the stored
+    valid window, with h and dh/dt = grad h . qdot there from one block
+    call of h and one of grad h. Where dh/dt goes from < 0 to > 0 between
+    two of them, h has a minimum in between, which golden-section search
+    narrows. The search reads only the stored
     interpolants, so it shares nothing with the integrator's event guard.
     """
     steps = [seg for run in traj.segments for seg in run.segments]
@@ -201,8 +203,7 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
         ts = np.linspace(seg.t0, seg.t1, _CONTAINMENT_POINTS)
         qs = seg.eval_many(ts)[:, :n]
         qdots = seg.eval_derivative_many(ts)[:, :n]
-        hs = [surface.value(q) for q in qs]
-        gs = [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]
+        hs, gs = surface.slopes(qs, qdots)
         k = int(np.argmin(hs))
         minima = [(hs[k], float(ts[k]))] + [
             _golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(ts[j]), float(ts[j + 1]))

@@ -188,7 +188,8 @@ def _parse_system(cfg: dict) -> SystemSetup:
         if _read(cfg, "system.surface.kind", str) != "sphere":
             raise ConfigError("'system.surface.kind' must be 'sphere'")
         r = _positive(cfg, "system.surface.radius")
-        surface = SwitchingSurface(h=lambda q: r * r - float(q @ q), grad_h=lambda q: -2.0 * q)
+        surface = SwitchingSurface(h=lambda q: r * r - np.vecdot(q, q, axis=0),
+                                   grad_h=lambda q: -2.0 * q)
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
                           surface=surface)
         return SystemSetup(hs, ("circle", r) if n == 2 else None, monitors_ell=False)

@@ -87,12 +87,16 @@ def _checked(val, shape: tuple, name: str, at: str, *point) -> Union[np.ndarray,
     """val as a float array of the given shape, reshaped when it holds as many
     entries, and for shape () as a Python float: DimensionMismatch on another
     size and NonFiniteValue on a non-finite entry, each naming name and the
-    point, ``at.format(*point)``. Every value that user code returns but a
-    potential's passes here, except a finite float that a hot path accepts
-    inline for shape ()."""
+    point, ``at.format(*point)``. A value with more than one axis longer
+    than 1 must have the shape's axes in order, so a transposed block is a
+    DimensionMismatch, not a reshape. Every value that user code returns
+    passes here, except a finite float that a hot path accepts inline for
+    shape () and a potential's float (see ``NaturalForm.potential_value``)."""
     val = np.asarray(val, dtype=float)
     if val.shape != shape:
-        if val.size != math.prod(shape):
+        kept = val.squeeze().shape
+        if val.size != math.prod(shape) or (
+                len(kept) > 1 and kept != tuple(d for d in shape if d != 1)):
             raise DimensionMismatch(
                 f"{name} has shape {val.shape}, expected {shape}, at {at.format(*point)}")
         val = val.reshape(shape)
@@ -201,7 +205,14 @@ class NaturalForm:
         return not callable(self.mass)
 
     def potential_value(self, q: np.ndarray) -> float:
-        return 0.0 if self.potential is None else float(self.potential(q))
+        """V(q) as a float. A float is taken as it is, so a NaN one reaches the
+        central differences, which name it; any other value passes ``_checked``."""
+        if self.potential is None:
+            return 0.0
+        val = self.potential(q)
+        if isinstance(val, float):
+            return float(val)
+        return _checked(val, (), "potential", "q={}", q)
 
     def potential_gradient(self, q: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """sign * dV/dq: the supplied gradient, else central differences of V;

@@ -34,6 +34,7 @@ from .core import (
 from .errors import (
     ConvergedToIdentity,
     DegenerateNormal,
+    DimensionMismatch,
     GrazingContact,
     NoConvergence,
     SingularHessian,
@@ -54,15 +55,17 @@ _BOUNDARY_TOL = 1e-9       # |h| of a state on the surface
 _GRAZING_SPEED = 1e-9      # a normal speed below this is a tangential approach
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
+_BLOCK_AT = "q={} to q={} (a block of {})"   # where a block call failed
 
 
 @dataclass(frozen=True)
 class SwitchingSurface:
     """Boundary h(q) = 0 of the admissible region h >= 0.
 
-    ``h`` maps a configuration to a scalar, which must be finite on both
-    sides of the boundary; ``grad_h`` returns its gradient, which must not
-    vanish near the boundary.
+    ``h`` and ``grad_h`` take configurations along axis 0: one q of shape
+    (n,), or a block of m configurations as the columns of an (n, m)
+    array, for which they return shape (m,) and (n, m). h must be finite on
+    both sides of the boundary, and grad h must not vanish near it.
     """
 
     h: Callable[[np.ndarray], float]
@@ -72,7 +75,7 @@ class SwitchingSurface:
         """h(q) as a float; DimensionMismatch unless it holds one entry, and
         NonFiniteValue when it is not finite, because no sign test can see a
         crossing into a region where h is NaN. A finite float is accepted
-        inline: the event scan reads h 17 times a step."""
+        inline: localization reads h at every iterate."""
         val = self.h(q)
         if isinstance(val, float) and math.isfinite(val):
             return float(val)
@@ -82,6 +85,39 @@ class SwitchingSurface:
         """grad h(q) in q's shape, before it can move a state or tilt a tangent
         basis; DimensionMismatch on another size, NonFiniteValue on NaN or inf."""
         return _checked(self.grad_h(q), q.shape, "grad h", "q={}", q)
+
+    def values(self, qs: np.ndarray) -> np.ndarray:
+        """h at each row of qs, shape (m, n), from one call of h on the block
+        qs.T; each entry equals ``value`` of its row. DimensionMismatch unless
+        h takes the block and returns m entries, NonFiniteValue when one is
+        not finite."""
+        m = qs.shape[0]
+        return _checked(_on_block(self.h, "h", qs), (m,), "h", _BLOCK_AT, qs[0], qs[-1], m)
+
+    def slopes(self, qs: np.ndarray, qdots: np.ndarray) -> tuple:
+        """(h, dh/dt = grad h . qdot) as two lists over the rows of qs and
+        qdots, shape (m, n), from one call of h and one of grad_h on the
+        block qs.T; each entry equals ``value`` and ``gradient(q) @ qdot`` of
+        its row bit for bit. grad_h must return (n, m), else
+        DimensionMismatch."""
+        hs, m = self.values(qs), qs.shape[0]
+        grads = _checked(_on_block(self.grad_h, "grad h", qs), qs.T.shape, "grad h",
+                         _BLOCK_AT, qs[0], qs[-1], m)
+        return hs.tolist(), np.vecdot(grads.T, qdots).tolist()
+
+
+def _on_block(f: Callable, name: str, qs: np.ndarray):
+    """f on the block qs.T. A function written for one configuration, with
+    Python control flow or ``math`` calls, fails there with numpy's
+    TypeError or ValueError, which becomes a DimensionMismatch naming it."""
+    try:
+        return f(qs.T)
+    except (TypeError, ValueError) as e:
+        m = qs.shape[0]
+        raise DimensionMismatch(
+            f"{name} does not take configurations as the columns of a block of shape "
+            f"{qs.T.shape} ({type(e).__name__}: {e}), at "
+            + _BLOCK_AT.format(qs[0], qs[-1], m)) from e
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
 derivative being qdot. ``DenseSegment.eval_many`` and
 ``eval_derivative_many`` evaluate the interpolant and its derivative at all
 of them in one broadcast with the operations of ``eval`` and
-``eval_derivative``, and the checkpoint times reproduce ``np.linspace`` bit
-for bit. Where dh/dt changes sign between two checkpoints, h has an
-extremum there, which the scan refines on the interpolant when it can
-decide the guard: a minimum with h <= 0 is an exit that no checkpoint
-sees, and a maximum above 1e-9 re-arms the guard that an impact disarmed,
-so the particle cannot leave again before a checkpoint re-arms it
+``eval_derivative``, the checkpoint times reproduce ``np.linspace`` bit
+for bit, and h and grad h see all 17 configurations in one call each.
+Where dh/dt changes sign between two checkpoints, h has an extremum
+there, which the scan refines on the interpolant when it can decide the
+guard: a minimum with h <= 0 is an exit that no checkpoint sees, and a
+maximum above 1e-9 re-arms the guard that an impact disarmed, so the
+particle cannot leave again before a checkpoint re-arms it
 (Shampine & Thompson, "Event location for ordinary differential
 equations", Comput. Math. Appl. 39, 2000). Steps can therefore be long:
 ``simulate`` starts each flow phase after an impact at the step size the
@@ -362,16 +363,16 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     An extremum is refined only when it can decide a bracket, and only
     until h decides it: any point of the maximum's rise with h above the
     threshold, or of the minimum's dip with h <= 0, bounds the same single
-    crossing. A step with no sign change of dh/dt costs 17 values of h and
-    17 gradients.
+    crossing. The checkpoints cost one block call of h and one of grad_h
+    (``SwitchingSurface.slopes``); an extremum adds one value and one
+    gradient per refinement.
     Returns (bracket, armed), the bracket None when the segment has no exit.
     """
     ts = _checkpoints(segment.t0, segment.t1)
     n_q = segment.y0.size // 2
     qs = segment.eval_many(ts)[:, :n_q]
     qdots = segment.eval_derivative_many(ts)[:, :n_q]
-    hs = [float(surface.value(q)) for q in qs]
-    gs = [float(surface.gradient(q) @ qdot) for q, qdot in zip(qs, qdots)]
+    hs, gs = surface.slopes(qs, qdots)
     start = 0
     if not armed:
         for i, hv in enumerate(hs):

@@ -287,7 +287,8 @@ def state_rate_billiard(gamma):
         d2L_dqdv=lambda q, v, z: np.zeros((2, 2)),
         d2L_dzdv=lambda q, v, z: np.zeros(2),
     )
-    surface = SwitchingSurface(h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q)
+    surface = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(q, q, axis=0),
+                               grad_h=lambda q: -2.0 * q)
     return HybridSystem(dynamics=spec, surface=surface, resolver="newton")
 
 
@@ -367,7 +368,7 @@ class TestDecayLawCatchesInconsistentFields:
 
     def run(self, hsys):
         hs = HybridSystem(dynamics=hsys, surface=SwitchingSurface(
-            h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q))
+            h=lambda q: 1.0 - np.vecdot(q, q, axis=0), grad_h=lambda q: -2.0 * q))
         traj = simulate(hs, ContactStateH(q=[0.3, 0.1], p=[1.0, 0.5], z=0.0), 10.0)
         assert traj.status == "Completed"
         return check_energy_decay(traj, hsys)
@@ -459,7 +460,7 @@ class TestImpactConditions:
 
     def test_one_dimensional_tangential_is_vacuous(self):
         sys = natural_lagrangian_system(n=1, mass=np.eye(1), gamma=0.0)
-        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
+        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
         q = np.array([0.0])
         e = ImpactEvent(state_minus=ContactStateL(q=q, qdot=[-2.0], z=0.0, t=1.0),
                         state_plus=ContactStateL(q=q, qdot=[2.0], z=0.0, t=1.0),
@@ -526,8 +527,9 @@ class TestContainment:
 
         a2 = 0.02 ** 2
         surface = SwitchingSurface(
-            h=lambda q: (q @ q - a2) * (1.0 - q @ q),
-            grad_h=lambda q: 2.0 * q * ((1.0 - q @ q) - (q @ q - a2)))
+            h=lambda q: (np.vecdot(q, q, axis=0) - a2) * (1.0 - np.vecdot(q, q, axis=0)),
+            grad_h=lambda q: 2.0 * q * ((1.0 - np.vecdot(q, q, axis=0))
+                                        - (np.vecdot(q, q, axis=0) - a2)))
         hs = HybridSystem(dynamics=make_circular_billiard(
             BilliardSpec(boundary=Circle(1.0), gamma=1e-4)).dynamics, surface=surface)
         s0 = ContactStateL(q=[-0.9, 0.005], qdot=[1.0, 0.0], z=0.0)

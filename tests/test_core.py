@@ -492,7 +492,7 @@ class TestSpecGate:
         _, qddot, _ = field(herglotz_rhs, good, s0)
         assert qddot.tolist() == [-0.3, -0.7]
         hs = HybridSystem(dynamics=harmonic_system(lambda q, v, z: np.array([-q[0]])),
-                          surface=SwitchingSurface(h=lambda q: 4.0 - float(q @ q),
+                          surface=SwitchingSurface(h=lambda q: 4.0 - np.vecdot(q, q, axis=0),
                                                    grad_h=lambda q: -2.0 * q))
         with pytest.raises(DimensionMismatch,
                            match=r"^dL_dq has shape \(1,\), expected \(2,\).*"
@@ -1151,6 +1151,17 @@ class TestNaturalForm:
         with pytest.raises(NonFiniteValue):
             hamiltonian_from_lagrangian(natural_lagrangian_system(
                 n=2, mass=np.eye(2), potential=V)).grad_q(q, v, 0.0)
+
+    def test_one_entry_potential_runs_as_the_float_it_holds(self):
+        # V = (q.q,) used to end in numpy's untyped TypeError from float()
+        y = np.array([0.3, 0.1, 1.0, 0.5, 0.2])
+        held, plain = (natural_lagrangian_system(n=2, mass=np.eye(2), gamma=0.1, potential=V)
+                       for V in (lambda q: np.array([q @ q]), lambda q: float(q @ q)))
+        assert herglotz_rhs(held, 0.0, y).tobytes() == herglotz_rhs(plain, 0.0, y).tobytes()
+        wide = natural_lagrangian_system(n=2, mass=np.eye(2), potential=lambda q: q * q)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^potential has shape \(2,\), expected \(\), at q="):
+            herglotz_rhs(wide, 0.0, y)
 
     def test_grad_potential_without_potential_is_rejected(self):
         # the Lagrangian side ignored this gradient while the Hamiltonian side used it

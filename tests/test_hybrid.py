@@ -304,11 +304,12 @@ def annulus():
     """The unit disc with a disc of radius 0.02 taken out of its centre:
     h = (|q|^2 - 0.02^2)(1 - |q|^2)."""
     def h(q):
-        r2 = np.sum(np.asarray(q) ** 2, axis=-1)
+        r2 = np.sum(np.asarray(q) ** 2, axis=0)
         return (r2 - INNER ** 2) * (1.0 - r2)
 
     surface = SwitchingSurface(
-        h=h, grad_h=lambda q: 2.0 * q * ((1.0 - q @ q) - (q @ q - INNER ** 2)))
+        h=h, grad_h=lambda q: 2.0 * q * ((1.0 - np.vecdot(q, q, axis=0))
+                                         - (np.vecdot(q, q, axis=0) - INNER ** 2)))
     return HybridSystem(dynamics=circle().dynamics, surface=surface)
 
 
@@ -328,7 +329,7 @@ class TestExitsBetweenCheckpoints:
         first = traj.events[0]
         assert abs(first.t - 0.8807) <= 1e-4 and np.linalg.norm(first.q) <= 1.01 * INNER
         q = traj.sample(np.linspace(traj.t0, traj.t_end, 30001)).states[:, :2]
-        assert hs.surface.h(q).min() >= -1e-12
+        assert hs.surface.h(q.T).min() >= -1e-12
         assert check_containment(traj, hs.surface).passed
 
     @pytest.mark.parametrize("offset, angle, n_events", [
@@ -449,8 +450,8 @@ class TestGuardsAndBudgets:
         # h is NaN outside the unit disc, so no sign test saw the crossing:
         # the run used to complete with no event, at |q(5)| = 7.43
         def h(q):
-            r2 = float(q @ q)
-            return math.sqrt(1.0 - r2) if r2 <= 1.0 else float("nan")
+            r2 = np.vecdot(q, q, axis=0)
+            return np.where(r2 <= 1.0, np.sqrt(np.abs(1.0 - r2)), np.nan)
 
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
                           surface=SwitchingSurface(h=h, grad_h=lambda q: -q / h(q)))
@@ -461,22 +462,45 @@ class TestGuardsAndBudgets:
         # it used to surface as "q contains non-finite entries", after the
         # projection onto the surface had moved q by a NaN step
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
-                          surface=SwitchingSurface(h=lambda q: 1.0 - float(q @ q),
-                                                   grad_h=lambda q: np.full(2, np.nan)))
+                          surface=SwitchingSurface(h=lambda q: 1.0 - np.vecdot(q, q, axis=0),
+                                                   grad_h=lambda q: np.full_like(q, np.nan)))
         with pytest.raises(NonFiniteValue,
                            match=r"grad h is not finite at q=.* \[flow phase"):
             simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
     def test_short_surface_gradient_is_typed_and_named_with_its_phase(self):
-        # grad h = (-2 q0,) used to raise numpy's untyped ValueError from the
-        # guard's dh/dt, with no phase note
-        hs = HybridSystem(dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
-                          surface=SwitchingSurface(h=lambda q: 1.0 - float(q @ q),
-                                                   grad_h=lambda q: np.array([-2.0 * q[0]])))
-        with pytest.raises(DimensionMismatch,
-                           match=r"^grad h has shape \(1,\), expected \(2,\), at .*"
-                                 r" \[flow phase before event 0\]$"):
-            simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
+        # the scan calls h and grad h once on the 17 checkpoints of a step,
+        # as the columns of a (2, 17) block; a value that breaks that
+        # contract is a DimensionMismatch naming the block and the phase
+        for h, grad_h, message in [
+                # grad h = (-2 q0,) used to raise numpy's untyped ValueError
+                # from the guard's dh/dt, with no phase note
+                (lambda q: 1.0 - np.vecdot(q, q, axis=0), lambda q: np.array([-2.0 * q[0]]),
+                 r"grad h has shape \(1, 17\), expected \(2, 17\)"),
+                # one h for the whole block
+                (lambda q: 1.0 - np.sum(q * q), lambda q: -2.0 * q,
+                 r"h has shape \(\), expected \(17,\)"),
+                # one gradient per row, which a reshape would scramble
+                (lambda q: 1.0 - np.vecdot(q, q, axis=0), lambda q: -2.0 * q.T,
+                 r"grad h has shape \(17, 2\), expected \(2, 17\)"),
+                # h written for one configuration: numpy's untyped ValueError
+                # (ambiguous truth value) or TypeError from inside the block call
+                (lambda q: (math.sqrt(1.0 - q[0] * q[0] - q[1] * q[1])
+                            if q[0] * q[0] + q[1] * q[1] <= 1.0 else math.nan),
+                 lambda q: -2.0 * q,
+                 r"h does not take configurations as the columns of a block of shape"
+                 r" \(2, 17\) \(ValueError: .*\)"),
+                (lambda q: 1.0 - np.vecdot(q, q, axis=0),
+                 lambda q: np.array([-2.0 * q[0], -2.0 * math.sqrt(q[1] * q[1])]),
+                 r"grad h does not take configurations as the columns of a block of shape"
+                 r" \(2, 17\) \(TypeError: .*\)")]:
+            hs = HybridSystem(
+                dynamics=natural_lagrangian_system(n=2, mass=np.eye(2), gamma=GAMMA),
+                surface=SwitchingSurface(h=h, grad_h=grad_h))
+            with pytest.raises(DimensionMismatch,
+                               match="^" + message + r", at q=\[.*\] to q=\[.*\]"
+                                     r" \(a block of 17\) \[flow phase before event 0\]$"):
+                simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
     def test_one_entry_surface_value_runs_as_the_float_it_holds(self):
         # h = (1 - q.q,) used to end in numpy's untyped TypeError
@@ -485,7 +509,8 @@ class TestGuardsAndBudgets:
                               surface=SwitchingSurface(h=h, grad_h=lambda q: -2.0 * q))
             return simulate(hs, ContactStateL(q=[0.5, 0.0], qdot=[1.0, 1.0], z=0.0), 5.0)
 
-        held, plain = run(lambda q: np.array([1.0 - q @ q])), run(lambda q: 1.0 - q @ q)
+        held = run(lambda q: np.array([1.0 - np.vecdot(q, q, axis=0)]))
+        plain = run(lambda q: 1.0 - np.vecdot(q, q, axis=0))
         assert held.status == COMPLETED and len(held.events) == len(plain.events) > 0
         assert [e.state_plus.as_vector().tobytes() for e in held.events] == \
             [e.state_plus.as_vector().tobytes() for e in plain.events]
@@ -512,7 +537,7 @@ class TestGuardsAndBudgets:
             potential=lambda q: g * q[0],
             grad_potential=lambda q: np.array([g]))
         floor = SwitchingSurface(h=lambda q: q[0],
-                                 grad_h=lambda q: np.array([1.0]))
+                                 grad_h=lambda q: np.ones_like(q))
 
         def soft_resolver(dynamics, s_minus, surface):
             v_plus = -restitution * s_minus.qdot

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsim import (
     ContactStateH,
@@ -29,7 +32,7 @@ from contactsim import (
     simulate,
     tangent_basis,
 )
-from contactsim import cli, impact
+from contactsim import cli, impact, integrate
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -328,7 +331,7 @@ class TestNewtonResolver:
             d2L_dqdv=lambda q, v, z: np.zeros((1, 1)),
             d2L_dzdv=lambda q, v, z: np.zeros(1),
         )
-        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
+        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
         s = ContactStateL(q=[0.0], qdot=[-1.0], z=0.0)
         with pytest.raises((ConvergedToIdentity, NoConvergence)):
             resolve_impact_newton(sys, s, floor)
@@ -508,3 +511,66 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
     assert len(traj.events) == events and len(per_resolve) == events
     assert sum(per_resolve) == updates
     assert max(per_resolve) == most and min(per_resolve) >= 0
+
+
+# Systems as the CLI builds them, with the start and the system section of
+# their config; each sphere is the custom system's surface.
+BLOCK_SYSTEMS = {
+    "circle": ({"kind": "circle", "radius": 1.3, "gamma": 0.1}, [0.2, -0.1]),
+    "ellipse": ({"kind": "ellipse", "a": 2.0, "b": 1.0, "gamma": 0.1}, [0.2, -0.1]),
+    "sphere-1": ({"kind": "custom", "n": 1, "mass_matrix": [[1.0]],
+                  "surface": {"kind": "sphere", "radius": 0.8}}, [0.1]),
+    "sphere-2": ({"kind": "custom", "n": 2, "mass_matrix": [[2.0, 0.3], [0.3, 1.0]],
+                  "surface": {"kind": "sphere", "radius": 1.0}}, [0.2, -0.1]),
+    "sphere-3": ({"kind": "custom", "n": 3, "gamma": 0.05,
+                  "mass_matrix": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]],
+                  "surface": {"kind": "sphere", "radius": 1.3}}, [0.2, -0.1, 0.3]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def block_system(name):
+    """The named CLI system and the dense steps of a run of it to T = 4."""
+    system, q0 = BLOCK_SYSTEMS[name]
+    rc = cli.parse_config({"system": system, "run": {"t_final": 4.0},
+                           "initial": {"q": q0, "v": [0.9, 0.5, -0.3][:len(q0)], "z": 0.0}})
+    hs, lag_spec, _ = cli.build_system(rc)
+    traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper)
+    assert traj.events
+    return hs, [seg for run in traj.segments for seg in run.segments]
+
+
+class TestBlockGate:
+    """``SwitchingSurface.slopes`` and ``values`` read a block of m
+    configurations with one call of h and one of grad h; each entry must be
+    the per-point gate's value bit for bit, so the scan and the containment
+    check decide exactly as they did point by point."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_gate_equals_the_point_gate_bit_for_bit(self, data):
+        name = data.draw(st.sampled_from(sorted(BLOCK_SYSTEMS)), label="system")
+        hs, steps = block_system(name)
+        n = hs.n
+        if data.draw(st.booleans(), label="checkpoints of a real step"):
+            seg = data.draw(st.sampled_from(steps), label="step")
+            ts = integrate._checkpoints(seg.t0, seg.t1)
+            y, ydot = seg.eval_many(ts), seg.eval_derivative_many(ts)
+        else:
+            m = data.draw(st.integers(1, 20), label="m")
+            rows = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2 * n + 1,
+                                     max_size=2 * n + 1), min_size=m, max_size=m)
+            y, ydot = np.array(data.draw(rows)), np.array(data.draw(rows))
+        # row slices of the phase vectors, as the scan hands them over
+        qs, qdots = y[:, :n], ydot[:, :n]
+        h_block, dh_block = hs.surface.slopes(qs, qdots)
+        h_point = np.array([hs.surface.value(q) for q in qs])
+        dh_point = np.array([float(hs.surface.gradient(q) @ v) for q, v in zip(qs, qdots)])
+        assert np.array(h_block).tobytes() == h_point.tobytes()
+        assert np.array(dh_block).tobytes() == dh_point.tobytes()
+        assert hs.surface.values(qs).tobytes() == h_point.tobytes()
+        if name.startswith("sphere"):
+            # and each is r^2 - q . q as a dot product gives it, as it was
+            # before the sphere took blocks
+            r = BLOCK_SYSTEMS[name][0]["surface"]["radius"]
+            assert h_point.tobytes() == np.array([r * r - float(q @ q) for q in qs]).tobytes()

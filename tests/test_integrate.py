@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -22,6 +23,7 @@ from contactsim import (
     step,
 )
 from contactsim import cli, integrate
+from contactsim.checks import check_containment
 from contactsim.impact import _GRAZING_SPEED
 
 GAMMA = 1e-4
@@ -184,7 +186,8 @@ class TestEvents:
 
     def test_surface_sees_only_the_q_block(self):
         # had h = 1 - q.q seen all of [q, v, z], it would fire at t = 1.2771
-        ball = SwitchingSurface(h=lambda q: 1.0 - float(q @ q), grad_h=lambda q: -2.0 * q)
+        ball = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(q, q, axis=0),
+                                grad_h=lambda q: -2.0 * q)
         y0 = np.array([0.0, 0.0, 0.6, 0.0, 0.0])
         run = integrate_until_event(damped_rhs(0.0), 0.0, y0, 5.0, surface=ball)
         assert abs(run.hit.t - 1.0 / 0.6) < 1e-10
@@ -222,7 +225,7 @@ class TestLocateEvent:
     def test_tangential_crossing_is_grazing(self):
         # q(t) = -(t - 1)^3 leaves the admissible side with zero slope at t = 1
         floor = SwitchingSurface(h=lambda q: q[0],
-                                 grad_h=lambda q: np.array([1.0]))
+                                 grad_h=lambda q: np.ones_like(q))
         seg = self._segment_for(
             lambda t, y: np.array([-3.0 * (t - 1.0) ** 2, -6.0 * (t - 1.0), 0.0]),
             0.5, [0.125, -0.75, 0.0], 1.0)
@@ -231,7 +234,7 @@ class TestLocateEvent:
 
     def test_no_sign_change(self):
         floor = SwitchingSurface(h=lambda q: q[0] + 10.0,
-                                 grad_h=lambda q: np.array([1.0]))
+                                 grad_h=lambda q: np.ones_like(q))
         seg = self._segment_for(lambda t, y: np.array([1.0, 0.0, 0.0]),
                                 0.0, [0.0, 1.0, 0.0], 1.0)
         assert self._bracket(seg, floor) is None
@@ -246,7 +249,7 @@ class TestLocateEvent:
                                 0.0, [1.0, -1.0, 0.0], 1.6)
         b = float(integrate._checkpoints(seg.t0, seg.t1)[10])
         level = float(seg.eval(b)[0])
-        wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.array([1.0]))
+        wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.ones_like(q))
         bracket = self._bracket(seg, wall)
         assert bracket[1] == b
         calls = []
@@ -266,7 +269,7 @@ def parabola(c):
     return lambda t, y: np.array([y[1], c, 0.0])
 
 
-FLOOR = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
+FLOOR = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
 
 
 class TestScanBetweenCheckpoints:
@@ -360,13 +363,13 @@ class TestLocateProperties:
         if quadratic:
             # h = 1 - a1 q1^2 - a2 q2^2 with q* on the curve h = 0
             a = np.array(axes)
-            surface = SwitchingSurface(h=lambda q: 1.0 - float(a @ (q * q)),
-                                       grad_h=lambda q: -2.0 * a * q)
+            surface = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(a, (q * q).T),
+                                       grad_h=lambda q: (-2.0 * a * q.T).T)
             q_star = direction / np.sqrt(a)
         else:
             # h = n . (q* - q), the half-plane behind the line through q*
-            surface = SwitchingSurface(h=lambda q: float(direction @ (q_star - q)),
-                                       grad_h=lambda q: -direction)
+            surface = SwitchingSurface(h=lambda q: np.vecdot(direction, q_star - q.T),
+                                       grad_h=lambda q: (np.ones_like(q).T * -direction).T)
             q_star = np.array(axes)
         g = surface.gradient(q_star)
         normal = g / np.linalg.norm(g)
@@ -400,8 +403,8 @@ class TestLocateProperties:
         # inflection, where Newton converges linearly until |s| ~ sqrt(alpha / c)
         # and h rounds to exactly 0 on a band about 1e-17 / alpha wide
         alpha = 10.0 ** log_slope
-        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.array([1.0]))
-        seg, _, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [-cubic], phase, 0.5)
+        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
+        seg, t_star, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [-cubic], phase, 0.5)
         bracket, _ = integrate._scan(seg, floor, armed=True)
         evals = []
         evaluate = integrate.DenseSegment.eval
@@ -420,7 +423,16 @@ class TestLocateProperties:
         h_end = float(seg.eval(hit.t)[0])
         assert h_end <= 0.0 and abs(h_end) <= 1e-12
         assert hit.hdot <= -_GRAZING_SPEED
-        assert abs(hit.hdot + alpha) <= 1e-6 * alpha
+        # the located time is t* to the width tolerance, widened by rounding: the
+        # step sums q from values up to q_max, so the sign of h is settled only
+        # outside a band about eps q_max / alpha wide around t*, which is up to
+        # 7e-8 on the inflections with the least slopes; dh/dt is the path's
+        # slope -(alpha + 3 c s^2) there
+        s = hit.t - t_star
+        reach = max(phase, 1.0 - phase) * 0.5
+        q_max = alpha * reach + cubic * reach ** 3
+        assert abs(s) <= 1e-12 + 10.0 * np.finfo(float).eps * q_max / alpha
+        assert abs(hit.hdot + alpha + 3.0 * cubic * s * s) <= 1e-6 * alpha
 
 
 @pytest.mark.parametrize("config, formulation, n_events", [
@@ -494,6 +506,46 @@ def test_stepping_cost_is_pinned(monkeypatch, config, formulation, steps, rhs_ca
     assert count["accepted"] == steps
     assert count["tried"] - count["accepted"] == 0
     assert count["rhs"] == rhs_calls
+
+
+@pytest.mark.parametrize("config, formulation, steps, h_points, grad_points", [
+    ("circle.json", "lagrangian", 303, 1201, 900),
+    ("circle.json", "hamiltonian", 303, 1201, 900),
+    ("ellipse.json", "lagrangian", 306, 1322, 999),
+    ("ellipse.json", "hamiltonian", 306, 1322, 999)])
+def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_points):
+    """Exact calls of h and grad h on the reference configurations at T = 200.
+    The event scan makes one block call of each per accepted step, and the
+    dense containment check one per dense step, plus one h per golden-section
+    point (none on these runs). The calls on one configuration are the start,
+    localization, projection and impacts. Read point by point, the scan and
+    the check took 17 of each per step: on the circle 6,352 h and 6,051 grad h
+    in simulate, 5,151 of each in the check. A change that moves a count
+    states it."""
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
+    cfg["run"]["t_final"] = 200.0
+    rc = cli.parse_config(cfg, formulation)
+    hs, lag_spec, _ = cli.build_system(rc)
+    calls = {}
+
+    def counted(name, f):
+        def call(q):
+            key = (name, "block" if q.ndim == 2 else "point")
+            calls[key] = calls.get(key, 0) + 1
+            return f(q)
+        return call
+
+    surface = SwitchingSurface(h=counted("h", hs.surface.h),
+                               grad_h=counted("grad h", hs.surface.grad_h))
+    hs = dataclasses.replace(hs, surface=surface)
+    traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
+                    rc.max_events)
+    assert sum(len(run.segments) for run in traj.segments) == steps
+    assert calls == {("h", "block"): steps, ("grad h", "block"): steps,
+                     ("h", "point"): h_points, ("grad h", "point"): grad_points}
+    calls.clear()
+    assert check_containment(traj, surface).passed
+    assert calls == {("h", "block"): steps, ("grad h", "block"): steps}
 
 
 def wobble(t, y):
