@@ -86,6 +86,12 @@ class BilliardSpec:
             raise ValueError(f"mass must be > 0, got {self.mass}")
 
 
+def _billiard(spec: BilliardSpec, h, grad_h) -> HybridSystem:
+    """The natural system of the free particle with drag in the region h >= 0."""
+    sys = natural_lagrangian_system(n=2, mass=spec.mass * np.eye(2), gamma=spec.gamma)
+    return HybridSystem(dynamics=sys, surface=SwitchingSurface(h=h, grad_h=grad_h))
+
+
 def make_circular_billiard(spec: BilliardSpec) -> HybridSystem:
     """Hybrid system for the disk |q| <= radius with linear drag.
 
@@ -95,13 +101,8 @@ def make_circular_billiard(spec: BilliardSpec) -> HybridSystem:
     if not isinstance(spec.boundary, Circle):
         raise ValueError("make_circular_billiard needs a Circle boundary")
     r2 = spec.boundary.radius ** 2
-    sys = natural_lagrangian_system(
-        n=2, mass=spec.mass * np.eye(2), gamma=spec.gamma)
-    surface = SwitchingSurface(
-        h=lambda q: r2 - q[0] * q[0] - q[1] * q[1],
-        grad_h=lambda q: np.array([-2.0 * q[0], -2.0 * q[1]]),
-    )
-    return HybridSystem(dynamics=sys, surface=surface)
+    return _billiard(spec, lambda q: r2 - q[0] * q[0] - q[1] * q[1],
+                     lambda q: np.array([-2.0 * q[0], -2.0 * q[1]]))
 
 
 def make_elliptical_billiard(spec: BilliardSpec) -> HybridSystem:
@@ -110,13 +111,8 @@ def make_elliptical_billiard(spec: BilliardSpec) -> HybridSystem:
         raise ValueError("make_elliptical_billiard needs an Ellipse boundary")
     a2 = spec.boundary.a ** 2
     b2 = spec.boundary.b ** 2
-    sys = natural_lagrangian_system(
-        n=2, mass=spec.mass * np.eye(2), gamma=spec.gamma)
-    surface = SwitchingSurface(
-        h=lambda q: 1.0 - q[0] * q[0] / a2 - q[1] * q[1] / b2,
-        grad_h=lambda q: np.array([-2.0 * q[0] / a2, -2.0 * q[1] / b2]),
-    )
-    return HybridSystem(dynamics=sys, surface=surface)
+    return _billiard(spec, lambda q: 1.0 - q[0] * q[0] / a2 - q[1] * q[1] / b2,
+                     lambda q: np.array([-2.0 * q[0] / a2, -2.0 * q[1] / b2]))
 
 
 def _phi(u: float) -> float:
@@ -130,10 +126,11 @@ def free_particle_closed_form(gamma: float, q0, v0, e0: float, t,
                               mass: float = 1.0, z0: float = None):
     """Analytic between-impact solution of the damped free particle.
 
-    Returns (q(t), v(t), z(t)) for scalar or array t. For gamma > 0 the
+    Returns (q(t), v(t), z(t)) for finite scalar or array t. For gamma > 0 the
     initial action is recovered from the energy as z0 = (E0 - T0)/gamma;
-    for gamma = 0 the explicit linear formulas apply and z0 (default 0)
-    is used directly since the energy no longer determines it.
+    for gamma = 0 the energy no longer determines it, z0 (default 0) is
+    used directly, and the formulas reduce to q0 + v0 t, v0 and z0 + T0 t
+    bit for bit: the decay is exactly 1 and the stretch exactly t.
     """
     if not gamma >= 0.0:
         raise ValueError("gamma must be >= 0")
@@ -141,18 +138,13 @@ def free_particle_closed_form(gamma: float, q0, v0, e0: float, t,
     v0 = np.asarray(v0, dtype=float)
     t = np.asarray(t, dtype=float)
     kinetic0 = 0.5 * mass * float(v0 @ v0)
-    if gamma == 0.0:
-        z_init = 0.0 if z0 is None else float(z0)
-        q = q0 + np.multiply.outer(t, v0)
-        v = np.broadcast_to(v0, t.shape + v0.shape).copy()
-        z = z_init + kinetic0 * t
-        return q, v, z
-    z_init = (float(e0) - kinetic0) / gamma if z0 is None else float(z0)
+    if z0 is None:
+        z0 = (float(e0) - kinetic0) / gamma if gamma > 0.0 else 0.0
     decay = np.exp(-gamma * t)
     stretch = np.vectorize(_phi)(gamma * t) * t     # (1 - e^(-gamma t)) / gamma
     q = q0 + np.multiply.outer(stretch, v0)
     v = np.multiply.outer(decay, v0)
-    z = decay * (z_init + kinetic0 * stretch)
+    z = decay * (float(z0) + kinetic0 * stretch)
     return q, v, z
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -94,20 +94,8 @@ _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
 
 
 def _cast(value, kind, path: str):
-    """`value` checked as `kind` and converted: float, int, bool, str, dict, list
-    (a finite float array) or a config dataclass, built by field name with each
-    value cast by its field default's type. Else a ConfigError naming `path`."""
-    if is_dataclass(kind):
-        defaults = {f.name: f.default for f in fields(kind)}
-        unknown = [key for key in _cast(value, dict, path) if key not in defaults]
-        if unknown:
-            raise ConfigError(f"'{path}.{unknown[0]}' is not a {kind.__name__} "
-                              f"field ({', '.join(defaults)})")
-        try:
-            return kind(**{key: _cast(v, type(defaults[key]), f"{path}.{key}")
-                           for key, v in value.items()})
-        except ValueError as e:
-            raise ConfigError(str(e))
+    """`value` checked as `kind` and converted: float, int, bool, str, dict or
+    list (a finite float array). Else a ConfigError naming `path`."""
     if kind is list:
         try:
             cast = np.asarray(value)
@@ -238,9 +226,15 @@ def parse_config(cfg: dict, formulation_override=None) -> RunConfig:
     samples = _read(cfg, "output.samples", int, 1000)
     if samples < 2:
         raise ConfigError(f"'output.samples' must be >= 2, got {samples}")
+    stepper = {f.name: _read(cfg, f"stepper.{f.name}", type(f.default), f.default)
+               for f in fields(StepperConfig)}
+    try:
+        stepper = StepperConfig(**stepper)
+    except ValueError as e:
+        raise ConfigError(str(e))
     rc = RunConfig(system=system, q0=q0, v0=v0, p0=p0, z0=z0,
                    t_final=t_final, formulation=formulation, max_events=max_events,
-                   stepper=_read(cfg, "stepper", StepperConfig, StepperConfig()),
+                   stepper=stepper,
                    samples=samples, svg=_read(cfg, "output.svg", bool, True), raw=raw)
     for path, value in cfg.items():
         if path != "sweep":

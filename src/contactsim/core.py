@@ -242,7 +242,8 @@ class _Spec:
     """What both formulations share: the dimension check and the accessors.
     ``_resolve`` binds ``value`` and each partial once, as an instance
     attribute: the supplied evaluator behind ``_tested``, or central
-    differences of that partial alone. A supplied value must hold one entry
+    differences of that partial alone, taken of the gated value where they
+    difference L or H. A supplied value must hold one entry
     for value and grad_z, n for a vector and n^2 for d2L_dvdv and d2L_dqdv,
     else DimensionMismatch. A quantity that is exactly one partial is an
     alias of it.
@@ -254,10 +255,10 @@ class _Spec:
     ``vector_field(t, y)`` on [q, x, z]: callers never branch on the formulation.
     """
 
-    def _resolve(self, function: Callable, partials: dict, **aliases: str) -> None:
+    def _resolve(self, value: Callable, partials: dict, **aliases: str) -> None:
         if self.n < 1:
             raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "value", _tested(self.formulation, function, ()))
+        object.__setattr__(self, "value", value)
         for accessor, (field, shape, fallback) in partials.items():
             supplied = getattr(self, field)
             object.__setattr__(self, accessor, fallback if supplied is None
@@ -319,8 +320,8 @@ class SystemSpec(_Spec):
         object.__setattr__(self, "_minv", None if nat is None or not nat.constant_mass
                            else _regular_inverse(nat.mass_matrix(np.zeros(self.n)), self.n))
         # Same steps and argument order as finite_difference_partials, except
-        # that a supplied dL_dv is differenced once for the second partials.
-        L, G, n = self.lagrangian, self.dL_dv, self.n
+        # that a supplied dL_dv is differenced once, raw, for the second partials.
+        L, G, n = _tested(self.formulation, self.lagrangian, ()), self.dL_dv, self.n
         if G is None:
             hess_vv = lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v)
             hess_qv = lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v)
@@ -380,7 +381,7 @@ class HamiltonianSpec(_Spec):
     impact_law = "hamiltonian"
 
     def __post_init__(self):
-        H, n = self.hamiltonian, self.n
+        H, n = _tested(self.formulation, self.hamiltonian, ()), self.n
         self._resolve(H, {
             "grad_q": ("dH_dq", (n,), lambda q, p, z: _fd_jacobian(
                 lambda qq: H(qq, p, z), q, 1)[0]),
@@ -489,14 +490,15 @@ def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def finite_difference_partials(sys: SystemSpec, s: ContactStateL) -> DerivativeBundle:
-    """Evaluate every partial derivative of L at s by central differences.
+    """Evaluate every partial derivative of L, the gated ``sys.value``, at s
+    by central differences.
 
     First derivatives use step eps^(1/3) * max(1, |coordinate|); second
     derivatives use eps^(1/4) scaling. The Hessian is symmetric by construction.
     """
     sys.check_state(s)
     q, v, z = s.q, s.qdot, s.z
-    L = sys.lagrangian
+    L = sys.value
     zvec = np.array([z])
     dq = _fd_jacobian(lambda qq: L(qq, v, z), q, 1)[0]
     dv = _fd_jacobian(lambda vv: L(q, vv, z), v, 1)[0]

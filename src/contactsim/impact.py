@@ -224,7 +224,10 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     return g, vn
 
 
-def _with_residuals(sys, g: np.ndarray, s_minus, s_plus, lam: float) -> ImpactEvent:
+def _with_residuals(sys, g: np.ndarray, s_minus, x_plus: np.ndarray, lam: float) -> ImpactEvent:
+    """The impact that resets s_minus to x_plus, the post-impact velocity or
+    momentum, with q, z and t passed through, and its residuals."""
+    s_plus = sys.state_type(s_minus.q, x_plus, s_minus.z, s_minus.t)
     r_tan, r_en = _residuals(sys, g, s_minus, s_plus)
     return ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=lam,
                        residual_tangential=r_tan, residual_energy=r_en)
@@ -243,9 +246,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     g, vn = _approach_normal(sys, surface, s_minus)
     minv_g = _mass_solve(sys.natural, s_minus.q, g)
     lam = -2.0 * vn / float(g @ minv_g)
-    qdot_plus = s_minus.qdot + lam * minv_g
-    s_plus = ContactStateL(q=s_minus.q, qdot=qdot_plus, z=s_minus.z, t=s_minus.t)
-    return _with_residuals(sys, g, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, s_minus.qdot + lam * minv_g, lam)
 
 
 def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
@@ -266,7 +267,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     never silently accepted.
     """
     g, vn = _approach_normal(sys, surface, s_minus)
-    q, z, t = s_minus.q, s_minus.z, s_minus.t
+    q, z = s_minus.q, s_minus.z
     p_minus = sys.grad_v(q, s_minus.qdot, z)
     e_minus = sys.energy(q, s_minus.qdot, z)
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
@@ -299,8 +300,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
         raise NoConvergence(
             f"impact solve did not reverse the normal velocity (got {vn_plus:.3e})"
         )
-    s_plus = ContactStateL(q=q, qdot=v, z=z, t=t)
-    return _with_residuals(sys, g, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, v, lam)
 
 
 def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
@@ -315,7 +315,7 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
     there; the same iteration serves every other H.
     """
     g, vn = _approach_normal(sys, surface, s_minus)
-    q, z, t = s_minus.q, s_minus.z, s_minus.t
+    q, z = s_minus.q, s_minus.z
     p_minus = s_minus.p
     H_minus = sys.value(q, p_minus, z)
     curv = float(g @ sys.grad_p(q, p_minus + g, z)) - vn
@@ -338,5 +338,4 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
     vn_plus = float(g @ sys.grad_p(q, p_plus, z))
     if not vn_plus > 0.0:
         raise ConvergedToIdentity("impact solve found only the trivial root")
-    s_plus = ContactStateH(q=q, p=p_plus, z=z, t=t)
-    return _with_residuals(sys, g, s_minus, s_plus, lam)
+    return _with_residuals(sys, g, s_minus, p_plus, lam)

@@ -312,10 +312,12 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
 
 
 def _slope(segment: DenseSegment, surface, t: float) -> tuple:
-    """(h, dh/dt) on the interpolant at t; dh/dt = grad h . qdot."""
+    """(y, h, dh/dt) on the interpolant at t, from one ``eval`` and one
+    ``eval_derivative``: the phase vector, h at its q block and grad h . qdot."""
     n_q = segment.y0.size // 2
-    q = segment.eval(t)[:n_q]
-    return (float(surface.value(q)),
+    y = segment.eval(t)
+    q = y[:n_q]
+    return (y, float(surface.value(q)),
             float(surface.gradient(q) @ segment.eval_derivative(t)[:n_q]))
 
 
@@ -331,7 +333,7 @@ def _extremum(segment: DenseSegment, surface, a: float, b: float, ga: float, gb:
             t = 0.5 * (a + b)
             if not a < t < b:
                 break                    # the bracket is at the spacing floor
-        h, g = _slope(segment, surface, t)
+        _, h, g = _slope(segment, surface, t)
         if decides(h) or g == 0.0:
             return t, h
         if (g > 0.0) == (ga > 0.0):
@@ -347,7 +349,7 @@ def _extremum(segment: DenseSegment, surface, a: float, b: float, ga: float, gb:
         if b - a <= _LOCATE_T_TOL:
             return t, h
     t = 0.5 * (a + b)
-    return t, _slope(segment, surface, t)[0]
+    return t, _slope(segment, surface, t)[1]
 
 
 def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
@@ -437,10 +439,7 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
             t = 0.5 * (a + b)
             if not a < t < b:
                 break                    # the bracket is at the spacing floor
-        y = segment.eval(t)
-        q = y[:n_q]
-        f = float(surface.value(q))
-        slope = float(surface.gradient(q) @ segment.eval_derivative(t)[:n_q])
+        y, f, slope = _slope(segment, surface, t)
         if f > 0.0:
             a = t
         else:

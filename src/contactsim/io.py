@@ -51,16 +51,13 @@ def csv_header(n: int, formulation: str) -> list:
 
 def write_trajectory_csv(path, times, states, flags, energies, ells,
                          formulation: str) -> None:
-    times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    lines = [",".join(csv_header(states.shape[1] // 2, formulation))]
-    for k in range(times.size):
-        row = [format_float(times[k])]
-        row += [format_float(v) for v in states[k]]
-        row += [format_float(energies[k]), format_float(ells[k]), str(int(flags[k]))]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = csv_header(states.shape[1] // 2, formulation)
+    # every float as format_float prints it, and the flag as an integer
+    table = np.column_stack([times, states, energies, ells, flags])
+    with open(path, "w") as fh:   # a handle: given a path, savetxt imports gzip
+        np.savetxt(fh, table, fmt=["%.17g"] * (len(header) - 1) + ["%d"], delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def read_trajectory_csv(path) -> dict:

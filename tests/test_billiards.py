@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsim import (
     BilliardSpec,
@@ -19,6 +21,9 @@ from contactsim import (
     make_elliptical_billiard,
     simulate,
 )
+
+_COORD = st.floats(-1e3, 1e3)
+_TIME = st.floats(0.0, 1e3)
 
 
 def rk4_action_oracle(gamma, T0, z0, t_final, steps=20000):
@@ -60,6 +65,22 @@ class TestClosedForms:
         assert np.max(np.abs(qa - qb)) < 1e-6
         assert np.max(np.abs(va - vb)) < 1e-6
         assert np.max(np.abs(za - zb)) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(q0=st.lists(_COORD, min_size=2, max_size=2),
+           v0=st.lists(_COORD, min_size=2, max_size=2),
+           t=st.one_of(_TIME, st.lists(_TIME, min_size=1, max_size=5)),
+           z0=st.one_of(st.none(), _COORD), mass=st.floats(0.1, 10.0))
+    def test_undamped_flight_is_the_linear_motion_bit_for_bit(self, q0, v0, t, z0, mass):
+        # at gamma = 0 the damped formulas run with decay 1 and stretch t
+        q, v, z = free_particle_closed_form(0.0, q0, v0, 1.0, t, mass=mass, z0=z0)
+        q0, v0, t = np.array(q0), np.array(v0), np.asarray(t, dtype=float)
+        kinetic0 = 0.5 * mass * float(v0 @ v0)
+        assert q.tobytes() == (q0 + np.multiply.outer(t, v0)).tobytes()
+        assert v.tobytes() == np.broadcast_to(v0, t.shape + v0.shape).tobytes()
+        assert np.asarray(z).tobytes() == np.asarray(
+            (0.0 if z0 is None else z0) + kinetic0 * t).tobytes()
+        assert q.shape == v.shape == t.shape + (2,) and np.shape(z) == t.shape
 
     def test_action_against_independent_quadrature(self):
         # dual route: the closed form vs a brute-force RK4 integration

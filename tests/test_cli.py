@@ -6,9 +6,12 @@ import json
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsim import checks, cli, impact
 from contactsim.checks import CheckReport
@@ -142,7 +145,7 @@ class TestSimulate:
         ("stepper", [1, 2], "'stepper'"),
         ("initial.q", [0.5, None], "initial.q"),
         pytest.param("stepper.rtol", 10 ** 400, "stepper.rtol", id="stepper.rtol-10**400"),
-        # a key that no setting reads, in every section but stepper
+        # a key that no setting reads
         ("output.sampels", 50, "'output.sampels'"),
         ("run.t_finall", 5, "'run.t_finall'"),
         ("initial.qdot", [1.0, 1.0], "'initial.qdot'"),
@@ -158,6 +161,8 @@ class TestSimulate:
         pytest.param("system.surface", {"kind": "sphere", "radius": 1.0},
                      "'system.surface.kind'", id="system.surface-on-a-circle"),
         pytest.param("plot", {}, "'plot'", id="unknown-empty-section"),
+        # the stepper section is read key by key like the others
+        ("stepper.h_min", 1e-6, "'stepper.h_min' is not a config setting"),
     ])
     def test_malformed_value_exits_one_naming_its_path(self, tmp_path, capsys,
                                                        path, value, named):
@@ -414,6 +419,58 @@ class TestCheck:
         with open(report_path) as fh:
             report = json.load(fh)
         assert all(c["passed"] for c in report["checks"])
+
+
+def reference_csv_text(times, states, flags, energies, ells, formulation):
+    """The trajectory CSV rendered value by value: each float by
+    format(float(x), ".17g"), the flag by str(int(flag)), joined by commas."""
+    n = states.shape[1] // 2
+    x = {"lagrangian": "v", "hamiltonian": "p"}[formulation]
+    lines = [",".join(["t"] + [f"q{i + 1}" for i in range(n)] + [f"{x}{i + 1}" for i in range(n)]
+                      + ["z", "E", "ell", "event_flag"])]
+    for k in range(times.size):
+        row = [times[k], *states[k], energies[k], ells[k]]
+        lines.append(",".join([format(float(v), ".17g") for v in row] + [str(int(flags[k]))]))
+    return "\n".join(lines) + "\n"
+
+
+# Floats with the edge cases of a 17-digit rendering: signed zeros,
+# subnormals and infinities. NaN is math.nan, whose bits a file can carry.
+_CELL = st.one_of(st.floats(allow_nan=False), st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf]))
+_MONITOR = st.one_of(_CELL, st.just(math.nan))
+
+
+@st.composite
+def trajectory_tables(draw):
+    n, m = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 6))
+
+    def column(cells, size):
+        return np.array(draw(st.lists(cells, min_size=size, max_size=size)), dtype=float)
+
+    states = column(_CELL, m * (2 * n + 1)).reshape(m, 2 * n + 1)
+    flags = np.array(draw(st.lists(st.sampled_from([0, 1, 2]), min_size=m, max_size=m)))
+    return (column(_CELL, m), states, flags, column(_MONITOR, m), column(_MONITOR, m),
+            draw(st.sampled_from(["lagrangian", "hamiltonian"])))
+
+
+class TestTrajectoryCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(table=trajectory_tables())
+    def test_written_text_is_the_per_value_rendering_and_reads_back_bit_for_bit(self, table):
+        times, states, flags, energies, ells, formulation = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trajectory.csv")
+            write_trajectory_csv(path, times, states, flags, energies, ells, formulation)
+            with open(path) as fh:
+                assert fh.read() == reference_csv_text(*table)
+            back = read_trajectory_csv(path)
+        n = states.shape[1] // 2
+        assert (back["n"], back["formulation"]) == (n, formulation)
+        for key, want in (("t", times), ("q", states[:, :n]), ("v", states[:, n:2 * n]),
+                          ("z", states[:, 2 * n]), ("E", energies), ("ell", ells)):
+            assert back[key].tobytes() == np.ascontiguousarray(want).tobytes(), key
+        assert back["flag"].tolist() == flags.tolist()
 
 
 class TestOneCertificationStandard:

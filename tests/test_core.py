@@ -484,6 +484,28 @@ class TestSpecGate:
                            match=rf"^{partial} has shape {re.escape(str(bad.shape))}, expected"):
             rhs(sys, s.t, s.as_vector())
 
+    @pytest.mark.parametrize("name", ["lagrangian", "hamiltonian"])
+    def test_differenced_function_of_the_wrong_size_is_named(self, name):
+        # with every partial left to differences, a two-entry L or H used to
+        # end in numpy's untyped ValueError inside _fd_jacobian
+        if name == "lagrangian":
+            spec, rhs = SystemSpec, herglotz_rhs
+        else:
+            spec, rhs = HamiltonianSpec, hamiltonian_rhs
+        y = np.array([0.3, 0.7, 0.1, 0.2, 0.0])
+        sys = spec(2, lambda q, x, z: 0.5 * float(x @ x) - 0.1 * z)
+        rhs(sys, 0.0, y)
+        sys = spec(2, lambda q, x, z: np.array([0.5 * float(x @ x), z]))
+        with pytest.raises(DimensionMismatch, match=rf"^{name} has shape \(2,\), expected \(\)"):
+            rhs(sys, 0.0, y)
+        if spec is SystemSpec:
+            with pytest.raises(DimensionMismatch, match=r"^lagrangian has shape"):
+                finite_difference_partials(sys, ContactStateL.from_vector(y))
+        # a NaN at a stencil point is named by the same gate: NaN right of q0 = 0.3
+        sys = spec(2, lambda q, x, z: 0.5 * float(x @ x) if q[0] <= 0.3 else float("nan"))
+        with pytest.raises(NonFiniteValue, match=rf"^{name} is not finite at"):
+            rhs(sys, 0.0, y)
+
     def test_short_position_partial_no_longer_broadcasts_into_the_field(self):
         # with dL/dq = (-q0,) the field read qddot = (-0.3, -0.3) instead of
         # (-0.3, -0.7), and the run completed
