@@ -110,7 +110,7 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     Over a step the rate integral is Simpson's rule, and to the midpoint it
     is the integral of the quadratic through the step's three rates.
     """
-    steps = [seg for run in traj.segments for seg in run.segments]
+    steps = traj.steps
     if not steps:
         raise ValueError("trajectory has no flow to check")
     nodes = [(seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1) for seg in steps]
@@ -194,7 +194,7 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
     narrows. The search reads only the stored
     interpolants, so it shares nothing with the integrator's event guard.
     """
-    steps = [seg for run in traj.segments for seg in run.segments]
+    steps = traj.steps
     if not steps:
         raise ValueError("trajectory has no flow to check")
     n = traj.n

@@ -47,7 +47,7 @@ from .core import (
     natural_lagrangian_system,
 )
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
-from .hybrid import (COMPLETED, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
+from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
 from .impact import SwitchingSurface, impact_residuals, impact_violation
 from .integrate import StepperConfig
@@ -284,6 +284,25 @@ def _monitored(rc: RunConfig, energy, ell) -> dict:
     return quantities
 
 
+def _worst_impact(reports) -> CheckReport:
+    """The first report of the largest violation above 0, else a passing 0.0 with no location."""
+    return max([CheckReport(name="impact_conditions", max_violation=0.0, tolerance=IMPACT_TOL),
+                *reports], key=lambda r: r.max_violation)
+
+
+def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray) -> None:
+    """A ValueError naming path and the 1-based file row of the first row out of order."""
+    # pair[k]: rows k and k + 1 are an impact pair, pre then post at one time
+    pair = np.append((flags[:-1] == FLAG_PRE_IMPACT) & (flags[1:] == FLAG_POST_IMPACT)
+                     & (t[:-1] == t[1:]), False)
+    closes = np.append(False, pair[:-1])   # row k ends a pair
+    bad = ((flags != FLAG_FLOW) & ~(pair | closes)) | (np.append(False, t[1:] <= t[:-1]) & ~closes)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 2} is out of order: t never "
+                         "decreases, and only a pre-impact row and its post-impact row next "
+                         "share a time")
+
+
 def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     """Full simulate pipeline; returns the summary dict (also written to disk)."""
     rc = parse_config(cfg, formulation_override)
@@ -311,13 +330,8 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
         rc, hs.dynamics.energy, lambda q, x, z: _ell(hs, q, x, z)))
-    worst_impact = CheckReport(name="impact_conditions", max_violation=0.0,
-                               tolerance=IMPACT_TOL)
-    for event in traj.events:
-        rep = check_impact_conditions(event, hs.dynamics, hs.surface)
-        if rep.max_violation > worst_impact.max_violation:
-            worst_impact = rep
-    checks.append(worst_impact)
+    checks.append(_worst_impact(check_impact_conditions(event, hs.dynamics, hs.surface)
+                                for event in traj.events))
     checks.append(check_containment(traj, hs.surface))
 
     E0 = float(energies[0])
@@ -422,6 +436,7 @@ def cmd_check(args) -> int:
     nonfinite = np.flatnonzero(~np.isfinite(block).all(axis=1))
     if nonfinite.size:   # located by 1-based file row, header included
         raise NonFiniteValue(f"{args.csv}: row {nonfinite[0] + 2} has a non-finite t or state")
+    _check_row_order(args.csv, data["t"], data["flag"])
     states = block[:, 1:]
 
     reports = []
@@ -439,16 +454,12 @@ def cmd_check(args) -> int:
                                     _monitored(rc, energies, ells))
 
     # impact conditions at stored pre/post pairs, the only rows built as states
-    worst_imp, worst_t = 0.0, None
-    for i in np.where(data["flag"] == FLAG_PRE_IMPACT)[0]:
-        if i + 1 >= data["t"].size or data["flag"][i + 1] != FLAG_POST_IMPACT:
-            raise ValueError(f"{args.csv}: pre-impact row {i + 2} has no post-impact row")
-        pair = (hs.dynamics.state_type.from_vector(states[j], data["t"][j]) for j in (i, i + 1))
-        v = impact_violation(hs.dynamics, hs.surface, *pair)
-        if v > worst_imp:
-            worst_imp, worst_t = v, float(data["t"][i])
-    reports.append(CheckReport(name="impact_conditions", max_violation=worst_imp,
-                               tolerance=IMPACT_TOL, location=worst_t))
+    t = data["t"]
+    state = lambda j: hs.dynamics.state_type.from_vector(states[j], t[j])
+    reports.append(_worst_impact(CheckReport(
+        name="impact_conditions", tolerance=IMPACT_TOL, location=t[i],
+        max_violation=impact_violation(hs.dynamics, hs.surface, state(i), state(i + 1)))
+        for i in np.flatnonzero(data["flag"] == FLAG_PRE_IMPACT).tolist()))
 
     reports.append(check_row_containment(hs.surface, data["t"], data["q"]))
 

@@ -90,8 +90,10 @@ def _checked(val, shape: tuple, name: str, at: str, *point) -> Union[np.ndarray,
     point, ``at.format(*point)``. A value with more than one axis longer
     than 1 must have the shape's axes in order, so a transposed block is a
     DimensionMismatch, not a reshape. Every value that user code returns
-    passes here, except a finite float that a hot path accepts inline for
-    shape () and a potential's float (see ``NaturalForm.potential_value``)."""
+    passes here, except a potential's float (see ``NaturalForm.potential_value``),
+    and a finite float for shape () returns at once, as the float it is."""
+    if not shape and isinstance(val, float) and math.isfinite(val):
+        return float(val)
     val = np.asarray(val, dtype=float)
     if val.shape != shape:
         kept = val.squeeze().shape
@@ -225,25 +227,17 @@ class NaturalForm:
 
 
 def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
-    """A supplied evaluator behind its one gate, ``_checked``. A finite float
-    for shape () is accepted inline, as the Python float ``_checked`` would
-    return: the field reads value and grad_z at every evaluation."""
-    scalar = shape == ()
-
-    def tested(q, x, z):
-        val = evaluator(q, x, z)
-        if scalar and isinstance(val, float) and math.isfinite(val):
-            return float(val)
-        return _checked(val, shape, name, "({}, {}, {})", q, x, z)
-    return tested
+    """A supplied evaluator behind its one gate, ``_checked``."""
+    return lambda q, x, z: _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
 
 
 class _Spec:
     """What both formulations share: the dimension check and the accessors.
     ``_resolve`` binds ``value`` and each partial once, as an instance
     attribute: the supplied evaluator behind ``_tested``, or central
-    differences of that partial alone, taken of the gated value where they
-    difference L or H. A supplied value must hold one entry
+    differences of that partial alone: of the gated value for the
+    ``gradients`` in q, x and z (accessor to field, in that order), and
+    each of the ``second`` partials' own. A supplied value must hold one entry
     for value and grad_z, n for a vector and n^2 for d2L_dvdv and d2L_dqdv,
     else DimensionMismatch. A quantity that is exactly one partial is an
     alias of it.
@@ -255,11 +249,18 @@ class _Spec:
     ``vector_field(t, y)`` on [q, x, z]: callers never branch on the formulation.
     """
 
-    def _resolve(self, value: Callable, partials: dict, **aliases: str) -> None:
+    def _resolve(self, value: Callable, gradients: dict, second: dict, **aliases: str) -> None:
         if self.n < 1:
             raise DimensionMismatch(f"configuration dimension must be >= 1, got {self.n}")
         object.__setattr__(self, "value", value)
-        for accessor, (field, shape, fallback) in partials.items():
+        first = zip(gradients.items(), ((self.n,), (self.n,), ()), (   # in q, x and z
+            lambda q, x, z: _fd_jacobian(lambda qq: value(qq, x, z), q, 1)[0],
+            lambda q, x, z: _fd_jacobian(lambda xx: value(q, xx, z), x, 1)[0],
+            lambda q, x, z: float(_fd_jacobian(
+                lambda zz: value(q, x, float(zz[0])), np.array([z]), 1)[0, 0])))
+        partials = {accessor: (field, shape, fallback)
+                    for (accessor, field), shape, fallback in first}
+        for accessor, (field, shape, fallback) in {**partials, **second}.items():
             supplied = getattr(self, field)
             object.__setattr__(self, accessor, fallback if supplied is None
                                else _tested(field, supplied, shape))
@@ -335,13 +336,7 @@ class SystemSpec(_Spec):
             hess_qv = lambda q, v, z: _fd_jacobian(lambda qq: G(qq, v, z), q, n)
             hess_zv = lambda q, v, z: _fd_jacobian(
                 lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n)
-        self._resolve(L, {
-            "grad_q": ("dL_dq", (n,), lambda q, v, z: _fd_jacobian(
-                lambda qq: L(qq, v, z), q, 1)[0]),
-            "grad_v": ("dL_dv", (n,), lambda q, v, z: _fd_jacobian(
-                lambda vv: L(q, vv, z), v, 1)[0]),
-            "grad_z": ("dL_dz", (), lambda q, v, z: float(_fd_jacobian(
-                lambda zz: L(q, v, float(zz[0])), np.array([z]), 1)[0, 0])),
+        self._resolve(L, {"grad_q": "dL_dq", "grad_v": "dL_dv", "grad_z": "dL_dz"}, {
             "hess_vv": ("d2L_dvdv", (n, n), hess_vv),
             "hess_qv": ("d2L_dqdv", (n, n), hess_qv),
             "hess_zv": ("d2L_dzdv", (n,), hess_zv),
@@ -381,15 +376,9 @@ class HamiltonianSpec(_Spec):
     impact_law = "hamiltonian"
 
     def __post_init__(self):
-        H, n = _tested(self.formulation, self.hamiltonian, ()), self.n
-        self._resolve(H, {
-            "grad_q": ("dH_dq", (n,), lambda q, p, z: _fd_jacobian(
-                lambda qq: H(qq, p, z), q, 1)[0]),
-            "grad_p": ("dH_dp", (n,), lambda q, p, z: _fd_jacobian(
-                lambda pp: H(q, pp, z), p, 1)[0]),
-            "grad_z": ("dH_dz", (), lambda q, p, z: float(_fd_jacobian(
-                lambda zz: H(q, p, float(zz[0])), np.array([z]), 1)[0, 0])),
-        }, energy="value", velocity="grad_p")
+        self._resolve(_tested(self.formulation, self.hamiltonian, ()),
+                      {"grad_q": "dH_dq", "grad_p": "dH_dp", "grad_z": "dH_dz"}, {},
+                      energy="value", velocity="grad_p")
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return hamiltonian_rhs(self, t, y)

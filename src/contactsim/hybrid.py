@@ -121,6 +121,11 @@ class HybridTrajectory:
             raise TimeOutOfRange("trajectory is empty")
         return self.segments[-1].t1
 
+    @property
+    def steps(self) -> list:
+        """Every dense step of every flow phase, in time order."""
+        return [seg for run in self.segments for seg in run.segments]
+
     def state_at(self, t: float, side: int = +1):
         """State vector at time t; ``side`` picks the limit at event times
         (-1 pre-impact, +1 post-impact)."""
@@ -158,7 +163,7 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
     if outside.size:
         raise TimeOutOfRange(f"t={float(ts[outside[0]])} outside trajectory span "
                              f"[{traj.t0}, {traj.t_end}]")
-    steps = [seg for run in traj.segments for seg in run.segments]
+    steps = traj.steps
     which = np.searchsorted([seg.t0 for seg in steps], ts, side="right") - 1
     return _eval_segments(steps, np.maximum(which, 0), ts)
 

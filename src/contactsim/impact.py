@@ -16,7 +16,6 @@ and report the tangential and energy residuals of whatever they return.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -74,12 +73,8 @@ class SwitchingSurface:
     def value(self, q: np.ndarray) -> float:
         """h(q) as a float; DimensionMismatch unless it holds one entry, and
         NonFiniteValue when it is not finite, because no sign test can see a
-        crossing into a region where h is NaN. A finite float is accepted
-        inline: localization reads h at every iterate."""
-        val = self.h(q)
-        if isinstance(val, float) and math.isfinite(val):
-            return float(val)
-        return _checked(val, (), "h", "q={}", q)
+        crossing into a region where h is NaN."""
+        return _checked(self.h(q), (), "h", "q={}", q)
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         """grad h(q) in q's shape, before it can move a state or tilt a tangent

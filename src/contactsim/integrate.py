@@ -410,12 +410,13 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     b and b - a are both at most 1e-12, or h at b is 0; b is the event
     time. Each iterate evaluates the interpolant and its derivative once,
     for h and dh/dt = grad h . qdot, and replaces a or b by the sign of h.
-    A Newton point outside (a, b), or an |h| that did not halve, bisects
-    instead, so a multiple root converges linearly. A Newton step below
-    half the width tolerance steps that far past the root (less where |h|
-    there would exceed 1e-12) to close the bracket from the other side.
-    The grazing and direction tests and the projection reuse b's state
-    and dh/dt.
+    A Newton point on an end of (a, b) or less than 1e-12 past it tries
+    0.5e-12 inside that end, for a root within rounding of it; one farther
+    out, or an |h| that did not halve, bisects instead, so a multiple root
+    converges linearly. A Newton step below half the width tolerance steps
+    that far past the root (less where |h| there would exceed 1e-12) to
+    close the bracket from the other side. The grazing and direction tests
+    and the projection reuse b's state and dh/dt.
 
     Raises NoSignChange when the bracket does not straddle the surface,
     and GrazingContact when the crossing is tangential (|dh/dt| below the
@@ -435,6 +436,8 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     for _ in range(_LOCATE_MAX_ITER):
         if fb == 0.0:
             break                        # b is a root, also when the scan put it there
+        if a - _LOCATE_T_TOL < t <= a or b <= t < b + _LOCATE_T_TOL:
+            t = a + 0.5 * _LOCATE_T_TOL if t <= a else b - 0.5 * _LOCATE_T_TOL
         if not a < t < b:
             t = 0.5 * (a + b)
             if not a < t < b:

@@ -61,13 +61,14 @@ def write_trajectory_csv(path, times, states, flags, energies, ells,
 
 
 def read_trajectory_csv(path) -> dict:
-    """Parse a trajectory CSV back into arrays; infers n and the formulation
-    from the header. "v" holds the velocity or momentum columns."""
+    """Parse a trajectory CSV back into arrays, the writer's inverse; infers n
+    and the formulation from the header. "v" holds the velocity or momentum
+    columns. A ValueError names the path, and the row of a flag not 0, 1, 2."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+        first, _, body = fh.read().lstrip().partition("\n")
+    if not body.strip():   # np.loadtxt would only warn
+        raise ValueError(f"{path}: trajectory file has no data rows")
+    header = first.strip().split(",")
     n_state_cols = len(header) - 5   # t, z, E, ell, event_flag
     if n_state_cols <= 0 or n_state_cols % 2 != 0:
         raise ValueError(f"{path}: malformed header {header!r}")
@@ -75,15 +76,17 @@ def read_trajectory_csv(path) -> dict:
     formulation = next((f for f in _SECOND_BLOCK if header == csv_header(n, f)), None)
     if formulation is None:
         raise ValueError(f"{path}: header does not match the trajectory schema")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: row {i} has {len(parts)} fields, expected {len(header)}")
-        rows.append([float(p) for p in parts])
-    if not rows:
-        raise ValueError(f"{path}: trajectory file has a header but no data rows")
-    data = np.array(rows, dtype=float)
+    try:   # comments=None: a '#' is a bad cell, not the end of the row
+        data = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
+    flag = data[:, -1]
+    bad = np.flatnonzero(~np.isin(flag, (0, 1, 2)))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 2} has event_flag "
+                         f"{format_float(flag[bad[0]])}, expected 0, 1 or 2")
     return {
         "n": n,
         "formulation": formulation,
@@ -93,7 +96,7 @@ def read_trajectory_csv(path) -> dict:
         "z": data[:, 1 + 2 * n],
         "E": data[:, 2 + 2 * n],
         "ell": data[:, 3 + 2 * n],
-        "flag": data[:, 4 + 2 * n].astype(int),
+        "flag": flag.astype(int),
     }
 
 
@@ -105,21 +108,15 @@ def write_summary_json(path, summary: dict) -> None:
 
 def _viewbox(boundary, points: Optional[np.ndarray]):
     xs, ys = [], []
-    if boundary is not None:
-        kind = boundary[0]
-        if kind == "circle":
-            r = boundary[1]
-            xs += [-r, r]; ys += [-r, r]
-        elif kind == "ellipse":
-            a, b = boundary[1], boundary[2]
-            xs += [-a, a]; ys += [-b, b]
+    if boundary is not None:   # the semi-axes: r and r of a circle, a and b of an ellipse
+        a, b = boundary[1], boundary[-1]
+        xs += [-a, a]; ys += [-b, b]
     if points is not None and len(points):
         xs += [float(np.min(points[:, 0])), float(np.max(points[:, 0]))]
         ys += [float(np.min(points[:, 1])), float(np.max(points[:, 1]))]
     if not xs:
         xs, ys = [-1.0, 1.0], [-1.0, 1.0]
-    half = 1.05 * max(max(abs(v) for v in xs), max(abs(v) for v in ys), 1e-9)
-    return half
+    return 1.05 * max(max(abs(v) for v in xs), max(abs(v) for v in ys), 1e-9)
 
 
 _STROKE = "#1f4e8c"   # trajectory polyline colour

@@ -403,13 +403,72 @@ class TestCheck:
         cfg = short_config(tmp_path)
         empty = tmp_path / "empty.csv"
         empty.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: "):
+            read_trajectory_csv(str(empty))
         assert main(["check", "--csv", str(empty), "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {empty}: ")
 
-    def test_header_only_csv_exits_one(self, tmp_path):
+    def test_header_only_csv_exits_one(self, tmp_path, capsys):
+        # caught before np.loadtxt, whose "input contained no data" warning
+        # the suite turns into an error
         cfg = short_config(tmp_path)
         stub = tmp_path / "stub.csv"
         stub.write_text("t,q1,q2,v1,v2,z,E,ell,event_flag\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stub))}: "):
+            read_trajectory_csv(str(stub))
         assert main(["check", "--csv", str(stub), "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {stub}: ")
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("flag 7", r"row 11 has event_flag 7, expected 0, 1 or 2"),
+        ("flag 0.5", r"row 11 has event_flag 0\.5, expected 0, 1 or 2"),
+        ("pair as flow", r"row {post} is out of order"),
+        ("swapped flow rows", r"row 12 is out of order"),
+    ], ids=["flag 7", "flag 0.5", "pair as flow", "swapped flow rows"])
+    def test_mislabelled_rows_exit_one_naming_the_row(self, tmp_path, capsys, tamper, message):
+        # each of these used to pass every check with exit 0
+        cfg, csv_path = self._fresh_run(tmp_path)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        flags = read_trajectory_csv(csv_path)["flag"]
+        pre = int(np.flatnonzero(flags == 1)[0]) + 2   # 1-based file rows
+        assert flags[8:11].tolist() == [0, 0, 0] and pre > 12
+        if tamper.startswith("flag"):
+            lines[10] = lines[10][:-1] + tamper.split()[1]
+        elif tamper == "pair as flow":
+            lines[pre - 1], lines[pre] = lines[pre - 1][:-1] + "0", lines[pre][:-1] + "0"
+        else:
+            lines[10], lines[11] = lines[11], lines[10]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        message = f"^{re.escape(str(bad))}: " + message.format(pre=pre, post=pre + 1)
+        capsys.readouterr()   # drain the simulate output
+        assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
+        assert re.match("error: " + message[1:], capsys.readouterr().err)
+        args = cli.build_parser().parse_args(["check", "--csv", str(bad), "--config", cfg])
+        with pytest.raises(ValueError, match=message):
+            cli.cmd_check(args)
+
+    @pytest.mark.parametrize("case", ["malformed header", "ragged row", "unparsable cell",
+                                      "# in a cell"])
+    def test_unreadable_csv_is_named_and_exits_one(self, tmp_path, capsys, case):
+        # the empty and header-only files are the two tests above
+        cfg, csv_path = self._fresh_run(tmp_path)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        parts = lines[40].split(",")
+        if case == "malformed header":
+            lines[0] = "t,q1,v1,z,E,ell"
+        elif case == "ragged row":
+            lines[40] = ",".join(parts[:-1])
+        else:   # a '#' must not cut the row short and leave a float behind
+            parts[1] = "abc" if case == "unparsable cell" else parts[1] + "#1"
+            lines[40] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: "):
+            read_trajectory_csv(str(bad))
+        capsys.readouterr()   # drain the simulate output
+        assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_report_written_to_file(self, tmp_path):
         cfg, csv_path = self._fresh_run(tmp_path)

@@ -349,6 +349,29 @@ def test_checks_never_reach_the_solver_path():
     assert hits == []
 
 
+def test_no_module_level_import_goes_unused():
+    # an import that nothing reads is left over from code that moved away; a
+    # name a module re-exports through __all__ counts as read
+    package = os.path.dirname(core.__file__)
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += [f"{name}:{node.lineno}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert unused == []
+
+
 def _package_modules(path: str) -> set:
     """The contactsim modules that a source file imports, by name."""
     with open(path) as fh:
@@ -563,6 +586,29 @@ class TestSpecGate:
             for y in rng.uniform(-2.0, 2.0, (20, 5)):
                 assert herglotz_rhs(held, 0.0, y).tobytes() == herglotz_rhs(sys, 0.0, y).tobytes()
             assert type(held.rate(y[:2], y[2:4], y[4])) is float
+
+    @pytest.mark.parametrize("held", [0.75, np.float64(0.75), np.array(0.75), np.array([0.75])],
+                             ids=["float", "float64", "0-d", "(1,)"])
+    def test_a_scalar_value_is_the_python_float_it_holds(self, held):
+        # a finite float takes the gate's fast path and an array its general
+        # path; both give the same Python float for L, h and a state's z
+        q = np.array([0.3, 0.7])
+        values = (SystemSpec(2, lambda q, v, z: held).value(q, q, 0.0),
+                  SwitchingSurface(h=lambda q: held, grad_h=lambda q: -q).value(q),
+                  ContactStateL(q=q, qdot=q, z=held).z)
+        for got in values:
+            assert type(got) is float and got == 0.75
+
+    @pytest.mark.parametrize("bad", [np.nan, np.float64(np.inf), np.array(-np.inf),
+                                     np.array([np.nan])], ids=["float", "float64", "0-d", "(1,)"])
+    def test_a_non_finite_scalar_is_named_on_either_path(self, bad):
+        q = np.array([0.3, 0.7])
+        with pytest.raises(NonFiniteValue, match=r"^lagrangian is not finite at"):
+            SystemSpec(2, lambda q, v, z: bad).value(q, q, 0.0)
+        with pytest.raises(NonFiniteValue, match=r"^h is not finite at"):
+            SwitchingSurface(h=lambda q: bad, grad_h=lambda q: -q).value(q)
+        with pytest.raises(NonFiniteValue, match=r"^z is not finite at"):
+            ContactStateL(q=q, qdot=q, z=bad)
 
     def test_accessors_and_aliases_are_bound_once(self):
         lag = quartic_system()

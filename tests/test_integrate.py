@@ -352,6 +352,24 @@ class TestLocateProperties:
         seg, _, _ = step(rhs, 0.3, y0, cfg, length, rhs(0.3, y0))
         return seg, t_star, polys
 
+    @staticmethod
+    def _located(seg, surface):
+        """``locate_event`` on the scan's bracket of seg, and the times at
+        which it evaluated the interpolant."""
+        bracket, _ = integrate._scan(seg, surface, armed=True)
+        evals = []
+        evaluate = integrate.DenseSegment.eval
+
+        def counted(self, t):
+            evals.append(t)
+            return evaluate(self, t)
+
+        integrate.DenseSegment.eval = counted
+        try:
+            return locate_event(seg, surface, bracket=bracket), evals
+        finally:
+            integrate.DenseSegment.eval = evaluate
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(quadratic=st.booleans(), angle=st.floats(0.0, 2.0 * math.pi),
            axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
@@ -405,19 +423,7 @@ class TestLocateProperties:
         alpha = 10.0 ** log_slope
         floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
         seg, t_star, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [-cubic], phase, 0.5)
-        bracket, _ = integrate._scan(seg, floor, armed=True)
-        evals = []
-        evaluate = integrate.DenseSegment.eval
-
-        def counted(self, t):
-            evals.append(t)
-            return evaluate(self, t)
-
-        integrate.DenseSegment.eval = counted
-        try:
-            hit = locate_event(seg, floor, bracket=bracket)
-        finally:
-            integrate.DenseSegment.eval = evaluate
+        hit, evals = self._located(seg, floor)
         # the secant-bisection this replaced took 22 to 50 on the inflections
         assert len(evals) <= (8 if cubic == 0.0 else 64)
         h_end = float(seg.eval(hit.t)[0])
@@ -433,6 +439,22 @@ class TestLocateProperties:
         q_max = alpha * reach + cubic * reach ** 3
         assert abs(s) <= 1e-12 + 10.0 * np.finfo(float).eps * q_max / alpha
         assert abs(hit.hdot + alpha + 3.0 * cubic * s * s) <= 1e-6 * alpha
+
+    @pytest.mark.parametrize("log_slope, end", [(-6.75, 0), (-8.75, 1)])
+    def test_root_within_rounding_of_a_bracket_end_is_found_in_budget(self, log_slope, end):
+        # at phase 0.25 the straight path crosses on a checkpoint, so the root
+        # lies within rounding of the scan's bracket start (log slope -6.75)
+        # or end (-8.75); each Newton point landed on that end and bisected,
+        # 37 evaluations in all, before a point 0.5e-12 inside it was tried
+        alpha = 10.0 ** log_slope
+        floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
+        seg, t_star, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [0.0], 0.25, 0.5)
+        assert integrate._scan(seg, floor, armed=True)[0][end] == t_star
+        hit, evals = self._located(seg, floor)
+        assert len(evals) == 3   # both bracket ends, then one iterate
+        h_end = float(seg.eval(hit.t)[0])
+        assert h_end <= 0.0 and abs(h_end) <= 1e-12
+        assert abs(hit.t - t_star) <= 1e-12
 
 
 @pytest.mark.parametrize("config, formulation, n_events", [
