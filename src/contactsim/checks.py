@@ -20,6 +20,7 @@ import numpy as np
 from .core import HamiltonianSpec, SystemSpec, _phase_split
 from .hybrid import HybridTrajectory
 from .impact import ImpactEvent, SwitchingSurface, impact_violation
+from .integrate import _derivative, _interpolate
 
 __all__ = [
     "CheckReport",
@@ -42,10 +43,10 @@ IMPACT_TOL = 1e-10
 CONTAINMENT_TOL = 1e-10
 COLUMN_TOL = 1e-12
 
-# The containment search: sample points per dense step, and the
-# golden-section iterations on an interval that holds a minimum of h; each
-# keeps 0.618 of the interval, so 40 narrow it to 4e-9 of its width.
-_CONTAINMENT_POINTS = 17
+# The containment search: sample points per dense step, steps per block read
+# (1,088 rows), and golden-section iterations on an interval that holds a
+# minimum of h; each keeps 0.618 of it, so 40 narrow it to 4e-9 of its width.
+_CONTAINMENT_POINTS, _CONTAINMENT_BLOCK = 17, 64
 _GOLDEN_ITERATIONS = 40
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -183,34 +184,46 @@ def _golden_min(h: Callable[[float], float], a: float, b: float) -> tuple:
     return min((hc, c), (hd, d))
 
 
+def _window_times(t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
+    """Row k is np.linspace(t0s[k], t1s[k], 17) bit for bit, also where width / 16 underflows."""
+    k, width = np.arange(float(_CONTAINMENT_POINTS)), (t1s - t0s)[:, None]
+    ts = np.where(width / k[-1] == 0.0, k / k[-1] * width, k * (width / k[-1])) + t0s[:, None]
+    ts[:, -1] = t1s
+    return ts
+
+
 def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> CheckReport:
     """Deepest exit from the admissible region h > 0 over every dense step,
     between the stored rows too, located at the time of least h.
 
     Each step's interpolant is read at 17 equally spaced times over its
-    valid window, with h and dh/dt = grad h . qdot there from one block
-    call of h and one of grad h. Where dh/dt goes from < 0 to > 0 between
-    two of them, h has a minimum in between, which golden-section search
-    narrows. The search reads only the stored
-    interpolants, so it shares nothing with the integrator's event guard.
+    valid window, with h and dh/dt = grad h . qdot there. A block of 64
+    steps takes one gather, read with the operations of ``DenseSegment.eval``
+    and ``eval_derivative``, and one block call of h and one of grad h. Where
+    dh/dt goes from < 0 to > 0 between two times, h has a minimum in
+    between, which golden-section search narrows. The search reads only the
+    stored interpolants, so it shares nothing with the integrator's event guard.
     """
     steps = traj.steps
     if not steps:
         raise ValueError("trajectory has no flow to check")
-    n = traj.n
-    worst_h, worst_t = math.inf, None
-    for seg in steps:
-        ts = np.linspace(seg.t0, seg.t1, _CONTAINMENT_POINTS)
-        qs = seg.eval_many(ts)[:, :n]
-        qdots = seg.eval_derivative_many(ts)[:, :n]
-        hs, gs = surface.slopes(qs, qdots)
-        k = int(np.argmin(hs))
-        minima = [(hs[k], float(ts[k]))] + [
-            _golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(ts[j]), float(ts[j + 1]))
-            for j in range(len(ts) - 1) if gs[j] < 0.0 < gs[j + 1]]
-        h_min, t_min = min(minima)
-        if h_min < worst_h:
-            worst_h, worst_t = h_min, t_min
+    n, pts, worst_h, worst_t = traj.n, _CONTAINMENT_POINTS, math.inf, None
+    for first in range(0, len(steps), _CONTAINMENT_BLOCK):
+        block = steps[first:first + _CONTAINMENT_BLOCK]
+        h_step, t0, t1 = np.repeat([(s.h_step, s.t0, s.t1) for s in block], pts, axis=0).T
+        y0, y1, r2, r3, r4, r5 = (np.repeat([getattr(s, slot)[:n] for s in block], pts, axis=0)
+                                  for slot in ("y0", "y1", "_r2", "_r3", "_r4", "_r5"))
+        ts = _window_times(t0[::pts], t1[::pts])
+        qs = _interpolate(ts.ravel(), h_step, t0, t1, y0, y1, r2, r3, r4, r5)
+        qdots = _derivative(((ts.ravel() - t0) / h_step)[:, None], h_step[:, None], r2, r3, r4, r5)
+        hs, gs = (np.reshape(v, ts.shape) for v in surface.slopes(qs, qdots))
+        dips = (gs[:, :-1] < 0.0) & (gs[:, 1:] > 0.0)
+        for seg, t_row, h_row, k, dip in zip(block, ts, hs, np.argmin(hs, axis=1), dips):
+            h_min, t_min = min([(h_row[k], float(t_row[k]))] + [
+                _golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(t_row[j]),
+                            float(t_row[j + 1])) for j in np.flatnonzero(dip)])
+            if h_min < worst_h:
+                worst_h, worst_t = h_min, t_min
     return CheckReport(name="containment", max_violation=max(0.0, -worst_h),
                        tolerance=CONTAINMENT_TOL, location=worst_t)
 

@@ -13,11 +13,10 @@ by the tableau column and added in index order, as a scalar loop would.
 
 Event handling scans each accepted step at 17 equally spaced checkpoints
 for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
-derivative being qdot. ``DenseSegment.eval_many`` and
-``eval_derivative_many`` evaluate the interpolant and its derivative at all
-of them in one broadcast with the operations of ``eval`` and
-``eval_derivative``, the checkpoint times reproduce ``np.linspace`` bit
-for bit, and h and grad h see all 17 configurations in one call each.
+derivative being qdot. On a full step the interpolant there is one constant
+(34 x 5) basis times the step's (y0, r2, r3, r4, r5), which agrees with
+``eval`` to a few ulps: ``eval`` confirms a bracket's ends, and a step it
+contradicts, or that the horizon snapped, is read by ``DenseSegment.eval_many``.
 Where dh/dt changes sign between two checkpoints, h has an extremum
 there, which the scan refines on the interpolant when it can decide the
 guard: a minimum with h <= 0 is an exit that no checkpoint sees, and a
@@ -101,6 +100,11 @@ _ORDER_EXP = -1.0 / 5.0
 # Interior checkpoints per accepted step for event sign monitoring.
 _N_CHECK = 16
 _CHECK_K = np.arange(_N_CHECK + 1, dtype=float)
+# Exact weights of (y0, r2, r3, r4, r5) at theta = i/16: rows 0-16 the value, 17-33 d/dtheta.
+_THETAS = [(i / _N_CHECK, 1.0 - i / _N_CHECK) for i in range(_N_CHECK + 1)]
+_CHECK_BASIS = np.array(
+    [[1.0, th, th * om, th * th * om, (th * om) ** 2] for th, om in _THETAS]
+    + [[0.0, 1.0, om - th, th * (2.0 - 3.0 * th), 2.0 * th * om * (om - th)] for th, om in _THETAS])
 
 _EPS = float(np.finfo(float).eps)
 _ARM_THRESHOLD = 1e-9      # a disarmed guard re-arms once h exceeds this
@@ -149,20 +153,14 @@ class DenseSegment:
         r2 = self.y1 - self.y0
         r3 = self.h_step * f_start - r2
         r4 = r2 - self.h_step * f_end - r3
-        self._r2 = r2
-        self._r3 = r3
-        self._r4 = r4
-        self._r5 = self.h_step * k_weighted
-
-    def _theta(self, t: float) -> float:
-        return (t - self.t0) / self.h_step
+        self._r2, self._r3, self._r4, self._r5 = r2, r3, r4, self.h_step * k_weighted
 
     def eval(self, t: float) -> np.ndarray:
         if t == self.t0:
             return self.y0.copy()
         if t == self.t1:
             return self.y1.copy()
-        th = self._theta(t)
+        th = (t - self.t0) / self.h_step
         om = 1.0 - th
         return self.y0 + th * (self._r2 + om * (self._r3 + th * (self._r4 + om * self._r5)))
 
@@ -174,8 +172,8 @@ class DenseSegment:
 
     def eval_derivative(self, t: float) -> np.ndarray:
         """Time derivative of the interpolant; its q block is qdot."""
-        return _derivative(self._theta(t), self.h_step, self._r2, self._r3, self._r4,
-                           self._r5)
+        return _derivative((t - self.t0) / self.h_step, self.h_step, self._r2, self._r3,
+                           self._r4, self._r5)
 
     def eval_derivative_many(self, ts: np.ndarray) -> np.ndarray:
         """``eval_derivative`` at every time in ts, one row per time, in one
@@ -187,9 +185,7 @@ class DenseSegment:
 def _derivative(th, h_step, r2, r3, r4, r5):
     """The interpolant's time derivative at theta = th, a float or a column;
     only +, - and * before the division, so both agree bit for bit."""
-    return (r2
-            + (1.0 - 2.0 * th) * r3
-            + (2.0 * th - 3.0 * th * th) * r4
+    return (r2 + (1.0 - 2.0 * th) * r3 + (2.0 * th - 3.0 * th * th) * r4
             + (2.0 * th - 6.0 * th * th + 4.0 * th * th * th) * r5) / h_step
 
 
@@ -254,10 +250,8 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
             break
         factor = max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP)
         h *= factor
-    if ratio == 0.0:
-        factor = _MAX_FACTOR
-    else:
-        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP))
+    factor = (_MAX_FACTOR if ratio == 0.0
+              else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP)))
     h_next = min(cfg.h_max, h * factor)
     f_new = k[6].copy()  # FSAL: stage 7 is rhs at (t + h, y1)
     seg = DenseSegment(t, h, y, y1, k[0], f_new, _D @ k)
@@ -352,6 +346,16 @@ def _extremum(segment: DenseSegment, surface, a: float, b: float, ga: float, gb:
     return t, _slope(segment, surface, t)[1]
 
 
+def _on_basis(segment: DenseSegment, n_q: int) -> tuple:
+    """(q, qdot) at a full step's checkpoints from ``_CHECK_BASIS``; ``np.einsum``
+    makes no BLAS matrix-matrix call, whose buffers would raise peak memory."""
+    coefs = np.array([v[:n_q] for v in (segment.y0, segment._r2, segment._r3,
+                                         segment._r4, segment._r5)])
+    rows = np.einsum("ij,jk->ik", _CHECK_BASIS, coefs)
+    rows[0], rows[_N_CHECK] = segment.y0[:n_q], segment.y1[:n_q]   # the knots
+    return rows[:_N_CHECK + 1], rows[_N_CHECK + 1:] / segment.h_step
+
+
 def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     """Event guard over one dense segment: h(q) and dh/dt = grad h . qdot
     at its 17 checkpoints, and the extrema of h that dh/dt brackets.
@@ -365,16 +369,30 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     An extremum is refined only when it can decide a bracket, and only
     until h decides it: any point of the maximum's rise with h above the
     threshold, or of the minimum's dip with h <= 0, bounds the same single
-    crossing. The checkpoints cost one block call of h and one of grad_h
-    (``SwitchingSurface.slopes``); an extremum adds one value and one
-    gradient per refinement.
-    Returns (bracket, armed), the bracket None when the segment has no exit.
+    crossing. The checkpoints, read from the basis on a full step, cost one
+    block call of h and one of grad_h (``SwitchingSurface.slopes``); an
+    extremum adds one value and one gradient per refinement. ``eval``
+    confirms a bracket's h(a) > 0 >= h(b), and a step whose basis it
+    contradicts, or that the horizon snapped, is guarded on ``eval_many``.
+    Returns (bracket, armed), the bracket None when the segment has no
+    exit, else (a, b, h(a), y(b), h(b)) with the values ``eval`` gave.
     """
     ts = _checkpoints(segment.t0, segment.t1)
     n_q = segment.y0.size // 2
-    qs = segment.eval_many(ts)[:, :n_q]
-    qdots = segment.eval_derivative_many(ts)[:, :n_q]
-    hs, gs = surface.slopes(qs, qdots)
+    for on_basis in (segment.t1 == segment.t0 + segment.h_step, False):
+        qs, qdots = _on_basis(segment, n_q) if on_basis else (
+            segment.eval_many(ts)[:, :n_q], segment.eval_derivative_many(ts)[:, :n_q])
+        bracket, armed_after = _guard(segment, surface, armed, ts, *surface.slopes(qs, qdots))
+        if bracket is None:
+            return None, armed_after
+        (a, b), y_b = bracket, segment.eval(bracket[1])
+        h_a, h_b = float(surface.value(segment.eval(a)[:n_q])), float(surface.value(y_b[:n_q]))
+        if h_a > 0.0 >= h_b or not on_basis:   # the broadcast's pass always returns
+            return (a, b, h_a, y_b, h_b), armed_after
+
+
+def _guard(segment: DenseSegment, surface, armed: bool, ts, hs: list, gs: list) -> tuple:
+    """``_scan``'s rules on h and dh/dt at the times ts; a bracket is (a, b)."""
     start = 0
     if not armed:
         for i, hv in enumerate(hs):
@@ -405,7 +423,8 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
-    at b, as the checkpoint scan returns it. Newton's method on the
+    at b; the scan's (a, b, h(a), y(b), h(b)) carries what ``eval`` gave at
+    its ends, and a plain (a, b) is evaluated here. Newton's method on the
     interpolant, from the bracket's secant point, refines it until |h| at
     b and b - a are both at most 1e-12, or h at b is 0; b is the event
     time. Each iterate evaluates the interpolant and its derivative once,
@@ -424,9 +443,11 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """
     n_q = segment.y0.size // 2
     a, b = float(bracket[0]), float(bracket[1])
-    fa = float(surface.value(segment.eval(a)[:n_q]))
-    y_b = segment.eval(b)
-    fb = float(surface.value(y_b[:n_q]))
+    if len(bracket) == 5:
+        fa, y_b, fb = bracket[2], bracket[3].copy(), bracket[4]
+    else:
+        y_b = segment.eval(b)
+        fa, fb = float(surface.value(segment.eval(a)[:n_q])), float(surface.value(y_b[:n_q]))
     if not (fa > 0.0 >= fb):
         raise NoSignChange(f"bracket does not straddle the surface: h={fa:.3e}, {fb:.3e}")
 
@@ -498,13 +519,9 @@ def integrate_until_event(rhs: Callable, t0: float, y0: np.ndarray, t_final: flo
     y = np.asarray(y0, dtype=float)
     t = float(t0)
 
-    def h_of(yv: np.ndarray) -> float:
-        return float(surface.value(yv[: yv.size // 2]))
-
-    if surface is not None and armed and h_of(y) <= 0.0:
-        raise ExteriorState(
-            f"start state is not strictly interior (h={h_of(y):.3e} at t={t})"
-        )
+    h_start = float(surface.value(y[: y.size // 2])) if surface is not None and armed else 1.0
+    if h_start <= 0.0:
+        raise ExteriorState(f"start state is not strictly interior (h={h_start:.3e} at t={t})")
 
     segments: list = []
     f_curr = np.asarray(rhs(t, y), dtype=float)

@@ -60,15 +60,27 @@ def write_trajectory_csv(path, times, states, flags, energies, ells,
                    header=",".join(header), comments="")
 
 
+def _parses(line: str, width: int) -> bool:
+    """Whether np.loadtxt reads line as one row of width numbers."""
+    try:
+        return np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape == (1, width)
+    except ValueError:
+        return False
+
+
 def read_trajectory_csv(path) -> dict:
     """Parse a trajectory CSV back into arrays, the writer's inverse; infers n
     and the formulation from the header. "v" holds the velocity or momentum
-    columns. A ValueError names the path, and the row of a flag not 0, 1, 2."""
+    columns. A ValueError names the path, and the file row of a row that does
+    not parse or has a flag not 0, 1, 2."""
     with open(path) as fh:
-        first, _, body = fh.read().lstrip().partition("\n")
-    if not body.strip():   # np.loadtxt would only warn
+        lines = fh.read().splitlines()
+    # 0-based: the first line not blank, and the later ones np.loadtxt reads
+    top = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    rows = [i for i in range(top + 1, len(lines)) if lines[i]]
+    if not any(lines[i].strip() for i in rows):   # np.loadtxt would only warn
         raise ValueError(f"{path}: trajectory file has no data rows")
-    header = first.strip().split(",")
+    header = lines[top].strip().split(",")
     n_state_cols = len(header) - 5   # t, z, E, ell, event_flag
     if n_state_cols <= 0 or n_state_cols % 2 != 0:
         raise ValueError(f"{path}: malformed header {header!r}")
@@ -77,15 +89,16 @@ def read_trajectory_csv(path) -> dict:
     if formulation is None:
         raise ValueError(f"{path}: header does not match the trajectory schema")
     try:   # comments=None: a '#' is a bad cell, not the end of the row
-        data = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
+        data = np.loadtxt([lines[i] for i in rows], delimiter=",", comments=None, ndmin=2)
+    except ValueError:   # its message counts only the rows it read
+        data = None
+    if data is None or data.shape[1] != len(header):   # then some row fails alone
+        bad = next(i + 1 for i in rows if not _parses(lines[i], len(header)))
+        raise ValueError(f"{path}: row {bad} does not parse into {len(header)} numbers")
     flag = data[:, -1]
     bad = np.flatnonzero(~np.isin(flag, (0, 1, 2)))
     if bad.size:
-        raise ValueError(f"{path}: row {bad[0] + 2} has event_flag "
+        raise ValueError(f"{path}: row {rows[bad[0]] + 1} has event_flag "
                          f"{format_float(flag[bad[0]])}, expected 0, 1 or 2")
     return {
         "n": n,
@@ -152,9 +165,7 @@ def svg_document(boundary, points: Optional[np.ndarray]) -> str:
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{_STROKE}" '
             f'stroke-width="{lw:.6f}"/>')
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + ["</g>", "</svg>"]) + "\n"
 
 
 def write_svg(path, boundary, points) -> None:

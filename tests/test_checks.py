@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import math
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from contactsim import (
     resolve_impact_natural,
     simulate,
 )
-from contactsim import core, impact, integrate
+from contactsim import checks, cli, core, impact, integrate
 from contactsim.billiards import angular_momentum
 from contactsim.checks import (
     CONTAINMENT_TOL,
@@ -539,3 +541,100 @@ class TestContainment:
         # the path's deepest point in the obstacle: h = (0.005^2 - 0.02^2)(1 - 0.005^2)
         assert abs(rep.max_violation - 3.75e-4) <= 1e-8
         assert abs(rep.location - 0.9) <= 1e-3
+
+
+def reference_containment(traj, surface):
+    """``check_containment`` reading one dense step at a time, with
+    ``np.linspace`` and the segment's own broadcasts: the reference that the
+    64-step block read must equal report for report."""
+    n = traj.n
+    worst_h, worst_t = math.inf, None
+    for seg in traj.steps:
+        ts = np.linspace(seg.t0, seg.t1, 17)
+        qs = seg.eval_many(ts)[:, :n]
+        qdots = seg.eval_derivative_many(ts)[:, :n]
+        hs, gs = surface.slopes(qs, qdots)
+        k = int(np.argmin(hs))
+        minima = [(hs[k], float(ts[k]))] + [
+            checks._golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(ts[j]),
+                               float(ts[j + 1]))
+            for j in range(len(ts) - 1) if gs[j] < 0.0 < gs[j + 1]]
+        h_min, t_min = min(minima)
+        if h_min < worst_h:
+            worst_h, worst_t = h_min, t_min
+    return CheckReport(name="containment", max_violation=max(0.0, -worst_h),
+                       tolerance=CONTAINMENT_TOL, location=worst_t)
+
+
+class TestContainmentBlocks:
+    """The 64-step block read of ``check_containment`` reports exactly what
+    a read of one step at a time reports."""
+
+    @pytest.mark.parametrize("config, formulation", [
+        ("circle.json", "lagrangian"), ("circle.json", "hamiltonian"),
+        ("ellipse.json", "lagrangian"), ("ellipse.json", "hamiltonian")])
+    def test_reference_runs_at_t200(self, config, formulation):
+        cfg = cli.load_config(os.path.join(os.path.dirname(__file__), "..", "demos",
+                                           "configs", config))
+        cfg["run"]["t_final"] = 200.0
+        rc = cli.parse_config(cfg, formulation)
+        hs, lag_spec, _ = cli.build_system(rc)
+        traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
+                        rc.max_events)
+        assert len(traj.steps) > 4 * checks._CONTAINMENT_BLOCK
+        rep = check_containment(traj, hs.surface)
+        assert rep.to_dict() == reference_containment(traj, hs.surface).to_dict()
+
+    @pytest.mark.parametrize("deeper", [63, 64])
+    def test_dips_on_both_sides_of_a_block_boundary(self, deeper):
+        # a straight flight of 100 steps past two small disks, each brushed
+        # inside one step: step 63, the last of the first block, and step 64,
+        # the first of the second; the deeper dip is the worst exit
+        billiard = make_circular_billiard(BilliardSpec(boundary=Circle(5.0), gamma=1e-4))
+        s0 = ContactStateL(q=[-0.9, 0.0], qdot=[1.0, 0.0], z=0.0)
+        traj = simulate(billiard, s0, 2.0, StepperConfig(h_init=0.02, h_max=0.02))
+        steps = traj.steps
+        assert len(steps) == 100 and not traj.events
+        dips = {}
+        for k in (63, 64):
+            t = steps[k].t0 + 0.37 * (steps[k].t1 - steps[k].t0)
+            dips[k] = (t, steps[k].eval(t)[:2] + [0.0, 1e-3 if k == deeper else 2e-3])
+        (_, c1), (_, c2) = dips[63], dips[64]
+
+        def squared_distances(q):
+            return ((q[0] - c1[0]) ** 2 + (q[1] - c1[1]) ** 2,
+                    (q[0] - c2[0]) ** 2 + (q[1] - c2[1]) ** 2)
+
+        def grad_h(q):
+            d1, d2 = squared_distances(q)
+            c = [np.where(d1 <= d2, c1[i], c2[i]) for i in range(2)]
+            return np.array([2.0 * (q[0] - c[0]), 2.0 * (q[1] - c[1])])
+
+        # outside both disks of radius 3e-3
+        both = SwitchingSurface(h=lambda q: np.minimum(*squared_distances(q)) - 9e-6,
+                                grad_h=grad_h)
+        rep = check_containment(traj, both)
+        assert rep.to_dict() == reference_containment(traj, both).to_dict()
+        assert not rep.passed and abs(rep.max_violation - (9e-6 - 1e-6)) <= 1e-9
+        assert abs(rep.location - dips[deeper][0]) <= 1e-6
+
+    def test_bent_step(self, fig1_trajectory, circle_billiard):
+        # the step that test_one_dense_step_pushed_outside_fails pushes outside
+        traj = copy.deepcopy(fig1_trajectory)
+        seg = traj.steps[len(traj.steps) // 2]
+        q_mid = seg.eval(0.5 * (seg.t0 + seg.t1))[:2]
+        seg._r3[:2] += 8.0 * q_mid / np.linalg.norm(q_mid)
+        rep = check_containment(traj, circle_billiard.surface)
+        assert not rep.passed
+        assert rep.to_dict() == reference_containment(traj, circle_billiard.surface).to_dict()
+
+    def test_window_times_equal_linspace(self):
+        rng = np.random.default_rng(6)
+        pairs = [(0.0, 1.0), (199.96, 200.0), (1e-300, 2e-300), (5.0, 5.0), (0.0, 5e-323)]
+        pairs += [tuple(np.sort(rng.uniform(-1e3, 1e3, 2))) for _ in range(200)]
+        pairs += [(t, t + h) for t, h in zip(rng.uniform(0, 200, 200),
+                                             10.0 ** rng.uniform(-12, 0, 200))]
+        t0s, t1s = (np.array(side) for side in zip(*pairs))
+        rows = checks._window_times(t0s, t1s)
+        for row, t0, t1 in zip(rows, t0s, t1s):
+            assert row.tobytes() == np.linspace(t0, t1, 17).tobytes()

@@ -470,6 +470,35 @@ class TestCheck:
         assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("case, blank, message", [
+        ("ragged row", 0, "row 6 does not parse into 9 numbers"),
+        ("unparsable cell", 0, "row 6 does not parse into 9 numbers"),
+        ("unparsable cell", 2, "row 8 does not parse into 9 numbers"),
+        ("flag 7", 2, "row 8 has event_flag 7, expected 0, 1 or 2")],
+        ids=["ragged row", "unparsable cell", "cell after blank lines",
+             "flag after blank lines"])
+    def test_a_bad_row_is_named_by_its_file_row(self, tmp_path, capsys, case, blank,
+                                                  message):
+        # numpy named the bad cell of file row 6 "row 4" and the ragged one
+        # "row 5", counting the data rows only; the header is row 1 of the
+        # file, after any blank lines above it
+        cfg, csv_path = self._fresh_run(tmp_path)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        parts = lines[5].split(",")
+        if case == "ragged row":
+            lines[5] = ",".join(parts[:-1])
+        elif case == "unparsable cell":
+            lines[5] = ",".join([parts[0], parts[1] + "#"] + parts[2:])
+        else:
+            lines[5] = ",".join(parts[:-1] + ["7"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n" * blank + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}$"):
+            read_trajectory_csv(str(bad))
+        capsys.readouterr()   # drain the simulate output
+        assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_report_written_to_file(self, tmp_path):
         cfg, csv_path = self._fresh_run(tmp_path)
         report_path = str(tmp_path / "report.json")

@@ -250,17 +250,68 @@ class TestLocateEvent:
         b = float(integrate._checkpoints(seg.t0, seg.t1)[10])
         level = float(seg.eval(b)[0])
         wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.ones_like(q))
-        bracket = self._bracket(seg, wall)
-        assert bracket[1] == b
         calls = []
         evaluate, derivative = integrate.DenseSegment.eval, integrate.DenseSegment.eval_derivative
         monkeypatch.setattr(integrate.DenseSegment, "eval",
                             lambda self, t: calls.append("eval") or evaluate(self, t))
         monkeypatch.setattr(integrate.DenseSegment, "eval_derivative",
                             lambda self, t: calls.append("d") or derivative(self, t))
+        bracket = self._bracket(seg, wall)
+        assert bracket[1] == b
         hit = locate_event(seg, wall, bracket=bracket)
         assert hit.t == b and abs(hit.hdot + 1.0) <= 1e-12
-        assert calls == ["eval", "eval", "d"]   # h at a and b, dh/dt at b
+        # the scan confirms h at a and b, which locate_event reuses; dh/dt at b
+        assert calls == ["eval", "eval", "d"]
+
+    def test_basis_that_disagrees_with_eval_at_a_bracket_end_falls_back(self, monkeypatch):
+        # on this step the basis puts checkpoint 6 one ulp above eval's value
+        # there, so against the wall through eval's point it brackets (t6, t7),
+        # whose start eval puts on the wall; the broadcast brackets (t5, t6)
+        seg = self._segment_for(lambda t, y: np.array([-1.0, 0.0, 0.0]),
+                                0.0, [1.0, -1.0, 0.0], 1.6)
+        ts = integrate._checkpoints(seg.t0, seg.t1)
+        level = float(seg.eval(ts[6])[0])
+        assert integrate._on_basis(seg, 1)[0][6, 0] > level
+        wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.ones_like(q))
+        broadcasts = []
+        evaluate_many = integrate.DenseSegment.eval_many
+        monkeypatch.setattr(integrate.DenseSegment, "eval_many",
+                            lambda self, t: broadcasts.append(t) or evaluate_many(self, t))
+        bracket = self._bracket(seg, wall)
+        assert len(broadcasts) == 1
+        assert bracket[:2] == (ts[5], ts[6])
+        assert wall.value(seg.eval(bracket[0])[:1]) > 0.0 >= wall.value(seg.eval(bracket[1])[:1])
+        assert bracket[2] == wall.value(seg.eval(bracket[0])[:1])
+        assert bracket[3].tobytes() == seg.eval(ts[6]).tobytes() and bracket[4] == 0.0
+        hit = locate_event(seg, wall, bracket=bracket)
+        assert hit.t == ts[6]
+
+
+class TestCheckpointBasis:
+    """The scan reads a full step's checkpoints from a constant basis."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3), log_h=st.integers(-12, 0), start=st.integers(0, 1000),
+           coefs=st.lists(st.floats(-1.0, 1.0), min_size=35, max_size=35),
+           log_scale=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
+    def test_basis_equals_the_broadcast_to_a_few_ulps(self, n, log_h, start, coefs,
+                                                       log_scale):
+        # at a dyadic step length and start, eval's theta is exactly i/16, so
+        # the basis and eval differ only in the rounding of their sums
+        h = 2.0 ** log_h
+        size = 2 * n + 1
+        vectors = [np.array(coefs[7 * j:7 * j + size]) * 10.0 ** log_scale[j]
+                   for j in range(5)]
+        seg = integrate.DenseSegment(start * h, h, *vectors)
+        ts = integrate._checkpoints(seg.t0, seg.t1)
+        assert ((ts - seg.t0) / h).tobytes() == (integrate._CHECK_K / 16).tobytes()
+        qs, qdots = integrate._on_basis(seg, n)
+        coef = np.abs(np.array([seg.y0, seg._r2, seg._r3, seg._r4, seg._r5])[:, :n])
+        scale = 4.0 * np.finfo(float).eps * (np.abs(integrate._CHECK_BASIS) @ coef)
+        assert np.all(np.abs(qs - seg.eval_many(ts)[:, :n]) <= scale[:17])
+        assert np.all(np.abs(qdots - seg.eval_derivative_many(ts)[:, :n]) <= scale[17:] / h)
+        assert qs[0].tobytes() == seg.y0[:n].tobytes()
+        assert qs[16].tobytes() == seg.y1[:n].tobytes()
 
 
 # q'' = c on the phase vector [q, v, z]: its quadratic path is exact on the
@@ -355,8 +406,7 @@ class TestLocateProperties:
     @staticmethod
     def _located(seg, surface):
         """``locate_event`` on the scan's bracket of seg, and the times at
-        which it evaluated the interpolant."""
-        bracket, _ = integrate._scan(seg, surface, armed=True)
+        which the scan and it evaluated the interpolant pointwise."""
         evals = []
         evaluate = integrate.DenseSegment.eval
 
@@ -366,6 +416,7 @@ class TestLocateProperties:
 
         integrate.DenseSegment.eval = counted
         try:
+            bracket, _ = integrate._scan(seg, surface, armed=True)
             return locate_event(seg, surface, bracket=bracket), evals
         finally:
             integrate.DenseSegment.eval = evaluate
@@ -538,12 +589,13 @@ def test_stepping_cost_is_pinned(monkeypatch, config, formulation, steps, rhs_ca
 def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_points):
     """Exact calls of h and grad h on the reference configurations at T = 200.
     The event scan makes one block call of each per accepted step, and the
-    dense containment check one per dense step, plus one h per golden-section
-    point (none on these runs). The calls on one configuration are the start,
-    localization, projection and impacts. Read point by point, the scan and
-    the check took 17 of each per step: on the circle 6,352 h and 6,051 grad h
-    in simulate, 5,151 of each in the check. A change that moves a count
-    states it."""
+    dense containment check one per 64 dense steps, plus one h per
+    golden-section point (none on these runs). The calls on one configuration
+    are the start, localization, projection and impacts. Read point by point,
+    the scan and the check took 17 of each per step: on the circle 6,352 h
+    and 6,051 grad h in simulate, 5,151 of each in the check; read one step
+    at a time, the check took 303 of each on the circle and 306 on the
+    ellipse. A change that moves a count states it."""
     cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
     cfg["run"]["t_final"] = 200.0
     rc = cli.parse_config(cfg, formulation)
@@ -567,7 +619,7 @@ def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_poi
                      ("h", "point"): h_points, ("grad h", "point"): grad_points}
     calls.clear()
     assert check_containment(traj, surface).passed
-    assert calls == {("h", "block"): steps, ("grad h", "block"): steps}
+    assert calls == {("h", "block"): 5, ("grad h", "block"): 5}
 
 
 def wobble(t, y):
