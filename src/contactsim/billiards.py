@@ -189,7 +189,8 @@ def elliptical_impact_closed_form(a: float, b: float, x: float, y: float,
 
 def angular_momentum(q: np.ndarray, qdot: np.ndarray, z: float = 0.0) -> float:
     """x vy - y vx at (q, qdot, z), the Cartesian form of r^2 thetadot; z is
-    unused, and taken so that this is a monitored quantity as it stands.
+    unused, and taken so that this is a monitored quantity as it stands: a
+    float at one state, shape (m,) at m states as the columns of q and qdot.
 
     For the circular billiard this decays as e^(-gamma t) along the flow
     and is continuous across impacts, making it a dissipated quantity in
@@ -198,4 +199,5 @@ def angular_momentum(q: np.ndarray, qdot: np.ndarray, z: float = 0.0) -> float:
     """
     if len(q) != 2:
         raise ValueError(f"angular momentum needs a planar state, got n={len(q)}")
-    return float(q[0] * qdot[1] - q[1] * qdot[0])
+    ell = q[0] * qdot[1] - q[1] * qdot[0]
+    return float(ell) if np.ndim(ell) == 0 else ell

@@ -18,9 +18,10 @@ from typing import Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from .core import HamiltonianSpec, SystemSpec, _phase_split
+from .errors import DimensionMismatch
 from .hybrid import HybridTrajectory
 from .impact import ImpactEvent, SwitchingSurface, impact_violation
-from .integrate import _derivative, _interpolate
+from .integrate import _derivative, _eval_segments, _interpolate
 
 __all__ = [
     "CheckReport",
@@ -101,36 +102,42 @@ def _decay_reports(ts: np.ndarray, log_ref: np.ndarray, quantities: dict):
 def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianSpec],
                      quantities: Dict[str, Callable]) -> list:
     """One report per named function f(q, x, z), each against the decay law
-    f(t) = f0 exp(integral of sys.rate dt) along the whole trajectory.
+    f(t) = f0 exp(integral of sys.rate dt) along the whole trajectory. Each f
+    takes m states as columns, q and x (n, m) and z (m,), and returns (m,).
 
     The nodes are each dense step's two ends and its midpoint, and one pass
-    serves every quantity: each node's stored or interpolated vector is split
-    once into (q, x, z), which give the rate and each f there; no state is
-    built. A step's start that repeats the end of the step before (same time,
-    same vector) reuses that node, so a flow phase of m steps takes 2m + 1.
-    Over a step the rate integral is Simpson's rule, and to the midpoint it
-    is the integral of the quadratic through the step's three rates.
+    serves every quantity: the stored ends and the interpolated midpoints,
+    checked for finiteness once, are columns for one call of sys.rate and
+    one of each f; no state is built. A step's start that repeats the end of
+    the step before (same time, same vector) reuses that node, so a flow
+    phase of m steps takes 2m + 1. Over a step the rate integral is
+    Simpson's rule, and to the midpoint it is the integral of the quadratic
+    through the step's three rates.
     """
     steps = traj.steps
     if not steps:
         raise ValueError("trajectory has no flow to check")
-    nodes = [(seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1) for seg in steps]
-    rates = np.empty((len(steps), 3))
-    values = {name: np.empty(rates.shape) for name in quantities}
-    for k, (seg, (t0, tm, t1)) in enumerate(zip(steps, nodes)):
-        for j, (y, t) in enumerate(((seg.y0, t0), (seg.eval(tm), tm), (seg.y1, t1))):
-            if j == 0 and k and steps[k - 1].t1 == t and np.array_equal(steps[k - 1].y1, y):
-                # an impact's reset changes the vector, so both of its sides
-                # are evaluated
-                rates[k, 0] = rates[k - 1, 2]
-                for f in values.values():
-                    f[k, 0] = f[k - 1, 2]
-                continue
-            q, x, z = _phase_split(sys, t, y)
-            rates[k, j] = sys.rate(q, x, z)
-            for name, f in quantities.items():
-                values[name][k, j] = float(f(q, x, z))
-    ts = np.array(nodes)
+    t0, t1 = np.array([(seg.t0, seg.t1) for seg in steps]).T
+    ts = np.column_stack([t0, 0.5 * (t0 + t1), t1])
+    ys = np.stack([[seg.y0 for seg in steps], _eval_segments(steps, np.arange(len(steps)),
+                   ts[:, 1]), [seg.y1 for seg in steps]], axis=1)
+    # an impact's reset changes the vector, so both of its sides are evaluated
+    shared = np.append(False, (t1[:-1] == t0[1:]) & (ys[:-1, 2] == ys[1:, 0]).all(axis=1))
+    new = np.column_stack([~shared, np.ones((len(steps), 2), dtype=bool)])
+    nodes, n = ys[new], sys.n
+    bad = ~np.isfinite(nodes).all(axis=1) | (nodes.shape[1] != 2 * n + 1)
+    if bad.any():   # the first node that is not finite, or any of another length
+        _phase_split(sys, ts[new][np.argmax(bad)], nodes[np.argmax(bad)])
+    q, x, z = nodes[:, :n].T, nodes[:, n:2 * n].T, nodes[:, 2 * n]
+    vals = [sys.rate(q, x, z)]
+    for name, f in quantities.items():
+        vals.append(np.asarray(f(q, x, z), dtype=float))
+        if vals[-1].shape != z.shape:
+            raise DimensionMismatch(f"{name} has shape {vals[-1].shape}, expected {z.shape}")
+    per_node = np.empty((len(vals), *ts.shape))
+    per_node[:, new] = vals
+    per_node[:, shared, 0] = per_node[:, np.flatnonzero(shared) - 1, 2]
+    rates, *values = per_node
     h = ts[:, 2] - ts[:, 0]
     r0, rm, r1 = rates.T
     ends = np.cumsum(h / 6.0 * (r0 + 4.0 * rm + r1))
@@ -140,18 +147,19 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     log_ref = np.column_stack([starts, starts + h / 24.0 * (5.0 * r0 + 8.0 * rm - r1),
                                ends]).ravel()
     return _decay_reports(ts.ravel(), log_ref, {
-        name: f.ravel() for name, f in values.items()})
+        name: f.ravel() for name, f in zip(quantities, values)})
 
 
 def check_row_decay_laws(sys: Union[SystemSpec, HamiltonianSpec], times: np.ndarray,
                          states: np.ndarray, quantities: Dict[str, Sequence[float]]) -> list:
     """The decay law on the state rows [q, x, z] at times, one value column per name.
 
-    The rate integral is the composite trapezoid between rows; an impact's
-    pre/post pair share one time, so nothing is integrated across the
-    reset. Exact for a constant rate, second order otherwise."""
-    ts, n = np.asarray(times, dtype=float), sys.n
-    rates = np.array([sys.rate(y[:n], y[n:2 * n], float(y[2 * n])) for y in states])
+    The rate integral is the composite trapezoid between rows, read as the
+    columns of one sys.rate call; an impact's pre/post pair share one time,
+    so nothing is integrated across the reset. Exact for a constant rate,
+    second order otherwise."""
+    ts, n, states = np.asarray(times, dtype=float), sys.n, np.asarray(states, dtype=float)
+    rates = sys.rate(states[:, :n].T, states[:, n:2 * n].T, states[:, 2 * n])
     steps = np.diff(ts) / 2.0 * (rates[:-1] + rates[1:])
     log_ref = np.concatenate([[0.0], np.cumsum(steps)])
     return _decay_reports(ts, log_ref, quantities)
@@ -240,7 +248,8 @@ def check_energy_decay(traj: HybridTrajectory,
 def check_dissipated_quantity(traj: HybridTrajectory, f: Callable,
                               sys: Union[SystemSpec, HamiltonianSpec], *,
                               name: str = "dissipated_quantity") -> CheckReport:
-    """Same decay law with an arbitrary function f(q, x, z) in place of E."""
+    """Same decay law with an arbitrary function f(q, x, z) in place of E; f
+    takes m states as columns and returns their m values."""
     return check_decay_laws(traj, sys, {name: f})[0]
 
 

@@ -28,36 +28,18 @@ from .billiards import (
     make_circular_billiard,
     make_elliptical_billiard,
 )
-from .checks import (
-    COLUMN_TOL,
-    IMPACT_TOL,
-    check_containment,
-    check_decay_laws,
-    check_impact_conditions,
-    check_row_containment,
-    check_row_decay_laws,
-    CheckReport,
-)
-from .core import (
-    ContactStateH,
-    ContactStateL,
-    SystemSpec,
-    hamiltonian_from_lagrangian,
-    legendre_forward,
-    natural_lagrangian_system,
-)
+from .checks import (COLUMN_TOL, IMPACT_TOL, check_containment, check_decay_laws,
+                     check_impact_conditions, check_row_containment, check_row_decay_laws,
+                     CheckReport)
+from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_lagrangian,
+                   legendre_forward, natural_lagrangian_system)
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
 from .impact import SwitchingSurface, impact_residuals, impact_violation
 from .integrate import StepperConfig
-from .io import (
-    format_float,
-    read_trajectory_csv,
-    write_summary_json,
-    write_trajectory_csv,
-    write_svg,
-)
+from .io import (format_float, read_trajectory_csv, write_summary_json, write_trajectory_csv,
+                 write_svg)
 
 
 @dataclass(frozen=True)
@@ -263,17 +245,17 @@ def initial_state(rc: RunConfig, hs: HybridSystem, lag_spec: SystemSpec):
     return legendre_forward(lag_spec, ContactStateL(q=rc.q0, qdot=rc.v0, z=rc.z0, t=0.0))
 
 
-def _ell(hs: HybridSystem, q, x, z) -> float:
+def _ell(hs: HybridSystem, q, x, z):
     """x vy - y vx with the velocity from the system's own evaluator."""
     return angular_momentum(q, hs.dynamics.velocity(q, x, z))
 
 
 def _table_columns(hs: HybridSystem, states: np.ndarray):
-    """Energy and angular-quantity (n = 2 only) columns of the state rows [q, x, z]."""
+    """Energy and angular-quantity (n = 2 only) columns of the state rows
+    [q, x, z], from one call of each on the rows as columns."""
     n = hs.n
-    cols = np.array([(hs.dynamics.energy(q, x, z), _ell(hs, q, x, z) if n == 2 else 0.0)
-                     for q, x, z in ((y[:n], y[n:2 * n], float(y[2 * n])) for y in states)])
-    return cols[:, 0], cols[:, 1]
+    q, x, z = states[:, :n].T, states[:, n:2 * n].T, states[:, 2 * n]
+    return hs.dynamics.energy(q, x, z), _ell(hs, q, x, z) if n == 2 else np.zeros(z.size)
 
 
 def _monitored(rc: RunConfig, energy, ell) -> dict:
@@ -290,15 +272,15 @@ def _worst_impact(reports) -> CheckReport:
                 *reports], key=lambda r: r.max_violation)
 
 
-def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray) -> None:
-    """A ValueError naming path and the 1-based file row of the first row out of order."""
+def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
+    """A ValueError naming path and the file row, from rows, of the first row out of order."""
     # pair[k]: rows k and k + 1 are an impact pair, pre then post at one time
     pair = np.append((flags[:-1] == FLAG_PRE_IMPACT) & (flags[1:] == FLAG_POST_IMPACT)
                      & (t[:-1] == t[1:]), False)
     closes = np.append(False, pair[:-1])   # row k ends a pair
     bad = ((flags != FLAG_FLOW) & ~(pair | closes)) | (np.append(False, t[1:] <= t[:-1]) & ~closes)
     if bad.any():
-        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 2} is out of order: t never "
+        raise ValueError(f"{path}: row {rows[np.argmax(bad)]} is out of order: t never "
                          "decreases, and only a pre-impact row and its post-impact row next "
                          "share a time")
 
@@ -434,9 +416,10 @@ def cmd_check(args) -> int:
             f"CSV dimension n={data['n']} does not match the config system")
     block = np.column_stack([data["t"], data["q"], data["v"], data["z"]])
     nonfinite = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    if nonfinite.size:   # located by 1-based file row, header included
-        raise NonFiniteValue(f"{args.csv}: row {nonfinite[0] + 2} has a non-finite t or state")
-    _check_row_order(args.csv, data["t"], data["flag"])
+    if nonfinite.size:
+        raise NonFiniteValue(f"{args.csv}: row {data['row'][nonfinite[0]]} has a non-finite "
+                             "t or state")
+    _check_row_order(args.csv, data["t"], data["flag"], data["row"])
     states = block[:, 1:]
 
     reports = []
@@ -444,10 +427,9 @@ def cmd_check(args) -> int:
     energies, ells = _table_columns(hs, states)
     err = (np.maximum(np.abs(energies - data["E"]), np.abs(ells - data["ell"]))
            / np.maximum(1.0, np.abs(energies)))
-    bad = np.flatnonzero(err > COLUMN_TOL)   # located by 1-based file row, header included
+    bad = data["row"][err > COLUMN_TOL]   # located by file row
     reports.append(CheckReport(name="column_consistency", max_violation=float(np.max(err)),
-                               tolerance=COLUMN_TOL,
-                               location=float(bad[0] + 2) if bad.size else None))
+                               tolerance=COLUMN_TOL, location=bad[0] if bad.size else None))
 
     # the decay laws on the recomputed columns, with the rate from the state rows
     reports += check_row_decay_laws(hs.dynamics, data["t"], states,

@@ -29,13 +29,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NonFiniteValue,
-    SingularHessian,
-    SingularMassMatrix,
-)
+from .errors import (DimensionMismatch, NoConvergence, NonFiniteValue, SingularHessian,
+                     SingularMassMatrix)
 
 __all__ = [
     "ContactStateL",
@@ -185,7 +180,8 @@ class NaturalForm:
     mass may be a constant (n, n) array or a callable q -> (n, n) array,
     whose value passes ``_checked``.
     potential defaults to zero; grad_potential, when given, is the gradient
-    of potential and requires it. gamma has units 1/time.
+    of potential and requires it; both take one q, so potential is called
+    once per column of a block. gamma has units 1/time.
     """
 
     mass: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
@@ -211,6 +207,8 @@ class NaturalForm:
         central differences, which name it; any other value passes ``_checked``."""
         if self.potential is None:
             return 0.0
+        if q.ndim == 2:
+            return np.array([self.potential_value(c) for c in q.T])
         val = self.potential(q)
         if isinstance(val, float):
             return float(val)
@@ -226,9 +224,36 @@ class NaturalForm:
         return sign * _fd_jacobian(self.potential_value, q, 1)[0]
 
 
+def _columns(z) -> bool:
+    """Whether z holds the actions of m states as columns, not one state's float."""
+    return isinstance(z, np.ndarray) and z.ndim == 1
+
+
 def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
-    """A supplied evaluator behind its one gate, ``_checked``."""
-    return lambda q, x, z: _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
+    """A supplied evaluator behind its one gate, ``_checked``. At m states as
+    columns the shape gains a last axis of m, an evaluator that does not take
+    them is a DimensionMismatch, and a non-finite entry names its column's state."""
+    def gated(q, x, z):
+        if not _columns(z):
+            return _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
+        try:
+            val = np.asarray(evaluator(q, x, z), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise DimensionMismatch(f"{name} does not take states as the columns of a block of "
+                                    f"shape {q.shape} ({type(e).__name__}: {e})") from e
+        try:
+            return _checked(val, shape + z.shape, name, "a block of {} states", z.size)
+        except NonFiniteValue:
+            k = int(np.argmin(np.isfinite(val).reshape(-1, z.size).all(axis=0)))
+            raise NonFiniteValue(
+                f"{name} is not finite at ({q[:, k]}, {x[:, k]}, {z[k]})") from None
+    return gated
+
+
+def _by_column(point: Callable) -> Callable:
+    """A quantity written for one state, at m states as columns by one call per column."""
+    return lambda q, x, z: (np.array([point(*s) for s in zip(q.T, x.T, z.tolist())]).T
+                            if _columns(z) else point(q, x, z))
 
 
 class _Spec:
@@ -247,6 +272,10 @@ class _Spec:
     and gives ``energy``, ``momentum``, ``velocity`` and ``rate`` (dL/dz,
     which is -dH/dz) at the arrays (q, x, z), like the partials, and
     ``vector_field(t, y)`` on [q, x, z]: callers never branch on the formulation.
+    The quantities also take m states as columns, q and x (n, m) and z (m,):
+    with one call of each evaluator when ``natural`` has a constant mass and
+    the value, x- and z-gradients are supplied, which then take columns;
+    else with one point call per column.
     """
 
     def _resolve(self, value: Callable, gradients: dict, second: dict, **aliases: str) -> None:
@@ -264,6 +293,11 @@ class _Spec:
             supplied = getattr(self, field)
             object.__setattr__(self, accessor, fallback if supplied is None
                                else _tested(field, supplied, shape))
+        if self.natural is None or not self.natural.constant_mass or None in (
+                getattr(self, field) for field in list(gradients.values())[1:]):
+            # the quantities loop over columns, and an alias stays its accessor
+            for name in {"energy", "momentum", "velocity", "rate", *aliases.values()} - {*aliases}:
+                object.__setattr__(self, name, _by_column(getattr(self, name)))
         for alias, accessor in aliases.items():
             object.__setattr__(self, alias, getattr(self, accessor))
 
@@ -347,7 +381,7 @@ class SystemSpec(_Spec):
 
     def energy(self, q, v, z) -> float:
         """E = qdot . dL/dqdot - L; kinetic + potential + gamma z for a natural form."""
-        return float(v @ self.grad_v(q, v, z) - self.value(q, v, z))
+        return _dot(v, self.grad_v(q, v, z)) - self.value(q, v, z)
 
     def velocity(self, q, v, z) -> np.ndarray:
         return v
@@ -359,7 +393,7 @@ class HamiltonianSpec(_Spec):
 
     Missing partials fall back to central finite differences. The impact
     resolver needs only H and dH/dp, so a Hamiltonian derived from a
-    natural-form Lagrangian carries no inverse mass matrix of its own. Its
+    natural-form Lagrangian carries its ``natural`` form, not an inverse mass. Its
     accessors, bound once, are value (H), grad_q, grad_p and grad_z, with the
     aliases energy = value and velocity = grad_p; a supplied function whose
     value has the wrong size raises DimensionMismatch.
@@ -370,6 +404,7 @@ class HamiltonianSpec(_Spec):
     dH_dq: Optional[Callable] = None
     dH_dp: Optional[Callable] = None
     dH_dz: Optional[Callable] = None
+    natural: Optional[NaturalForm] = None
 
     state_type = ContactStateH
     formulation = "hamiltonian"
@@ -685,6 +720,22 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
     )
 
 
+def _mass_times(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x at one vector x, or at each column of x by ``np.einsum``, which makes
+    no BLAS matrix-matrix call, whose buffers would raise peak memory."""
+    return M @ x if x.ndim == 1 else np.einsum("ij,jk->ik", M, x)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b at one pair of vectors, as a float, or along each pair of columns."""
+    return float(a @ b) if a.ndim == 1 else np.vecdot(a, b, axis=0)
+
+
+def _each(c: float, z):
+    """The constant c at one state, or at each of m states as columns."""
+    return np.full(z.shape, c) if isinstance(z, np.ndarray) else c
+
+
 def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
     """Build the dual contact Hamiltonian H = E_L after Legendre inversion.
 
@@ -692,7 +743,8 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
     dH/dq = -dL/dq and dH/dz = -dL/dz, each evaluated at the velocity
     that the array-level Legendre inversion recovers; no state is built.
     Natural-form systems with constant mass and a supplied potential
-    gradient get fully closed-form evaluators.
+    gradient get fully closed-form evaluators; with a constant mass H, dH/dp
+    and dH/dz take columns, which the Hamiltonian's ``natural`` says.
     """
     nat = sys.natural
     if nat is not None and nat.constant_mass:
@@ -702,14 +754,15 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
         gamma = nat.gamma
 
         def H(q, p, z):
-            return 0.5 * float(p @ (Minv @ p)) + nat.potential_value(q) + gamma * z
+            return 0.5 * _dot(p, _mass_times(Minv, p)) + nat.potential_value(q) + gamma * z
 
         return HamiltonianSpec(
             n=sys.n,
             hamiltonian=H,
             dH_dq=lambda q, p, z: nat.potential_gradient(q),
-            dH_dp=lambda q, p, z: Minv @ p,
-            dH_dz=lambda q, p, z: gamma,
+            dH_dp=lambda q, p, z: _mass_times(Minv, p),
+            dH_dz=lambda q, p, z: _each(gamma, z),
+            natural=nat,
         )
 
     def H(q, p, z):
@@ -733,13 +786,14 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
     mass, the two q-derivatives of the kinetic term: dL/dq differences
     1/2 qdot^T M(q) qdot alone, and d2L/dq dqdot is the SystemSpec's
     difference of dL/dqdot = M(q) qdot. The potential gradient is the
-    supplied one, else central differences of V.
+    supplied one, else central differences of V. L, dL/dqdot and dL/dz take
+    columns with a constant mass.
     """
     nat = NaturalForm(mass=mass, gamma=gamma, potential=potential,
                       grad_potential=grad_potential)
 
     def kinetic(q, qdot):
-        return 0.5 * float(qdot @ (nat.mass_matrix(q) @ qdot))
+        return 0.5 * _dot(qdot, _mass_times(nat.mass_matrix(q), qdot))
 
     def L(q, qdot, z):
         return kinetic(q, qdot) - nat.potential_value(q) - gamma * z
@@ -763,8 +817,8 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         n=n,
         lagrangian=L,
         dL_dq=dL_dq,
-        dL_dv=lambda q, qdot, z: mass_at(q) @ qdot,
-        dL_dz=lambda q, qdot, z: -gamma,
+        dL_dv=lambda q, qdot, z: _mass_times(mass_at(q), qdot),
+        dL_dz=lambda q, qdot, z: _each(-gamma, z),
         d2L_dvdv=lambda q, qdot, z: mass_at(q),
         d2L_dqdv=d2L_dqdv,
         d2L_dzdv=lambda q, qdot, z: np.zeros(n),

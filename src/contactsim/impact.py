@@ -21,23 +21,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (
-    ContactStateH,
-    ContactStateL,
-    HamiltonianSpec,
-    SystemSpec,
-    _checked,
-    _mass_solve,
-    _solve_regular,
-)
-from .errors import (
-    ConvergedToIdentity,
-    DegenerateNormal,
-    DimensionMismatch,
-    GrazingContact,
-    NoConvergence,
-    SingularHessian,
-)
+from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _checked,
+                   _mass_solve, _solve_regular)
+from .errors import (ConvergedToIdentity, DegenerateNormal, DimensionMismatch, GrazingContact,
+                     NoConvergence, SingularHessian)
 
 __all__ = [
     "SwitchingSurface",
@@ -234,12 +221,13 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
 
     qdot_plus = qdot_minus + lam * Minv grad h with
     lam = -2 (grad h . qdot_minus) / (grad h . Minv grad h), the nonzero
-    root of the energy condition. q, z, t are unchanged.
+    root of the energy condition, with the spec's inverse of a constant mass
+    and one solve with a callable one. q, z, t are unchanged.
     """
     if sys.natural is None:
         raise ValueError("resolve_impact_natural requires natural-form data")
     g, vn = _approach_normal(sys, surface, s_minus)
-    minv_g = _mass_solve(sys.natural, s_minus.q, g)
+    minv_g = _mass_solve(sys.natural, s_minus.q, g) if sys._minv is None else sys._minv @ g
     lam = -2.0 * vn / float(g @ minv_g)
     return _with_residuals(sys, g, s_minus, s_minus.qdot + lam * minv_g, lam)
 

@@ -71,8 +71,9 @@ def _parses(line: str, width: int) -> bool:
 def read_trajectory_csv(path) -> dict:
     """Parse a trajectory CSV back into arrays, the writer's inverse; infers n
     and the formulation from the header. "v" holds the velocity or momentum
-    columns. A ValueError names the path, and the file row of a row that does
-    not parse or has a flag not 0, 1, 2."""
+    columns, and "row" each data row's 1-based file row. A ValueError names
+    the path, and the file row of a row that does not parse or has a flag
+    not 0, 1, 2."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     # 0-based: the first line not blank, and the later ones np.loadtxt reads
@@ -110,6 +111,7 @@ def read_trajectory_csv(path) -> dict:
         "E": data[:, 2 + 2 * n],
         "ell": data[:, 3 + 2 * n],
         "flag": flag.astype(int),
+        "row": np.array(rows) + 1,
     }
 
 

@@ -13,6 +13,7 @@ from contactsim import (
     Circle,
     ContactStateH,
     ContactStateL,
+    DimensionMismatch,
     HamiltonianSpec,
     HybridSystem,
     ImpactEvent,
@@ -128,15 +129,17 @@ class TestDissipatedQuantity:
         from contactsim import lagrangian_energy
 
         rep_e = check_energy_decay(fig1_trajectory, circle_billiard.dynamics)
+        # one state per column, so each node's energy comes from a built state
         rep_f = check_dissipated_quantity(
             fig1_trajectory,
-            lambda q, v, z: lagrangian_energy(circle_billiard.dynamics, ContactStateL(q, v, z)),
+            lambda q, v, z: np.array([lagrangian_energy(circle_billiard.dynamics, ContactStateL(*s))
+                                      for s in zip(q.T, v.T, z.tolist())]),
             circle_billiard.dynamics)
         assert rep_f.max_violation == rep_e.max_violation
         assert rep_f.location == rep_e.location
 
     def test_zero_function_passes_vacuously(self, fig1_trajectory, circle_billiard):
-        rep = check_dissipated_quantity(fig1_trajectory, lambda q, v, z: 0.0,
+        rep = check_dissipated_quantity(fig1_trajectory, lambda q, v, z: np.zeros(z.size),
                                         circle_billiard.dynamics)
         assert rep.passed and rep.max_violation == 0.0
 
@@ -159,7 +162,7 @@ class TestNonFiniteFlowValues:
         # z grows while L > 0, so z > z(2) first holds at the first node past t = 2
         z2 = traj.state_at(2.0)[-1]
         rep = check_dissipated_quantity(
-            traj, lambda q, v, z: float("nan") if z > z2 else angular_momentum(q, v, z),
+            traj, lambda q, v, z: np.where(z > z2, np.nan, angular_momentum(q, v, z)),
             hs.dynamics)
         assert not rep.passed and rep.max_violation == np.inf
         assert rep.location == next(t for t in node_times(traj) if t > 2.0)
@@ -168,7 +171,7 @@ class TestNonFiniteFlowValues:
         # the rate accessor rejects a NaN dH/dz, as it does a NaN dL/dz
         hs, traj = self.short_run("hamiltonian")
         sys = dataclasses.replace(
-            hs.dynamics, dH_dz=lambda q, p, z: float("nan") if z > 2.0 else 1e-3)
+            hs.dynamics, dH_dz=lambda q, p, z: np.where(z > 2.0, np.nan, 1e-3))
         with pytest.raises(NonFiniteValue, match="dH_dz"):
             check_energy_decay(traj, sys)
 
@@ -238,7 +241,7 @@ class TestOnePass:
 
         def ell(q, x, z):
             v = hs.dynamics.velocity(q, x, z)
-            return float(q[0] * v[1] - q[1] * v[0])
+            return q[0] * v[1] - q[1] * v[0]
 
         both = check_decay_laws(traj, hs.dynamics, {"energy_decay": hs.dynamics.energy,
                                                     "angular_quantity_decay": ell})
@@ -259,7 +262,7 @@ class TestOnePass:
         rate = getattr(hs.dynamics, name)
 
         def recording(q, x, z):
-            seen.append(np.concatenate([q, x, [z]]))
+            seen.extend(np.vstack([q, x, z]).T)
             return rate(q, x, z)
 
         spec = dataclasses.replace(hs.dynamics, **{name: recording})
@@ -399,6 +402,86 @@ class TestDecayLawCatchesInconsistentFields:
 
         monkeypatch.setattr(core, "hamiltonian_rhs", slowed)
         assert not self.run(hsys).passed
+
+
+QUANTITIES = ("energy", "momentum", "velocity", "rate", "value")
+
+
+def point_calls(sys, name, q, x, z):
+    """The quantity at each column of (q, x, z), one point call each, stacked as columns."""
+    return np.array([getattr(sys, name)(*s) for s in zip(q.T, x.T, z.tolist())]).T
+
+
+def columns_of(rows, n):
+    """(q, x, z) of the rows [q, x, z] as columns, the layout the passes hand over."""
+    return rows[:, :n].T, rows[:, n:2 * n].T, rows[:, 2 * n]
+
+
+class TestQuantitiesOnColumns:
+    """Every spec quantity at m states as columns equals its point calls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 6),
+           formulation=st.sampled_from(["lagrangian", "hamiltonian"]),
+           potential=st.booleans(), skewed=st.booleans())
+    def test_natural_block_equals_point_calls(self, data, n, m, formulation, potential, skewed):
+        # one call per quantity: bit for bit with a diagonal mass, and within
+        # a few ulps of the terms' size when a skewed mass reorders M V's sums
+        entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+        if skewed:   # A A^T + I, symmetric positive definite
+            A = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+            mass = A.reshape(n, n) @ A.reshape(n, n).T + np.eye(n)
+        else:
+            mass = np.diag(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        V = (lambda q: 0.5 * float(q @ q) + float(np.sum(np.cos(q)))) if potential else None
+        sys = natural_lagrangian_system(n, mass, gamma=0.3, potential=V)
+        if formulation == "hamiltonian":
+            sys = hamiltonian_from_lagrangian(sys)
+        rows = np.array(data.draw(st.lists(entries, min_size=m * (2 * n + 1),
+                                           max_size=m * (2 * n + 1)))).reshape(m, 2 * n + 1)
+        q, x, z = columns_of(rows, n)
+        scale = 1.0 + np.abs(mass).sum() * np.max(np.abs(x)) ** 2 + 2.0 * n
+        for name in QUANTITIES:
+            block, point = getattr(sys, name)(q, x, z), point_calls(sys, name, q, x, z)
+            assert block.shape == point.shape == ((m,) if name in ("energy", "rate", "value")
+                                                  else (n, m))
+            if skewed:
+                assert np.all(np.abs(block - point) <= 8.0 * np.finfo(float).eps * scale), name
+            else:
+                assert block.tobytes() == point.tobytes(), name
+
+    @pytest.mark.parametrize("spec", [state_rate_billiard(0.05).dynamics, drag_hamiltonian()],
+                             ids=["state_rate_billiard", "drag_hamiltonian"])
+    def test_point_only_spec_loops_over_the_columns(self, spec):
+        q, x, z = columns_of(np.random.default_rng(3).uniform(-1.0, 1.0, (7, 5)), 2)
+        for name in QUANTITIES[:4]:
+            block = getattr(spec, name)(q, x, z)
+            assert block.tobytes() == point_calls(spec, name, q, x, z).tobytes(), name
+
+    def test_a_natural_evaluator_that_takes_one_state_is_typed_and_named(self):
+        sys = natural_lagrangian_system(2, np.eye(2), gamma=0.1)
+        q, x, z = columns_of(np.random.default_rng(4).uniform(-1.0, 1.0, (5, 5)), 2)
+        point_only = dataclasses.replace(sys, dL_dz=lambda q, v, z: -0.1 * (1.0 + float(q @ q)))
+        with pytest.raises(DimensionMismatch, match="^dL_dz does not take states as the columns"):
+            point_only.rate(q, x, z)
+        one_float = dataclasses.replace(sys, dL_dz=lambda q, v, z: -0.1)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^dL_dz has shape \(\), expected \(5,\), at a block of 5"):
+            one_float.rate(q, x, z)
+        nan_at_3 = dataclasses.replace(
+            sys, lagrangian=lambda q, v, z: np.where(z == z[3], np.nan, z))
+        with pytest.raises(NonFiniteValue, match=rf"^lagrangian is not finite at .*, {z[3]}\)$"):
+            nan_at_3.energy(q, x, z)
+
+    def test_angular_momentum_takes_a_point_or_columns(self):
+        q, v, z = columns_of(np.random.default_rng(5).uniform(-1.0, 1.0, (6, 5)), 2)
+        assert type(angular_momentum(q[:, 0], v[:, 0])) is float
+        assert angular_momentum(q, v, z).tolist() == [angular_momentum(*s) for s in zip(q.T, v.T)]
+
+    def test_a_quantity_that_returns_one_float_is_typed(self, fig1_trajectory, circle_billiard):
+        with pytest.raises(DimensionMismatch, match="^flat has shape"):
+            check_dissipated_quantity(fig1_trajectory, lambda q, v, z: 1.0,
+                                      circle_billiard.dynamics, name="flat")
 
 
 class TestImpactConditions:

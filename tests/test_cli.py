@@ -499,6 +499,36 @@ class TestCheck:
         assert main(["check", "--csv", str(bad), "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("case, message", [
+        ("non-finite cell", "row 9 has a non-finite t or state"),
+        ("swapped flow rows", "row 15 is out of order: "),
+        ("corrupted energy", None)], ids=["non-finite", "out of order", "column consistency"])
+    def test_row_messages_name_file_rows_across_blank_lines(self, tmp_path, capsys, case,
+                                                            message):
+        # two blank lines above the header and one after the third data row:
+        # data row k (0-based) from the fourth on is file row k + 5, which
+        # these messages counted as k + 2
+        cfg, csv_path = self._fresh_run(tmp_path)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        k = {"non-finite cell": 5, "corrupted energy": 40}.get(case)
+        if k is None:
+            lines[10], lines[11] = lines[11], lines[10]
+        else:
+            parts = lines[k].split(",")
+            parts[1 if case == "non-finite cell" else -3] = "nan" if k == 5 else "9.9"
+            lines[k] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n\n" + "\n".join(lines[:4] + [""] + lines[4:]) + "\n")
+        capsys.readouterr()   # drain the simulate output
+        code = main(["check", "--csv", str(bad), "--config", cfg])
+        if message is not None:
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+            return
+        assert code == 2
+        report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert report["column_consistency"]["location"] == 44.0
+
     def test_report_written_to_file(self, tmp_path):
         cfg, csv_path = self._fresh_run(tmp_path)
         report_path = str(tmp_path / "report.json")
@@ -866,6 +896,52 @@ def test_states_built_by_the_cli_pair_are_pinned(tmp_path, monkeypatch, states_b
     states_built.clear()
     assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
     assert len(states_built) == check_states
+
+
+@pytest.mark.parametrize("config, formulation, field", [
+    ("circle.json", "lagrangian", "lagrangian"),
+    ("ellipse.json", "hamiltonian", "hamiltonian"),
+], ids=["circle-lagrangian", "ellipse-hamiltonian"])
+def test_value_calls_of_the_row_and_node_passes_are_pinned(tmp_path, monkeypatch, config,
+                                                           formulation, field):
+    """L (or H) is called once by each pass that reads the energy: the CSV's
+    E column in `simulate` and in `check`, and the energy law's node pass;
+    the row decay law reads only the rate. Before, they called it once per
+    table row and node: 2,057 + 1,300 (circle) and 2,096 + 1,322 (ellipse)."""
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 200.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out, calls, inside = tmp_path / "out", [], []
+    build = cli.build_system
+
+    def counting(rc):
+        hs, lag_spec, boundary = build(rc)
+        f = getattr(hs.dynamics, field)
+
+        def counted(q, x, z):
+            if inside:
+                calls.append(np.shape(z))
+            return f(q, x, z)
+        dynamics = dataclasses.replace(hs.dynamics, **{field: counted})
+        return dataclasses.replace(hs, dynamics=dynamics), lag_spec, boundary
+
+    monkeypatch.setattr(cli, "build_system", counting)
+    for name in ("_table_columns", "check_decay_laws", "check_row_decay_laws"):
+        def within(*args, _f=getattr(cli, name), **kwargs):
+            inside.append(name)
+            try:
+                return _f(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(cli, name, within)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--formulation", formulation]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_impact_test_prints_the_certificates_residuals(capsys, monkeypatch):

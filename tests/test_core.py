@@ -1061,7 +1061,8 @@ class TestFiniteDifferences:
 class TestNonFinitePartials:
     @staticmethod
     def nan_rate(sys):
-        return dataclasses.replace(sys, dL_dz=lambda q, v, z: float("nan"))
+        # one NaN per state: at one state, or at each of a block's columns
+        return dataclasses.replace(sys, dL_dz=lambda q, v, z: np.full(np.shape(z), np.nan))
 
     def test_evaluate_partials_rejects_nan_action_partial(self):
         sys = self.nan_rate(billiard_system())

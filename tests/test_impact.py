@@ -177,6 +177,26 @@ class TestNaturalResolver:
         with pytest.raises(SingularMassMatrix):
             resolve_impact_natural(sys, s, UNIT_CIRCLE)
 
+    def test_constant_mass_reads_the_spec_inverse(self, monkeypatch):
+        # one solve per impact only for a callable mass; with the unit mass
+        # the inverse gives the solve's velocity bit for bit
+        rng = np.random.default_rng(105)
+        cases = [ContactStateL(q=q, qdot=v, z=0.3) for q, v in random_circle_states(rng, 20)]
+        solving = billiard()
+        object.__setattr__(solving, "_minv", None)   # as for a callable mass
+        solved = [resolve_impact_natural(solving, s, UNIT_CIRCLE) for s in cases]
+
+        def no_solve(*args):
+            raise AssertionError("a constant mass was solved again")
+
+        monkeypatch.setattr(impact, "_mass_solve", no_solve)
+        for s, ref in zip(cases, solved):
+            got = resolve_impact_natural(billiard(), s, UNIT_CIRCLE)
+            assert got.state_plus.qdot.tobytes() == ref.state_plus.qdot.tobytes()
+        with pytest.raises(AssertionError, match="solved again"):
+            resolve_impact_natural(natural_lagrangian_system(2, mass=lambda q: np.eye(2)),
+                                   cases[0], UNIT_CIRCLE)
+
     def test_nearly_singular_configuration_mass(self):
         sys = natural_lagrangian_system(n=2, mass=lambda q: [[1.0, 1.0], [1.0, 1.0 + 1e-13]])
         s = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.5], z=0.0)
