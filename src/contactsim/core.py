@@ -234,7 +234,7 @@ def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
     columns the shape gains a last axis of m, an evaluator that does not take
     them is a DimensionMismatch, and a non-finite entry names its column's state."""
     def gated(q, x, z):
-        if not _columns(z):
+        if type(z) is float or not _columns(z):   # one state: the float test is the fast path
             return _checked(evaluator(q, x, z), shape, name, "({}, {}, {})", q, x, z)
         try:
             val = np.asarray(evaluator(q, x, z), dtype=float)
@@ -252,8 +252,8 @@ def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
 
 def _by_column(point: Callable) -> Callable:
     """A quantity written for one state, at m states as columns by one call per column."""
-    return lambda q, x, z: (np.array([point(*s) for s in zip(q.T, x.T, z.tolist())]).T
-                            if _columns(z) else point(q, x, z))
+    return lambda q, x, z: (point(q, x, z) if type(z) is float or not _columns(z) else
+                            np.array([point(*s) for s in zip(q.T, x.T, z.tolist())]).T)
 
 
 class _Spec:
@@ -381,7 +381,8 @@ class SystemSpec(_Spec):
 
     def energy(self, q, v, z) -> float:
         """E = qdot . dL/dqdot - L; kinetic + potential + gamma z for a natural form."""
-        return _dot(v, self.grad_v(q, v, z)) - self.value(q, v, z)
+        p = self.grad_v(q, v, z)
+        return (float(v @ p) if v.ndim == 1 else np.vecdot(v, p, axis=0)) - self.value(q, v, z)
 
     def velocity(self, q, v, z) -> np.ndarray:
         return v
@@ -726,14 +727,16 @@ def _mass_times(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M @ x if x.ndim == 1 else np.einsum("ij,jk->ik", M, x)
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a . b at one pair of vectors, as a float, or along each pair of columns."""
-    return float(a @ b) if a.ndim == 1 else np.vecdot(a, b, axis=0)
+def _kinetic(M: np.ndarray, x: np.ndarray):
+    """1/2 x . M x at one vector x, as a float, or at each column of x."""
+    if x.ndim == 1:
+        return 0.5 * float(x @ (M @ x))
+    return 0.5 * np.vecdot(x, _mass_times(M, x), axis=0)
 
 
 def _each(c: float, z):
     """The constant c at one state, or at each of m states as columns."""
-    return np.full(z.shape, c) if isinstance(z, np.ndarray) else c
+    return c if type(z) is float or not _columns(z) else np.full(z.shape, c)
 
 
 def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
@@ -754,7 +757,7 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
         gamma = nat.gamma
 
         def H(q, p, z):
-            return 0.5 * _dot(p, _mass_times(Minv, p)) + nat.potential_value(q) + gamma * z
+            return _kinetic(Minv, p) + nat.potential_value(q) + gamma * z
 
         return HamiltonianSpec(
             n=sys.n,
@@ -792,11 +795,8 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
     nat = NaturalForm(mass=mass, gamma=gamma, potential=potential,
                       grad_potential=grad_potential)
 
-    def kinetic(q, qdot):
-        return 0.5 * _dot(qdot, _mass_times(nat.mass_matrix(q), qdot))
-
     def L(q, qdot, z):
-        return kinetic(q, qdot) - nat.potential_value(q) - gamma * z
+        return _kinetic(nat.mass_matrix(q), qdot) - nat.potential_value(q) - gamma * z
 
     if nat.constant_mass:
         M0 = np.array(nat.mass_matrix(np.zeros(n)), dtype=float)
@@ -810,7 +810,7 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         d2L_dqdv = None
 
         def dL_dq(q, qdot, z):
-            return (_fd_jacobian(lambda qq: kinetic(qq, qdot), q, 1)[0]
+            return (_fd_jacobian(lambda qq: _kinetic(nat.mass_matrix(qq), qdot), q, 1)[0]
                     + nat.potential_gradient(q, sign=-1.0))
 
     return SystemSpec(
