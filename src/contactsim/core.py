@@ -721,22 +721,21 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
     )
 
 
-def _mass_times(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x at one vector x, or at each column of x by ``np.einsum``, which makes
-    no BLAS matrix-matrix call, whose buffers would raise peak memory."""
-    return M @ x if x.ndim == 1 else np.einsum("ij,jk->ik", M, x)
+# The natural evaluators below take one state on their first branch, with the
+# arithmetic of the point form, and m states as columns on their second.
+
+
+def _times_columns(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x at each column of x by ``np.einsum``, which makes no BLAS
+    matrix-matrix call, whose buffers would raise peak memory."""
+    return np.einsum("ij,jk->ik", M, x)
 
 
 def _kinetic(M: np.ndarray, x: np.ndarray):
     """1/2 x . M x at one vector x, as a float, or at each column of x."""
     if x.ndim == 1:
         return 0.5 * float(x @ (M @ x))
-    return 0.5 * np.vecdot(x, _mass_times(M, x), axis=0)
-
-
-def _each(c: float, z):
-    """The constant c at one state, or at each of m states as columns."""
-    return c if type(z) is float or not _columns(z) else np.full(z.shape, c)
+    return 0.5 * np.vecdot(x, _times_columns(M, x), axis=0)
 
 
 def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
@@ -763,8 +762,8 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
             n=sys.n,
             hamiltonian=H,
             dH_dq=lambda q, p, z: nat.potential_gradient(q),
-            dH_dp=lambda q, p, z: _mass_times(Minv, p),
-            dH_dz=lambda q, p, z: _each(gamma, z),
+            dH_dp=lambda q, p, z: Minv @ p if p.ndim == 1 else _times_columns(Minv, p),
+            dH_dz=lambda q, p, z: gamma if type(z) is float else np.full(np.shape(z), gamma),
             natural=nat,
         )
 
@@ -817,8 +816,9 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         n=n,
         lagrangian=L,
         dL_dq=dL_dq,
-        dL_dv=lambda q, qdot, z: _mass_times(mass_at(q), qdot),
-        dL_dz=lambda q, qdot, z: _each(-gamma, z),
+        dL_dv=lambda q, qdot, z: (mass_at(q) @ qdot if qdot.ndim == 1
+                                  else _times_columns(mass_at(q), qdot)),
+        dL_dz=lambda q, qdot, z: -gamma if type(z) is float else np.full(np.shape(z), -gamma),
         d2L_dvdv=lambda q, qdot, z: mass_at(q),
         d2L_dqdv=d2L_dqdv,
         d2L_dzdv=lambda q, qdot, z: np.zeros(n),
