@@ -36,7 +36,7 @@ from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_la
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
-from .impact import SwitchingSurface, impact_residuals, impact_violation
+from .impact import SwitchingSurface, _violations, impact_residuals
 from .integrate import StepperConfig
 from .io import (format_float, read_trajectory_csv, write_summary_json, write_trajectory_csv,
                  write_svg)
@@ -266,10 +266,11 @@ def _monitored(rc: RunConfig, energy, ell) -> dict:
     return quantities
 
 
-def _worst_impact(reports) -> CheckReport:
-    """The first report of the largest violation above 0, else a passing 0.0 with no location."""
-    return max([CheckReport(name="impact_conditions", max_violation=0.0, tolerance=IMPACT_TOL),
-                *reports], key=lambda r: r.max_violation)
+def _worst_impact(violations, times) -> CheckReport:
+    """The first largest violation above 0 at its time, else a passing 0.0 with no location."""
+    k = int(np.argmax(np.append(0.0, violations)))
+    return CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
+                       tolerance=IMPACT_TOL, location=times[k - 1] if k else None)
 
 
 def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
@@ -312,8 +313,8 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
         rc, hs.dynamics.energy, lambda q, x, z: _ell(hs, q, x, z)))
-    checks.append(_worst_impact(check_impact_conditions(event, hs.dynamics, hs.surface)
-                                for event in traj.events))
+    checks.append(_worst_impact([check_impact_conditions(e, hs.dynamics, hs.surface).max_violation
+                                 for e in traj.events], [e.t for e in traj.events]))
     checks.append(check_containment(traj, hs.surface))
 
     E0 = float(energies[0])
@@ -435,13 +436,10 @@ def cmd_check(args) -> int:
     reports += check_row_decay_laws(hs.dynamics, data["t"], states,
                                     _monitored(rc, energies, ells))
 
-    # impact conditions at stored pre/post pairs, the only rows built as states
-    t = data["t"]
-    state = lambda j: hs.dynamics.state_type.from_vector(states[j], t[j])
-    reports.append(_worst_impact(CheckReport(
-        name="impact_conditions", tolerance=IMPACT_TOL, location=t[i],
-        max_violation=impact_violation(hs.dynamics, hs.surface, state(i), state(i + 1)))
-        for i in np.flatnonzero(data["flag"] == FLAG_PRE_IMPACT).tolist()))
+    # impact conditions at the stored pre/post pairs, read as columns: no state is built
+    t, pre = data["t"], np.flatnonzero(data["flag"] == FLAG_PRE_IMPACT)
+    minus, plus = ((data["q"][j].T, data["v"][j].T, data["z"][j], t[j]) for j in (pre, pre + 1))
+    reports.append(_worst_impact(_violations(hs.dynamics, hs.surface, minus, plus), t[pre]))
 
     reports.append(check_row_containment(hs.surface, data["t"], data["q"]))
 

@@ -250,10 +250,11 @@ def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
     return gated
 
 
-def _by_column(point: Callable) -> Callable:
-    """A quantity written for one state, at m states as columns by one call per column."""
-    return lambda q, x, z: (point(q, x, z) if type(z) is float or not _columns(z) else
-                            np.array([point(*s) for s in zip(q.T, x.T, z.tolist())]).T)
+def _by_column(point: Callable, shape: tuple) -> Callable:
+    """A quantity of the given shape at one state, at m states as columns by
+    one call per column, (m,) or shape + (m,) also for m = 0."""
+    return lambda q, x, z: (point(q, x, z) if type(z) is float or not _columns(z) else np.array(
+        [point(*s) for s in zip(q.T, x.T, z.tolist())]).reshape(z.size, *shape).T)
 
 
 class _Spec:
@@ -297,7 +298,8 @@ class _Spec:
                 getattr(self, field) for field in list(gradients.values())[1:]):
             # the quantities loop over columns, and an alias stays its accessor
             for name in {"energy", "momentum", "velocity", "rate", *aliases.values()} - {*aliases}:
-                object.__setattr__(self, name, _by_column(getattr(self, name)))
+                shape = () if name in ("energy", "value", "rate", "grad_z") else (self.n,)
+                object.__setattr__(self, name, _by_column(getattr(self, name), shape))
         for alias, accessor in aliases.items():
             object.__setattr__(self, alias, getattr(self, accessor))
 
@@ -726,9 +728,10 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
 
 
 def _times_columns(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x at each column of x by ``np.einsum``, which makes no BLAS
-    matrix-matrix call, whose buffers would raise peak memory."""
-    return np.einsum("ij,jk->ik", M, x)
+    """M x at each column of x by the point form's BLAS matrix-vector call, so
+    each column equals ``M @ x`` also for a non-diagonal M, which ``np.einsum``
+    rounds otherwise; no matrix-matrix call, whose buffers raise peak memory."""
+    return np.matmul(M, x.T[:, :, None])[:, :, 0].T
 
 
 def _kinetic(M: np.ndarray, x: np.ndarray):

@@ -10,8 +10,10 @@ the boundary point, not by a restitution coefficient:
 
 Position, action z, and time pass through untouched. For a quadratic
 kinetic energy these conditions have exactly two roots, the identity and
-the elastic reflection; the resolvers always select the reflecting root,
-and report the tangential and energy residuals of whatever they return.
+the elastic reflection; the resolvers always select the reflecting root.
+One routine, ``_violations`` with its ``_residuals``, certifies the law at one
+pre/post pair (the resolvers' residuals, ``impact_residuals``, ``impact_violation``)
+or at m pairs as columns (``contactsim check`` on its stored rows).
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ class SwitchingSurface:
         block qs.T; each entry equals ``value`` and ``gradient(q) @ qdot`` of
         its row bit for bit. grad_h must return (n, m), else
         DimensionMismatch."""
-        hs, m = self.values(qs), qs.shape[0]
-        grads = _checked(_on_block(self.grad_h, "grad h", qs), qs.T.shape, "grad h",
-                         _BLOCK_AT, qs[0], qs[-1], m)
-        return hs.tolist(), np.vecdot(grads.T, qdots).tolist()
+        return self.values(qs).tolist(), np.vecdot(self.gradients(qs).T, qdots).tolist()
+
+    def gradients(self, qs: np.ndarray) -> np.ndarray:
+        """grad h at each row of qs, (m, n), as the (n, m) columns of one block call."""
+        return _checked(_on_block(self.grad_h, "grad h", qs), qs.T.shape, "grad h",
+                        _BLOCK_AT, qs[0], qs[-1], qs.shape[0])
 
 
 def _on_block(f: Callable, name: str, qs: np.ndarray):
@@ -124,17 +128,16 @@ class ImpactEvent:
 
 
 def tangent_basis(grad: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space ker(grad) as columns.
-
-    Built from a single Householder reflection of the unit normal, so the
-    basis is deterministic. Shape (n, n-1); empty for n = 1.
-    """
-    n = grad.size
-    u = grad / float(np.linalg.norm(grad))
+    """Orthonormal basis of the tangent space ker(grad) as columns, shape
+    (n, n-1), empty for n = 1; for m normals as the columns of grad, their
+    bases along a last axis, (n, n-1, m). Built from a single Householder
+    reflection of the unit normal, so the basis is deterministic."""
+    n = grad.shape[0]
+    u = grad / np.sqrt(np.vecdot(grad, grad, axis=0))
     w = u.copy()
-    w[0] += 1.0 if u[0] >= 0.0 else -1.0
-    P = np.eye(n) - 2.0 * np.outer(w, w) / float(w @ w)
-    return P[:, 1:]
+    w[0] += (u[0] >= 0.0) * 2.0 - 1.0
+    eye = np.eye(n) if grad.ndim == 1 else np.eye(n)[:, :, None]
+    return (eye - 2.0 * (w[:, None] * w[None]) / np.vecdot(w, w, axis=0))[:, 1:]
 
 
 def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
@@ -146,18 +149,40 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
     p and H for a HamiltonianSpec. The tangential directions come from a
     Householder basis of ker grad h; for n = 1 that condition is vacuous.
     """
-    return _residuals(sys, surface.gradient(s_minus.q), s_minus, s_plus)
+    return tuple(map(float, _residuals(sys, surface.gradient(s_minus.q), s_minus.phase,
+                                       s_plus.phase)))
 
 
-def _residuals(sys, g: np.ndarray, s_minus, s_plus) -> tuple:
-    """``impact_residuals`` with g = grad h(q-) already evaluated."""
-    p_minus, p_plus = sys.momentum(*s_minus.phase), sys.momentum(*s_plus.phase)
-    T = tangent_basis(g)
-    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
-    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
-    e_minus = sys.energy(*s_minus.phase)
-    r_en = abs(sys.energy(*s_plus.phase) - e_minus) / max(1.0, abs(e_minus))
-    return r_tan, r_en
+def _residuals(sys, g: np.ndarray, minus: tuple, plus: tuple) -> tuple:
+    """``impact_residuals`` at the phases (q, x, z) of one pair or of m pairs as
+    columns (see ``_violations``), g = grad h(q-), scaled by max(1, |p-|inf) and
+    max(1, |E-|); ``np.vecdot`` projects with the same sums for both."""
+    p_minus = sys.momentum(*minus)
+    jump = np.vecdot((sys.momentum(*plus) - p_minus)[:, None], tangent_basis(g), axis=0)
+    e_minus = sys.energy(*minus)
+    return (np.abs(jump).max(axis=0, initial=0.0) / np.abs(p_minus).max(axis=0, initial=1.0),
+            abs(sys.energy(*plus) - e_minus) / np.maximum(1.0, abs(e_minus)))
+
+
+def _violations(sys, surface: SwitchingSurface, minus: tuple, plus: tuple):
+    """The impact law at one pair, minus and plus = (q, x, z, t) with q and x of shape (n,),
+    or at m pairs as columns, q and x (n, m), z and t (m,): the larger ``_residuals`` entry
+    where q, z and t are kept, |h(q-)| <= 1e-9 and grad h . v- < 0 < grad h . v+, else inf.
+    That guard comes first, from one call of h, grad h and sys.velocity a side."""
+    (q, x, z, t), (q_plus, x_plus, z_plus, t_plus) = minus, plus
+    if q.ndim == 2 and not z.size:
+        return np.empty(0)
+    h, g = ((surface.value(q), surface.gradient(q)) if q.ndim == 1
+            else (surface.values(q.T), surface.gradients(q.T)))
+    ok = ((q == q_plus).all(axis=0) & (z == z_plus) & (t == t_plus) & (abs(h) <= _BOUNDARY_TOL)
+          & (np.vecdot(g, sys.velocity(q, x, z), axis=0) < 0.0)
+          & (np.vecdot(g, sys.velocity(q_plus, x_plus, z_plus), axis=0) > 0.0))
+    if q.ndim == 1:
+        return float(max(_residuals(sys, g, minus[:3], plus[:3]))) if ok else np.inf
+    violations = np.full(z.shape, np.inf)
+    violations[ok] = np.maximum(*_residuals(sys, g[:, ok], *(
+        tuple(a[..., ok] for a in side[:3]) for side in (minus, plus))))
+    return violations
 
 
 def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
@@ -165,14 +190,8 @@ def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
     """The larger ``impact_residuals`` entry, or inf unless the pair keeps
     q, z and t, starts on the surface and reverses the normal velocity
     (grad h . v- < 0 < grad h . v+), which the identity reset and a jump in
-    q, both with zero residuals, do not."""
-    g = surface.gradient(s_minus.q)
-    if (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
-            and abs(surface.value(s_minus.q)) <= _BOUNDARY_TOL
-            and float(g @ sys.velocity(*s_minus.phase)) < 0.0
-            < float(g @ sys.velocity(*s_plus.phase))):
-        return max(_residuals(sys, g, s_minus, s_plus))
-    return np.inf
+    q, both with zero residuals, do not: ``_violations`` at one pair."""
+    return _violations(sys, surface, (*s_minus.phase, s_minus.t), (*s_plus.phase, s_plus.t))
 
 
 def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
@@ -210,9 +229,9 @@ def _with_residuals(sys, g: np.ndarray, s_minus, x_plus: np.ndarray, lam: float)
     """The impact that resets s_minus to x_plus, the post-impact velocity or
     momentum, with q, z and t passed through, and its residuals."""
     s_plus = sys.state_type(s_minus.q, x_plus, s_minus.z, s_minus.t)
-    r_tan, r_en = _residuals(sys, g, s_minus, s_plus)
+    r_tan, r_en = _residuals(sys, g, s_minus.phase, s_plus.phase)
     return ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=lam,
-                       residual_tangential=r_tan, residual_energy=r_en)
+                       residual_tangential=float(r_tan), residual_energy=float(r_en))
 
 
 def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,

@@ -425,8 +425,8 @@ class TestQuantitiesOnColumns:
            formulation=st.sampled_from(["lagrangian", "hamiltonian"]),
            potential=st.booleans(), skewed=st.booleans())
     def test_natural_block_equals_point_calls(self, data, n, m, formulation, potential, skewed):
-        # one call per quantity: bit for bit with a diagonal mass, and within
-        # a few ulps of the terms' size when a skewed mass reorders M V's sums
+        # one call per quantity, bit for bit also with a skewed mass: M V
+        # makes the point form's matrix-vector call once per column
         entries = st.floats(-2.0, 2.0, allow_subnormal=False)
         if skewed:   # A A^T + I, symmetric positive definite
             A = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
@@ -440,15 +440,11 @@ class TestQuantitiesOnColumns:
         rows = np.array(data.draw(st.lists(entries, min_size=m * (2 * n + 1),
                                            max_size=m * (2 * n + 1)))).reshape(m, 2 * n + 1)
         q, x, z = columns_of(rows, n)
-        scale = 1.0 + np.abs(mass).sum() * np.max(np.abs(x)) ** 2 + 2.0 * n
         for name in QUANTITIES:
             block, point = getattr(sys, name)(q, x, z), point_calls(sys, name, q, x, z)
             assert block.shape == point.shape == ((m,) if name in ("energy", "rate", "value")
                                                   else (n, m))
-            if skewed:
-                assert np.all(np.abs(block - point) <= 8.0 * np.finfo(float).eps * scale), name
-            else:
-                assert block.tobytes() == point.tobytes(), name
+            assert block.tobytes() == point.tobytes(), name
 
     @pytest.mark.parametrize("spec", [state_rate_billiard(0.05).dynamics, drag_hamiltonian()],
                              ids=["state_rate_billiard", "drag_hamiltonian"])
@@ -457,6 +453,18 @@ class TestQuantitiesOnColumns:
         for name in QUANTITIES[:4]:
             block = getattr(spec, name)(q, x, z)
             assert block.tobytes() == point_calls(spec, name, q, x, z).tobytes(), name
+
+    @pytest.mark.parametrize("spec", [
+        state_rate_billiard(0.05).dynamics, drag_hamiltonian(),
+        natural_lagrangian_system(2, np.array([[2.0, 0.3], [0.3, 1.0]]), gamma=0.1),
+        hamiltonian_from_lagrangian(natural_lagrangian_system(2, np.eye(2), gamma=0.1))],
+        ids=["state_rate_billiard", "drag_hamiltonian", "natural", "natural_hamiltonian"])
+    def test_zero_columns_keep_the_block_shapes(self, spec):
+        # a vector quantity at no states is (n, 0), not the (0,) of an empty stack
+        q, x, z = columns_of(np.empty((0, 5)), 2)
+        for name in QUANTITIES[:4]:
+            assert getattr(spec, name)(q, x, z).shape == (
+                (0,) if name in ("energy", "rate") else (2, 0)), name
 
     def test_a_natural_evaluator_that_takes_one_state_is_typed_and_named(self):
         sys = natural_lagrangian_system(2, np.eye(2), gamma=0.1)

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,42 @@ class TestCheck:
         assert report["impact_conditions"]["max_violation"] is None   # inf, written as null
         assert report["impact_conditions"]["location"] == data["t"][i]
         assert all(c["passed"] for name, c in report.items() if name != "impact_conditions")
+
+    def test_pair_moved_to_the_centre_reads_null_without_a_warning(self, tmp_path, capsys):
+        # grad h = 0 at the centre, so a tangent basis there divides 0 by 0;
+        # the guard fails first and no residual of that column is computed
+        cfg, csv_path = self._fresh_run(tmp_path)
+        with open(csv_path) as fh:
+            lines = fh.read().splitlines()
+        data = read_trajectory_csv(csv_path)
+        i = int(np.flatnonzero(data["flag"] == 1)[1])
+        for row in (i + 1, i + 2):   # file row = data row + 1
+            lines[row] = ",".join(["0.0" if k in (1, 2) else cell
+                                   for k, cell in enumerate(lines[row].split(","))])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--csv", str(bad), "--config", cfg, "--out", str(out)]) == 2
+        report = {c["name"]: c for c in strict_json(out.read_text())["checks"]}
+        assert report["impact_conditions"]["max_violation"] is None   # inf, written as null
+        assert report["impact_conditions"]["location"] == data["t"][i]
+
+    def test_run_without_impacts_passes_the_impact_check(self, tmp_path, capsys):
+        # no pre/post pair: the impact pass reads zero columns, with no warning
+        cfg = short_config(tmp_path, **{"run.t_final": 0.2})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert not np.any(read_trajectory_csv(str(out / "trajectory.csv"))["flag"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", cfg]) == 0
+        report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert report["impact_conditions"] == {"name": "impact_conditions", "max_violation": 0.0,
+                                               "tolerance": checks.IMPACT_TOL,
+                                               "location": None, "passed": True}
 
     def test_empty_csv_exits_one(self, tmp_path, capsys):
         cfg = short_config(tmp_path)
@@ -868,15 +905,16 @@ def test_check_names_the_row_of_a_non_finite_state_cell(tmp_path, capsys, column
 
 
 @pytest.mark.parametrize("config, formulation, simulate_states, check_states", [
-    ("circle.json", "lagrangian", 301, 300),
-    ("ellipse.json", "hamiltonian", 324, 322),
+    ("circle.json", "lagrangian", 301, 0),
+    ("ellipse.json", "hamiltonian", 324, 0),
 ], ids=["circle-lagrangian", "ellipse-hamiltonian"])
 def test_states_built_by_the_cli_pair_are_pinned(tmp_path, monkeypatch, states_built, config,
                                                  formulation, simulate_states, check_states):
     """States are built only at the edges: the start (and its Legendre
     image), and both sides of each of the 150 (circle) or 161 (ellipse)
-    impacts in `simulate` and again in `check`. Row columns and decay laws
-    read arrays. Before, the pair built 2,358 + 1,300 and 2,420 + 1,322."""
+    impacts in `simulate`. Row columns, decay laws and `check`'s impact pass
+    read arrays. Before, the pair built 2,358 + 1,300 and 2,420 + 1,322,
+    then 301 + 300 and 324 + 322 while `check` built each impact's pair."""
     with open(os.path.join(CONFIG_DIR, config)) as fh:
         cfg = json.load(fh)
     cfg["run"]["t_final"] = 200.0
@@ -896,6 +934,119 @@ def test_states_built_by_the_cli_pair_are_pinned(tmp_path, monkeypatch, states_b
     states_built.clear()
     assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
     assert len(states_built) == check_states
+
+
+def reference_tangent_basis(grad):
+    """``impact.tangent_basis`` of one normal as it was before the column form."""
+    n = grad.size
+    u = grad / float(np.linalg.norm(grad))
+    w = u.copy()
+    w[0] += 1.0 if u[0] >= 0.0 else -1.0
+    P = np.eye(n) - 2.0 * np.outer(w, w) / float(w @ w)
+    return P[:, 1:]
+
+
+def reference_impact_violation(sys, surface, s_minus, s_plus):
+    """The impact law one pair at a time, the body that ``impact_violation``
+    and its residuals had before the column form: the reference for it."""
+    g = surface.gradient(s_minus.q)
+    if not (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
+            and abs(surface.value(s_minus.q)) <= 1e-9
+            and float(g @ sys.velocity(*s_minus.phase)) < 0.0
+            < float(g @ sys.velocity(*s_plus.phase))):
+        return np.inf
+    p_minus, p_plus = sys.momentum(*s_minus.phase), sys.momentum(*s_plus.phase)
+    T = reference_tangent_basis(g)
+    p_scale = max(1.0, float(np.max(np.abs(p_minus))))
+    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
+    e_minus = sys.energy(*s_minus.phase)
+    r_en = abs(sys.energy(*s_plus.phase) - e_minus) / max(1.0, abs(e_minus))
+    return max(r_tan, r_en)
+
+
+@pytest.fixture(scope="module", params=[
+    ("circle.json", "lagrangian"), ("circle.json", "hamiltonian"),
+    ("ellipse.json", "lagrangian"), ("ellipse.json", "hamiltonian")],
+    ids=["circle-lagrangian", "circle-hamiltonian", "ellipse-lagrangian", "ellipse-hamiltonian"])
+def reference_run(request, tmp_path_factory):
+    """A reference config at T=200 and its `simulate` output directory."""
+    config, formulation = request.param
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 200.0
+    tmp = tmp_path_factory.mktemp("reference")
+    (tmp / "config.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(tmp / "config.json"), "--out", str(tmp / "out"),
+                 "--formulation", formulation]) == 0
+    return tmp / "config.json", tmp / "out"
+
+
+def test_check_certifies_the_impacts_as_simulate_and_the_per_pair_reference_do(reference_run,
+                                                                               tmp_path):
+    """`check` reads the pre/post rows as columns and `simulate` checks each
+    event; both report the same worst impact, and `check`'s report equals
+    the one the per-pair reference makes from states built of the rows."""
+    cfg_path, out = reference_run
+    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "check.json")]) == 0
+    checked = {c["name"]: c for c in json.loads((tmp_path / "check.json").read_text())["checks"]}
+    simulated = {c["name"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
+    checked, simulated = checked["impact_conditions"], simulated["impact_conditions"]
+    assert (checked["max_violation"], checked["location"]) == (
+        simulated["max_violation"], simulated["location"])
+    data = read_trajectory_csv(str(out / "trajectory.csv"))
+    hs, _, _ = build_system(parse_config(load_config(str(cfg_path)), data["formulation"]))
+    rows = np.column_stack([data["q"], data["v"], data["z"]])
+    state = lambda j: hs.dynamics.state_type.from_vector(rows[j], data["t"][j])
+    reports = [CheckReport(name="impact_conditions", tolerance=checks.IMPACT_TOL,
+                           location=data["t"][i], max_violation=reference_impact_violation(
+                               hs.dynamics, hs.surface, state(i), state(i + 1)))
+               for i in np.flatnonzero(data["flag"] == 1).tolist()]
+    assert len(reports) in (150, 161)
+    # every pair, not only the worst, as `check` reads the rows as columns
+    t, pre = data["t"], np.flatnonzero(data["flag"] == 1)
+    minus, plus = ((data["q"][j].T, data["v"][j].T, data["z"][j], t[j]) for j in (pre, pre + 1))
+    assert impact._violations(hs.dynamics, hs.surface, minus, plus).tolist() == [
+        r.max_violation for r in reports]
+    reference = max([CheckReport(name="impact_conditions", max_violation=0.0,
+                                 tolerance=checks.IMPACT_TOL), *reports],
+                    key=lambda r: r.max_violation)
+    assert checked == reference.to_dict()
+
+
+def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypatch):
+    """`check`'s impact pass makes one block call of h and one of grad h for
+    all 150 or 161 pairs and no point call. Before, it made one point call of
+    each per pair."""
+    cfg_path, out = reference_run
+    calls, inside, build, certify = [], [], cli.build_system, cli._violations
+
+    def counted(name, f):
+        def wrapped(q):
+            if inside:
+                calls.append((name, q.shape))
+            return f(q)
+        return wrapped
+
+    def counting(rc):
+        hs, lag_spec, boundary = build(rc)
+        surface = impact.SwitchingSurface(h=counted("h", hs.surface.h),
+                                          grad_h=counted("grad h", hs.surface.grad_h))
+        return dataclasses.replace(hs, surface=surface), lag_spec, boundary
+
+    def within(*args):
+        inside.append(True)
+        try:
+            return certify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "build_system", counting)
+    monkeypatch.setattr(cli, "_violations", within)
+    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
+    m = int(np.sum(read_trajectory_csv(str(out / "trajectory.csv"))["flag"] == 1))
+    assert m in (150, 161)
+    assert sorted(calls) == [("grad h", (2, m)), ("h", (2, m))]
 
 
 @pytest.mark.parametrize("config, formulation, field", [

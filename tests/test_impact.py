@@ -594,3 +594,94 @@ class TestBlockGate:
             # before the sphere took blocks
             r = BLOCK_SYSTEMS[name][0]["surface"]["radius"]
             assert h_point.tobytes() == np.array([r * r - float(q @ q) for q in qs]).tobytes()
+
+
+# The unit sphere in n = 1, 2, 3, and a diagonal and a skewed SPD mass
+# (the skewed mass's leading n x n block).
+SPHERE = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(q, q, axis=0), grad_h=lambda q: -2.0 * q)
+CERTIFICATE_MASSES = {
+    "diagonal": np.diag([1.0, 2.5, 0.7]),
+    "skewed": np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]),
+}
+# What a column of the differential test is: an impact as a resolver returns
+# it, or that impact with one part of the guard broken.
+PAIR_KINDS = ("impact", "identity reset", "q jump", "z jump", "t jump", "off the surface",
+              "not reversed")
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_system(n, mass, formulation):
+    sys = natural_lagrangian_system(n, CERTIFICATE_MASSES[mass][:n, :n], gamma=0.2)
+    return sys, (sys if formulation == "lagrangian" else hamiltonian_from_lagrangian(sys))
+
+
+def certificate_pair(lag, sys, kind, u, v, z, t):
+    """(minus, plus) phases and times, (q, x, z, t), of one resolved impact
+    at the sphere point u / |u| with velocity v made to approach it, then
+    broken as kind says."""
+    q = u / np.linalg.norm(u)
+    v = v + (0.5 - float(q @ v)) * q   # the normal speed is 2 q . v = 1
+    s_minus = ContactStateL(q=q, qdot=v, z=z, t=t)
+    if sys is not lag:
+        s_minus = legendre_forward(lag, s_minus)
+    event = (resolve_impact_natural if sys is lag else resolve_impact_hamiltonian)(
+        sys, s_minus, SPHERE)
+    (q, x_minus, z, t), x_plus = (*s_minus.phase, t), event.state_plus.phase[1]
+    q_plus, z_plus, t_plus = q, z, t
+    if kind == "identity reset":
+        x_plus = x_minus
+    elif kind == "q jump":
+        q_plus = q + 1e-3
+    elif kind == "z jump":
+        z_plus = z + 1e-3
+    elif kind == "t jump":
+        t_plus = t + 1e-3
+    elif kind == "off the surface":
+        q = q_plus = 1.01 * q
+    elif kind == "not reversed":
+        x_plus = 2.0 * x_minus
+    return (q, x_minus, z, t), (q_plus, x_plus, z_plus, t_plus)
+
+
+class TestCertificateOnColumns:
+    """``impact._violations`` and ``_residuals`` at m pairs as columns equal
+    their one-pair calls bit for bit, and each broken guard is inf in its
+    own column only. The columns come as C-ordered (n, m) arrays or as the
+    transposed rows that ``contactsim check`` reads from its CSV."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(0, 6),
+           mass=st.sampled_from(sorted(CERTIFICATE_MASSES)),
+           formulation=st.sampled_from(["lagrangian", "hamiltonian"]), rows=st.booleans())
+    def test_columns_equal_the_one_pair_calls(self, data, n, m, mass, formulation, rows):
+        lag, sys = certificate_system(n, mass, formulation)
+        vector = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).filter(
+            lambda u: np.linalg.norm(u) > 0.1)
+        kinds = data.draw(st.lists(st.sampled_from(PAIR_KINDS), min_size=m, max_size=m))
+        pairs = [certificate_pair(lag, sys, kind, np.array(data.draw(vector)),
+                                  np.array(data.draw(vector)), data.draw(st.floats(-1.0, 1.0)),
+                                  data.draw(st.floats(0.0, 10.0))) for kind in kinds]
+
+        def columns(side):
+            parts = [np.array([pair[side][k] for pair in pairs], dtype=float).reshape(
+                m, n if k < 2 else 1) for k in range(4)]
+            if not rows:
+                return tuple(np.ascontiguousarray(p.T) for p in parts[:2]) + tuple(
+                    p[:, 0] for p in parts[2:])
+            phase = np.column_stack(parts)   # rows [q, x, z, t], read back as columns
+            return phase[:, :n].T, phase[:, n:2 * n].T, phase[:, 2 * n], phase[:, 2 * n + 1]
+
+        minus, plus = columns(0), columns(1)
+        block = impact._violations(sys, SPHERE, minus, plus)
+        one_pair = np.array([impact._violations(sys, SPHERE, *pair) for pair in pairs], dtype=float)
+        assert block.tobytes() == one_pair.tobytes()
+        assert np.isinf(block).tolist() == [kind != "impact" for kind in kinds]
+        states = [[sys.state_type(q, x, z, t) for q, x, z, t in pair] for pair in pairs]
+        assert one_pair.tolist() == [impact.impact_violation(sys, SPHERE, *s) for s in states]
+        if m:   # the unguarded residuals, column by column
+            r_block = impact._residuals(sys, SPHERE.gradients(minus[0].T), minus[:3], plus[:3])
+            r_pairs = [impact._residuals(sys, SPHERE.gradient(p[0][0]), p[0][:3], p[1][:3])
+                       for p in pairs]
+            assert np.array(r_block).tobytes() == np.array(r_pairs).T.tobytes()
+            assert [impact_residuals(sys, SPHERE, *s) for s in states] == [
+                tuple(map(float, r)) for r in r_pairs]
