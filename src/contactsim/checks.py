@@ -20,7 +20,7 @@ import numpy as np
 from .core import HamiltonianSpec, SystemSpec, _phase_split
 from .errors import DimensionMismatch
 from .hybrid import HybridTrajectory
-from .impact import ImpactEvent, SwitchingSurface, impact_violation
+from .impact import ImpactEvent, SwitchingSurface, _violations
 from .integrate import _derivative, _eval_segments, _interpolate
 
 __all__ = [
@@ -256,9 +256,12 @@ def check_dissipated_quantity(traj: HybridTrajectory, f: Callable,
 def check_impact_conditions(event: ImpactEvent,
                             sys: Union[SystemSpec, HamiltonianSpec],
                             surface: SwitchingSurface) -> CheckReport:
-    """Recompute the impact law for one event from both one-sided states
-    (see ``impact.impact_violation``)."""
+    """Recompute the impact law for one event from both one-sided states: the
+    larger ``impact_residuals`` entry, or inf unless the pair keeps q, z and t,
+    starts on the surface and reverses the normal velocity, which the identity
+    reset and a jump in q, both with zero residuals, do not (``impact._violations``)."""
+    s_minus, s_plus = event.state_minus, event.state_plus
     return CheckReport(name="impact_conditions", tolerance=IMPACT_TOL, location=event.t,
-                       max_violation=impact_violation(sys, surface, event.state_minus,
-                                                      event.state_plus))
+                       max_violation=_violations(sys, surface, (*s_minus.phase, s_minus.t),
+                                                 (*s_plus.phase, s_plus.t)))
 

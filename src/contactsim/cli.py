@@ -29,8 +29,7 @@ from .billiards import (
     make_elliptical_billiard,
 )
 from .checks import (COLUMN_TOL, IMPACT_TOL, check_containment, check_decay_laws,
-                     check_impact_conditions, check_row_containment, check_row_decay_laws,
-                     CheckReport)
+                     check_row_containment, check_row_decay_laws, CheckReport)
 from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_lagrangian,
                    legendre_forward, natural_lagrangian_system)
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
@@ -266,11 +265,18 @@ def _monitored(rc: RunConfig, energy, ell) -> dict:
     return quantities
 
 
-def _worst_impact(violations, times) -> CheckReport:
-    """The first largest violation above 0 at its time, else a passing 0.0 with no location."""
+def _impact_report(hs: HybridSystem, t: np.ndarray, states: np.ndarray,
+                   flags: np.ndarray) -> CheckReport:
+    """The impact law at every pre-impact row and the row after it, read as columns
+    (q, x, z, t) in one pass: the first largest violation above 0 at its time, else a
+    passing 0.0 with no location."""
+    n, pre = hs.n, np.flatnonzero(flags == FLAG_PRE_IMPACT)
+    minus, plus = ((states[j, :n].T, states[j, n:2 * n].T, states[j, 2 * n], t[j])
+                   for j in (pre, pre + 1))
+    violations = _violations(hs.dynamics, hs.surface, minus, plus)
     k = int(np.argmax(np.append(0.0, violations)))
     return CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
-                       tolerance=IMPACT_TOL, location=times[k - 1] if k else None)
+                       tolerance=IMPACT_TOL, location=t[pre[k - 1]] if k else None)
 
 
 def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
@@ -313,8 +319,7 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
         rc, hs.dynamics.energy, lambda q, x, z: _ell(hs, q, x, z)))
-    checks.append(_worst_impact([check_impact_conditions(e, hs.dynamics, hs.surface).max_violation
-                                 for e in traj.events], [e.t for e in traj.events]))
+    checks.append(_impact_report(hs, table.times, table.states, table.flags))
     checks.append(check_containment(traj, hs.surface))
 
     E0 = float(energies[0])
@@ -437,9 +442,7 @@ def cmd_check(args) -> int:
                                     _monitored(rc, energies, ells))
 
     # impact conditions at the stored pre/post pairs, read as columns: no state is built
-    t, pre = data["t"], np.flatnonzero(data["flag"] == FLAG_PRE_IMPACT)
-    minus, plus = ((data["q"][j].T, data["v"][j].T, data["z"][j], t[j]) for j in (pre, pre + 1))
-    reports.append(_worst_impact(_violations(hs.dynamics, hs.surface, minus, plus), t[pre]))
+    reports.append(_impact_report(hs, data["t"], states, data["flag"]))
 
     reports.append(check_row_containment(hs.surface, data["t"], data["q"]))
 

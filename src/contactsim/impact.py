@@ -12,8 +12,9 @@ Position, action z, and time pass through untouched. For a quadratic
 kinetic energy these conditions have exactly two roots, the identity and
 the elastic reflection; the resolvers always select the reflecting root.
 One routine, ``_violations`` with its ``_residuals``, certifies the law at one
-pre/post pair (the resolvers' residuals, ``impact_residuals``, ``impact_violation``)
-or at m pairs as columns (``contactsim check`` on its stored rows).
+pre/post pair (the resolvers' residuals, ``impact_residuals``,
+``checks.check_impact_conditions``) or at m pairs as columns (the impact report
+of ``contactsim simulate`` and ``contactsim check`` on the table's rows).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "resolve_impact_hamiltonian",
     "tangent_basis",
     "impact_residuals",
-    "impact_violation",
 ]
 
 _BOUNDARY_TOL = 1e-9       # |h| of a state on the surface
@@ -183,15 +183,6 @@ def _violations(sys, surface: SwitchingSurface, minus: tuple, plus: tuple):
     violations[ok] = np.maximum(*_residuals(sys, g[:, ok], *(
         tuple(a[..., ok] for a in side[:3]) for side in (minus, plus))))
     return violations
-
-
-def impact_violation(sys: Union[SystemSpec, HamiltonianSpec],
-                     surface: SwitchingSurface, s_minus, s_plus) -> float:
-    """The larger ``impact_residuals`` entry, or inf unless the pair keeps
-    q, z and t, starts on the surface and reverses the normal velocity
-    (grad h . v- < 0 < grad h . v+), which the identity reset and a jump in
-    q, both with zero residuals, do not: ``_violations`` at one pair."""
-    return _violations(sys, surface, (*s_minus.phase, s_minus.t), (*s_plus.phase, s_plus.t))
 
 
 def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:

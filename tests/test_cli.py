@@ -947,8 +947,9 @@ def reference_tangent_basis(grad):
 
 
 def reference_impact_violation(sys, surface, s_minus, s_plus):
-    """The impact law one pair at a time, the body that ``impact_violation``
-    and its residuals had before the column form: the reference for it."""
+    """The impact law one pair at a time, the body that the one-pair
+    certificate and its residuals had before the column form: the reference
+    for it."""
     g = surface.gradient(s_minus.q)
     if not (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
             and abs(surface.value(s_minus.q)) <= 1e-9
@@ -983,9 +984,10 @@ def reference_run(request, tmp_path_factory):
 
 def test_check_certifies_the_impacts_as_simulate_and_the_per_pair_reference_do(reference_run,
                                                                                tmp_path):
-    """`check` reads the pre/post rows as columns and `simulate` checks each
-    event; both report the same worst impact, and `check`'s report equals
-    the one the per-pair reference makes from states built of the rows."""
+    """`simulate` and `check` both read the pre/post rows as columns, one from
+    the sampled table and one from the CSV; both report the same worst impact,
+    and `check`'s report equals the one the per-pair reference makes from
+    states built of the rows."""
     cfg_path, out = reference_run
     assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path),
                  "--out", str(tmp_path / "check.json")]) == 0
@@ -1014,12 +1016,14 @@ def test_check_certifies_the_impacts_as_simulate_and_the_per_pair_reference_do(r
     assert checked == reference.to_dict()
 
 
-def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypatch):
-    """`check`'s impact pass makes one block call of h and one of grad h for
-    all 150 or 161 pairs and no point call. Before, it made one point call of
-    each per pair."""
+def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypatch, tmp_path):
+    """The impact report of both commands, `simulate` on its sampled table and
+    `check` on the CSV, makes one block call of h and one of grad h for all 150
+    or 161 pairs and no point call, and neither command calls
+    `check_impact_conditions`. Before, `check` made one point call of each per
+    pair, and `simulate` one per event through `check_impact_conditions`."""
     cfg_path, out = reference_run
-    calls, inside, build, certify = [], [], cli.build_system, cli._violations
+    calls, inside, build, report = [], [], cli.build_system, cli._impact_report
 
     def counted(name, f):
         def wrapped(q):
@@ -1037,16 +1041,25 @@ def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypat
     def within(*args):
         inside.append(True)
         try:
-            return certify(*args)
+            return report(*args)
         finally:
             inside.pop()
 
+    def per_event(*args):
+        raise AssertionError("an impact was certified one event at a time")
+
     monkeypatch.setattr(cli, "build_system", counting)
-    monkeypatch.setattr(cli, "_violations", within)
-    assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(cfg_path)]) == 0
-    m = int(np.sum(read_trajectory_csv(str(out / "trajectory.csv"))["flag"] == 1))
+    monkeypatch.setattr(cli, "_impact_report", within)
+    monkeypatch.setattr(checks, "check_impact_conditions", per_event)
+    assert not hasattr(cli, "check_impact_conditions")
+    data = read_trajectory_csv(str(out / "trajectory.csv"))
+    m = int(np.sum(data["flag"] == 1))
     assert m in (150, 161)
-    assert sorted(calls) == [("grad h", (2, m)), ("h", (2, m))]
+    for argv in (["simulate", "--out", str(tmp_path / "out"), "--formulation", data["formulation"]],
+                 ["check", "--csv", str(out / "trajectory.csv")]):
+        calls.clear()
+        assert main([*argv, "--config", str(cfg_path)]) == 0
+        assert sorted(calls) == [("grad h", (2, m)), ("h", (2, m))], argv[0]
 
 
 @pytest.mark.parametrize("config, formulation, field", [

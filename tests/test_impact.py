@@ -20,6 +20,7 @@ from contactsim import (
     SingularMassMatrix,
     SwitchingSurface,
     SystemSpec,
+    check_impact_conditions,
     circular_impact_closed_form,
     elliptical_impact_closed_form,
     hamiltonian_from_lagrangian,
@@ -677,7 +678,8 @@ class TestCertificateOnColumns:
         assert block.tobytes() == one_pair.tobytes()
         assert np.isinf(block).tolist() == [kind != "impact" for kind in kinds]
         states = [[sys.state_type(q, x, z, t) for q, x, z, t in pair] for pair in pairs]
-        assert one_pair.tolist() == [impact.impact_violation(sys, SPHERE, *s) for s in states]
+        assert one_pair.tolist() == [check_impact_conditions(
+            impact.ImpactEvent(*s, 0.0, 0.0, 0.0), sys, SPHERE).max_violation for s in states]
         if m:   # the unguarded residuals, column by column
             r_block = impact._residuals(sys, SPHERE.gradients(minus[0].T), minus[:3], plus[:3])
             r_pairs = [impact._residuals(sys, SPHERE.gradient(p[0][0]), p[0][:3], p[1][:3])

@@ -54,7 +54,8 @@ def test_tracer_counts_resolver_impact_check_and_check_command(
     assert getattr(impact, resolver) is resolve and cli.cmd_check is cmd_check
     resolves = t.calls["impact." + resolver]
     assert resolves >= 1
-    assert t.calls["checks.check_impact_conditions"] == resolves
+    # both commands certify the table's pre/post rows in one column pass
+    assert t.calls["checks.check_impact_conditions"] == 0
     assert t.calls["cli.cmd_check"] == 1
     assert t.calls[rhs] > 0
     m = t.layer_metrics()
