@@ -24,10 +24,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _checked,
-                   _mass_solve, _solve_regular)
+from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _all_finite,
+                   _checked, _mass_solve, _solve_regular)
 from .errors import (ConvergedToIdentity, DegenerateNormal, DimensionMismatch, GrazingContact,
-                     NoConvergence, SingularHessian)
+                     NoConvergence, NonFiniteValue, SingularHessian)
 
 __all__ = [
     "SwitchingSurface",
@@ -248,15 +248,23 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
 
     Solves the n+1 unknowns (qdot_plus, lam) from the momentum-jump
     ansatz dL/dqdot(q, qdot_plus, z) - dL/dqdot(q, qdot_minus, z) =
-    lam grad h together with the energy match, seeded from the
-    quadratic-case formula built on the velocity Hessian. Each Newton
-    step solves the bordered system [[W, -grad h], [W^T v, 0]] by its
-    Schur complement, W^T v being the exact dE/dqdot: the multiplier step
-    is (v . F_1 - F_2) / (v . grad h) for the momentum and energy
-    residuals F_1, F_2, and one solve with W gives the velocity step. A
-    singular Hessian at the seed raises SingularHessian; a singular W or
-    v . grad h = 0 during the iteration raises NoConvergence. A solve that
-    lands back on the identity root is reported as ConvergedToIdentity,
+    lam grad h together with the energy match. The seed takes the
+    quadratic-case formula v = v- + lam W^-1 grad h, lam = -2 (grad h . v-)
+    / (grad h . W^-1 grad h), first with the velocity Hessian W at v-, then
+    with W at the midpoint m of v- and that first velocity. The midpoint
+    rule gives p(v+) - p(v-) = W(m) (v+ - v-) + O(|v+ - v-|^3) and an energy
+    jump lam m . grad h, which vanishes since the formula makes m tangent;
+    so the second velocity meets both conditions to third order. It is the
+    root for a constant W, and the mirror image of v- for any
+    L(|qdot|^2, q, z). Each Newton step solves the bordered system
+    [[W, -grad h], [W^T v, 0]] by its Schur complement, W^T v being the
+    exact dE/dqdot: the multiplier step is (v . F_1 - F_2) / (v . grad h)
+    for the momentum and energy residuals F_1, F_2, and one solve with W
+    gives the velocity step. A singular Hessian at v- raises
+    SingularHessian; a singular W at m or in the iteration,
+    grad h . W(m)^-1 grad h = 0 or v . grad h = 0 raises NoConvergence, and
+    a W(m)^-1 grad h that is not finite NonFiniteValue. A solve that lands
+    back on the identity root is reported as ConvergedToIdentity,
     never silently accepted.
     """
     g, vn = _approach_normal(sys, surface, s_minus)
@@ -265,9 +273,17 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     e_minus = sys.energy(q, s_minus.qdot, z)
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
 
-    # quadratic-case seed with W as the effective mass matrix
+    # quadratic-case seed with W(v-) as the effective mass matrix, then the
+    # same formula with W at the midpoint of v- and that seed
     w_inv_g = _solve_regular(sys.hess_vv(q, s_minus.qdot, z), g)
-    lam = -2.0 * vn / float(g @ w_inv_g)
+    m = s_minus.qdot - vn / float(g @ w_inv_g) * w_inv_g
+    try:   # a Python float division by grad h . W(m)^-1 grad h = 0 raises
+        w_inv_g = _solve_regular(sys.hess_vv(q, m, z), g)
+        if not _all_finite(w_inv_g):
+            raise NonFiniteValue(f"W^-1 grad h is not finite at the midpoint velocity qdot={m}")
+        lam = -2.0 * vn / float(g @ w_inv_g)
+    except (ZeroDivisionError, SingularHessian) as e:
+        raise NoConvergence(f"impact Newton Jacobian is singular at qdot={m}") from e
     v = s_minus.qdot + lam * w_inv_g
 
     for _ in range(_NEWTON_MAX_ITER):

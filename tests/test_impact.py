@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactsim import (
+    COMPLETED,
+    ContactSimError,
     ContactStateH,
     ContactStateL,
     ConvergedToIdentity,
@@ -33,7 +35,7 @@ from contactsim import (
     simulate,
     tangent_basis,
 )
-from contactsim import cli, impact, integrate
+from contactsim import cli, core, impact, integrate
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -304,8 +306,9 @@ class TestNewtonResolver:
             resolve_impact_newton(sys, s, UNIT_CIRCLE)
 
     def test_singular_newton_jacobian_is_typed(self):
-        # W is regular at the pre-impact velocity only, so the first Newton
-        # Jacobian [[W, -g], [W v, 0]] has a zero velocity block
+        # W is regular at the pre-impact velocity only, so W at the midpoint
+        # seed, the velocity block of the Newton Jacobian [[W, -g], [W v, 0]]
+        # there, is zero
         v_minus = np.array([1.0, 0.2])
         sys = self._quartic_with_hessian(
             lambda q, v, z: np.eye(2) if np.array_equal(v, v_minus) else np.zeros((2, 2)))
@@ -326,9 +329,10 @@ class TestNewtonResolver:
                    for res in results)
 
     def test_non_finite_newton_iterate_is_typed(self):
-        # W collapses to 1e-320 I away from the pre-impact velocity, so the
-        # first Newton step overflows to an infinite velocity; the skewed W
-        # at v- puts the seed off the root, which the mirror image would hit
+        # W collapses to 1e-320 I away from the pre-impact velocity, so
+        # W^-1 grad h at the midpoint seed overflows to an infinite vector,
+        # which is reported before any arithmetic with it; the skewed W at v-
+        # puts the midpoint off the tangent line, where W would stay I
         v_minus = np.array([1.0, 0.2])
         sys = self._quartic_with_hessian(
             lambda q, v, z: np.array([[1.0, 0.5], [0.5, 1.0]]) if np.array_equal(v, v_minus)
@@ -356,6 +360,108 @@ class TestNewtonResolver:
         s = ContactStateL(q=[0.0], qdot=[-1.0], z=0.0)
         with pytest.raises((ConvergedToIdentity, NoConvergence)):
             resolve_impact_newton(sys, s, floor)
+
+
+def counting_hessians(sys):
+    """sys with its velocity Hessian counted: the list grows by one per call."""
+    calls, hess_vv = [], sys.hess_vv
+    object.__setattr__(sys, "hess_vv", lambda q, v, z: calls.append(1) or hess_vv(q, v, z))
+    return sys, calls
+
+
+def newton_from_the_v_minus_seed(sys, s_minus, surface):
+    """The Newton resolve as it was seeded before the midpoint refinement,
+    kept as the reference: the quadratic-case formula with W(v-) alone, then
+    the same Newton loop. Returns v+."""
+    q, v_minus, z = s_minus.q, s_minus.qdot, s_minus.z
+    g = surface.gradient(q)
+    p_minus, e_minus = sys.grad_v(q, v_minus, z), sys.energy(q, v_minus, z)
+    scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
+    w_inv_g = core._solve_regular(sys.hess_vv(q, v_minus, z), g)
+    lam = -2.0 * float(g @ v_minus) / float(g @ w_inv_g)
+    v = v_minus + lam * w_inv_g
+    for _ in range(impact._NEWTON_MAX_ITER):
+        p = sys.grad_v(q, v, z)
+        F1, F2 = p - p_minus - lam * g, float(v @ p - sys.value(q, v, z)) - e_minus
+        if max(float(np.max(np.abs(F1))), abs(F2)) <= impact._NEWTON_TOL * scale:
+            return v
+        dlam = (float(v @ F1) - F2) / float(v @ g)
+        v, lam = v + core._solve_regular(sys.hess_vv(q, v, z), dlam * g - F1), lam + dlam
+    raise NoConvergence("reference impact Newton solve stalled")
+
+
+def kinetic_quartic(A, B, eps, gamma):
+    """L = v.Av/2 + eps (v.Bv)^2/4 - gamma z with its momentum; W is differenced."""
+    return SystemSpec(
+        n=2, lagrangian=lambda q, v, z: (0.5 * float(v @ A @ v)
+                                         + 0.25 * eps * float(v @ B @ v) ** 2 - gamma * z),
+        dL_dq=lambda q, v, z: np.zeros(2),
+        dL_dv=lambda q, v, z: A @ v + eps * float(v @ B @ v) * (B @ v),
+        dL_dz=lambda q, v, z: -gamma)
+
+
+def approaching_state(data):
+    """A point on the unit circle or the (2, 1) ellipse and a velocity at
+    most 1.5 rad off the outward normal, with speed in [0.1, 5]."""
+    a, b = data.draw(st.sampled_from([(1.0, 1.0), (2.0, 1.0)]), label="semi-axes")
+    surface = ellipse_surface(a, b)
+    phi = data.draw(st.floats(0.0, 2.0 * np.pi), label="phi")
+    q = np.array([a * np.cos(phi), b * np.sin(phi)])
+    n = -surface.gradient(q) / np.linalg.norm(surface.gradient(q))
+    alpha = data.draw(st.floats(-1.5, 1.5), label="angle off the normal")
+    speed = data.draw(st.floats(0.1, 5.0), label="speed")
+    v = speed * (np.cos(alpha) * n + np.sin(alpha) * np.array([-n[1], n[0]]))
+    return surface, ContactStateL(q=q, qdot=v, z=data.draw(st.floats(-1.0, 1.0), label="z"))
+
+
+class TestMidpointSeed:
+    """The Newton resolve's seed evaluates the quadratic-case formula with
+    W(v-) and then with W at the midpoint of v- and that first velocity."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), eps=st.floats(0.0, 0.5), gamma=st.floats(0.0, 0.5))
+    def test_isotropic_quartic_reflects_in_one_update(self, data, eps, gamma):
+        # for L(|qdot|^2, z) the midpoint is tangent and W(m) maps grad h
+        # along itself, so the seed is the mirror image up to the error of
+        # the differenced W; one update removes that, so the resolve
+        # differences W 3 times, or twice where the difference is exact
+        # (eps = 0 and qdot = (1, 0) on the circle: the seed is the root)
+        sys, calls = counting_hessians(kinetic_quartic(np.eye(2), np.eye(2), eps, gamma))
+        surface, s = approaching_state(data)
+        res = resolve_impact_newton(sys, s, surface)
+        n = surface.gradient(s.q) / np.linalg.norm(surface.gradient(s.q))
+        mirror = s.qdot - 2.0 * (s.qdot @ n) * n
+        assert np.max(np.abs(res.state_plus.qdot - mirror)) <= 1e-12 * np.linalg.norm(s.qdot)
+        assert len(calls) <= 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), eps=st.floats(0.0, 0.5), gamma=st.floats(0.0, 0.5),
+           spectra=st.lists(st.floats(0.2, 5.0), min_size=4, max_size=4),
+           angles=st.lists(st.floats(0.0, np.pi), min_size=2, max_size=2))
+    def test_anisotropic_quartic_passes_the_certificate(self, data, eps, gamma, spectra, angles):
+        # SPD A and B with eigenvalues in [0.2, 5]; the reset passes the
+        # certificate and reverses grad h . qdot, or the resolve fails typed,
+        # and where both converge it finds the reference's root
+        def spd(lo, hi, angle):
+            c, s = np.cos(angle), np.sin(angle)
+            R = np.array([[c, -s], [s, c]])
+            return R @ np.diag([lo, hi]) @ R.T
+
+        sys = kinetic_quartic(spd(*spectra[:2], angles[0]), spd(*spectra[2:], angles[1]),
+                              eps, gamma)
+        surface, s = approaching_state(data)
+        try:
+            res = resolve_impact_newton(sys, s, surface)
+        except ContactSimError:
+            return
+        assert check_impact_conditions(res, sys, surface).passed
+        g = surface.gradient(s.q)
+        assert (g @ res.state_plus.qdot) > 0.0 > (g @ s.qdot)
+        try:
+            reference = newton_from_the_v_minus_seed(sys, s, surface)
+        except ContactSimError:
+            return
+        assert np.max(np.abs(res.state_plus.qdot - reference)) <= 1e-9 * np.linalg.norm(s.qdot)
 
 
 class TestHamiltonianResolver:
@@ -498,7 +604,7 @@ def ellipse_hamiltonian_run(monkeypatch):
 
 
 @pytest.mark.parametrize("run, law, function, events, updates, most", [
-    (quartic_newton_run, "newton", "lagrangian", 134, 804, 6),
+    (quartic_newton_run, "newton", "lagrangian", 134, 134, 1),
     (ellipse_hamiltonian_run, "hamiltonian", "hamiltonian", 161, 0, 0)],
     ids=["quartic-newton", "ellipse-hamiltonian"])
 def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, events,
@@ -507,9 +613,10 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
     of a resolver's Newton loop evaluates the residual, and with it L or H,
     once; the other three evaluations in a resolve are E- (H-) and the two
     energies of the event's residuals, so a resolve that stops after k
-    updates evaluates L or H k + 4 times. The quartic's differenced Hessian
-    takes 6 updates per impact; the ellipse's H is quadratic in p, so its
-    seed is the root. A change that moves a count states it."""
+    updates evaluates L or H k + 4 times. The quartic's midpoint seed
+    leaves one update per impact, to remove the error of its differenced
+    Hessian; the ellipse's H is quadratic in p, so its seed is the root. A
+    change that moves a count states it."""
     hs, s0, args = run(monkeypatch)
     evaluate, resolve = getattr(hs.dynamics, function), getattr(impact, "resolve_impact_" + law)
     inside, calls, per_resolve = [False], [0], []
@@ -533,6 +640,28 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
     assert sum(per_resolve) == updates
     assert max(per_resolve) == most and min(per_resolve) >= 0
 
+
+
+def test_quartic_resolves_difference_the_hessian_three_times(monkeypatch):
+    """On the quartic reference run every Newton resolve evaluates W three
+    times: at v-, at the midpoint seed and for its one update. The run
+    completes and every impact passes the certificate."""
+    hs, s0, args = quartic_newton_run(monkeypatch)
+    _, calls = counting_hessians(hs.dynamics)
+    resolve, per_resolve = impact.resolve_impact_newton, []
+
+    def counted_resolve(*args):
+        calls.clear()
+        try:
+            return resolve(*args)
+        finally:
+            per_resolve.append(len(calls))
+
+    monkeypatch.setattr(impact, "resolve_impact_newton", counted_resolve)
+    traj = simulate(hs, s0, *args)
+    assert traj.status == COMPLETED and len(traj.events) == 134
+    assert per_resolve == [3] * 134
+    assert all(check_impact_conditions(e, hs.dynamics, hs.surface).passed for e in traj.events)
 
 # Systems as the CLI builds them, with the start and the system section of
 # their config; each sphere is the custom system's surface.
