@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import HamiltonianSpec, SystemSpec, _phase_split
 from .errors import DimensionMismatch
-from .hybrid import HybridTrajectory
+from .hybrid import FLAG_PRE_IMPACT, HybridTrajectory
 from .impact import ImpactEvent, SwitchingSurface, _violations
 from .integrate import _derivative, _eval_segments, _interpolate
 
@@ -32,6 +32,7 @@ __all__ = [
     "check_energy_decay",
     "check_dissipated_quantity",
     "check_impact_conditions",
+    "check_impact_rows",
 ]
 
 # The one acceptance standard of every check; no caller sets its own. Flow
@@ -265,3 +266,16 @@ def check_impact_conditions(event: ImpactEvent,
                        max_violation=_violations(sys, surface, (*s_minus.phase, s_minus.t),
                                                  (*s_plus.phase, s_plus.t)))
 
+
+def check_impact_rows(sys: Union[SystemSpec, HamiltonianSpec], surface: SwitchingSurface,
+                      t: np.ndarray, states: np.ndarray, flags: np.ndarray) -> CheckReport:
+    """The impact law at every pre-impact row and the row after it, read as columns
+    (q, x, z, t) in one pass: the first largest violation above 0 at its time, else a
+    passing 0.0 with no location."""
+    n, pre = sys.n, np.flatnonzero(flags == FLAG_PRE_IMPACT)
+    minus, plus = ((states[j, :n].T, states[j, n:2 * n].T, states[j, 2 * n], t[j])
+                   for j in (pre, pre + 1))
+    violations = _violations(sys, surface, minus, plus)
+    k = int(np.argmax(np.append(0.0, violations)))
+    return CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
+                       tolerance=IMPACT_TOL, location=t[pre[k - 1]] if k else None)

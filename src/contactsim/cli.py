@@ -28,14 +28,14 @@ from .billiards import (
     make_circular_billiard,
     make_elliptical_billiard,
 )
-from .checks import (COLUMN_TOL, IMPACT_TOL, check_containment, check_decay_laws,
+from .checks import (COLUMN_TOL, check_containment, check_decay_laws, check_impact_rows,
                      check_row_containment, check_row_decay_laws, CheckReport)
-from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_lagrangian,
+from .core import (ContactStateH, ContactStateL, SystemSpec, _dot, hamiltonian_from_lagrangian,
                    legendre_forward, natural_lagrangian_system)
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
-from .impact import SwitchingSurface, _violations, impact_residuals
+from .impact import SwitchingSurface, impact_residuals
 from .integrate import StepperConfig
 from .io import (format_float, read_trajectory_csv, write_summary_json, write_trajectory_csv,
                  write_svg)
@@ -157,7 +157,7 @@ def _parse_system(cfg: dict) -> SystemSetup:
         if _read(cfg, "system.surface.kind", str) != "sphere":
             raise ConfigError("'system.surface.kind' must be 'sphere'")
         r = _positive(cfg, "system.surface.radius")
-        surface = SwitchingSurface(h=lambda q: r * r - np.vecdot(q, q, axis=0),
+        surface = SwitchingSurface(h=lambda q: r * r - _dot(q, q),
                                    grad_h=lambda q: -2.0 * q)
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
                           surface=surface)
@@ -265,20 +265,6 @@ def _monitored(rc: RunConfig, energy, ell) -> dict:
     return quantities
 
 
-def _impact_report(hs: HybridSystem, t: np.ndarray, states: np.ndarray,
-                   flags: np.ndarray) -> CheckReport:
-    """The impact law at every pre-impact row and the row after it, read as columns
-    (q, x, z, t) in one pass: the first largest violation above 0 at its time, else a
-    passing 0.0 with no location."""
-    n, pre = hs.n, np.flatnonzero(flags == FLAG_PRE_IMPACT)
-    minus, plus = ((states[j, :n].T, states[j, n:2 * n].T, states[j, 2 * n], t[j])
-                   for j in (pre, pre + 1))
-    violations = _violations(hs.dynamics, hs.surface, minus, plus)
-    k = int(np.argmax(np.append(0.0, violations)))
-    return CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
-                       tolerance=IMPACT_TOL, location=t[pre[k - 1]] if k else None)
-
-
 def _check_row_order(path: str, t: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
     """A ValueError naming path and the file row, from rows, of the first row out of order."""
     # pair[k]: rows k and k + 1 are an impact pair, pre then post at one time
@@ -319,7 +305,8 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
 
     checks = check_decay_laws(traj, hs.dynamics, _monitored(
         rc, hs.dynamics.energy, lambda q, x, z: _ell(hs, q, x, z)))
-    checks.append(_impact_report(hs, table.times, table.states, table.flags))
+    checks.append(check_impact_rows(hs.dynamics, hs.surface, table.times, table.states,
+                                    table.flags))
     checks.append(check_containment(traj, hs.surface))
 
     E0 = float(energies[0])
@@ -442,7 +429,7 @@ def cmd_check(args) -> int:
                                     _monitored(rc, energies, ells))
 
     # impact conditions at the stored pre/post pairs, read as columns: no state is built
-    reports.append(_impact_report(hs, data["t"], states, data["flag"]))
+    reports.append(check_impact_rows(hs.dynamics, hs.surface, data["t"], states, data["flag"]))
 
     reports.append(check_row_containment(hs.surface, data["t"], data["q"]))
 

@@ -208,7 +208,7 @@ class NaturalForm:
         if self.potential is None:
             return 0.0
         if q.ndim == 2:
-            return np.array([self.potential_value(c) for c in q.T])
+            return np.array([self.potential_value(c) for c in np.ascontiguousarray(q.T)])
         val = self.potential(q)
         if isinstance(val, float):
             return float(val)
@@ -252,9 +252,10 @@ def _tested(name: str, evaluator: Callable, shape: tuple) -> Callable:
 
 def _by_column(point: Callable, shape: tuple) -> Callable:
     """A quantity of the given shape at one state, at m states as columns by
-    one call per column, (m,) or shape + (m,) also for m = 0."""
+    one call per contiguous column, (m,) or shape + (m,) also for m = 0."""
     return lambda q, x, z: (point(q, x, z) if type(z) is float or not _columns(z) else np.array(
-        [point(*s) for s in zip(q.T, x.T, z.tolist())]).reshape(z.size, *shape).T)
+        [point(*s) for s in zip(np.ascontiguousarray(q.T), np.ascontiguousarray(x.T),
+                                z.tolist())]).reshape(z.size, *shape).T)
 
 
 class _Spec:
@@ -384,7 +385,7 @@ class SystemSpec(_Spec):
     def energy(self, q, v, z) -> float:
         """E = qdot . dL/dqdot - L; kinetic + potential + gamma z for a natural form."""
         p = self.grad_v(q, v, z)
-        return (float(v @ p) if v.ndim == 1 else np.vecdot(v, p, axis=0)) - self.value(q, v, z)
+        return _dot(v, p) - self.value(q, v, z)
 
     def velocity(self, q, v, z) -> np.ndarray:
         return v
@@ -723,22 +724,31 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
     )
 
 
-# The natural evaluators below take one state on their first branch, with the
-# arithmetic of the point form, and m states as columns on their second.
+# The two owners of every product that takes one state or m states as columns:
+# a column is summed exactly as its point call, at every n and in any layout.
 
 
-def _times_columns(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x at each column of x by the point form's BLAS matrix-vector call, so
-    each column equals ``M @ x`` also for a non-diagonal M, which ``np.einsum``
-    rounds otherwise; no matrix-matrix call, whose buffers raise peak memory."""
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over axis 0: a float at two vectors; at columns, or a vector and
+    columns, one dot per column, each by the point form's BLAS call on
+    contiguous copies, whose sum a strided column would split in two from n = 4."""
+    if a.ndim == 1 == b.ndim:
+        return float(a @ b)
+    return np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)).T
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x at one vector x, or at each column of x by the point form's BLAS
+    matrix-vector call, which ``np.einsum`` rounds otherwise for a non-diagonal
+    M; no matrix-matrix call, whose buffers raise peak memory."""
+    if x.ndim == 1:
+        return M @ x
     return np.matmul(M, x.T[:, :, None])[:, :, 0].T
 
 
 def _kinetic(M: np.ndarray, x: np.ndarray):
     """1/2 x . M x at one vector x, as a float, or at each column of x."""
-    if x.ndim == 1:
-        return 0.5 * float(x @ (M @ x))
-    return 0.5 * np.vecdot(x, _times_columns(M, x), axis=0)
+    return 0.5 * _dot(x, _matvec(M, x))
 
 
 def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
@@ -765,7 +775,7 @@ def hamiltonian_from_lagrangian(sys: SystemSpec) -> HamiltonianSpec:
             n=sys.n,
             hamiltonian=H,
             dH_dq=lambda q, p, z: nat.potential_gradient(q),
-            dH_dp=lambda q, p, z: Minv @ p if p.ndim == 1 else _times_columns(Minv, p),
+            dH_dp=lambda q, p, z: _matvec(Minv, p),
             dH_dz=lambda q, p, z: gamma if type(z) is float else np.full(np.shape(z), gamma),
             natural=nat,
         )
@@ -819,8 +829,7 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         n=n,
         lagrangian=L,
         dL_dq=dL_dq,
-        dL_dv=lambda q, qdot, z: (mass_at(q) @ qdot if qdot.ndim == 1
-                                  else _times_columns(mass_at(q), qdot)),
+        dL_dv=lambda q, qdot, z: _matvec(mass_at(q), qdot),
         dL_dz=lambda q, qdot, z: -gamma if type(z) is float else np.full(np.shape(z), -gamma),
         d2L_dvdv=lambda q, qdot, z: mass_at(q),
         d2L_dqdv=d2L_dqdv,

@@ -13,8 +13,8 @@ kinetic energy these conditions have exactly two roots, the identity and
 the elastic reflection; the resolvers always select the reflecting root.
 One routine, ``_violations`` with its ``_residuals``, certifies the law at one
 pre/post pair (the resolvers' residuals, ``impact_residuals``,
-``checks.check_impact_conditions``) or at m pairs as columns (the impact report
-of ``contactsim simulate`` and ``contactsim check`` on the table's rows).
+``checks.check_impact_conditions``) or at m pairs as columns (the table's rows in
+``checks.check_impact_rows``, the impact report of both CLI commands).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _all_finite,
-                   _checked, _mass_solve, _solve_regular)
+                   _checked, _dot, _mass_solve, _solve_regular)
 from .errors import (ConvergedToIdentity, DegenerateNormal, DimensionMismatch, GrazingContact,
                      NoConvergence, NonFiniteValue, SingularHessian)
 
@@ -75,35 +75,34 @@ class SwitchingSurface:
         qs.T; each entry equals ``value`` of its row. DimensionMismatch unless
         h takes the block and returns m entries, NonFiniteValue when one is
         not finite."""
-        m = qs.shape[0]
-        return _checked(_on_block(self.h, "h", qs), (m,), "h", _BLOCK_AT, qs[0], qs[-1], m)
+        return _on_block(self.h, "h", qs, qs.shape[:1])
 
     def slopes(self, qs: np.ndarray, qdots: np.ndarray) -> tuple:
-        """(h, dh/dt = grad h . qdot) as two lists over the rows of qs and
-        qdots, shape (m, n), from one call of h and one of grad_h on the
-        block qs.T; each entry equals ``value`` and ``gradient(q) @ qdot`` of
-        its row bit for bit. grad_h must return (n, m), else
-        DimensionMismatch."""
+        """(h, dh/dt = grad h . qdot) as two lists over the rows of qs and qdots, shape
+        (m, n), from one call of h and one of grad_h on the block qs.T; each entry equals
+        ``value`` and ``gradient(q) @ qdot`` of its row bit for bit at n <= 3, and where
+        qdots and grad h's block transposed have contiguous rows, as the custom sphere's
+        on the scan's rows. grad_h must return (n, m), else DimensionMismatch."""
         return self.values(qs).tolist(), np.vecdot(self.gradients(qs).T, qdots).tolist()
 
     def gradients(self, qs: np.ndarray) -> np.ndarray:
         """grad h at each row of qs, (m, n), as the (n, m) columns of one block call."""
-        return _checked(_on_block(self.grad_h, "grad h", qs), qs.T.shape, "grad h",
-                        _BLOCK_AT, qs[0], qs[-1], qs.shape[0])
+        return _on_block(self.grad_h, "grad h", qs, qs.T.shape)
 
 
-def _on_block(f: Callable, name: str, qs: np.ndarray):
-    """f on the block qs.T. A function written for one configuration, with
-    Python control flow or ``math`` calls, fails there with numpy's
-    TypeError or ValueError, which becomes a DimensionMismatch naming it."""
+def _on_block(f: Callable, name: str, qs: np.ndarray, shape: tuple) -> np.ndarray:
+    """f on the block qs.T, of the given shape behind ``_checked``. A function
+    written for one configuration, with Python control flow or ``math`` calls,
+    fails there with numpy's TypeError or ValueError, which becomes a
+    DimensionMismatch naming it."""
     try:
-        return f(qs.T)
+        val = f(qs.T)
     except (TypeError, ValueError) as e:
-        m = qs.shape[0]
         raise DimensionMismatch(
             f"{name} does not take configurations as the columns of a block of shape "
             f"{qs.T.shape} ({type(e).__name__}: {e}), at "
-            + _BLOCK_AT.format(qs[0], qs[-1], m)) from e
+            + _BLOCK_AT.format(qs[0], qs[-1], qs.shape[0])) from e
+    return _checked(val, shape, name, _BLOCK_AT, qs[0], qs[-1], qs.shape[0])
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,11 @@ def tangent_basis(grad: np.ndarray) -> np.ndarray:
     (n, n-1), empty for n = 1; for m normals as the columns of grad, their
     bases along a last axis, (n, n-1, m). Built from a single Householder
     reflection of the unit normal, so the basis is deterministic."""
-    n = grad.shape[0]
-    u = grad / np.sqrt(np.vecdot(grad, grad, axis=0))
+    u = grad / np.sqrt(_dot(grad, grad))
     w = u.copy()
     w[0] += (u[0] >= 0.0) * 2.0 - 1.0
-    eye = np.eye(n) if grad.ndim == 1 else np.eye(n)[:, :, None]
-    return (eye - 2.0 * (w[:, None] * w[None]) / np.vecdot(w, w, axis=0))[:, 1:]
+    eye = np.eye(len(grad)) if grad.ndim == 1 else np.eye(len(grad))[:, :, None]
+    return (eye - 2.0 * (w[:, None] * w[None]) / _dot(w, w))[:, 1:]
 
 
 def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
@@ -156,9 +154,9 @@ def impact_residuals(sys: Union[SystemSpec, HamiltonianSpec],
 def _residuals(sys, g: np.ndarray, minus: tuple, plus: tuple) -> tuple:
     """``impact_residuals`` at the phases (q, x, z) of one pair or of m pairs as
     columns (see ``_violations``), g = grad h(q-), scaled by max(1, |p-|inf) and
-    max(1, |E-|); ``np.vecdot`` projects with the same sums for both."""
+    max(1, |E-|); ``core._dot`` projects with the same sums for both."""
     p_minus = sys.momentum(*minus)
-    jump = np.vecdot((sys.momentum(*plus) - p_minus)[:, None], tangent_basis(g), axis=0)
+    jump = _dot((sys.momentum(*plus) - p_minus)[:, None], tangent_basis(g))
     e_minus = sys.energy(*minus)
     return (np.abs(jump).max(axis=0, initial=0.0) / np.abs(p_minus).max(axis=0, initial=1.0),
             abs(sys.energy(*plus) - e_minus) / np.maximum(1.0, abs(e_minus)))
@@ -175,8 +173,8 @@ def _violations(sys, surface: SwitchingSurface, minus: tuple, plus: tuple):
     h, g = ((surface.value(q), surface.gradient(q)) if q.ndim == 1
             else (surface.values(q.T), surface.gradients(q.T)))
     ok = ((q == q_plus).all(axis=0) & (z == z_plus) & (t == t_plus) & (abs(h) <= _BOUNDARY_TOL)
-          & (np.vecdot(g, sys.velocity(q, x, z), axis=0) < 0.0)
-          & (np.vecdot(g, sys.velocity(q_plus, x_plus, z_plus), axis=0) > 0.0))
+          & (_dot(g, sys.velocity(q, x, z)) < 0.0)
+          & (_dot(g, sys.velocity(q_plus, x_plus, z_plus)) > 0.0))
     if q.ndim == 1:
         return float(max(_residuals(sys, g, minus[:3], plus[:3]))) if ok else np.inf
     violations = np.full(z.shape, np.inf)
@@ -261,9 +259,9 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     exact dE/dqdot: the multiplier step is (v . F_1 - F_2) / (v . grad h)
     for the momentum and energy residuals F_1, F_2, and one solve with W
     gives the velocity step. A singular Hessian at v- raises
-    SingularHessian; a singular W at m or in the iteration,
-    grad h . W(m)^-1 grad h = 0 or v . grad h = 0 raises NoConvergence, and
-    a W(m)^-1 grad h that is not finite NonFiniteValue. A solve that lands
+    SingularHessian; a singular W at m or in the iteration, grad h . W^-1
+    grad h = 0 at v- or m, or v . grad h = 0 raises NoConvergence, and a
+    W^-1 grad h that is not finite at v- or m NonFiniteValue. A solve that lands
     back on the identity root is reported as ConvergedToIdentity,
     never silently accepted.
     """
@@ -273,18 +271,16 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     e_minus = sys.energy(q, s_minus.qdot, z)
     scale = max(1.0, float(np.max(np.abs(p_minus))), abs(e_minus))
 
-    # quadratic-case seed with W(v-) as the effective mass matrix, then the
-    # same formula with W at the midpoint of v- and that seed
-    w_inv_g = _solve_regular(sys.hess_vv(q, s_minus.qdot, z), g)
-    m = s_minus.qdot - vn / float(g @ w_inv_g) * w_inv_g
-    try:   # a Python float division by grad h . W(m)^-1 grad h = 0 raises
-        w_inv_g = _solve_regular(sys.hess_vv(q, m, z), g)
-        if not _all_finite(w_inv_g):
-            raise NonFiniteValue(f"W^-1 grad h is not finite at the midpoint velocity qdot={m}")
-        lam = -2.0 * vn / float(g @ w_inv_g)
-    except (ZeroDivisionError, SingularHessian) as e:
-        raise NoConvergence(f"impact Newton Jacobian is singular at qdot={m}") from e
-    v = s_minus.qdot + lam * w_inv_g
+    v = s_minus.qdot
+    for share, singular in ((0.5, ZeroDivisionError), (1.0, (ZeroDivisionError, SingularHessian))):
+        try:   # a Python float division by grad h . W^-1 grad h = 0 raises
+            w_inv_g = _solve_regular(sys.hess_vv(q, v, z), g)
+            if not _all_finite(w_inv_g):
+                raise NonFiniteValue(f"W^-1 grad h is not finite at the seed velocity qdot={v}")
+            lam = -2.0 * vn / float(g @ w_inv_g)
+        except singular as e:
+            raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
+        v = s_minus.qdot + share * lam * w_inv_g
 
     for _ in range(_NEWTON_MAX_ITER):
         # one momentum serves the tangential residual and the energy v.p - L

@@ -16,7 +16,7 @@ for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
 derivative being qdot. On a full step the interpolant there is one constant
 (34 x 5) basis times the step's (y0, r2, r3, r4, r5), which agrees with
 ``eval`` to a few ulps: ``eval`` confirms a bracket's ends, and a step it
-contradicts, or that the horizon snapped, is read by ``DenseSegment.eval_many``.
+contradicts, or that the horizon snapped, is read by ``_interpolate``.
 Where dh/dt changes sign between two checkpoints, h has an extremum
 there, which the scan refines on the interpolant when it can decide the
 guard: a minimum with h <= 0 is an exit that no checkpoint sees, and a
@@ -164,22 +164,10 @@ class DenseSegment:
         om = 1.0 - th
         return self.y0 + th * (self._r2 + om * (self._r3 + th * (self._r4 + om * self._r5)))
 
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """``eval`` at every time in ts, one row per time, in one broadcast
-        with the same operation order, so each row equals ``eval(t)``."""
-        return _interpolate(np.asarray(ts, dtype=float),
-                            *(getattr(self, name) for name in self.__slots__))
-
     def eval_derivative(self, t: float) -> np.ndarray:
         """Time derivative of the interpolant; its q block is qdot."""
         return _derivative((t - self.t0) / self.h_step, self.h_step, self._r2, self._r3,
                            self._r4, self._r5)
-
-    def eval_derivative_many(self, ts: np.ndarray) -> np.ndarray:
-        """``eval_derivative`` at every time in ts, one row per time, in one
-        broadcast with the same operations, so each row equals it."""
-        th = ((np.asarray(ts, dtype=float) - self.t0) / self.h_step)[:, None]
-        return _derivative(th, self.h_step, self._r2, self._r3, self._r4, self._r5)
 
 
 def _derivative(th, h_step, r2, r3, r4, r5):
@@ -373,15 +361,20 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     block call of h and one of grad_h (``SwitchingSurface.slopes``); an
     extremum adds one value and one gradient per refinement. ``eval``
     confirms a bracket's h(a) > 0 >= h(b), and a step whose basis it
-    contradicts, or that the horizon snapped, is guarded on ``eval_many``.
+    contradicts, or that the horizon snapped, is guarded on ``_interpolate``
+    and ``_derivative``, whose rows equal ``eval`` and ``eval_derivative``.
     Returns (bracket, armed), the bracket None when the segment has no
     exit, else (a, b, h(a), y(b), h(b)) with the values ``eval`` gave.
     """
     ts = _checkpoints(segment.t0, segment.t1)
     n_q = segment.y0.size // 2
     for on_basis in (segment.t1 == segment.t0 + segment.h_step, False):
-        qs, qdots = _on_basis(segment, n_q) if on_basis else (
-            segment.eval_many(ts)[:, :n_q], segment.eval_derivative_many(ts)[:, :n_q])
+        if on_basis:
+            qs, qdots = _on_basis(segment, n_q)
+        else:
+            h_step, t0, t1, y0, y1, *r = (getattr(segment, k) for k in DenseSegment.__slots__)
+            qs = _interpolate(ts, h_step, t0, t1, y0, y1, *r)[:, :n_q]
+            qdots = _derivative(((ts - t0) / h_step)[:, None], h_step, *r)[:, :n_q]
         bracket, armed_after = _guard(segment, surface, armed, ts, *surface.slopes(qs, qdots))
         if bracket is None:
             return None, armed_after

@@ -11,11 +11,20 @@ from contactsim import (
     make_elliptical_billiard,
     simulate,
 )
-from contactsim import core
+from contactsim import core, integrate
 
 GAMMA_PAPER = 1e-4
 Q0_PAPER = np.array([0.5, 0.0])
 V0_PAPER = np.array([1.0, 1.0])
+
+
+def interpolant_rows(seg, ts):
+    """``seg.eval`` and ``seg.eval_derivative`` at every time in ts, one row
+    per time, from the owners of the row broadcast."""
+    ts = np.asarray(ts, dtype=float)
+    slots = [getattr(seg, name) for name in integrate.DenseSegment.__slots__]
+    return (integrate._interpolate(ts, *slots),
+            integrate._derivative(((ts - seg.t0) / seg.h_step)[:, None], seg.h_step, *slots[5:]))
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,7 @@ from contactsim.checks import (
     check_row_decay_laws,
 )
 from contactsim.impact import SwitchingSurface, impact_residuals
+from conftest import interpolant_rows
 
 
 def tampered_circle(base, delta=1e-3, at_event=2):
@@ -408,25 +409,33 @@ QUANTITIES = ("energy", "momentum", "velocity", "rate", "value")
 
 
 def point_calls(sys, name, q, x, z):
-    """The quantity at each column of (q, x, z), one point call each, stacked as columns."""
-    return np.array([getattr(sys, name)(*s) for s in zip(q.T, x.T, z.tolist())]).T
+    """The quantity at each column of (q, x, z), one point call each on
+    contiguous vectors, as a state holds them, stacked as columns."""
+    return np.array([getattr(sys, name)(*s) for s in zip(
+        np.ascontiguousarray(q.T), np.ascontiguousarray(x.T), z.tolist())]).T
 
 
-def columns_of(rows, n):
-    """(q, x, z) of the rows [q, x, z] as columns, the layout the passes hand over."""
-    return rows[:, :n].T, rows[:, n:2 * n].T, rows[:, 2 * n]
+def columns_of(rows, n, ordered=False):
+    """(q, x, z) of the rows [q, x, z] as columns, the layout the passes hand
+    over, or as C-ordered (n, m) arrays, whose columns are strided."""
+    q, x = rows[:, :n].T, rows[:, n:2 * n].T
+    if ordered:
+        q, x = np.ascontiguousarray(q), np.ascontiguousarray(x)
+    return q, x, rows[:, 2 * n]
 
 
 class TestQuantitiesOnColumns:
     """Every spec quantity at m states as columns equals its point calls."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 6),
+    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 6),
            formulation=st.sampled_from(["lagrangian", "hamiltonian"]),
-           potential=st.booleans(), skewed=st.booleans())
-    def test_natural_block_equals_point_calls(self, data, n, m, formulation, potential, skewed):
+           potential=st.booleans(), skewed=st.booleans(), ordered=st.booleans())
+    def test_natural_block_equals_point_calls(self, data, n, m, formulation, potential, skewed,
+                                              ordered):
         # one call per quantity, bit for bit also with a skewed mass: M V
-        # makes the point form's matrix-vector call once per column
+        # makes the point form's matrix-vector call once per column, and every
+        # dot is summed on contiguous vectors, also from C-ordered columns
         entries = st.floats(-2.0, 2.0, allow_subnormal=False)
         if skewed:   # A A^T + I, symmetric positive definite
             A = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
@@ -439,7 +448,7 @@ class TestQuantitiesOnColumns:
             sys = hamiltonian_from_lagrangian(sys)
         rows = np.array(data.draw(st.lists(entries, min_size=m * (2 * n + 1),
                                            max_size=m * (2 * n + 1)))).reshape(m, 2 * n + 1)
-        q, x, z = columns_of(rows, n)
+        q, x, z = columns_of(rows, n, ordered)
         for name in QUANTITIES:
             block, point = getattr(sys, name)(q, x, z), point_calls(sys, name, q, x, z)
             assert block.shape == point.shape == ((m,) if name in ("energy", "rate", "value")
@@ -450,6 +459,16 @@ class TestQuantitiesOnColumns:
                              ids=["state_rate_billiard", "drag_hamiltonian"])
     def test_point_only_spec_loops_over_the_columns(self, spec):
         q, x, z = columns_of(np.random.default_rng(3).uniform(-1.0, 1.0, (7, 5)), 2)
+        for name in QUANTITIES[:4]:
+            block = getattr(spec, name)(q, x, z)
+            assert block.tobytes() == point_calls(spec, name, q, x, z).tobytes(), name
+
+    @pytest.mark.parametrize("ordered", [False, True], ids=["rows", "ordered"])
+    def test_point_only_spec_hands_each_column_over_contiguous(self, ordered):
+        # at n = 5 a BLAS dot inside the point evaluator sums a strided column
+        # in another order than the state's own vector
+        spec = SystemSpec(n=5, lagrangian=lambda q, v, z: 0.5 * float(v @ v) - float(q @ q) * z)
+        q, x, z = columns_of(np.random.default_rng(6).uniform(-1.0, 1.0, (9, 11)), 5, ordered)
         for name in QUANTITIES[:4]:
             block = getattr(spec, name)(q, x, z)
             assert block.tobytes() == point_calls(spec, name, q, x, z).tobytes(), name
@@ -606,7 +625,7 @@ class TestContainment:
         # the inner obstacle of radius 0.02 inside one step, 0.039 long
         def checkpoints_only(segment, surface, armed):
             ts = integrate._checkpoints(segment.t0, segment.t1)
-            hs = [surface.value(y[:2]) for y in segment.eval_many(ts)]
+            hs = [surface.value(y[:2]) for y in interpolant_rows(segment, ts)[0]]
             start = 0
             if not armed:
                 above = [i for i, hv in enumerate(hs) if hv > integrate._ARM_THRESHOLD]
@@ -642,9 +661,8 @@ def reference_containment(traj, surface):
     worst_h, worst_t = math.inf, None
     for seg in traj.steps:
         ts = np.linspace(seg.t0, seg.t1, 17)
-        qs = seg.eval_many(ts)[:, :n]
-        qdots = seg.eval_derivative_many(ts)[:, :n]
-        hs, gs = surface.slopes(qs, qdots)
+        rows, derivatives = interpolant_rows(seg, ts)
+        hs, gs = surface.slopes(rows[:, :n], derivatives[:, :n])
         k = int(np.argmin(hs))
         minima = [(hs[k], float(ts[k]))] + [
             checks._golden_min(lambda t: surface.value(seg.eval(t)[:n]), float(ts[j]),

@@ -787,6 +787,37 @@ class TestCustomSystem:
                           + [f"{second}{i}" for i in range(1, n + 1)]
                           + ["z", "E", "ell", "event_flag"])
 
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_both_commands_certify_an_n5_skewed_run_as_its_resolves_did(self, tmp_path,
+                                                                        formulation):
+        # from n = 4 a dot over a strided column sums in another order than
+        # the point call: the table pass of `simulate` and `check` must still
+        # equal the worst residual of the resolves, which take one pair each
+        cfg = {
+            "system": {"kind": "custom", "n": 5, "gamma": 0.05,
+                       "mass_matrix": [[2.0, 0.3, 0.0, 0.1, 0.0], [0.3, 1.0, 0.2, 0.0, 0.1],
+                                       [0.0, 0.2, 1.5, 0.3, 0.0], [0.1, 0.0, 0.3, 1.2, 0.2],
+                                       [0.0, 0.1, 0.0, 0.2, 0.8]],
+                       "surface": {"kind": "sphere", "radius": 1.0}},
+            "initial": {"q": [0.2, -0.1, 0.3, 0.0, 0.1], "v": [0.7, 0.4, -0.3, 0.5, 0.2],
+                        "z": 0.0},
+            "run": {"t_final": 20.0, "formulation": formulation},
+            "output": {"samples": 200, "svg": False},
+        }
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["check", "--csv", str(out / "trajectory.csv"), "--config", str(path),
+                     "--out", str(tmp_path / "check.json")]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        checked = json.loads((tmp_path / "check.json").read_text())["checks"]
+        assert summary["status"] == "Completed" and summary["n_events"] > 0
+        assert all(c["passed"] for c in summary["checks"] + checked)
+        simulated = {c["name"]: c for c in summary["checks"]}["impact_conditions"]
+        assert {c["name"]: c for c in checked}["impact_conditions"] == simulated
+        assert simulated["max_violation"] == max(
+            max(e["residual_tangential"], e["residual_energy"]) for e in summary["events"])
+
     def test_bad_mass_matrix_shape(self, tmp_path, capsys):
         with open(self._config(tmp_path)) as fh:
             cfg = json.load(fh)
@@ -1023,7 +1054,7 @@ def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypat
     `check_impact_conditions`. Before, `check` made one point call of each per
     pair, and `simulate` one per event through `check_impact_conditions`."""
     cfg_path, out = reference_run
-    calls, inside, build, report = [], [], cli.build_system, cli._impact_report
+    calls, inside, build, report = [], [], cli.build_system, cli.check_impact_rows
 
     def counted(name, f):
         def wrapped(q):
@@ -1049,7 +1080,7 @@ def test_check_reads_h_and_grad_h_once_for_every_impact(reference_run, monkeypat
         raise AssertionError("an impact was certified one event at a time")
 
     monkeypatch.setattr(cli, "build_system", counting)
-    monkeypatch.setattr(cli, "_impact_report", within)
+    monkeypatch.setattr(cli, "check_impact_rows", within)
     monkeypatch.setattr(checks, "check_impact_conditions", per_event)
     assert not hasattr(cli, "check_impact_conditions")
     data = read_trajectory_csv(str(out / "trajectory.csv"))

@@ -36,6 +36,7 @@ from contactsim import (
     tangent_basis,
 )
 from contactsim import cli, core, impact, integrate
+from conftest import interpolant_rows
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -315,6 +316,21 @@ class TestNewtonResolver:
         s = ContactStateL(q=[1.0, 0.0], qdot=v_minus, z=0.0)
         with pytest.raises(NoConvergence, match="Jacobian is singular"):
             resolve_impact_newton(sys, s, UNIT_CIRCLE)
+
+    def test_zero_denominator_at_the_first_seed_is_typed(self):
+        # an indefinite W = diag(1, -1) makes grad h . W(v-)^-1 grad h exactly 0
+        # at the wall q1 + q2 = 1, which was a bare ZeroDivisionError
+        sys = SystemSpec(n=2, lagrangian=lambda q, v, z: 0.5 * (v[0] * v[0] - v[1] * v[1]),
+                         dL_dq=lambda q, v, z: np.zeros(2),
+                         dL_dv=lambda q, v, z: np.array([v[0], -v[1]]),
+                         dL_dz=lambda q, v, z: 0.0,
+                         d2L_dvdv=lambda q, v, z: np.diag([1.0, -1.0]),
+                         d2L_dqdv=lambda q, v, z: np.zeros((2, 2)),
+                         d2L_dzdv=lambda q, v, z: np.zeros(2))
+        wall = SwitchingSurface(h=lambda q: 1.0 - q[0] - q[1], grad_h=lambda q: -np.ones(2))
+        s = ContactStateL(q=[0.5, 0.5], qdot=[1.0, 0.0], z=0.0)
+        with pytest.raises(NoConvergence, match=r"Jacobian is singular at qdot=\[1\. 0\.\]"):
+            resolve_impact_newton(sys, s, wall)
 
     def test_one_state_per_impact(self, states_built):
         # the iterates are flat vectors; only the post-impact state is built
@@ -705,7 +721,7 @@ class TestBlockGate:
         if data.draw(st.booleans(), label="checkpoints of a real step"):
             seg = data.draw(st.sampled_from(steps), label="step")
             ts = integrate._checkpoints(seg.t0, seg.t1)
-            y, ydot = seg.eval_many(ts), seg.eval_derivative_many(ts)
+            y, ydot = interpolant_rows(seg, ts)
         else:
             m = data.draw(st.integers(1, 20), label="m")
             rows = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2 * n + 1,
@@ -725,13 +741,33 @@ class TestBlockGate:
             r = BLOCK_SYSTEMS[name][0]["surface"]["radius"]
             assert h_point.tobytes() == np.array([r * r - float(q @ q) for q in qs]).tobytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 20), ordered=st.booleans())
+    def test_sphere_block_equals_the_point_gate_at_every_n(self, data, n, m, ordered):
+        # values on the rows the scan reads or on the C-ordered columns a
+        # caller of the certificate may hand over; slopes on the scan's rows
+        surface = cli._parse_system({"system": {
+            "kind": "custom", "n": n, "mass_matrix": np.eye(n).tolist(),
+            "surface": {"kind": "sphere", "radius": 1.3}}}).hybrid.surface
+        rows = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                        min_size=m, max_size=m)
+        qs, qdots = np.array(data.draw(rows)), np.array(data.draw(rows))
+        h_point = np.array([surface.value(q) for q in qs])
+        h_block, dh_block = surface.slopes(qs, qdots)
+        assert np.array(h_block).tobytes() == h_point.tobytes()
+        assert np.array(dh_block).tobytes() == np.array(
+            [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]).tobytes()
+        block = np.ascontiguousarray(qs.T).T if ordered else qs
+        assert surface.values(block).tobytes() == h_point.tobytes()
 
-# The unit sphere in n = 1, 2, 3, and a diagonal and a skewed SPD mass
-# (the skewed mass's leading n x n block).
+
+# The unit sphere in n = 1 to 8, and a diagonal and a skewed SPD mass, A A^T + I
+# for one fixed A (the leading n x n block of each).
 SPHERE = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(q, q, axis=0), grad_h=lambda q: -2.0 * q)
+_A = np.random.default_rng(8).uniform(-1.0, 1.0, (8, 8))
 CERTIFICATE_MASSES = {
-    "diagonal": np.diag([1.0, 2.5, 0.7]),
-    "skewed": np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]),
+    "diagonal": np.diag([1.0, 2.5, 0.7, 1.8, 0.4, 3.0, 1.2, 0.9]),
+    "skewed": _A @ _A.T + np.eye(8),
 }
 # What a column of the differential test is: an impact as a resolver returns
 # it, or that impact with one part of the guard broken.
@@ -780,7 +816,7 @@ class TestCertificateOnColumns:
     transposed rows that ``contactsim check`` reads from its CSV."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(0, 6),
+    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(0, 6),
            mass=st.sampled_from(sorted(CERTIFICATE_MASSES)),
            formulation=st.sampled_from(["lagrangian", "hamiltonian"]), rows=st.booleans())
     def test_columns_equal_the_one_pair_calls(self, data, n, m, mass, formulation, rows):

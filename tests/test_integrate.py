@@ -25,6 +25,7 @@ from contactsim import (
 from contactsim import cli, integrate
 from contactsim.checks import check_containment
 from contactsim.impact import _GRAZING_SPEED
+from conftest import interpolant_rows
 
 GAMMA = 1e-4
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -274,9 +275,9 @@ class TestLocateEvent:
         assert integrate._on_basis(seg, 1)[0][6, 0] > level
         wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.ones_like(q))
         broadcasts = []
-        evaluate_many = integrate.DenseSegment.eval_many
-        monkeypatch.setattr(integrate.DenseSegment, "eval_many",
-                            lambda self, t: broadcasts.append(t) or evaluate_many(self, t))
+        interpolate = integrate._interpolate
+        monkeypatch.setattr(integrate, "_interpolate",
+                            lambda t, *slots: broadcasts.append(t) or interpolate(t, *slots))
         bracket = self._bracket(seg, wall)
         assert len(broadcasts) == 1
         assert bracket[:2] == (ts[5], ts[6])
@@ -308,8 +309,9 @@ class TestCheckpointBasis:
         qs, qdots = integrate._on_basis(seg, n)
         coef = np.abs(np.array([seg.y0, seg._r2, seg._r3, seg._r4, seg._r5])[:, :n])
         scale = 4.0 * np.finfo(float).eps * (np.abs(integrate._CHECK_BASIS) @ coef)
-        assert np.all(np.abs(qs - seg.eval_many(ts)[:, :n]) <= scale[:17])
-        assert np.all(np.abs(qdots - seg.eval_derivative_many(ts)[:, :n]) <= scale[17:] / h)
+        rows, derivatives = interpolant_rows(seg, ts)
+        assert np.all(np.abs(qs - rows[:, :n]) <= scale[:17])
+        assert np.all(np.abs(qdots - derivatives[:, :n]) <= scale[17:] / h)
         assert qs[0].tobytes() == seg.y0[:n].tobytes()
         assert qs[16].tobytes() == seg.y1[:n].tobytes()
 
@@ -639,34 +641,34 @@ class TestFlatHotPath:
                          wobble(0.3, y0))
         return seg
 
-    def test_eval_many_equals_eval_at_interior_times_and_both_ends(self):
+    def test_interpolate_equals_eval_at_interior_times_and_both_ends(self):
         seg = self._segment()
         rng = np.random.default_rng(3)
         for ts in (np.linspace(seg.t0, seg.t1, 17),
                    np.sort(rng.uniform(seg.t0, seg.t1, 40)),
                    np.array([seg.t1, seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1])):
-            rows = seg.eval_many(ts)
+            rows = interpolant_rows(seg, ts)[0]
             assert rows.tobytes() == np.array([seg.eval(t) for t in ts]).tobytes()
-        ends = seg.eval_many([seg.t0, seg.t1])
+        ends = interpolant_rows(seg, [seg.t0, seg.t1])[0]
         assert ends[0].tobytes() == seg.y0.tobytes()
         assert ends[1].tobytes() == seg.y1.tobytes()
 
-    def test_eval_derivative_many_equals_eval_derivative(self):
+    def test_derivative_equals_eval_derivative(self):
         seg = self._segment()
         rng = np.random.default_rng(5)
         ts = np.concatenate([np.linspace(seg.t0, seg.t1, 17),
                              np.sort(rng.uniform(seg.t0, seg.t1, 40))])
-        rows = seg.eval_derivative_many(ts)
+        rows = interpolant_rows(seg, ts)[1]
         assert rows.tobytes() == np.array([seg.eval_derivative(t) for t in ts]).tobytes()
 
-    def test_eval_many_on_a_truncated_segment(self):
+    def test_interpolate_on_a_truncated_segment(self):
         cut = self._segment()
         t_full = cut.t1
         t_cut = cut.t0 + 0.37 * (cut.t1 - cut.t0)
         # cut in place as at an event, with a projected end state
         cut.t1, cut.y1 = t_cut, cut.eval(t_cut) + 1e-3
         ts = np.append(np.linspace(cut.t0, cut.t1, 9), [t_full])
-        rows = cut.eval_many(ts)
+        rows = interpolant_rows(cut, ts)[0]
         assert rows.tobytes() == np.array([cut.eval(t) for t in ts]).tobytes()
         assert rows[8].tobytes() == cut.y1.tobytes()
 
