@@ -18,7 +18,8 @@ the flat phase vectors [q, qdot, z] and [q, p, z], together with the
 energy, the Legendre transform connecting the two pictures, and a
 finite-difference fallback for systems that do not supply analytic
 partial derivatives: a missing second partial of L differences the
-supplied dL/dqdot once, else L twice.
+supplied dL/dqdot once, else L twice (the field's cross partials once,
+along the flow).
 """
 
 from __future__ import annotations
@@ -325,7 +326,10 @@ class SystemSpec(_Spec):
     mass, a Herglotz field without a solve. Its accessors, bound once, are
     value (L), grad_q, grad_v, grad_z, hess_vv, hess_qv and hess_zv, with the
     aliases momentum = grad_v and rate = grad_z; a supplied function whose
-    value has the wrong size raises DimensionMismatch.
+    value has the wrong size raises DimensionMismatch. The field reads both
+    cross partials as drift(q, qdot, z, L) = hess_qv qdot + hess_zv L; without
+    either, one central difference along the flow (qdot, L) in (q, z) of
+    dL_dv (2 calls), else of L, crossed with qdot (4n calls).
 
     Partial-derivative conventions (all evaluators take (q, qdot, z)):
       d2L_dvdv[i, j] = d^2 L / dqdot_i dqdot_j      (the Hessian W)
@@ -357,14 +361,16 @@ class SystemSpec(_Spec):
         nat = self.natural
         object.__setattr__(self, "_minv", None if nat is None or not nat.constant_mass
                            else _regular_inverse(nat.mass_matrix(np.zeros(self.n)), self.n))
-        # Same steps and argument order as finite_difference_partials, except
-        # that a supplied dL_dv is differenced once, raw, for the second partials.
+        # Same steps and argument order as finite_difference_partials, except that a supplied
+        # dL_dv is differenced once, raw; the drift's step e moves (q, z) by e (qdot, L).
         L, G, n = _tested(self.formulation, self.lagrangian, ()), self.dL_dv, self.n
         if G is None:
             hess_vv = lambda q, v, z: _fd_hessian(lambda vv: L(q, vv, z), v)
             hess_qv = lambda q, v, z: _fd_cross(lambda qq, vv: L(qq, vv, z), q, v)
             hess_zv = lambda q, v, z: _fd_cross(
                 lambda zz, vv: L(q, vv, float(zz[0])), np.array([z]), v).reshape(v.size)
+            drift = lambda q, v, z, Lv: _fd_cross(lambda e, vv: L(
+                q + e[0] * v, vv, z + float(e[0]) * Lv), np.zeros(1), v).reshape(n)
         else:
             def hess_vv(q, v, z):
                 J = _fd_jacobian(lambda vv: G(q, vv, z), v, n)
@@ -373,11 +379,16 @@ class SystemSpec(_Spec):
             hess_qv = lambda q, v, z: _fd_jacobian(lambda qq: G(qq, v, z), q, n)
             hess_zv = lambda q, v, z: _fd_jacobian(
                 lambda zz: G(q, v, float(zz[0])), np.array([z]), n).reshape(n)
+            drift = lambda q, v, z, Lv: _fd_jacobian(lambda e: G(
+                q + e[0] * v, v, z + float(e[0]) * Lv), np.zeros(1), n).reshape(n)
         self._resolve(L, {"grad_q": "dL_dq", "grad_v": "dL_dv", "grad_z": "dL_dz"}, {
             "hess_vv": ("d2L_dvdv", (n, n), hess_vv),
             "hess_qv": ("d2L_dqdv", (n, n), hess_qv),
             "hess_zv": ("d2L_dzdv", (n,), hess_zv),
         }, momentum="grad_v", rate="grad_z")
+        if self.d2L_dqdv is not None or self.d2L_dzdv is not None:
+            drift = lambda q, v, z, Lv: self.hess_qv(q, v, z) @ v + self.hess_zv(q, v, z) * Lv
+        object.__setattr__(self, "drift", drift)
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
         return herglotz_rhs(self, t, y)
@@ -450,26 +461,19 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     W = np.empty((n, n))
     f0 = float(f(x))
     hs = [_FD_STEP_2 * max(1.0, abs(x[i])) for i in range(n)]
-    for i in range(n):
-        hi = hs[i]
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        W[i, i] = (float(f(xp)) - 2.0 * f0 + float(f(xm))) / (hi * hi)
-        for j in range(i + 1, n):
-            hj = hs[j]
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[i] += hi; xpp[j] += hj
-            xpm[i] += hi; xpm[j] -= hj
-            xmp[i] -= hi; xmp[j] += hj
-            xmm[i] -= hi; xmm[j] -= hj
-            W[i, j] = W[j, i] = (
-                float(f(xpp)) - float(f(xpm)) - float(f(xmp)) + float(f(xmm))
-            ) / (4.0 * hi * hj)
+
+    def at(*moves):   # f at a copy of x with x[i] + h for each move (i, h)
+        xs = x.copy()
+        for i, h in moves:
+            xs[i] += h
+        return float(f(xs))
+
+    for i, hi in enumerate(hs):
+        W[i, i] = (at((i, hi)) - 2.0 * f0 + at((i, -hi))) / (hi * hi)
+        for j, hj in enumerate(hs[i + 1:], i + 1):
+            cross = (at((i, hi), (j, hj)) - at((i, hi), (j, -hj))
+                     - at((i, -hi), (j, hj)) + at((i, -hi), (j, -hj)))
+            W[i, j] = W[j, i] = cross / (4.0 * hi * hj)
     if not np.all(np.isfinite(W)):
         raise NonFiniteValue("finite-difference Hessian sampled a non-finite value")
     return W
@@ -638,20 +642,17 @@ def _phase_split(sys, t: float, y: np.ndarray) -> tuple:
 def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
     """Herglotz vector field on the flat phase vector y = [q, qdot, z] at t.
 
-    Returns the flat derivative [qdot, qddot, zdot], where the acceleration
-    solves
+    Returns the flat derivative [qdot, qddot, zdot], where zdot = L and
 
-        W qddot = dL/dq - (d2L/dq dv) qdot - (d2L/dz dv) L + (dL/dz) dL/dv
+        W qddot = dL/dq - c + (dL/dz) dL/dv,   c = (d2L/dq dv) qdot + (d2L/dz dv) L,
 
-    and zdot = L. The partials are read at the read-only views (q, qdot, z)
-    of y, and one LU factorization of W gives both the regularity gate and
-    the solve; no state is built. Raises DimensionMismatch on a vector of
-    the wrong length, NonFiniteValue on a non-finite entry, and
-    SingularHessian when the velocity Hessian fails the regularity gate. A
-    natural form with a constant, regular mass M skips the solve: W = M,
-    both cross partials vanish and dL/dqdot = M qdot, so
-    qddot = M^-1 dL/dq + (dL/dz) qdot with the inverse formed once by the
-    SystemSpec.
+    with c the spec's ``drift``. Each partial is read once at the read-only
+    views (q, qdot, z) of y, and one LU factorization of W gives both the
+    regularity gate and the solve; no state is built. Raises DimensionMismatch
+    on a vector of the wrong length, NonFiniteValue on a non-finite entry,
+    and SingularHessian when W fails the gate. A natural form with a
+    constant, regular mass M skips the solve: W = M, c = 0 and dL/dqdot =
+    M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with the SystemSpec's M^-1.
     """
     q, v, z = _phase_split(sys, t, y)
     n = sys.n
@@ -661,10 +662,10 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
         out[n:2 * n] = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
         out[2 * n] = sys.value(q, v, z)
         return out
-    d = evaluate_partials(sys, q, v, z)
+    dL_dq, dL_dv, dL_dz, W = (sys.grad_q(q, v, z), sys.grad_v(q, v, z), sys.grad_z(q, v, z),
+                              sys.hess_vv(q, v, z))
     Lval = sys.value(q, v, z)
-    rhs = d.dL_dq - d.d2L_dqdv @ v - d.d2L_dzdv * Lval + d.dL_dz * d.dL_dv
-    out[n:2 * n] = _solve_regular(d.W, rhs)
+    out[n:2 * n] = _solve_regular(W, dL_dq - sys.drift(q, v, z, Lval) + dL_dz * dL_dv)
     out[2 * n] = Lval
     return out
 

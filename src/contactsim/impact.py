@@ -80,10 +80,9 @@ class SwitchingSurface:
     def slopes(self, qs: np.ndarray, qdots: np.ndarray) -> tuple:
         """(h, dh/dt = grad h . qdot) as two lists over the rows of qs and qdots, shape
         (m, n), from one call of h and one of grad_h on the block qs.T; each entry equals
-        ``value`` and ``gradient(q) @ qdot`` of its row bit for bit at n <= 3, and where
-        qdots and grad h's block transposed have contiguous rows, as the custom sphere's
-        on the scan's rows. grad_h must return (n, m), else DimensionMismatch."""
-        return self.values(qs).tolist(), np.vecdot(self.gradients(qs).T, qdots).tolist()
+        ``value`` and ``gradient(q) @ qdot`` of its row bit for bit, as ``core._dot``
+        sums it. grad_h must return (n, m), else DimensionMismatch."""
+        return self.values(qs).tolist(), _dot(self.gradients(qs), qdots.T).tolist()
 
     def gradients(self, qs: np.ndarray) -> np.ndarray:
         """grad h at each row of qs, (m, n), as the (n, m) columns of one block call."""

@@ -396,10 +396,10 @@ def test_impact_imports_only_core_and_errors():
     assert _package_modules(path) <= {"core", "errors"}
 
 
-def _forbid_bundle(monkeypatch):
+def _forbid_solve(monkeypatch):
     def fail(*args):
-        raise AssertionError("the resolved natural field assembled the partials")
-    monkeypatch.setattr(core, "evaluate_partials", fail)
+        raise AssertionError("the resolved natural field solved with W")
+    monkeypatch.setattr(core, "_solve_regular", fail)
 
 
 class TestResolvedNaturalField:
@@ -414,7 +414,7 @@ class TestResolvedNaturalField:
                                 z=rng.uniform(-1, 1)) for _ in range(50)]
         states.append(ContactStateL(q=[0.5, 0.0], qdot=[1.0, 0.0], z=0.0))
         expected = [field(herglotz_rhs, generic, s) for s in states]
-        _forbid_bundle(monkeypatch)
+        _forbid_solve(monkeypatch)
         for s, (qdot_g, qddot_g, zdot_g) in zip(states, expected):
             qdot, qddot, zdot = field(herglotz_rhs, sys, s)
             assert qdot.tobytes() == qdot_g.tobytes()
@@ -432,26 +432,22 @@ class TestResolvedNaturalField:
         states = [ContactStateL(q=rng.uniform(-1, 1, 2), qdot=rng.uniform(-2, 2, 2),
                                 z=rng.uniform(-1, 1)) for _ in range(200)]
         expected = [field(herglotz_rhs, generic, s) for s in states]
-        _forbid_bundle(monkeypatch)
+        _forbid_solve(monkeypatch)
         for s, (_, qddot_g, zdot_g) in zip(states, expected):
             _, qddot, zdot = field(herglotz_rhs, sys, s)
             assert np.max(np.abs(qddot - qddot_g)) <= 1e-15 * np.max(np.abs(qddot_g))
             assert zdot == zdot_g
 
-    def test_other_systems_keep_the_assembly(self, monkeypatch):
-        bundles = []
-
-        def counted(*args):
-            bundles.append(1)
-            return evaluate_partials(*args)
-
-        monkeypatch.setattr(core, "evaluate_partials", counted)
+    def test_other_systems_keep_the_assembly(self):
+        # the generic branch reads W once per evaluation and solves with it
+        solves = []
         s = ContactStateL(q=[0.5, 0.1], qdot=[1.0, 0.5], z=0.0)
-        field(herglotz_rhs, natural_lagrangian_system(
-            n=2, mass=lambda q: np.diag([1.0, q[0] ** 2])), s)
-        field(herglotz_rhs, dataclasses.replace(billiard_system(), natural=None), s)
-        field(herglotz_rhs, quartic_system(), s)
-        assert len(bundles) == 3
+        for sys in (natural_lagrangian_system(n=2, mass=lambda q: np.diag([1.0, q[0] ** 2])),
+                    dataclasses.replace(billiard_system(), natural=None), quartic_system()):
+            object.__setattr__(sys, "hess_vv",
+                               lambda *args, W=sys.hess_vv: solves.append(1) or W(*args))
+            field(herglotz_rhs, sys, s)
+        assert len(solves) == 3
 
     def test_non_finite_constant_mass_is_rejected_at_evaluation(self):
         sys = natural_lagrangian_system(n=2, mass=np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -917,11 +913,19 @@ class TestFiniteDifferences:
         assert calls == {"L": 0, "dL_dv": 11}
 
     def test_generic_field_reads_the_flat_vector(self, states_built):
-        # one generic field at n = 2: dL/dv once for the bundle and 2(2n + 1)
-        # times for the three differenced second partials, L once, no state
+        # one generic field at n = 2: dL/dv once, 2n times for W and twice for
+        # the drift, one difference along the flow; L once, no state
         sys, calls = counted_quartic_system()
         herglotz_rhs(sys, 0.0, np.array([0.1, 0.2, 1.0, -0.5, 0.3]))
-        assert calls == {"L": 1, "dL_dv": 11}
+        assert calls == {"L": 1, "dL_dv": 7}
+        assert states_built == []
+
+    def test_field_from_the_lagrangian_alone(self, states_built):
+        # all-FD at n = 2: L once, 2n + 2n + 2 times for the first partials,
+        # 9 for W and 4n for the drift's cross difference in (e, v)
+        sys, calls = counted_quartic_system(first_derivatives=False)
+        herglotz_rhs(sys, 0.0, np.array([0.1, 0.2, 1.0, -0.5, 0.3]))
+        assert calls == {"L": 28, "dL_dv": 0}
         assert states_built == []
 
     def test_second_partials_without_dL_dv_difference_the_lagrangian(self):
@@ -950,6 +954,47 @@ class TestFiniteDifferences:
             a, b = getattr(an, name), getattr(fd, name)
             assert np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(a)))) < 1e-9, name
         assert np.array_equal(fd.W, fd.W.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.tuples(_coordinate, _coordinate), v=st.tuples(_coordinate, _coordinate),
+           z=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_drift_matches_the_analytic_cross_partials(self, q, v, z):
+        # c = (d2L/dq dv) qdot + (d2L/dz dv) L, differenced once along the flow
+        # from dL/dv or from L alone; the reference is the contraction of the
+        # two differenced cross partials, which meets the same tolerance
+        exact = coupled_analytic_system()
+        q, v = np.array(q), np.array(v)
+        Lval = exact.value(q, v, z)
+        c = exact.hess_qv(q, v, z) @ v + exact.hess_zv(q, v, z) * Lval
+        assert np.array_equal(exact.drift(q, v, z, Lval), c)
+        scale = max(1.0, float(np.max(np.abs(c))))
+        for sys, tol in ((without_second_partials(exact), 1e-8),
+                         (dataclasses.replace(without_second_partials(exact), dL_dv=None), 5e-6)):
+            reference = sys.hess_qv(q, v, z) @ v + sys.hess_zv(q, v, z) * Lval
+            for got in (sys.drift(q, v, z, Lval), reference):
+                assert np.max(np.abs(got - c)) / scale < tol
+
+    @pytest.mark.parametrize("moved", [0, 2], ids=["q", "z"])
+    @pytest.mark.parametrize("differenced, message", [
+        ("dL_dv", "finite-difference Jacobian"), ("lagrangian", "lagrangian is not finite")])
+    def test_nan_off_the_state_in_the_drift_stencil_raises(self, differenced, message, moved):
+        # dL/dv or L is NaN wherever q (or z) leaves the state, which only the
+        # drift's stencil does: the Jacobian's test names the difference, and
+        # L's own gate names the stencil point before the cross difference
+        exact = coupled_analytic_system()
+        q, v, z = np.array([0.3, -0.2]), np.array([0.5, 1.0]), 0.4
+        f = getattr(exact, differenced)
+
+        def nan_off_the_state(*args):
+            if np.array_equal(np.atleast_1d(args[moved]), np.atleast_1d((q, v, z)[moved])):
+                return f(*args)
+            return np.full(2, np.nan) if differenced == "dL_dv" else float("nan")
+
+        sys = dataclasses.replace(without_second_partials(exact), **{differenced: nan_off_the_state})
+        if differenced == "lagrangian":
+            sys = dataclasses.replace(sys, dL_dv=None)
+        with pytest.raises(NonFiniteValue, match=message):
+            herglotz_rhs(sys, 0.0, np.concatenate([q, v, [z]]))
 
     @pytest.mark.parametrize("accessor, moved", [
         ("hess_vv", 1), ("hess_qv", 0), ("hess_zv", 2)])

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import os
 import sys
 
@@ -657,6 +658,29 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
     assert max(per_resolve) == most and min(per_resolve) >= 0
 
 
+def test_quartic_reference_run_bytes_are_pinned(monkeypatch):
+    """The quartic workload's events and its sampled table, T = 60. Its
+    dL/dv reads neither q nor z, so the field's differenced drift is exactly
+    zero, as the differenced cross partials were before it: the bytes did
+    not move when the drift replaced them. A change that moves them states it."""
+    hs, s0, args = quartic_newton_run(monkeypatch)
+    import workloads
+
+    traj = simulate(hs, s0, *args)
+    grid = np.linspace(traj.t0, traj.t_end, workloads.QUARTIC_SAMPLES)
+    table = traj.sample(np.unique(np.concatenate([grid, [e.t for e in traj.events]])))
+    events, rows = hashlib.sha256(), hashlib.sha256()
+    for e in traj.events:
+        events.update(np.array([e.t, e.lam, e.residual_tangential, e.residual_energy]).tobytes())
+        events.update(e.state_minus.as_vector().tobytes())
+        events.update(e.state_plus.as_vector().tobytes())
+    for arr in (table.times, table.states, table.flags):
+        rows.update(np.ascontiguousarray(arr).tobytes())
+    assert (traj.status, len(traj.events), len(table.times)) == (COMPLETED, 134, 1268)
+    assert events.hexdigest() == \
+        "7dcaeae56e7eb7c1fcd811e13c343b4e70493f797da59ea7bd1fcb91b678060d"
+    assert rows.hexdigest() == "7b8bfcba9529372a203edb03d41518c3c12595c6ee8bae426c1e200e6ad2b9d5"
+
 
 def test_quartic_resolves_difference_the_hessian_three_times(monkeypatch):
     """On the quartic reference run every Newton resolve evaluates W three
@@ -759,6 +783,22 @@ class TestBlockGate:
             [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]).tobytes()
         block = np.ascontiguousarray(qs.T).T if ordered else qs
         assert surface.values(block).tobytes() == h_point.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(4, 8), m=st.integers(1, 20))
+    def test_c_ordered_gradient_block_equals_the_point_gate(self, data, n, m):
+        # grad h written the billiards' way, one coordinate a row, returns a
+        # C-ordered (n, m) block; slopes read it on the scan's row slices
+        surface = SwitchingSurface(h=lambda q: 1.69 - sum(q[i] * q[i] for i in range(n)),
+                                   grad_h=lambda q: np.array([-2.0 * q[i] for i in range(n)]))
+        rows = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2 * n + 1,
+                                 max_size=2 * n + 1), min_size=m, max_size=m)
+        y, ydot = np.array(data.draw(rows)), np.array(data.draw(rows))
+        qs, qdots = y[:, :n], ydot[:, :n]
+        h_block, dh_block = surface.slopes(qs, qdots)
+        assert np.array(h_block).tobytes() == np.array([surface.value(q) for q in qs]).tobytes()
+        assert np.array(dh_block).tobytes() == np.array(
+            [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]).tobytes()
 
 
 # The unit sphere in n = 1 to 8, and a diagonal and a skewed SPD mass, A A^T + I
