@@ -5,8 +5,9 @@ the solver path that produced them, so a resolver bug cannot certify its
 own output. One decay law serves the energy and any other dissipated
 quantity f(q, x, z): f = f0 exp(integral of the rate dL/dz dt). On a
 trajectory the nodes are the ends and the midpoint of every dense step
-the integrator took, and the integral is Simpson's rule step by step; on
-stored table rows it is the composite trapezoid between rows.
+the integrator took, read in one ``integrate._rows`` call, and the
+integral is Simpson's rule step by step; on stored table rows it is the
+composite trapezoid between rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import HamiltonianSpec, SystemSpec, _phase_split
 from .errors import DimensionMismatch
 from .hybrid import FLAG_PRE_IMPACT, HybridTrajectory
 from .impact import ImpactEvent, SwitchingSurface, _violations
-from .integrate import _derivative, _eval_segments, _interpolate
+from .integrate import _rows
 
 __all__ = [
     "CheckReport",
@@ -107,38 +108,29 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
     takes m states as columns, q and x (n, m) and z (m,), and returns (m,).
 
     The nodes are each dense step's two ends and its midpoint, and one pass
-    serves every quantity: the stored ends and the interpolated midpoints,
-    checked for finiteness once, are columns for one call of sys.rate and
-    one of each f; no state is built. A step's start that repeats the end of
-    the step before (same time, same vector) reuses that node, so a flow
-    phase of m steps takes 2m + 1. Over a step the rate integral is
-    Simpson's rule, and to the midpoint it is the integral of the quadratic
-    through the step's three rates.
+    serves every quantity: the 3 nodes of every step, read in one ``_rows``
+    call (its knot rule returns the stored ends) and checked for finiteness
+    once, are columns for one call of sys.rate and one of each f; no state
+    is built. Over a step the rate integral is Simpson's rule, and to the
+    midpoint it is the integral of the quadratic through the step's three
+    rates.
     """
     steps = traj.steps
     if not steps:
         raise ValueError("trajectory has no flow to check")
     t0, t1 = np.array([(seg.t0, seg.t1) for seg in steps]).T
     ts = np.column_stack([t0, 0.5 * (t0 + t1), t1])
-    ys = np.stack([[seg.y0 for seg in steps], _eval_segments(steps, np.arange(len(steps)),
-                   ts[:, 1]), [seg.y1 for seg in steps]], axis=1)
-    # an impact's reset changes the vector, so both of its sides are evaluated
-    shared = np.append(False, (t1[:-1] == t0[1:]) & (ys[:-1, 2] == ys[1:, 0]).all(axis=1))
-    new = np.column_stack([~shared, np.ones((len(steps), 2), dtype=bool)])
-    nodes, n = ys[new], sys.n
+    nodes, n = _rows(steps, np.repeat(np.arange(len(steps)), 3), ts.ravel())[0], sys.n
     bad = ~np.isfinite(nodes).all(axis=1) | (nodes.shape[1] != 2 * n + 1)
     if bad.any():   # the first node that is not finite, or any of another length
-        _phase_split(sys, ts[new][np.argmax(bad)], nodes[np.argmax(bad)])
+        _phase_split(sys, ts.ravel()[np.argmax(bad)], nodes[np.argmax(bad)])
     q, x, z = nodes[:, :n].T, nodes[:, n:2 * n].T, nodes[:, 2 * n]
     vals = [sys.rate(q, x, z)]
     for name, f in quantities.items():
         vals.append(np.asarray(f(q, x, z), dtype=float))
         if vals[-1].shape != z.shape:
             raise DimensionMismatch(f"{name} has shape {vals[-1].shape}, expected {z.shape}")
-    per_node = np.empty((len(vals), *ts.shape))
-    per_node[:, new] = vals
-    per_node[:, shared, 0] = per_node[:, np.flatnonzero(shared) - 1, 2]
-    rates, *values = per_node
+    rates, *values = (np.reshape(v, ts.shape) for v in vals)
     h = ts[:, 2] - ts[:, 0]
     r0, rm, r1 = rates.T
     ends = np.cumsum(h / 6.0 * (r0 + 4.0 * rm + r1))
@@ -207,7 +199,7 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
 
     Each step's interpolant is read at 17 equally spaced times over its
     valid window, with h and dh/dt = grad h . qdot there. A block of 64
-    steps takes one gather, read with the operations of ``DenseSegment.eval``
+    steps takes one ``_rows`` call, whose rows equal ``DenseSegment.eval``
     and ``eval_derivative``, and one block call of h and one of grad h. Where
     dh/dt goes from < 0 to > 0 between two times, h has a minimum in
     between, which golden-section search narrows. The search reads only the
@@ -219,12 +211,9 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
     n, pts, worst_h, worst_t = traj.n, _CONTAINMENT_POINTS, math.inf, None
     for first in range(0, len(steps), _CONTAINMENT_BLOCK):
         block = steps[first:first + _CONTAINMENT_BLOCK]
-        h_step, t0, t1 = np.repeat([(s.h_step, s.t0, s.t1) for s in block], pts, axis=0).T
-        y0, y1, r2, r3, r4, r5 = (np.repeat([getattr(s, slot)[:n] for s in block], pts, axis=0)
-                                  for slot in ("y0", "y1", "_r2", "_r3", "_r4", "_r5"))
-        ts = _window_times(t0[::pts], t1[::pts])
-        qs = _interpolate(ts.ravel(), h_step, t0, t1, y0, y1, r2, r3, r4, r5)
-        qdots = _derivative(((ts.ravel() - t0) / h_step)[:, None], h_step[:, None], r2, r3, r4, r5)
+        ts = _window_times(*np.array([(s.t0, s.t1) for s in block]).T)
+        qs, qdots = (v[:, :n] for v in _rows(block, np.repeat(np.arange(len(block)), pts),
+                                               ts.ravel()))
         hs, gs = (np.reshape(v, ts.shape) for v in surface.slopes(qs, qdots))
         dips = (gs[:, :-1] < 0.0) & (gs[:, 1:] > 0.0)
         for seg, t_row, h_row, k, dip in zip(block, ts, hs, np.argmin(hs, axis=1), dips):

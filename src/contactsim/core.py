@@ -798,10 +798,10 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
                               potential=None, grad_potential=None) -> SystemSpec:
     """SystemSpec for L = 1/2 qdot^T M(q) qdot - V(q) - gamma z.
 
-    Every partial is closed-form except, for a configuration-dependent
-    mass, the two q-derivatives of the kinetic term: dL/dq differences
-    1/2 qdot^T M(q) qdot alone, and d2L/dq dqdot is the SystemSpec's
-    difference of dL/dqdot = M(q) qdot. The potential gradient is the
+    Every partial is closed-form except the cross partials, which the
+    SystemSpec differences from dL/dqdot = M(q) qdot (the field's drift along
+    the flow, 2 calls), and for a configuration-dependent mass dL/dq, which
+    differences 1/2 qdot^T M(q) qdot alone. The potential gradient is the
     supplied one, else central differences of V. L, dL/dqdot and dL/dz take
     columns with a constant mass.
     """
@@ -817,10 +817,8 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
             raise DimensionMismatch(f"mass matrix has shape {M0.shape}, expected ({n}, {n})")
         mass_at = lambda q: M0
         dL_dq = lambda q, qdot, z: nat.potential_gradient(q, sign=-1.0)
-        d2L_dqdv = lambda q, qdot, z: np.zeros((n, n))
     else:
         mass_at = nat.mass_matrix
-        d2L_dqdv = None
 
         def dL_dq(q, qdot, z):
             return (_fd_jacobian(lambda qq: _kinetic(nat.mass_matrix(qq), qdot), q, 1)[0]
@@ -833,7 +831,5 @@ def natural_lagrangian_system(n: int, mass, gamma: float = 0.0,
         dL_dv=lambda q, qdot, z: _matvec(mass_at(q), qdot),
         dL_dz=lambda q, qdot, z: -gamma if type(z) is float else np.full(np.shape(z), -gamma),
         d2L_dvdv=lambda q, qdot, z: mass_at(q),
-        d2L_dqdv=d2L_dqdv,
-        d2L_dzdv=lambda q, qdot, z: np.zeros(n),
         natural=nat,
     )

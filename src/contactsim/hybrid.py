@@ -28,7 +28,7 @@ from .integrate import (
     StepperConfig,
     TrajectorySegment,
     _LOCATE_T_TOL,
-    _eval_segments,
+    _rows,
     integrate_until_event,
 )
 
@@ -165,7 +165,8 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
                              f"[{traj.t0}, {traj.t_end}]")
     steps = traj.steps
     which = np.searchsorted([seg.t0 for seg in steps], ts, side="right") - 1
-    return _eval_segments(steps, np.maximum(which, 0), ts)
+    used, row = np.unique(np.maximum(which, 0), return_inverse=True)   # gather no unused step
+    return _rows([steps[i] for i in used.tolist()], row, ts)[0]
 
 
 def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:

@@ -16,7 +16,7 @@ for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
 derivative being qdot. On a full step the interpolant there is one constant
 (34 x 5) basis times the step's (y0, r2, r3, r4, r5), which agrees with
 ``eval`` to a few ulps: ``eval`` confirms a bracket's ends, and a step it
-contradicts, or that the horizon snapped, is read by ``_interpolate``.
+contradicts, or that the horizon snapped, is read by ``_rows``.
 Where dh/dt changes sign between two checkpoints, h has an extremum
 there, which the scan refines on the interpolant when it can decide the
 guard: a minimum with h <= 0 is an exit that no checkpoint sees, and a
@@ -177,25 +177,19 @@ def _derivative(th, h_step, r2, r3, r4, r5):
             + (2.0 * th - 6.0 * th * th + 4.0 * th * th * th) * r5) / h_step
 
 
-def _interpolate(ts, h_step, t0, t1, y0, y1, r2, r3, r4, r5) -> np.ndarray:
-    """The interpolant of ``DenseSegment.eval`` at the times ts, one row per
-    time, with its operation order and its knot rule. The other arguments
-    are the slots of DenseSegment, in their order, each either one
-    segment's value or one row per time."""
+def _rows(steps: list, which: np.ndarray, ts: np.ndarray) -> tuple:
+    """(ys, yds): row k of ys is ``steps[which[k]].eval(ts[k])`` and of yds its
+    ``eval_derivative``, in one broadcast with ``eval``'s operation order and
+    knot rule (t0 before t1) on one theta; the one reader of many rows, it
+    reads each slot of DenseSegment once over exactly the steps given."""
+    ts = np.asarray(ts, dtype=float)
+    h_step, t0, t1, y0, y1, r2, r3, r4, r5 = (
+        np.array([getattr(d, name) for d in steps])[which] for name in DenseSegment.__slots__)
     th = ((ts - t0) / h_step)[:, None]
     om = 1.0 - th
-    out = y0 + th * (r2 + om * (r3 + th * (r4 + om * r5)))
-    out = np.where((ts == t1)[:, None], y1, out)
-    return np.where((ts == t0)[:, None], y0, out)
-
-
-def _eval_segments(segments: list, which: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Row k is ``segments[which[k]].eval(ts[k])``; all rows in one broadcast."""
-    used, row = np.unique(which, return_inverse=True)
-    picked = [segments[i] for i in used.tolist()]
-    return _interpolate(np.asarray(ts, dtype=float), *(
-        np.array([getattr(d, name) for d in picked])[row]
-        for name in DenseSegment.__slots__))
+    ys = y0 + th * (r2 + om * (r3 + th * (r4 + om * r5)))
+    ys = np.where((ts == t0)[:, None], y0, np.where((ts == t1)[:, None], y1, ys))
+    return ys, _derivative(th, h_step[:, None], r2, r3, r4, r5)
 
 
 def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -361,8 +355,8 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     block call of h and one of grad_h (``SwitchingSurface.slopes``); an
     extremum adds one value and one gradient per refinement. ``eval``
     confirms a bracket's h(a) > 0 >= h(b), and a step whose basis it
-    contradicts, or that the horizon snapped, is guarded on ``_interpolate``
-    and ``_derivative``, whose rows equal ``eval`` and ``eval_derivative``.
+    contradicts, or that the horizon snapped, is guarded on the rows of
+    ``_rows``, which equal ``eval`` and ``eval_derivative``.
     Returns (bracket, armed), the bracket None when the segment has no
     exit, else (a, b, h(a), y(b), h(b)) with the values ``eval`` gave.
     """
@@ -372,9 +366,7 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
         if on_basis:
             qs, qdots = _on_basis(segment, n_q)
         else:
-            h_step, t0, t1, y0, y1, *r = (getattr(segment, k) for k in DenseSegment.__slots__)
-            qs = _interpolate(ts, h_step, t0, t1, y0, y1, *r)[:, :n_q]
-            qdots = _derivative(((ts - t0) / h_step)[:, None], h_step, *r)[:, :n_q]
+            qs, qdots = (v[:, :n_q] for v in _rows([segment], np.zeros(ts.size, int), ts))
         bracket, armed_after = _guard(segment, surface, armed, ts, *surface.slopes(qs, qdots))
         if bracket is None:
             return None, armed_after

@@ -20,11 +20,9 @@ V0_PAPER = np.array([1.0, 1.0])
 
 def interpolant_rows(seg, ts):
     """``seg.eval`` and ``seg.eval_derivative`` at every time in ts, one row
-    per time, from the owners of the row broadcast."""
+    per time, from the owner of the row broadcast."""
     ts = np.asarray(ts, dtype=float)
-    slots = [getattr(seg, name) for name in integrate.DenseSegment.__slots__]
-    return (integrate._interpolate(ts, *slots),
-            integrate._derivative(((ts - seg.t0) / seg.h_step)[:, None], seg.h_step, *slots[5:]))
+    return integrate._rows([seg], np.zeros(ts.size, int), ts)
 
 
 @pytest.fixture(scope="session")

@@ -268,13 +268,13 @@ class TestOnePass:
 
         spec = dataclasses.replace(hs.dynamics, **{name: recording})
         check_decay_laws(traj, spec, {"energy_decay": spec.energy})
-        # each dense step's nodes include both of its ends, where eval returns
-        # the stored end states rather than interpolant values; inside a flow
-        # phase a step's start is the end of the step before and is seen once
+        # each dense step's nodes are both of its ends, where eval returns the
+        # stored end states rather than interpolant values, and its midpoint;
+        # a step's start that repeats the end of the step before is read again
         expected = [phase.eval(t) for phase in traj.segments
-                    for k, seg in enumerate(phase.segments) for t in step_nodes(seg)[min(k, 1):]]
+                    for seg in phase.segments for t in step_nodes(seg)]
         steps = sum(len(phase.segments) for phase in traj.segments)
-        assert len(expected) == 2 * steps + len(traj.segments)
+        assert len(expected) == 3 * steps
         assert len(seen) == len(expected)
         for got, want in zip(seen, expected):
             assert np.array_equal(got, want)

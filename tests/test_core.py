@@ -349,6 +349,25 @@ def test_checks_never_reach_the_solver_path():
     assert hits == []
 
 
+def test_only_integrate_reads_the_interpolant_slots():
+    # many interpolant rows have one reader, integrate._rows; a module that
+    # gathered a dense step's slots itself would be a second copy of eval
+    package = os.path.dirname(core.__file__)
+    hits = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "integrate.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            named = (node.id if isinstance(node, ast.Name) else node.value
+                     if isinstance(node, ast.Constant) else getattr(node, "attr", None))
+            if named in ("_r2", "_r3", "_r4", "_r5") or (
+                    named == "__slots__" and ast.unparse(node.value).endswith("DenseSegment")):
+                hits.append(f"{name}:{node.lineno}: {named}")
+    assert hits == []
+
+
 def test_no_module_level_import_goes_unused():
     # an import that nothing reads is left over from code that moved away; a
     # name a module re-exports through __all__ counts as read
@@ -1325,6 +1344,25 @@ class TestNaturalForm:
         assert np.max(np.abs(qddot - expected)) < 1e-6
         assert zdot == pytest.approx(0.5 * (m * v[0] ** 2 + v[1] ** 2) - V(q) - 0.3 * z,
                                      rel=1e-15)
+
+    def test_varying_mass_field_takes_the_drift_along_the_flow(self):
+        # L, dL/dq (2n), dL/dqdot, W and the drift's two calls of M(q) qdot
+        # along the flow; no differenced cross partial
+        calls = []
+
+        def mass(q):
+            calls.append(1)
+            return np.diag([1.0 + q[0] ** 2, 2.0])
+
+        sys = natural_lagrangian_system(n=2, mass=mass, gamma=0.3)
+        calls.clear()
+        _, qddot, _ = field(herglotz_rhs, sys, ContactStateL(q=[0.4, 0.2], qdot=[0.7, -0.5],
+                                                             z=0.1))
+        assert len(calls) == 9
+        # m x'' + m' x'^2 = m' x'^2 / 2 - gamma m x', with m' = 2x
+        m = 1.0 + 0.4 ** 2
+        expected = np.array([(-0.4 * 0.7 ** 2 - 0.3 * m * 0.7) / m, 0.3 * 0.5])
+        assert np.max(np.abs(qddot - expected)) < 1e-6
 
     def test_short_potential_gradient_is_rejected_under_a_varying_mass(self):
         # the gradient joins the differenced kinetic force before the spec's

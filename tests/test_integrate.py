@@ -275,9 +275,9 @@ class TestLocateEvent:
         assert integrate._on_basis(seg, 1)[0][6, 0] > level
         wall = SwitchingSurface(h=lambda q: q[0] - level, grad_h=lambda q: np.ones_like(q))
         broadcasts = []
-        interpolate = integrate._interpolate
-        monkeypatch.setattr(integrate, "_interpolate",
-                            lambda t, *slots: broadcasts.append(t) or interpolate(t, *slots))
+        rows = integrate._rows
+        monkeypatch.setattr(integrate, "_rows",
+                            lambda steps, which, t: broadcasts.append(t) or rows(steps, which, t))
         bracket = self._bracket(seg, wall)
         assert len(broadcasts) == 1
         assert bracket[:2] == (ts[5], ts[6])
@@ -672,16 +672,50 @@ class TestFlatHotPath:
         assert rows.tobytes() == np.array([cut.eval(t) for t in ts]).tobytes()
         assert rows[8].tobytes() == cut.y1.tobytes()
 
-    def test_eval_segments_equals_eval_row_by_row(self):
+    def test_rows_equal_eval_row_by_row(self):
         run = integrate_until_event(wobble, 0.0, np.array([0.2, -0.7, 1.1, 0.4, 2.5]),
                                     0.4, cfg=StepperConfig(h_init=0.05, h_max=0.05))
         segs = run.segments
         ts = np.concatenate([[d.t0 for d in segs], [d.t1 for d in segs],
                              [0.5 * (d.t0 + d.t1) for d in segs]])
         which = np.tile(np.arange(len(segs)), 3)
-        rows = integrate._eval_segments(segs, which, ts)
+        rows, derivatives = integrate._rows(segs, which, ts)
         expected = np.array([segs[i].eval(t) for i, t in zip(which, ts)])
         assert rows.tobytes() == expected.tobytes()
+        expected = np.array([segs[i].eval_derivative(t) for i, t in zip(which, ts)])
+        assert derivatives.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.tuples(st.integers(0, 3), st.one_of(
+               st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))), min_size=5, max_size=40))
+    def test_rows_equal_eval_at_any_n(self, n, seed, picks):
+        # four consecutive steps of a 2n + 1 phase vector; step 1 is cut at an
+        # event with a projected end state, step 2 snapped onto a horizon 2 ulps
+        # past its full length. Five or more picks of four steps repeat one, in
+        # the drawn order; fraction 0 and 1 are the valid window's knots
+        rng = np.random.default_rng(seed)
+        segs, t = [], 0.0
+        for _ in range(4):
+            h = 10.0 ** rng.uniform(-3.0, 0.0)
+            segs.append(integrate.DenseSegment(t, h, *rng.uniform(-2.0, 2.0, (5, 2 * n + 1))))
+            t = segs[-1].t1
+        cut = segs[1]
+        cut.t1 = cut.t0 + 0.37 * cut.h_step
+        cut.y1 = cut.eval(cut.t1) + 1e-3
+        segs[2].t1 = np.nextafter(np.nextafter(segs[2].t1, np.inf), np.inf)
+        which = np.array([i for i, _ in picks])
+        ts = np.array([segs[i].t1 if f == 1.0 else segs[i].t0 + f * (segs[i].t1 - segs[i].t0)
+                       for i, f in picks])
+        rows, derivatives = integrate._rows(segs, which, ts)
+        expected = np.array([segs[i].eval(t) for i, t in zip(which, ts)])
+        assert rows.tobytes() == expected.tobytes()
+        expected = np.array([segs[i].eval_derivative(t) for i, t in zip(which, ts)])
+        assert derivatives.tobytes() == expected.tobytes()
+        for k, (i, f) in enumerate(picks):
+            if f in (0.0, 1.0):
+                knot = segs[i].y1 if f else segs[i].y0
+                assert rows[k].tobytes() == knot.tobytes()
 
     def test_checkpoint_times_equal_linspace(self):
         rng = np.random.default_rng(4)
