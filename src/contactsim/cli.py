@@ -311,9 +311,11 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
 
     E0 = float(energies[0])
     fit_rate = None
-    if np.all(energies > 0.0) and traj.t_end > traj.t0:
-        slope = np.polyfit(table.times, np.log(energies), 1)[0]
-        fit_rate = float(slope)
+    if np.all(energies > 0.0) and traj.t_end > traj.t0:   # the least-squares slope of log E
+        ts, logs = table.times.tolist(), [math.log(e) for e in energies.tolist()]
+        t_mean, log_mean = math.fsum(ts) / len(ts), math.fsum(logs) / len(logs)
+        fit_rate = (math.fsum((t - t_mean) * (e - log_mean) for t, e in zip(ts, logs))
+                    / math.fsum((d := t - t_mean) * d for t in ts))
     summary = {
         "status": traj.status,
         "formulation": rc.formulation,

@@ -387,7 +387,8 @@ class SystemSpec(_Spec):
             "hess_zv": ("d2L_dzdv", (n,), hess_zv),
         }, momentum="grad_v", rate="grad_z")
         if self.d2L_dqdv is not None or self.d2L_dzdv is not None:
-            drift = lambda q, v, z, Lv: self.hess_qv(q, v, z) @ v + self.hess_zv(q, v, z) * Lv
+            drift = lambda q, v, z, Lv: (_matvec(self.hess_qv(q, v, z), v)
+                                         + self.hess_zv(q, v, z) * Lv)
         object.__setattr__(self, "drift", drift)
 
     def vector_field(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -474,7 +475,7 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
             cross = (at((i, hi), (j, hj)) - at((i, hi), (j, -hj))
                      - at((i, -hi), (j, hj)) + at((i, -hi), (j, -hj)))
             W[i, j] = W[j, i] = cross / (4.0 * hi * hj)
-    if not np.all(np.isfinite(W)):
+    if not _all_finite(W):
         raise NonFiniteValue("finite-difference Hessian sampled a non-finite value")
     return W
 
@@ -495,7 +496,7 @@ def _fd_cross(f2: Callable[[np.ndarray, np.ndarray], float],
                 float(f2(xp, yp)) - float(f2(xp, ym))
                 - float(f2(xm, yp)) + float(f2(xm, ym))
             ) / (4.0 * hi * hj)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise NonFiniteValue("finite-difference cross derivative sampled a non-finite value")
     return out
 
@@ -659,7 +660,7 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
     out = np.empty(2 * n + 1)
     out[:n] = v
     if sys._minv is not None:
-        out[n:2 * n] = sys._minv @ sys.grad_q(q, v, z) + sys.grad_z(q, v, z) * v
+        out[n:2 * n] = _matvec(sys._minv, sys.grad_q(q, v, z)) + sys.grad_z(q, v, z) * v
         out[2 * n] = sys.value(q, v, z)
         return out
     dL_dq, dL_dv, dL_dz, W = (sys.grad_q(q, v, z), sys.grad_v(q, v, z), sys.grad_z(q, v, z),
@@ -681,13 +682,10 @@ def hamiltonian_rhs(sys: HamiltonianSpec, t: float, y: np.ndarray) -> np.ndarray
     q, p, z = _phase_split(sys, t, y)
     n = sys.n
     Hp = sys.grad_p(q, p, z)
-    Hq = sys.grad_q(q, p, z)
-    Hz = sys.grad_z(q, p, z)
-    H = sys.value(q, p, z)
     out = np.empty(2 * n + 1)
     out[:n] = Hp
-    out[n:2 * n] = -Hq - p * Hz
-    out[2 * n] = p @ Hp - H
+    out[n:2 * n] = -sys.grad_q(q, p, z) - p * sys.grad_z(q, p, z)
+    out[2 * n] = _dot(p, Hp) - sys.value(q, p, z)
     return out
 
 
@@ -725,26 +723,25 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
     )
 
 
-# The two owners of every product that takes one state or m states as columns:
-# a column is summed exactly as its point call, at every n and in any layout.
+# The package's one sum of products, and the matrix-vector product written
+# through it: no BLAS call, whose summation order depends on the CPU kernel.
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
-    """a . b over axis 0: a float at two vectors; at columns, or a vector and
-    columns, one dot per column, each by the point form's BLAS call on
-    contiguous copies, whose sum a strided column would split in two from n = 4."""
-    if a.ndim == 1 == b.ndim:
-        return float(a @ b)
-    return np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)).T
+    """a . b over axis 0 by one rule: the first product, then each next one added left
+    to right. Two vectors give a float; at m states as columns, each column runs its
+    point call's IEEE operations, at every length and in any memory layout."""
+    terms = a * b
+    total = terms[0]
+    for i in range(1, len(terms)):
+        total = total + terms[i]
+    return total if total.ndim else float(total)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x at one vector x, or at each column of x by the point form's BLAS
-    matrix-vector call, which ``np.einsum`` rounds otherwise for a non-diagonal
-    M; no matrix-matrix call, whose buffers raise peak memory."""
-    if x.ndim == 1:
-        return M @ x
-    return np.matmul(M, x.T[:, :, None])[:, :, 0].T
+    """M x at one vector x, or at each column of x: entry i is ``_dot`` of row i
+    of M with x, M[i, 0] x[0] + M[i, 1] x[1] + ... left to right."""
+    return _dot(M.T if x.ndim == 1 else M.T[:, :, None], x[:, None])
 
 
 def _kinetic(M: np.ndarray, x: np.ndarray):

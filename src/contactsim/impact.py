@@ -25,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _all_finite,
-                   _checked, _dot, _mass_solve, _solve_regular)
+                   _checked, _dot, _mass_solve, _matvec, _solve_regular)
 from .errors import (ConvergedToIdentity, DegenerateNormal, DimensionMismatch, GrazingContact,
                      NoConvergence, NonFiniteValue, SingularHessian)
 
@@ -80,8 +80,8 @@ class SwitchingSurface:
     def slopes(self, qs: np.ndarray, qdots: np.ndarray) -> tuple:
         """(h, dh/dt = grad h . qdot) as two lists over the rows of qs and qdots, shape
         (m, n), from one call of h and one of grad_h on the block qs.T; each entry equals
-        ``value`` and ``gradient(q) @ qdot`` of its row bit for bit, as ``core._dot``
-        sums it. grad_h must return (n, m), else DimensionMismatch."""
+        ``value`` and ``core._dot(gradient(q), qdot)`` of its row bit for bit. grad_h
+        must return (n, m), else DimensionMismatch."""
         return self.values(qs).tolist(), _dot(self.gradients(qs), qdots.T).tolist()
 
     def gradients(self, qs: np.ndarray) -> np.ndarray:
@@ -199,9 +199,9 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
             f"state is not on the switching surface (h={hval:.3e}, tol={_BOUNDARY_TOL:.1e})"
         )
     g = surface.gradient(q)
-    if float(np.linalg.norm(g)) <= 1e-12:
+    if _dot(g, g) <= 1e-24:
         raise DegenerateNormal(f"grad h vanishes at the impact point q={q}")
-    vn = float(g @ sys.velocity(*s_minus.phase))
+    vn = _dot(g, sys.velocity(*s_minus.phase))
     if vn > _GRAZING_SPEED:
         raise ValueError(
             f"normal velocity {vn:.3e} points into the admissible region, not at the boundary"
@@ -234,8 +234,8 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     if sys.natural is None:
         raise ValueError("resolve_impact_natural requires natural-form data")
     g, vn = _approach_normal(sys, surface, s_minus)
-    minv_g = _mass_solve(sys.natural, s_minus.q, g) if sys._minv is None else sys._minv @ g
-    lam = -2.0 * vn / float(g @ minv_g)
+    minv_g = _mass_solve(sys.natural, s_minus.q, g) if sys._minv is None else _matvec(sys._minv, g)
+    lam = -2.0 * vn / _dot(g, minv_g)
     return _with_residuals(sys, g, s_minus, s_minus.qdot + lam * minv_g, lam)
 
 
@@ -276,7 +276,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
             w_inv_g = _solve_regular(sys.hess_vv(q, v, z), g)
             if not _all_finite(w_inv_g):
                 raise NonFiniteValue(f"W^-1 grad h is not finite at the seed velocity qdot={v}")
-            lam = -2.0 * vn / float(g @ w_inv_g)
+            lam = -2.0 * vn / _dot(g, w_inv_g)
         except singular as e:
             raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
         v = s_minus.qdot + share * lam * w_inv_g
@@ -285,11 +285,11 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
         # one momentum serves the tangential residual and the energy v.p - L
         p = sys.grad_v(q, v, z)
         F1 = p - p_minus - lam * g
-        F2 = float(v @ p - sys.value(q, v, z)) - e_minus
+        F2 = _dot(v, p) - sys.value(q, v, z) - e_minus
         if max(float(np.max(np.abs(F1))), abs(F2)) <= _NEWTON_TOL * scale:
             break
         try:   # a Python float division by v . grad h = 0 raises
-            dlam = (float(v @ F1) - F2) / float(v @ g)
+            dlam = (_dot(v, F1) - F2) / _dot(v, g)
             v = v + _solve_regular(sys.hess_vv(q, v, z), dlam * g - F1)
         except (ZeroDivisionError, SingularHessian) as e:
             raise NoConvergence(f"impact Newton Jacobian is singular at qdot={v}") from e
@@ -297,7 +297,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
     else:
         raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
-    vn_plus = float(g @ v)
+    vn_plus = _dot(g, v)
     if not vn_plus > 0.0:
         if float(np.max(np.abs(v - s_minus.qdot))) <= 1e-8 * max(1.0, float(np.max(np.abs(s_minus.qdot)))):
             raise ConvergedToIdentity("impact solve found only the trivial root")
@@ -322,7 +322,7 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
     q, z = s_minus.q, s_minus.z
     p_minus = s_minus.p
     H_minus = sys.value(q, p_minus, z)
-    curv = float(g @ sys.grad_p(q, p_minus + g, z)) - vn
+    curv = _dot(g, sys.grad_p(q, p_minus + g, z)) - vn
     if curv == 0.0:
         raise NoConvergence("energy is flat along grad h; no reflecting root")
     lam = -2.0 * vn / curv
@@ -331,7 +331,7 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
         r = sys.value(q, p_minus + lam * g, z) - H_minus
         if abs(r) <= _NEWTON_TOL * scale:
             break
-        slope = float(g @ sys.grad_p(q, p_minus + lam * g, z))
+        slope = _dot(g, sys.grad_p(q, p_minus + lam * g, z))
         if slope == 0.0:
             raise NoConvergence(f"impact Newton slope vanished at lam={lam:.3e}")
         lam = lam - r / slope
@@ -339,7 +339,7 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
         raise NoConvergence(f"impact Newton solve stalled after {_NEWTON_MAX_ITER} iterations")
 
     p_plus = p_minus + lam * g
-    vn_plus = float(g @ sys.grad_p(q, p_plus, z))
+    vn_plus = _dot(g, sys.grad_p(q, p_plus, z))
     if not vn_plus > 0.0:
         raise ConvergedToIdentity("impact solve found only the trivial root")
     return _with_residuals(sys, g, s_minus, p_plus, lam)

@@ -9,7 +9,8 @@ its output bit for bit.
 
 The right-hand side is a flat field f(t, y) -> dy/dt on the phase vector,
 and each stage input is an exact-order sum: the rows k_0..k_{i-1} scaled
-by the tableau column and added in index order, as a scalar loop would.
+by the tableau column and added in index order, as a scalar loop would;
+the last stage's input is the step's end (first same as last).
 
 Event handling scans each accepted step at 17 equally spaced checkpoints
 for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
@@ -42,6 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import _all_finite, _dot
 from .errors import (
     ExteriorState,
     GrazingContact,
@@ -77,10 +79,9 @@ _A = (
 # Column i holds the weights of stage i as an (i, 1) array, so
 # (_A_COL[i] * k[:i]).sum(axis=0) adds the scaled rows in index order.
 _A_COL = tuple(np.array(row).reshape(-1, 1) for row in _A)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b - bhat: weights for the embedded error estimate.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
+               -17253 / 339200, 22 / 525, -1 / 40]).reshape(-1, 1)
 # Weights of the quartic dense-output correction term.
 _D = np.array([
     -12715105075 / 11282082432,
@@ -90,7 +91,7 @@ _D = np.array([
     701980252875 / 199316789632,
     -1453857185 / 822651844,
     69997945 / 29380423,
-])
+]).reshape(-1, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -212,7 +213,7 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     f_new is the derivative there (FSAL), reusable as the next f0.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(f0)):
+    if not _all_finite(np.asarray(f0)):
         raise NonFiniteValue(f"right-hand side is not finite at t={t}")
     h = min(float(h_try), cfg.h_max)
     k = np.empty((7, y.size))
@@ -221,12 +222,12 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
         if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t} (h={h:.3e})")
         for i in range(1, 7):
-            k[i] = rhs(t + _C[i] * h, y + h * (_A_COL[i] * k[:i]).sum(axis=0))
-        y1 = y + h * (_B @ k)
-        if not np.all(np.isfinite(y1)):
+            y1 = y + h * (_A_COL[i] * k[:i]).sum(axis=0)   # at i = 6, the step's end
+            k[i] = rhs(t + _C[i] * h, y1)
+        if not _all_finite(y1):
             h *= 0.5
             continue
-        err = h * (_E @ k)
+        err = h * (_E * k).sum(axis=0)
         ratio = _error_ratio(err, y, y1, cfg)
         if ratio <= 1.0:
             break
@@ -236,8 +237,7 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
               else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP)))
     h_next = min(cfg.h_max, h * factor)
     f_new = k[6].copy()  # FSAL: stage 7 is rhs at (t + h, y1)
-    seg = DenseSegment(t, h, y, y1, k[0], f_new, _D @ k)
-    return seg, h_next, f_new
+    return DenseSegment(t, h, y, y1, k[0], f_new, (_D * k).sum(axis=0)), h_next, f_new
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ class TrajectorySegment:
 def _project_to_surface(q: np.ndarray, surface) -> np.ndarray:
     """Single Newton step moving q onto h = 0 along grad h."""
     g = surface.gradient(q)
-    return q - (surface.value(q) / float(g @ g)) * g
+    return q - (surface.value(q) / _dot(g, g)) * g
 
 
 def _checkpoints(t0: float, t1: float) -> np.ndarray:
@@ -294,7 +294,7 @@ def _slope(segment: DenseSegment, surface, t: float) -> tuple:
     y = segment.eval(t)
     q = y[:n_q]
     return (y, float(surface.value(q)),
-            float(surface.gradient(q) @ segment.eval_derivative(t)[:n_q]))
+            _dot(surface.gradient(q), segment.eval_derivative(t)[:n_q]))
 
 
 def _extremum(segment: DenseSegment, surface, a: float, b: float, ga: float, gb: float,
@@ -470,7 +470,7 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
 
     q = y_b[:n_q]
     if hdot is None:
-        hdot = float(surface.gradient(q) @ segment.eval_derivative(b)[:n_q])
+        hdot = _dot(surface.gradient(q), segment.eval_derivative(b)[:n_q])
     if abs(hdot) < _GRAZING_SPEED:
         raise GrazingContact(f"tangential boundary encounter at t={b} (dh/dt={hdot:.3e})")
     # only interior -> exterior crossings are events

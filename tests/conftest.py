@@ -25,6 +25,21 @@ def interpolant_rows(seg, ts):
     return integrate._rows([seg], np.zeros(ts.size, int), ts)
 
 
+def dot_left_to_right(a, b) -> float:
+    """sum of a[i] b[i] on Python floats, the first product then each next one
+    added in index order: the reference for the package's one sum of products."""
+    products = [x * y for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+    total = products[0]
+    for p in products[1:]:
+        total += p
+    return total
+
+
+def matvec_left_to_right(M, x) -> np.ndarray:
+    """M x, each entry ``dot_left_to_right`` of a row of M with x."""
+    return np.array([dot_left_to_right(row, x) for row in np.asarray(M, dtype=float)])
+
+
 @pytest.fixture(scope="session")
 def circle_billiard():
     return make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=GAMMA_PAPER))

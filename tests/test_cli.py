@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -21,6 +23,7 @@ from contactsim.cli import build_system, load_config, main, parse_config
 from contactsim.hybrid import MAX_EVENTS
 from contactsim.integrate import StepperConfig
 from contactsim.io import read_trajectory_csv, write_trajectory_csv
+from conftest import dot_left_to_right
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 CIRCLE_CONFIG = os.path.join(CONFIG_DIR, "circle.json")
@@ -862,32 +865,32 @@ class TestShippedConfigs:
 # states why.
 OUTPUT_DIGESTS = {
     ("circle.json", "lagrangian"): {
-        "summary.json": "9b933e6ccd9c208eccbf0a048f79e38c05e2c0e7b10bb2b468a80bef8ca0b802",
-        "trajectory.csv": "40b8cb524dd11c5a0f2eefaf4bbcb052adfec2362f420f53c491998064b4e4c6",
+        "summary.json": "ab4395a252e4804647d83e2b161783f2fe83127dd16fe11bd15b51a00d586a8c",
+        "trajectory.csv": "0036b79607752bc223b2f44012dbb66febbe0891b9a783f654a75c5ffac50be5",
         "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
-        "stdout": "729b86e218492e8248be184196160301decc1917938ea0f16101d55e385aff81",
-        "checks": "2f125640171f0636a7ed4ca5ebe25dc4884b637076137b1185200e1b50bfc995",
+        "stdout": "d9161559f8b6fc3939b7808cbb5983564bb332704f8e60cb0125c6220f5b67bb",
+        "checks": "dbce87ecff7332523ff4cc02fa2d489f3ea3b7e7de7d0feb1c3dc54b463ce1c5",
     },
     ("circle.json", "hamiltonian"): {
-        "summary.json": "fda56c6de0fbe43a23471d2bcd603439a01f022d987933a0637af4746e9edd9d",
-        "trajectory.csv": "2414f01be4ff4dfdec4d24ed2ff06378708cc83c0be2a697ed20b9336dea603e",
+        "summary.json": "83e5c1ea7942f884ca5b1a2e8e66bbd3b13da9e6bf2ecb9f67156e73cc5ef901",
+        "trajectory.csv": "beab3baca4a9f5cc98e4cf4a407ed3338a2f02f640c50ce0eff6b97a1faa6572",
         "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
-        "stdout": "725099e350ed077ce91940f704631b8ef63c046e2ed632888046912af5ed3866",
-        "checks": "53bd945d14338d1f2b953f18cdf9b0784a882c7f4bfd26d9034b3b5eccd12a75",
+        "stdout": "028f77b9c4491aa98901976afeeb93be783a0bca51afc494d8a341ee1f1a3eb4",
+        "checks": "f522758693570d048c0e86e2d3eb9a19dfaf6ce26a636f2187fe8a3c9c4547f3",
     },
     ("ellipse.json", "lagrangian"): {
-        "summary.json": "31b650d12096f5f99d14e2ed8deabf05580bdc9ca02d0681813f4ff54d279fbd",
-        "trajectory.csv": "b5c6a45e1292436547b599bd1b0767390f78cc300366a9b4cc8b6e8d483baaab",
+        "summary.json": "876f8dec63c4e382d2be6709d29c28142b8439f1524c4692ea8f312c8e1f32db",
+        "trajectory.csv": "476b3dfb59e4f118f39b005606b3ff3d1a51a08523e396af0682c1e1c8e3ecce",
         "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
-        "stdout": "18d3be140a42bfa9365720c0800709b0dfb7ed54fde658f9d112464acf616b58",
-        "checks": "e4b346ed900fd67e7088b7f478d6cfb0facebcf95fdf5932dc4ba673dbfb4d3b",
+        "stdout": "17f9926837df8c401b3e812baeb775ba9c05fe80f4a17519b6298bae441b2013",
+        "checks": "8fb1bb859b247a2d5f54f39f9a0eda4fd7b4b5757da6101071fa9adb29dcc7c5",
     },
     ("ellipse.json", "hamiltonian"): {
-        "summary.json": "3836cd56bc00b34a14ebff532368e970683df2a771fbf30d68957d9b967ba28c",
-        "trajectory.csv": "1f2e6283ff85e0dc93673628054e9029589fcff64ea238eacb2f73e97e052f09",
+        "summary.json": "2f28d2c26dc00a74e0df91af48ea037776745b326cbb4a50ab76748a44aa7553",
+        "trajectory.csv": "74bea5159f9c6a8c007dab3a00220be2381adfc53439355db00e55ceb47423e8",
         "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
-        "stdout": "2f8f23a8909983d0b0adee320c12952589caa9e11bd7159ec3e4eff40f98a94c",
-        "checks": "78fab51982b725d4bd4775f33b5f1b5bd239b7b1788885913c62746afef4d559",
+        "stdout": "e3b62e7e2048427ce6f4cc383bc106a7334957b29002edcb9deb808cf3642fa0",
+        "checks": "da09aba21944cbf97329fd4c44e440ee5fce0083fbd9bae54ee68c9b2d2f4ce1",
     },
 }
 
@@ -913,6 +916,43 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys, config, formulation):
     got["checks"] = json.dumps(checks, sort_keys=True).encode()
     assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} \
         == OUTPUT_DIGESTS[config, formulation]
+
+
+@pytest.mark.parametrize("config, formulation", [("circle.json", "lagrangian"),
+                                                 ("ellipse.json", "hamiltonian")],
+                         ids=["circle-lagrangian", "ellipse-hamiltonian"])
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path, config, formulation):
+    """The T=20 CLI pair writes the same bytes whichever OpenBLAS kernel numpy
+    runs: the default for this CPU, Haswell and Prescott. Each pair runs in
+    its own processes, since OPENBLAS_CORETYPE is read once at import, and in
+    its own directory, with the same relative paths, which check prints."""
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 20.0
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")))
+    outputs, cores = [], set()
+    for kernel in (None, "Haswell", "Prescott"):
+        cwd = tmp_path / (kernel or "default")
+        cwd.mkdir()
+        (cwd / "config.json").write_text(json.dumps(cfg))
+        runs = [subprocess.run([sys.executable, "-m", "contactsim", *args], cwd=cwd,
+                               capture_output=True, text=True, timeout=300,
+                               env=dict(env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})))
+                for args in (["simulate", "--config", "config.json", "--out", "out",
+                              "--formulation", formulation],
+                             ["check", "--csv", "out/trajectory.csv", "--config", "config.json"])]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+            cores |= set(re.findall(r"^Core: (\S+)", run.stderr, re.MULTILINE))
+        outputs.append([run.stdout for run in runs] + [
+            (cwd / "out" / name).read_bytes() for name in ("summary.json", "trajectory.csv",
+                                                           "trajectory.svg")])
+    if not cores:
+        pytest.skip("this numpy's OpenBLAS does not name the kernel it runs")
+    assert len(cores) >= 2, cores
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 @pytest.mark.parametrize("column", ["t", "q1", "v1", "z"])
@@ -968,12 +1008,13 @@ def test_states_built_by_the_cli_pair_are_pinned(tmp_path, monkeypatch, states_b
 
 
 def reference_tangent_basis(grad):
-    """``impact.tangent_basis`` of one normal as it was before the column form."""
+    """``impact.tangent_basis`` of one normal as it was before the column form,
+    its sums of products left to right."""
     n = grad.size
-    u = grad / float(np.linalg.norm(grad))
+    u = grad / math.sqrt(dot_left_to_right(grad, grad))
     w = u.copy()
     w[0] += 1.0 if u[0] >= 0.0 else -1.0
-    P = np.eye(n) - 2.0 * np.outer(w, w) / float(w @ w)
+    P = np.eye(n) - 2.0 * np.outer(w, w) / dot_left_to_right(w, w)
     return P[:, 1:]
 
 
@@ -984,13 +1025,14 @@ def reference_impact_violation(sys, surface, s_minus, s_plus):
     g = surface.gradient(s_minus.q)
     if not (np.array_equal(s_minus.q, s_plus.q) and (s_minus.z, s_minus.t) == (s_plus.z, s_plus.t)
             and abs(surface.value(s_minus.q)) <= 1e-9
-            and float(g @ sys.velocity(*s_minus.phase)) < 0.0
-            < float(g @ sys.velocity(*s_plus.phase))):
+            and dot_left_to_right(g, sys.velocity(*s_minus.phase)) < 0.0
+            < dot_left_to_right(g, sys.velocity(*s_plus.phase))):
         return np.inf
     p_minus, p_plus = sys.momentum(*s_minus.phase), sys.momentum(*s_plus.phase)
     T = reference_tangent_basis(g)
     p_scale = max(1.0, float(np.max(np.abs(p_minus))))
-    r_tan = float(np.max(np.abs((p_plus - p_minus) @ T))) / p_scale if T.shape[1] else 0.0
+    jump = [dot_left_to_right(p_plus - p_minus, column) for column in T.T]
+    r_tan = max(map(abs, jump)) / p_scale if jump else 0.0
     e_minus = sys.energy(*s_minus.phase)
     r_en = abs(sys.energy(*s_plus.phase) - e_minus) / max(1.0, abs(e_minus))
     return max(r_tan, r_en)

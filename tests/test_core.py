@@ -37,6 +37,7 @@ from contactsim import (
 )
 from contactsim import core
 from contactsim.core import evaluate_partials
+from conftest import dot_left_to_right, matvec_left_to_right
 
 
 def field(rhs, sys, s):
@@ -368,6 +369,34 @@ def test_only_integrate_reads_the_interpolant_slots():
     assert hits == []
 
 
+# Calls whose summation order the BLAS kernel picks
+BLAS_CALLS = {"dot", "vdot", "vecdot", "matmul", "inner", "tensordot", "polyfit"}
+
+
+def test_every_sum_of_products_goes_through_core_dot():
+    # core._dot owns the order of every sum of products, so no output depends
+    # on the BLAS kernel; billiards.py's closed forms are oracles that share
+    # nothing with the solver. An einsum without optimize makes no BLAS call
+    package = os.path.dirname(core.__file__)
+    hits = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "billiards.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            imported = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                        [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            if (isinstance(getattr(node, "op", None), ast.MatMult) or called in BLAS_CALLS
+                    or called == "einsum" and any(k.arg == "optimize" for k in node.keywords)
+                    or getattr(node, "attr", None) == "linalg"
+                    or any("linalg" in module for module in imported)):
+                hits.append(f"{name}:{node.lineno}: {ast.unparse(node)[:60]}")
+    assert hits == []
+
+
 def test_no_module_level_import_goes_unused():
     # an import that nothing reads is left over from code that moved away; a
     # name a module re-exports through __all__ counts as read
@@ -668,13 +697,13 @@ def state_path_reference(sys, s):
     q, x, z = s.as_vector()[:sys.n], s.as_vector()[sys.n:2 * sys.n], s.z
     if isinstance(s, ContactStateH):
         Hp, Hq, Hz = sys.grad_p(q, x, z), sys.grad_q(q, x, z), sys.grad_z(q, x, z)
-        return np.concatenate([Hp, -Hq - x * Hz, [float(x @ Hp - sys.value(q, x, z))]])
+        return np.concatenate([Hp, -Hq - x * Hz, [dot_left_to_right(x, Hp) - sys.value(q, x, z)]])
     if sys._minv is not None:
-        qddot = sys._minv @ sys.grad_q(q, x, z) + sys.grad_z(q, x, z) * x
+        qddot = matvec_left_to_right(sys._minv, sys.grad_q(q, x, z)) + sys.grad_z(q, x, z) * x
         return np.concatenate([x, qddot, [sys.value(q, x, z)]])
     d = evaluate_partials(sys, s.q, s.qdot, s.z)
     L = sys.value(q, x, z)
-    rhs = d.dL_dq - d.d2L_dqdv @ x - d.d2L_dzdv * L + d.dL_dz * d.dL_dv
+    rhs = d.dL_dq - matvec_left_to_right(d.d2L_dqdv, x) - d.d2L_dzdv * L + d.dL_dz * d.dL_dv
     return np.concatenate([x, core._solve_regular(d.W, rhs), [L]])
 
 
@@ -984,12 +1013,12 @@ class TestFiniteDifferences:
         exact = coupled_analytic_system()
         q, v = np.array(q), np.array(v)
         Lval = exact.value(q, v, z)
-        c = exact.hess_qv(q, v, z) @ v + exact.hess_zv(q, v, z) * Lval
+        c = matvec_left_to_right(exact.hess_qv(q, v, z), v) + exact.hess_zv(q, v, z) * Lval
         assert np.array_equal(exact.drift(q, v, z, Lval), c)
         scale = max(1.0, float(np.max(np.abs(c))))
         for sys, tol in ((without_second_partials(exact), 1e-8),
                          (dataclasses.replace(without_second_partials(exact), dL_dv=None), 5e-6)):
-            reference = sys.hess_qv(q, v, z) @ v + sys.hess_zv(q, v, z) * Lval
+            reference = matvec_left_to_right(sys.hess_qv(q, v, z), v) + sys.hess_zv(q, v, z) * Lval
             for got in (sys.drift(q, v, z, Lval), reference):
                 assert np.max(np.abs(got - c)) / scale < tol
 
@@ -1263,7 +1292,7 @@ class TestNaturalForm:
             return np.array([[1.0 + q[0] ** 2, 0.2 * q[1]], [0.2 * q[1], 2.0]])
 
         def kinetic(q, v):
-            return 0.5 * float(v @ (mass(q) @ v))
+            return 0.5 * dot_left_to_right(v, matvec_left_to_right(mass(q), v))
 
         sys = natural_lagrangian_system(n=2, mass=mass, gamma=0.1, potential=self.potential)
         for q, v, z in fd_grid():

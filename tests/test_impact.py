@@ -37,7 +37,7 @@ from contactsim import (
     tangent_basis,
 )
 from contactsim import cli, core, impact, integrate
-from conftest import interpolant_rows
+from conftest import dot_left_to_right, interpolant_rows
 
 UNIT_CIRCLE = SwitchingSurface(
     h=lambda q: 1.0 - q[0] * q[0] - q[1] * q[1],
@@ -662,9 +662,21 @@ def test_quartic_reference_run_bytes_are_pinned(monkeypatch):
     """The quartic workload's events and its sampled table, T = 60. Its
     dL/dv reads neither q nor z, so the field's differenced drift is exactly
     zero, as the differenced cross partials were before it: the bytes did
-    not move when the drift replaced them. A change that moves them states it."""
+    not move when the drift replaced them. A change that moves them states it.
+    The workload's L and dL/dv take v . v from numpy's ``@``, which the BLAS
+    kernel rounds (with a fused multiply-add on AVX-512), so the run pinned
+    here sums it left to right, as the package sums every product."""
     hs, s0, args = quartic_newton_run(monkeypatch)
     import workloads
+
+    def vv(v):
+        return float(v[0] * v[0] + v[1] * v[1])
+
+    def L(q, v, z):
+        return 0.5 * vv(v) + 0.025 * vv(v) * vv(v) - workloads.QUARTIC_GAMMA * z
+
+    hs = dataclasses.replace(hs, dynamics=dataclasses.replace(
+        hs.dynamics, lagrangian=L, dL_dv=lambda q, v, z: (1.0 + 0.1 * vv(v)) * v))
 
     traj = simulate(hs, s0, *args)
     grid = np.linspace(traj.t0, traj.t_end, workloads.QUARTIC_SAMPLES)
@@ -678,8 +690,8 @@ def test_quartic_reference_run_bytes_are_pinned(monkeypatch):
         rows.update(np.ascontiguousarray(arr).tobytes())
     assert (traj.status, len(traj.events), len(table.times)) == (COMPLETED, 134, 1268)
     assert events.hexdigest() == \
-        "7dcaeae56e7eb7c1fcd811e13c343b4e70493f797da59ea7bd1fcb91b678060d"
-    assert rows.hexdigest() == "7b8bfcba9529372a203edb03d41518c3c12595c6ee8bae426c1e200e6ad2b9d5"
+        "66d71c4d3a3bfee966f12a35fbd1066aff4bdd6150950e528f20d8124d623fa3"
+    assert rows.hexdigest() == "87f98003ce1ddadcdea773cee65c7bc44918c5a9dc654a099d9a2e22cc1d44c6"
 
 
 def test_quartic_resolves_difference_the_hessian_three_times(monkeypatch):
@@ -755,15 +767,16 @@ class TestBlockGate:
         qs, qdots = y[:, :n], ydot[:, :n]
         h_block, dh_block = hs.surface.slopes(qs, qdots)
         h_point = np.array([hs.surface.value(q) for q in qs])
-        dh_point = np.array([float(hs.surface.gradient(q) @ v) for q, v in zip(qs, qdots)])
+        dh_point = np.array([dot_left_to_right(hs.surface.gradient(q), v)
+                             for q, v in zip(qs, qdots)])
         assert np.array(h_block).tobytes() == h_point.tobytes()
         assert np.array(dh_block).tobytes() == dh_point.tobytes()
         assert hs.surface.values(qs).tobytes() == h_point.tobytes()
         if name.startswith("sphere"):
-            # and each is r^2 - q . q as a dot product gives it, as it was
-            # before the sphere took blocks
+            # and each is r^2 - q . q with q . q summed left to right
             r = BLOCK_SYSTEMS[name][0]["surface"]["radius"]
-            assert h_point.tobytes() == np.array([r * r - float(q @ q) for q in qs]).tobytes()
+            assert h_point.tobytes() == np.array(
+                [r * r - dot_left_to_right(q, q) for q in qs]).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 20), ordered=st.booleans())
@@ -780,7 +793,7 @@ class TestBlockGate:
         h_block, dh_block = surface.slopes(qs, qdots)
         assert np.array(h_block).tobytes() == h_point.tobytes()
         assert np.array(dh_block).tobytes() == np.array(
-            [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]).tobytes()
+            [dot_left_to_right(surface.gradient(q), v) for q, v in zip(qs, qdots)]).tobytes()
         block = np.ascontiguousarray(qs.T).T if ordered else qs
         assert surface.values(block).tobytes() == h_point.tobytes()
 
@@ -798,7 +811,7 @@ class TestBlockGate:
         h_block, dh_block = surface.slopes(qs, qdots)
         assert np.array(h_block).tobytes() == np.array([surface.value(q) for q in qs]).tobytes()
         assert np.array(dh_block).tobytes() == np.array(
-            [float(surface.gradient(q) @ v) for q, v in zip(qs, qdots)]).tobytes()
+            [dot_left_to_right(surface.gradient(q), v) for q, v in zip(qs, qdots)]).tobytes()
 
 
 # The unit sphere in n = 1 to 8, and a diagonal and a skewed SPD mass, A A^T + I

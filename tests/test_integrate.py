@@ -493,16 +493,23 @@ class TestLocateProperties:
         assert abs(s) <= 1e-12 + 10.0 * np.finfo(float).eps * q_max / alpha
         assert abs(hit.hdot + alpha + 3.0 * cubic * s * s) <= 1e-6 * alpha
 
-    @pytest.mark.parametrize("log_slope, end", [(-6.75, 0), (-8.75, 1)])
+    @pytest.mark.parametrize("log_slope, end", [(-6.75, 0), (-7.75, 1)])
     def test_root_within_rounding_of_a_bracket_end_is_found_in_budget(self, log_slope, end):
-        # at phase 0.25 the straight path crosses on a checkpoint, so the root
-        # lies within rounding of the scan's bracket start (log slope -6.75)
-        # or end (-8.75); each Newton point landed on that end and bisected,
-        # 37 evaluations in all, before a point 0.5e-12 inside it was tried
+        # at phase 0.25 the straight path crosses on a checkpoint; at these
+        # slopes the root lies within rounding of the scan's bracket start
+        # (log slope -6.75) or end (-7.75). Each Newton point landed on that
+        # end and bisected, 37 evaluations in all, before a point 0.5e-12
+        # inside it was tried
         alpha = 10.0 ** log_slope
         floor = SwitchingSurface(h=lambda q: q[0], grad_h=lambda q: np.ones_like(q))
         seg, t_star, _ = self._crossing(floor, [0.0], [-alpha], [0.0], [0.0], 0.25, 0.5)
-        assert integrate._scan(seg, floor, armed=True)[0][end] == t_star
+        # the premise, which rests on the step's last bits: that end is the
+        # checkpoint at t*, h is not exactly 0 at b, and the bracket's secant
+        # point lies on or past that end
+        a, b, h_a, _, h_b = integrate._scan(seg, floor, armed=True)[0]
+        secant = b - h_b * (b - a) / (h_b - h_a)
+        assert (a, b)[end] == t_star and h_b != 0.0
+        assert (secant <= a) if end == 0 else (secant >= b)
         hit, evals = self._located(seg, floor)
         assert len(evals) == 3   # both bracket ends, then one iterate
         h_end = float(seg.eval(hit.t)[0])
@@ -586,8 +593,8 @@ def test_stepping_cost_is_pinned(monkeypatch, config, formulation, steps, rhs_ca
 @pytest.mark.parametrize("config, formulation, steps, h_points, grad_points", [
     ("circle.json", "lagrangian", 303, 1201, 900),
     ("circle.json", "hamiltonian", 303, 1201, 900),
-    ("ellipse.json", "lagrangian", 306, 1322, 999),
-    ("ellipse.json", "hamiltonian", 306, 1322, 999)])
+    ("ellipse.json", "lagrangian", 306, 1321, 998),
+    ("ellipse.json", "hamiltonian", 306, 1321, 998)])
 def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_points):
     """Exact calls of h and grad h on the reference configurations at T = 200.
     The event scan makes one block call of each per accepted step, and the
@@ -739,7 +746,7 @@ class TestFlatHotPath:
             k[i] = wobble(t + integrate._C[i] * h, yi)
         seg, _, f_new = step(wobble, t, y, cfg, h, wobble(t, y))
         assert seg.h_step == h
-        assert seg.y1.tobytes() == (y + h * (integrate._B @ k)).tobytes()
+        assert seg.y1.tobytes() == yi.tobytes()   # FSAL: the step ends at stage 7's input
         assert f_new.tobytes() == k[6].tobytes()
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -748,6 +755,20 @@ class TestFlatHotPath:
                 ref = sum(a * rows[j] for j, a in enumerate(integrate._A[i]))
                 got = (integrate._A_COL[i] * rows[:i]).sum(axis=0)
                 assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), h=st.floats(1e-3, 0.5))
+    def test_fsal_derivative_is_the_field_at_the_step_end(self, n, seed, h):
+        # Dormand & Prince (1980): a_7 = b, so stage 7 is the field at the
+        # step's end, and f_new, the next step's f0, is rhs(t1, y1) bit for bit
+        rng = np.random.default_rng(seed)
+        w, y0, t0 = rng.normal(size=n), rng.normal(size=n), float(rng.uniform(0.0, 5.0))
+
+        def rhs(t, y):
+            return np.sin(w * np.roll(y, 1)) - 0.5 * y * y + np.cos(t) * w
+
+        seg, _, f_new = step(rhs, t0, y0, StepperConfig(h_init=h, h_max=h), h, rhs(t0, y0))
+        assert f_new.tobytes() == rhs(seg.t1, seg.y1).tobytes()
 
 
 class TestBudgets:
