@@ -120,7 +120,7 @@ def check_decay_laws(traj: HybridTrajectory, sys: Union[SystemSpec, HamiltonianS
         raise ValueError("trajectory has no flow to check")
     t0, t1 = np.array([(seg.t0, seg.t1) for seg in steps]).T
     ts = np.column_stack([t0, 0.5 * (t0 + t1), t1])
-    nodes, n = _rows(steps, np.repeat(np.arange(len(steps)), 3), ts.ravel())[0], sys.n
+    nodes, n = _rows(steps, np.repeat(np.arange(len(steps)), 3), ts.ravel()), sys.n
     bad = ~np.isfinite(nodes).all(axis=1) | (nodes.shape[1] != 2 * n + 1)
     if bad.any():   # the first node that is not finite, or any of another length
         _phase_split(sys, ts.ravel()[np.argmax(bad)], nodes[np.argmax(bad)])
@@ -212,8 +212,8 @@ def check_containment(traj: HybridTrajectory, surface: SwitchingSurface) -> Chec
     for first in range(0, len(steps), _CONTAINMENT_BLOCK):
         block = steps[first:first + _CONTAINMENT_BLOCK]
         ts = _window_times(*np.array([(s.t0, s.t1) for s in block]).T)
-        qs, qdots = (v[:, :n] for v in _rows(block, np.repeat(np.arange(len(block)), pts),
-                                               ts.ravel()))
+        qs, qdots = _rows(block, np.repeat(np.arange(len(block)), pts), ts.ravel(),
+                          slice(n), True)
         hs, gs = (np.reshape(v, ts.shape) for v in surface.slopes(qs, qdots))
         dips = (gs[:, :-1] < 0.0) & (gs[:, 1:] > 0.0)
         for seg, t_row, h_row, k, dip in zip(block, ts, hs, np.argmin(hs, axis=1), dips):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -63,12 +64,13 @@ _FD_STEP_2 = _EPS ** 0.25
 _REG_TOL = 1e-10
 _LEGENDRE_MAX_ITER = 50
 _LEGENDRE_TOL = 1e-12
+_F64 = np.dtype(float)
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    # math.isfinite over Python floats: for the short vectors of a state or
-    # a partial this is several times cheaper than the numpy ufunc
-    return all(map(math.isfinite, v.ravel().tolist()))
+def _all_finite(v) -> bool:
+    # math.isfinite over Python floats, an array's or a list's: for the short
+    # vectors of a state or a partial this is several times cheaper than the ufunc
+    return all(map(math.isfinite, v if type(v) is list else v.ravel().tolist()))
 
 
 def _as_locked_vector(x, name: str) -> np.ndarray:
@@ -304,6 +306,10 @@ class _Spec:
                 object.__setattr__(self, name, _by_column(getattr(self, name), shape))
         for alias, accessor in aliases.items():
             object.__setattr__(self, alias, getattr(self, accessor))
+        gated = [getattr(self, name) for name in ("value", *gradients)]   # the field's two passes
+        object.__setattr__(self, "_gated", gated)
+        object.__setattr__(self, "_raw", [getattr(self, f) or g for f, g in zip(
+            (self.formulation, *gradients.values()), gated)])
 
     def check_state(self, s) -> None:
         if s.n != self.n:
@@ -640,6 +646,49 @@ def _phase_split(sys, t: float, y: np.ndarray) -> tuple:
     return y[:n], y[n:2 * n], float(y[2 * n])
 
 
+def _one_gate(sys, t: float, y, field: Callable) -> np.ndarray:
+    """``field(sys, q, x, z, value, grad_q, grad_x, grad_z)``, a list of floats, as an
+    array, at the read-only views of y: on ``sys._raw`` with one finiteness test of y
+    and the field together, and only when it or a ``_typed`` test fails, or anything
+    raises, from ``_phase_split`` on the gated accessors, which raise the typed error."""
+    y = np.asarray(y, dtype=float).view()
+    n = sys.n
+    if y.shape == (2 * n + 1,):
+        y.setflags(write=False)
+        ys = y.tolist()
+        try:
+            out = field(sys, y[:n], y[n:2 * n], ys[-1], *sys._raw)
+            if _all_finite(ys + out):
+                return np.array(out)
+        except Exception:   # what a gate would have stopped first: the gated pass names it
+            pass
+    return np.array(field(sys, *_phase_split(sys, t, y), *sys._gated))
+
+
+def _typed(val, n: int = 0):
+    """val if it is a float, or for n > 0 a float64 array of shape (n,), as every
+    gated value is; else TypeError, which sends ``_one_gate`` to its gated pass."""
+    if type(val) is float if not n else (
+            type(val) is np.ndarray and val.shape == (n,) and val.dtype is _F64):
+        return val
+    raise TypeError(f"a {type(val).__name__} takes the gated pass")
+
+
+def _natural_field(sys, q, v, z, L, dL_dq, dL_dv, dL_dz) -> list:
+    """[qdot, M^-1 dL/dq + (dL/dz) qdot, L] on Python floats, M^-1 dL/dq by ``_fold``."""
+    force = _typed(dL_dq(q, v, z), sys.n).tolist()
+    pull = [_fold(row, force) for row in sys._minv.tolist()]
+    rate, vs = _typed(dL_dz(q, v, z)), v.tolist()
+    return vs + [a + rate * b for a, b in zip(pull, vs)] + [_typed(L(q, v, z))]
+
+
+def _contact_field(sys, q, p, z, H, dH_dq, dH_dp, dH_dz) -> list:
+    """[dH/dp, -dH/dq - p dH/dz, p . dH/dp - H] on Python floats, p . dH/dp by ``_fold``."""
+    Hp = _typed(dH_dp(q, p, z), sys.n).tolist()
+    Hq, Hz, ps = _typed(dH_dq(q, p, z), sys.n).tolist(), _typed(dH_dz(q, p, z)), p.tolist()
+    return Hp + [-a - b * Hz for a, b in zip(Hq, ps)] + [_fold(ps, Hp) - _typed(H(q, p, z))]
+
+
 def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
     """Herglotz vector field on the flat phase vector y = [q, qdot, z] at t.
 
@@ -653,16 +702,15 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
     on a vector of the wrong length, NonFiniteValue on a non-finite entry,
     and SingularHessian when W fails the gate. A natural form with a
     constant, regular mass M skips the solve: W = M, c = 0 and dL/dqdot =
-    M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with the SystemSpec's M^-1.
+    M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with the SystemSpec's M^-1,
+    behind one gate (``_one_gate``).
     """
+    if sys._minv is not None:
+        return _one_gate(sys, t, y, _natural_field)
     q, v, z = _phase_split(sys, t, y)
     n = sys.n
     out = np.empty(2 * n + 1)
     out[:n] = v
-    if sys._minv is not None:
-        out[n:2 * n] = _matvec(sys._minv, sys.grad_q(q, v, z)) + sys.grad_z(q, v, z) * v
-        out[2 * n] = sys.value(q, v, z)
-        return out
     dL_dq, dL_dv, dL_dz, W = (sys.grad_q(q, v, z), sys.grad_v(q, v, z), sys.grad_z(q, v, z),
                               sys.hess_vv(q, v, z))
     Lval = sys.value(q, v, z)
@@ -675,18 +723,11 @@ def hamiltonian_rhs(sys: HamiltonianSpec, t: float, y: np.ndarray) -> np.ndarray
     """Contact Hamiltonian vector field on the flat phase vector
     y = [q, p, z] at t.
 
-    Returns the flat derivative [dH/dp, -dH/dq - p dH/dz, p . dH/dp - H].
-    Raises DimensionMismatch on a vector of the wrong length and
-    NonFiniteValue on a non-finite entry; builds no state.
+    Returns the flat derivative [dH/dp, -dH/dq - p dH/dz, p . dH/dp - H],
+    behind one gate (``_one_gate``). Raises DimensionMismatch on a vector of
+    the wrong length and NonFiniteValue on a non-finite entry; builds no state.
     """
-    q, p, z = _phase_split(sys, t, y)
-    n = sys.n
-    Hp = sys.grad_p(q, p, z)
-    out = np.empty(2 * n + 1)
-    out[:n] = Hp
-    out[n:2 * n] = -sys.grad_q(q, p, z) - p * sys.grad_z(q, p, z)
-    out[2 * n] = _dot(p, Hp) - sys.value(q, p, z)
-    return out
+    return _one_gate(sys, t, y, _contact_field)
 
 
 def legendre_forward(sys: SystemSpec, s: ContactStateL) -> ContactStateH:
@@ -727,10 +768,22 @@ def _legendre_velocity(sys: SystemSpec, q: np.ndarray, p: np.ndarray, z: float) 
 # through it: no BLAS call, whose summation order depends on the CPU kernel.
 
 
+def _fold(a: list, b: list) -> float:
+    """``_dot``'s rule on two lists of Python floats."""
+    products = map(mul, a, b)
+    total = next(products)
+    for product in products:
+        total += product
+    return total
+
+
 def _dot(a: np.ndarray, b: np.ndarray):
     """a . b over axis 0 by one rule: the first product, then each next one added left
-    to right. Two vectors give a float; at m states as columns, each column runs its
-    point call's IEEE operations, at every length and in any memory layout."""
+    to right. Two vectors give a float, two float64 ones by ``_fold`` on their Python
+    floats, the same IEEE operations; at m states as columns, each column runs its point
+    call's IEEE operations, at every length and in any memory layout."""
+    if a.ndim == 1 and a.shape == b.shape and a.dtype is _F64 is b.dtype:
+        return _fold(a.tolist(), b.tolist())
     terms = a * b
     total = terms[0]
     for i in range(1, len(terms)):
@@ -740,12 +793,19 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M x at one vector x, or at each column of x: entry i is ``_dot`` of row i
-    of M with x, M[i, 0] x[0] + M[i, 1] x[1] + ... left to right."""
+    of M with x, M[i, 0] x[0] + M[i, 1] x[1] + ... left to right, by ``_fold``
+    at one float64 vector."""
+    if x.ndim == 1 and M.shape[1:] == x.shape and M.dtype is _F64 is x.dtype:
+        xs = x.tolist()
+        return np.array([_fold(row, xs) for row in M.tolist()])
     return _dot(M.T if x.ndim == 1 else M.T[:, :, None], x[:, None])
 
 
 def _kinetic(M: np.ndarray, x: np.ndarray):
     """1/2 x . M x at one vector x, as a float, or at each column of x."""
+    if x.ndim == 1 and M.shape[1:] == x.shape and M.dtype is _F64 is x.dtype:
+        xs = x.tolist()
+        return 0.5 * _fold(xs, [_fold(row, xs) for row in M.tolist()])
     return 0.5 * _dot(x, _matvec(M, x))
 
 

@@ -166,7 +166,7 @@ def _flow_states(traj: HybridTrajectory, ts: np.ndarray) -> np.ndarray:
     steps = traj.steps
     which = np.searchsorted([seg.t0 for seg in steps], ts, side="right") - 1
     used, row = np.unique(np.maximum(which, 0), return_inverse=True)   # gather no unused step
-    return _rows([steps[i] for i in used.tolist()], row, ts)[0]
+    return _rows([steps[i] for i in used.tolist()], row, ts)
 
 
 def sample(traj: HybridTrajectory, times: Sequence[float]) -> SampleTable:

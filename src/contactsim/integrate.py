@@ -178,19 +178,21 @@ def _derivative(th, h_step, r2, r3, r4, r5):
             + (2.0 * th - 6.0 * th * th + 4.0 * th * th * th) * r5) / h_step
 
 
-def _rows(steps: list, which: np.ndarray, ts: np.ndarray) -> tuple:
-    """(ys, yds): row k of ys is ``steps[which[k]].eval(ts[k])`` and of yds its
-    ``eval_derivative``, in one broadcast with ``eval``'s operation order and
-    knot rule (t0 before t1) on one theta; the one reader of many rows, it
-    reads each slot of DenseSegment once over exactly the steps given."""
+def _rows(steps: list, which: np.ndarray, ts: np.ndarray, cols: slice = slice(None),
+          derivative: bool = False):
+    """Row k of ys is ``steps[which[k]].eval(ts[k])[cols]``, in one broadcast with
+    ``eval``'s operation order and knot rule (t0 before t1) on one theta, and with
+    derivative (ys, yds), row k of yds its ``eval_derivative``'s; the one reader of
+    many rows, it reads each slot of DenseSegment once over exactly the steps given."""
     ts = np.asarray(ts, dtype=float)
     h_step, t0, t1, y0, y1, r2, r3, r4, r5 = (
-        np.array([getattr(d, name) for d in steps])[which] for name in DenseSegment.__slots__)
+        v[which] if v.ndim == 1 else v[which, cols]
+        for v in (np.array([getattr(d, name) for d in steps]) for name in DenseSegment.__slots__))
     th = ((ts - t0) / h_step)[:, None]
     om = 1.0 - th
     ys = y0 + th * (r2 + om * (r3 + th * (r4 + om * r5)))
     ys = np.where((ts == t0)[:, None], y0, np.where((ts == t1)[:, None], y1, ys))
-    return ys, _derivative(th, h_step[:, None], r2, r3, r4, r5)
+    return (ys, _derivative(th, h_step[:, None], r2, r3, r4, r5)) if derivative else ys
 
 
 def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -366,7 +368,7 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
         if on_basis:
             qs, qdots = _on_basis(segment, n_q)
         else:
-            qs, qdots = (v[:, :n_q] for v in _rows([segment], np.zeros(ts.size, int), ts))
+            qs, qdots = _rows([segment], np.zeros(ts.size, int), ts, slice(n_q), True)
         bracket, armed_after = _guard(segment, surface, armed, ts, *surface.slopes(qs, qdots))
         if bracket is None:
             return None, armed_after

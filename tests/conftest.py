@@ -22,7 +22,7 @@ def interpolant_rows(seg, ts):
     """``seg.eval`` and ``seg.eval_derivative`` at every time in ts, one row
     per time, from the owner of the row broadcast."""
     ts = np.asarray(ts, dtype=float)
-    return integrate._rows([seg], np.zeros(ts.size, int), ts)
+    return integrate._rows([seg], np.zeros(ts.size, int), ts, derivative=True)
 
 
 def dot_left_to_right(a, b) -> float:

@@ -758,6 +758,109 @@ class TestFlatField:
         assert y[0] == 0.1
 
 
+def gated_pass(sys, t, y):
+    """The field's arithmetic on the gated accessors, after the phase vector's
+    own gate: what ``_one_gate`` falls back to."""
+    field = core._natural_field if sys.formulation == "lagrangian" else core._contact_field
+    return np.array(field(sys, *core._phase_split(sys, t, y), *sys._gated))
+
+
+def reference_field(formulation):
+    """The reference circle's Herglotz field or the ellipse's closed-form
+    contact Hamiltonian, both at gamma = 1e-4 and unit mass."""
+    if formulation == "lagrangian":
+        return make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-4)).dynamics
+    return hamiltonian_from_lagrangian(make_elliptical_billiard(
+        BilliardSpec(boundary=Ellipse(0.9, 1.1), gamma=1e-4)).dynamics)
+
+
+RAW_EVALUATORS = {"lagrangian": ("lagrangian", "dL_dq", "dL_dz"),
+                  "hamiltonian": ("hamiltonian", "dH_dq", "dH_dp", "dH_dz")}
+
+
+class TestOneGate:
+    """A constant-mass natural Herglotz field and a contact Hamiltonian with
+    every partial supplied run their arithmetic once on the raw evaluators,
+    behind one finiteness test of y and the field together; any other value
+    takes the gated pass, which gives the same bits or today's typed error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           potential=st.sampled_from(["none", "differenced", "supplied"]),
+           formulation=st.sampled_from(["lagrangian", "hamiltonian"]),
+           zeros=st.lists(st.integers(0, 16), max_size=4))
+    def test_fast_pass_equals_the_gated_pass(self, n, seed, potential, formulation, zeros):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        c = rng.uniform(0.5, 2.0, n)
+        sys = natural_lagrangian_system(
+            n, A @ A.T + n * np.eye(n), gamma=float(rng.uniform(0.0, 0.5)),
+            potential=None if potential == "none" else lambda q: float(np.sum(c * np.cos(q))),
+            grad_potential=(lambda q: -c * np.sin(q)) if potential == "supplied" else None)
+        if formulation == "hamiltonian":
+            sys = hamiltonian_from_lagrangian(sys)
+        y = rng.uniform(-2.0, 2.0, 2 * n + 1)
+        y[[k for k in zeros if k < y.size]] = -0.0
+        t = float(rng.uniform(0.0, 100.0))
+        fast = sys.vector_field(t, y)
+        assert fast.dtype == np.float64 and fast.shape == y.shape and fast.flags.writeable
+        assert fast.tobytes() == gated_pass(sys, t, y).tobytes()
+        # at a point, the helpers run their column path's IEEE operations, -0.0 included
+        q, x, M = y[:n], y[n:2 * n], sys.natural.mass
+        bits = lambda v: np.float64(v).tobytes()
+        assert bits(core._dot(x, q)) == bits(core._dot(x[:, None], q[:, None])[0])
+        assert core._matvec(M, x).tobytes() == core._matvec(M, x[:, None])[:, 0].tobytes()
+        assert bits(core._kinetic(M, x)) == bits(core._kinetic(M, x[:, None])[0])
+
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_other_value_types_take_the_gated_pass_to_the_same_bits(self, monkeypatch,
+                                                                     formulation):
+        # a numpy scalar or an (n, 1) array fails the type test; the gated pass
+        # reads the same floats from it and gives the same field
+        sys = reference_field(formulation)
+        value, grad_q, *_, grad_z = RAW_EVALUATORS[formulation]
+        f_value, f_q, f_z = (getattr(sys, name) for name in (value, grad_q, grad_z))
+        variants = [{value: lambda q, x, z: np.float64(f_value(q, x, z))},
+                    {grad_z: lambda q, x, z: np.float64(f_z(q, x, z))},
+                    {grad_q: lambda q, x, z: f_q(q, x, z).reshape(-1, 1)}]
+        checked, on_checked = [], core._checked
+        monkeypatch.setattr(core, "_checked", lambda *a: checked.append(a) or on_checked(*a))
+        rng = np.random.default_rng(8)
+        for changed in variants:
+            other = dataclasses.replace(sys, **changed)
+            for y in rng.uniform(-1.0, 1.0, (10, 5)):
+                checked.clear()
+                assert other.vector_field(0.0, y).tobytes() == sys.vector_field(0.0, y).tobytes()
+                assert len(checked) == len(RAW_EVALUATORS[formulation])   # one gated pass
+
+    def test_short_position_partial_is_still_a_dimension_mismatch(self):
+        # the (1,)-shaped dL/dq of a 2-D system would broadcast in M^-1 dL/dq
+        sys = dataclasses.replace(billiard_system(), dL_dq=lambda q, v, z: np.zeros(1))
+        with pytest.raises(DimensionMismatch, match=r"^dL_dq has shape \(1,\), expected \(2,\)"):
+            herglotz_rhs(sys, 0.0, np.array([0.1, 0.2, 1.0, 0.5, 0.0]))
+
+    def test_dot_of_two_int_vectors_is_a_python_float(self):
+        got = core._dot(np.array([1, 2, 3]), np.array([4, 5, 6]))
+        assert type(got) is float and got == 32.0
+
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    def test_a_clean_evaluation_passes_one_gate(self, monkeypatch, formulation):
+        # no _checked call, one finiteness test, and one call of each raw
+        # evaluator that the field reads (the circle's field never reads dL/dqdot)
+        calls = []
+        sys = reference_field(formulation)
+        sys = dataclasses.replace(sys, **{
+            name: lambda *a, name=name, f=getattr(sys, name): calls.append(name) or f(*a)
+            for name in RAW_EVALUATORS[formulation]})
+        checked, tested = [], []
+        on_checked, on_finite = core._checked, core._all_finite
+        monkeypatch.setattr(core, "_checked", lambda *a: checked.append(a) or on_checked(*a))
+        monkeypatch.setattr(core, "_all_finite", lambda v: tested.append(v) or on_finite(v))
+        sys.vector_field(0.0, np.array([0.5, 0.0, 1.0, 1.2, 0.0]))
+        assert (len(checked), len(tested)) == (0, 1)
+        assert sorted(calls) == sorted(RAW_EVALUATORS[formulation])
+
+
 class TestLegendre:
     def test_unit_mass_is_identity_on_velocities(self):
         sys = billiard_system(gamma=0.1)

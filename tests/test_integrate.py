@@ -277,7 +277,8 @@ class TestLocateEvent:
         broadcasts = []
         rows = integrate._rows
         monkeypatch.setattr(integrate, "_rows",
-                            lambda steps, which, t: broadcasts.append(t) or rows(steps, which, t))
+                            lambda steps, which, t, *cols: broadcasts.append(t)
+                            or rows(steps, which, t, *cols))
         bracket = self._bracket(seg, wall)
         assert len(broadcasts) == 1
         assert bracket[:2] == (ts[5], ts[6])
@@ -686,7 +687,7 @@ class TestFlatHotPath:
         ts = np.concatenate([[d.t0 for d in segs], [d.t1 for d in segs],
                              [0.5 * (d.t0 + d.t1) for d in segs]])
         which = np.tile(np.arange(len(segs)), 3)
-        rows, derivatives = integrate._rows(segs, which, ts)
+        rows, derivatives = integrate._rows(segs, which, ts, derivative=True)
         expected = np.array([segs[i].eval(t) for i, t in zip(which, ts)])
         assert rows.tobytes() == expected.tobytes()
         expected = np.array([segs[i].eval_derivative(t) for i, t in zip(which, ts)])
@@ -714,11 +715,17 @@ class TestFlatHotPath:
         which = np.array([i for i, _ in picks])
         ts = np.array([segs[i].t1 if f == 1.0 else segs[i].t0 + f * (segs[i].t1 - segs[i].t0)
                        for i, f in picks])
-        rows, derivatives = integrate._rows(segs, which, ts)
+        rows, derivatives = integrate._rows(segs, which, ts, derivative=True)
         expected = np.array([segs[i].eval(t) for i, t in zip(which, ts)])
         assert rows.tobytes() == expected.tobytes()
         expected = np.array([segs[i].eval_derivative(t) for i, t in zip(which, ts)])
         assert derivatives.tobytes() == expected.tobytes()
+        # a caller's column slice reads the same bits, and rows alone are the same rows
+        cols = slice(*sorted(rng.integers(0, 2 * n + 2, 2)))
+        sliced = integrate._rows(segs, which, ts, cols, True)
+        assert sliced[0].tobytes() == rows[:, cols].tobytes()
+        assert sliced[1].tobytes() == derivatives[:, cols].tobytes()
+        assert integrate._rows(segs, which, ts).tobytes() == rows.tobytes()
         for k, (i, f) in enumerate(picks):
             if f in (0.0, 1.0):
                 knot = segs[i].y1 if f else segs[i].y0
