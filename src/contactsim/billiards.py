@@ -86,33 +86,30 @@ class BilliardSpec:
             raise ValueError(f"mass must be > 0, got {self.mass}")
 
 
-def _billiard(spec: BilliardSpec, h, grad_h) -> HybridSystem:
-    """The natural system of the free particle with drag in the region h >= 0."""
+def _billiard(spec: BilliardSpec, A: np.ndarray, c: float) -> HybridSystem:
+    """The free particle with drag inside the quadric wall h(q) = c + q . A q >= 0."""
     sys = natural_lagrangian_system(n=2, mass=spec.mass * np.eye(2), gamma=spec.gamma)
-    return HybridSystem(dynamics=sys, surface=SwitchingSurface(h=h, grad_h=grad_h))
+    return HybridSystem(dynamics=sys, surface=SwitchingSurface(quadric=(A, np.zeros(2), c)))
 
 
 def make_circular_billiard(spec: BilliardSpec) -> HybridSystem:
     """Hybrid system for the disk |q| <= radius with linear drag.
 
-    h(q) = r^2 - x^2 - y^2, grad h = (-2x, -2y); natural-form dynamics
+    h(q) = r^2 - x^2 - y^2, the quadric (-I, 0, r^2); natural-form dynamics
     with constant mass matrix and zero potential; closed-form resolver.
     """
     if not isinstance(spec.boundary, Circle):
         raise ValueError("make_circular_billiard needs a Circle boundary")
-    r2 = spec.boundary.radius ** 2
-    return _billiard(spec, lambda q: r2 - q[0] * q[0] - q[1] * q[1],
-                     lambda q: np.array([-2.0 * q[0], -2.0 * q[1]]))
+    return _billiard(spec, -np.eye(2), spec.boundary.radius ** 2)
 
 
 def make_elliptical_billiard(spec: BilliardSpec) -> HybridSystem:
-    """Hybrid system for the ellipse (x/a)^2 + (y/b)^2 <= 1 with linear drag."""
+    """Hybrid system for the ellipse (x/a)^2 + (y/b)^2 <= 1 with linear drag:
+    h(q) = 1 - x^2/a^2 - y^2/b^2, the quadric (-diag(1/a^2, 1/b^2), 0, 1)."""
     if not isinstance(spec.boundary, Ellipse):
         raise ValueError("make_elliptical_billiard needs an Ellipse boundary")
-    a2 = spec.boundary.a ** 2
-    b2 = spec.boundary.b ** 2
-    return _billiard(spec, lambda q: 1.0 - q[0] * q[0] / a2 - q[1] * q[1] / b2,
-                     lambda q: np.array([-2.0 * q[0] / a2, -2.0 * q[1] / b2]))
+    return _billiard(spec, -np.diag([1.0 / spec.boundary.a ** 2, 1.0 / spec.boundary.b ** 2]),
+                     1.0)
 
 
 def _phi(u: float) -> float:

@@ -30,7 +30,7 @@ from .billiards import (
 )
 from .checks import (COLUMN_TOL, check_containment, check_decay_laws, check_impact_rows,
                      check_row_containment, check_row_decay_laws, CheckReport)
-from .core import (ContactStateH, ContactStateL, SystemSpec, _dot, hamiltonian_from_lagrangian,
+from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_lagrangian,
                    legendre_forward, natural_lagrangian_system)
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
@@ -157,8 +157,7 @@ def _parse_system(cfg: dict) -> SystemSetup:
         if _read(cfg, "system.surface.kind", str) != "sphere":
             raise ConfigError("'system.surface.kind' must be 'sphere'")
         r = _positive(cfg, "system.surface.radius")
-        surface = SwitchingSurface(h=lambda q: r * r - _dot(q, q),
-                                   grad_h=lambda q: -2.0 * q)
+        surface = SwitchingSurface(quadric=(-np.eye(n), np.zeros(n), r * r))
         hs = HybridSystem(dynamics=natural_lagrangian_system(n=n, mass=M, gamma=gamma),
                           surface=surface)
         return SystemSetup(hs, ("circle", r) if n == 2 else None, monitors_ell=False)

@@ -19,13 +19,13 @@ pre/post pair (the resolvers' residuals, ``impact_residuals``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import (ContactStateH, ContactStateL, HamiltonianSpec, SystemSpec, _all_finite,
-                   _checked, _dot, _mass_solve, _matvec, _solve_regular)
+                   _checked, _dot, _fold, _mass_solve, _matvec, _solve_regular)
 from .errors import (ConvergedToIdentity, DegenerateNormal, DimensionMismatch, GrazingContact,
                      NoConvergence, NonFiniteValue, SingularHessian)
 
@@ -54,10 +54,46 @@ class SwitchingSurface:
     (n,), or a block of m configurations as the columns of an (n, m)
     array, for which they return shape (m,) and (n, m). h must be finite on
     both sides of the boundary, and grad h must not vanish near it.
+    A quadric wall is ``quadric=(A, b, c)`` instead, read by the event guard; h = c + q .
+    (b + A q) and grad h = b + (A + A^T) q follow by ``core._dot``'s rule, so cannot disagree.
+    A bad shape is a DimensionMismatch, a non-finite one a NonFiniteValue (h beside: ValueError).
     """
 
-    h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
+    h: Optional[Callable[[np.ndarray], float]] = None
+    grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    quadric: Optional[tuple] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if (self.h is None, self.grad_h is None) != (self.quadric is not None,) * 2:
+            raise ValueError("a switching surface needs h and grad_h, or a quadric: h and "
+                             "grad_h follow from the quadric, give one or the other")
+        if self.quadric is None:
+            return
+        A, b, c = (np.array(v, dtype=float) for v in self.quadric)
+        if b.ndim != 1 or not b.size or A.shape != 2 * b.shape or c.shape:
+            raise DimensionMismatch(f"a quadric (A, b, c) needs shapes (n, n), (n,) and (), "
+                                    f"got {A.shape}, {b.shape} and {c.shape}")
+        if not _all_finite(np.concatenate([A.ravel(), b, [c]])):
+            raise NonFiniteValue(f"quadric is not finite: A={A.tolist()}, b={b}, c={c}")
+        S, c = A + A.T, float(c)
+        A.flags.writeable = b.flags.writeable = False
+        rows, sym_rows, bs = A.tolist(), S.tolist(), b.tolist()
+
+        def h(q):                        # at one q, _dot's and _matvec's point path
+            if q.ndim == 1:
+                qs = q.tolist()
+                return c + _fold(qs, [bi + _fold(row, qs) for bi, row in zip(bs, rows)])
+            return c + _dot(q, b[:, None] + _matvec(A, q))
+
+        def grad_h(q):
+            if q.ndim == 1:
+                qs = q.tolist()
+                return np.array([bi + _fold(row, qs) for bi, row in zip(bs, sym_rows)])
+            return b[:, None] + _matvec(S, q)
+
+        object.__setattr__(self, "quadric", (A, b, c))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "grad_h", grad_h)
 
     def value(self, q: np.ndarray) -> float:
         """h(q) as a float; DimensionMismatch unless it holds one entry, and

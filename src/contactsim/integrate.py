@@ -12,26 +12,27 @@ and each stage input is an exact-order sum: the rows k_0..k_{i-1} scaled
 by the tableau column and added in index order, as a scalar loop would;
 the last stage's input is the step's end (first same as last).
 
-Event handling scans each accepted step at 17 equally spaced checkpoints
-for h(q) and dh/dt = grad h . qdot, the q block of the interpolant's
-derivative being qdot. On a full step the interpolant there is one constant
-(34 x 5) basis times the step's (y0, r2, r3, r4, r5), which agrees with
-``eval`` to a few ulps: ``eval`` confirms a bracket's ends, and a step it
-contradicts, or that the horizon snapped, is read by ``_rows``.
-Where dh/dt changes sign between two checkpoints, h has an extremum
-there, which the scan refines on the interpolant when it can decide the
-guard: a minimum with h <= 0 is an exit that no checkpoint sees, and a
-maximum above 1e-9 re-arms the guard that an impact disarmed, so the
-particle cannot leave again before a checkpoint re-arms it
-(Shampine & Thompson, "Event location for ordinary differential
-equations", Comput. Math. Appl. 39, 2000). Steps can therefore be long:
-``simulate`` starts each flow phase after an impact at the step size the
-phase before proposed. The first interior-to-exterior crossing of a
-switching surface h(q) = 0 (admissible region h > 0) that the scan
-brackets is then localized on the dense interpolant by ``locate_event``,
-with Newton's method on h safeguarded by the bracket (a handful of
-interpolant evaluations per event), and the state is projected exactly
-onto the surface along the gradient.
+Event handling guards each accepted step for the first interior-to-exterior
+crossing of the switching surface h(q) = 0 (admissible region h > 0). On a
+quadric wall, h(q) = c + b . q + q . A q (every built-in billiard and the
+CLI's sphere), h along a step is a polynomial p(theta) of degree 8 that one
+constant map of the step's (y0, r2, r3, r4, r5) gives; all its Bernstein
+coefficients on the valid window above 0 certify the step with no sampling,
+and de Casteljau halving isolates the first exit, also a dip out and back
+between any two sample points (Farouki, CAGD 29, 2012). Any other h keeps
+the scan of h(q) and dh/dt = grad h . qdot at 17 equally spaced checkpoints,
+on a full step one constant (34 x 5) basis times (y0, r2, r3, r4, r5), else
+``_rows``, with ``eval`` confirming a bracket's ends. Where dh/dt changes sign
+between two checkpoints, the scan refines the extremum of h there when it can
+decide the guard: a minimum with h <= 0 is an exit that no checkpoint sees,
+and a maximum above 1e-9 re-arms the guard that an impact disarmed
+(Shampine & Thompson, Comput. Math. Appl. 39, 2000); a dip and a rise with
+dh/dt of one sign at both checkpoints escape it. Steps can therefore be
+long: ``simulate`` starts each flow phase after an impact at the step size
+the phase before proposed. ``locate_event`` localizes the crossing by Newton's
+method safeguarded by the bracket, on p by Horner for a quadric (one
+interpolant evaluation, at the root), else on the interpolant, and projects
+the state exactly onto the surface along the gradient.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _all_finite, _dot
+from .core import _all_finite, _dot, _fold, _matvec
 from .errors import (
     ExteriorState,
     GrazingContact,
@@ -106,6 +107,15 @@ _THETAS = [(i / _N_CHECK, 1.0 - i / _N_CHECK) for i in range(_N_CHECK + 1)]
 _CHECK_BASIS = np.array(
     [[1.0, th, th * om, th * th * om, (th * om) ** 2] for th, om in _THETAS]
     + [[0.0, 1.0, om - th, th * (2.0 - 3.0 * th), 2.0 * th * om * (om - th)] for th, om in _THETAS])
+
+# Row k maps the q blocks of (y0, r2, r3, r4, r5) to the interpolant's theta^k coefficient,
+# as _matvec's columns; _PAIRS[k] are the (i, j) with i + j = k, i rising.
+_POWER = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.0, -1.0, 1.0, 1.0], [0.0, 0.0, 0.0, -1.0, -2.0],
+                   [0.0, 0.0, 0.0, 0.0, 1.0]]).T[:, :, None]
+_PAIRS = [[(i, k - i) for i in range(max(0, k - 4), min(k, 4) + 1)] for k in range(9)]
+# Row j maps power coefficients a_k of degree 8 to Bernstein coefficient j on [0, 1].
+_TO_BERNSTEIN = [[math.comb(j, k) / math.comb(8, k) for k in range(j + 1)] for j in range(9)]
 
 _EPS = float(np.finfo(float).eps)
 _ARM_THRESHOLD = 1e-9      # a disarmed guard re-arms once h exceeds this
@@ -289,9 +299,14 @@ def _checkpoints(t0: float, t1: float) -> np.ndarray:
     return ts
 
 
-def _slope(segment: DenseSegment, surface, t: float) -> tuple:
-    """(y, h, dh/dt) on the interpolant at t, from one ``eval`` and one
-    ``eval_derivative``: the phase vector, h at its q block and grad h . qdot."""
+def _slope(segment: DenseSegment, surface, t: float, p: Optional[list] = None) -> tuple:
+    """(y, h, dh/dt) at t from one ``eval`` and one ``eval_derivative``: the phase vector, h at
+    its q block, grad h . qdot; given a quadric's p, (None, p, dp/dt) by Horner at eval's theta."""
+    if p is not None:
+        th, f, slope = (t - segment.t0) / segment.h_step, p[-1], 0.0
+        for coef in p[-2::-1]:
+            f, slope = f * th + coef, slope * th + f
+        return None, f, slope / segment.h_step
     n_q = segment.y0.size // 2
     y = segment.eval(t)
     q = y[:n_q]
@@ -341,8 +356,9 @@ def _on_basis(segment: DenseSegment, n_q: int) -> tuple:
 
 
 def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
-    """Event guard over one dense segment: h(q) and dh/dt = grad h . qdot
-    at its 17 checkpoints, and the extrema of h that dh/dt brackets.
+    """Event guard over one dense segment: ``_guard_quadric`` on a quadric
+    wall, else h(q) and dh/dt = grad h . qdot at its 17 checkpoints, and the
+    extrema of h that dh/dt brackets.
 
     A disarmed guard re-arms at the first checkpoint where h exceeds
     _ARM_THRESHOLD, or at an interior maximum above it; when the checkpoint
@@ -350,18 +366,17 @@ def _scan(segment: DenseSegment, surface, armed: bool) -> tuple:
     An armed guard brackets the first checkpoint pair with h > 0 before
     and h <= 0 after, or, when both have h > 0 and dh/dt goes from < 0 to
     > 0 between them, (first checkpoint, interior minimum) if h <= 0 there.
-    An extremum is refined only when it can decide a bracket, and only
-    until h decides it: any point of the maximum's rise with h above the
-    threshold, or of the minimum's dip with h <= 0, bounds the same single
-    crossing. The checkpoints, read from the basis on a full step, cost one
-    block call of h and one of grad_h (``SwitchingSurface.slopes``); an
-    extremum adds one value and one gradient per refinement. ``eval``
-    confirms a bracket's h(a) > 0 >= h(b), and a step whose basis it
-    contradicts, or that the horizon snapped, is guarded on the rows of
-    ``_rows``, which equal ``eval`` and ``eval_derivative``.
-    Returns (bracket, armed), the bracket None when the segment has no
-    exit, else (a, b, h(a), y(b), h(b)) with the values ``eval`` gave.
+    An extremum is refined only until h decides it: any point of the rise
+    above the threshold, or of the dip with h <= 0, bounds the same single
+    crossing. The checkpoints cost one block call of h and one of grad_h
+    (``SwitchingSurface.slopes``), an extremum one value and one gradient
+    per refinement. ``eval`` confirms a bracket's h(a) > 0 >= h(b); a step
+    whose basis it contradicts, or that the horizon snapped, is guarded on
+    ``_rows``. Returns (bracket, armed), the bracket None when the segment
+    has no exit, else (a, b, h(a), y(b), h(b)) with the values ``eval`` gave.
     """
+    if surface.quadric is not None:
+        return _guard_quadric(segment, surface.quadric, armed)
     ts = _checkpoints(segment.t0, segment.t1)
     n_q = segment.y0.size // 2
     for on_basis in (segment.t1 == segment.t0 + segment.h_step, False):
@@ -406,23 +421,89 @@ def _guard(segment: DenseSegment, surface, armed: bool, ts, hs: list, gs: list) 
     return None, True
 
 
+def _on_quadric(segment: DenseSegment, quadric: tuple) -> list:
+    """Power coefficients p_0..p_8 of h(q(theta)), h = c + q . w, w = b + A q: q_k by
+    _POWER, w_k = A q_k (+ b at 0), p_k the sum of q_i . w_j over _PAIRS[k] (p_0 = h(y0))."""
+    A, b, c = quadric
+    qk = _dot(_POWER, np.array([segment.y0, segment._r2, segment._r3, segment._r4,
+                                segment._r5])[:, None, :b.size]).T
+    w = _matvec(A, qk)
+    w[:, 0] += b
+    g = _dot(qk[:, :, None], w[:, None]).tolist()
+    p = [sum(g[i][j] for i, j in pairs) for pairs in _PAIRS]
+    return [c + p[0]] + p[1:]
+
+
+def _bernstein(p: list, scale: float) -> list:
+    """The Bernstein coefficients on [0, scale] of the power coefficients p."""
+    if scale != 1.0:
+        p = [coef * scale ** k for k, coef in enumerate(p)]
+    return [_fold(row, p) for row in _TO_BERNSTEIN]
+
+
+def _halves(lo: float, hi: float, beta: list) -> list:
+    """de Casteljau at the midpoint: the right half's (lo, hi, beta), then the left's."""
+    left, right, row = [beta[0]], [beta[-1]], beta
+    while len(row) > 1:
+        row = [0.5 * (x + y) for x, y in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return [(0.5 * (lo + hi), hi, right[::-1]), (lo, 0.5 * (lo + hi), left)]
+
+
+def _one_change(beta: list, level: float) -> bool:
+    """Whether x > level changes truth once along beta: p - level has one root (Descartes)."""
+    above = [x > level for x in beta]
+    return sum(x != y for x, y in zip(above, above[1:])) == 1
+
+
+def _guard_quadric(segment: DenseSegment, quadric: tuple, armed: bool) -> tuple:
+    """``_scan`` on a quadric wall with no call of h or grad_h: p = h(q(theta))'s
+    Bernstein coefficients on [t0, t1] all above 0 certify an armed step; else halving,
+    left first, isolates the first exit, where p crosses 0 once downward or that is
+    1e-12 wide with p <= 0 at its end, after the first theta where p exceeds the arming
+    level (_ARM_THRESHOLD, or 0 for an armed step). The bracket is (a, b, p(a), p(b), p)."""
+    p = _on_quadric(segment, quadric)
+    t0, span = segment.t0, segment.t1 - segment.t0
+    level, armed = (0.0 if armed else _ARM_THRESHOLD), False
+    stack = [(0.0, 1.0, _bernstein(p, span / segment.h_step))]
+    while stack:
+        lo, hi, beta = stack.pop()
+        fine = (hi - lo) * span <= _LOCATE_T_TOL
+        if not armed:
+            if max(beta) <= level:
+                continue
+            armed = beta[0] > level or beta[-1] > level and (fine or _one_change(beta, level))
+            if not armed or beta[0] <= level:   # not yet, or past the level up to hi
+                stack += [] if armed or fine else _halves(lo, hi, beta)
+                continue
+        if min(beta) > 0.0:
+            continue
+        if beta[-1] <= 0.0 and (fine or _one_change(beta, 0.0)):
+            a, b = (t0 + x * span if x < 1.0 else segment.t1 for x in (lo, hi))
+            return (a, b, beta[0], beta[-1], p), True
+        stack += [] if fine else _halves(lo, hi, beta)
+    return None, armed
+
+
 def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """Localize the h(q) = 0 crossing inside a bracket of a dense segment.
 
     The bracket (a, b) must straddle the surface, h > 0 at a and h <= 0
     at b; the scan's (a, b, h(a), y(b), h(b)) carries what ``eval`` gave at
-    its ends, and a plain (a, b) is evaluated here. Newton's method on the
-    interpolant, from the bracket's secant point, refines it until |h| at
-    b and b - a are both at most 1e-12, or h at b is 0; b is the event
-    time. Each iterate evaluates the interpolant and its derivative once,
-    for h and dh/dt = grad h . qdot, and replaces a or b by the sign of h.
+    its ends, a quadric scan's (a, b, p(a), p(b), p) its polynomial, and a
+    plain (a, b) is evaluated here. Newton's method on the interpolant, or on
+    a quadric's p by Horner, from the bracket's secant point, refines it until
+    |h| at b and b - a are both at most 1e-12, or h at b is 0; b is the event
+    time. Each iterate evaluates h and dh/dt once (the interpolant and its
+    derivative for a general h), and replaces a or b by the sign of h.
     A Newton point on an end of (a, b) or less than 1e-12 past it tries
     0.5e-12 inside that end, for a root within rounding of it; one farther
     out, or an |h| that did not halve, bisects instead, so a multiple root
     converges linearly. A Newton step below half the width tolerance steps
     that far past the root (less where |h| there would exceed 1e-12) to
     close the bracket from the other side. The grazing and direction tests
-    and the projection reuse b's state and dh/dt.
+    and the projection reuse b's state (for a quadric, one ``eval``) and dh/dt.
 
     Raises NoSignChange when the bracket does not straddle the surface,
     and GrazingContact when the crossing is tangential (|dh/dt| below the
@@ -430,7 +511,12 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     """
     n_q = segment.y0.size // 2
     a, b = float(bracket[0]), float(bracket[1])
-    if len(bracket) == 5:
+    p = None if surface.quadric is None else (
+        bracket[4] if len(bracket) == 5 else _on_quadric(segment, surface.quadric))
+    if p is not None:                    # y is left to the root's one eval
+        y_b, (fa, fb) = None, (bracket[2:4] if len(bracket) == 5 else
+                               [_slope(segment, surface, t, p)[1] for t in (a, b)])
+    elif len(bracket) == 5:
         fa, y_b, fb = bracket[2], bracket[3].copy(), bracket[4]
     else:
         y_b = segment.eval(b)
@@ -450,7 +536,7 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
             t = 0.5 * (a + b)
             if not a < t < b:
                 break                    # the bracket is at the spacing floor
-        y, f, slope = _slope(segment, surface, t)
+        y, f, slope = _slope(segment, surface, t, p)
         if f > 0.0:
             a = t
         else:
@@ -470,9 +556,11 @@ def locate_event(segment: DenseSegment, surface, *, bracket: tuple) -> EventHit:
     else:
         raise NoConvergence("event localization exceeded its iteration budget")
 
+    y_b = segment.eval(b) if y_b is None else y_b
     q = y_b[:n_q]
     if hdot is None:
-        hdot = _dot(surface.gradient(q), segment.eval_derivative(b)[:n_q])
+        hdot = (_dot(surface.gradient(q), segment.eval_derivative(b)[:n_q]) if p is None
+                else _slope(segment, surface, b, p)[2])
     if abs(hdot) < _GRAZING_SPEED:
         raise GrazingContact(f"tangential boundary encounter at t={b} (dh/dt={hdot:.3e})")
     # only interior -> exterior crossings are events

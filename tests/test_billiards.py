@@ -14,9 +14,12 @@ from contactsim import (
     angular_momentum,
     circular_impact_closed_form,
     elliptical_impact_closed_form,
+    HybridSystem,
     free_particle_closed_form,
+    hamiltonian_from_lagrangian,
     herglotz_rhs,
     lagrangian_energy,
+    legendre_forward,
     make_circular_billiard,
     make_elliptical_billiard,
     simulate,
@@ -226,3 +229,80 @@ class TestAngularQuantity:
             s = ContactStateL.from_vector(traj.state_at(float(t)), t)
             ref = l0 * math.exp(-gamma * (t - traj.t0))
             assert abs(angular_momentum(*s.phase) - ref) / abs(l0) < 1e-8
+
+
+def next_impact(axes, gamma, mass, t, q, v):
+    """(t, q, v_minus) where the damped flight from (t, q, v) first meets the
+    ellipse with semi-axes axes, from inside or on it: the ray q + s v meets
+    it at the larger root s of a quadratic, reached at the time where
+    (1 - e^(-gamma dt)) / gamma = s; t is inf when the flight stops short."""
+    (a, b), (qa, qb), (va, vb) = axes, q / axes, v / axes
+    A, B, C = va * va + vb * vb, 2.0 * (qa * va + qb * vb), qa * qa + qb * qb - 1.0
+    s = (-B + math.sqrt(max(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
+    if gamma * s >= 1.0:
+        return math.inf, None, None
+    dt = -math.log1p(-gamma * s) / gamma if gamma > 0.0 else s
+    q_hit, v_minus, _ = free_particle_closed_form(gamma, q, v, 0.0, dt, mass=mass, z0=0.0)
+    return t + dt, q_hit, v_minus
+
+
+def reflect(axes, mass, q, v_minus):
+    """Specular reflection in the M^-1 metric, M = mass I:
+    v+ = v- - 2 (g . v-) / (g . M^-1 g) M^-1 g, g the wall's normal at q."""
+    g = -2.0 * q / (axes * axes)
+    minv_g = g / mass
+    return v_minus - 2.0 * float(g @ v_minus) / float(g @ minv_g) * minv_g
+
+
+class TestClosedFormOracle:
+    """Every impact of a simulated billiard against the closed forms: each leg
+    is a ray whose speed decays as e^(-gamma t), predicted from the simulated
+    post-impact state before it (the first from the start), so the oracle
+    judges each leg rather than the billiard's sensitivity to rounding."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["circle", "ellipse"]),
+           axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           gamma=st.floats(0.0, 0.5), k=st.floats(-3.0, 3.0),
+           n_impacts=st.integers(5, 30), rho=st.floats(0.0, 0.9),
+           phi=st.floats(0.0, 2.0 * math.pi), psi=st.floats(0.0, 2.0 * math.pi),
+           speed=st.floats(0.5, 3.0), formulation=st.sampled_from(["lagrangian",
+                                                                    "hamiltonian"]))
+    def test_events_match_the_closed_form_legs(self, kind, axes, gamma, k, n_impacts, rho,
+                                               phi, psi, speed, formulation):
+        axes = np.array(axes[:1] * 2 if kind == "circle" else axes)
+        mass = 10.0 ** k
+        q0 = rho * axes * np.array([math.cos(phi), math.sin(phi)])
+        # fast enough that the flight, at most |v0| / gamma long, makes every impact
+        speed += gamma * 2.0 * float(axes.max()) * (n_impacts + 1)
+        v0 = speed * np.array([math.cos(psi), math.sin(psi)])
+        times, t, q, v = [], 0.0, q0, v0
+        while len(times) <= n_impacts and math.isfinite(t):
+            t, q, v_minus = next_impact(axes, gamma, mass, t, q, v)
+            times.append(t)
+            if math.isfinite(t):
+                v = reflect(axes, mass, q, v_minus)
+        # the horizon halfway between the last wanted impact and the next
+        t_final = times[n_impacts - 1] + min(0.5 * (times[n_impacts] - times[n_impacts - 1]),
+                                             1.0)
+        boundary = Circle(float(axes[0])) if kind == "circle" else Ellipse(*map(float, axes))
+        make = make_circular_billiard if kind == "circle" else make_elliptical_billiard
+        hs = make(BilliardSpec(boundary=boundary, gamma=gamma, mass=mass))
+        s0 = ContactStateL(q=q0, qdot=v0, z=0.0)
+        if formulation == "hamiltonian":
+            s0 = legendre_forward(hs.dynamics, s0)
+            hs = HybridSystem(dynamics=hamiltonian_from_lagrangian(hs.dynamics),
+                              surface=hs.surface)
+        traj = simulate(hs, s0, t_final, StepperConfig())
+        assert traj.status == "Completed"
+        assert len(traj.events) == n_impacts
+        t, q, v = 0.0, q0, v0
+        for event in traj.events:
+            t_ref, q_ref, v_ref = next_impact(axes, gamma, mass, t, q, v)
+            minus = event.state_minus
+            v_minus = minus.qdot if formulation == "lagrangian" else minus.p / mass
+            assert abs(minus.t - t_ref) <= 1e-9
+            assert np.max(np.abs(minus.q - q_ref)) <= 1e-9
+            assert np.max(np.abs(v_minus - v_ref)) <= 1e-9
+            t, q, v = minus.t, minus.q, reflect(axes, mass, minus.q, v_minus)
+        assert next_impact(axes, gamma, mass, t, q, v)[0] > t_final

@@ -865,32 +865,32 @@ class TestShippedConfigs:
 # states why.
 OUTPUT_DIGESTS = {
     ("circle.json", "lagrangian"): {
-        "summary.json": "ab4395a252e4804647d83e2b161783f2fe83127dd16fe11bd15b51a00d586a8c",
-        "trajectory.csv": "0036b79607752bc223b2f44012dbb66febbe0891b9a783f654a75c5ffac50be5",
+        "summary.json": "ee83b7b45e05fa09a6a24b815ca6d0816876a600dde67af93282948818ae78e1",
+        "trajectory.csv": "9280ebbfb6ebf7b7f7e85d63fd9fdaefc659b6802242bbf267521517ad76edfc",
         "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
-        "stdout": "d9161559f8b6fc3939b7808cbb5983564bb332704f8e60cb0125c6220f5b67bb",
-        "checks": "dbce87ecff7332523ff4cc02fa2d489f3ea3b7e7de7d0feb1c3dc54b463ce1c5",
+        "stdout": "7e44b67c1ead459b90a61d8d93818056a8eaac6c8d3ebc227a3028475fad922b",
+        "checks": "69e6165b93191a9cceb2683422fc9ee6fb8e6055a6600d1dbc9e663830367279",
     },
     ("circle.json", "hamiltonian"): {
-        "summary.json": "83e5c1ea7942f884ca5b1a2e8e66bbd3b13da9e6bf2ecb9f67156e73cc5ef901",
-        "trajectory.csv": "beab3baca4a9f5cc98e4cf4a407ed3338a2f02f640c50ce0eff6b97a1faa6572",
+        "summary.json": "688e68cc68dc1fa0dfe6a46b2797094efca7364c4cc81c06c9696a786759c876",
+        "trajectory.csv": "54238df72f901095fd7f72253944a630c601138d09acdc9e7b50855f9e7ff0b7",
         "trajectory.svg": "e6fb8272e850b528d5387d8a6044b4ecf5433d57f1cde79ec07f36d9b5e15872",
-        "stdout": "028f77b9c4491aa98901976afeeb93be783a0bca51afc494d8a341ee1f1a3eb4",
-        "checks": "f522758693570d048c0e86e2d3eb9a19dfaf6ce26a636f2187fe8a3c9c4547f3",
+        "stdout": "f55022a4bf620b50c333ed33ab97cdd6ad915db8a7ba01cf8da714a617321ca6",
+        "checks": "93c71149c6b18ab720b2627c7a4bf6bff2dade23c9c47fc1c8b9a8fead3b1642",
     },
     ("ellipse.json", "lagrangian"): {
-        "summary.json": "876f8dec63c4e382d2be6709d29c28142b8439f1524c4692ea8f312c8e1f32db",
-        "trajectory.csv": "476b3dfb59e4f118f39b005606b3ff3d1a51a08523e396af0682c1e1c8e3ecce",
+        "summary.json": "581f734fafb9746a4586c6143499f7e8ea5b6cfd5afc25fc56b9831544dffb8b",
+        "trajectory.csv": "fe1c46f8afc18f09fc0a81053c20cda9c42991fff35eebf1ca78e13e2693b96e",
         "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
-        "stdout": "17f9926837df8c401b3e812baeb775ba9c05fe80f4a17519b6298bae441b2013",
-        "checks": "8fb1bb859b247a2d5f54f39f9a0eda4fd7b4b5757da6101071fa9adb29dcc7c5",
+        "stdout": "410a89eca54bfb8858ac8643813f1fe6a995c41ad087c3a3e4ee41e469e727fd",
+        "checks": "0e027a21b5ba052ef6c1b18d704f85e934c4113badf94a2612c56875ba1ac9d5",
     },
     ("ellipse.json", "hamiltonian"): {
-        "summary.json": "2f28d2c26dc00a74e0df91af48ea037776745b326cbb4a50ab76748a44aa7553",
-        "trajectory.csv": "74bea5159f9c6a8c007dab3a00220be2381adfc53439355db00e55ceb47423e8",
+        "summary.json": "dc627cf2215ec4ad7e2ab25f81a2b0bb0d0b158e31b7f3bb284d75caa5c9a17b",
+        "trajectory.csv": "b3ba96d6b59798f0b64e7d14040e6f07fc32c388dcca372b30090417225f56c3",
         "trajectory.svg": "18f70139e06a7bf998b80b12d19e2e493981b4cf782d3c35b51d0a79c1bc583e",
-        "stdout": "e3b62e7e2048427ce6f4cc383bc106a7334957b29002edcb9deb808cf3642fa0",
-        "checks": "da09aba21944cbf97329fd4c44e440ee5fce0083fbd9bae54ee68c9b2d2f4ce1",
+        "stdout": "96f0fe0b7208bbfc7bb53d0354aaffaee52d390b8c0a5cdee65895f89c4618f6",
+        "checks": "ccdf5858d6ac5b332fef864437112c54be79b040a267cfc0463849c47374ac0a",
     },
 }
 

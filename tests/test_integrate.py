@@ -10,9 +10,11 @@ from numpy.polynomial import Polynomial
 
 from contactsim import (
     ContactStateL,
+    DimensionMismatch,
     ExteriorState,
     GrazingContact,
     MaxStepsExceeded,
+    NonFiniteValue,
     NoSignChange,
     StepperConfig,
     StepSizeUnderflow,
@@ -25,7 +27,7 @@ from contactsim import (
 from contactsim import cli, integrate
 from contactsim.checks import check_containment
 from contactsim.impact import _GRAZING_SPEED
-from conftest import interpolant_rows
+from conftest import dot_left_to_right, interpolant_rows
 
 GAMMA = 1e-4
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -428,21 +430,27 @@ class TestLocateProperties:
     @given(quadratic=st.booleans(), angle=st.floats(0.0, 2.0 * math.pi),
            axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
            speed_in=st.floats(0.1, 2.0), speed_along=st.floats(-2.0, 2.0),
-           w=_vec2, r=_vec2, phase=st.floats(0.05, 0.95), length=st.floats(0.05, 1.0))
+           w=_vec2, r=_vec2, phase=st.floats(0.05, 0.95), length=st.floats(0.05, 1.0),
+           as_quadric=st.booleans())
     def test_transversal_root_is_found_to_rounding(self, quadratic, angle, axes, speed_in,
-                                                  speed_along, w, r, phase, length):
+                                                  speed_along, w, r, phase, length,
+                                                  as_quadric):
+        # the same wall as plain functions (the checkpoint scan) or as its quadric
         direction = np.array([math.cos(angle), math.sin(angle)])
         if quadratic:
             # h = 1 - a1 q1^2 - a2 q2^2 with q* on the curve h = 0
             a = np.array(axes)
-            surface = SwitchingSurface(h=lambda q: 1.0 - np.vecdot(a, (q * q).T),
-                                       grad_h=lambda q: (-2.0 * a * q.T).T)
+            surface = (SwitchingSurface(quadric=(-np.diag(a), np.zeros(2), 1.0)) if as_quadric
+                       else SwitchingSurface(h=lambda q: 1.0 - np.vecdot(a, (q * q).T),
+                                             grad_h=lambda q: (-2.0 * a * q.T).T))
             q_star = direction / np.sqrt(a)
         else:
             # h = n . (q* - q), the half-plane behind the line through q*
-            surface = SwitchingSurface(h=lambda q: np.vecdot(direction, q_star - q.T),
-                                       grad_h=lambda q: (np.ones_like(q).T * -direction).T)
             q_star = np.array(axes)
+            surface = (SwitchingSurface(quadric=(np.zeros((2, 2)), -direction,
+                                                 float(direction @ q_star))) if as_quadric
+                       else SwitchingSurface(h=lambda q: np.vecdot(direction, q_star - q.T),
+                                             grad_h=lambda q: (np.ones_like(q).T * -direction).T))
         g = surface.gradient(q_star)
         normal = g / np.linalg.norm(g)
         tangent = np.array([-normal[1], normal[0]])
@@ -462,6 +470,11 @@ class TestLocateProperties:
         hit = locate_event(seg, surface, bracket=bracket)
         assert abs(hit.t - t_star) <= 2e-12
         h_end = surface.value(seg.eval(hit.t)[:2])   # before the projection
+        assert abs(h_end) <= 1e-12
+        if as_quadric:
+            # the sign that decides is the polynomial's, within rounding of h_end
+            h_end = integrate._slope(seg, surface, hit.t,
+                                     integrate._on_quadric(seg, surface.quadric))[1]
         assert h_end <= 0.0 and abs(h_end) <= 1e-12
         assert hit.hdot < 0.0
         assert abs(surface.value(hit.y[:2])) <= 1e-12
@@ -521,8 +534,10 @@ class TestLocateProperties:
 @pytest.mark.parametrize("config, formulation, n_events", [
     ("circle.json", "lagrangian", 150), ("ellipse.json", "hamiltonian", 161)])
 def test_event_localization_budget(monkeypatch, config, formulation, n_events):
-    """At most 8 dense evaluations per located event on the reference
-    configurations at T = 200, with their event counts."""
+    """One dense evaluation per located event on the reference configurations at
+    T = 200, with their event counts: on their quadric walls Newton runs on the
+    polynomial h(q(theta)) and evaluates the interpolant only at the root (at
+    most 8 per event when it ran on the interpolant)."""
     cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
     cfg["run"]["t_final"] = 200.0
     rc = cli.parse_config(cfg, formulation)
@@ -547,7 +562,7 @@ def test_event_localization_budget(monkeypatch, config, formulation, n_events):
     traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
                     rc.max_events)
     assert len(traj.events) == n_events and len(per_call) == n_events
-    assert max(per_call) <= 8
+    assert per_call == [1] * n_events
 
 
 @pytest.mark.parametrize("config, formulation, steps, rhs_calls, n_events", [
@@ -591,21 +606,10 @@ def test_stepping_cost_is_pinned(monkeypatch, config, formulation, steps, rhs_ca
     assert count["rhs"] == rhs_calls
 
 
-@pytest.mark.parametrize("config, formulation, steps, h_points, grad_points", [
-    ("circle.json", "lagrangian", 303, 1201, 900),
-    ("circle.json", "hamiltonian", 303, 1201, 900),
-    ("ellipse.json", "lagrangian", 306, 1321, 998),
-    ("ellipse.json", "hamiltonian", 306, 1321, 998)])
-def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_points):
-    """Exact calls of h and grad h on the reference configurations at T = 200.
-    The event scan makes one block call of each per accepted step, and the
-    dense containment check one per 64 dense steps, plus one h per
-    golden-section point (none on these runs). The calls on one configuration
-    are the start, localization, projection and impacts. Read point by point,
-    the scan and the check took 17 of each per step: on the circle 6,352 h
-    and 6,051 grad h in simulate, 5,151 of each in the check; read one step
-    at a time, the check took 303 of each on the circle and 306 on the
-    ellipse. A change that moves a count states it."""
+def counted_surface_run(config, formulation, quadric):
+    """The reference run at T = 200 on its wall with counted calls of h and grad h,
+    as a quadric or as plain functions: (trajectory, surface, calls), calls by
+    (name, "block" or "point")."""
     cfg = cli.load_config(os.path.join(CONFIG_DIR, config))
     cfg["run"]["t_final"] = 200.0
     rc = cli.parse_config(cfg, formulation)
@@ -619,14 +623,55 @@ def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_poi
             return f(q)
         return call
 
-    surface = SwitchingSurface(h=counted("h", hs.surface.h),
-                               grad_h=counted("grad h", hs.surface.grad_h))
+    if quadric:
+        surface = SwitchingSurface(quadric=hs.surface.quadric)
+        object.__setattr__(surface, "h", counted("h", surface.h))
+        object.__setattr__(surface, "grad_h", counted("grad h", surface.grad_h))
+    else:
+        surface = SwitchingSurface(h=counted("h", hs.surface.h),
+                                   grad_h=counted("grad h", hs.surface.grad_h))
     hs = dataclasses.replace(hs, surface=surface)
     traj = simulate(hs, cli.initial_state(rc, hs, lag_spec), rc.t_final, rc.stepper,
                     rc.max_events)
+    return traj, surface, calls
+
+
+@pytest.mark.parametrize("config, formulation, steps, h_points, grad_points", [
+    ("circle.json", "lagrangian", 303, 1201, 900),
+    ("circle.json", "hamiltonian", 303, 1201, 900),
+    ("ellipse.json", "lagrangian", 306, 1321, 998),
+    ("ellipse.json", "hamiltonian", 306, 1321, 998)])
+def test_surface_calls_are_pinned(config, formulation, steps, h_points, grad_points):
+    """Exact calls of h and grad h on the reference configurations at T = 200,
+    their walls given as plain functions, which the checkpoint scan guards.
+    The event scan makes one block call of each per accepted step, and the
+    dense containment check one per 64 dense steps, plus one h per
+    golden-section point (none on these runs). The calls on one configuration
+    are the start, localization, projection and impacts. Read point by point,
+    the scan and the check took 17 of each per step: on the circle 6,352 h
+    and 6,051 grad h in simulate, 5,151 of each in the check; read one step
+    at a time, the check took 303 of each on the circle and 306 on the
+    ellipse. A change that moves a count states it."""
+    traj, surface, calls = counted_surface_run(config, formulation, quadric=False)
     assert sum(len(run.segments) for run in traj.segments) == steps
     assert calls == {("h", "block"): steps, ("grad h", "block"): steps,
                      ("h", "point"): h_points, ("grad h", "point"): grad_points}
+    calls.clear()
+    assert check_containment(traj, surface).passed
+    assert calls == {("h", "block"): 5, ("grad h", "block"): 5}
+
+
+@pytest.mark.parametrize("config, formulation, n_events", [
+    ("circle.json", "lagrangian", 150), ("circle.json", "hamiltonian", 150),
+    ("ellipse.json", "lagrangian", 161), ("ellipse.json", "hamiltonian", 161)])
+def test_quadric_guard_makes_no_surface_call(config, formulation, n_events):
+    """On the reference walls as quadrics, at T = 200, the guard and Newton read the
+    quadric: h and grad h are called only at the start (one h) and, per event, by
+    the projection and the impact (one h and one grad h each), never on a block;
+    the dense containment check still makes its 5 block calls of each."""
+    traj, surface, calls = counted_surface_run(config, formulation, quadric=True)
+    assert len(traj.events) == n_events
+    assert calls == {("h", "point"): 1 + 2 * n_events, ("grad h", "point"): 2 * n_events}
     calls.clear()
     assert check_containment(traj, surface).passed
     assert calls == {("h", "block"): 5, ("grad h", "block"): 5}
@@ -809,3 +854,151 @@ class TestBudgets:
             StepperConfig(rtol=0.0)
         with pytest.raises(ValueError):
             StepperConfig(max_steps=0)
+
+
+# h = q on the line: the floor as a quadric, (A, b, c) = (0, 1, 0)
+QUADRIC_FLOOR = SwitchingSurface(quadric=([[0.0]], [1.0], 0.0))
+
+
+def hole_step():
+    """One hand-made step of [q, v, z] over [0, 1], checkpoints 1/16 apart, with
+    q = (t - d)^3 - s^2 (t - d) + k, d = 1/32, s = 0.9 d, k = 0.24 d^3, exact on
+    the interpolant to rounding: q and dq/dt are > 0 at the checkpoints 0 and 1/16,
+    and q dips below 0 between them; its first root is the exit. Returns the step
+    and the roots in the step."""
+    d = 1.0 / 32.0
+    rhs, (poly,) = cubic_motion(d, ([0.24 * d ** 3], [-(0.9 * d) ** 2], [0.0], [1.0]))
+    y0 = np.array([poly(-d), poly.deriv()(-d), 0.0])
+    seg, _, _ = step(rhs, 0.0, y0, StepperConfig(h_init=1.0, h_max=1.0), 1.0, rhs(0.0, y0))
+    roots = sorted(d + z.real for z in poly.roots() if abs(z.imag) <= 1e-12 and z.real > -d)
+    return seg, roots
+
+
+class TestQuadricGuard:
+    """On a quadric wall the guard reads p(theta) = h(q(theta)), a degree-8
+    polynomial, from the step's coefficients: its Bernstein form certifies a step
+    and isolates its first exit with no sampling, and Newton on p locates it."""
+
+    def test_dip_between_two_checkpoints_is_bracketed(self):
+        # the hole the checkpoints leave: h > 0 and dh/dt > 0 at both ends
+        seg, roots = hole_step()
+        for t in (0.0, 1.0 / 16.0):
+            assert seg.eval(t)[0] > 0.0 and seg.eval_derivative(t)[0] > 0.0
+        assert len(roots) == 2 and 0.0 < roots[0] < roots[1] < 1.0 / 16.0
+        bracket, armed = integrate._scan(seg, QUADRIC_FLOOR, armed=True)
+        assert armed and bracket[0] <= roots[0] <= bracket[1] < roots[1]
+        hit = locate_event(seg, QUADRIC_FLOOR, bracket=bracket)
+        assert abs(hit.t - roots[0]) <= 1e-12 and hit.hdot < 0.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 25, general h: the checkpoint "
+                       "scan of a surface without a quadric misses a dip between two "
+                       "checkpoints with dh/dt of one sign at both")
+    def test_dip_between_two_checkpoints_without_a_quadric(self):
+        seg, _ = hole_step()
+        bracket, _ = integrate._scan(seg, FLOOR, armed=True)
+        assert bracket is not None
+
+    def test_re_exit_before_the_guard_re_arms(self):
+        # the scenario of TestScanBetweenCheckpoints: up to 3.1e-4 and back to
+        # the floor at t = 0.05, before the first checkpoint
+        seg = TestScanBetweenCheckpoints._step(parabola(-1.0), [0.0, 0.025, 0.0])
+        bracket, armed = integrate._scan(seg, QUADRIC_FLOOR, armed=False)
+        assert armed and 0.025 < bracket[0] <= 0.05 <= bracket[1] <= 0.1
+        hit = locate_event(seg, QUADRIC_FLOOR, bracket=bracket)
+        assert abs(hit.t - 0.05) <= 1e-12 and hit.hdot < 0.0
+
+    def test_rise_below_the_arming_threshold_stays_disarmed(self):
+        seg = TestScanBetweenCheckpoints._step(parabola(-1.0), [0.0, 1e-5, 0.0])
+        assert integrate._scan(seg, QUADRIC_FLOOR, armed=False) == (None, False)
+
+    @pytest.mark.parametrize("offset, t_exit", [(-4e-4, 0.83), (4e-4, None)])
+    def test_dip_below_or_above_the_floor(self, offset, t_exit):
+        seg = TestScanBetweenCheckpoints._step(parabola(2.0), [0.85 ** 2 + offset, -1.7, 0.0])
+        bracket, armed = integrate._scan(seg, QUADRIC_FLOOR, armed=True)
+        assert armed and (bracket is None) == (t_exit is None)
+        if t_exit is not None:
+            assert abs(locate_event(seg, QUADRIC_FLOOR, bracket=bracket).t - t_exit) <= 1e-12
+
+    def test_public_bracket_form(self):
+        # a plain (a, b) in time is located on the polynomial as the scan's is
+        seg, roots = hole_step()
+        hit = locate_event(seg, QUADRIC_FLOOR, bracket=(0.0, 0.5 * (roots[0] + roots[1])))
+        assert abs(hit.t - roots[0]) <= 1e-12
+        with pytest.raises(NoSignChange):
+            locate_event(seg, QUADRIC_FLOOR, bracket=(0.5, 1.0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), log_h=st.floats(-3.0, 0.0),
+           window=st.sampled_from(["full", "cut", "snapped"]), cut=st.floats(0.05, 0.95))
+    def test_polynomial_is_h_on_the_interpolant(self, n, seed, log_h, window, cut):
+        rng = np.random.default_rng(seed)
+        A, b, c = rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-2.0, 2.0, n), rng.uniform(-2, 2)
+        surface = SwitchingSurface(quadric=(A, b, c))
+        h_step = 10.0 ** log_h
+        seg = integrate.DenseSegment(rng.uniform(0.0, 10.0), h_step,
+                                     *rng.uniform(-1.0, 1.0, (5, 2 * n + 1)))
+        if window == "cut":
+            t_cut = seg.t0 + cut * h_step
+            seg.y1, seg.t1 = seg.eval(t_cut), t_cut
+        elif window == "snapped":
+            seg.t1 = np.nextafter(np.nextafter(seg.t1, math.inf), math.inf)
+        p = integrate._on_quadric(seg, surface.quadric)
+        # the size of every term: |c| + Q . (|b| + |A| Q), Q bounding |q(theta)|
+        X = np.array([seg.y0, seg._r2, seg._r3, seg._r4, seg._r5])[:, :n]
+        Q = (np.abs(integrate._POWER[:, :, 0].T) @ np.abs(X)).sum(axis=0)
+        scale = abs(c) + Q @ (np.abs(b) + np.abs(A) @ Q)
+        ts = np.concatenate([[seg.t0, seg.t1], rng.uniform(seg.t0, seg.t1, 20)])
+        def horner(th):
+            return integrate._slope(seg, surface, seg.t0 + th * h_step, p)[1]
+
+        for t in ts.tolist():
+            value = integrate._slope(seg, surface, t, p)[1]
+            assert abs(value - surface.value(seg.eval(t)[:n])) <= 1e-13 * scale
+        assert p[0] == surface.value(seg.y0[:n])   # bit for bit at the step's start
+        # the Bernstein coefficients on the window: its ends are p's, and they bound p
+        theta1 = (seg.t1 - seg.t0) / h_step
+        beta = integrate._bernstein(p, theta1)
+        assert beta[0] == p[0]
+        assert abs(beta[-1] - horner(theta1)) <= 1e-13 * scale
+        for th in rng.uniform(0.0, theta1, 20).tolist():
+            value = horner(th)
+            assert min(beta) - 1e-13 * scale <= value <= max(beta) + 1e-13 * scale
+
+    @pytest.mark.parametrize("quadric, error", [
+        (([[1.0, 0.0]], [0.0, 0.0], 1.0), DimensionMismatch),
+        ((np.eye(2), [0.0, 0.0, 0.0], 1.0), DimensionMismatch),
+        ((np.eye(2), [[0.0, 0.0]], 1.0), DimensionMismatch),
+        ((np.eye(2), [0.0, 0.0], [1.0]), DimensionMismatch),
+        ((np.zeros((0, 0)), [], 1.0), DimensionMismatch),
+        (([[math.nan, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0), NonFiniteValue),
+        ((np.eye(2), [0.0, math.inf], 1.0), NonFiniteValue),
+        ((np.eye(2), [0.0, 0.0], math.nan), NonFiniteValue),
+    ], ids=["A_not_square", "b_too_long", "b_not_a_vector", "c_not_a_scalar", "empty",
+            "A_nan", "b_inf", "c_nan"])
+    def test_bad_quadric_is_a_typed_error(self, quadric, error):
+        with pytest.raises(error):
+            SwitchingSurface(quadric=quadric)
+
+    def test_h_beside_a_quadric_is_rejected(self):
+        with pytest.raises(ValueError, match="give one or the other"):
+            SwitchingSurface(h=lambda q: 1.0 - q @ q, quadric=(-np.eye(2), [0.0, 0.0], 1.0))
+        with pytest.raises(ValueError, match="give one or the other"):
+            SwitchingSurface(h=lambda q: 1.0 - q @ q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_h_and_grad_h_follow_from_the_quadric(self, n, seed):
+        # h = c + q . (b + A q) and grad h = b + (A + A^T) q, each sum of
+        # products left to right, at one q and at a block of columns alike
+        rng = np.random.default_rng(seed)
+        A, b, c = rng.normal(size=(n, n)), rng.normal(size=n), float(rng.normal())
+        surface = SwitchingSurface(quadric=(A, b, c))
+        qs = rng.normal(size=(4, n))
+        for q in qs:
+            w = b + np.array([dot_left_to_right(row, q) for row in A])
+            assert surface.value(q) == c + dot_left_to_right(q, w)
+            grad = b + np.array([dot_left_to_right(row, q) for row in A + A.T])
+            assert surface.gradient(q).tobytes() == grad.tobytes()
+        assert surface.values(qs).tolist() == [surface.value(q) for q in qs]
+        assert surface.gradients(qs).T.tobytes() == np.array(
+            [surface.gradient(q) for q in qs]).tobytes()
