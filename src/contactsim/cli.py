@@ -28,14 +28,14 @@ from .billiards import (
     make_circular_billiard,
     make_elliptical_billiard,
 )
-from .checks import (COLUMN_TOL, check_containment, check_decay_laws, check_impact_rows,
-                     check_row_containment, check_row_decay_laws, CheckReport)
+from .checks import (COLUMN_TOL, _impact_pairs, check_containment, check_decay_laws,
+                     check_impact_rows, check_row_containment, check_row_decay_laws, CheckReport)
 from .core import (ContactStateH, ContactStateL, SystemSpec, hamiltonian_from_lagrangian,
                    legendre_forward, natural_lagrangian_system)
 from .errors import ConfigError, ContactSimError, GrazingContact, NonFiniteValue
 from .hybrid import (COMPLETED, FLAG_FLOW, FLAG_POST_IMPACT, FLAG_PRE_IMPACT, MAX_EVENTS,
                      HybridSystem, simulate)
-from .impact import SwitchingSurface, impact_residuals
+from .impact import SwitchingSurface, _residuals, impact_residuals
 from .integrate import StepperConfig
 from .io import (format_float, read_trajectory_csv, write_summary_json, write_trajectory_csv,
                  write_svg)
@@ -307,6 +307,9 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
     checks.append(check_impact_rows(hs.dynamics, hs.surface, table.times, table.states,
                                     table.flags))
     checks.append(check_containment(traj, hs.surface))
+    minus, plus = _impact_pairs(hs.n, table.times, table.states, table.flags)
+    residuals = zip(*(r.tolist() for r in _residuals(   # the certificate's, event by event
+        hs.dynamics, hs.surface.gradients(minus[0].T), minus[:3], plus[:3])))
 
     E0 = float(energies[0])
     fit_rate = None
@@ -334,10 +337,10 @@ def run_simulation(cfg: dict, out_dir: str, formulation_override=None) -> dict:
                 "v_minus": hs.dynamics.velocity(*e.state_minus.phase).tolist(),
                 "v_plus": hs.dynamics.velocity(*e.state_plus.phase).tolist(),
                 "lambda": e.lam,
-                "residual_tangential": e.residual_tangential,
-                "residual_energy": e.residual_energy,
+                "residual_tangential": r_tan,
+                "residual_energy": r_en,
             }
-            for e in traj.events
+            for e, (r_tan, r_en) in zip(traj.events, residuals)
         ],
         "checks": [c.to_dict() for c in checks],
         "config": rc.raw,

@@ -12,14 +12,16 @@ Position, action z, and time pass through untouched. For a quadratic
 kinetic energy these conditions have exactly two roots, the identity and
 the elastic reflection; the resolvers always select the reflecting root.
 One routine, ``_violations`` with its ``_residuals``, certifies the law at one
-pre/post pair (the resolvers' residuals, ``impact_residuals``,
+pre/post pair (``impact_residuals``, which an event's residuals read on demand,
 ``checks.check_impact_conditions``) or at m pairs as columns (the table's rows in
-``checks.check_impact_rows``, the impact report of both CLI commands).
+``checks.check_impact_rows``, the impact report of both CLI commands, and the
+summary's per-event residuals). No resolver calls it: each stops on its own test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -130,27 +132,35 @@ def _on_block(f: Callable, name: str, qs: np.ndarray, shape: tuple) -> np.ndarra
     written for one configuration, with Python control flow or ``math`` calls,
     fails there with numpy's TypeError or ValueError, which becomes a
     DimensionMismatch naming it."""
+    at = (qs[0], qs[-1], len(qs)) if len(qs) else ((), (), 0)   # zero rows: no impact yet
     try:
         val = f(qs.T)
     except (TypeError, ValueError) as e:
         raise DimensionMismatch(
             f"{name} does not take configurations as the columns of a block of shape "
-            f"{qs.T.shape} ({type(e).__name__}: {e}), at "
-            + _BLOCK_AT.format(qs[0], qs[-1], qs.shape[0])) from e
-    return _checked(val, shape, name, _BLOCK_AT, qs[0], qs[-1], qs.shape[0])
+            f"{qs.T.shape} ({type(e).__name__}: {e}), at " + _BLOCK_AT.format(*at)) from e
+    return _checked(val, shape, name, _BLOCK_AT, *at)
 
 
 @dataclass(frozen=True)
 class ImpactEvent:
-    """One impact: both one-sided limits, the impulse multiplier, and the
-    independently evaluated (tangential, energy) residuals. Its time and
-    location are those of the pre-impact limit."""
+    """One impact: both one-sided limits and the impulse multiplier, resolved for
+    ``spec`` at ``surface``, which equality and repr leave out. Its time and location
+    are those of the pre-impact limit. The (tangential, energy) residuals are the
+    certificate's ``impact_residuals`` of the pair, computed once, on the first read."""
 
     state_minus: Union[ContactStateL, ContactStateH]
     state_plus: Union[ContactStateL, ContactStateH]
     lam: float
-    residual_tangential: float
-    residual_energy: float
+    spec: Union[SystemSpec, HamiltonianSpec] = field(compare=False, repr=False)
+    surface: SwitchingSurface = field(compare=False, repr=False)
+
+    @cached_property   # kept out of the fields, so dataclasses.replace starts afresh
+    def _residual_pair(self) -> tuple:
+        return impact_residuals(self.spec, self.surface, self.state_minus, self.state_plus)
+
+    residual_tangential = property(lambda self: self._residual_pair[0])
+    residual_energy = property(lambda self: self._residual_pair[1])
 
     @property
     def t(self) -> float:
@@ -203,8 +213,6 @@ def _violations(sys, surface: SwitchingSurface, minus: tuple, plus: tuple):
     where q, z and t are kept, |h(q-)| <= 1e-9 and grad h . v- < 0 < grad h . v+, else inf.
     That guard comes first, from one call of h, grad h and sys.velocity a side."""
     (q, x, z, t), (q_plus, x_plus, z_plus, t_plus) = minus, plus
-    if q.ndim == 2 and not z.size:
-        return np.empty(0)
     h, g = ((surface.value(q), surface.gradient(q)) if q.ndim == 1
             else (surface.values(q.T), surface.gradients(q.T)))
     ok = ((q == q_plus).all(axis=0) & (z == z_plus) & (t == t_plus) & (abs(h) <= _BOUNDARY_TOL)
@@ -249,13 +257,10 @@ def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:
     return g, vn
 
 
-def _with_residuals(sys, g: np.ndarray, s_minus, x_plus: np.ndarray, lam: float) -> ImpactEvent:
-    """The impact that resets s_minus to x_plus, the post-impact velocity or
-    momentum, with q, z and t passed through, and its residuals."""
-    s_plus = sys.state_type(s_minus.q, x_plus, s_minus.z, s_minus.t)
-    r_tan, r_en = _residuals(sys, g, s_minus.phase, s_plus.phase)
-    return ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=lam,
-                       residual_tangential=float(r_tan), residual_energy=float(r_en))
+def _reset(sys, surface: SwitchingSurface, s_minus, x_plus: np.ndarray, lam: float) -> ImpactEvent:
+    """The impact that resets s_minus to x_plus, a velocity or momentum; q, z and t pass."""
+    return ImpactEvent(s_minus, sys.state_type(s_minus.q, x_plus, s_minus.z, s_minus.t), lam,
+                       sys, surface)
 
 
 def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
@@ -272,7 +277,7 @@ def resolve_impact_natural(sys: SystemSpec, s_minus: ContactStateL,
     g, vn = _approach_normal(sys, surface, s_minus)
     minv_g = _mass_solve(sys.natural, s_minus.q, g) if sys._minv is None else _matvec(sys._minv, g)
     lam = -2.0 * vn / _dot(g, minv_g)
-    return _with_residuals(sys, g, s_minus, s_minus.qdot + lam * minv_g, lam)
+    return _reset(sys, surface, s_minus, s_minus.qdot + lam * minv_g, lam)
 
 
 def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
@@ -340,7 +345,7 @@ def resolve_impact_newton(sys: SystemSpec, s_minus: ContactStateL,
         raise NoConvergence(
             f"impact solve did not reverse the normal velocity (got {vn_plus:.3e})"
         )
-    return _with_residuals(sys, g, s_minus, v, lam)
+    return _reset(sys, surface, s_minus, v, lam)
 
 
 def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
@@ -378,4 +383,4 @@ def resolve_impact_hamiltonian(sys: HamiltonianSpec, s_minus: ContactStateH,
     vn_plus = _dot(g, sys.grad_p(q, p_plus, z))
     if not vn_plus > 0.0:
         raise ConvergedToIdentity("impact solve found only the trivial root")
-    return _with_residuals(sys, g, s_minus, p_plus, lam)
+    return _reset(sys, surface, s_minus, p_plus, lam)

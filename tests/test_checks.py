@@ -524,7 +524,7 @@ class TestImpactConditions:
         v_plus = 0.5 * np.array([-1.0, 0.5])   # reflected but slowed: inelastic
         e = ImpactEvent(state_minus=ContactStateL(q=q, qdot=v_minus, z=0.0, t=1.0),
                         state_plus=ContactStateL(q=q, qdot=v_plus, z=0.0, t=1.0),
-                        lam=0.0, residual_tangential=0.0, residual_energy=0.0)
+                        lam=0.0, spec=circle_billiard.dynamics, surface=circle_billiard.surface)
         rep = check_impact_conditions(e, circle_billiard.dynamics,
                                       circle_billiard.surface)
         assert not rep.passed
@@ -532,8 +532,8 @@ class TestImpactConditions:
 
     @staticmethod
     def _report(sys, surface, s_minus, s_plus):
-        e = ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=0.0,
-                        residual_tangential=0.0, residual_energy=0.0)
+        e = ImpactEvent(state_minus=s_minus, state_plus=s_plus, lam=0.0, spec=sys,
+                        surface=surface)
         return check_impact_conditions(e, sys, surface)
 
     def test_non_impacts_fail_although_their_residuals_vanish(self):
@@ -576,7 +576,7 @@ class TestImpactConditions:
         q = np.array([0.0])
         e = ImpactEvent(state_minus=ContactStateL(q=q, qdot=[-2.0], z=0.0, t=1.0),
                         state_plus=ContactStateL(q=q, qdot=[2.0], z=0.0, t=1.0),
-                        lam=4.0, residual_tangential=0.0, residual_energy=0.0)
+                        lam=4.0, spec=sys, surface=floor)
         rep = check_impact_conditions(e, sys, floor)
         assert rep.passed and rep.max_violation == 0.0
 
@@ -587,7 +587,7 @@ class TestImpactConditions:
         bad = ImpactEvent(state_minus=e.state_minus,
                           state_plus=ContactStateL(q=e.q, qdot=v_bad,
                                                    z=e.state_plus.z, t=e.t),
-                          lam=e.lam, residual_tangential=0.0, residual_energy=0.0)
+                          lam=e.lam, spec=e.spec, surface=e.surface)
         rep = check_impact_conditions(bad, circle_billiard.dynamics,
                                       circle_billiard.surface)
         assert not rep.passed

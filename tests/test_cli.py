@@ -918,6 +918,30 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys, config, formulation):
         == OUTPUT_DIGESTS[config, formulation]
 
 
+@pytest.mark.parametrize("config, formulation", sorted(OUTPUT_DIGESTS),
+                         ids=lambda v: v.removesuffix(".json"))
+def test_summary_residuals_are_the_certificates(tmp_path, monkeypatch, config, formulation):
+    # summary.json reads them from one block pass over the table's pre/post
+    # rows; each equals impact_residuals of its event, bit for bit
+    runs, simulate = [], cli.simulate
+
+    def kept(hs, *args):
+        runs.append((hs, simulate(hs, *args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "simulate", kept)
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 20.0
+    summary = cli.run_simulation(cfg, str(tmp_path / "out"), formulation)
+    (hs, traj), = runs
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())["events"]
+    assert len(written) == len(summary["events"]) == len(traj.events) >= 15
+    assert [(e["residual_tangential"], e["residual_energy"]) for e in written] == [
+        impact.impact_residuals(hs.dynamics, hs.surface, e.state_minus, e.state_plus)
+        for e in traj.events]
+
+
 @pytest.mark.parametrize("config, formulation", [("circle.json", "lagrangian"),
                                                  ("ellipse.json", "hamiltonian")],
                          ids=["circle-lagrangian", "ellipse-hamiltonian"])
@@ -1182,7 +1206,8 @@ def test_value_calls_of_the_row_and_node_passes_are_pinned(tmp_path, monkeypatch
 
 
 def test_impact_test_prints_the_certificates_residuals(capsys, monkeypatch):
-    # a resolver that rotates the reset by 1e-3 while reporting zero residuals
+    # a resolver that rotates the reset by 1e-3; impact-test prints the
+    # certificate's residuals of the pair, from its own system and surface
     honest = impact.resolve_impact_natural
 
     def rotating(sys, s_minus, surface):
@@ -1191,12 +1216,11 @@ def test_impact_test_prints_the_certificates_residuals(capsys, monkeypatch):
         v = event.state_plus.qdot
         state_plus = dataclasses.replace(event.state_plus,
                                          qdot=np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]]))
-        return dataclasses.replace(event, state_plus=state_plus, residual_tangential=0.0,
-                                   residual_energy=0.0)
+        return dataclasses.replace(event, state_plus=state_plus)
 
     monkeypatch.setattr(impact, "resolve_impact_natural", rotating)
     assert main(["impact-test", "circle", "--point", "1", "0", "--velocity", "1", "0.5"]) == 0
     line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("residuals")][0]
     r_tan, r_en = (float(r) for r in line.split(":")[1].split(","))
-    assert r_tan > 1e-4   # the resolver's own zeros printed 0.000e+00
+    assert r_tan > 1e-4   # the rotation moves the tangential momentum
     assert r_en < 1e-12   # a rotation keeps the speed, so the energy matches

@@ -350,6 +350,26 @@ def test_checks_never_reach_the_solver_path():
     assert hits == []
 
 
+# The impact certificate's routines, in impact.py
+CERTIFICATE = {"_residuals", "impact_residuals", "_violations"}
+
+
+def test_resolvers_never_compute_the_certificate():
+    # the certificate owns the impact residuals, read from an event on demand;
+    # a resolver that computed them would pay for them at every impact again
+    with open(os.path.join(os.path.dirname(core.__file__), "impact.py")) as fh:
+        tree = ast.parse(fh.read())
+    resolvers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("resolve_impact_")]
+    hits = []
+    for resolver in resolvers:
+        for node in ast.walk(resolver):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in CERTIFICATE:
+                hits.append(f"impact.py:{node.lineno}: {resolver.name} names {name}")
+    assert len(resolvers) == 3 and hits == []
+
+
 def test_only_integrate_reads_the_interpolant_slots():
     # many interpolant rows have one reader, integrate._rows; a module that
     # gathered a dense step's slots itself would be a second copy of eval

@@ -545,7 +545,7 @@ class TestGuardsAndBudgets:
                 state_minus=s_minus,
                 state_plus=ContactStateL(q=s_minus.q, qdot=v_plus,
                                          z=s_minus.z, t=s_minus.t),
-                lam=0.0, residual_tangential=0.0, residual_energy=0.0)
+                lam=0.0, spec=dynamics, surface=surface)
 
         hs = HybridSystem(dynamics=sys, surface=floor, resolver=soft_resolver)
         s0 = ContactStateL(q=[5e-5], qdot=[-1e-6], z=0.0)

@@ -579,6 +579,52 @@ class TestImpactResiduals:
             assert max(impact_residuals(sys, UNIT_CIRCLE, s, mirrored)) > 1e-3
 
 
+class TestLazyResiduals:
+    """An event's residuals are the certificate's, ``impact_residuals`` of its
+    pair under the spec and surface it was resolved for, computed on the first
+    read of either and never in the resolve."""
+
+    def event(self):
+        sys, s = billiard(gamma=0.05), ContactStateL(q=[0.6, 0.8], qdot=[1.0, 0.3], z=0.1, t=2.0)
+        return sys, s, resolve_impact_natural(sys, s, UNIT_CIRCLE)
+
+    def test_both_reads_make_one_certificate_call(self, monkeypatch):
+        sys, s, e = self.event()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return impact_residuals(*args)
+
+        monkeypatch.setattr(impact, "impact_residuals", counted)
+        pair = (e.residual_tangential, e.residual_energy, e.residual_tangential)
+        assert len(calls) == 1 and calls[0][1:] == (UNIT_CIRCLE, s, e.state_plus)
+        assert pair[:2] == impact_residuals(sys, UNIT_CIRCLE, s, e.state_plus)
+        assert max(pair) <= 1e-14 and pair[0] == pair[2]
+
+    def test_a_replaced_pair_reads_its_own_residuals(self):
+        sys, s, e = self.event()
+        assert max(e.residual_tangential, e.residual_energy) <= 1e-14   # cached now
+        tampered = dataclasses.replace(e.state_plus, qdot=e.state_plus.qdot * [1.0, 1.01])
+        bad = dataclasses.replace(e, state_plus=tampered)
+        assert (bad.residual_tangential, bad.residual_energy) == \
+            impact_residuals(sys, UNIT_CIRCLE, s, tampered)
+        assert max(bad.residual_tangential, bad.residual_energy) > 1e-3
+
+    def test_equality_and_repr_leave_out_the_spec_surface_and_cache(self):
+        sys, s, e = self.event()
+        before = repr(e)
+        assert before == (f"ImpactEvent(state_minus={e.state_minus!r}, "
+                          f"state_plus={e.state_plus!r}, lam={e.lam!r})")
+        e.residual_energy
+        other = impact.ImpactEvent(e.state_minus, e.state_plus, e.lam, billiard(gamma=0.5),
+                                   ellipse_surface(2.0, 3.0))
+        assert repr(e) == before == repr(other) and e == other
+        assert e != dataclasses.replace(e, lam=e.lam + 1.0)
+        with pytest.raises(AttributeError):
+            e.residual_energy = 0.0
+
+
 class TestTangentBasis:
     def test_orthonormal_and_orthogonal_to_normal(self):
         rng = np.random.default_rng(109)
@@ -611,13 +657,18 @@ def quartic_newton_run(monkeypatch):
     return workloads.quartic_system(), s0, (workloads.QUARTIC_T_FINAL,)
 
 
-def ellipse_hamiltonian_run(monkeypatch):
-    """demos/configs/ellipse.json in the Hamiltonian formulation, T = 200."""
-    cfg = cli.load_config(os.path.join(ROOT, "demos", "configs", "ellipse.json"))
+def config_run(name, formulation):
+    """demos/configs/<name>.json in the given formulation, T = 200."""
+    cfg = cli.load_config(os.path.join(ROOT, "demos", "configs", name + ".json"))
     cfg["run"]["t_final"] = 200.0
-    rc = cli.parse_config(cfg, "hamiltonian")
+    rc = cli.parse_config(cfg, formulation)
     hs, lag_spec, _ = cli.build_system(rc)
     return hs, cli.initial_state(rc, hs, lag_spec), (rc.t_final, rc.stepper, rc.max_events)
+
+
+def ellipse_hamiltonian_run(monkeypatch):
+    """demos/configs/ellipse.json in the Hamiltonian formulation, T = 200."""
+    return config_run("ellipse", "hamiltonian")
 
 
 @pytest.mark.parametrize("run, law, function, events, updates, most", [
@@ -628,9 +679,9 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
                                              updates, most):
     """Exact Newton updates of the impact solves over a whole run. Each pass
     of a resolver's Newton loop evaluates the residual, and with it L or H,
-    once; the other three evaluations in a resolve are E- (H-) and the two
-    energies of the event's residuals, so a resolve that stops after k
-    updates evaluates L or H k + 4 times. The quartic's midpoint seed
+    once; the other evaluation in a resolve is E- (H-), so a resolve that
+    stops after k updates evaluates L or H k + 2 times. The event's residuals
+    are the certificate's, read on demand, not in the resolve. The quartic's midpoint seed
     leaves one update per impact, to remove the error of its differenced
     Hessian; the ellipse's H is quadratic in p, so its seed is the root. A
     change that moves a count states it."""
@@ -648,7 +699,7 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
             return resolve(*args)
         finally:
             inside[0] = False
-            per_resolve.append(calls[0] - before - 4)
+            per_resolve.append(calls[0] - before - 2)
 
     hs = dataclasses.replace(hs, dynamics=dataclasses.replace(hs.dynamics, **{function: counted}))
     monkeypatch.setattr(impact, "resolve_impact_" + law, counted_resolve)
@@ -656,6 +707,27 @@ def test_impact_solver_iterations_are_pinned(monkeypatch, run, law, function, ev
     assert len(traj.events) == events and len(per_resolve) == events
     assert sum(per_resolve) == updates
     assert max(per_resolve) == most and min(per_resolve) >= 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda mp: config_run("circle", "lagrangian"), lambda mp: config_run("ellipse", "lagrangian"),
+    ellipse_hamiltonian_run, quartic_newton_run],
+    ids=["circle-lagrangian", "ellipse-lagrangian", "ellipse-hamiltonian", "quartic-newton"])
+def test_simulate_computes_no_impact_residuals(monkeypatch, run):
+    """The certificate owns the impact residuals: a run resolves every impact
+    without one ``impact._residuals`` call; the first read of an event's makes one."""
+    hs, s0, args = run(monkeypatch)
+    residuals, calls = impact._residuals, []
+
+    def counted(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(impact, "_residuals", counted)
+    traj = simulate(hs, s0, *args)
+    assert traj.status == COMPLETED and len(traj.events) > 100 and calls == []
+    assert max(traj.events[-1].residual_tangential, traj.events[-1].residual_energy) <= 1e-10
+    assert len(calls) == 1
 
 
 def test_quartic_reference_run_bytes_are_pinned(monkeypatch):
@@ -797,6 +869,16 @@ class TestBlockGate:
         block = np.ascontiguousarray(qs.T).T if ordered else qs
         assert surface.values(block).tobytes() == h_point.tobytes()
 
+    @pytest.mark.parametrize("surface", [
+        SwitchingSurface(quadric=(-np.eye(2), np.zeros(2), 1.0)), UNIT_CIRCLE],
+        ids=["quadric", "function"])
+    def test_zero_rows_give_empty_blocks(self, surface):
+        # a run without impacts hands the certificate zero pre/post pairs
+        qs = np.empty((0, 2))
+        assert surface.values(qs).shape == (0,)
+        assert surface.gradients(qs).shape == (2, 0)
+        assert surface.slopes(qs, qs) == ([], [])
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(4, 8), m=st.integers(1, 20))
     def test_c_ordered_gradient_block_equals_the_point_gate(self, data, n, m):
@@ -897,11 +979,12 @@ class TestCertificateOnColumns:
         assert np.isinf(block).tolist() == [kind != "impact" for kind in kinds]
         states = [[sys.state_type(q, x, z, t) for q, x, z, t in pair] for pair in pairs]
         assert one_pair.tolist() == [check_impact_conditions(
-            impact.ImpactEvent(*s, 0.0, 0.0, 0.0), sys, SPHERE).max_violation for s in states]
-        if m:   # the unguarded residuals, column by column
-            r_block = impact._residuals(sys, SPHERE.gradients(minus[0].T), minus[:3], plus[:3])
-            r_pairs = [impact._residuals(sys, SPHERE.gradient(p[0][0]), p[0][:3], p[1][:3])
-                       for p in pairs]
-            assert np.array(r_block).tobytes() == np.array(r_pairs).T.tobytes()
-            assert [impact_residuals(sys, SPHERE, *s) for s in states] == [
-                tuple(map(float, r)) for r in r_pairs]
+            impact.ImpactEvent(*s, 0.0, sys, SPHERE), sys, SPHERE).max_violation for s in states]
+        # the unguarded residuals, column by column; zero columns give two empty rows
+        r_block = impact._residuals(sys, SPHERE.gradients(minus[0].T), minus[:3], plus[:3])
+        r_pairs = [impact._residuals(sys, SPHERE.gradient(p[0][0]), p[0][:3], p[1][:3])
+                   for p in pairs]
+        assert np.array(r_block).shape == (2, m)
+        assert np.array(r_block).tobytes() == np.array(r_pairs).T.tobytes()
+        assert [impact_residuals(sys, SPHERE, *s) for s in states] == [
+            tuple(map(float, r)) for r in r_pairs]
