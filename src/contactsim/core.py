@@ -106,11 +106,20 @@ def _checked(val, shape: tuple, name: str, at: str, *point) -> Union[np.ndarray,
 
 
 class _ContactState:
-    """What both states share: validation, the dimension and the flat phase
-    vector [q, x, z]. Each subclass is a frozen dataclass with the fields
-    q, x, z, t in that order and names x in ``_x``. It calls ``_validate``
-    from a ``__post_init__`` of its own, which perfbench's tracer wraps per
-    class to count the states built."""
+    """What both states share: validation, the dimension, the flat phase vector
+    [q, x, z] and equality by value. Each subclass is a frozen dataclass (eq=False)
+    with the fields q, x, z, t in that order and names x in ``_x``; it calls
+    ``_validate`` from a ``__post_init__`` of its own, which perfbench's tracer
+    wraps per class to count the states built."""
+
+    def __eq__(self, other):   # the same class and the same q, x, z and t
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+    def _key(self) -> tuple:   # Python floats, so -0.0 and 0.0 hash alike
+        return *self.as_vector().tolist(), self.t
 
     def _validate(self):
         x = self._x
@@ -144,7 +153,7 @@ class _ContactState:
         return cls(y[:n], y[n : 2 * n], float(y[2 * n]), t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactStateL(_ContactState):
     """Lagrangian-side state (q, qdot, z, t).
 
@@ -162,7 +171,7 @@ class ContactStateL(_ContactState):
         self._validate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactStateH(_ContactState):
     """Hamiltonian-side state (q, p, z, t) in Darboux coordinates."""
 
@@ -689,6 +698,13 @@ def _contact_field(sys, q, p, z, H, dH_dq, dH_dp, dH_dz) -> list:
     return Hp + [-a - b * Hz for a, b in zip(Hq, ps)] + [_fold(ps, Hp) - _typed(H(q, p, z))]
 
 
+def _herglotz_field(sys, q, v, z, L, dL_dq, dL_dv, dL_dz) -> list:
+    """[qdot, W^-1 (dL/dq - c + (dL/dz) dL/dqdot), L], W = ``hess_vv`` and c = ``drift``."""
+    force, p = _typed(dL_dq(q, v, z), sys.n), _typed(dL_dv(q, v, z), sys.n)
+    rate, W, Lv = _typed(dL_dz(q, v, z)), sys.hess_vv(q, v, z), _typed(L(q, v, z))
+    return v.tolist() + _solve_regular(W, force - sys.drift(q, v, z, Lv) + rate * p).tolist() + [Lv]
+
+
 def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
     """Herglotz vector field on the flat phase vector y = [q, qdot, z] at t.
 
@@ -696,27 +712,13 @@ def herglotz_rhs(sys: SystemSpec, t: float, y: np.ndarray) -> np.ndarray:
 
         W qddot = dL/dq - c + (dL/dz) dL/dv,   c = (d2L/dq dv) qdot + (d2L/dz dv) L,
 
-    with c the spec's ``drift``. Each partial is read once at the read-only
-    views (q, qdot, z) of y, and one LU factorization of W gives both the
-    regularity gate and the solve; no state is built. Raises DimensionMismatch
-    on a vector of the wrong length, NonFiniteValue on a non-finite entry,
-    and SingularHessian when W fails the gate. A natural form with a
-    constant, regular mass M skips the solve: W = M, c = 0 and dL/dqdot =
-    M qdot, so qddot = M^-1 dL/dq + (dL/dz) qdot with the SystemSpec's M^-1,
-    behind one gate (``_one_gate``).
+    with c the spec's ``drift``, behind one gate (``_one_gate``): each partial is read
+    once at the read-only views of y, and no state is built. Raises DimensionMismatch on
+    a vector of the wrong length, NonFiniteValue on a non-finite entry, and SingularHessian
+    when W fails the gate of ``_herglotz_field``'s solve, which a natural form's constant,
+    regular mass M skips: qddot = M^-1 dL/dq + (dL/dz) qdot (``_natural_field``).
     """
-    if sys._minv is not None:
-        return _one_gate(sys, t, y, _natural_field)
-    q, v, z = _phase_split(sys, t, y)
-    n = sys.n
-    out = np.empty(2 * n + 1)
-    out[:n] = v
-    dL_dq, dL_dv, dL_dz, W = (sys.grad_q(q, v, z), sys.grad_v(q, v, z), sys.grad_z(q, v, z),
-                              sys.hess_vv(q, v, z))
-    Lval = sys.value(q, v, z)
-    out[n:2 * n] = _solve_regular(W, dL_dq - sys.drift(q, v, z, Lval) + dL_dz * dL_dv)
-    out[2 * n] = Lval
-    return out
+    return _one_gate(sys, t, y, _natural_field if sys._minv is not None else _herglotz_field)
 
 
 def hamiltonian_rhs(sys: HamiltonianSpec, t: float, y: np.ndarray) -> np.ndarray:

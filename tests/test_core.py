@@ -147,6 +147,36 @@ class TestStates:
         assert sh.as_vector().tobytes() == y.tobytes()
         assert sh.p.tobytes() == s.qdot.tobytes() and (sh.z, sh.t) == (s.z, s.t)
 
+    @pytest.mark.parametrize("cls, second", [(ContactStateL, "qdot"), (ContactStateH, "p")])
+    def test_states_compare_and_hash_by_value(self, cls, second):
+        # the generated __eq__ compared the arrays (ValueError) and __hash__
+        # hashed them (TypeError)
+        good = {"q": [1.0, 0.0], second: [1.0, 0.5], "z": 0.0, "t": 0.0}
+        s, same = cls(**good), cls(**good)
+        assert s == same and not s != same and hash(s) == hash(same)
+        for name, moved in (("q", [1.0, 1e-300]), (second, [1.0, -0.5]), ("z", 1e-3),
+                            ("t", 2.0)):
+            other = cls(**{**good, name: moved})
+            assert s != other and not s == other
+        signed = cls(q=[-0.0, 0.0], z=-0.0, t=-0.0, **{second: [1.0, -0.0]})
+        plain = cls(q=[0.0, 0.0], z=0.0, t=0.0, **{second: [1.0, 0.0]})
+        assert signed == plain and hash(signed) == hash(plain)
+        assert len({s, same, signed, plain}) == 2
+        assert repr(s) == (f"{cls.__name__}(q=array([1., 0.]), {second}=array([1. , 0.5]), "
+                           "z=0.0, t=0.0)")
+
+    def test_a_lagrangian_state_never_equals_a_hamiltonian_one(self):
+        sl = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.5], z=0.25, t=1.0)
+        sh = ContactStateH(q=[1.0, 0.0], p=[1.0, 0.5], z=0.25, t=1.0)
+        assert sl != sh and sh != sl and len({sl, sh}) == 2
+
+    def test_two_resolves_of_one_state_give_equal_hashable_events(self):
+        hs = make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-4))
+        s = ContactStateL(q=[1.0, 0.0], qdot=[1.0, 0.5], z=0.0)
+        a, b = hs.resolve(s), hs.resolve(s)
+        assert a.state_plus is not b.state_plus
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
     @pytest.mark.parametrize("cls", [ContactStateL, ContactStateH])
     @given(length=st.one_of(st.just(1), st.integers(0, 30).map(lambda k: 2 * k)))
     def test_vector_of_no_phase_space_length_is_rejected(self, cls, length):
@@ -415,6 +445,24 @@ def test_every_sum_of_products_goes_through_core_dot():
                     or any("linalg" in module for module in imported)):
                 hits.append(f"{name}:{node.lineno}: {ast.unparse(node)[:60]}")
     assert hits == []
+
+
+def test_every_field_is_assembled_behind_the_one_gate():
+    # herglotz_rhs and hamiltonian_rhs are each one _one_gate call, and only
+    # _one_gate reads the phase vector through _phase_split, so no field is
+    # assembled outside the gate
+    with open(core.__file__) as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("herglotz_rhs", "hamiltonian_rhs"):
+        body = [s for s in functions[name].body
+                if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        call = body[0].value
+        assert isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_one_gate", name
+    callers = {name for name, fn in functions.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_phase_split"}
+    assert callers == {"_one_gate"}
 
 
 def test_no_module_level_import_goes_unused():
@@ -781,13 +829,17 @@ class TestFlatField:
 def gated_pass(sys, t, y):
     """The field's arithmetic on the gated accessors, after the phase vector's
     own gate: what ``_one_gate`` falls back to."""
-    field = core._natural_field if sys.formulation == "lagrangian" else core._contact_field
+    field = (core._contact_field if sys.formulation == "hamiltonian" else
+             core._natural_field if sys._minv is not None else core._herglotz_field)
     return np.array(field(sys, *core._phase_split(sys, t, y), *sys._gated))
 
 
 def reference_field(formulation):
     """The reference circle's Herglotz field or the ellipse's closed-form
-    contact Hamiltonian, both at gamma = 1e-4 and unit mass."""
+    contact Hamiltonian, both at gamma = 1e-4 and unit mass, or the generic
+    field of the quartic reference run's Lagrangian."""
+    if formulation == "quartic":
+        return counted_quartic_system()[0]
     if formulation == "lagrangian":
         return make_circular_billiard(BilliardSpec(boundary=Circle(1.0), gamma=1e-4)).dynamics
     return hamiltonian_from_lagrangian(make_elliptical_billiard(
@@ -795,14 +847,15 @@ def reference_field(formulation):
 
 
 RAW_EVALUATORS = {"lagrangian": ("lagrangian", "dL_dq", "dL_dz"),
-                  "hamiltonian": ("hamiltonian", "dH_dq", "dH_dp", "dH_dz")}
+                  "hamiltonian": ("hamiltonian", "dH_dq", "dH_dp", "dH_dz"),
+                  "quartic": ("lagrangian", "dL_dq", "dL_dv", "dL_dz")}
 
 
 class TestOneGate:
-    """A constant-mass natural Herglotz field and a contact Hamiltonian with
-    every partial supplied run their arithmetic once on the raw evaluators,
-    behind one finiteness test of y and the field together; any other value
-    takes the gated pass, which gives the same bits or today's typed error."""
+    """Every field, natural, contact Hamiltonian or generic Herglotz, runs its
+    arithmetic once on the raw evaluators, behind one finiteness test of y and
+    the field together; any other value takes the gated pass, which gives the
+    same bits or today's typed error."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
@@ -832,7 +885,39 @@ class TestOneGate:
         assert core._matvec(M, x).tobytes() == core._matvec(M, x[:, None])[:, 0].tobytes()
         assert bits(core._kinetic(M, x)) == bits(core._kinetic(M, x[:, None])[0])
 
-    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["momentum", "lagrangian-alone", "callable-mass"]),
+           zeros=st.lists(st.integers(0, 8), max_size=4))
+    def test_generic_field_equals_the_gated_pass(self, n, seed, kind, zeros):
+        # a supplied dL/dqdot with W differenced from it, L alone, or a
+        # configuration-dependent mass through the natural form
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.5, 2.0, n)
+        eps, gamma = float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.0, 0.5))
+        if kind == "callable-mass":
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            sys = natural_lagrangian_system(
+                n, lambda q: A @ A.T + np.diag(n + 0.4 * c * np.cos(q)), gamma=gamma,
+                potential=lambda q: float(np.sum(c * np.cos(q))))
+        else:
+            def L(q, v, z):
+                s = dot_left_to_right(v, v)
+                return 0.5 * s + 0.25 * eps * s * s + float(np.sum(c * np.cos(q))) - gamma * z
+
+            sys = SystemSpec(n=n, lagrangian=L) if kind == "lagrangian-alone" else SystemSpec(
+                n=n, lagrangian=L, dL_dq=lambda q, v, z: -c * np.sin(q),
+                dL_dv=lambda q, v, z: (1.0 + eps * dot_left_to_right(v, v)) * v,
+                dL_dz=lambda q, v, z: -gamma)
+        assert sys._minv is None
+        y = rng.uniform(-2.0, 2.0, 2 * n + 1)
+        y[[k for k in zeros if k < y.size]] = -0.0
+        t = float(rng.uniform(0.0, 100.0))
+        fast = sys.vector_field(t, y)
+        assert fast.dtype == np.float64 and fast.shape == y.shape and fast.flags.writeable
+        assert fast.tobytes() == gated_pass(sys, t, y).tobytes()
+
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian", "quartic"])
     def test_other_value_types_take_the_gated_pass_to_the_same_bits(self, monkeypatch,
                                                                      formulation):
         # a numpy scalar or an (n, 1) array fails the type test; the gated pass
@@ -863,10 +948,15 @@ class TestOneGate:
         got = core._dot(np.array([1, 2, 3]), np.array([4, 5, 6]))
         assert type(got) is float and got == 32.0
 
-    @pytest.mark.parametrize("formulation", ["lagrangian", "hamiltonian"])
-    def test_a_clean_evaluation_passes_one_gate(self, monkeypatch, formulation):
+    @pytest.mark.parametrize("formulation, tests, repeated", [
+        ("lagrangian", 1, {}), ("hamiltonian", 1, {}), ("quartic", 3, {"dL_dv": 7}),
+    ], ids=["lagrangian", "hamiltonian", "quartic"])
+    def test_a_clean_evaluation_passes_one_gate(self, monkeypatch, formulation, tests,
+                                                repeated):
         # no _checked call, one finiteness test, and one call of each raw
-        # evaluator that the field reads (the circle's field never reads dL/dqdot)
+        # evaluator that the field reads (the circle's field never reads dL/dqdot);
+        # the quartic's W and drift difference dL/dqdot, 2n + 2 more calls, and
+        # test each of their two Jacobians for finiteness
         calls = []
         sys = reference_field(formulation)
         sys = dataclasses.replace(sys, **{
@@ -877,8 +967,9 @@ class TestOneGate:
         monkeypatch.setattr(core, "_checked", lambda *a: checked.append(a) or on_checked(*a))
         monkeypatch.setattr(core, "_all_finite", lambda v: tested.append(v) or on_finite(v))
         sys.vector_field(0.0, np.array([0.5, 0.0, 1.0, 1.2, 0.0]))
-        assert (len(checked), len(tested)) == (0, 1)
-        assert sorted(calls) == sorted(RAW_EVALUATORS[formulation])
+        assert (len(checked), len(tested)) == (0, tests)
+        assert sorted(calls) == sorted(name for name in RAW_EVALUATORS[formulation]
+                                       for _ in range(repeated.get(name, 1)))
 
 
 class TestLegendre:
