@@ -57,7 +57,7 @@ class Circle:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
+        if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be > 0, got {self.radius}")
 
 
@@ -67,7 +67,7 @@ class Ellipse:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ValueError(f"semiaxes must be > 0, got a={self.a}, b={self.b}")
 
 
@@ -80,9 +80,9 @@ class BilliardSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
+        if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.mass > 0.0:
+        if not 0.0 < self.mass < math.inf:
             raise ValueError(f"mass must be > 0, got {self.mass}")
 
 

@@ -257,19 +257,14 @@ def check_impact_conditions(event: ImpactEvent,
 
 
 def check_impact_rows(sys: Union[SystemSpec, HamiltonianSpec], surface: SwitchingSurface,
-                      t: np.ndarray, states: np.ndarray, flags: np.ndarray) -> CheckReport:
+                      t: np.ndarray, states: np.ndarray, flags: np.ndarray) -> tuple:
     """The impact law at every pre-impact row and the row after it, read as columns
-    (q, x, z, t) in one pass: the first largest violation above 0 at its time, else a
-    passing 0.0 with no location."""
-    minus, plus = _impact_pairs(sys.n, t, states, flags)
-    violations = _violations(sys, surface, minus, plus)
+    (q, x, z, t) in one pass: the report, the first largest violation above 0 at its time,
+    else a passing 0.0 with no location, beside that pass's (tangential, energy) residuals
+    and (v-, v+) velocity columns, pair by pair (``impact._violations``)."""
+    n, pre = sys.n, np.flatnonzero(flags == FLAG_PRE_IMPACT)
+    violations, *columns = _violations(sys, surface, *(
+        (states[j, :n].T, states[j, n:2 * n].T, states[j, 2 * n], t[j]) for j in (pre, pre + 1)))
     k = int(np.argmax(np.append(0.0, violations)))
-    return CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
-                       tolerance=IMPACT_TOL, location=minus[3][k - 1] if k else None)
-
-
-def _impact_pairs(n: int, t: np.ndarray, states: np.ndarray, flags: np.ndarray) -> tuple:
-    """(minus, plus): the columns (q, x, z, t) of every pre-impact row and of the row after it."""
-    pre = np.flatnonzero(flags == FLAG_PRE_IMPACT)
-    return tuple((states[j, :n].T, states[j, n:2 * n].T, states[j, 2 * n], t[j])
-                 for j in (pre, pre + 1))
+    return (CheckReport(name="impact_conditions", max_violation=violations[k - 1] if k else 0.0,
+                        tolerance=IMPACT_TOL, location=t[pre[k - 1]] if k else None), *columns)

@@ -14,8 +14,9 @@ the elastic reflection; the resolvers always select the reflecting root.
 One routine, ``_violations`` with its ``_residuals``, certifies the law at one
 pre/post pair (``impact_residuals``, which an event's residuals read on demand,
 ``checks.check_impact_conditions``) or at m pairs as columns (the table's rows in
-``checks.check_impact_rows``, the impact report of both CLI commands, and the
-summary's per-event residuals). No resolver calls it: each stops on its own test.
+``checks.check_impact_rows``, the impact report of both CLI commands). That one pass
+also gives the summary of ``contactsim simulate`` its per-event residuals and velocities,
+null where the guard rejects a pair. No resolver calls it: each stops on its own test.
 """
 
 from __future__ import annotations
@@ -211,19 +212,20 @@ def _violations(sys, surface: SwitchingSurface, minus: tuple, plus: tuple):
     """The impact law at one pair, minus and plus = (q, x, z, t) with q and x of shape (n,),
     or at m pairs as columns, q and x (n, m), z and t (m,): the larger ``_residuals`` entry
     where q, z and t are kept, |h(q-)| <= 1e-9 and grad h . v- < 0 < grad h . v+, else inf.
-    That guard comes first, from one call of h, grad h and sys.velocity a side."""
+    That guard comes first, from one call of h, grad h and sys.velocity a side. At m pairs it
+    returns (violations, (tangential, energy) inf where the guard fails, (v-, v+) it read)."""
     (q, x, z, t), (q_plus, x_plus, z_plus, t_plus) = minus, plus
     h, g = ((surface.value(q), surface.gradient(q)) if q.ndim == 1
             else (surface.values(q.T), surface.gradients(q.T)))
+    v = sys.velocity(q, x, z), sys.velocity(q_plus, x_plus, z_plus)
     ok = ((q == q_plus).all(axis=0) & (z == z_plus) & (t == t_plus) & (abs(h) <= _BOUNDARY_TOL)
-          & (_dot(g, sys.velocity(q, x, z)) < 0.0)
-          & (_dot(g, sys.velocity(q_plus, x_plus, z_plus)) > 0.0))
+          & (_dot(g, v[0]) < 0.0) & (_dot(g, v[1]) > 0.0))
     if q.ndim == 1:
         return float(max(_residuals(sys, g, minus[:3], plus[:3]))) if ok else np.inf
-    violations = np.full(z.shape, np.inf)
-    violations[ok] = np.maximum(*_residuals(sys, g[:, ok], *(
-        tuple(a[..., ok] for a in side[:3]) for side in (minus, plus))))
-    return violations
+    residuals = np.full((2, z.size), np.inf)
+    residuals[:, ok] = _residuals(sys, g[:, ok], *(
+        tuple(a[..., ok] for a in side[:3]) for side in (minus, plus)))
+    return residuals.max(axis=0), tuple(residuals), v
 
 
 def _approach_normal(sys, surface: SwitchingSurface, s_minus) -> tuple:

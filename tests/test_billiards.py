@@ -143,10 +143,17 @@ class TestImpactClosedForms:
     (lambda: BilliardSpec(boundary=Circle(1.0), gamma=math.nan), "gamma must be >= 0"),
     (lambda: free_particle_closed_form(math.nan, [0.0, 0.0], [1.0, 0.0], 0.5, 1.0),
      "gamma must be >= 0"),
-], ids=["circle_point", "ellipse_point", "spec_gamma", "free_particle_gamma"])
+    (lambda: Circle(math.inf), "radius must be > 0"),
+    (lambda: Ellipse(math.inf, 1.0), "semiaxes must be > 0"),
+    (lambda: Ellipse(1.0, math.inf), "semiaxes must be > 0"),
+    (lambda: BilliardSpec(boundary=Circle(1.0), gamma=math.inf), "gamma must be >= 0"),
+    (lambda: BilliardSpec(boundary=Circle(1.0), mass=math.inf), "mass must be > 0"),
+], ids=["circle_point", "ellipse_point", "spec_gamma", "free_particle_gamma", "radius_inf",
+        "semiaxis_a_inf", "semiaxis_b_inf", "spec_gamma_inf", "spec_mass_inf"])
 def test_nan_is_rejected_by_every_guard(call, message):
     # each guard accepts only a good value, so a NaN, which fails every
-    # comparison, is rejected rather than let through
+    # comparison, is rejected rather than let through; so is an infinite
+    # size, drag or mass, which made a NaN oracle
     with pytest.raises(ValueError, match=message):
         call()
 

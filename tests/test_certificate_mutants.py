@@ -5,7 +5,7 @@ up at call time and rewrites only the post-impact velocity (momentum on the
 Hamiltonian side) by a relative 1e-5, leaving the multiplier and the
 resolver's own residuals as they were. Each field mutant wraps the vector
 field that the specs reach through ``core``'s globals and scales one block
-of it by 1 - 1e-5. A run under a mutant must end in a typed error, or
+of it by 1 - 1e-5, or drops its dissipation term. A run under a mutant must end in a typed error, or
 ``simulate`` and ``check`` must both exit 2 with at least one failing
 report, so a wrong reset or a wrong flow cannot certify itself.
 """
@@ -124,3 +124,20 @@ def test_field_mutant_is_caught(tmp_path, monkeypatch, capsys, request,
     for name in ("herglotz_rhs", "hamiltonian_rhs"):
         monkeypatch.setattr(core, name, scaled_block(getattr(core, name), block))
     assert_caught(tmp_path, capsys, geometry, formulation, gamma=gamma)
+
+
+def dropped_dissipation(field):
+    """The field with dL/dz (dH/dz on the Hamiltonian side) read as 0.0, so the
+    flow conserves the energy that the drag should dissipate."""
+    def mutant(sys, q, x, z, value, grad_q, grad_x, grad_z):
+        return field(sys, q, x, z, value, grad_q, grad_x, lambda q, x, z: 0.0)
+    return mutant
+
+
+@pytest.mark.parametrize("geometry, formulation", [("circle", "lagrangian"),
+                                                   ("ellipse", "hamiltonian")])
+def test_dropped_dissipation_is_caught(tmp_path, monkeypatch, capsys, geometry, formulation):
+    for name in ("_natural_field", "_contact_field"):
+        monkeypatch.setattr(core, name, dropped_dissipation(getattr(core, name)))
+    assert_caught(tmp_path, capsys, geometry, formulation)
+    assert "energy_decay" in failing_reports(tmp_path / "out" / "summary.json")

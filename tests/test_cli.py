@@ -266,6 +266,14 @@ class TestImpactTest:
                      "--velocity", "1", "0.5", "--gamma", "nan"]) == 1
         assert "gamma must be >= 0, got nan" in capsys.readouterr().err
 
+    def test_infinite_semiaxis_is_named(self, capsys):
+        # an infinite semi-axis used to exit 0 with a NaN oracle and difference
+        assert main(["impact-test", "ellipse", "--a", "inf", "--b", "1", "--point", "0", "1",
+                     "--velocity", "0.3", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: semiaxes must be > 0, got a=inf, b=1.0\n"
+        assert captured.out == ""
+
 
 class TestCheck:
     def _fresh_run(self, tmp_path):
@@ -945,6 +953,74 @@ def test_summary_residuals_are_the_certificates(tmp_path, monkeypatch, config, f
 @pytest.mark.parametrize("config, formulation", [("circle.json", "lagrangian"),
                                                  ("ellipse.json", "hamiltonian")],
                          ids=["circle-lagrangian", "ellipse-hamiltonian"])
+def test_simulate_reads_the_impact_pairs_once(tmp_path, monkeypatch, config, formulation):
+    """`simulate` makes one ``impact._residuals`` call and one block call of grad h
+    over its m impact pairs: the summary's residuals and velocities come from the
+    impact report's own pass. Every binding of ``_residuals`` is counted. Before,
+    a second pass for the summary made two of each."""
+    residual_calls, gradient_calls = [], []
+    residuals, gradients = impact._residuals, impact.SwitchingSurface.gradients
+
+    def counted_residuals(*args):
+        residual_calls.append(args)
+        return residuals(*args)
+
+    def counted_gradients(self, qs):
+        gradient_calls.append(np.array(qs))
+        return gradients(self, qs)
+
+    for module in (impact, checks, cli):
+        if hasattr(module, "_residuals"):
+            monkeypatch.setattr(module, "_residuals", counted_residuals)
+    monkeypatch.setattr(impact.SwitchingSurface, "gradients", counted_gradients)
+    with open(os.path.join(CONFIG_DIR, config)) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 20.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--formulation", formulation]) == 0
+    data = read_trajectory_csv(str(tmp_path / "out" / "trajectory.csv"))
+    pre_q = data["q"][data["flag"] == 1]
+    assert len(pre_q) in (15, 17)
+    assert len(residual_calls) == 1
+    assert sum(np.array_equal(qs, pre_q) for qs in gradient_calls) == 1
+
+
+def test_summary_writes_null_for_a_pair_the_guard_rejects(tmp_path, monkeypatch):
+    """From the second impact on, the resolver returns the identity reset, which
+    the impact law's guard rejects: that pair's residuals are null, not the zeros
+    its unguarded residuals read, and the file parses under a strict JSON reader."""
+    law, resolved = impact.resolve_impact_natural, []
+
+    def identity_after_the_first(sys, s_minus, surface):
+        resolved.append(s_minus.t)
+        if len(resolved) == 1:
+            return law(sys, s_minus, surface)
+        return impact.ImpactEvent(s_minus, s_minus, 0.0, sys, surface)
+
+    monkeypatch.setattr(impact, "resolve_impact_natural", identity_after_the_first)
+    with open(CIRCLE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["run"]["t_final"] = 20.0
+    cli.run_simulation(cfg, str(tmp_path / "out"))
+
+    def no_constant(name):
+        raise AssertionError(f"summary.json holds {name}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=no_constant)
+    first, rejected = summary["events"]
+    assert max(first["residual_tangential"], first["residual_energy"]) <= 1e-15
+    assert (rejected["residual_tangential"], rejected["residual_energy"]) == (None, None)
+    assert rejected["v_minus"] == rejected["v_plus"]
+    report = {c["name"]: c for c in summary["checks"]}["impact_conditions"]
+    assert (report["max_violation"], report["location"]) == (None, resolved[1])
+
+
+@pytest.mark.parametrize("config, formulation", [("circle.json", "lagrangian"),
+                                                 ("ellipse.json", "hamiltonian")],
+                         ids=["circle-lagrangian", "ellipse-hamiltonian"])
 def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path, config, formulation):
     """The T=20 CLI pair writes the same bytes whichever OpenBLAS kernel numpy
     runs: the default for this CPU, Haswell and Prescott. Each pair runs in
@@ -1105,7 +1181,7 @@ def test_check_certifies_the_impacts_as_simulate_and_the_per_pair_reference_do(r
     # every pair, not only the worst, as `check` reads the rows as columns
     t, pre = data["t"], np.flatnonzero(data["flag"] == 1)
     minus, plus = ((data["q"][j].T, data["v"][j].T, data["z"][j], t[j]) for j in (pre, pre + 1))
-    assert impact._violations(hs.dynamics, hs.surface, minus, plus).tolist() == [
+    assert impact._violations(hs.dynamics, hs.surface, minus, plus)[0].tolist() == [
         r.max_violation for r in reports]
     reference = max([CheckReport(name="impact_conditions", max_violation=0.0,
                                  tolerance=checks.IMPACT_TOL), *reports],

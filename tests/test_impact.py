@@ -947,8 +947,9 @@ def certificate_pair(lag, sys, kind, u, v, z, t):
 class TestCertificateOnColumns:
     """``impact._violations`` and ``_residuals`` at m pairs as columns equal
     their one-pair calls bit for bit, and each broken guard is inf in its
-    own column only. The columns come as C-ordered (n, m) arrays or as the
-    transposed rows that ``contactsim check`` reads from its CSV."""
+    own column only, in the verdicts and in the residual pair returned beside
+    them. The columns come as C-ordered (n, m) arrays or as the transposed
+    rows that ``contactsim check`` reads from its CSV."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 8), m=st.integers(0, 6),
@@ -973,7 +974,7 @@ class TestCertificateOnColumns:
             return phase[:, :n].T, phase[:, n:2 * n].T, phase[:, 2 * n], phase[:, 2 * n + 1]
 
         minus, plus = columns(0), columns(1)
-        block = impact._violations(sys, SPHERE, minus, plus)
+        block, residuals, velocities = impact._violations(sys, SPHERE, minus, plus)
         one_pair = np.array([impact._violations(sys, SPHERE, *pair) for pair in pairs], dtype=float)
         assert block.tobytes() == one_pair.tobytes()
         assert np.isinf(block).tolist() == [kind != "impact" for kind in kinds]
@@ -986,5 +987,12 @@ class TestCertificateOnColumns:
                    for p in pairs]
         assert np.array(r_block).shape == (2, m)
         assert np.array(r_block).tobytes() == np.array(r_pairs).T.tobytes()
+        # beside the verdicts: those residuals where the guard holds, else inf, and v-, v+
+        ok = np.isfinite(block)
+        assert residuals[0][ok].tobytes() + residuals[1][ok].tobytes() == \
+            np.array(r_block)[:, ok].tobytes()
+        assert np.isinf(np.array(residuals)[:, ~ok]).all()
+        for v, side in zip(velocities, (minus, plus)):
+            assert v.tobytes() == np.asarray(sys.velocity(*side[:3]), dtype=float).tobytes()
         assert [impact_residuals(sys, SPHERE, *s) for s in states] == [
             tuple(map(float, r)) for r in r_pairs]

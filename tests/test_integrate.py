@@ -25,7 +25,8 @@ from contactsim import (
     step,
 )
 from contactsim import cli, integrate
-from contactsim.checks import check_containment
+from contactsim.checks import CONTAINMENT_TOL, check_containment
+from contactsim.hybrid import HybridTrajectory, TrajectorySegment
 from contactsim.impact import _GRAZING_SPEED
 from conftest import dot_left_to_right, interpolant_rows
 
@@ -1002,3 +1003,16 @@ class TestQuadricGuard:
         assert surface.values(qs).tolist() == [surface.value(q) for q in qs]
         assert surface.gradients(qs).T.tobytes() == np.array(
             [surface.gradient(q) for q in qs]).tobytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 27: "
+                   "check_containment refines a step only where dh/dt changes sign between "
+                   "its 17 samples, so a dip with dh/dt > 0 at both samples around it reads 0")
+@pytest.mark.parametrize("surface", [QUADRIC_FLOOR, FLOOR], ids=["quadric", "general"])
+def test_containment_sees_a_dip_between_two_samples(surface):
+    # hole_step dips to h = -1.24e-6 between its samples at 0 and 1/16
+    seg, _ = hole_step()
+    run = TrajectorySegment(t0=seg.t0, t1=seg.t1, y0=seg.y0, y1=seg.y1, segments=[seg],
+                            hit=None, h_next=seg.h_step)
+    report = check_containment(HybridTrajectory(n=1, segments=[run]), surface)
+    assert report.max_violation > CONTAINMENT_TOL
