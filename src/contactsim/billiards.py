@@ -57,8 +57,9 @@ class Circle:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        r = self.radius   # the wall divides by r^2, and the closed-form reflection forms r^4
+        if not (0.0 < r and 0.0 < r * r * r * r < math.inf):
+            raise ValueError(f"radius must be > 0 with r^4 finite and nonzero, got {r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class Ellipse:
     b: float
 
     def __post_init__(self):
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise ValueError(f"semiaxes must be > 0, got a={self.a}, b={self.b}")
+        if not all(0.0 < s and 0.0 < s * s * s * s < math.inf for s in (self.a, self.b)):
+            raise ValueError(f"semiaxes must be > 0 with a^4 and b^4 finite and nonzero, "
+                             f"got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)

@@ -381,23 +381,26 @@ def cmd_impact_test(args) -> int:
         a, b = args.a, args.b
         hs = make_elliptical_billiard(BilliardSpec(boundary=Ellipse(a, b), gamma=gamma,
                                                    mass=mass))
-    # the circle of radius r is the ellipse with semi-axes r and r
-    oracle = elliptical_impact_closed_form(a, b, q[0], q[1], v[0], v[1])
-
-    s_minus = ContactStateL(q=q, qdot=v, z=0.0, t=0.0)
-    try:
-        result = hs.resolve(s_minus)
-    except GrazingContact as e:
-        print(f"grazing contact: {e}")
-        return 2
-    v_plus = result.state_plus.qdot
+    with np.errstate(all="ignore"):   # a value that is not finite is named below
+        # the circle of radius r is the ellipse with semi-axes r and r
+        oracle = elliptical_impact_closed_form(a, b, q[0], q[1], v[0], v[1])
+        try:
+            result = hs.resolve(ContactStateL(q=q, qdot=v, z=0.0, t=0.0))
+        except GrazingContact as e:
+            print(f"grazing contact: {e}")
+            return 2
+        v_plus = result.state_plus.qdot
+        gaps = [v_plus[0] - oracle[0], v_plus[1] - oracle[1]]
+        r = impact_residuals(hs.dynamics, hs.surface, result.state_minus, result.state_plus)
+    for name, values in (("post-impact velocity", v_plus), ("oracle difference", gaps),
+                         ("impact residual (tan, en)", r)):
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteValue(f"the {name} is not finite: {[float(x) for x in values]}")
     print(f"pre-impact velocity:  ({format_float(v[0])}, {format_float(v[1])})")
     print(f"solver post-impact:   ({format_float(v_plus[0])}, {format_float(v_plus[1])})")
     print(f"closed-form oracle:   ({format_float(oracle[0])}, {format_float(oracle[1])})")
-    diff = max(abs(v_plus[0] - oracle[0]), abs(v_plus[1] - oracle[1]))
-    print(f"max difference:       {diff:.3e}")
+    print(f"max difference:       {max(abs(gaps[0]), abs(gaps[1])):.3e}")
     print(f"impulse multiplier:   {format_float(result.lam)}")
-    r = impact_residuals(hs.dynamics, hs.surface, result.state_minus, result.state_plus)
     print(f"residuals (tan, en):  {r[0]:.3e}, {r[1]:.3e}")
     return 0
 

@@ -8,9 +8,11 @@ fixed (no runtime solver selection) so a given configuration reproduces
 its output bit for bit.
 
 The right-hand side is a flat field f(t, y) -> dy/dt on the phase vector,
-and each stage input is an exact-order sum: the rows k_0..k_{i-1} scaled
-by the tableau column and added in index order, as a scalar loop would;
-the last stage's input is the step's end (first same as last).
+called with an array at each stage; the step's own sums run on Python
+floats, one comprehension per stage input, error estimate and dense term:
+per component, the tableau's weights, zeros included, times k_1..k_{i-1},
+added in index order, as a scalar loop would. The last stage's input is
+the step's end (first same as last). A stage of the wrong length raises.
 
 Event handling guards each accepted step for the first interior-to-exterior
 crossing of the switching surface h(q) = 0 (admissible region h > 0). On a
@@ -66,33 +68,21 @@ __all__ = [
     "locate_event",
 ]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# Column i holds the weights of stage i as an (i, 1) array, so
-# (_A_COL[i] * k[:i]).sum(axis=0) adds the scaled rows in index order.
-_A_COL = tuple(np.array(row).reshape(-1, 1) for row in _A)
-# b - bhat: weights for the embedded error estimate.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40]).reshape(-1, 1)
-# Weights of the quartic dense-output correction term.
-_D = np.array([
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-]).reshape(-1, 1)
+# Dormand-Prince 5(4) tableau, stages 1-based: stage i runs at t + _Ci h, _Aij weighs stage j
+# in stage i's input (the last row is b, the 5th-order weights), and _Ej and _Dj weigh stage j
+# in the error estimate, b - bhat, and in the quartic dense-output correction term.
+_C2, _C3, _C4, _C5, _C6, _C7 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                     22 / 525, -1 / 40)
+_D1, _D2, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -205,11 +195,10 @@ def _rows(steps: list, which: np.ndarray, ts: np.ndarray, cols: slice = slice(No
     return (ys, _derivative(th, h_step[:, None], r2, r3, r4, r5)) if derivative else ys
 
 
-def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                 cfg: StepperConfig) -> float:
-    """Componentwise |error| / (atol + rtol max(|y0|, |y1|)), max over components."""
-    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.abs(err) / scale))
+def _stage(rhs: Callable, t: float, y: list) -> list:
+    """rhs at (t, y), y passed as an array, as Python floats; the field may return any
+    array-like that numpy reads as floats."""
+    return np.asarray(rhs(t, np.array(y)), dtype=float).tolist()
 
 
 def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
@@ -225,22 +214,37 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     f_new is the derivative there (FSAL), reusable as the next f0.
     """
     y = np.asarray(y, dtype=float)
-    if not _all_finite(np.asarray(f0)):
+    f0 = np.asarray(f0, dtype=float)
+    if not _all_finite(f0):
         raise NonFiniteValue(f"right-hand side is not finite at t={t}")
     h = min(float(h_try), cfg.h_max)
-    k = np.empty((7, y.size))
-    k[0] = f0
+    y0, k1, atol, rtol = y.tolist(), f0.tolist(), cfg.atol, cfg.rtol
     while True:
         if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t} (h={h:.3e})")
-        for i in range(1, 7):
-            y1 = y + h * (_A_COL[i] * k[:i]).sum(axis=0)   # at i = 6, the step's end
-            k[i] = rhs(t + _C[i] * h, y1)
+        # each zip is strict: a stage value of the wrong length raises ValueError
+        k2 = _stage(rhs, t + _C2 * h, [u + h * (_A21 * p1) for u, p1 in zip(y0, k1, strict=True)])
+        k3 = _stage(rhs, t + _C3 * h, [u + h * (_A31 * p1 + _A32 * p2)
+                                       for u, p1, p2 in zip(y0, k1, k2, strict=True)])
+        k4 = _stage(rhs, t + _C4 * h, [u + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                                       for u, p1, p2, p3 in zip(y0, k1, k2, k3, strict=True)])
+        k5 = _stage(rhs, t + _C5 * h, [
+            u + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+            for u, p1, p2, p3, p4 in zip(y0, k1, k2, k3, k4, strict=True)])
+        k6 = _stage(rhs, t + _C6 * h, [
+            u + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+            for u, p1, p2, p3, p4, p5 in zip(y0, k1, k2, k3, k4, k5, strict=True)])
+        y1 = [u + h * (_A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
+              for u, p1, p2, p3, p4, p5, p6 in zip(y0, k1, k2, k3, k4, k5, k6, strict=True)]
+        k7 = _stage(rhs, t + _C7 * h, y1)   # the step's end
         if not _all_finite(y1):
             h *= 0.5
             continue
-        err = h * (_E * k).sum(axis=0)
-        ratio = _error_ratio(err, y, y1, cfg)
+        ratios = [abs(h * (_E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                           + _E7 * p7)) / (atol + rtol * max(abs(u), abs(v)))
+                  for u, v, p1, p2, p3, p4, p5, p6, p7
+                  in zip(y0, y1, k1, k2, k3, k4, k5, k6, k7, strict=True)]
+        ratio = max(ratios) if _all_finite(ratios) else math.inf   # max would skip a NaN
         if ratio <= 1.0:
             break
         factor = max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP)
@@ -248,8 +252,10 @@ def step(rhs: Callable, t: float, y: np.ndarray, cfg: StepperConfig,
     factor = (_MAX_FACTOR if ratio == 0.0
               else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** _ORDER_EXP)))
     h_next = min(cfg.h_max, h * factor)
-    f_new = k[6].copy()  # FSAL: stage 7 is rhs at (t + h, y1)
-    return DenseSegment(t, h, y, y1, k[0], f_new, (_D * k).sum(axis=0)), h_next, f_new
+    f_new = np.array(k7)  # FSAL: stage 7 is rhs at (t + h, y1)
+    dense = [_D1 * p1 + _D2 * p2 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7
+             for p1, p2, p3, p4, p5, p6, p7 in zip(k1, k2, k3, k4, k5, k6, k7)]
+    return DenseSegment(t, h, y, y1, f0, f_new, np.array(dense)), h_next, f_new
 
 
 @dataclass(frozen=True)
@@ -429,8 +435,10 @@ def _on_quadric(segment: DenseSegment, quadric: tuple) -> list:
                                 segment._r5])[:, None, :b.size]).T
     w = _matvec(A, qk)
     w[:, 0] += b
-    g = _dot(qk[:, :, None], w[:, None]).tolist()
-    p = [sum(g[i][j] for i, j in pairs) for pairs in _PAIRS]
+    g, p = _dot(qk[:, :, None], w[:, None]).tolist(), [0.0] * 9
+    for k, pairs in enumerate(_PAIRS):   # from 0.0, left to right: builtin sum compensates
+        for i, j in pairs:               # on Python 3.12 and later
+            p[k] += g[i][j]
     return [c + p[0]] + p[1:]
 
 

@@ -148,12 +148,19 @@ class TestImpactClosedForms:
     (lambda: Ellipse(1.0, math.inf), "semiaxes must be > 0"),
     (lambda: BilliardSpec(boundary=Circle(1.0), gamma=math.inf), "gamma must be >= 0"),
     (lambda: BilliardSpec(boundary=Circle(1.0), mass=math.inf), "mass must be > 0"),
+    (lambda: Circle(1e-200), "radius must be > 0 with r"),
+    (lambda: Circle(1e100), "radius must be > 0 with r"),
+    (lambda: Ellipse(1e-200, 1.0), "semiaxes must be > 0 with a"),
+    (lambda: Ellipse(1.0, 1e200), "semiaxes must be > 0 with a"),
 ], ids=["circle_point", "ellipse_point", "spec_gamma", "free_particle_gamma", "radius_inf",
-        "semiaxis_a_inf", "semiaxis_b_inf", "spec_gamma_inf", "spec_mass_inf"])
+        "semiaxis_a_inf", "semiaxis_b_inf", "spec_gamma_inf", "spec_mass_inf",
+        "radius_fourth_power_underflows", "radius_fourth_power_overflows",
+        "semiaxis_a_square_underflows", "semiaxis_b_square_overflows"])
 def test_nan_is_rejected_by_every_guard(call, message):
     # each guard accepts only a good value, so a NaN, which fails every
     # comparison, is rejected rather than let through; so is an infinite
-    # size, drag or mass, which made a NaN oracle
+    # size, drag or mass, which made a NaN oracle, and a size whose 4th power
+    # is 0 or inf, which the wall or the oracle divided by or overflowed on
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -271,7 +271,30 @@ class TestImpactTest:
         assert main(["impact-test", "ellipse", "--a", "inf", "--b", "1", "--point", "0", "1",
                      "--velocity", "0.3", "0.5"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: semiaxes must be > 0, got a=inf, b=1.0\n"
+        assert captured.err == ("error: semiaxes must be > 0 with a^4 and b^4 finite and "
+                                "nonzero, got a=inf, b=1.0\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ellipse", "--a", "1e-200", "--b", "1", "--point", "1e-200", "0"],
+         "semiaxes must be > 0 with a^4 and b^4 finite and nonzero, got a=1e-200, b=1.0"),
+        (["ellipse", "--a", "1e200", "--b", "1", "--point", "1e200", "0"],
+         "semiaxes must be > 0 with a^4 and b^4 finite and nonzero, got a=1e+200, b=1.0"),
+        (["circle", "--radius", "1e100", "--point", "1e100", "0"],
+         "radius must be > 0 with r^4 finite and nonzero, got 1e+100"),
+    ], ids=["square_underflows", "square_overflows", "fourth_power_overflows"])
+    def test_extreme_semiaxis_is_an_error(self, capsys, argv, message):
+        # these ended in a ZeroDivisionError or an OverflowError traceback
+        assert main(["impact-test", *argv, "--velocity", "-1", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_non_finite_residual_is_an_error(self, capsys):
+        # the momenta m v overflow: this printed a NaN residual and exited 0
+        assert main(["impact-test", "circle", "--point", "1", "0", "--velocity", "1", "0.5",
+                     "--mass", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the impact residual (tan, en) is not finite: [nan")
         assert captured.out == ""
 
 

@@ -684,6 +684,47 @@ def wobble(t, y):
                      y[3] * y[4] - 1.7, 1.0 / (1.0 + y[0] ** 2)])
 
 
+# Dormand & Prince (1980), the tableau as numpy rows for the reference step.
+DOPRI_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DOPRI_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DOPRI_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                    -17253 / 339200, 22 / 525, -1 / 40]).reshape(-1, 1)
+DOPRI_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+]).reshape(-1, 1)
+
+
+def numpy_step(rhs, t, y, cfg, h_try, f0):
+    """The stepper on numpy arrays, the reference for ``step``: each sum is an axis-0
+    reduction of the weighted stage rows, which adds them in index order."""
+    y = np.asarray(y, dtype=float)
+    h = min(float(h_try), cfg.h_max)
+    k = np.empty((7, y.size))
+    k[0] = f0
+    while True:
+        for i in range(1, 7):
+            y1 = y + h * (np.array(DOPRI_A[i]).reshape(-1, 1) * k[:i]).sum(axis=0)
+            k[i] = rhs(t + DOPRI_C[i] * h, y1)
+        err = h * (DOPRI_E * k).sum(axis=0)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y1))
+        ratio = float(np.max(np.abs(err) / scale))
+        if ratio <= 1.0:
+            break
+        h *= max(0.2, 0.9 * ratio ** -0.2)
+    factor = 10.0 if ratio == 0.0 else min(10.0, max(0.2, 0.9 * ratio ** -0.2))
+    segment = integrate.DenseSegment(t, h, y, y1, k[0], k[6].copy(), (DOPRI_D * k).sum(axis=0))
+    return segment, min(cfg.h_max, h * factor), k[6].copy()
+
+
 class TestFlatHotPath:
     """The vectorized interpolant, checkpoint times and stage sums reproduce
     the scalar forms bit for bit."""
@@ -795,19 +836,105 @@ class TestFlatHotPath:
         k = np.empty((7, y.size))
         k[0] = wobble(t, y)
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(integrate._A[i]))
-            k[i] = wobble(t + integrate._C[i] * h, yi)
+            yi = y + h * sum(a * k[j] for j, a in enumerate(DOPRI_A[i]))
+            k[i] = wobble(t + DOPRI_C[i] * h, yi)
         seg, _, f_new = step(wobble, t, y, cfg, h, wobble(t, y))
         assert seg.h_step == h
         assert seg.y1.tobytes() == yi.tobytes()   # FSAL: the step ends at stage 7's input
         assert f_new.tobytes() == k[6].tobytes()
+        # stage values at 10^+-8 whose sums round differently in any other order: a
+        # field that returns them one by one sees each stage input, the dense term and,
+        # through h_next at a ratio near 1/2, the error estimate of the generator sums
         rng = np.random.default_rng(6)
         for _ in range(50):
-            rows = rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-8, 8, (6, 1))
+            rows = rng.normal(size=(7, 5)) * 10.0 ** rng.uniform(-8, 8, (7, 1))
+            seen = []
+
+            def scripted(t_stage, y_stage):
+                seen.append(y_stage.copy())
+                return rows[len(seen)].copy()
+
+            err = np.abs(h * sum(e * rows[j] for j, e in enumerate(DOPRI_E)))
+            cfg = StepperConfig(rtol=1e-300, atol=2.0 * float(err.max()), h_max=1.0)
+            seg, h_next, f_new = step(scripted, t, y, cfg, h, rows[0])
             for i in range(1, 7):
-                ref = sum(a * rows[j] for j, a in enumerate(integrate._A[i]))
-                got = (integrate._A_COL[i] * rows[:i]).sum(axis=0)
-                assert got.tobytes() == ref.tobytes()
+                ref = y + h * sum(a * rows[j] for j, a in enumerate(DOPRI_A[i]))
+                assert seen[i - 1].tobytes() == ref.tobytes()
+            assert len(seen) == 6 and f_new.tobytes() == rows[6].tobytes()
+            dense = sum(d * rows[j] for j, d in enumerate(DOPRI_D))
+            assert seg._r5.tobytes() == (h * dense).tobytes()
+            ratio = float(np.max(err / (cfg.atol + cfg.rtol * np.maximum(np.abs(y),
+                                                                          np.abs(ref)))))
+            assert 0.4 < ratio < 0.6
+            assert h_next == min(1.0, h * min(10.0, max(0.2, 0.9 * ratio ** -0.2)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), h=st.floats(0.2, 3.0),
+           tol=st.floats(1e-12, 1e-7))
+    def test_step_equals_the_numpy_reference_bit_for_bit(self, n, seed, h, tol):
+        # rejections included: the rhs calls, every DenseSegment slot, h_next and f_new
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        y0, t0 = rng.normal(size=n), float(rng.uniform(0.0, 5.0))
+        calls = {"step": [], "reference": []}
+
+        def field(name):
+            def rhs(t, y):
+                calls[name].append((float(t), y.tobytes()))
+                return np.sin(w * np.roll(y, 1)) - 0.5 * y * y + np.cos(3.0 * t) * w
+            return rhs
+
+        cfg = StepperConfig(rtol=tol, atol=tol, h_max=2.0)
+        f0 = field("step")(t0, y0)
+        got = step(field("step"), t0, y0, cfg, h, f0)
+        want = numpy_step(field("reference"), t0, y0, cfg, h, f0)
+        assert len(calls["step"]) > 7       # at least one rejected attempt
+        assert calls["step"][1:] == calls["reference"]
+        for name in integrate.DenseSegment.__slots__:
+            assert np.asarray(getattr(got[0], name)).tobytes() == \
+                np.asarray(getattr(want[0], name)).tobytes(), name
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert type(got[2]) is np.ndarray and got[2].tobytes() == want[2].tobytes()
+
+    def test_a_nan_error_estimate_rejects_the_attempt(self):
+        # the first attempt's last stage is NaN in a component past the first, which the
+        # builtin max would skip: the attempt is rejected, with the reference's step size
+        def field(calls):
+            def rhs(t, y):
+                calls.append(t)
+                out = wobble(t, y)
+                return np.where(np.arange(5) == 3, np.nan, out) if len(calls) == 6 else out
+            return rhs
+
+        y0, cfg = np.array([0.2, -0.7, 1.1, 0.4, 2.5]), StepperConfig(h_max=0.05)
+        got_calls, want_calls = [], []
+        seg, h_next, f_new = step(field(got_calls), 0.3, y0, cfg, 0.05, wobble(0.3, y0))
+        want = numpy_step(field(want_calls), 0.3, y0, cfg, 0.05, wobble(0.3, y0))
+        assert len(got_calls) > 6 and got_calls == want_calls
+        assert seg.h_step == want[0].h_step < 0.05 and h_next == want[1]
+        assert f_new.tobytes() == want[2].tobytes() and np.isfinite(f_new).all()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("bad_call", range(6))
+    def test_a_stage_of_the_wrong_length_raises(self, extra, bad_call):
+        # a stage value one entry short or long raises at the sum that reads it, before
+        # any further field call; a bare zip would truncate it. f0 is read the same way
+        calls = []
+
+        def resize(v):
+            return v[:extra] if extra < 0 else np.append(v, 1.0)
+
+        def rhs(t, y):
+            calls.append(t)
+            return resize(wobble(t, y)) if len(calls) == bad_call + 1 else wobble(t, y)
+
+        y0 = np.array([0.2, -0.7, 1.1, 0.4, 2.5])
+        cfg = StepperConfig(rtol=1.0, atol=1.0, h_max=0.05)
+        with pytest.raises(ValueError):
+            step(rhs, 0.3, y0, cfg, 0.05, wobble(0.3, y0))
+        assert len(calls) == bad_call + 1
+        with pytest.raises(ValueError):
+            step(wobble, 0.3, y0, cfg, 0.05, resize(wobble(0.3, y0)))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), h=st.floats(1e-3, 0.5))
@@ -879,6 +1006,16 @@ class TestQuadricGuard:
     """On a quadric wall the guard reads p(theta) = h(q(theta)), a degree-8
     polynomial, from the step's coefficients: its Bernstein form certifies a step
     and isolates its first exit with no sampling, and Newton on p locates it."""
+
+    def test_polynomial_does_not_depend_on_the_builtin_sum(self, monkeypatch):
+        # builtin sum compensates from Python 3.12 on, and did not before: a correctly
+        # rounded sum in its place moves no p_k on any of the circle's T = 200 steps
+        traj, surface, _ = counted_surface_run("circle.json", "lagrangian", quadric=True)
+        before = np.array([integrate._on_quadric(seg, surface.quadric) for seg in traj.steps])
+        monkeypatch.setattr(integrate, "sum", lambda items, start=0: start + math.fsum(items),
+                            raising=False)
+        after = np.array([integrate._on_quadric(seg, surface.quadric) for seg in traj.steps])
+        assert len(traj.steps) == 303 and after.tobytes() == before.tobytes()
 
     def test_dip_between_two_checkpoints_is_bracketed(self):
         # the hole the checkpoints leave: h > 0 and dh/dt > 0 at both ends
